@@ -155,6 +155,33 @@ void tile4x16_i16_scalar(const std::int16_t* apanel,
   }
 }
 
+/// Scalar exact integer tile. The int32 x int32 products are exact in
+/// int64; the sums accumulate in uint64, so wraparound (reachable only
+/// with int32-rail operands) is defined and bitwise identical to
+/// `_mm256_add_epi64`.
+void tile4x8_i32_scalar(const std::int32_t* apanel,
+                        const std::int32_t* bpanel, int k, std::int64_t* c,
+                        std::size_t ldc) {
+  std::uint64_t acc[kGemmTileRows][kGemmTileColsI32] = {};
+  for (int p = 0; p < k; ++p) {
+    const std::int32_t* ap =
+        apanel + static_cast<std::size_t>(p) * kGemmTileRows;
+    const std::int32_t* bp =
+        bpanel + static_cast<std::size_t>(p) * kGemmTileColsI32;
+    for (int i = 0; i < kGemmTileRows; ++i) {
+      const std::int64_t a = ap[i];
+      for (int j = 0; j < kGemmTileColsI32; ++j) {
+        acc[i][j] += static_cast<std::uint64_t>(a * bp[j]);
+      }
+    }
+  }
+  for (int i = 0; i < kGemmTileRows; ++i) {
+    for (int j = 0; j < kGemmTileColsI32; ++j) {
+      c[i * ldc + j] = static_cast<std::int64_t>(acc[i][j]);
+    }
+  }
+}
+
 /// One float through the saturating Q(frac_bits) rounding used by every
 /// quantize kernel: NaN -> 0, round half away from zero, clamp in the
 /// DOUBLE domain (casting an out-of-range double to an integer is UB, so
@@ -261,7 +288,8 @@ void affine_f32_scalar(const float* src, float* dst, std::size_t n,
 }
 
 constexpr GemmKernels kScalarKernels{tile4x16_scalar,  dot_scalar,
-                                     tile4x16_i16_scalar, qdq_f32_scalar,
+                                     tile4x16_i16_scalar, tile4x8_i32_scalar,
+                                     qdq_f32_scalar,
                                      quant_f32_i16_scalar, requant_i32_scalar,
                                      max_abs_f32_scalar, tile4x16_ep_scalar,
                                      relu_f32_scalar, axpy_f32_scalar,

@@ -66,6 +66,22 @@ using GemmTileI16Fn = void (*)(const std::int16_t* apanel,
                                std::int32_t* c, std::size_t ldc,
                                bool accumulate);
 
+/// Column width of the exact integer tile: int64 lanes are twice as wide
+/// as f32 ones, so the 8 ymm accumulators of the 4x16 f32 tile hold a 4x8
+/// int64 tile (a 4x16 one would need all 16 registers).
+inline constexpr int kGemmTileColsI32 = 8;
+
+/// Exact integer full-tile micro-kernel: C[4][8] = A32 * B32 with int32
+/// operands and int64 results, k >= 1. `apanel` is a packed [k][4] row
+/// panel (PackedGemmA's layout), `bpanel` a packed [k][8] column panel,
+/// C row-major with leading dimension `ldc`; always overwrites. Every
+/// int32 x int32 product is exact in int64 and the sums wrap mod 2^64
+/// (never UB), so every ISA, k-order and tiling gives bitwise-identical C.
+/// The FPGA simulator's Q20 convolutions run on it.
+using GemmTileI32Fn = void (*)(const std::int32_t* apanel,
+                               const std::int32_t* bpanel, int k,
+                               std::int64_t* c, std::size_t ldc);
+
 /// Saturating Q(frac_bits) quantize/dequantize round trip over a float
 /// span, elementwise — fixed::qdq_inplace's inner loop, lifted into the
 /// kernel table so the SIMD TU can vectorize it. Bitwise identical to
@@ -136,6 +152,7 @@ struct GemmKernels {
   GemmTile4x16Fn tile4x16;
   GemmDotFn dot;
   GemmTileI16Fn tile4x16_i16;
+  GemmTileI32Fn tile4x8_i32;
   QdqF32Fn qdq_f32;
   QuantF32ToI16Fn quant_f32_i16;
   RequantI32Fn requant_i32;

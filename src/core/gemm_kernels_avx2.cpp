@@ -211,6 +211,49 @@ void tile4x16_i16_avx2(const std::int16_t* apanel, const std::int16_t* bpanel,
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(c + 3 * ldc + 8), c31);
 }
 
+/// Exact integer 4x8 tile via `_mm256_mul_epi32`, which multiplies the
+/// low (signed) dword of each qword lane into an exact int64. One load
+/// brings a B row's 8 columns: the even columns already sit in the low
+/// dwords and a 32-bit qword shift brings the odd ones down, so each row
+/// keeps an even-column and an odd-column accumulator (8 ymm in all),
+/// interleaved back into column order once, at the store.
+/// `_mm256_add_epi64` wraps mod 2^64 like the scalar kernel's uint64 sums.
+void tile4x8_i32_avx2(const std::int32_t* apanel, const std::int32_t* bpanel,
+                      int k, std::int64_t* c, std::size_t ldc) {
+  __m256i e0, o0, e1, o1, e2, o2, e3, o3;
+  e0 = o0 = e1 = o1 = e2 = o2 = e3 = o3 = _mm256_setzero_si256();
+  for (int p = 0; p < k; ++p) {
+    const __m256i be = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+        bpanel + static_cast<std::size_t>(p) * kGemmTileColsI32));
+    const __m256i bo = _mm256_srli_epi64(be, 32);
+    const std::int32_t* arow =
+        apanel + static_cast<std::size_t>(p) * kGemmTileRows;
+    __m256i av = _mm256_set1_epi32(arow[0]);
+    e0 = _mm256_add_epi64(e0, _mm256_mul_epi32(av, be));
+    o0 = _mm256_add_epi64(o0, _mm256_mul_epi32(av, bo));
+    av = _mm256_set1_epi32(arow[1]);
+    e1 = _mm256_add_epi64(e1, _mm256_mul_epi32(av, be));
+    o1 = _mm256_add_epi64(o1, _mm256_mul_epi32(av, bo));
+    av = _mm256_set1_epi32(arow[2]);
+    e2 = _mm256_add_epi64(e2, _mm256_mul_epi32(av, be));
+    o2 = _mm256_add_epi64(o2, _mm256_mul_epi32(av, bo));
+    av = _mm256_set1_epi32(arow[3]);
+    e3 = _mm256_add_epi64(e3, _mm256_mul_epi32(av, be));
+    o3 = _mm256_add_epi64(o3, _mm256_mul_epi32(av, bo));
+  }
+  const __m256i rows[4][2] = {{e0, o0}, {e1, o1}, {e2, o2}, {e3, o3}};
+  for (int i = 0; i < kGemmTileRows; ++i) {
+    // even = (c0 c2 | c4 c6), odd = (c1 c3 | c5 c7) per 128-bit half.
+    const __m256i lo = _mm256_unpacklo_epi64(rows[i][0], rows[i][1]);
+    const __m256i hi = _mm256_unpackhi_epi64(rows[i][0], rows[i][1]);
+    std::int64_t* crow = c + static_cast<std::size_t>(i) * ldc;
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow),
+                        _mm256_permute2x128_si256(lo, hi, 0x20));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(crow + 4),
+                        _mm256_permute2x128_si256(lo, hi, 0x31));
+  }
+}
+
 /// Vector twin of the scalar quantize_raw_double: 4 doubles at a time.
 /// round-half-away-from-zero = trunc(s + copysign(0.5, s)); NaN lanes are
 /// zeroed via an ordered-compare mask; the final +0.0 normalizes -0.0 so
@@ -409,7 +452,8 @@ void affine_f32_avx2(const float* src, float* dst, std::size_t n, float scale,
 }
 
 constexpr GemmKernels kAvx2Kernels{tile4x16_avx2,     dot_avx2,
-                                   tile4x16_i16_avx2, qdq_f32_avx2,
+                                   tile4x16_i16_avx2, tile4x8_i32_avx2,
+                                   qdq_f32_avx2,
                                    quant_f32_i16_avx2, requant_i32_avx2,
                                    max_abs_f32_avx2, tile4x16_ep_avx2,
                                    relu_f32_avx2, axpy_f32_avx2,

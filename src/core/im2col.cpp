@@ -37,7 +37,8 @@ inline int end_valid_ow(int kw, int pad, int stride, int w, int wo) {
 /// per-element walk (zeros outside, source reads inside). Templated on the
 /// element type: the float instantiation serves the classic lowering, the
 /// int16 one lowers pre-quantized activations for the integer GEMM (9x
-/// cheaper than quantizing the replicated column matrix).
+/// cheaper than quantizing the replicated column matrix), the int32 one
+/// the FPGA simulator's Q20 raws.
 template <typename T>
 void im2col_strided(const T* src, const LoweringGeometry& g,
                     std::size_t row_stride, T* dst) {
@@ -161,6 +162,11 @@ void col2im_strided(const float* cols, const LoweringGeometry& g,
 }  // namespace
 
 void im2col(const float* src, const LoweringGeometry& g, float* dst) {
+  im2col_strided(src, g, g.col_cols(), dst);
+}
+
+void im2col_i32(const std::int32_t* src, const LoweringGeometry& g,
+                std::int32_t* dst) {
   im2col_strided(src, g, g.col_cols(), dst);
 }
 
@@ -800,8 +806,11 @@ void gemm_tiled_pb(const float* a, const PackedGemmB& b, float* c, int m,
   const GemmKernels& kernels = active_gemm_kernels();
   const int col_tiles = (n + kTileCols - 1) / kTileCols;
   const int row_tiles = (m + kTileRows - 1) / kTileRows;
-  static thread_local PackedGemmA pa;
-  pack_gemm_a(a, m, k, pa);
+  static thread_local PackedGemmA pa_storage;
+  pack_gemm_a(a, m, k, pa_storage);
+  // Pool workers must read the CALLER's pack: naming the thread_local
+  // inside the lambda would resolve to each worker's own (empty) copy.
+  const PackedGemmA& pa = pa_storage;
 
   auto run_tiles = [&](int t0, int t1) {
     // Edge tiles run the full-width kernel into a scratch tile (packed

@@ -35,6 +35,11 @@ struct LoweringGeometry {
 /// dst must hold col_rows() * col_cols() floats. Out-of-image taps read 0.
 void im2col(const float* src, const LoweringGeometry& g, float* dst);
 
+/// The same single-sample lowering over int32 raws — the input side of the
+/// FPGA simulator's exact integer GEMM.
+void im2col_i32(const std::int32_t* src, const LoweringGeometry& g,
+                std::int32_t* dst);
+
 /// Adjoint of im2col: scatter-adds cols back into a [C,H,W] image buffer.
 /// dst must be zero-initialized by the caller (or hold a partial sum).
 void col2im(const float* cols, const LoweringGeometry& g, float* dst);

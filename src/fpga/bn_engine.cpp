@@ -1,5 +1,7 @@
 #include "fpga/bn_engine.hpp"
 
+#include <limits>
+
 #include "fixed/fixed_math.hpp"
 #include "util/check.hpp"
 
@@ -69,14 +71,21 @@ fixed::FixedTensor BnEngine::run(const fixed::FixedTensor& input,
     }
 
     // Pass 2: variance. (x - mean)^2 accumulates at Q(2*fb); the final
-    // value is brought back to Q(fb) after the mean division.
-    std::int64_t sq = 0;
+    // value is brought back to Q(fb) after the mean division. |x - mean|
+    // < 2^32, so each square fits uint64, and the sum saturates at
+    // INT64_MAX instead of overflowing — reachable only when a channel
+    // holds raws of both signs near the int32 rails. Sums that fit are
+    // unchanged, and a saturated one keeps every later step in range.
+    constexpr std::uint64_t kSqMax =
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+    std::uint64_t sq_sum = 0;
     for (std::size_t i = 0; i < plane; ++i) {
       const std::int64_t d = static_cast<std::int64_t>(src[i]) - mean_raw;
-      sq += d * d;  // Q(2*fb); fits: |d| < 2^31, plane <= 2^10 -> < 2^72?
-                    // No: |d| <= 2^31 is the raw bound, but activations are
-                    // bounded by the Q-format's value range post-conv.
+      const std::uint64_t mag = static_cast<std::uint64_t>(d < 0 ? -d : d);
+      const std::uint64_t d2 = mag * mag;
+      sq_sum = d2 > kSqMax - sq_sum ? kSqMax : sq_sum + d2;
     }
+    const auto sq = static_cast<std::int64_t>(sq_sum);
     std::int64_t var_raw;  // Q(fb)
     if ((plane & (plane - 1)) == 0) {
       int shift = 0;

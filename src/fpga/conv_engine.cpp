@@ -1,5 +1,10 @@
 #include "fpga/conv_engine.hpp"
 
+#include <algorithm>
+
+#include "core/gemm_kernels.hpp"
+#include "core/im2col.hpp"
+
 namespace odenet::fpga {
 
 ConvEngine::ConvEngine(const ConvEngineConfig& cfg)
@@ -21,22 +26,40 @@ void ConvEngine::load_weights(const fixed::FixedTensor& w) {
   has_time_weights_ = (ci == cfg_.in_channels + 1);
 
   const std::size_t per_out_in = static_cast<std::size_t>(ci) * 9;
-  weights_.assign(static_cast<std::size_t>(co) * cfg_.in_channels * 9, 0);
-  time_weights_.assign(has_time_weights_ ? static_cast<std::size_t>(co) * 9 : 0,
-                       0);
+  const std::size_t k = static_cast<std::size_t>(cfg_.in_channels) * 9;
+  const int row_tiles = (co + core::kGemmTileRows - 1) / core::kGemmTileRows;
+  weight_panels_.assign(static_cast<std::size_t>(row_tiles) * k *
+                            core::kGemmTileRows,
+                        0);
   for (int o = 0; o < co; ++o) {
-    for (int c = 0; c < cfg_.in_channels; ++c) {
-      for (int k = 0; k < 9; ++k) {
-        weights_[(static_cast<std::size_t>(o) * cfg_.in_channels + c) * 9 + k] =
-            w.raw[static_cast<std::size_t>(o) * per_out_in +
-                  static_cast<std::size_t>(c) * 9 + k];
-      }
-    }
-    if (has_time_weights_) {
-      for (int k = 0; k < 9; ++k) {
-        time_weights_[static_cast<std::size_t>(o) * 9 + k] =
-            w.raw[static_cast<std::size_t>(o) * per_out_in +
-                  static_cast<std::size_t>(cfg_.in_channels) * 9 + k];
+    const std::int32_t* src = w.raw.data() + o * per_out_in;
+    std::int32_t* dst = weight_panels_.data() +
+                        (o / core::kGemmTileRows) * k * core::kGemmTileRows +
+                        o % core::kGemmTileRows;
+    for (std::size_t p = 0; p < k; ++p) dst[p * core::kGemmTileRows] = src[p];
+  }
+
+  time_tap_sums_.clear();
+  if (!has_time_weights_) return;
+  const int e = cfg_.extent;
+  const std::size_t plane = static_cast<std::size_t>(e) * e;
+  time_tap_sums_.assign(static_cast<std::size_t>(co) * plane, 0);
+  for (int o = 0; o < co; ++o) {
+    const std::int32_t* tw = w.raw.data() + o * per_out_in + k;
+    std::int64_t* sums = time_tap_sums_.data() + o * plane;
+    for (int oh = 0; oh < e; ++oh) {
+      for (int ow = 0; ow < e; ++ow) {
+        // Padding is zero, not t: edge positions see fewer taps.
+        std::int64_t sum = 0;
+        for (int kh = 0; kh < 3; ++kh) {
+          const int ih = oh - 1 + kh;
+          if (ih < 0 || ih >= e) continue;
+          for (int kw = 0; kw < 3; ++kw) {
+            const int iw = ow - 1 + kw;
+            if (iw >= 0 && iw < e) sum += tw[kh * 3 + kw];
+          }
+        }
+        sums[static_cast<std::size_t>(oh) * e + ow] = sum;
       }
     }
   }
@@ -57,7 +80,7 @@ std::uint64_t ConvEngine::cycles_per_run() const {
 
 fixed::FixedTensor ConvEngine::run(const fixed::FixedTensor& input, float t,
                                    std::uint64_t* cycles) const {
-  ODENET_CHECK(!weights_.empty(), "conv engine: weights not loaded");
+  ODENET_CHECK(!weight_panels_.empty(), "conv engine: weights not loaded");
   // Accept [C,H,W] or [1,C,H,W].
   std::vector<int> shape = input.shape;
   if (shape.size() == 4) {
@@ -68,14 +91,37 @@ fixed::FixedTensor ConvEngine::run(const fixed::FixedTensor& input, float t,
                    shape[1] == cfg_.extent && shape[2] == cfg_.extent,
                "conv engine input shape mismatch");
 
-  const int h = cfg_.extent, w = cfg_.extent;
-  const int ci = cfg_.in_channels, co = cfg_.out_channels;
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  constexpr int kRows = core::kGemmTileRows;
+  constexpr int kCols = core::kGemmTileColsI32;
+  const int co = cfg_.out_channels;
+  const core::LoweringGeometry g{.channels = cfg_.in_channels,
+                                 .height = cfg_.extent,
+                                 .width = cfg_.extent};
+  const std::size_t k = g.col_rows();
+  const int n = static_cast<int>(g.col_cols());
+  const int col_tiles = (n + kCols - 1) / kCols;
+  const int row_tiles = (co + kRows - 1) / kRows;
 
-  // Fold the constant time plane into a per-output-channel bias plane:
-  // a constant input contributes t * (sum of the time-kernel taps whose
-  // input position is in bounds). Computed once per run; edge positions
-  // see fewer taps because padding is zero, not t.
+  // Lower the input to [Cin*9, H*W], then repack it as column panels of
+  // [Cin*9][8] (one sequential pass over the lowering; the ragged last
+  // panel's phantom columns are zero). Thread-local: recycled across runs.
+  static thread_local std::vector<std::int32_t> cols;
+  static thread_local std::vector<std::int32_t> panels;
+  cols.resize(k * static_cast<std::size_t>(n));
+  core::im2col_i32(input.raw.data(), g, cols.data());
+  panels.resize(static_cast<std::size_t>(col_tiles) * k * kCols);
+  for (std::size_t p = 0; p < k; ++p) {
+    const std::int32_t* src = cols.data() + p * static_cast<std::size_t>(n);
+    for (int jt = 0; jt < col_tiles; ++jt) {
+      std::int32_t* dst = panels.data() + (jt * k + p) * kCols;
+      const int nr = std::min(kCols, n - jt * kCols);
+      std::copy_n(src + jt * kCols, nr, dst);
+      std::fill(dst + nr, dst + kCols, 0);
+    }
+  }
+
+  // The time plane's affine term: t_raw times each position's in-bounds
+  // tap sum, added in uint64 so it wraps exactly like the GEMM sums.
   const std::int64_t t_raw =
       static_cast<std::int64_t>(static_cast<double>(t) *
                                     static_cast<double>(std::int64_t{1}
@@ -83,49 +129,34 @@ fixed::FixedTensor ConvEngine::run(const fixed::FixedTensor& input, float t,
                                 (t >= 0 ? 0.5 : -0.5));
 
   fixed::FixedTensor out;
-  out.shape = {co, h, w};
+  out.shape = {co, cfg_.extent, cfg_.extent};
   out.frac_bits = cfg_.frac_bits;
-  out.raw.assign(static_cast<std::size_t>(co) * plane, 0);
+  out.raw.resize(static_cast<std::size_t>(co) * n);
 
-  for (int o = 0; o < co; ++o) {
-    const std::int32_t* wbase =
-        weights_.data() + static_cast<std::size_t>(o) * ci * 9;
-    const std::int32_t* tw =
-        has_time_weights_ ? time_weights_.data() + static_cast<std::size_t>(o) * 9
-                          : nullptr;
-    for (int oh = 0; oh < h; ++oh) {
-      for (int ow = 0; ow < w; ++ow) {
-        std::int64_t acc = 0;
-        for (int c = 0; c < ci; ++c) {
-          const std::int32_t* wk = wbase + static_cast<std::size_t>(c) * 9;
-          const std::int32_t* in_plane =
-              input.raw.data() + static_cast<std::size_t>(c) * plane;
-          for (int kh = 0; kh < 3; ++kh) {
-            const int ih = oh - 1 + kh;
-            if (ih < 0 || ih >= h) continue;
-            for (int kw = 0; kw < 3; ++kw) {
-              const int iw = ow - 1 + kw;
-              if (iw < 0 || iw >= w) continue;
-              acc = MacArray::mac(acc, in_plane[static_cast<std::size_t>(ih) * w + iw],
-                                  wk[kh * 3 + kw]);
-            }
+  // Column panels outer: one [Cin*9][8] panel stays cache-hot across every
+  // row panel of weights. Each 4x8 int64 tile is written back as soon as
+  // it is computed, so no int64 output plane is materialized.
+  const core::GemmKernels& kernels = core::active_gemm_kernels();
+  std::int64_t tile[kRows * kCols] = {};
+  for (int jt = 0; jt < col_tiles; ++jt) {
+    const int j0 = jt * kCols;
+    const int nr = std::min(kCols, n - j0);
+    const std::int32_t* bpanel = panels.data() + jt * k * kCols;
+    for (int rt = 0; rt < row_tiles; ++rt) {
+      kernels.tile4x8_i32(weight_panels_.data() + rt * k * kRows, bpanel,
+                          static_cast<int>(k), tile, kCols);
+      const int mr = std::min(kRows, co - rt * kRows);
+      for (int i = 0; i < mr; ++i) {
+        const std::size_t row = static_cast<std::size_t>(rt * kRows + i) * n;
+        for (int j = 0; j < nr; ++j) {
+          std::uint64_t acc = static_cast<std::uint64_t>(tile[i * kCols + j]);
+          if (has_time_weights_) {
+            acc += static_cast<std::uint64_t>(t_raw) *
+                   static_cast<std::uint64_t>(time_tap_sums_[row + j0 + j]);
           }
+          out.raw[row + j0 + j] = MacArray::writeback(
+              static_cast<std::int64_t>(acc), cfg_.frac_bits);
         }
-        if (tw != nullptr) {
-          // Time plane: constant value t at every in-bounds position.
-          for (int kh = 0; kh < 3; ++kh) {
-            const int ih = oh - 1 + kh;
-            if (ih < 0 || ih >= h) continue;
-            for (int kw = 0; kw < 3; ++kw) {
-              const int iw = ow - 1 + kw;
-              if (iw < 0 || iw >= w) continue;
-              acc += t_raw * static_cast<std::int64_t>(tw[kh * 3 + kw]);
-            }
-          }
-        }
-        out.raw[static_cast<std::size_t>(o) * plane +
-                static_cast<std::size_t>(oh) * w + ow] =
-            MacArray::writeback(acc, cfg_.frac_bits);
       }
     }
   }

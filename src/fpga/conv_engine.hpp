@@ -6,6 +6,12 @@
 // accumulate in a wide (DSP48-cascade-like) accumulator, and a single
 // rounding happens at writeback.
 //
+// The host runs that function as one GEMM on the exact int32 x int32 ->
+// int64 tile (core::GemmKernels::tile4x8_i32): weights packed once into
+// row panels at load, each run's input lowered (im2col) into column
+// panels. Products are exact and integer sums associative, so the result
+// is bitwise that of the per-pixel MAC loop on any ISA.
+//
 // The constant time plane of ODE-capable blocks is folded into a
 // precomputed per-position bias (a constant input plane contributes an
 // affine term); this costs no MAC beats, which is required to reproduce
@@ -59,8 +65,13 @@ class ConvEngine {
  private:
   ConvEngineConfig cfg_;
   MacArray macs_;
-  std::vector<std::int32_t> weights_;       // [Cout, Cin, 3, 3] raw
-  std::vector<std::int32_t> time_weights_;  // [Cout, 3, 3] raw (optional)
+  /// Data weights [Cout, Cin*9] as ceil(Cout/4) row panels of [Cin*9][4]
+  /// raws (the GEMM tile's A operand), phantom rows zero.
+  std::vector<std::int32_t> weight_panels_;
+  /// Time plane per (out channel, position): the sum of the time-kernel
+  /// taps whose input position is in bounds, [Cout, H*W]. Empty without
+  /// time weights. t_raw * sum == the sum of t_raw * tap, exactly.
+  std::vector<std::int64_t> time_tap_sums_;
   bool has_time_weights_ = false;
 };
 

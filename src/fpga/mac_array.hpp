@@ -9,7 +9,10 @@
 //
 // Functionally a MAC unit multiplies two Q-format raws into a 48-bit-style
 // wide accumulator (modeled as int64) — precision loss only happens at the
-// final writeback rounding, like a DSP48 cascade.
+// final writeback rounding, like a DSP48 cascade. The products and sums
+// themselves run on the exact int32 x int32 -> int64 GEMM tile
+// (core/gemm_kernels.hpp, see ConvEngine::run); only timing and the
+// writeback live here.
 #pragma once
 
 #include <cstdint>
@@ -36,14 +39,8 @@ class MacArray {
   /// lockstep across units. `beats` counts per-channel MACs.
   std::uint64_t cycles(std::uint64_t beats_per_channel, int channels) const;
 
-  /// Functional beat: acc += a * w (raw Q products; caller holds the wide
-  /// accumulator, as the DSP cascade does).
-  static inline std::int64_t mac(std::int64_t acc, std::int32_t a,
-                                 std::int32_t w) {
-    return acc + static_cast<std::int64_t>(a) * static_cast<std::int64_t>(w);
-  }
-
-  /// Rounding writeback: wide Q(2F) accumulator -> saturated Q(F) raw.
+  /// Rounding writeback: wide Q(2F) accumulator -> saturated Q(F) raw,
+  /// rounding half away from zero. Defined for every int64 accumulator.
   static std::int32_t writeback(std::int64_t acc, int frac_bits);
 
  private:

@@ -1,10 +1,15 @@
 // The PL simulator: cycle model against the paper's published numbers,
 // functional fixed-point equivalence against the float reference kernels,
-// BRAM allocation, AXI, timing closure.
+// bitwise equality of the GEMM-backed conv engine with the per-pixel MAC
+// loop (golden reference, both ISAs, int32-rail operands), BN and
+// writeback arithmetic at the rails, BRAM allocation, AXI, timing closure.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
+#include "core/gemm_kernels.hpp"
 #include "core/init.hpp"
 #include "fpga/accelerator.hpp"
 #include "fpga/axi.hpp"
@@ -28,6 +33,133 @@ Tensor random_tensor(std::vector<int> shape, ou::Rng& rng, double std = 0.5) {
     t.data()[i] = static_cast<float>(rng.normal(0.0, std));
   }
   return t;
+}
+
+/// Golden reference for ConvEngine::run, the PL's per-pixel MAC loop: per
+/// output, every in-bounds tap of every input plane and (when the weights
+/// carry one) of the constant time plane, multiplied into one wide
+/// accumulator, then a single MacArray::writeback. Accumulates in wrapping
+/// uint64 so that int32-rail operands are defined too.
+ofx::FixedTensor golden_conv(const ofx::FixedTensor& weights,
+                             const ofx::FixedTensor& input, float t) {
+  const int co = weights.shape[0], planes = weights.shape[1];
+  const int ci = input.shape[0], h = input.shape[1], w = input.shape[2];
+  const int fb = input.frac_bits;
+  const std::int64_t t_raw = static_cast<std::int64_t>(
+      static_cast<double>(t) * static_cast<double>(std::int64_t{1} << fb) +
+      (t >= 0 ? 0.5 : -0.5));
+  ofx::FixedTensor out;
+  out.shape = {co, h, w};
+  out.frac_bits = fb;
+  out.raw.resize(static_cast<std::size_t>(co) * h * w);
+  for (int o = 0; o < co; ++o) {
+    for (int oh = 0; oh < h; ++oh) {
+      for (int ow = 0; ow < w; ++ow) {
+        std::uint64_t acc = 0;
+        for (int c = 0; c < planes; ++c) {
+          const std::int32_t* wk =
+              weights.raw.data() +
+              (static_cast<std::size_t>(o) * planes + c) * 9;
+          // Plane c < ci is data; the one past them is the time plane.
+          const std::int32_t* in_plane =
+              c < ci ? input.raw.data() + static_cast<std::size_t>(c) * h * w
+                     : nullptr;
+          for (int kh = 0; kh < 3; ++kh) {
+            const int ih = oh - 1 + kh;
+            if (ih < 0 || ih >= h) continue;
+            for (int kw = 0; kw < 3; ++kw) {
+              const int iw = ow - 1 + kw;
+              if (iw < 0 || iw >= w) continue;
+              const std::int64_t a =
+                  in_plane != nullptr ? in_plane[ih * w + iw] : t_raw;
+              acc += static_cast<std::uint64_t>(a) *
+                     static_cast<std::uint64_t>(std::int64_t{wk[kh * 3 + kw]});
+            }
+          }
+        }
+        out.raw[(static_cast<std::size_t>(o) * h + oh) * w + ow] =
+            MacArray::writeback(static_cast<std::int64_t>(acc), fb);
+      }
+    }
+  }
+  return out;
+}
+
+/// Raw buffer of `n` Q20 values: normal draws, or (rails) an even mix of
+/// INT32_MIN, INT32_MAX and uniform 32-bit words, so that accumulators
+/// wrap mod 2^64.
+std::vector<std::int32_t> random_raws(std::size_t n, ou::Rng& rng, double std,
+                                      bool rails) {
+  std::vector<std::int32_t> v(n);
+  for (auto& x : v) {
+    if (!rails) {
+      x = static_cast<std::int32_t>(
+          std::lround(rng.normal(0.0, std) * (1 << 20)));
+      continue;
+    }
+    switch (rng.uniform_int(3)) {
+      case 0: x = std::numeric_limits<std::int32_t>::min(); break;
+      case 1: x = std::numeric_limits<std::int32_t>::max(); break;
+      default: x = static_cast<std::int32_t>(rng.next_u64() >> 32); break;
+    }
+  }
+  return v;
+}
+
+/// RAII scalar-kernel forcing so a failing EXPECT cannot leak it.
+struct ForceScalar {
+  explicit ForceScalar(bool on) { odenet::core::gemm_force_scalar(on); }
+  ~ForceScalar() { odenet::core::gemm_force_scalar(false); }
+};
+
+struct ConvGeometry {
+  int cin, cout, extent;
+};
+
+/// Runs the engine on random weights/input for every t and both kernel
+/// ISAs, asserting bitwise equality with golden_conv.
+void expect_engine_matches_golden(const ConvGeometry& g, bool time_plane,
+                                  bool rails, ou::Rng& rng) {
+  SCOPED_TRACE(std::to_string(g.cin) + "->" + std::to_string(g.cout) + " @" +
+               std::to_string(g.extent) + (time_plane ? " +t" : "") +
+               (rails ? " rails" : ""));
+  ofx::FixedTensor w;
+  w.shape = {g.cout, g.cin + (time_plane ? 1 : 0), 3, 3};
+  w.raw = random_raws(static_cast<std::size_t>(g.cout) * w.shape[1] * 9, rng,
+                      0.1, rails);
+  ofx::FixedTensor x;
+  x.shape = {g.cin, g.extent, g.extent};
+  x.raw = random_raws(static_cast<std::size_t>(g.cin) * g.extent * g.extent,
+                      rng, 1.0, rails);
+  ConvEngine engine({.in_channels = g.cin, .out_channels = g.cout,
+                     .extent = g.extent, .parallelism = 16});
+  engine.load_weights(w);
+  ASSERT_EQ(engine.has_time_weights(), time_plane);
+  for (float t : {0.0f, 0.37f, 11.0f, -2.5f}) {
+    const ofx::FixedTensor want = golden_conv(w, x, t);
+    for (bool scalar : {false, true}) {
+      ForceScalar forced(scalar);
+      const ofx::FixedTensor got = engine.run(x, t);
+      ASSERT_EQ(got.shape, want.shape);
+      EXPECT_EQ(0, std::memcmp(got.raw.data(), want.raw.data(),
+                               want.raw.size() * sizeof(std::int32_t)))
+          << "t=" << t << " isa=" << odenet::core::gemm_isa_name();
+    }
+  }
+}
+
+/// FNV-1a over the bit patterns of a float tensor: pins outputs bitwise.
+std::uint64_t fnv1a_bits(const Tensor& t) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, t.data() + i, sizeof(bits));
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
 }
 }  // namespace
 
@@ -81,6 +213,33 @@ TEST(MacArray, WritebackRounding) {
   EXPECT_EQ(MacArray::writeback(7, 2), 2);
   // Negative symmetric rounding.
   EXPECT_EQ(MacArray::writeback(-7, 2), -2);
+}
+
+TEST(MacArray, WritebackIsDefinedAtTheRails) {
+  constexpr std::int64_t kMin64 = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax64 = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int32_t kMin32 = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kMax32 = std::numeric_limits<std::int32_t>::max();
+  // Wrapped accumulators at and next to the int64 rails saturate.
+  EXPECT_EQ(MacArray::writeback(kMin64, 20), kMin32);
+  EXPECT_EQ(MacArray::writeback(kMin64 + 1, 20), kMin32);
+  EXPECT_EQ(MacArray::writeback(kMax64, 20), kMax32);
+  EXPECT_EQ(MacArray::writeback(kMax64, 1), kMax32);
+  // The int32 rails themselves, exactly and half a step past them.
+  const std::int64_t top = std::int64_t{kMax32} << 20;
+  const std::int64_t bottom = std::int64_t{kMin32} * (std::int64_t{1} << 20);
+  EXPECT_EQ(MacArray::writeback(top, 20), kMax32);
+  EXPECT_EQ(MacArray::writeback(top + (1 << 19) - 1, 20), kMax32);
+  EXPECT_EQ(MacArray::writeback(top + (1 << 19), 20), kMax32);
+  EXPECT_EQ(MacArray::writeback(bottom, 20), kMin32);
+  EXPECT_EQ(MacArray::writeback(bottom + (1 << 19), 20), kMin32);
+  EXPECT_EQ(MacArray::writeback(bottom + (1 << 19) + 1, 20), kMin32 + 1);
+  EXPECT_EQ(MacArray::writeback(bottom - (1 << 19), 20), kMin32);
+  // Ties round away from zero on both sides.
+  EXPECT_EQ(MacArray::writeback(3 << 19, 20), 2);
+  EXPECT_EQ(MacArray::writeback(-(3 << 19), 20), -2);
+  EXPECT_EQ(MacArray::writeback((1 << 19) - 1, 20), 0);
+  EXPECT_EQ(MacArray::writeback(-((1 << 19) - 1), 20), 0);
 }
 
 // --------------------------------------------------------------------------
@@ -192,6 +351,45 @@ TEST(ConvEngine, RejectsBadShapes) {
   EXPECT_THROW(engine.run(bad, 0.0f), odenet::Error);  // wrong channels
 }
 
+TEST(ConvEngine, GemmMatchesGoldenLoopOnPaperGeometries) {
+  // layer1, layer2_2 and layer3_2 of rODENet: Cin = Cout at 32x32, 16x16
+  // and 8x8, with and without the time plane.
+  ou::Rng rng(11);
+  for (const ConvGeometry& g : {ConvGeometry{16, 16, 32},
+                                ConvGeometry{32, 32, 16},
+                                ConvGeometry{64, 64, 8}}) {
+    for (bool time_plane : {false, true}) {
+      expect_engine_matches_golden(g, time_plane, /*rails=*/false, rng);
+    }
+  }
+}
+
+TEST(ConvEngine, GemmMatchesGoldenLoopOnRaggedTiles) {
+  // Cout % 4 != 0 (phantom weight rows) and H*W % 8 != 0 (phantom columns
+  // in the last panel), down to a 1x1 map where only the centre tap lands.
+  ou::Rng rng(12);
+  for (const ConvGeometry& g :
+       {ConvGeometry{3, 5, 5}, ConvGeometry{1, 7, 3}, ConvGeometry{2, 6, 1},
+        ConvGeometry{5, 9, 2}, ConvGeometry{4, 3, 7}}) {
+    for (bool time_plane : {false, true}) {
+      expect_engine_matches_golden(g, time_plane, /*rails=*/false, rng);
+    }
+  }
+}
+
+TEST(ConvEngine, GemmMatchesGoldenLoopWithRailOperands) {
+  // INT32_MIN/INT32_MAX weights and activations: products reach 2^62 and
+  // the sums wrap mod 2^64, where the kernels and the reference must still
+  // agree bit for bit (and stay free of undefined behaviour).
+  ou::Rng rng(13);
+  for (const ConvGeometry& g : {ConvGeometry{8, 6, 5}, ConvGeometry{64, 64, 8},
+                                ConvGeometry{1, 4, 3}}) {
+    for (bool time_plane : {false, true}) {
+      expect_engine_matches_golden(g, time_plane, /*rails=*/true, rng);
+    }
+  }
+}
+
 TEST(BnEngine, CycleModel) {
   // elems*20 + channels*40.
   EXPECT_EQ(BnEngine::bn_cycles(64, 8), 4096u * 20 + 64u * 40);
@@ -238,6 +436,29 @@ TEST(BnEngine, FusedReluClamps) {
     zeros += (out.data()[i] == 0.0f);
   }
   EXPECT_GT(zeros, 0);
+}
+
+TEST(BnEngine, RailChannelSaturatesVarianceInsteadOfOverflowing) {
+  // One 8x8 channel alternating INT32_MAX / INT32_MIN: every squared
+  // deviation is ~2^62, so the variance sum passes INT64_MAX on the third
+  // element. It saturates there, giving var = (INT64_MAX >> 6) >> 20, a
+  // std of 379625062 raw and an inv_std of 2896 raw; gamma 1 and beta 0
+  // then map the two rails to +-5931008 raw (+-5.656).
+  BnEngine engine({.channels = 1, .extent = 8});
+  Tensor gamma({1}), beta({1});
+  gamma.at1(0) = 1.0f;
+  engine.load_params(ofx::quantize(gamma, 20), ofx::quantize(beta, 20));
+  ofx::FixedTensor x;
+  x.shape = {1, 8, 8};
+  x.raw.resize(64);
+  for (std::size_t i = 0; i < x.raw.size(); ++i) {
+    x.raw[i] = i % 2 == 0 ? std::numeric_limits<std::int32_t>::max()
+                          : std::numeric_limits<std::int32_t>::min();
+  }
+  const ofx::FixedTensor y = engine.run(x);
+  for (std::size_t i = 0; i < y.raw.size(); ++i) {
+    EXPECT_EQ(y.raw[i], i % 2 == 0 ? 5931008 : -5931008) << "at " << i;
+  }
 }
 
 TEST(Bram, AllocationGranularity) {
@@ -338,6 +559,31 @@ TEST(Accelerator, EulerSolveMatchesOdeBlock) {
   }
   EXPECT_EQ(report.executions, 2);
   EXPECT_GT(report.seconds(), 0.0);
+}
+
+TEST(Accelerator, SolveEulerOutputIsPinned) {
+  // A seeded layer3_2-shaped block (64 channels, 8x8, time plane) over the
+  // 24 Euler steps of rODENet-3-56, under both kernel ISAs. The hash and
+  // samples were captured from the per-pixel MAC loop engine; the GEMM
+  // engine must reproduce them bit for bit.
+  ou::Rng rng(2021);
+  odenet::core::BuildingBlock block({.in_channels = 64, .out_channels = 64,
+                                     .stride = 1, .time_channel = true});
+  odenet::core::init_block(block, rng);
+  OdeBlockAccelerator accel({.channels = 64, .extent = 8, .parallelism = 16});
+  accel.load_weights(block);
+  Tensor z0 = random_tensor({1, 64, 8, 8}, rng, 1.0);
+  for (bool scalar : {false, true}) {
+    ForceScalar forced(scalar);
+    AcceleratorReport report;
+    const Tensor out = accel.solve_euler(z0, 24, 1.0f, &report);
+    EXPECT_EQ(fnv1a_bits(out), 0x992c48d85aa3fccbull)
+        << odenet::core::gemm_isa_name();
+    EXPECT_EQ(out.data()[0], -43.9077225f);
+    EXPECT_EQ(out.data()[777], 1.90596867f);
+    EXPECT_EQ(out.data()[4095], -54.6747894f);
+    EXPECT_EQ(report.total_cycles(), 39641088u);
+  }
 }
 
 TEST(Accelerator, Layer32CyclesAndTransfersMatchTable5) {

@@ -6,6 +6,8 @@
 //    same inputs (skipped on hosts without usable AVX2+FMA);
 //  * thread-count invariance — the panel split never changes any tile's
 //    summation order, so results are BITWISE equal across pool sizes;
+//  * the exact int32 x int32 -> int64 tile, scalar vs AVX2 bitwise on
+//    int32-rail operands whose sums wrap;
 //  * the once-per-version weight-packing caches of Conv2d and Linear
 //    (hit on repeat calls, rebuild on version change / invalidation /
 //    unversioned weights).
@@ -13,6 +15,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -219,7 +222,10 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
     const auto bt = transpose(b, s.k, s.n);
     const std::size_t cn = static_cast<std::size_t>(s.m) * s.n;
 
-    std::vector<float> base_pa(cn), base_bt(cn);
+    PackedGemmB pb;
+    pack_gemm_b_nt(bt.data(), s.k, s.n, pb);
+
+    std::vector<float> base_pa(cn), base_bt(cn), base_pb(cn);
     {
       ou::ThreadPool one(1);
       PoolOverride ov(&one, 1);
@@ -228,6 +234,7 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
       gemm_tiled_pa(pa, b.data(), base_pa.data(), s.n, false);
       gemm_bt_tiled(a.data(), bt.data(), base_bt.data(), s.m, s.k, s.n,
                     false);
+      gemm_tiled_pb(a.data(), pb, base_pb.data(), s.m, false);
     }
     for (std::size_t workers : {2u, 8u}) {
       ou::ThreadPool pool(workers);
@@ -243,7 +250,62 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
       EXPECT_EQ(0, std::memcmp(got.data(), base_bt.data(),
                                cn * sizeof(float)))
           << "gemm_bt_tiled differs at " << workers << " workers";
+      // The A pack lives in the calling thread's storage; the workers
+      // must read that pack, not their own (empty) thread-local copy.
+      std::fill(got.begin(), got.end(), -3.0f);
+      gemm_tiled_pb(a.data(), pb, got.data(), s.m, false);
+      EXPECT_EQ(0, std::memcmp(got.data(), base_pb.data(),
+                               cn * sizeof(float)))
+          << "gemm_tiled_pb differs at " << workers << " workers";
     }
+  }
+}
+
+TEST(GemmKernels, ExactI32TileIsBitwiseAcrossIsas) {
+  // The int32 x int32 -> int64 tile on full-range operands (int32 rails
+  // included, so sums wrap mod 2^64) against a wrapping uint64 reference,
+  // scalar and AVX2 compared with memcmp. k = 1 is a single product.
+  ou::Rng rng(11);
+  constexpr std::size_t kLdc = 11;  // wider than the tile: ldc is honoured
+  for (int k : {1, 2, 3, 8, 64, 577}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    std::vector<std::int32_t> a(static_cast<std::size_t>(k) * kGemmTileRows);
+    std::vector<std::int32_t> b(static_cast<std::size_t>(k) *
+                                kGemmTileColsI32);
+    for (auto* v : {&a, &b}) {
+      for (auto& x : *v) {
+        const std::uint64_t r = rng.next_u64();
+        x = r % 4 == 0   ? std::numeric_limits<std::int32_t>::min()
+            : r % 4 == 1 ? std::numeric_limits<std::int32_t>::max()
+                         : static_cast<std::int32_t>(r >> 32);
+      }
+    }
+    std::vector<std::int64_t> want(kGemmTileRows * kLdc, -5);
+    for (int i = 0; i < kGemmTileRows; ++i) {
+      for (int j = 0; j < kGemmTileColsI32; ++j) {
+        std::uint64_t acc = 0;
+        for (int p = 0; p < k; ++p) {
+          acc += static_cast<std::uint64_t>(
+              std::int64_t{a[static_cast<std::size_t>(p) * kGemmTileRows + i]} *
+              b[static_cast<std::size_t>(p) * kGemmTileColsI32 + j]);
+        }
+        want[i * kLdc + j] = static_cast<std::int64_t>(acc);
+      }
+    }
+    std::vector<std::int64_t> sca(want.size(), -5), vec(want.size(), -5);
+    {
+      ForceScalar forced(true);
+      active_gemm_kernels().tile4x8_i32(a.data(), b.data(), k, sca.data(),
+                                        kLdc);
+    }
+    EXPECT_EQ(0, std::memcmp(sca.data(), want.data(),
+                             want.size() * sizeof(std::int64_t)))
+        << "scalar tile";
+    if (!gemm_avx2_usable()) continue;
+    active_gemm_kernels().tile4x8_i32(a.data(), b.data(), k, vec.data(), kLdc);
+    EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(),
+                             want.size() * sizeof(std::int64_t)))
+        << "avx2 tile";
   }
 }
 
