@@ -98,7 +98,6 @@ runtime::EngineConfig shard_engine_config(const BenchKnobs& k,
                                           int pacing_ms) {
   runtime::EngineConfig cfg;
   cfg.max_batch = k.max_batch;
-  cfg.max_delay = std::chrono::microseconds(1000);
   cfg.max_queue_depth = k.depth_bound;
   cfg.backends[0].sim_batch_latency = std::chrono::milliseconds(pacing_ms);
   return cfg;

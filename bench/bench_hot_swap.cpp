@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
 
   runtime::EngineConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_delay = std::chrono::microseconds(1000);
   runtime::BackendConfig bc;
   bc.workers = cli.get_int("workers");
   cfg.backends = {bc};
@@ -150,7 +149,6 @@ int main(int argc, char** argv) {
         core::ExecBackend::kFpgaSim}) {
     runtime::EngineConfig one;
     one.max_batch = 4;
-    one.max_delay = std::chrono::microseconds(500);
     runtime::BackendConfig obc;
     obc.backend = backend;
     one.backends = {obc};

@@ -96,7 +96,6 @@ Row run_engine(models::Network& net, const core::Tensor& images,
   for (int t = 0; t < tries; ++t) {
     runtime::EngineConfig cfg;
     cfg.max_batch = max_batch;
-    cfg.max_delay = std::chrono::microseconds(2000);
     runtime::BackendConfig bc;
     bc.backend = backend;
     bc.conv_algo = conv_algo;
@@ -172,7 +171,6 @@ RoutingRow run_routing(models::Network& net, const core::Tensor& images,
                        runtime::RoutePolicy policy) {
   runtime::EngineConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_delay = std::chrono::microseconds(1000);
   cfg.route_policy = policy;
   cfg.static_backend = 0;
   runtime::BackendConfig ps_float;

@@ -74,7 +74,6 @@ double percentile(std::vector<double>& values, double p) {
 runtime::EngineConfig engine_config(int max_batch, long long sim_batch_us) {
   runtime::EngineConfig cfg;
   cfg.max_batch = max_batch;
-  cfg.max_delay = std::chrono::microseconds(500);
   runtime::BackendConfig bc;
   bc.sim_batch_latency = std::chrono::microseconds(sim_batch_us);
   cfg.backends = {bc};
@@ -234,7 +233,7 @@ int main(int argc, char** argv) {
   cli.add_option("overload-factor", "2.0", "bob rate / calibrated peak");
   cli.add_option("bob-quota", "8", "bob's queued-request quota");
   cli.add_option("sim-batch-us", "3000", "simulated device us per batch");
-  cli.add_option("max-batch", "8", "micro-batch flush size");
+  cli.add_option("max-batch", "8", "largest micro-batch a worker takes");
   cli.add_option("isolation-ratio", "1.3",
                  "max allowed loaded/isolated p99 ratio");
   cli.add_option("floor-batches", "4",

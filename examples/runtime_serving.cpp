@@ -2,8 +2,7 @@
 // (the PS path) and the simulated PL accelerator — with routed dispatch,
 // priority classes, deadlines, dynamic micro-batching and futures.
 //
-//   ./runtime_serving [--requests 24] [--max-batch 8] [--delay-us 2000]
-//                     [--policy least_depth]
+//   ./runtime_serving [--requests 24] [--max-batch 8] [--policy least_depth]
 //
 // Requests are routed by the configured policy (static, round_robin,
 // least_depth, modeled_latency); priorities cycle low/normal/high, one
@@ -24,8 +23,7 @@ int main(int argc, char** argv) {
   util::CliParser cli("runtime_serving",
                       "Batched async inference over float + FPGA backends");
   cli.add_option("requests", "24", "number of single-image requests");
-  cli.add_option("max-batch", "8", "micro-batch flush size");
-  cli.add_option("delay-us", "2000", "micro-batch flush deadline (us)");
+  cli.add_option("max-batch", "8", "largest micro-batch a worker takes");
   cli.add_option("policy", "least_depth",
                  "routing policy: static | round_robin | least_depth | "
                  "modeled_latency");
@@ -42,7 +40,6 @@ int main(int argc, char** argv) {
 
   runtime::EngineConfig cfg;
   cfg.max_batch = cli.get_int("max-batch");
-  cfg.max_delay = std::chrono::microseconds(cli.get_int("delay-us"));
   cfg.route_policy = runtime::route_policy_from_name(cli.get("policy"));
   runtime::BackendConfig ps;
   ps.backend = core::ExecBackend::kFloat;
@@ -65,8 +62,8 @@ int main(int argc, char** argv) {
     runtime::SubmitOptions opts;  // backend left to the router
     opts.priority = static_cast<runtime::Priority>(i % 3);
     if (i == kRequests / 2) {
-      // One hopeless deadline to demonstrate rejection: it expires long
-      // before the flush timer can form a batch.
+      // One hopeless deadline to demonstrate rejection: it expires
+      // before any worker can pick it up.
       opts.deadline = std::chrono::microseconds(1);
     }
     futures.push_back(engine.submit(std::move(image), opts));

@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
   // The serving side starts on the untrained epoch-0 weights.
   runtime::EngineConfig ecfg;
   ecfg.max_batch = 4;
-  ecfg.max_delay = std::chrono::microseconds(1000);
   runtime::InferenceEngine engine(net, ecfg);
   std::printf("serving %s, initial model version %llu\n", net.name().c_str(),
               static_cast<unsigned long long>(engine.model_version()));

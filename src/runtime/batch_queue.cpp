@@ -18,23 +18,16 @@ std::size_t lane_index(Priority p) {
 
 }  // namespace
 
-BatchQueue::BatchQueue(int max_batch, std::chrono::microseconds max_delay,
-                       int promote_after_factor, QueueLimits limits,
-                       std::chrono::microseconds preempt_delay,
-                       TenantTable* tenants)
+BatchQueue::BatchQueue(int max_batch, std::chrono::microseconds promote_after,
+                       QueueLimits limits, TenantTable* tenants)
     : max_batch_(max_batch),
-      max_delay_(max_delay),
-      promote_after_factor_(promote_after_factor),
+      promote_after_(promote_after),
       limits_(limits),
-      preempt_delay_(preempt_delay),
       tenants_(tenants) {
   ODENET_CHECK(max_batch >= 1, "batch queue needs max_batch >= 1, got "
                                    << max_batch);
-  ODENET_CHECK(promote_after_factor >= 0,
-               "promote_after_factor must be >= 0, got "
-                   << promote_after_factor);
-  ODENET_CHECK(preempt_delay >= std::chrono::microseconds::zero(),
-               "preempt_delay must be >= 0, got " << preempt_delay.count()
+  ODENET_CHECK(promote_after >= std::chrono::microseconds::zero(),
+               "promote_after must be >= 0, got " << promote_after.count()
                                                   << " us");
 }
 
@@ -179,11 +172,7 @@ void BatchQueue::reap_expired_locked(Clock::time_point now) {
 }
 
 void BatchQueue::promote_aged_locked(Clock::time_point now) {
-  if (promote_after_factor_ <= 0) return;
-  const auto threshold = promote_after_factor_ * max_delay_;
-  // A zero flush delay would make every request instantly "aged";
-  // immediate-flush queues stay strict-priority instead.
-  if (threshold <= std::chrono::microseconds::zero()) return;
+  if (promote_after_ <= std::chrono::microseconds::zero()) return;
   // Higher source lane first, so a request promoted low->normal is not
   // re-promoted normal->high within the same scan (it can climb again on a
   // later pop while it keeps waiting).
@@ -191,7 +180,7 @@ void BatchQueue::promote_aged_locked(Clock::time_point now) {
     auto& lane = lanes_[static_cast<std::size_t>(p)];
     auto& up = lanes_[static_cast<std::size_t>(p + 1)];
     for (auto it = lane.begin(); it != lane.end();) {
-      if (now - it->enqueued_at < threshold) {
+      if (now - it->enqueued_at < promote_after_) {
         ++it;
         continue;
       }
@@ -205,105 +194,33 @@ void BatchQueue::promote_aged_locked(Clock::time_point now) {
   }
 }
 
-Clock::time_point BatchQueue::oldest_enqueue_locked() const {
-  // Full scan, not lane fronts: each lane is FIFO for its own arrivals,
-  // but promotion appends OLDER requests from the lane below to the
-  // tail, so the oldest request of a lane is not necessarily its front.
-  // Taking only fronts used to let a promoted request vanish from the
-  // flush timer — promotion (meant to advance it) could then postpone
-  // its dispatch by up to a full max_delay behind a younger front.
-  Clock::time_point oldest = Clock::time_point::max();
-  for (const auto& lane : lanes_) {
-    for (const auto& req : lane) {
-      oldest = std::min(oldest, req.enqueued_at);
-    }
-  }
-  return oldest;
-}
-
-Clock::time_point BatchQueue::flush_at_locked() const {
-  Clock::time_point flush = oldest_enqueue_locked() + max_delay_;
-  if (preempt_delay_ > std::chrono::microseconds::zero() &&
-      preempt_delay_ < max_delay_) {
-    const auto& high = lanes_[kPriorityLevels - 1];
-    // front() is the oldest high-class ARRIVAL; requests promoted into
-    // the lane sit at its tail, but they are older than the promotion
-    // threshold (>= max_delay) by definition, so the un-shrunk term —
-    // whose oldest_enqueue_locked() scans whole lanes, tails included —
-    // already flushes them immediately.
-    if (!high.empty()) {
-      flush = std::min(flush, high.front().enqueued_at + preempt_delay_);
-    }
-  }
-  return flush;
-}
-
-Clock::time_point BatchQueue::earliest_deadline_locked() const {
-  Clock::time_point earliest = Clock::time_point::max();
-  for (const auto& lane : lanes_) {
-    for (const auto& req : lane) {
-      earliest = std::min(earliest, req.cls.deadline);
-    }
-  }
-  return earliest;
-}
-
 bool BatchQueue::pop_batch(std::vector<PendingRequest>& out) {
   out.clear();
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
+  // Work-conserving: the caller is an idle worker, so it takes whatever
+  // is queued now and parks only while there is nothing to take.
+  do {
     cv_.wait(lock, [&] { return closed_ || size_ > 0; });
-    reap_expired_locked(Clock::now());
-    promote_aged_locked(Clock::now());
-    if (size_ == 0) {
-      if (closed_) return false;  // closed and drained
-      continue;                   // everything pending had expired
-    }
-    if (closed_) break;  // drain immediately, no deadline wait
-    // Hold for more work until the batch is full or the oldest request's
-    // flush deadline passes (shrunk while high-priority work waits); wake
-    // early for the earliest per-request deadline so expired work is
-    // rejected promptly.
-    const auto flush_at = flush_at_locked();
-    if (static_cast<int>(size_) >= max_batch_ || Clock::now() >= flush_at) {
-      break;
-    }
-    const auto wake_at = std::min(flush_at, earliest_deadline_locked());
-    cv_.wait_until(lock, wake_at, [&] {
-      // The deadline clause re-arms the wait when a push() lands a
-      // deadline EARLIER than the wake-up this wait was computed against
-      // — without it the new request would only be reaped at the stale
-      // wake_at, up to max_delay late. The flush clause does the same for
-      // a high-priority arrival that SHRANK the flush window (preemptive
-      // batching): the parked worker must dispatch at the new, earlier
-      // flush time instead of the one it fell asleep against. The size_
-      // guard matters: another worker may have drained the queue since
-      // this wait began, and flush_at_locked() on empty lanes would add
-      // max_delay to time_point::max() (signed overflow).
-      return closed_ || static_cast<int>(size_) >= max_batch_ ||
-             earliest_deadline_locked() < wake_at ||
-             (size_ > 0 && flush_at_locked() < wake_at);
-    });
-    // Loop: re-reap, re-check the flush rule (another worker may have
-    // taken the whole batch, or only a request deadline fired).
-  }
+    const auto now = Clock::now();
+    reap_expired_locked(now);
+    promote_aged_locked(now);
+    if (size_ == 0 && closed_) return false;  // closed and drained
+  } while (size_ == 0);  // everything pending had expired
   const std::size_t n =
       std::min<std::size_t>(size_, static_cast<std::size_t>(max_batch_));
   out.reserve(n);
-  // Highest priority first; within each lane, FIFO when tenant-blind and
-  // weighted-fair among waiting tenants (FIFO per tenant) otherwise — so
-  // priority still dominates and fairness only decides among equals. A
-  // preemptively-flushed batch back-fills its remaining slots with
-  // lower-class work, so preemption never idles capacity that normal/low
-  // requests could use.
+  // Highest lane first, back-filling with lower lanes; within a lane,
+  // FIFO when tenant-blind and weighted-fair among waiting tenants (FIFO
+  // per tenant) otherwise — so priority still dominates and fairness only
+  // decides among equals.
   std::vector<TenantId> cands;
-  for (int p = kPriorityLevels - 1; p >= 0 && out.size() < n; --p) {
-    auto& lane = lanes_[static_cast<std::size_t>(p)];
-    while (!lane.empty() && out.size() < n) {
-      auto it = lane.begin();
+  for (auto lane = lanes_.rbegin(); lane != lanes_.rend() && out.size() < n;
+       ++lane) {
+    while (!lane->empty() && out.size() < n) {
+      auto it = lane->begin();
       if (tenants_ != nullptr) {
         cands.clear();
-        for (const auto& r : lane) {
+        for (const auto& r : *lane) {
           if (std::find(cands.begin(), cands.end(), r.cls.tenant) ==
               cands.end()) {
             cands.push_back(r.cls.tenant);
@@ -312,7 +229,7 @@ bool BatchQueue::pop_batch(std::vector<PendingRequest>& out) {
         // pick() charges virtual time even for a lone candidate —
         // service consumed alone still counts when contention returns.
         const TenantId winner = tenants_->pick(cands);
-        it = std::find_if(lane.begin(), lane.end(),
+        it = std::find_if(lane->begin(), lane->end(),
                           [winner](const PendingRequest& r) {
                             return r.cls.tenant == winner;
                           });
@@ -320,10 +237,10 @@ bool BatchQueue::pop_batch(std::vector<PendingRequest>& out) {
       }
       --class_depth_[lane_index(it->cls.priority)];
       out.push_back(std::move(*it));
-      lane.erase(it);
-      --size_;
+      lane->erase(it);
     }
   }
+  size_ -= out.size();
   if (size_ > 0) cv_.notify_one();  // burst larger than one batch
   return true;
 }

@@ -2,41 +2,34 @@
 // bounded-depth admission control.
 //
 // Producers push single-image requests; one or more backend workers pop
-// *batches*. A worker holding the first request of a batch waits until
-// either max_batch requests are available or the oldest request has been
-// queued for max_delay — the classic dynamic-batching flush rule — so a
-// lone request never waits longer than the flush deadline and a burst
-// fills the batch immediately. close() wakes everyone; pending requests
-// are still drained (pop keeps returning batches until the queue is
-// empty).
+// *batches*. Dispatch is work-conserving: a worker that calls pop_batch()
+// is idle by construction, so the call returns as soon as anything is
+// queued, taking up to max_batch requests. It blocks only while the
+// queue is empty: a lone request on an idle backend starts at once, and
+// under load batches still fill because requests pile up while the
+// workers compute. close() wakes everyone; pending requests are still
+// drained (pop keeps returning batches until the queue is empty).
 //
-// Scheduling on top of the flush rule:
+// Scheduling:
 //  - Three Priority classes; a popped batch takes high before normal
-//    before low, FIFO within each class. The flush timer runs off the
-//    oldest request of ANY class, so a lone low-priority request still
-//    flushes within max_delay.
-//  - Preemption-aware batching: with preempt_delay < max_delay, a queued
-//    HIGH-priority request shrinks the flush window — the batch dispatches
-//    once the oldest high request has waited preempt_delay instead of
-//    sitting out the full max_delay behind lower-class traffic. A worker
-//    already parked on the long window is woken early. Lower classes are
-//    not starved: the preempted batch still back-fills its remaining
-//    slots with normal/low work, and aging/promotion keeps its bound.
-//  - Aging/promotion (the starvation bound): with promote_after_factor k
-//    > 0, a request queued longer than k×max_delay is promoted one
-//    priority class in pop order (it physically moves to the tail of the
-//    next lane up, so it goes ahead of every *future* higher-priority
-//    arrival but behind the ones already waiting). A request that keeps
-//    waiting keeps climbing (one class per pop scan once past the
-//    threshold), so sustained high-priority saturation delays lower
-//    classes by roughly k flush windows instead of forever.
-//    Promotion changes scheduling only — the request completes (and is
-//    accounted) under its original class. k == 0 disables aging.
+//    before low, FIFO within each class, and back-fills its remaining
+//    slots with lower-class work.
+//  - Aging/promotion (the starvation bound): with promote_after > 0, a
+//    request queued longer than promote_after is promoted one priority
+//    class in pop order (it physically moves to the tail of the next
+//    lane up, so it goes ahead of every *future* higher-priority arrival
+//    but behind the ones already waiting). A request that keeps waiting
+//    keeps climbing (one class per pop scan once past the threshold), so
+//    sustained high-priority saturation delays lower classes by roughly
+//    promote_after per class instead of forever. Promotion changes
+//    scheduling only — the request completes (and is accounted) under
+//    its original class. promote_after == 0 disables aging.
 //  - Per-request deadlines (RequestClass::deadline): a request still
 //    queued when its deadline passes is removed, its promise failed with
 //    DeadlineExceeded, and a per-priority timeout counter bumped — it
-//    never occupies a batch slot. Workers also wake early for the
-//    earliest pending deadline so rejection is prompt.
+//    never occupies a batch slot. Expired requests are reaped on every
+//    pop, and on every push to a bounded queue; a worker parks only on
+//    an empty queue, so nothing waits for a reaper while one is idle.
 //
 // Admission control / load shedding (QueueLimits): with max_queue_depth
 // > 0 the queue fails fast under overload instead of letting depth (and
@@ -103,16 +96,15 @@ enum class PushOutcome {
 
 class BatchQueue {
  public:
-  /// preempt_delay: the shrunk flush window applied while a high-priority
-  /// request is queued; zero disables preemption (the window is always
-  /// max_delay). Values >= max_delay are equivalent to disabled.
+  /// promote_after: aging threshold (see the header comment); zero
+  /// disables promotion.
   /// tenants (not owned, may be null): enables per-tenant quota charging
   /// at queue-accept and weighted-fair pop order within each priority
   /// lane — see runtime/tenant.hpp. Null keeps tenant-blind behavior.
-  BatchQueue(int max_batch, std::chrono::microseconds max_delay,
-             int promote_after_factor = 0, QueueLimits limits = {},
-             std::chrono::microseconds preempt_delay = {},
-             TenantTable* tenants = nullptr);
+  explicit BatchQueue(int max_batch,
+                      std::chrono::microseconds promote_after = {},
+                      QueueLimits limits = {},
+                      TenantTable* tenants = nullptr);
 
   /// Enqueues one request, applying the admission-control bounds (see
   /// QueueLimits). On kRejected the queue has already failed the
@@ -129,12 +121,11 @@ class BatchQueue {
   /// push(); kClosed leaves it with the caller.
   PushOutcome try_push(PendingRequest& req);
 
-  /// Blocks until a batch is ready per the flush rule, then moves up to
-  /// max_batch requests into `out` (cleared first), highest priority
-  /// first. Returns false only when the queue is closed *and* empty — the
-  /// worker-loop exit signal. After close(), remaining requests flush
-  /// immediately (no deadline wait). Expired requests encountered along
-  /// the way are failed with DeadlineExceeded, never returned.
+  /// Blocks while the queue is empty, then moves up to max_batch
+  /// requests into `out` (cleared first), highest priority first. Returns
+  /// false only when the queue is closed *and* empty — the worker-loop
+  /// exit signal. Expired requests encountered along the way are failed
+  /// with DeadlineExceeded, never returned.
   bool pop_batch(std::vector<PendingRequest>& out);
 
   /// Closes the queue for new work and wakes all waiters.
@@ -143,7 +134,6 @@ class BatchQueue {
   bool closed() const;
   std::size_t size() const;
   QueueLimits limits() const;
-  std::chrono::microseconds preempt_delay() const { return preempt_delay_; }
 
   /// Retunes the TOTAL depth bound at runtime (the engine's adaptive
   /// bound: target-delay x measured service rate). 0 = unbounded.
@@ -186,31 +176,16 @@ class BatchQueue {
   /// are completed under the lock — std::promise::set_exception only
   /// stores and wakes, it runs no user code. Caller holds mutex_.
   void reap_expired_locked(Clock::time_point now);
-  /// Moves requests queued longer than promote_after_factor×max_delay one
-  /// lane up (no-op when aging is disabled). Caller holds mutex_.
+  /// Moves requests queued longer than promote_after one lane up (no-op
+  /// when aging is disabled). Caller holds mutex_.
   void promote_aged_locked(Clock::time_point now);
-  /// Earliest enqueue time across all classes — a whole-lane scan, since
-  /// promotion appends older requests to the TAIL of the lane above and
-  /// lane fronts alone would miss them. Caller holds mutex_; requires
-  /// size_ > 0.
-  Clock::time_point oldest_enqueue_locked() const;
-  /// When the batch being formed must dispatch: oldest request + max_delay,
-  /// shrunk to oldest HIGH request + preempt_delay while preemption is on
-  /// and high work is waiting. Caller holds mutex_; requires size_ > 0.
-  Clock::time_point flush_at_locked() const;
-  /// Earliest pending request deadline (time_point::max() when none).
-  /// Caller holds mutex_.
-  Clock::time_point earliest_deadline_locked() const;
 
   const int max_batch_;
-  const std::chrono::microseconds max_delay_;
-  /// Aging threshold factor k: promote after k×max_delay queued. 0 = off.
-  const int promote_after_factor_;
+  /// Aging threshold: promote after this long queued. 0 = off.
+  const std::chrono::microseconds promote_after_;
   /// Mutable (under mutex_) so the engine can retune the total depth
   /// bound from its measured EWMA; see set_max_depth().
   QueueLimits limits_;
-  /// Preemptive flush window while high-priority work waits. 0 = off.
-  const std::chrono::microseconds preempt_delay_;
   /// Shared per-tenant ledger + fair scheduler; null = tenant-blind.
   TenantTable* const tenants_;
 

@@ -55,8 +55,7 @@ InferenceEngine::InferenceEngine(models::ModelSnapshot::Ptr snapshot,
     limits.per_priority = cfg_.priority_depth_budgets;
     limits.evict_lower = cfg_.evict_lower_on_full;
     backend->queue = std::make_unique<BatchQueue>(
-        cfg_.max_batch, cfg_.max_delay, cfg_.promote_after_factor, limits,
-        cfg_.high_priority_flush, &tenants_);
+        cfg_.max_batch, cfg_.promote_after, limits, &tenants_);
     backend->stats.backend = bc.backend;
     if (bc.backend == core::ExecBackend::kFpgaSim) {
       backend->offloaded = bc.offloaded;
@@ -622,8 +621,8 @@ void InferenceEngine::retune_depth_bound(Backend& backend) {
       static_cast<double>(backend.cfg.workers);
   if (seconds_per_request <= 0.0) return;  // EWMA still cold
   // bound = target delay x measured service rate: the deepest queue the
-  // backend can drain within the target. Floored at one full batch (the
-  // flush rule needs room to form batches at all) and capped by the
+  // backend can drain within the target. Floored at one full batch (a
+  // backlog must still be able to fill a whole batch) and capped by the
   // static max_queue_depth when configured (the adaptive bound tightens
   // the static one, it never loosens past it).
   const double target =
@@ -667,30 +666,34 @@ int InferenceEngine::in_flight(std::size_t index) const {
 
 BackendLoad InferenceEngine::aggregate_load() const {
   BackendLoad load;
+  std::vector<double> measured(backends_.size());
+  double cheapest_warm = 0.0;
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    load.queue_depth += backends_[i]->queue->size();
+    load.in_flight += backends_[i]->in_flight.load(std::memory_order_relaxed);
+    measured[i] = measured_request_seconds(i);
+    if (measured[i] > 0.0 &&
+        (cheapest_warm == 0.0 || measured[i] < cheapest_warm)) {
+      cheapest_warm = measured[i];
+    }
+  }
   double modeled_rate = 0.0;
   double measured_rate = 0.0;
-  bool any_warm = false;
-  for (const auto& b : backends_) {
-    load.queue_depth += b->queue->size();
-    load.in_flight += b->in_flight.load(std::memory_order_relaxed);
-    if (b->modeled_request_seconds > 0.0) {
-      modeled_rate += 1.0 / b->modeled_request_seconds;
-    }
-    double measured = b->ewma.seconds_per_request() /
-                      static_cast<double>(b->cfg.workers);
-    if (measured > 0.0) {
-      any_warm = true;
-    } else {
-      measured = b->modeled_request_seconds;  // cold backend: model stands in
-    }
-    if (measured > 0.0) measured_rate += 1.0 / measured;
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    const double modeled = backends_[i]->modeled_request_seconds;
+    if (modeled > 0.0) modeled_rate += 1.0 / modeled;
+    // A cold backend stands in with the Router's capped model.
+    const double seconds =
+        measured_cost_seconds(measured[i], modeled, cheapest_warm);
+    if (seconds > 0.0) measured_rate += 1.0 / seconds;
   }
   load.modeled_request_seconds =
       modeled_rate > 0.0 ? 1.0 / modeled_rate : 0.0;
-  // All-cold reports 0 so a cluster Router applies its own modeled
-  // fallback, exactly like a cold single backend.
+  // All-cold reports 0 so a cluster Router applies its own cold-start
+  // rule, exactly like a cold single backend.
   load.measured_request_seconds =
-      (any_warm && measured_rate > 0.0) ? 1.0 / measured_rate : 0.0;
+      (cheapest_warm > 0.0 && measured_rate > 0.0) ? 1.0 / measured_rate
+                                                   : 0.0;
   return load;
 }
 

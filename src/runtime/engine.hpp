@@ -3,12 +3,14 @@
 //
 // The serving layer the ROADMAP's scaling work builds on: callers submit()
 // single images and get std::futures; per-backend worker threads (on a
-// dedicated util::ThreadPool) pull dynamically-formed micro-batches from a
-// priority/deadline-aware BatchQueue (flush on max-batch or deadline) and
-// run them through the StageExecutor plan of their backend — float
-// software, fixed-point CPU, or the simulated PL accelerator. Each worker
-// owns a full Network replica, so workers never share mutable layer state
-// and backends can serve concurrently.
+// dedicated util::ThreadPool) pull micro-batches from a priority/deadline-
+// aware BatchQueue and run them through the StageExecutor plan of their
+// backend — float software, fixed-point CPU, or the simulated PL
+// accelerator. Dispatch is work-conserving: an idle worker takes whatever
+// is queued at once, up to max_batch, so a lone request never waits for
+// company and batches grow only with the backlog. Each worker owns a full
+// Network replica, so workers never share mutable layer state and
+// backends can serve concurrently.
 //
 // Weight ownership: the engine serves one models::ModelSnapshot at a time
 // (the immutable versioned weight image; see models/snapshot.hpp).
@@ -25,8 +27,9 @@
 // picks per request from live queue-depth/in-flight gauges plus a
 // per-request service-time estimate — the sched/ latency models', or for
 // measured-latency the per-backend EWMA of observed busy seconds/request
-// that workers feed back after every micro-batch (falling back to the
-// model until warm, with hysteresis so placement doesn't flap).
+// that workers feed back after every micro-batch (a cold backend is
+// priced at its model capped at the cheapest warm measurement; hysteresis
+// keeps placement from flapping).
 // SubmitOptions can pin a backend, set a priority class, and attach a
 // deadline — an expired request completes with DeadlineExceeded instead
 // of occupying a batch slot.
@@ -36,10 +39,7 @@
 // fails its future with QueueFull immediately (high-priority arrivals may
 // instead evict the oldest lower-class waiter), so queueing delay stays
 // bounded and deadlines stop expiring at the back of a runaway queue.
-// EngineConfig::high_priority_flush adds preemption-aware batching: a
-// waiting high-priority request shrinks the flush window so urgent work
-// does not sit out max_delay. Per-priority rejected/evicted counters land
-// in EngineStats::to_json().
+// Per-priority rejected/evicted counters land in EngineStats::to_json().
 //
 // Shutdown drains: close the queues, finish every in-flight and queued
 // request, then join. Every future handed out is eventually fulfilled.
@@ -105,10 +105,9 @@ struct BackendConfig {
 };
 
 struct EngineConfig {
-  /// Micro-batching flush rule: dispatch when a backend has max_batch
-  /// requests queued, or when its oldest request has waited max_delay.
+  /// Largest micro-batch a worker takes from its backend queue. Dispatch
+  /// is work-conserving: an idle worker starts whatever is queued at once.
   int max_batch = 8;
-  std::chrono::microseconds max_delay{2000};
   std::vector<BackendConfig> backends{BackendConfig{}};
   /// Backend choice for routed submits (SubmitOptions::backend ==
   /// kAnyBackend). Least-depth keeps the pre-router behavior for
@@ -119,10 +118,10 @@ struct EngineConfig {
   /// kMeasuredLatency's anti-flap band: keep the previous pick while its
   /// estimated completion cost is within (1 + hysteresis) of the best.
   double route_hysteresis = 0.15;
-  /// Anti-starvation aging: a queued request older than this factor ×
-  /// max_delay is promoted one priority class in pop order (see
-  /// BatchQueue). 0 disables promotion.
-  int promote_after_factor = 8;
+  /// Anti-starvation aging: a request queued longer than this is
+  /// promoted one priority class in pop order (see BatchQueue). 0
+  /// disables promotion.
+  std::chrono::microseconds promote_after{16000};
   /// Admission control: bound each backend queue at this depth; an
   /// arrival that finds the queue full is shed fail-fast with QueueFull
   /// through its future (or admitted by evicting a lower-priority
@@ -137,12 +136,6 @@ struct EngineConfig {
   /// evicting the oldest evictable lower-class waiter instead of
   /// rejecting them.
   bool evict_lower_on_full = true;
-  /// Preemption-aware batching: while a high-priority request is queued,
-  /// a backend's flush window shrinks from max_delay to this, so urgent
-  /// work stops paying the full batching delay behind lower-class
-  /// traffic (the flushed batch still back-fills with normal/low work).
-  /// 0 disables; values >= max_delay are equivalent to disabled.
-  std::chrono::microseconds high_priority_flush{0};
   /// Name this engine serves requests as (SubmitOptions::model matches
   /// against it; the registry key when serve_from() binds one).
   std::string model = "default";
@@ -265,9 +258,10 @@ class InferenceEngine {
   /// a cluster-level router consumes. Depth and in-flight sum across
   /// backends; the service-time estimates combine as parallel servers
   /// (1 / sum(1/t_i)). The measured field is the same combination with
-  /// each backend's EWMA falling back to its model while cold, and 0
-  /// while EVERY backend is cold, so Router's own cold-start fallback
-  /// applies unchanged at the cluster level.
+  /// each backend priced by measured_cost_seconds() (a cold backend at
+  /// its model, capped at the cheapest warm measurement), and 0 while
+  /// EVERY backend is cold, so Router's own cold-start rule applies
+  /// unchanged at the cluster level.
   BackendLoad aggregate_load() const;
   /// Conv-scratch arenas a backend's pool has materialized — bounded by
   /// its peak batch concurrency, not its worker count.

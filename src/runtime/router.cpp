@@ -43,42 +43,42 @@ Router::Router(RoutePolicy policy, std::size_t static_index,
                "router hysteresis must be >= 0, got " << hysteresis);
 }
 
-double Router::request_seconds(const BackendLoad& load, bool measured) {
-  // Cold-start fallback: an unwarmed EWMA reports 0, so the analytical
-  // estimate routes until real completions arrive.
-  if (measured && load.measured_request_seconds > 0.0) {
-    return load.measured_request_seconds;
-  }
-  return load.modeled_request_seconds;
+double measured_cost_seconds(double measured, double modeled,
+                             double cheapest_warm) {
+  if (measured > 0.0) return measured;
+  return cheapest_warm > 0.0 ? std::min(modeled, cheapest_warm) : modeled;
 }
 
-std::size_t Router::min_cost_index(const std::vector<BackendLoad>& loads,
-                                   bool measured, double* best_cost) {
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    const double outstanding = static_cast<double>(loads[i].queue_depth) +
-                               static_cast<double>(loads[i].in_flight) + 1.0;
-    const double cost = outstanding * request_seconds(loads[i], measured);
-    if (i == 0 || cost < *best_cost) {
-      best = i;
-      *best_cost = cost;
+std::vector<double> Router::costs(const std::vector<BackendLoad>& loads,
+                                  bool measured) {
+  double cheapest_warm = 0.0;
+  for (const auto& l : loads) {
+    const double m = l.measured_request_seconds;
+    if (m > 0.0 && (cheapest_warm == 0.0 || m < cheapest_warm)) {
+      cheapest_warm = m;
     }
   }
-  return best;
+  std::vector<double> cost(loads.size());
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    const BackendLoad& l = loads[i];
+    const double outstanding = static_cast<double>(l.queue_depth) +
+                               static_cast<double>(l.in_flight) + 1.0;
+    cost[i] = outstanding *
+              (measured ? measured_cost_seconds(l.measured_request_seconds,
+                                                l.modeled_request_seconds,
+                                                cheapest_warm)
+                        : l.modeled_request_seconds);
+  }
+  return cost;
 }
 
 std::vector<std::size_t> Router::cost_order(
     const std::vector<BackendLoad>& loads) const {
   ODENET_CHECK(!loads.empty(), "router needs at least one backend load");
-  const bool measured = policy_ == RoutePolicy::kMeasuredLatency;
+  const std::vector<double> cost =
+      costs(loads, policy_ == RoutePolicy::kMeasuredLatency);
   std::vector<std::size_t> order(loads.size());
-  std::vector<double> cost(loads.size());
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    order[i] = i;
-    const double outstanding = static_cast<double>(loads[i].queue_depth) +
-                               static_cast<double>(loads[i].in_flight) + 1.0;
-    cost[i] = outstanding * request_seconds(loads[i], measured);
-  }
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
                    [&cost](std::size_t a, std::size_t b) {
                      return cost[a] < cost[b];
@@ -113,26 +113,22 @@ std::size_t Router::route(const std::vector<BackendLoad>& loads) {
       }
       return best;
     }
-    case RoutePolicy::kModeledLatency: {
-      double best_cost = 0.0;
-      return min_cost_index(loads, /*measured=*/false, &best_cost);
-    }
+    case RoutePolicy::kModeledLatency:
     case RoutePolicy::kMeasuredLatency: {
-      double best_cost = 0.0;
-      const std::size_t best =
-          min_cost_index(loads, /*measured=*/true, &best_cost);
+      const bool measured = policy_ == RoutePolicy::kMeasuredLatency;
+      const std::vector<double> cost = costs(loads, measured);
+      // min_element keeps the first minimum: ties go to the lowest index.
+      const auto best = static_cast<std::size_t>(
+          std::min_element(cost.begin(), cost.end()) - cost.begin());
+      if (!measured) return best;
       // Hysteresis: EWMA estimates jitter batch to batch; flapping
       // between near-tied backends churns their queues for no win. Keep
       // the previous pick while it stays within the band of the best.
       const std::size_t anchor = anchor_.load(std::memory_order_relaxed);
       if (hysteresis_ > 0.0 && anchor != kNoAnchor &&
-          anchor < loads.size() && anchor != best) {
-        const double outstanding =
-            static_cast<double>(loads[anchor].queue_depth) +
-            static_cast<double>(loads[anchor].in_flight) + 1.0;
-        const double anchor_cost =
-            outstanding * request_seconds(loads[anchor], /*measured=*/true);
-        if (anchor_cost <= best_cost * (1.0 + hysteresis_)) return anchor;
+          anchor < loads.size() && anchor != best &&
+          cost[anchor] <= cost[best] * (1.0 + hysteresis_)) {
+        return anchor;
       }
       anchor_.store(best, std::memory_order_relaxed);
       return best;

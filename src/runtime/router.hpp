@@ -8,8 +8,11 @@
 // estimate — either the analytical one from sched/ (CpuModel for software
 // paths, the PS/PL LatencyModel for offloaded ones) or, for
 // kMeasuredLatency, the live EWMA of observed busy-seconds-per-request
-// that the workers feed back, falling back to the analytical model while
-// a backend's estimator is still cold.
+// that the workers feed back. A backend whose estimator is still cold is
+// priced at its analytical model, capped at the cheapest warm
+// measurement — the model describes a Cortex-A9, and an uncapped model
+// far slower than this host would keep the cold backend from ever
+// receiving the traffic that warms it.
 //
 // route() is safe to call from many producer threads concurrently: the
 // mutable state is the round-robin cursor and the hysteresis anchor, both
@@ -39,8 +42,9 @@ enum class RoutePolicy {
   kModeledLatency,
   /// kModeledLatency driven by MEASURED service times: each backend's
   /// EWMA of observed busy seconds/request replaces the analytical
-  /// estimate once warm (cold backends fall back to the model, so the
-  /// policy is usable from the first request). A hysteresis band keeps
+  /// estimate once warm (cold backends fall back to the model, capped at
+  /// the cheapest warm measurement, so the policy is usable from the
+  /// first request and a cold backend still warms). A hysteresis band keeps
   /// the previous pick until another backend beats it by a margin, so
   /// jittery measurements don't make placement flap.
   kMeasuredLatency,
@@ -61,13 +65,20 @@ struct BackendLoad {
   /// Modeled seconds to serve ONE request, normalized by the backend's
   /// worker parallelism (sched::LatencyModel / CpuModel; see
   /// InferenceEngine). kModeledLatency consults this; kMeasuredLatency
-  /// falls back to it while the measurement is cold.
+  /// falls back to it (capped) while the measurement is cold.
   double modeled_request_seconds = 0.0;
   /// Measured seconds to serve one request: the worker-fed EWMA of
   /// busy_seconds/request, normalized by worker parallelism; 0.0 while
   /// the backend's estimator is cold. Only kMeasuredLatency consults it.
   double measured_request_seconds = 0.0;
 };
+
+/// Per-request seconds a backend is priced at under kMeasuredLatency:
+/// its measurement once warm (measured > 0); while cold, its model
+/// capped at `cheapest_warm`, the cheapest warm measurement among the
+/// backends it competes with (0 when none is warm).
+double measured_cost_seconds(double measured, double modeled,
+                             double cheapest_warm);
 
 class Router {
  public:
@@ -88,7 +99,7 @@ class Router {
   /// first (ties to the lowest index) — the spill order a cluster-level
   /// placement layer walks when its primary choice is full. Uses the
   /// same cost function as route(): measured service times (with the
-  /// per-backend modeled fallback) under kMeasuredLatency, the
+  /// capped model for cold backends) under kMeasuredLatency, the
   /// analytical model otherwise; kLeastDepth/kRoundRobin/kStatic rank by
   /// outstanding-weighted modeled cost too, so the order is always
   /// load-aware. Pure function of the snapshot: no anchor or cursor is
@@ -108,10 +119,11 @@ class Router {
   double hysteresis() const { return hysteresis_; }
 
  private:
-  /// Lowest-index argmin of (outstanding + 1) x seconds-per-request.
-  static std::size_t min_cost_index(const std::vector<BackendLoad>& loads,
-                                    bool measured, double* best_cost);
-  static double request_seconds(const BackendLoad& load, bool measured);
+  /// Estimated completion cost of one more request per backend:
+  /// (outstanding + 1) x seconds-per-request, the model or, when
+  /// `measured`, measured_cost_seconds().
+  static std::vector<double> costs(const std::vector<BackendLoad>& loads,
+                                   bool measured);
 
   RoutePolicy policy_;
   std::size_t static_index_;

@@ -1,8 +1,8 @@
 // Direct unit tests for the priority/deadline-aware micro-batching queue
-// (runtime::BatchQueue): the dynamic-batching flush rule, close semantics,
-// priority ordering, expired-deadline rejection, bounded-depth admission
-// control (QueueFull rejection and higher-priority eviction), and the
-// preemptive flush window.
+// (runtime::BatchQueue): work-conserving dispatch, close semantics,
+// priority ordering, aging, expired-deadline rejection, bounded-depth
+// admission control (QueueFull rejection and higher-priority eviction),
+// and per-tenant quotas with weighted-fair pops.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -44,25 +44,58 @@ QueueLimits bounded(std::size_t depth) {
 
 }  // namespace
 
-TEST(BatchQueue, LoneRequestFlushesOnDeadlineNotBatchSize) {
-  BatchQueue queue(8, std::chrono::microseconds(20000));
+// Work-conserving dispatch: a pop is an idle worker asking for work, so
+// a lone request on an idle queue starts at once as a batch of one —
+// nothing waits for company that may never arrive.
+TEST(BatchQueue, LoneRequestPopsAtOnceAsBatchOfOne) {
+  BatchQueue queue(8);
   ASSERT_EQ(queue.push(make_request(1.0f)), PushOutcome::kAccepted);
 
   util::Stopwatch watch;
   std::vector<PendingRequest> batch;
   ASSERT_TRUE(queue.pop_batch(batch));
-  const double waited = watch.seconds();
-
+  // Generous slack for a loaded runner; the pop itself never sleeps.
+  EXPECT_LT(watch.seconds(), 5.0);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_FLOAT_EQ(tag_of(batch[0]), 1.0f);
-  // The pop had to sit out the flush deadline (with a little scheduling
-  // slack), not return instantly and not wait for a full batch.
-  EXPECT_GE(waited, 0.015);
-  EXPECT_LT(waited, 5.0);
+  EXPECT_EQ(queue.size(), 0u);
+}
+
+// A pop takes min(size, max_batch) requests, highest lane first and
+// back-filling with lower lanes; the next pop gets the rest.
+TEST(BatchQueue, PopTakesUpToMaxBatchInPriorityOrderThenTheRest) {
+  BatchQueue queue(4);
+  ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)),
+            PushOutcome::kAccepted);
+  ASSERT_EQ(queue.push(make_request(2.0f, Priority::kNormal)),
+            PushOutcome::kAccepted);
+  ASSERT_EQ(queue.push(make_request(3.0f, Priority::kHigh)),
+            PushOutcome::kAccepted);
+  ASSERT_EQ(queue.push(make_request(4.0f, Priority::kLow)),
+            PushOutcome::kAccepted);
+  ASSERT_EQ(queue.push(make_request(5.0f, Priority::kHigh)),
+            PushOutcome::kAccepted);
+  ASSERT_EQ(queue.push(make_request(6.0f, Priority::kNormal)),
+            PushOutcome::kAccepted);
+
+  std::vector<PendingRequest> batch;
+  ASSERT_TRUE(queue.pop_batch(batch));
+  ASSERT_EQ(batch.size(), 4u);
+  EXPECT_FLOAT_EQ(tag_of(batch[0]), 3.0f);  // high, FIFO
+  EXPECT_FLOAT_EQ(tag_of(batch[1]), 5.0f);
+  EXPECT_FLOAT_EQ(tag_of(batch[2]), 2.0f);  // normal back-fills
+  EXPECT_FLOAT_EQ(tag_of(batch[3]), 6.0f);
+  EXPECT_EQ(queue.size(), 2u);
+
+  ASSERT_TRUE(queue.pop_batch(batch));
+  ASSERT_EQ(batch.size(), 2u);  // the rest, without waiting for more
+  EXPECT_FLOAT_EQ(tag_of(batch[0]), 1.0f);
+  EXPECT_FLOAT_EQ(tag_of(batch[1]), 4.0f);
+  EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(BatchQueue, BurstFillsMaxBatchImmediately) {
-  BatchQueue queue(4, std::chrono::seconds(30));  // deadline never fires
+  BatchQueue queue(4);
   for (int i = 0; i < 8; ++i) {
     ASSERT_EQ(queue.push(make_request(static_cast<float>(i))), PushOutcome::kAccepted);
   }
@@ -73,19 +106,18 @@ TEST(BatchQueue, BurstFillsMaxBatchImmediately) {
   EXPECT_EQ(batch.size(), 4u);
   ASSERT_TRUE(queue.pop_batch(batch));
   EXPECT_EQ(batch.size(), 4u);
-  // Both batches were full, so neither waited on the 30 s deadline.
   EXPECT_LT(watch.seconds(), 5.0);
   EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(BatchQueue, CloseWhileWorkerWaitsDrainsWithoutDeadlineWait) {
-  BatchQueue queue(64, std::chrono::seconds(30));
+  BatchQueue queue(64);
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(queue.push(make_request(static_cast<float>(i))), PushOutcome::kAccepted);
   }
 
-  // The popper parks on the 30 s flush deadline (3 < 64); close() must
-  // flush immediately.
+  // The popper takes the three queued requests at once, then parks on
+  // the empty queue; close() must wake it with the exit signal.
   std::vector<PendingRequest> batch;
   bool popped = false;
   bool exited = false;
@@ -107,12 +139,12 @@ TEST(BatchQueue, CloseWhileWorkerWaitsDrainsWithoutDeadlineWait) {
 }
 
 TEST(BatchQueue, PopsHighestPriorityFirstFifoWithinClass) {
-  BatchQueue queue(2, std::chrono::seconds(30));
+  BatchQueue queue(2);
   ASSERT_EQ(queue.push(make_request(10.0f, Priority::kLow)), PushOutcome::kAccepted);
   ASSERT_EQ(queue.push(make_request(11.0f, Priority::kLow)), PushOutcome::kAccepted);
   ASSERT_EQ(queue.push(make_request(20.0f, Priority::kHigh)), PushOutcome::kAccepted);
   ASSERT_EQ(queue.push(make_request(30.0f, Priority::kNormal)), PushOutcome::kAccepted);
-  queue.close();  // flush everything without the deadline wait
+  queue.close();  // the last pop below then reports closed-and-drained
 
   std::vector<PendingRequest> batch;
   ASSERT_TRUE(queue.pop_batch(batch));
@@ -128,12 +160,11 @@ TEST(BatchQueue, PopsHighestPriorityFirstFifoWithinClass) {
   EXPECT_FALSE(queue.pop_batch(batch));
 }
 
-// Anti-starvation aging: a low request older than k x max_delay climbs one
-// class per pop scan, so it overtakes high-priority arrivals that land
+// Anti-starvation aging: a low request older than promote_after climbs
+// one class per pop scan, so it overtakes high-priority arrivals that land
 // after its promotion instead of waiting forever behind them.
 TEST(BatchQueue, AgedRequestIsPromotedPastLaterHighArrivals) {
-  BatchQueue queue(1, std::chrono::microseconds(1000),
-                   /*promote_after_factor=*/1);
+  BatchQueue queue(1, /*promote_after=*/std::chrono::milliseconds(1));
   ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)), PushOutcome::kAccepted);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));  // > 1 ms
   ASSERT_EQ(queue.push(make_request(2.0f, Priority::kHigh)), PushOutcome::kAccepted);
@@ -161,8 +192,42 @@ TEST(BatchQueue, AgedRequestIsPromotedPastLaterHighArrivals) {
   EXPECT_EQ(queue.timeout_total(), 0u);
 }
 
+// Promotion waits for the configured duration: a low request younger
+// than promote_after stays in its lane, and climbs once it is older.
+TEST(BatchQueue, PromotionFiresOnlyAfterPromoteAfter) {
+  const auto promote_after = std::chrono::milliseconds(100);
+  BatchQueue queue(1, promote_after);
+  const auto before_push = Clock::now();
+  ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)),
+            PushOutcome::kAccepted);
+  const auto after_push = Clock::now();
+  ASSERT_EQ(queue.push(make_request(2.0f, Priority::kHigh)),
+            PushOutcome::kAccepted);
+
+  std::vector<PendingRequest> batch;
+  ASSERT_TRUE(queue.pop_batch(batch));
+  EXPECT_FLOAT_EQ(tag_of(batch[0]), 2.0f);
+  // Checked only when the pop surely ran inside the window, so a stalled
+  // runner cannot turn a correct promotion into a failure.
+  if (Clock::now() - before_push < promote_after) {
+    EXPECT_EQ(queue.promotion_total(), 0u);
+  }
+
+  std::this_thread::sleep_until(after_push + promote_after);
+  ASSERT_EQ(queue.push(make_request(3.0f, Priority::kHigh)),
+            PushOutcome::kAccepted);
+  ASSERT_TRUE(queue.pop_batch(batch));
+  // The aged low request climbed low -> normal in this scan; the high
+  // arrival still goes first.
+  EXPECT_FLOAT_EQ(tag_of(batch[0]), 3.0f);
+  EXPECT_EQ(queue.promotion_total(), 1u);
+  ASSERT_TRUE(queue.pop_batch(batch));
+  EXPECT_FLOAT_EQ(tag_of(batch[0]), 1.0f);
+  EXPECT_EQ(batch[0].cls.priority, Priority::kLow);  // never re-labeled
+}
+
 TEST(BatchQueue, PromotionDisabledByDefault) {
-  BatchQueue queue(1, std::chrono::microseconds(500));
+  BatchQueue queue(1);
   ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)), PushOutcome::kAccepted);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   ASSERT_EQ(queue.push(make_request(2.0f, Priority::kHigh)), PushOutcome::kAccepted);
@@ -176,7 +241,7 @@ TEST(BatchQueue, PromotionDisabledByDefault) {
 }
 
 TEST(BatchQueue, ExpiredDeadlineIsRejectedNotServed) {
-  BatchQueue queue(4, std::chrono::microseconds(30000));
+  BatchQueue queue(4);
   PendingRequest doomed = make_request(1.0f, Priority::kLow);
   doomed.cls.deadline = Clock::now() + std::chrono::microseconds(500);
   std::future<runtime::InferenceResult> doomed_future =
@@ -196,66 +261,10 @@ TEST(BatchQueue, ExpiredDeadlineIsRejectedNotServed) {
   EXPECT_EQ(queue.timeout_total(), 1u);
 }
 
-TEST(BatchQueue, DeadlinePushedWhileWorkerParkedIsStillRejectedPromptly) {
-  // The worker parks on the 30 s flush deadline with only a deadline-less
-  // request queued; a later push with a short deadline must re-arm the
-  // wait (not sleep until the stale wake-up) so the rejection is prompt.
-  BatchQueue queue(64, std::chrono::seconds(30));
-  ASSERT_EQ(queue.push(make_request(1.0f)), PushOutcome::kAccepted);  // no deadline
-
-  std::vector<PendingRequest> served;
-  std::thread worker([&] {
-    std::vector<PendingRequest> batch;
-    while (queue.pop_batch(batch)) {
-      for (auto& req : batch) served.push_back(std::move(req));
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park
-
-  PendingRequest doomed = make_request(2.0f);
-  doomed.cls.deadline = Clock::now() + std::chrono::milliseconds(2);
-  std::future<runtime::InferenceResult> doomed_future =
-      doomed.promise.get_future();
-  ASSERT_EQ(queue.push(std::move(doomed)), PushOutcome::kAccepted);
-
-  util::Stopwatch watch;
-  EXPECT_THROW(doomed_future.get(), DeadlineExceeded);
-  EXPECT_LT(watch.seconds(), 5.0);  // not the 30 s flush deadline
-  EXPECT_EQ(queue.timeout_total(), 1u);
-  queue.close();
-  worker.join();
-  // The deadline-less request survived the reap and drained on close.
-  ASSERT_EQ(served.size(), 1u);
-  EXPECT_FLOAT_EQ(tag_of(served[0]), 1.0f);
-}
-
-TEST(BatchQueue, WorkerWakesEarlyToRejectExpiringRequest) {
-  // Flush deadline far out; the request's own 2 ms deadline must wake the
-  // waiting worker, fail the promise promptly, and leave it waiting.
-  BatchQueue queue(64, std::chrono::seconds(30));
-  PendingRequest doomed = make_request(1.0f);
-  doomed.cls.deadline = Clock::now() + std::chrono::milliseconds(2);
-  std::future<runtime::InferenceResult> doomed_future =
-      doomed.promise.get_future();
-  ASSERT_EQ(queue.push(std::move(doomed)), PushOutcome::kAccepted);
-
-  std::vector<PendingRequest> batch;
-  std::thread worker([&] { EXPECT_FALSE(queue.pop_batch(batch)); });
-  util::Stopwatch watch;
-  // The promise resolves as soon as the worker reaps — well before the
-  // 30 s flush deadline.
-  EXPECT_THROW(doomed_future.get(), DeadlineExceeded);
-  EXPECT_LT(watch.seconds(), 5.0);
-  EXPECT_EQ(queue.timeout_total(), 1u);
-  EXPECT_EQ(queue.size(), 0u);
-  queue.close();  // lets the worker exit
-  worker.join();
-}
-
 // ---- admission control / load shedding --------------------------------
 
 TEST(BatchQueue, DepthBoundRejectsArrivalFailFast) {
-  BatchQueue queue(8, std::chrono::seconds(30), 0, bounded(2));
+  BatchQueue queue(8, {}, bounded(2));
   ASSERT_EQ(queue.push(make_request(1.0f)), PushOutcome::kAccepted);
   ASSERT_EQ(queue.push(make_request(2.0f)), PushOutcome::kAccepted);
 
@@ -281,7 +290,7 @@ TEST(BatchQueue, DepthBoundRejectsArrivalFailFast) {
 }
 
 TEST(BatchQueue, HighPriorityEvictsOldestLowInsteadOfBeingRejected) {
-  BatchQueue queue(8, std::chrono::seconds(30), 0, bounded(2));
+  BatchQueue queue(8, {}, bounded(2));
   PendingRequest victim = make_request(1.0f, Priority::kLow);
   auto victim_future = victim.promise.get_future();
   ASSERT_EQ(queue.push(std::move(victim)), PushOutcome::kAccepted);
@@ -307,7 +316,7 @@ TEST(BatchQueue, HighPriorityEvictsOldestLowInsteadOfBeingRejected) {
 }
 
 TEST(BatchQueue, EvictionTakesTheLowestClassFirst) {
-  BatchQueue queue(8, std::chrono::seconds(30), 0, bounded(3));
+  BatchQueue queue(8, {}, bounded(3));
   PendingRequest low = make_request(1.0f, Priority::kLow);
   auto low_future = low.promise.get_future();
   ASSERT_EQ(queue.push(std::move(low)), PushOutcome::kAccepted);
@@ -342,7 +351,7 @@ TEST(BatchQueue, EvictionTakesTheLowestClassFirst) {
 
 TEST(BatchQueue, LowArrivalNeverEvictsAndEvictionCanBeDisabled) {
   // A low arrival has no lower class to shed: rejected outright.
-  BatchQueue queue(8, std::chrono::seconds(30), 0, bounded(1));
+  BatchQueue queue(8, {}, bounded(1));
   ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)),
             PushOutcome::kAccepted);
   EXPECT_EQ(queue.push(make_request(2.0f, Priority::kLow)),
@@ -352,7 +361,7 @@ TEST(BatchQueue, LowArrivalNeverEvictsAndEvictionCanBeDisabled) {
   // evict_lower = false: even high arrivals shed fail-fast.
   QueueLimits no_evict = bounded(1);
   no_evict.evict_lower = false;
-  BatchQueue strict(8, std::chrono::seconds(30), 0, no_evict);
+  BatchQueue strict(8, {}, no_evict);
   ASSERT_EQ(strict.push(make_request(1.0f, Priority::kLow)),
             PushOutcome::kAccepted);
   EXPECT_EQ(strict.push(make_request(2.0f, Priority::kHigh)),
@@ -363,7 +372,7 @@ TEST(BatchQueue, LowArrivalNeverEvictsAndEvictionCanBeDisabled) {
 }
 
 TEST(BatchQueue, NonEvictableWaiterIsSkippedByEviction) {
-  BatchQueue queue(8, std::chrono::seconds(30), 0, bounded(2));
+  BatchQueue queue(8, {}, bounded(2));
   PendingRequest pinned = make_request(1.0f, Priority::kLow);
   pinned.cls.evictable = false;
   ASSERT_EQ(queue.push(std::move(pinned)), PushOutcome::kAccepted);
@@ -387,7 +396,7 @@ TEST(BatchQueue, NonEvictableWaiterIsSkippedByEviction) {
 TEST(BatchQueue, PerPriorityBudgetShedsClassWithoutEviction) {
   QueueLimits limits;  // no total bound — only the low-class budget
   limits.per_priority[static_cast<std::size_t>(Priority::kLow)] = 2;
-  BatchQueue queue(8, std::chrono::seconds(30), 0, limits);
+  BatchQueue queue(8, {}, limits);
   ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)),
             PushOutcome::kAccepted);
   ASSERT_EQ(queue.push(make_request(2.0f, Priority::kLow)),
@@ -409,7 +418,7 @@ TEST(BatchQueue, PerPriorityBudgetShedsClassWithoutEviction) {
 }
 
 TEST(BatchQueue, ExpiredRequestsDoNotHoldSlotsAgainstArrivals) {
-  BatchQueue queue(8, std::chrono::seconds(30), 0, bounded(1));
+  BatchQueue queue(8, {}, bounded(1));
   PendingRequest stale = make_request(1.0f);
   stale.cls.deadline = Clock::now() + std::chrono::milliseconds(2);
   auto stale_future = stale.promise.get_future();
@@ -424,102 +433,10 @@ TEST(BatchQueue, ExpiredRequestsDoNotHoldSlotsAgainstArrivals) {
   EXPECT_EQ(queue.rejected_total(), 0u);
 }
 
-// ---- preemption-aware batching ----------------------------------------
-
-TEST(BatchQueue, HighArrivalShrinksFlushWindowOfParkedWorker) {
-  // Flush window 30 s (never fires in this test); preemptive window 2 ms.
-  BatchQueue queue(64, std::chrono::seconds(30), 0, {},
-                   std::chrono::milliseconds(2));
-  ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)),
-            PushOutcome::kAccepted);
-
-  std::vector<PendingRequest> batch;
-  std::thread worker([&] { ASSERT_TRUE(queue.pop_batch(batch)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // park it
-
-  util::Stopwatch watch;
-  ASSERT_EQ(queue.push(make_request(2.0f, Priority::kHigh)),
-            PushOutcome::kAccepted);
-  worker.join();
-  // The parked worker woke for the preemptive window, not the 30 s flush.
-  EXPECT_LT(watch.seconds(), 5.0);
-
-  // No starvation: the preempted batch back-fills with the low waiter.
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_FLOAT_EQ(tag_of(batch[0]), 2.0f);  // high first
-  EXPECT_FLOAT_EQ(tag_of(batch[1]), 1.0f);  // low rides along
-}
-
-TEST(BatchQueue, PreemptiveWindowAppliesOnlyWhileHighWorkWaits) {
-  // Preemption on, but only normal/low work queued: the batch must still
-  // sit out the full flush window (preemption never rushes bulk traffic).
-  BatchQueue queue(64, std::chrono::microseconds(20000), 0, {},
-                   std::chrono::microseconds(500));
-  ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)),
-            PushOutcome::kAccepted);
-  ASSERT_EQ(queue.push(make_request(2.0f, Priority::kNormal)),
-            PushOutcome::kAccepted);
-
-  util::Stopwatch watch;
-  std::vector<PendingRequest> batch;
-  ASSERT_TRUE(queue.pop_batch(batch));
-  EXPECT_GE(watch.seconds(), 0.015);  // waited ~max_delay, not 500 us
-  EXPECT_EQ(batch.size(), 2u);
-}
-
-TEST(BatchQueue, LoneHighRequestFlushesAtPreemptiveWindow) {
-  BatchQueue queue(64, std::chrono::seconds(30), 0, {},
-                   std::chrono::milliseconds(1));
-  ASSERT_EQ(queue.push(make_request(1.0f, Priority::kHigh)),
-            PushOutcome::kAccepted);
-  util::Stopwatch watch;
-  std::vector<PendingRequest> batch;
-  ASSERT_TRUE(queue.pop_batch(batch));
-  EXPECT_LT(watch.seconds(), 5.0);  // not the 30 s window
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_FLOAT_EQ(tag_of(batch[0]), 1.0f);
-}
-
-// Regression for the flush-timer/promotion divergence: promotion appends
-// the OLDER request at the TAIL of the upper lane, but the flush-deadline
-// scan used to look only at lane FRONTS — so once a promoted request sat
-// behind a younger waiter, the flush timer was computed off the younger
-// enqueue time and the promoted request silently waited up to a full
-// extra max_delay. The scan must cover whole lanes.
-TEST(BatchQueue, PromotedRequestKeepsDrivingFlushTimer) {
-  // Large max_batch so only the flush deadline can release a batch.
-  BatchQueue queue(64, std::chrono::milliseconds(200),
-                   /*promote_after_factor=*/1);
-  ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)),
-            PushOutcome::kAccepted);
-  // Age it past promote_after_factor x max_delay.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-
-  // The aged low request is now ~250 ms old; a brand-new normal request
-  // arrives. Promotion lifts the old request to the normal lane TAIL —
-  // behind the younger front. Pre-fix, the flush deadline keyed off the
-  // younger front (~0 ms old) and this pop waited the full 200 ms window;
-  // post-fix the 250 ms-old promoted request makes the deadline already
-  // due and the pop returns immediately with both requests.
-  ASSERT_EQ(queue.push(make_request(2.0f, Priority::kNormal)),
-            PushOutcome::kAccepted);
-  util::Stopwatch watch;
-  std::vector<PendingRequest> batch;
-  ASSERT_TRUE(queue.pop_batch(batch));
-  const double waited = watch.seconds();
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_FLOAT_EQ(tag_of(batch[0]), 2.0f);  // normal-lane front first
-  EXPECT_FLOAT_EQ(tag_of(batch[1]), 1.0f);  // the promoted request rides
-  EXPECT_EQ(queue.promotion_total(), 1u);
-  // Well under the 200 ms flush window (generous CI slack): the promoted
-  // request's age drove the deadline.
-  EXPECT_LT(waited, 0.1);
-}
-
 // ---- try_push (the cluster spill probe) --------------------------------
 
 TEST(BatchQueue, TryPushRejectLeavesRequestIntactForSpill) {
-  BatchQueue queue(8, std::chrono::seconds(30), 0, bounded(1));
+  BatchQueue queue(8, {}, bounded(1));
   ASSERT_EQ(queue.push(make_request(1.0f)), PushOutcome::kAccepted);
 
   // The probe bounces off the full queue WITHOUT failing the promise —
@@ -533,7 +450,7 @@ TEST(BatchQueue, TryPushRejectLeavesRequestIntactForSpill) {
   EXPECT_EQ(queue.rejected_total(), 0u);   // a probe is not a shed
 
   // The same request then lands in a second queue normally.
-  BatchQueue other(8, std::chrono::seconds(30), 0, bounded(1));
+  BatchQueue other(8, {}, bounded(1));
   EXPECT_EQ(other.try_push(probe), PushOutcome::kAccepted);
   other.close();
   std::vector<PendingRequest> batch;
@@ -546,7 +463,7 @@ TEST(BatchQueue, TryPushStillAdmitsByEvictingLowerClass) {
   // The probe shares submit()'s admission control: a high-priority
   // arrival on a full queue still evicts the oldest evictable lower-class
   // waiter instead of bouncing.
-  BatchQueue queue(8, std::chrono::seconds(30), 0, bounded(1));
+  BatchQueue queue(8, {}, bounded(1));
   PendingRequest victim = make_request(1.0f, Priority::kLow);
   auto victim_future = victim.promise.get_future();
   ASSERT_EQ(queue.push(std::move(victim)), PushOutcome::kAccepted);
@@ -556,28 +473,6 @@ TEST(BatchQueue, TryPushStillAdmitsByEvictingLowerClass) {
   EXPECT_THROW(victim_future.get(), QueueFull);
   EXPECT_EQ(queue.evicted_total(), 1u);
   EXPECT_EQ(queue.size(), 1u);
-}
-
-TEST(BatchQueue, PreemptiveFlushDoesNotStarveAgingLowTraffic) {
-  // Preemption interacting with PR 4 aging: sustained high arrivals keep
-  // shrinking the window, but a low request older than k x max_delay
-  // still climbs lanes and eventually rides ahead of FUTURE high work.
-  BatchQueue queue(1, std::chrono::microseconds(1000),
-                   /*promote_after_factor=*/1, {},
-                   std::chrono::microseconds(100));
-  ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)),
-            PushOutcome::kAccepted);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // age it
-  ASSERT_EQ(queue.push(make_request(2.0f, Priority::kHigh)),
-            PushOutcome::kAccepted);
-
-  std::vector<PendingRequest> batch;
-  ASSERT_TRUE(queue.pop_batch(batch));  // scan 1: low -> normal
-  EXPECT_FLOAT_EQ(tag_of(batch[0]), 2.0f);
-  ASSERT_TRUE(queue.pop_batch(batch));  // scan 2: normal -> high, then pop
-  EXPECT_FLOAT_EQ(tag_of(batch[0]), 1.0f);
-  EXPECT_EQ(batch[0].cls.priority, Priority::kLow);  // never re-labeled
-  EXPECT_EQ(queue.promotion_total(), 2u);
 }
 
 // ---- per-tenant quotas + weighted-fair pick ----------------------------
@@ -596,7 +491,7 @@ PendingRequest tenant_request(runtime::TenantId tenant, float tag,
 TEST(BatchQueue, TenantQuotaShedsAtAcceptAndFreesOnPop) {
   runtime::TenantTable tenants;
   const auto a = tenants.configure("a", {1.0, 2});
-  BatchQueue queue(1, std::chrono::microseconds(100), 0, {}, {}, &tenants);
+  BatchQueue queue(1, {}, {}, &tenants);
 
   ASSERT_EQ(queue.push(tenant_request(a, 1.0f)), PushOutcome::kAccepted);
   ASSERT_EQ(queue.push(tenant_request(a, 2.0f)), PushOutcome::kAccepted);
@@ -624,7 +519,7 @@ TEST(BatchQueue, QuotaRejectionNeverEvictsANeighbor) {
   const auto b = tenants.intern("b");
   QueueLimits limits;
   limits.max_queue_depth = 3;
-  BatchQueue queue(8, std::chrono::seconds(30), 0, limits, {}, &tenants);
+  BatchQueue queue(8, {}, limits, &tenants);
 
   ASSERT_EQ(queue.push(tenant_request(a, 1.0f)), PushOutcome::kAccepted);
   ASSERT_EQ(queue.push(tenant_request(b, 2.0f, Priority::kLow)),
@@ -647,9 +542,8 @@ TEST(BatchQueue, TryPushProbeChargesQuotaOnlyOnAccept) {
   // behind, a probe that lands charges the tenant at THIS queue.
   runtime::TenantTable tenants;
   const auto a = tenants.configure("a", {1.0, 1});
-  BatchQueue full(8, std::chrono::seconds(30), 0, bounded(1), {}, &tenants);
-  BatchQueue sibling(8, std::chrono::seconds(30), 0, bounded(1), {},
-                     &tenants);
+  BatchQueue full(8, {}, bounded(1), &tenants);
+  BatchQueue sibling(8, {}, bounded(1), &tenants);
   ASSERT_EQ(full.push(make_request(1.0f)), PushOutcome::kAccepted);
 
   PendingRequest probe = tenant_request(a, 2.0f);
@@ -671,9 +565,7 @@ TEST(BatchQueue, TryPushProbeChargesQuotaOnlyOnAccept) {
 TEST(BatchQueue, EvictionAndExpiryReleaseTheTenantCharge) {
   runtime::TenantTable tenants;
   const auto a = tenants.configure("a", {1.0, 1});
-  // Short flush window: this test pops a lone request mid-way.
-  BatchQueue queue(8, std::chrono::microseconds(1000), 0, bounded(1), {},
-                   &tenants);
+  BatchQueue queue(8, {}, bounded(1), &tenants);
 
   PendingRequest victim = tenant_request(a, 1.0f, Priority::kLow);
   auto victim_future = victim.promise.get_future();
@@ -704,7 +596,7 @@ TEST(BatchQueue, PopsAreWeightedFairAmongTenantsInOneLane) {
   runtime::TenantTable tenants;
   const auto a = tenants.configure("a", {1.0, 0});
   const auto b = tenants.configure("b", {2.0, 0});
-  BatchQueue queue(1, std::chrono::microseconds(100), 0, {}, {}, &tenants);
+  BatchQueue queue(1, {}, {}, &tenants);
 
   // All of a's work arrives BEFORE any of b's; FIFO alone would serve
   // a,a,a,b,b,b. Stride scheduling interleaves by weight instead.
@@ -737,7 +629,7 @@ TEST(BatchQueue, WeightedFairPickStaysInsideThePriorityLane) {
   runtime::TenantTable tenants;
   const auto a = tenants.configure("a", {100.0, 0});
   const auto b = tenants.configure("b", {0.5, 0});
-  BatchQueue queue(1, std::chrono::microseconds(100), 0, {}, {}, &tenants);
+  BatchQueue queue(1, {}, {}, &tenants);
 
   ASSERT_EQ(queue.push(tenant_request(a, 1.0f, Priority::kNormal)),
             PushOutcome::kAccepted);

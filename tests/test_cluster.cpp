@@ -68,7 +68,6 @@ std::vector<ShardSpec> tiny_shards(
     ShardSpec spec;
     spec.snapshot = tiny_snapshot(1);  // same weights on every shard
     spec.engine.max_batch = max_batch;
-    spec.engine.max_delay = std::chrono::microseconds(500);
     spec.engine.max_queue_depth = max_queue_depth;
     spec.engine.backends[0].sim_batch_latency = sim_pacing;
     shards.push_back(std::move(spec));

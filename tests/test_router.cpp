@@ -155,6 +155,19 @@ TEST(Router, MeasuredLatencyMixesWarmAndColdBackends) {
             1u);
 }
 
+// Cold-start regression: the model prices a Cortex-A9, so a cold backend
+// modeled far slower than this host's warm measurements used to lose
+// every placement and never warm. Its model is capped at the cheapest
+// warm measurement, so it attracts the traffic that warms it.
+TEST(Router, ColdBackendIsPricedAtCheapestWarmMeasurement) {
+  Router router(RoutePolicy::kMeasuredLatency, 0, /*hysteresis=*/0.0);
+  // b0 warm: (2+1) x 5 ms = 15 ms. b1 cold: (0+1) x min(500 ms, 5 ms).
+  const std::vector<BackendLoad> loads = {measured_load(2, 1e-3, 5e-3),
+                                          measured_load(0, 500e-3, 0.0)};
+  EXPECT_EQ(router.route(loads), 1u);
+  EXPECT_EQ(router.cost_order(loads), (std::vector<std::size_t>{1, 0}));
+}
+
 TEST(Router, MeasuredLatencyHysteresisStopsFlapping) {
   Router router(RoutePolicy::kMeasuredLatency, 0, /*hysteresis=*/0.15);
   // First route anchors on backend 0 (clearly best).

@@ -48,6 +48,37 @@ core::Tensor random_image(util::Rng& rng) {
   return x;
 }
 
+/// How long each micro-batch holds the worker of held_worker_config()'s
+/// backend: far longer than the few submits a test makes right after a
+/// blocker was picked up, so they queue behind it.
+constexpr auto kHold = std::chrono::milliseconds(100);
+
+/// One float backend whose every micro-batch holds its single worker for
+/// kHold (BackendConfig::sim_batch_latency).
+EngineConfig held_worker_config(int max_batch) {
+  EngineConfig cfg;
+  cfg.max_batch = max_batch;
+  cfg.backends[0].sim_batch_latency = kHold;
+  return cfg;
+}
+
+/// Submits a blocker request and returns once backend 0's worker is
+/// serving it. Dispatch is work-conserving, so this is how a test keeps
+/// later submits queued: they wait behind the blocker instead of being
+/// popped at once by an idle worker.
+std::future<InferenceResult> occupy_worker(InferenceEngine& engine,
+                                           util::Rng& rng) {
+  auto blocker = engine.submit(random_image(rng));
+  while (engine.in_flight(0) != 1 &&
+         blocker.wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(engine.in_flight(0), 1) << "blocker finished before the test "
+                                       "could queue behind it";
+  return blocker;
+}
+
 double max_abs_diff(const core::Tensor& a, const core::Tensor& b) {
   double diff = 0.0;
   for (std::size_t i = 0; i < a.numel(); ++i) {
@@ -63,7 +94,6 @@ TEST(InferenceEngine, ResultsMatchDirectForward) {
   models::Network net = make_net(1);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_delay = std::chrono::microseconds(500);
   InferenceEngine engine(net, cfg);
 
   util::Rng rng(11);
@@ -97,7 +127,6 @@ TEST(InferenceEngine, BatchingIsDeterministicAcrossArrivalOrderAndSplit) {
   auto serve = [&](int max_batch, bool reversed) {
     EngineConfig cfg;
     cfg.max_batch = max_batch;
-    cfg.max_delay = std::chrono::microseconds(2000);
     InferenceEngine engine(net, cfg);
     std::vector<std::future<InferenceResult>> futures(kImages);
     for (int i = 0; i < kImages; ++i) {
@@ -128,64 +157,44 @@ TEST(InferenceEngine, BatchingIsDeterministicAcrossArrivalOrderAndSplit) {
 
 TEST(InferenceEngine, FormsFullBatchesUnderBurst) {
   models::Network net = make_net(3);
-  EngineConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_delay = std::chrono::seconds(2);  // flush only on full batches
-  InferenceEngine engine(net, cfg);
+  InferenceEngine engine(net, held_worker_config(4));
 
   util::Rng rng(33);
+  auto blocker = occupy_worker(engine, rng);
+  // A burst that lands while the worker is busy is taken in full batches.
   core::Tensor batch({8, 3, 16, 16});
   for (std::size_t i = 0; i < batch.numel(); ++i) {
     batch.data()[i] = static_cast<float>(rng.normal(0.0, 0.5));
   }
   auto futures = engine.submit_batch(batch);
+  EXPECT_EQ(blocker.get().batch_size, 1);
   for (auto& f : futures) {
     EXPECT_EQ(f.get().batch_size, 4);
   }
   const auto stats = engine.stats();
   ASSERT_EQ(stats.backends.size(), 1u);
-  EXPECT_EQ(stats.backends[0].requests, 8u);
-  EXPECT_EQ(stats.backends[0].batches, 2u);
-  EXPECT_DOUBLE_EQ(stats.backends[0].mean_batch_size(), 4.0);
-}
-
-TEST(InferenceEngine, DeadlineFlushesPartialBatch) {
-  models::Network net = make_net(4);
-  EngineConfig cfg;
-  cfg.max_batch = 64;  // never fills
-  cfg.max_delay = std::chrono::microseconds(20000);
-  InferenceEngine engine(net, cfg);
-
-  util::Rng rng(44);
-  std::vector<std::future<InferenceResult>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(engine.submit(random_image(rng)));
-  for (auto& f : futures) {
-    const InferenceResult r = f.get();
-    EXPECT_EQ(r.batch_size, 3);
-    // The batch had to wait for the deadline, not a full window.
-    EXPECT_GE(r.total_seconds, 0.015);
-  }
-  EXPECT_EQ(engine.stats().backends[0].batches, 1u);
+  EXPECT_EQ(stats.backends[0].requests, 9u);
+  EXPECT_EQ(stats.backends[0].batches, 3u);  // the blocker + two full ones
+  EXPECT_DOUBLE_EQ(stats.backends[0].mean_batch_size(), 3.0);
 }
 
 TEST(InferenceEngine, ShutdownDrainsInFlightRequests) {
   models::Network net = make_net(5);
-  EngineConfig cfg;
-  cfg.max_batch = 64;
-  cfg.max_delay = std::chrono::seconds(30);  // would park without drain
-  InferenceEngine engine(net, cfg);
+  InferenceEngine engine(net, held_worker_config(64));
 
   util::Rng rng(55);
+  auto blocker = occupy_worker(engine, rng);
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 5; ++i) futures.push_back(engine.submit(random_image(rng)));
-  engine.shutdown();  // must flush the queue immediately and serve it
+  engine.shutdown();  // must finish the blocker, then serve the queue
 
+  EXPECT_GE(blocker.get().predicted, 0);
   for (auto& f : futures) {
     const InferenceResult r = f.get();
     EXPECT_GE(r.predicted, 0);
     EXPECT_EQ(r.batch_size, 5);
   }
-  EXPECT_EQ(engine.stats().requests(), 5u);
+  EXPECT_EQ(engine.stats().requests(), 6u);
   EXPECT_THROW(engine.submit(random_image(rng)), odenet::Error);
 }
 
@@ -196,7 +205,6 @@ TEST(InferenceEngine, DestructorFulfillsEveryFuture) {
   {
     EngineConfig cfg;
     cfg.max_batch = 64;
-    cfg.max_delay = std::chrono::seconds(30);
     InferenceEngine engine(net, cfg);
     for (int i = 0; i < 3; ++i) {
       futures.push_back(engine.submit(random_image(rng)));
@@ -211,7 +219,6 @@ TEST(InferenceEngine, BackendParityWithinQuantizationTolerance) {
   models::Network net = make_net(7);
   EngineConfig cfg;
   cfg.max_batch = 1;  // per-image, so batch-stat BN sees one image everywhere
-  cfg.max_delay = std::chrono::microseconds(500);
   BackendConfig float_ref;
   float_ref.backend = core::ExecBackend::kFloat;
   float_ref.per_image_batch_norm = true;  // align with the PL's BN semantics
@@ -253,7 +260,6 @@ TEST(InferenceEngine, StatsFoldPlCyclesAndEmitJson) {
   models::Network net = make_net(8);
   EngineConfig cfg;
   cfg.max_batch = 2;
-  cfg.max_delay = std::chrono::microseconds(500);
   BackendConfig fpga_sim;
   fpga_sim.backend = core::ExecBackend::kFpgaSim;
   cfg.backends = {fpga_sim};
@@ -298,7 +304,6 @@ TEST(InferenceEngine, MalformedImageFailsItsFutureOnly) {
   models::Network net = make_net(9);
   EngineConfig cfg;
   cfg.max_batch = 2;
-  cfg.max_delay = std::chrono::microseconds(500);
   InferenceEngine engine(net, cfg);
 
   // Wrong spatial extent: the future carries the error; submit() itself
@@ -329,17 +334,16 @@ TEST(InferenceEngine, PinnedBackendOutOfRangeThrows) {
 
 TEST(InferenceEngine, ExpiredDeadlineRejectsWithTimeoutError) {
   models::Network net = make_net(10);
-  EngineConfig cfg;
-  cfg.max_batch = 64;  // never fills
-  cfg.max_delay = std::chrono::microseconds(100000);
-  InferenceEngine engine(net, cfg);
+  InferenceEngine engine(net, held_worker_config(64));
 
   util::Rng rng(10);
+  auto blocker = occupy_worker(engine, rng);
   runtime::SubmitOptions opts;
   opts.priority = runtime::Priority::kLow;
-  opts.deadline = std::chrono::microseconds(500);  // beats the 100 ms flush
+  opts.deadline = std::chrono::microseconds(500);  // expires behind kHold
   auto doomed = engine.submit(random_image(rng), opts);
   EXPECT_THROW((void)doomed.get(), runtime::DeadlineExceeded);
+  EXPECT_GE(blocker.get().predicted, 0);
 
   // A generous deadline is not a timeout.
   runtime::SubmitOptions relaxed;
@@ -349,7 +353,7 @@ TEST(InferenceEngine, ExpiredDeadlineRejectsWithTimeoutError) {
   EXPECT_EQ(ok.priority, runtime::Priority::kNormal);
 
   const auto stats = engine.stats();
-  EXPECT_EQ(stats.requests(), 1u);
+  EXPECT_EQ(stats.requests(), 2u);  // the blocker and the relaxed request
   EXPECT_EQ(stats.timeouts(), 1u);
   const auto& low =
       stats.priorities[static_cast<std::size_t>(runtime::Priority::kLow)];
@@ -361,7 +365,6 @@ TEST(InferenceEngine, RoutedSubmitBalancesAcrossBackends) {
   models::Network net = make_net(11);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_delay = std::chrono::microseconds(100000);
   cfg.route_policy = runtime::RoutePolicy::kLeastDepth;
   cfg.backends = {BackendConfig{}, BackendConfig{}};  // two float replicas
   InferenceEngine engine(net, cfg);
@@ -390,7 +393,6 @@ TEST(InferenceEngine, StaticPolicyPinsRoutedTraffic) {
   models::Network net = make_net(12);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_delay = std::chrono::microseconds(500);
   cfg.route_policy = runtime::RoutePolicy::kStatic;
   cfg.static_backend = 1;
   cfg.backends = {BackendConfig{}, BackendConfig{}};
@@ -413,7 +415,6 @@ TEST(InferenceEngine, ReloadServesNewWeightsBitIdenticalToColdEngine) {
   models::Network new_net = make_net(21);  // same spec, different weights
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_delay = std::chrono::microseconds(500);
 
   InferenceEngine engine(old_net, cfg);
   const std::uint64_t v0 = engine.model_version();
@@ -455,7 +456,6 @@ TEST(InferenceEngine, ReloadRequantizesFpgaAndFixedBackends) {
   models::Network new_net = make_net(23);
   EngineConfig cfg;
   cfg.max_batch = 1;  // per-image batches: batch-stat BN is deterministic
-  cfg.max_delay = std::chrono::microseconds(500);
   BackendConfig fixed_cpu;
   fixed_cpu.backend = core::ExecBackend::kFixed;
   BackendConfig fpga_sim;
@@ -548,7 +548,6 @@ TEST(InferenceEngine, StressReloadRacesProducersWithoutDroppingFutures) {
   models::Network net = make_net(25);
   EngineConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_delay = std::chrono::microseconds(300);
   BackendConfig two_workers;
   two_workers.workers = 2;
   cfg.backends = {two_workers, BackendConfig{}};
@@ -626,7 +625,6 @@ TEST(InferenceEngine, StressManyProducersRoutedMixedPriorities) {
   models::Network net = make_net(13);
   EngineConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_delay = std::chrono::microseconds(500);
   cfg.route_policy = runtime::RoutePolicy::kModeledLatency;
   BackendConfig two_workers;
   two_workers.workers = 2;
@@ -705,15 +703,14 @@ TEST(InferenceEngine, StressManyProducersRoutedMixedPriorities) {
 
 TEST(InferenceEngine, ShedsFailFastWhenQueueBoundReachedAndEvictsForHigh) {
   models::Network net = make_net(30);
-  EngineConfig cfg;
-  cfg.max_batch = 64;  // never fills: requests stay queued
-  cfg.max_delay = std::chrono::microseconds(200000);
+  EngineConfig cfg = held_worker_config(64);
   cfg.max_queue_depth = 2;
   InferenceEngine engine(net, cfg);
 
   util::Rng rng(30);
-  // Two normal requests occupy the whole bound while the worker parks on
-  // the 200 ms flush window.
+  // Two normal requests occupy the whole bound while the worker is busy
+  // with the blocker.
+  auto blocker = occupy_worker(engine, rng);
   auto victim = engine.submit(random_image(rng));
   auto survivor = engine.submit(random_image(rng));
 
@@ -728,9 +725,10 @@ TEST(InferenceEngine, ShedsFailFastWhenQueueBoundReachedAndEvictsForHigh) {
   EXPECT_THROW((void)victim.get(), runtime::QueueFull);
   EXPECT_GE(admitted.get().predicted, 0);
   EXPECT_GE(survivor.get().predicted, 0);
+  EXPECT_GE(blocker.get().predicted, 0);
 
   const auto stats = engine.stats();
-  EXPECT_EQ(stats.requests(), 2u);  // high + surviving normal served
+  EXPECT_EQ(stats.requests(), 3u);  // blocker, high and surviving normal
   EXPECT_EQ(stats.rejected(), 1u);
   EXPECT_EQ(stats.evicted(), 1u);
   EXPECT_EQ(stats.shed(), 2u);
@@ -749,13 +747,12 @@ TEST(InferenceEngine, ShedsFailFastWhenQueueBoundReachedAndEvictsForHigh) {
 
 TEST(InferenceEngine, NonEvictableSubmitSurvivesHighPressure) {
   models::Network net = make_net(31);
-  EngineConfig cfg;
-  cfg.max_batch = 64;
-  cfg.max_delay = std::chrono::microseconds(200000);
+  EngineConfig cfg = held_worker_config(64);
   cfg.max_queue_depth = 1;
   InferenceEngine engine(net, cfg);
 
   util::Rng rng(31);
+  auto blocker = occupy_worker(engine, rng);
   runtime::SubmitOptions pinned;
   pinned.priority = runtime::Priority::kLow;
   pinned.evictable = false;
@@ -767,6 +764,7 @@ TEST(InferenceEngine, NonEvictableSubmitSurvivesHighPressure) {
   // Nothing evictable below it: the high arrival itself is shed.
   EXPECT_THROW((void)bounced.get(), runtime::QueueFull);
   EXPECT_GE(protected_low.get().predicted, 0);
+  EXPECT_GE(blocker.get().predicted, 0);
 
   const auto stats = engine.stats();
   EXPECT_EQ(stats.evicted(), 0u);
@@ -780,7 +778,6 @@ TEST(InferenceEngine, MeasuredLatencyPolicyWarmsFromServedTraffic) {
   models::Network net = make_net(32);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_delay = std::chrono::microseconds(500);
   cfg.route_policy = runtime::RoutePolicy::kMeasuredLatency;
   cfg.backends = {BackendConfig{}, BackendConfig{}};
   InferenceEngine engine(net, cfg);
@@ -815,33 +812,31 @@ TEST(InferenceEngine, MeasuredLatencyPolicyWarmsFromServedTraffic) {
   EXPECT_GT(stats_max, 0.0);
 }
 
-TEST(InferenceEngine, PreemptiveFlushCutsLoneHighPriorityLatency) {
-  models::Network net = make_net(33);
-  EngineConfig slow;
-  slow.max_batch = 64;
-  slow.max_delay = std::chrono::microseconds(150000);  // 150 ms window
-  util::Rng rng(33);
+// The cluster-level gauge applies the Router's cold-start rule: a cold
+// backend counts at its model capped at the cheapest warm measurement,
+// not at an A9 model that can be far slower than this host.
+TEST(InferenceEngine, AggregateLoadCapsColdBackendAtWarmMeasurement) {
+  models::Network net = make_net(35);
+  EngineConfig cfg;
+  cfg.max_batch = 1;
+  cfg.backends = {BackendConfig{}, BackendConfig{}};
+  InferenceEngine engine(net, cfg);
 
-  // Control: without preemption a lone high request sits out max_delay.
-  {
-    InferenceEngine engine(net, slow);
-    runtime::SubmitOptions high;
-    high.priority = runtime::Priority::kHigh;
-    const InferenceResult r =
-        engine.submit(random_image(rng), high).get();
-    EXPECT_GE(r.total_seconds, 0.1);
+  util::Rng rng(35);
+  SubmitOptions pinned;
+  pinned.backend = 0;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_GE(engine.submit(random_image(rng), pinned).get().predicted, 0);
   }
-  // Preemptive flush: the same arrival dispatches at the shrunk window.
-  {
-    EngineConfig preempt = slow;
-    preempt.high_priority_flush = std::chrono::microseconds(1000);
-    InferenceEngine engine(net, preempt);
-    runtime::SubmitOptions high;
-    high.priority = runtime::Priority::kHigh;
-    const InferenceResult r =
-        engine.submit(random_image(rng), high).get();
-    EXPECT_LT(r.total_seconds, 0.1);
-  }
+  const double warm = engine.measured_request_seconds(0);
+  ASSERT_GT(warm, 0.0);
+  ASSERT_DOUBLE_EQ(engine.measured_request_seconds(1), 0.0);  // never ran
+
+  // Parallel servers: 1 / (1/t0 + 1/t1), with t1 the capped model.
+  const double cold = std::min(engine.modeled_request_seconds(1), warm);
+  const double expected = 1.0 / (1.0 / warm + 1.0 / cold);
+  EXPECT_NEAR(engine.aggregate_load().measured_request_seconds, expected,
+              1e-12 * expected);
 }
 
 // Admission control racing the hot-swap publish path: producers hammer a
@@ -853,7 +848,6 @@ TEST(InferenceEngine, StressRejectDuringHotSwapSettlesEveryFuture) {
   models::Network net = make_net(34);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_delay = std::chrono::microseconds(300);
   cfg.max_queue_depth = 6;
   BackendConfig two_workers;
   two_workers.workers = 2;
@@ -923,7 +917,6 @@ TEST(InferenceEngine, ReloadResetsMeasuredEwmaToColdState) {
   models::Network next = make_net(41);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_delay = std::chrono::microseconds(500);
   cfg.route_policy = runtime::RoutePolicy::kMeasuredLatency;
   cfg.backends = {BackendConfig{}, BackendConfig{}};
   InferenceEngine engine(net, cfg);
@@ -991,7 +984,6 @@ TEST(InferenceEngine, ServeFromRegistrySeedsFollowsAndGatesReload) {
   models::Network net = make_net(50);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.max_delay = std::chrono::microseconds(500);
   cfg.model = "prod";
   InferenceEngine engine(net, cfg);
   const std::uint64_t v0 = engine.model_version();
@@ -1048,7 +1040,6 @@ TEST(InferenceEngine, StressRollbackRacesPublishesWithoutMisversionedResults) {
   models::Network net = make_net(53);
   EngineConfig cfg;
   cfg.max_batch = 8;
-  cfg.max_delay = std::chrono::microseconds(300);
   cfg.model = "prod";
   BackendConfig two_workers;
   two_workers.workers = 2;
@@ -1126,7 +1117,6 @@ TEST(InferenceEngine, DeltaReloadRequantizesOnlyTouchedBramStages) {
   const auto snap0 = net.export_snapshot();
   EngineConfig cfg;
   cfg.max_batch = 1;  // per-image batches: batch-stat BN is deterministic
-  cfg.max_delay = std::chrono::microseconds(500);
   BackendConfig fpga_sim;
   fpga_sim.backend = core::ExecBackend::kFpgaSim;
   cfg.backends = {fpga_sim};  // offloaded empty = rODENet-3's

@@ -9,10 +9,12 @@ fails (exit 1) when a gated metric regresses:
 
   * throughput-like metrics (images/sec, speedup and goodput ratios)
     may not DROP by more than ``--throughput-drop`` (default 20%);
-  * latency-like metrics (p99, swap cost, preemption ratio) may not
-    GROW by more than ``--p99-growth`` (default 25%);
+  * latency-like metrics (p99, swap cost) may not GROW by more than
+    ``--p99-growth`` (default 25%);
   * acceptance booleans (e.g. ``shed_protects``, ``meets_1p5x``) that
-    were true in the baseline must stay true.
+    were true in the baseline must stay true;
+  * every gated metric of a baseline summary row must still be present in
+    the current run's row (a bench that stops printing a verdict fails).
 
 Only summary rows are gated: per-configuration rows are useful context
 in the artifacts but too noisy to gate a CI run on. Absolute
@@ -67,13 +69,13 @@ HIGHER_BETTER_RELATIVE = {
 LOWER_BETTER_ABSOLUTE = {
     "mean_swap_ms",
     "max_swap_ms",
-    "p99_high_preempt_ms",
+    "p99_high_ms",
 }
-# Relative latency outcomes (preempt_p99_ratio, throughput_dip) are
-# deliberately NOT gated as percentages: their baselines are tiny, so a
-# scheduler hiccup reads as a huge relative change. Their acceptance
-# margins are enforced through the boolean verdicts instead
-# (preempt_wins, dip_within_25pct).
+# Relative latency outcomes (throughput_dip) are deliberately NOT gated as
+# percentages: their baselines are tiny, so a scheduler hiccup reads as a
+# huge relative change. Their acceptance margins are enforced through the
+# boolean verdicts instead (dip_within_25pct, and high_p99_bounded for
+# the overload bench's high-priority p99).
 LOWER_BETTER_RELATIVE = set()
 # batching_wins and host_routing_wins are host-contention verdicts: on a
 # core-starved runner producer and worker time-slice one core and the
@@ -91,7 +93,7 @@ BOOLEAN_GATES = {
     "fused_ode_wins",
     "dip_within_25pct",
     "shed_protects",
-    "preempt_wins",
+    "high_p99_bounded",
     "cluster_scales",
     "spill_protects",
     "frontend_ok",
@@ -183,9 +185,18 @@ def main():
             failures.append(f"{key}: summary row missing from current run")
             continue
         for metric, bval in sorted(brow.items()):
-            cval = crow.get(metric)
-            if cval is None:
+            direction = ("higher" if metric in higher
+                         else "lower" if metric in lower else None)
+            if metric not in BOOLEAN_GATES and direction is None:
                 continue
+            if metric not in crow:
+                failures.append(
+                    f"{key[0]}/{key[1]}: gated metric '{metric}' is in the "
+                    "baseline but missing from the current run")
+                print(f"  {key[0]:>20s} {metric:<36s} "
+                      f"{'':>10s}    {'missing':>10s}  FAIL")
+                continue
+            cval = crow[metric]
             if metric in BOOLEAN_GATES:
                 compared += 1
                 status = "ok"
@@ -196,10 +207,6 @@ def main():
                         "baseline, now false")
                 print(f"  {key[0]:>20s} {metric:<36s} "
                       f"{str(bval):>10s} -> {str(cval):>10s}  {status}")
-                continue
-            direction = ("higher" if metric in higher
-                         else "lower" if metric in lower else None)
-            if direction is None:
                 continue
             # A gated metric with a zero, negative or non-numeric baseline
             # can never be compared: every later run would silently skip
