@@ -1,33 +1,32 @@
-// Batched im2col+GEMM conv fast path vs the per-sample baseline.
+// Batched im2col+GEMM conv: achieved throughput against this host's
+// measured GEMM peak.
 //
 // The shape under test is the paper's ODEBlock convolution (layer3_2:
 // 64 -> 64 channels over 8x8 with the concat-time plane; Table 2), the
 // conv the PL accelerates in hardware and the hot path of the software
-// fallback. For each micro-batch size the three software algorithms run
-// the same work:
-//   * per_sample — the pre-batching path: one freshly allocated column
-//     buffer + one small GEMM per sample (ConvAlgo::kIm2colPerSample).
-//   * batched    — whole-batch im2col into one column matrix + ONE
-//     register-blocked GEMM, scratch from a recycled arena
-//     (ConvAlgo::kIm2col, the default).
-//   * direct     — the tap-walking reference kernel, for scale.
-// Forward is timed in eval mode, forward+backward in training mode.
+// fallback. For each micro-batch size the conv runs forward in eval mode
+// and forward+backward in training mode; each row reports its GFLOP/s as
+// a fraction of core::measure_gemm_peak()'s f32 figure, timed next to it
+// (best-of-5 of both, so host drift hits numerator and denominator
+// alike). The GEMM's work counts the time plane: 2 x Cout x (Cin+1)*9 x
+// H*W per image forward, 3x that for forward+backward (dW and dX).
 //
-// Two A/B sections follow the algorithm grid, both on the batch-16
-// batched path:
+// Three A/B sections follow the grid, all at batch 16:
 //   * simd    — the active micro-kernel ISA vs the scalar fallback
 //     (gemm_force_scalar), isolating the AVX2/FMA win;
+//   * fused   — conv+BN+ReLU as one GEMM vs the layer chain;
 //   * threads — the same forward on a 1/2/4/all-worker kernel pool
 //     (set_kernel_pool), isolating the panel-split scaling.
 //
 // Every configuration prints one machine-readable JSON line prefixed
-// "JSON "; the summary line reports the batched-vs-per-sample forward
-// speedup at batch 16 — the acceptance number for the batched path —
-// plus the active ISA and the SIMD speedup (context, not gated: the
-// scalar denominator is not present on every runner class).
+// "JSON "; the summary line reports the batch-16 fractions of peak plus
+// the active ISA and the SIMD speedup (context, not gated: the scalar
+// denominator is not present on every runner class). Both fractions
+// spread more than the perf gate's 20% band over repeated runs on one
+// host, so each is gated through a floor verdict, not as a ratio against
+// the baseline.
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -43,10 +42,15 @@
 
 using namespace odenet;
 using core::Conv2d;
-using core::ConvAlgo;
 using core::Tensor;
 
 namespace {
+
+/// Floors of the batched_fwd_frac_peak_ok / batched_fwd_bwd_frac_peak_ok
+/// verdicts: the lowest of 34 runs on a 4-core AVX2 host (0.47 and 0.33)
+/// less the 20% tolerance.
+constexpr double kFwdFracPeakFloor = 0.37;
+constexpr double kFwdBwdFracPeakFloor = 0.26;
 
 Tensor random_tensor(std::vector<int> shape, util::Rng& rng) {
   Tensor t(std::move(shape));
@@ -56,54 +60,50 @@ Tensor random_tensor(std::vector<int> shape, util::Rng& rng) {
   return t;
 }
 
-const char* algo_name(ConvAlgo algo) {
-  switch (algo) {
-    case ConvAlgo::kIm2col: return "batched";
-    case ConvAlgo::kIm2colPerSample: return "per_sample";
-    case ConvAlgo::kDirect: return "direct";
-  }
-  return "unknown";
-}
-
-struct Row {
-  std::string algo;
-  int batch = 0;
-  int reps = 0;
-  double fwd_seconds = 0.0;       // mean per forward call
-  double fwd_images_per_sec = 0.0;
-  double bwd_seconds = 0.0;       // mean per forward+backward call
-  double fwd_speedup = 1.0;       // vs per_sample at the same batch
-  std::uint64_t scratch_floats = 0;
-};
-
-Row run_algo(ConvAlgo algo, const Tensor& weights, const Tensor& x,
-             const Tensor& gout, int reps) {
+Conv2d make_conv(const Tensor& weights) {
   const int channels = weights.dim(0);
   Conv2d conv({.in_channels = channels,
                .out_channels = channels,
                .kernel = 3,
                .stride = 1,
                .pad = 1,
-               .time_channel = true,
-               .algo = algo});
+               .time_channel = true});
   conv.weight().value = weights;
   conv.set_time(0.5f);
   // Serving steady state: versioned weights so the packed-weight cache
-  // hits after the warm-up call (training mode below never reads it).
+  // hits after the warm-up call (training mode never reads it).
   conv.set_weight_version(1);
+  return conv;
+}
 
-  Row row;
-  row.algo = algo_name(algo);
-  row.batch = x.dim(0);
-  row.reps = reps;
+struct Row {
+  int batch = 0;
+  int reps = 0;
+  double fwd_seconds = 0.0;  // mean per forward call, best of the tries
+  double bwd_seconds = 0.0;  // mean per forward+backward call, best
+  double peak_gflops = 0.0;  // best measured f32 GEMM peak
+  double fwd_flops = 0.0;    // GEMM work of one forward call
+  std::uint64_t scratch_floats = 0;
+
+  double fwd_frac_peak() const {
+    return fwd_flops / fwd_seconds / (peak_gflops * 1e9);
+  }
+  double fwd_bwd_frac_peak() const {
+    return 3.0 * fwd_flops / bwd_seconds / (peak_gflops * 1e9);
+  }
+};
+
+/// One try: mean forward and forward+backward seconds over `reps` calls.
+void time_conv(const Tensor& weights, const Tensor& x, const Tensor& gout,
+               int reps, Row& row) {
+  Conv2d conv = make_conv(weights);
 
   // Forward, eval mode (the serving path).
   conv.set_training(false);
   (void)conv.forward(x);  // warm-up: first-touch pages, arena sizing
   util::Stopwatch watch;
   for (int r = 0; r < reps; ++r) (void)conv.forward(x);
-  row.fwd_seconds = watch.seconds() / reps;
-  row.fwd_images_per_sec = x.dim(0) / row.fwd_seconds;
+  const double fwd = watch.seconds() / reps;
 
   // Forward + backward, training mode (the trainer's inner loop).
   conv.set_training(true);
@@ -114,39 +114,33 @@ Row run_algo(ConvAlgo algo, const Tensor& weights, const Tensor& x,
     (void)conv.forward(x);
     (void)conv.backward(gout);
   }
-  row.bwd_seconds = bwatch.seconds() / reps;
+  const double bwd = bwatch.seconds() / reps;
+
+  if (row.fwd_seconds == 0.0 || fwd < row.fwd_seconds) row.fwd_seconds = fwd;
+  if (row.bwd_seconds == 0.0 || bwd < row.bwd_seconds) row.bwd_seconds = bwd;
   row.scratch_floats = conv.scratch_arena().capacity();
-  return row;
 }
 
 void print_row(const Row& r) {
-  std::printf("%-11s %6d %6d %12.6f %12.1f %12.6f %9.2fx %14llu\n",
-              r.algo.c_str(), r.batch, r.reps, r.fwd_seconds,
-              r.fwd_images_per_sec, r.bwd_seconds, r.fwd_speedup,
+  std::printf("%6d %6d %12.6f %12.1f %12.6f %10.3f %10.3f %14llu\n",
+              r.batch, r.reps, r.fwd_seconds, r.batch / r.fwd_seconds,
+              r.bwd_seconds, r.fwd_frac_peak(), r.fwd_bwd_frac_peak(),
               static_cast<unsigned long long>(r.scratch_floats));
-  std::printf("JSON {\"bench\":\"conv_gemm\",\"algo\":\"%s\",\"batch\":%d,"
-              "\"reps\":%d,\"fwd_seconds\":%.6f,\"fwd_images_per_sec\":%.2f,"
-              "\"bwd_seconds\":%.6f,\"fwd_speedup_vs_per_sample\":%.4f,"
+  std::printf("JSON {\"bench\":\"conv_gemm\",\"batch\":%d,\"reps\":%d,"
+              "\"fwd_seconds\":%.6f,\"fwd_images_per_sec\":%.2f,"
+              "\"bwd_seconds\":%.6f,\"peak_gflops_f32\":%.2f,"
+              "\"fwd_frac_peak\":%.4f,\"fwd_bwd_frac_peak\":%.4f,"
               "\"scratch_floats\":%llu}\n",
-              r.algo.c_str(), r.batch, r.reps, r.fwd_seconds,
-              r.fwd_images_per_sec, r.bwd_seconds, r.fwd_speedup,
+              r.batch, r.reps, r.fwd_seconds, r.batch / r.fwd_seconds,
+              r.bwd_seconds, r.peak_gflops, r.fwd_frac_peak(),
+              r.fwd_bwd_frac_peak(),
               static_cast<unsigned long long>(r.scratch_floats));
 }
 
 /// Mean seconds per batched eval-mode forward under the CURRENT kernel
 /// settings (ISA override / kernel pool installed by the caller).
 double time_batched_fwd(const Tensor& weights, const Tensor& x, int reps) {
-  const int channels = weights.dim(0);
-  Conv2d conv({.in_channels = channels,
-               .out_channels = channels,
-               .kernel = 3,
-               .stride = 1,
-               .pad = 1,
-               .time_channel = true,
-               .algo = ConvAlgo::kIm2col});
-  conv.weight().value = weights;
-  conv.set_time(0.5f);
-  conv.set_weight_version(1);
+  Conv2d conv = make_conv(weights);
   conv.set_training(false);
   (void)conv.forward(x);  // warm-up: pages, arena, packed weights
   util::Stopwatch watch;
@@ -161,16 +155,7 @@ double time_batched_fwd(const Tensor& weights, const Tensor& x, int reps) {
 double time_conv_bn_relu(const Tensor& weights, const Tensor& x, int reps,
                          bool fused, util::Rng& rng) {
   const int channels = weights.dim(0);
-  Conv2d conv({.in_channels = channels,
-               .out_channels = channels,
-               .kernel = 3,
-               .stride = 1,
-               .pad = 1,
-               .time_channel = true,
-               .algo = ConvAlgo::kIm2col});
-  conv.weight().value = weights;
-  conv.set_time(0.5f);
-  conv.set_weight_version(1);
+  Conv2d conv = make_conv(weights);
   conv.set_training(false);
   core::BatchNorm2d bn(channels);
   for (int c = 0; c < channels; ++c) {
@@ -210,7 +195,7 @@ double time_conv_bn_relu(const Tensor& weights, const Tensor& x, int reps,
 
 int main(int argc, char** argv) {
   util::CliParser cli("bench_conv_gemm",
-                      "Batched im2col+GEMM conv vs per-sample baseline");
+                      "Batched im2col+GEMM conv against the measured peak");
   cli.add_option("channels", "64", "conv width (paper layer3_2: 64)");
   cli.add_option("size", "8", "spatial extent (paper layer3_2: 8)");
   cli.add_option("reps", "0", "timed reps per config (0 = auto)");
@@ -228,32 +213,30 @@ int main(int argc, char** argv) {
   std::printf("=== Batched conv path: %dch %dx%d k3 concat-time "
               "(ODEBlock conv) ===\n",
               channels, size, size);
-  std::printf("%-11s %6s %6s %12s %12s %12s %9s %14s\n", "algo", "batch",
-              "reps", "fwd_sec", "fwd_img/s", "fwd+bwd_sec", "speedup",
-              "scratch_floats");
+  std::printf("%6s %6s %12s %12s %12s %10s %10s %14s\n", "batch", "reps",
+              "fwd_sec", "fwd_img/s", "fwd+bwd_sec", "fwd_peak",
+              "f+b_peak", "scratch_floats");
 
-  std::map<int, double> per_sample_fwd;
-  double speedup_b16 = 0.0;
-  double bwd_speedup_b16 = 0.0;
+  // Per image: 2 x Cout x (Cin+1)*9 x H*W GEMM flops (the time plane is a
+  // real GEMM row).
+  const double flops_per_image =
+      2.0 * channels * (channels + 1) * 9.0 * size * size;
+  Row b16;
   for (int batch : {1, 4, 16, 64}) {
     const int reps = reps_opt > 0 ? reps_opt : std::max(4, 96 / batch);
     Tensor x = random_tensor({batch, channels, size, size}, rng);
     Tensor gout = random_tensor({batch, channels, size, size}, rng);
-    double per_sample_bwd = 0.0;
-    for (ConvAlgo algo : {ConvAlgo::kIm2colPerSample, ConvAlgo::kIm2col,
-                          ConvAlgo::kDirect}) {
-      Row row = run_algo(algo, weights, x, gout, reps);
-      if (algo == ConvAlgo::kIm2colPerSample) {
-        per_sample_fwd[batch] = row.fwd_seconds;
-        per_sample_bwd = row.bwd_seconds;
-      }
-      row.fwd_speedup = per_sample_fwd[batch] / row.fwd_seconds;
-      if (algo == ConvAlgo::kIm2col && batch == 16) {
-        speedup_b16 = row.fwd_speedup;
-        bwd_speedup_b16 = per_sample_bwd / row.bwd_seconds;
-      }
-      print_row(row);
+    Row row;
+    row.batch = batch;
+    row.reps = reps;
+    row.fwd_flops = flops_per_image * batch;
+    for (int t = 0; t < 5; ++t) {
+      row.peak_gflops =
+          std::max(row.peak_gflops, core::measure_gemm_peak().gflops_f32);
+      time_conv(weights, x, gout, reps, row);
     }
+    if (batch == 16) b16 = row;
+    print_row(row);
   }
 
   // --- SIMD A/B: active ISA vs forced-scalar kernels, batch 16 ----------
@@ -317,13 +300,18 @@ int main(int argc, char** argv) {
 
   std::printf("JSON {\"bench\":\"conv_gemm\",\"summary\":true,"
               "\"channels\":%d,\"size\":%d,\"isa\":\"%s\","
-              "\"batched_fwd_speedup_b16\":%.4f,"
-              "\"batched_bwd_speedup_b16\":%.4f,"
+              "\"peak_gflops_f32\":%.2f,"
+              "\"batched_fwd_frac_peak_b16\":%.4f,"
+              "\"batched_fwd_bwd_frac_peak_b16\":%.4f,"
               "\"simd_speedup_b16\":%.4f,"
               "\"fused_conv_bn_relu_speedup\":%.4f,"
-              "\"meets_1p5x\":%s}\n",
-              channels, size, core::gemm_isa_name(), speedup_b16,
-              bwd_speedup_b16, simd_speedup, fused_speedup,
-              speedup_b16 >= 1.5 ? "true" : "false");
+              "\"batched_fwd_frac_peak_ok\":%s,"
+              "\"batched_fwd_bwd_frac_peak_ok\":%s}\n",
+              channels, size, core::gemm_isa_name(), b16.peak_gflops,
+              b16.fwd_frac_peak(), b16.fwd_bwd_frac_peak(), simd_speedup,
+              fused_speedup,
+              b16.fwd_frac_peak() >= kFwdFracPeakFloor ? "true" : "false",
+              b16.fwd_bwd_frac_peak() >= kFwdBwdFracPeakFloor ? "true"
+                                                              : "false");
   return 0;
 }

@@ -7,15 +7,22 @@
 // amortizes per-call dispatch/allocation overhead across the batch, so
 // engine throughput at max_batch > 1 should beat the sequential baseline.
 //
-// Second act — routing policies under skewed load: the paper's PS/PL SoC
-// as a heterogeneous engine — float software (one A9 core), the
-// fixed-point CPU path (the second A9 core), and the simulated PL
-// accelerator — fed paced bursts of mixed-priority requests through each
-// Router policy. Static pins every request to backend 0 (the pre-router
-// behavior), so the load skew is total; load-aware policies spread by live
-// queue pressure and the sched/ cost model.
+// The float and fixed engines at max batch are also scored against this
+// host's measured GEMM peak (core::measure_gemm_peak): engine images/sec x
+// conv ops per image / the f32 (float) or i16 (fixed) peak. Each try times
+// the peak next to the engine run, best-of-9 of both. Engine throughput
+// swings with host contention far more than the GEMM peak does (over 20%
+// across repeated runs), so both fractions are gated through floor
+// verdicts, not as ratios against the baseline.
 //
-// Each policy reports two throughputs: host wall-clock (every backend is
+// Second act — routing under skewed load: the paper's PS/PL SoC as a
+// heterogeneous engine — float software (one A9 core), the fixed-point
+// CPU path (the second A9 core), and the simulated PL accelerator — fed
+// paced bursts of mixed-priority requests, once pinned to backend 0
+// (SubmitOptions::backend, so the load skew is total) and once routed by
+// least-depth placement.
+//
+// Each run reports two throughputs: host wall-clock (every backend is
 // ultimately simulated on this machine, so on few-core hosts the engines
 // time-slice one another) and the modeled deployment makespan — per
 // engine, requests x modeled service seconds (CpuModel / the PS/PL
@@ -28,7 +35,6 @@
 // "JSON "; the final lines aggregate the sweep and the policy comparison.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +49,12 @@ using namespace odenet;
 
 namespace {
 
+/// Floors of the float_frac_peak_ok / fixed_frac_peak_ok verdicts: the
+/// lowest of 34 runs on a 4-core AVX2 host (0.072 and 0.028, both under
+/// sustained contention) less the 20% tolerance.
+constexpr double kFloatFracPeakFloor = 0.057;
+constexpr double kFixedFracPeakFloor = 0.022;
+
 core::Tensor random_images(int n, int channels, int size, util::Rng& rng) {
   core::Tensor x({n, channels, size, size});
   for (std::size_t i = 0; i < x.numel(); ++i) {
@@ -54,7 +66,7 @@ core::Tensor random_images(int n, int channels, int size, util::Rng& rng) {
 struct Row {
   std::string mode;     // "sequential" or "engine"
   std::string backend;  // executor backend
-  std::string conv_algo = "batched";  // software conv lowering
+  std::string variant = "default";  // "fused"/"unfused" in the epilogue A/B
   int max_batch = 1;
   int images = 0;
   double seconds = 0.0;
@@ -65,63 +77,68 @@ struct Row {
 
 void print_row(const Row& r) {
   std::printf("%-11s %-9s %-10s %9d %8d %10.4f %12.1f %9.2fx %14llu\n",
-              r.mode.c_str(), r.backend.c_str(), r.conv_algo.c_str(),
+              r.mode.c_str(), r.backend.c_str(), r.variant.c_str(),
               r.max_batch, r.images, r.seconds, r.images_per_sec, r.speedup,
               static_cast<unsigned long long>(r.pl_cycles));
   std::printf("JSON {\"bench\":\"runtime_throughput\",\"mode\":\"%s\","
-              "\"backend\":\"%s\",\"conv_algo\":\"%s\",\"max_batch\":%d,"
+              "\"backend\":\"%s\",\"variant\":\"%s\",\"max_batch\":%d,"
               "\"images\":%d,"
               "\"seconds\":%.6f,\"images_per_sec\":%.2f,\"speedup\":%.4f,"
               "\"pl_cycles\":%llu}\n",
-              r.mode.c_str(), r.backend.c_str(), r.conv_algo.c_str(),
+              r.mode.c_str(), r.backend.c_str(), r.variant.c_str(),
               r.max_batch, r.images, r.seconds, r.images_per_sec, r.speedup,
               static_cast<unsigned long long>(r.pl_cycles));
 }
 
-/// `tries` > 1 keeps the fastest run — used for the rows whose ratios the
-/// perf gate checks, so a scheduler hiccup on a shared runner does not
-/// flap the verdict (same stabilization as bench_overload's goodput).
+/// One engine run over `images` on a single backend. The rows the perf
+/// gate reads are best-of-N over repeated calls, so a scheduler hiccup on
+/// a shared runner does not flap the verdict (same stabilization as
+/// bench_overload's goodput).
 Row run_engine(models::Network& net, const core::Tensor& images,
-               core::ExecBackend backend, int max_batch,
-               core::ConvAlgo conv_algo = core::ConvAlgo::kIm2col,
-               int tries = 1, bool fixed_float_carrier = false) {
+               core::ExecBackend backend, int max_batch) {
   Row row;
   row.mode = "engine";
   row.backend = core::backend_name(backend);
-  row.conv_algo = conv_algo != core::ConvAlgo::kIm2col ? "per_sample"
-                  : fixed_float_carrier                ? "batched_f32"
-                                                       : "batched";
   row.max_batch = max_batch;
   row.images = images.dim(0);
-  for (int t = 0; t < tries; ++t) {
-    runtime::EngineConfig cfg;
-    cfg.max_batch = max_batch;
-    runtime::BackendConfig bc;
-    bc.backend = backend;
-    bc.conv_algo = conv_algo;
-    bc.fixed_float_carrier = fixed_float_carrier;
-    cfg.backends = {bc};
-    runtime::InferenceEngine engine(net, cfg);
+  runtime::EngineConfig cfg;
+  cfg.max_batch = max_batch;
+  runtime::BackendConfig bc;
+  bc.backend = backend;
+  cfg.backends = {bc};
+  runtime::InferenceEngine engine(net, cfg);
 
-    util::Stopwatch watch;
-    auto futures = engine.submit_batch(images);
-    for (auto& f : futures) (void)f.get();
-    const double seconds = watch.seconds();
-    if (std::getenv("ODENET_BENCH_TRY_DEBUG")) {
-      std::fprintf(stderr, "try %s%s t=%d %.4fs\n", row.backend.c_str(),
-                   row.conv_algo.c_str(), t, seconds);
-    }
-    if (t == 0 || seconds < row.seconds) {
-      row.seconds = seconds;
-      row.images_per_sec = images.dim(0) / seconds;
-      row.pl_cycles = engine.stats().pl_cycles();
-    }
-  }
+  util::Stopwatch watch;
+  auto futures = engine.submit_batch(images);
+  for (auto& f : futures) (void)f.get();
+  row.seconds = watch.seconds();
+  row.images_per_sec = images.dim(0) / row.seconds;
+  row.pl_cycles = engine.stats().pl_cycles();
   return row;
 }
 
+/// Conv multiply-adds x 2 for one image through the network: the stem
+/// plus both 3x3 convs of every block execution (a transition stage's
+/// first block reads in_channels, the rest out_channels), without the
+/// concat-time plane.
+double conv_ops_per_image(const models::NetworkSpec& spec) {
+  const models::WidthConfig& w = spec.width;
+  double macs = 9.0 * w.base_channels * w.input_channels * w.input_size *
+                w.input_size;
+  for (const models::StageSpec& st : spec.stages) {
+    const double out_hw = static_cast<double>(st.in_size / st.stride) *
+                          (st.in_size / st.stride);
+    for (int b = 0; b < st.stacked_blocks; ++b) {
+      const int in_channels = b == 0 ? st.in_channels : st.out_channels;
+      macs += out_hw * st.out_channels * 9.0 *
+              (in_channels + st.out_channels) * st.executions;
+    }
+  }
+  return 2.0 * macs;
+}
+
 struct RoutingRow {
-  std::string policy;
+  std::string placement;  // "pinned" or "least_depth"
   int images = 0;
   double host_seconds = 0.0;
   double host_images_per_sec = 0.0;
@@ -129,30 +146,30 @@ struct RoutingRow {
   /// requests x modeled service seconds.
   double modeled_seconds = 0.0;
   double modeled_images_per_sec = 0.0;
-  double modeled_speedup_vs_static = 1.0;
+  double modeled_speedup_vs_pinned = 1.0;
   std::vector<std::uint64_t> backend_requests;
   std::uint64_t timeouts = 0;
 };
 
 void print_routing_row(const RoutingRow& r) {
   std::printf("%-16s %8d %12.4f %12.1f %14.4f %14.1f %9.2fx  [",
-              r.policy.c_str(), r.images, r.host_seconds,
+              r.placement.c_str(), r.images, r.host_seconds,
               r.host_images_per_sec, r.modeled_seconds,
-              r.modeled_images_per_sec, r.modeled_speedup_vs_static);
+              r.modeled_images_per_sec, r.modeled_speedup_vs_pinned);
   for (std::size_t i = 0; i < r.backend_requests.size(); ++i) {
     std::printf("%s%llu", i > 0 ? " " : "",
                 static_cast<unsigned long long>(r.backend_requests[i]));
   }
   std::printf("]\n");
   std::printf("JSON {\"bench\":\"runtime_throughput\",\"mode\":\"routing\","
-              "\"policy\":\"%s\",\"images\":%d,\"host_seconds\":%.6f,"
+              "\"placement\":\"%s\",\"images\":%d,\"host_seconds\":%.6f,"
               "\"host_images_per_sec\":%.2f,\"modeled_seconds\":%.6f,"
               "\"modeled_images_per_sec\":%.2f,"
-              "\"modeled_speedup_vs_static\":%.4f,\"timeouts\":%llu,"
+              "\"modeled_speedup_vs_pinned\":%.4f,\"timeouts\":%llu,"
               "\"backend_requests\":[",
-              r.policy.c_str(), r.images, r.host_seconds,
+              r.placement.c_str(), r.images, r.host_seconds,
               r.host_images_per_sec, r.modeled_seconds,
-              r.modeled_images_per_sec, r.modeled_speedup_vs_static,
+              r.modeled_images_per_sec, r.modeled_speedup_vs_pinned,
               static_cast<unsigned long long>(r.timeouts));
   for (std::size_t i = 0; i < r.backend_requests.size(); ++i) {
     std::printf("%s%llu", i > 0 ? "," : "",
@@ -161,18 +178,16 @@ void print_routing_row(const RoutingRow& r) {
   std::printf("]}\n");
 }
 
-// One policy over the skewed workload: paced bursts of mixed-priority
-// routed requests against the modeled SoC — float and fixed software (the
-// two PS cores) plus the simulated PL accelerator. The pacing matters:
-// each burst's placement sees the queue pressure the previous bursts left
-// behind, so load-aware policies shift traffic as the engines drain.
-// Static pins everything to backend 0.
+// The skewed workload: paced bursts of mixed-priority requests against the
+// modeled SoC — float and fixed software (the two PS cores) plus the
+// simulated PL accelerator — either all pinned to backend 0 or routed by
+// least-depth placement. The pacing matters: each burst's placement sees
+// the queue pressure the previous bursts left behind, so routed traffic
+// shifts as the engines drain.
 RoutingRow run_routing(models::Network& net, const core::Tensor& images,
-                       runtime::RoutePolicy policy) {
+                       bool pinned) {
   runtime::EngineConfig cfg;
   cfg.max_batch = 8;
-  cfg.route_policy = policy;
-  cfg.static_backend = 0;
   runtime::BackendConfig ps_float;
   ps_float.backend = core::ExecBackend::kFloat;
   runtime::BackendConfig ps_fixed;
@@ -197,15 +212,16 @@ RoutingRow run_routing(models::Network& net, const core::Tensor& images,
     core::Tensor image({c, s, s});
     std::copy_n(images.data() + static_cast<std::size_t>(i) * stride, stride,
                 image.data());
-    runtime::SubmitOptions opts;  // routed; priority classes cycle
+    runtime::SubmitOptions opts;  // priority classes cycle
     opts.priority = static_cast<runtime::Priority>(i % 3);
+    if (pinned) opts.backend = 0;
     futures.push_back(engine.submit(std::move(image), opts));
   }
   for (auto& f : futures) (void)f.get();
   const double seconds = watch.seconds();
 
   RoutingRow row;
-  row.policy = runtime::route_policy_name(policy);
+  row.placement = pinned ? "pinned" : "least_depth";
   row.images = n;
   row.host_seconds = seconds;
   row.host_images_per_sec = n / seconds;
@@ -256,7 +272,7 @@ int main(int argc, char** argv) {
   std::printf("=== Serving throughput: %s, %d images ===\n",
               net.name().c_str(), kImages);
   std::printf("%-11s %-9s %-10s %9s %8s %10s %12s %9s %14s\n", "mode",
-              "backend", "conv_algo", "max_batch", "images", "seconds",
+              "backend", "variant", "max_batch", "images", "seconds",
               "images/sec", "speedup", "pl_cycles");
 
   // Baseline: synchronous single-image forward calls.
@@ -280,69 +296,41 @@ int main(int argc, char** argv) {
 
   // Engine sweep on the float backend: batching amortization.
   double best_batched = 0.0;
-  int largest_mb = 1;
   for (int mb = 1; mb <= kMaxBatch; mb *= 2) {
     Row row = run_engine(net, images, core::ExecBackend::kFloat, mb);
     row.speedup = row.images_per_sec / base.images_per_sec;
     if (mb > 1) best_batched = std::max(best_batched, row.images_per_sec);
-    largest_mb = mb;
     print_row(row);
   }
 
-  // The fixed rows are an interleaved A/B: the default int16 datapath and
-  // the float-carrier comparator (FixedConvPath::kBatchedFloat) alternate
-  // tries pairwise, best-of-9 each, so scheduler/turbo drift on a shared
-  // runner hits both arms alike — the gated fixed_int_speedup is the ratio
-  // of these two rows. The int16 row is also the numerator of the gated
-  // fixed_conv_speedup.
-  Row fixed_row, fixed_f32_row;
+  // Fraction of peak at max batch: each try measures the GEMM peak next
+  // to one float and one fixed engine run, best-of-9 of all three, so
+  // scheduler/turbo drift on a shared runner hits numerator and
+  // denominator alike.
+  Row float_row, fixed_row;
+  core::GemmPeak peak;
   for (int t = 0; t < 9; ++t) {
-    Row a = run_engine(net, images, core::ExecBackend::kFixed, kMaxBatch);
-    Row b = run_engine(net, images, core::ExecBackend::kFixed, kMaxBatch,
-                       core::ConvAlgo::kIm2col, 1,
-                       /*fixed_float_carrier=*/true);
-    if (t == 0 || a.seconds < fixed_row.seconds) fixed_row = a;
-    if (t == 0 || b.seconds < fixed_f32_row.seconds) fixed_f32_row = b;
+    const core::GemmPeak p = core::measure_gemm_peak();
+    peak.gflops_f32 = std::max(peak.gflops_f32, p.gflops_f32);
+    peak.gops_i16 = std::max(peak.gops_i16, p.gops_i16);
+    Row a = run_engine(net, images, core::ExecBackend::kFloat, kMaxBatch);
+    Row b = run_engine(net, images, core::ExecBackend::kFixed, kMaxBatch);
+    if (t == 0 || a.seconds < float_row.seconds) float_row = a;
+    if (t == 0 || b.seconds < fixed_row.seconds) fixed_row = b;
   }
+  const double conv_ops = conv_ops_per_image(net.spec());
+  const double float_frac_peak =
+      float_row.images_per_sec * conv_ops / (peak.gflops_f32 * 1e9);
+  const double fixed_frac_peak =
+      fixed_row.images_per_sec * conv_ops / (peak.gops_i16 * 1e9);
+  float_row.speedup = float_row.images_per_sec / base.images_per_sec;
+  print_row(float_row);
   fixed_row.speedup = fixed_row.images_per_sec / base.images_per_sec;
-  const double fixed_batched_ips = fixed_row.images_per_sec;
   print_row(fixed_row);
   Row fpga_row =
       run_engine(net, images, core::ExecBackend::kFpgaSim, kMaxBatch);
   fpga_row.speedup = fpga_row.images_per_sec / base.images_per_sec;
   print_row(fpga_row);
-
-  // Conv-algorithm A/B: the same engine, same micro-batch setting (the
-  // largest the sweep ran), with only the conv lowering switched to the
-  // pre-batching per-sample path — isolating the conv-algorithm effect
-  // from the batch-size choice. The batched conv is what lets
-  // micro-batching pull ahead of the sequential baseline by more than
-  // per-call overhead amortization.
-  Row ab_batched_row = run_engine(net, images, core::ExecBackend::kFloat,
-                                  largest_mb, core::ConvAlgo::kIm2col, 3);
-  ab_batched_row.speedup =
-      ab_batched_row.images_per_sec / base.images_per_sec;
-  print_row(ab_batched_row);
-  Row per_sample_row = run_engine(net, images, core::ExecBackend::kFloat,
-                                  largest_mb,
-                                  core::ConvAlgo::kIm2colPerSample, 3);
-  per_sample_row.speedup =
-      per_sample_row.images_per_sec / base.images_per_sec;
-  print_row(per_sample_row);
-
-  // Same A/B on the fixed-point backend: conv_algo=per_sample maps to
-  // FixedConvPath::kPerSample (the pre-batching quantized conv), so this
-  // isolates the fixed batched-lowering win — the PR's ≥1.5x acceptance.
-  Row fixed_ps_row = run_engine(net, images, core::ExecBackend::kFixed,
-                                kMaxBatch,
-                                core::ConvAlgo::kIm2colPerSample, 3);
-  fixed_ps_row.speedup = fixed_ps_row.images_per_sec / base.images_per_sec;
-  print_row(fixed_ps_row);
-
-  // The float-carrier comparator row measured in the interleaved A/B
-  // above, printed here next to the other fixed-backend ablation.
-  fixed_f32_row.speedup = fixed_f32_row.images_per_sec / base.images_per_sec;
-  print_row(fixed_f32_row);
 
   // Fused-epilogue A/B on the float backend: same engine, same micro-batch,
   // only the fused inference epilogues toggled — conv+BN+ReLU and
@@ -360,10 +348,10 @@ int main(int argc, char** argv) {
     if (t == 0 || a.seconds < fused_on_row.seconds) fused_on_row = a;
     if (t == 0 || b.seconds < fused_off_row.seconds) fused_off_row = b;
   }
-  fused_on_row.conv_algo = "fused";
+  fused_on_row.variant = "fused";
   fused_on_row.speedup = fused_on_row.images_per_sec / base.images_per_sec;
   print_row(fused_on_row);
-  fused_off_row.conv_algo = "unfused";
+  fused_off_row.variant = "unfused";
   fused_off_row.speedup = fused_off_row.images_per_sec / base.images_per_sec;
   print_row(fused_off_row);
 
@@ -412,16 +400,6 @@ int main(int argc, char** argv) {
   }
 
   const double batched_speedup = best_batched / base.images_per_sec;
-  const double conv_speedup =
-      ab_batched_row.images_per_sec / per_sample_row.images_per_sec;
-  const double fixed_conv_speedup =
-      fixed_ps_row.images_per_sec > 0.0
-          ? fixed_batched_ips / fixed_ps_row.images_per_sec
-          : 0.0;
-  const double fixed_int_speedup =
-      fixed_f32_row.images_per_sec > 0.0
-          ? fixed_batched_ips / fixed_f32_row.images_per_sec
-          : 0.0;
   const double fused_engine_speedup =
       fused_off_row.images_per_sec > 0.0
           ? fused_on_row.images_per_sec / fused_off_row.images_per_sec
@@ -431,85 +409,64 @@ int main(int argc, char** argv) {
   std::printf("JSON {\"bench\":\"runtime_throughput\",\"summary\":true,"
               "\"images\":%d,\"sequential_images_per_sec\":%.2f,"
               "\"best_batched_images_per_sec\":%.2f,"
-              "\"conv_ab_max_batch\":%d,"
-              "\"batched_conv_images_per_sec\":%.2f,"
-              "\"per_sample_conv_images_per_sec\":%.2f,"
               "\"batched_speedup\":%.4f,"
-              "\"batched_conv_speedup\":%.4f,"
-              "\"fixed_batched_images_per_sec\":%.2f,"
-              "\"fixed_per_sample_images_per_sec\":%.2f,"
-              "\"fixed_conv_speedup\":%.4f,"
-              "\"fixed_f32_images_per_sec\":%.2f,"
-              "\"fixed_int_speedup\":%.4f,"
+              "\"conv_mops_per_image\":%.3f,"
+              "\"peak_gflops_f32\":%.2f,\"peak_gops_i16\":%.2f,"
+              "\"float_images_per_sec\":%.2f,"
+              "\"float_frac_peak\":%.4f,"
+              "\"fixed_images_per_sec\":%.2f,"
+              "\"fixed_frac_peak\":%.4f,"
               "\"fused_images_per_sec\":%.2f,"
               "\"unfused_images_per_sec\":%.2f,"
               "\"fused_engine_speedup\":%.4f,"
               "\"fused_ode_fwd_seconds\":%.6f,"
               "\"unfused_ode_fwd_seconds\":%.6f,"
               "\"fused_ode_speedup\":%.4f,"
-              "\"batching_wins\":%s,\"batched_conv_wins\":%s,"
-              "\"fixed_meets_1p5x\":%s,\"fixed_int_wins\":%s,"
-              "\"fused_ode_wins\":%s}\n",
-              kImages, base.images_per_sec, best_batched, largest_mb,
-              ab_batched_row.images_per_sec, per_sample_row.images_per_sec,
-              batched_speedup, conv_speedup, fixed_batched_ips,
-              fixed_ps_row.images_per_sec, fixed_conv_speedup,
-              fixed_f32_row.images_per_sec, fixed_int_speedup,
+              "\"batching_wins\":%s,\"fused_ode_wins\":%s,"
+              "\"float_frac_peak_ok\":%s,\"fixed_frac_peak_ok\":%s}\n",
+              kImages, base.images_per_sec, best_batched, batched_speedup,
+              conv_ops / 1e6, peak.gflops_f32, peak.gops_i16,
+              float_row.images_per_sec, float_frac_peak,
+              fixed_row.images_per_sec, fixed_frac_peak,
               fused_on_row.images_per_sec, fused_off_row.images_per_sec,
               fused_engine_speedup, ode_fused_sec, ode_unfused_sec,
               fused_ode_speedup,
               batched_speedup > 1.0 ? "true" : "false",
-              conv_speedup > 1.0 ? "true" : "false",
-              fixed_conv_speedup >= 1.5 ? "true" : "false",
-              fixed_int_speedup >= 1.0 ? "true" : "false",
-              fused_ode_speedup >= 1.3 ? "true" : "false");
+              fused_ode_speedup >= 1.3 ? "true" : "false",
+              float_frac_peak >= kFloatFracPeakFloor ? "true" : "false",
+              fixed_frac_peak >= kFixedFracPeakFloor ? "true" : "false");
 
-  // ---- Routing policies under skewed load -------------------------------
-  std::printf("\n=== Routing policies: float + fixed + fpga_sim backends, "
-              "paced bursts, %d mixed-priority requests ===\n",
+  // ---- Routing under skewed load ---------------------------------------
+  std::printf("\n=== Routing: float + fixed + fpga_sim backends, paced "
+              "bursts, %d mixed-priority requests ===\n",
               kImages);
-  std::printf("%-16s %8s %12s %12s %14s %14s %9s  %s\n", "policy", "images",
-              "host_sec", "host_img/s", "modeled_sec", "modeled_img/s",
-              "vs_static", "backend_requests");
-  double static_modeled_ips = 0.0;
-  double static_host_ips = 0.0;
-  std::string best_policy;
-  double best_modeled_ips = 0.0;
-  double best_host_ips = 0.0;
-  for (runtime::RoutePolicy policy : runtime::all_route_policies()) {
-    RoutingRow row = run_routing(net, images, policy);
-    if (policy == runtime::RoutePolicy::kStatic) {
-      static_modeled_ips = row.modeled_images_per_sec;
-      static_host_ips = row.host_images_per_sec;
-    } else {
-      if (row.modeled_images_per_sec > best_modeled_ips) {
-        best_modeled_ips = row.modeled_images_per_sec;
-        best_policy = row.policy;
-      }
-      // Host winner tracked separately: the modeled-best policy is not
-      // necessarily the host-best one.
-      best_host_ips = std::max(best_host_ips, row.host_images_per_sec);
-    }
-    row.modeled_speedup_vs_static =
-        static_modeled_ips > 0.0
-            ? row.modeled_images_per_sec / static_modeled_ips
-            : 1.0;
-    print_routing_row(row);
-  }
+  std::printf("%-16s %8s %12s %12s %14s %14s %9s  %s\n", "placement",
+              "images", "host_sec", "host_img/s", "modeled_sec",
+              "modeled_img/s", "vs_pinned", "backend_requests");
+  RoutingRow pinned = run_routing(net, images, /*pinned=*/true);
+  print_routing_row(pinned);
+  RoutingRow routed = run_routing(net, images, /*pinned=*/false);
+  routed.modeled_speedup_vs_pinned =
+      pinned.modeled_images_per_sec > 0.0
+          ? routed.modeled_images_per_sec / pinned.modeled_images_per_sec
+          : 0.0;
+  print_routing_row(routed);
   std::printf("JSON {\"bench\":\"runtime_throughput\","
               "\"routing_summary\":true,\"images\":%d,"
-              "\"static_modeled_images_per_sec\":%.2f,"
-              "\"static_host_images_per_sec\":%.2f,"
-              "\"best_policy\":\"%s\",\"best_modeled_images_per_sec\":%.2f,"
-              "\"best_host_images_per_sec\":%.2f,"
+              "\"pinned_modeled_images_per_sec\":%.2f,"
+              "\"pinned_host_images_per_sec\":%.2f,"
+              "\"routed_modeled_images_per_sec\":%.2f,"
+              "\"routed_host_images_per_sec\":%.2f,"
               "\"routing_speedup\":%.4f,\"routing_wins\":%s,"
               "\"host_routing_wins\":%s}\n",
-              kImages, static_modeled_ips, static_host_ips,
-              best_policy.c_str(), best_modeled_ips, best_host_ips,
-              static_modeled_ips > 0.0
-                  ? best_modeled_ips / static_modeled_ips
-                  : 0.0,
-              best_modeled_ips > static_modeled_ips ? "true" : "false",
-              best_host_ips > static_host_ips ? "true" : "false");
+              kImages, pinned.modeled_images_per_sec,
+              pinned.host_images_per_sec, routed.modeled_images_per_sec,
+              routed.host_images_per_sec, routed.modeled_speedup_vs_pinned,
+              routed.modeled_images_per_sec > pinned.modeled_images_per_sec
+                  ? "true"
+                  : "false",
+              routed.host_images_per_sec > pinned.host_images_per_sec
+                  ? "true"
+                  : "false");
   return 0;
 }

@@ -2,10 +2,10 @@
 // (the PS path) and the simulated PL accelerator — with routed dispatch,
 // priority classes, deadlines, dynamic micro-batching and futures.
 //
-//   ./runtime_serving [--requests 24] [--max-batch 8] [--policy least_depth]
+//   ./runtime_serving [--requests 24] [--max-batch 8]
 //
-// Requests are routed by the configured policy (static, round_robin,
-// least_depth, modeled_latency); priorities cycle low/normal/high, one
+// Requests are routed to the backend with the fewest outstanding
+// requests (least-depth placement); priorities cycle low/normal/high, one
 // request carries an intentionally hopeless deadline to show the timeout
 // path, and the final stats line folds routing counters, per-priority
 // latency histograms and the simulated PL cycle counts into the serving
@@ -24,9 +24,6 @@ int main(int argc, char** argv) {
                       "Batched async inference over float + FPGA backends");
   cli.add_option("requests", "24", "number of single-image requests");
   cli.add_option("max-batch", "8", "largest micro-batch a worker takes");
-  cli.add_option("policy", "least_depth",
-                 "routing policy: static | round_robin | least_depth | "
-                 "modeled_latency");
   if (!cli.parse(argc, argv)) return 0;
 
   const int kRequests = cli.get_int("requests");
@@ -40,7 +37,6 @@ int main(int argc, char** argv) {
 
   runtime::EngineConfig cfg;
   cfg.max_batch = cli.get_int("max-batch");
-  cfg.route_policy = runtime::route_policy_from_name(cli.get("policy"));
   runtime::BackendConfig ps;
   ps.backend = core::ExecBackend::kFloat;
   runtime::BackendConfig pl;
@@ -48,9 +44,8 @@ int main(int argc, char** argv) {
   cfg.backends = {ps, pl};
   runtime::InferenceEngine engine(net, cfg);
 
-  std::printf("=== %s serving on %zu backends (max_batch=%d, policy=%s) ===\n",
-              net.name().c_str(), engine.backend_count(), cfg.max_batch,
-              runtime::route_policy_name(cfg.route_policy).c_str());
+  std::printf("=== %s serving on %zu backends (max_batch=%d) ===\n",
+              net.name().c_str(), engine.backend_count(), cfg.max_batch);
 
   std::vector<std::future<runtime::InferenceResult>> futures;
   futures.reserve(static_cast<std::size_t>(kRequests));

@@ -13,9 +13,8 @@ namespace odenet::cluster {
 
 ClusterRouter::ClusterRouter(
     const std::vector<std::pair<std::string, double>>& shards,
-    int virtual_nodes, runtime::RoutePolicy spill_policy)
-    : shard_count_(shards.size()),
-      cost_router_(spill_policy) {
+    int virtual_nodes)
+    : shard_count_(shards.size()) {
   ODENET_CHECK(!shards.empty(), "cluster needs at least one shard");
   ODENET_CHECK(virtual_nodes > 0,
                "virtual_nodes must be positive, got " << virtual_nodes);
@@ -98,9 +97,9 @@ std::vector<std::size_t> ClusterRouter::plan(
   out.reserve(shard_count_);
   out.push_back(home);
   // Spill candidates: every other admitting shard, cheapest estimated
-  // completion first (the runtime Router's cost function over the
-  // engine-level aggregate loads).
-  for (std::size_t s : cost_router_.cost_order(loads)) {
+  // completion first (runtime::cost_order() over the engine-level
+  // aggregate loads).
+  for (std::size_t s : runtime::cost_order(loads)) {
     if (s != home && admitting[s]) {
       out.push_back(s);
     }
@@ -151,8 +150,7 @@ EngineCluster::EngineCluster(std::vector<ShardSpec> specs, ClusterConfig cfg)
                    "duplicate shard name '" << ring_shards[i].first << "'");
     }
   }
-  router_ = std::make_unique<ClusterRouter>(ring_shards, cfg_.virtual_nodes,
-                                            cfg_.spill_policy);
+  router_ = std::make_unique<ClusterRouter>(ring_shards, cfg_.virtual_nodes);
 }
 
 EngineCluster::~EngineCluster() { shutdown(); }

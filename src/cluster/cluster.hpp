@@ -22,9 +22,9 @@
 //    failover, still deterministic.
 //  - Spill-then-shed (the carried PR 5 follow-up): when the home shard's
 //    bounded queues are full, the request is offered to the remaining
-//    admitting shards in the runtime Router's cost order — cheapest
-//    estimated completion first, from the same measured-EWMA/modeled
-//    cost the in-engine router uses — via InferenceEngine::try_submit,
+//    admitting shards in runtime::cost_order() — cheapest estimated
+//    completion first, from each shard's measured-EWMA service time
+//    (the capped model while cold) — via InferenceEngine::try_submit,
 //    which leaves the request intact on a full queue instead of failing
 //    it. Only when every candidate is full does the cluster shed, and
 //    the caller sees one QueueFull through the future, exactly like a
@@ -77,10 +77,6 @@ struct ClusterConfig {
   /// probed before shedding. Unbounded by default (every admitting
   /// shard is a candidate).
   std::size_t max_spills = std::numeric_limits<std::size_t>::max();
-  /// Cost model behind the spill order — kMeasuredLatency ranks by the
-  /// shards' measured EWMAs (modeled fallback while cold), any other
-  /// policy by the analytical model.
-  runtime::RoutePolicy spill_policy = runtime::RoutePolicy::kMeasuredLatency;
 };
 
 /// Pure placement logic, separated from engine ownership so tests can
@@ -91,9 +87,7 @@ class ClusterRouter {
   /// shards: (name, weight) per shard, index-aligned with the loads and
   /// admitting vectors later passed to plan().
   ClusterRouter(const std::vector<std::pair<std::string, double>>& shards,
-                int virtual_nodes,
-                runtime::RoutePolicy spill_policy =
-                    runtime::RoutePolicy::kMeasuredLatency);
+                int virtual_nodes);
 
   std::size_t shard_count() const { return shard_count_; }
 
@@ -106,7 +100,7 @@ class ClusterRouter {
                       const std::vector<bool>& admitting) const;
 
   /// Placement plan for one request: the admitting home shard first,
-  /// then every other admitting shard in the runtime Router's cost order
+  /// then every other admitting shard in runtime::cost_order()
   /// (cheapest estimated completion first) — the spill-then-shed probe
   /// sequence. Empty when no shard admits.
   std::vector<std::size_t> plan(const std::string& tenant,
@@ -125,7 +119,6 @@ class ClusterRouter {
   };
   std::size_t shard_count_;
   std::vector<Point> ring_;  // sorted by (hash, shard)
-  runtime::Router cost_router_;
 };
 
 struct ShardStats {

@@ -56,8 +56,6 @@ void BuildingBlock::set_training(bool training) {
 
 bool BuildingBlock::fused_eval_ready() const {
   return !training_ && fused_epilogues_enabled() &&
-         conv1_.config().algo == ConvAlgo::kIm2col &&
-         conv2_.config().algo == ConvAlgo::kIm2col &&
          bn1_.eval_affine_foldable() && bn2_.eval_affine_foldable();
 }
 

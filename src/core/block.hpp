@@ -46,8 +46,8 @@ class BuildingBlock final : public Layer {
   Tensor branch_backward(const Tensor& grad_out);
 
   /// True when the fused inference path may run: eval mode, fused
-  /// epilogues enabled (see core::set_fused_epilogues), both convs on the
-  /// kIm2col algorithm, and both BNs foldable to a fixed affine.
+  /// epilogues enabled (see core::set_fused_epilogues), and both BNs
+  /// foldable to a fixed affine.
   bool fused_eval_ready() const;
 
   /// Fused branch evaluation: conv1+bn1+relu is ONE GEMM, conv2+bn2 is

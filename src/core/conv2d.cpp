@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "core/im2col.hpp"
-#include "util/thread_pool.hpp"
 
 namespace odenet::core {
 
@@ -62,54 +61,6 @@ Tensor Conv2d::augment(const Tensor& x) const {
   return out;
 }
 
-Tensor Conv2d::forward_direct(const Tensor& in) const {
-  const int n = in.dim(0), ci = in.dim(1), h = in.dim(2), w = in.dim(3);
-  const int k = cfg_.kernel, s = cfg_.stride, p = cfg_.pad;
-  const int ho = out_extent(h, k, s, p);
-  const int wo = out_extent(w, k, s, p);
-  const int co = cfg_.out_channels;
-
-  Tensor out({n, co, ho, wo});
-  const float* wt = weight_.value.data();
-
-  // Parallelize over (sample, output channel) pairs: writes are disjoint.
-  util::parallel_for(
-      0, static_cast<std::size_t>(n) * co,
-      [&](std::size_t idx) {
-        const int ni = static_cast<int>(idx) / co;
-        const int coi = static_cast<int>(idx) % co;
-        const std::size_t wbase =
-            static_cast<std::size_t>(coi) * ci * k * k;
-        float* dst = out.data() +
-                     ((static_cast<std::size_t>(ni) * co + coi) *
-                      static_cast<std::size_t>(ho) * wo);
-        const float* src =
-            in.data() + static_cast<std::size_t>(ni) * ci * h * w;
-        for (int cii = 0; cii < ci; ++cii) {
-          const float* plane = src + static_cast<std::size_t>(cii) * h * w;
-          for (int kh = 0; kh < k; ++kh) {
-            for (int kw = 0; kw < k; ++kw) {
-              const float wv = wt[wbase + (static_cast<std::size_t>(cii) * k +
-                                           kh) * k + kw];
-              if (wv == 0.0f) continue;
-              for (int oh = 0; oh < ho; ++oh) {
-                const int ih = oh * s - p + kh;
-                if (ih < 0 || ih >= h) continue;
-                const float* row = plane + static_cast<std::size_t>(ih) * w;
-                float* orow = dst + static_cast<std::size_t>(oh) * wo;
-                for (int ow = 0; ow < wo; ++ow) {
-                  const int iw = ow * s - p + kw;
-                  if (iw < 0 || iw >= w) continue;
-                  orow[ow] += wv * row[iw];
-                }
-              }
-            }
-          }
-        }
-      });
-  return out;
-}
-
 const PackedGemmA& Conv2d::packed_weights() {
   const bool hit = packed_valid_ && weight_version_ != 0 &&
                    packed_version_ == weight_version_;
@@ -161,39 +112,11 @@ Tensor Conv2d::forward_im2col(const Tensor& in) {
   return out;
 }
 
-Tensor Conv2d::forward_im2col_per_sample(const Tensor& in) const {
-  const int n = in.dim(0), ci = in.dim(1), h = in.dim(2), w = in.dim(3);
-  const LoweringGeometry g{.channels = ci, .height = h, .width = w,
-                           .kernel = cfg_.kernel, .stride = cfg_.stride,
-                           .pad = cfg_.pad};
-  const int ho = g.out_h(), wo = g.out_w();
-  const int co = cfg_.out_channels;
-  Tensor out({n, co, ho, wo});
-
-  const std::size_t in_sample = static_cast<std::size_t>(ci) * h * w;
-  const std::size_t out_sample =
-      static_cast<std::size_t>(co) * ho * wo;
-  // One task per sample, each with its own freshly allocated lowering
-  // buffer and its own small GEMM — the pre-batching behaviour, preserved
-  // as the baseline the batched path is benchmarked and parity-tested
-  // against.
-  util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t ni) {
-    std::vector<float> cols(g.col_rows() * g.col_cols());
-    im2col(in.data() + ni * in_sample, g, cols.data());
-    gemm(weight_.value.data(), cols.data(), out.data() + ni * out_sample, co,
-         static_cast<int>(g.col_rows()), static_cast<int>(g.col_cols()),
-         /*accumulate=*/false);
-  });
-  return out;
-}
-
 void Conv2d::forward_fused(const Tensor& x, const ConvEpilogue& ep,
                            Tensor& out, bool accumulate) {
   ODENET_CHECK(!training_,
                name_ << ": forward_fused is eval-only (training mode keeps "
                         "the unfused forward)");
-  ODENET_CHECK(cfg_.algo == ConvAlgo::kIm2col,
-               name_ << ": forward_fused requires the kIm2col algorithm");
   ODENET_CHECK(x.ndim() == 4, name_ << ": conv2d expects NCHW input, got "
                                     << x.shape_str());
   ODENET_CHECK(x.dim(0) > 0, name_ << ": empty batch (n = 0)");
@@ -300,87 +223,9 @@ Tensor Conv2d::forward(const Tensor& x) {
   ODENET_CHECK(in.dim(1) == weight_.value.dim(1),
                name_ << ": channel mismatch " << in.dim(1) << " vs weight "
                      << weight_.value.shape_str());
-  Tensor out;
-  switch (cfg_.algo) {
-    case ConvAlgo::kIm2col: out = forward_im2col(in); break;
-    case ConvAlgo::kIm2colPerSample: out = forward_im2col_per_sample(in); break;
-    case ConvAlgo::kDirect: out = forward_direct(in); break;
-  }
+  Tensor out = forward_im2col(in);
   if (training_) cached_input_ = std::move(in);
   return out;
-}
-
-void Conv2d::backward_direct(const Tensor& in, const Tensor& grad_out,
-                             Tensor& grad_in_aug) {
-  const int n = in.dim(0), ci = in.dim(1), h = in.dim(2), w = in.dim(3);
-  const int k = cfg_.kernel, s = cfg_.stride, p = cfg_.pad;
-  const int co = cfg_.out_channels;
-  const int ho = grad_out.dim(2), wo = grad_out.dim(3);
-
-  // dL/dW: independent per output channel.
-  float* gw = weight_.grad.data();
-  util::parallel_for(0, static_cast<std::size_t>(co), [&](std::size_t coi) {
-    for (int ni = 0; ni < n; ++ni) {
-      const float* go = grad_out.data() +
-                        ((static_cast<std::size_t>(ni) * co + coi) *
-                         static_cast<std::size_t>(ho) * wo);
-      const float* src = in.data() + static_cast<std::size_t>(ni) * ci * h * w;
-      for (int cii = 0; cii < ci; ++cii) {
-        const float* plane = src + static_cast<std::size_t>(cii) * h * w;
-        for (int kh = 0; kh < k; ++kh) {
-          for (int kw = 0; kw < k; ++kw) {
-            double acc = 0.0;
-            for (int oh = 0; oh < ho; ++oh) {
-              const int ih = oh * s - p + kh;
-              if (ih < 0 || ih >= h) continue;
-              const float* row = plane + static_cast<std::size_t>(ih) * w;
-              const float* grow = go + static_cast<std::size_t>(oh) * wo;
-              for (int ow = 0; ow < wo; ++ow) {
-                const int iw = ow * s - p + kw;
-                if (iw < 0 || iw >= w) continue;
-                acc += static_cast<double>(grow[ow]) * row[iw];
-              }
-            }
-            gw[(coi * ci + cii) * static_cast<std::size_t>(k) * k +
-               static_cast<std::size_t>(kh) * k + kw] +=
-                static_cast<float>(acc);
-          }
-        }
-      }
-    }
-  });
-
-  // dL/dX on the augmented input; independent per sample.
-  const float* wt = weight_.value.data();
-  util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t ni) {
-    float* gi = grad_in_aug.data() + ni * static_cast<std::size_t>(ci) * h * w;
-    for (int coi = 0; coi < co; ++coi) {
-      const float* go = grad_out.data() +
-                        ((ni * co + coi) * static_cast<std::size_t>(ho) * wo);
-      const std::size_t wbase = static_cast<std::size_t>(coi) * ci * k * k;
-      for (int cii = 0; cii < ci; ++cii) {
-        float* gplane = gi + static_cast<std::size_t>(cii) * h * w;
-        for (int kh = 0; kh < k; ++kh) {
-          for (int kw = 0; kw < k; ++kw) {
-            const float wv =
-                wt[wbase + (static_cast<std::size_t>(cii) * k + kh) * k + kw];
-            if (wv == 0.0f) continue;
-            for (int oh = 0; oh < ho; ++oh) {
-              const int ih = oh * s - p + kh;
-              if (ih < 0 || ih >= h) continue;
-              float* grow = gplane + static_cast<std::size_t>(ih) * w;
-              const float* gorow = go + static_cast<std::size_t>(oh) * wo;
-              for (int ow = 0; ow < wo; ++ow) {
-                const int iw = ow * s - p + kw;
-                if (iw < 0 || iw >= w) continue;
-                grow[iw] += wv * gorow[ow];
-              }
-            }
-          }
-        }
-      }
-    }
-  });
 }
 
 void Conv2d::backward_im2col(const Tensor& in, const Tensor& grad_out,
@@ -439,36 +284,6 @@ void Conv2d::backward_im2col(const Tensor& in, const Tensor& grad_out,
   col2im_batched(grad_cols, g, n, grad_in_aug.data());
 }
 
-void Conv2d::backward_im2col_per_sample(const Tensor& in,
-                                        const Tensor& grad_out,
-                                        Tensor& grad_in_aug) {
-  const int n = in.dim(0), ci = in.dim(1), h = in.dim(2), w = in.dim(3);
-  const LoweringGeometry g{.channels = ci, .height = h, .width = w,
-                           .kernel = cfg_.kernel, .stride = cfg_.stride,
-                           .pad = cfg_.pad};
-  const int co = cfg_.out_channels;
-  const int kk = static_cast<int>(g.col_rows());
-  const int nn = static_cast<int>(g.col_cols());
-
-  // Pre-batching baseline: re-lowers and allocates per sample.
-  std::vector<float> cols(g.col_rows() * g.col_cols());
-  std::vector<float> grad_cols(cols.size());
-  const std::size_t in_sample = static_cast<std::size_t>(ci) * h * w;
-  const std::size_t out_sample = static_cast<std::size_t>(co) * nn;
-
-  for (int ni = 0; ni < n; ++ni) {
-    const float* go = grad_out.data() + ni * out_sample;
-    // dW[co, kk] += G[co, nn] x cols^T (cols stored [kk, nn]).
-    im2col(in.data() + ni * in_sample, g, cols.data());
-    gemm_bt(go, cols.data(), weight_.grad.data(), co, nn, kk,
-            /*accumulate=*/true);
-    // grad_cols[kk, nn] = W^T[kk, co] x G[co, nn] (W stored [co, kk]).
-    gemm_at(weight_.value.data(), go, grad_cols.data(), kk, co, nn,
-            /*accumulate=*/false);
-    col2im(grad_cols.data(), g, grad_in_aug.data() + ni * in_sample);
-  }
-}
-
 Tensor Conv2d::backward(const Tensor& grad_out) {
   ODENET_CHECK(!cached_input_.empty(),
                name_ << ": backward without forward in training mode");
@@ -479,17 +294,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                name_ << ": grad_out shape " << grad_out.shape_str());
 
   Tensor grad_in_aug({n, ci, h, w});
-  switch (cfg_.algo) {
-    case ConvAlgo::kIm2col:
-      backward_im2col(in, grad_out, grad_in_aug);
-      break;
-    case ConvAlgo::kIm2colPerSample:
-      backward_im2col_per_sample(in, grad_out, grad_in_aug);
-      break;
-    case ConvAlgo::kDirect:
-      backward_direct(in, grad_out, grad_in_aug);
-      break;
-  }
+  backward_im2col(in, grad_out, grad_in_aug);
 
   if (!cfg_.time_channel) return grad_in_aug;
 

@@ -8,6 +8,12 @@
 //
 // Convolutions carry no bias (matching the paper's byte-exact parameter
 // accounting); biasing is delegated to the following batch norm.
+//
+// There is one software algorithm: the whole micro-batch lowers into one
+// column matrix (im2col_batched) and runs through a single
+// register-blocked GEMM, with every scratch buffer served from a recycled
+// ScratchArena — no allocation after the first call. Backward reuses the
+// same lowering for dW and dX.
 #pragma once
 
 #include <cstdint>
@@ -19,19 +25,6 @@
 
 namespace odenet::core {
 
-/// Software convolution algorithm.
-///  * kDirect walks the kernel taps in place (mirrors the hardware loop
-///    nest).
-///  * kIm2col (default) lowers the WHOLE micro-batch into one column
-///    matrix (im2col_batched) and runs a single register-blocked GEMM,
-///    with every scratch buffer served from a recycled ScratchArena — the
-///    batch-native fast path; no allocation after the first call.
-///  * kIm2colPerSample is the pre-batching lowering — one freshly
-///    allocated column buffer and one small GEMM per sample — kept as the
-///    parity/benchmark baseline the batched path is proven against.
-/// All three produce the same values up to float summation order.
-enum class ConvAlgo { kDirect, kIm2col, kIm2colPerSample };
-
 struct Conv2dConfig {
   int in_channels = 0;
   int out_channels = 0;
@@ -41,7 +34,6 @@ struct Conv2dConfig {
   /// When true the layer consumes in_channels data planes plus one implicit
   /// plane filled with the current time value (set via set_time()).
   bool time_channel = false;
-  ConvAlgo algo = ConvAlgo::kIm2col;
 };
 
 /// Per-out-channel epilogue a fused eval-mode forward applies inside the
@@ -69,9 +61,8 @@ class Conv2d final : public Layer {
   /// accumulates into it (accumulate = true: out += ep(conv(x)), the Euler
   /// state update; `out` must already have the output shape). The time
   /// channel is augmented into arena scratch, so after warmup the call
-  /// allocates nothing. Only valid in eval mode with the kIm2col
-  /// algorithm — training keeps the unfused forward() and its autograd
-  /// caches.
+  /// allocates nothing. Only valid in eval mode — training keeps the
+  /// unfused forward() and its autograd caches.
   void forward_fused(const Tensor& x, const ConvEpilogue& ep, Tensor& out,
                      bool accumulate);
 
@@ -88,9 +79,6 @@ class Conv2d final : public Layer {
   /// allocated where a destroyed one lived, stamped with the same snapshot
   /// version, would otherwise silently serve the dead layer's weights.
   std::uint64_t uid() const { return uid_; }
-
-  /// Switches the software algorithm (weights and caches are untouched).
-  void set_algo(ConvAlgo algo) { cfg_.algo = algo; }
 
   /// Points the lowering scratch at an external arena (not owned; must
   /// outlive the layer or be reset). nullptr restores the layer-owned
@@ -141,20 +129,13 @@ class Conv2d final : public Layer {
   /// when the layer has no time channel).
   Tensor augment(const Tensor& x) const;
 
-  Tensor forward_direct(const Tensor& in) const;
   /// Batched lowering: whole-batch im2col + one GEMM, arena-backed.
   Tensor forward_im2col(const Tensor& in);
-  /// Legacy per-sample lowering (fresh scratch per sample) — baseline.
-  Tensor forward_im2col_per_sample(const Tensor& in) const;
-  void backward_direct(const Tensor& in, const Tensor& grad_out,
-                       Tensor& grad_in_aug);
   /// Batched lowering backward: one lowering of the whole batch, dW via
   /// the tiled A*B^T kernel, dX via the packed GEMM on a transposed
   /// weight view; all scratch arena-backed.
   void backward_im2col(const Tensor& in, const Tensor& grad_out,
                        Tensor& grad_in_aug);
-  void backward_im2col_per_sample(const Tensor& in, const Tensor& grad_out,
-                                  Tensor& grad_in_aug);
 
   ScratchArena& active_arena() {
     return arena_ != nullptr ? *arena_ : own_arena_;

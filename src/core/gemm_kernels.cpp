@@ -6,7 +6,10 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/im2col.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace odenet::core {
@@ -573,6 +576,43 @@ void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
                        const int t1 = std::min(row_tiles, t0 + tiles_per_block);
                        if (t0 < t1) run_span(pi, t0, t1);
                      });
+}
+
+GemmPeak measure_gemm_peak() {
+  constexpr int m = 128, k = 576, n = 1024;
+  constexpr int reps = 7;
+  const double ops = 2.0 * m * k * n;
+  // One warm-up call, then the median of `reps` timed calls.
+  auto median_seconds = [](auto&& fn) {
+    std::vector<double> s;
+    for (int r = -1; r < reps; ++r) {
+      util::Stopwatch watch;
+      fn();
+      if (r >= 0) s.push_back(watch.seconds());
+    }
+    std::sort(s.begin(), s.end());
+    return s[s.size() / 2];
+  };
+  util::Rng rng(1);
+  std::vector<float> a(static_cast<std::size_t>(m) * k);
+  std::vector<float> b(static_cast<std::size_t>(k) * n);
+  std::vector<float> c(static_cast<std::size_t>(m) * n);
+  for (float& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (float& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  PackedGemmA packed;
+  pack_gemm_a(a.data(), m, k, packed);
+  const double f32 = median_seconds(
+      [&] { gemm_tiled_pa(packed, b.data(), c.data(), n, false); });
+
+  std::vector<std::int16_t> a16(a.size()), b16(b.size());
+  std::vector<std::int32_t> c32(c.size());
+  for (auto& v : a16) v = static_cast<std::int16_t>(rng.uniform_int(255)) - 127;
+  for (auto& v : b16) v = static_cast<std::int16_t>(rng.uniform_int(255)) - 127;
+  PackedGemmA16 packed16;
+  pack_gemm_a_i16(a16.data(), m, k, packed16);
+  const double i16 = median_seconds(
+      [&] { gemm_i16_tiled_pa(packed16, b16.data(), c32.data(), n, false); });
+  return {ops / f32 / 1e9, ops / i16 / 1e9};
 }
 
 }  // namespace odenet::core

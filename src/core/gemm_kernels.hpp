@@ -254,4 +254,16 @@ void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out);
 void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
                        std::int32_t* c, int n, bool accumulate);
 
+/// Measured throughput of this host's GEMM kernels on the current kernel
+/// pool and ISA: one large-conv-sized product (m = 128 out-channels,
+/// k = 3x3x64 taps, n = a 32x32 plane), timed as one warm-up then the
+/// median of 7 runs, through gemm_tiled_pa (f32) and gemm_i16_tiled_pa
+/// (int16 -> int32). The denominators of the benches' fraction-of-peak
+/// figures: achieved conv throughput over what the kernels reach here.
+struct GemmPeak {
+  double gflops_f32 = 0.0;  // 2*m*k*n / median seconds / 1e9
+  double gops_i16 = 0.0;
+};
+GemmPeak measure_gemm_peak();
+
 }  // namespace odenet::core

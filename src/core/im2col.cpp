@@ -35,7 +35,7 @@ inline int end_valid_ow(int kw, int pad, int stride, int w, int wo) {
 /// interior is a branch-free copy: one memcpy per output row at stride 1,
 /// a gathered strided copy otherwise. Values are identical to the naive
 /// per-element walk (zeros outside, source reads inside). Templated on the
-/// element type: the float instantiation serves the classic lowering, the
+/// element type: the float instantiation serves Conv2d's lowering, the
 /// int16 one lowers pre-quantized activations for the integer GEMM (9x
 /// cheaper than quantizing the replicated column matrix), the int32 one
 /// the FPGA simulator's Q20 raws.
@@ -77,9 +77,13 @@ void im2col_strided(const T* src, const LoweringGeometry& g,
           if (hi < plane) {
             std::memset(out_row + hi, 0, (plane - hi) * sizeof(T));
           }
-          // Rows whose source row is outside [0, h) are all zeros.
-          const int row0 = dh < 0 ? -dh : 0;
-          const int row1 = dh > 0 ? h - dh : h;
+          // Rows whose source row is outside [0, h) are all zeros. Clamped
+          // to [0, h]: a tap further than h rows off the plane (k = 5,
+          // pad = 2 on a 1-row input) must not zero past this sample's
+          // row block, which in the batched layout belongs to another
+          // sample and another thread.
+          const int row0 = std::min(dh < 0 ? -dh : 0, h);
+          const int row1 = std::max(dh > 0 ? h - dh : h, row0);
           if (row0 > 0) {
             std::memset(out_row, 0,
                         static_cast<std::size_t>(row0) * w * sizeof(T));
@@ -161,17 +165,9 @@ void col2im_strided(const float* cols, const LoweringGeometry& g,
 
 }  // namespace
 
-void im2col(const float* src, const LoweringGeometry& g, float* dst) {
-  im2col_strided(src, g, g.col_cols(), dst);
-}
-
 void im2col_i32(const std::int32_t* src, const LoweringGeometry& g,
                 std::int32_t* dst) {
   im2col_strided(src, g, g.col_cols(), dst);
-}
-
-void col2im(const float* cols, const LoweringGeometry& g, float* dst) {
-  col2im_strided(cols, g, g.col_cols(), dst);
 }
 
 void im2col_batched(const float* src, const LoweringGeometry& g, int batch,
@@ -228,24 +224,6 @@ void permute_channel_major(const float* src, float* dst, int batch,
       } else {
         std::memcpy(dst + cmajor, src + nchw, plane * sizeof(float));
       }
-    }
-  });
-}
-
-void gemm(const float* a, const float* b, float* c, int m, int k, int n,
-          bool accumulate) {
-  ODENET_CHECK(m >= 0 && k >= 0 && n >= 0, "bad gemm dimensions");
-  util::parallel_for(0, static_cast<std::size_t>(m), [&](std::size_t i) {
-    float* crow = c + i * n;
-    if (!accumulate) {
-      for (int j = 0; j < n; ++j) crow[j] = 0.0f;
-    }
-    const float* arow = a + i * k;
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b + static_cast<std::size_t>(p) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   });
 }
@@ -892,23 +870,6 @@ void gemm_bt_tiled(const float* a, const float* b, float* c, int m, int k,
     return;
   }
   util::parallel_for(pool, 0, static_cast<std::size_t>(row_tiles), run_tile);
-}
-
-void gemm_bt(const float* a, const float* b, float* c, int m, int k, int n,
-             bool accumulate) {
-  // B stored [n, k]: B^T[p, j] = b[j*k + p].
-  util::parallel_for(0, static_cast<std::size_t>(m), [&](std::size_t i) {
-    float* crow = c + i * n;
-    const float* arow = a + i * k;
-    for (int j = 0; j < n; ++j) {
-      double acc = accumulate ? crow[j] : 0.0;
-      const float* bcol = b + static_cast<std::size_t>(j) * k;
-      for (int p = 0; p < k; ++p) {
-        acc += static_cast<double>(arow[p]) * bcol[p];
-      }
-      crow[j] = static_cast<float>(acc);
-    }
-  });
 }
 
 }  // namespace odenet::core

@@ -1,10 +1,11 @@
-// im2col / col2im lowering and a small GEMM — the fast software
-// convolution path (Conv2d's kIm2col algorithm).
+// im2col / col2im lowering and the tiled GEMMs — the software
+// convolution path (core::Conv2d).
 //
 // im2col unfolds each KxK receptive field of a [C,H,W] plane stack into a
 // column of a [C*K*K, Ho*Wo] matrix so convolution becomes one matrix
 // product with the [Cout, C*K*K] weight view. col2im is its adjoint
-// (scatter-add), used for the input gradient.
+// (scatter-add), used for the input gradient. The float lowerings work on
+// whole [N,C,H,W] batches; a batch of one is the single-sample case.
 #pragma once
 
 #include <cstddef>
@@ -32,23 +33,18 @@ struct LoweringGeometry {
   }
 };
 
-/// dst must hold col_rows() * col_cols() floats. Out-of-image taps read 0.
-void im2col(const float* src, const LoweringGeometry& g, float* dst);
-
-/// The same single-sample lowering over int32 raws — the input side of the
-/// FPGA simulator's exact integer GEMM.
+/// Single-sample lowering of a [C,H,W] int32 image into the
+/// [col_rows(), col_cols()] column matrix (out-of-image taps read 0) — the
+/// input side of the FPGA simulator's exact integer GEMM.
 void im2col_i32(const std::int32_t* src, const LoweringGeometry& g,
                 std::int32_t* dst);
 
-/// Adjoint of im2col: scatter-adds cols back into a [C,H,W] image buffer.
-/// dst must be zero-initialized by the caller (or hold a partial sum).
-void col2im(const float* cols, const LoweringGeometry& g, float* dst);
-
 /// Batched lowering: unfolds a whole [N,C,H,W] batch into ONE column
 /// matrix [col_rows(), N * col_cols()], sample n occupying the contiguous
-/// column block [n * col_cols(), (n+1) * col_cols()). Convolving the batch
-/// is then a single GEMM with the [Cout, C*K*K] weight view — the lowering
-/// the batched Conv2d fast path is built on. Parallelized over samples.
+/// column block [n * col_cols(), (n+1) * col_cols()); out-of-image taps
+/// read 0. Convolving the batch is then a single GEMM with the
+/// [Cout, C*K*K] weight view — the lowering Conv2d is built on.
+/// Parallelized over samples.
 void im2col_batched(const float* src, const LoweringGeometry& g, int batch,
                     float* dst);
 
@@ -72,36 +68,25 @@ void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
 void permute_channel_major(const float* src, float* dst, int batch,
                            int channels, std::size_t plane, bool to_nchw);
 
-/// C[m,n] (+)= A[m,k] * B[k,n], row-major. When accumulate is false C is
-/// overwritten. Parallelized over rows of C.
-void gemm(const float* a, const float* b, float* c, int m, int k, int n,
-          bool accumulate);
-
-/// C[m,n] (+)= A^T[m,k] * B[k,n] where A is stored [k,m] row-major.
+/// C[m,n] (+)= A^T[m,k] * B[k,n] where A is stored [k,m] row-major. When
+/// accumulate is false C is overwritten. Parallelized over rows of C.
 void gemm_at(const float* a, const float* b, float* c, int m, int k, int n,
              bool accumulate);
 
-/// C[m,n] (+)= A[m,k] * B^T[k,n] where B is stored [n,k] row-major.
-void gemm_bt(const float* a, const float* b, float* c, int m, int k, int n,
-             bool accumulate);
-
-/// Register-blocked A*B^T: same contract as gemm_bt() (C[m,n] (+)= A[m,k]
-/// * B^T with B stored [n,k] row-major) but row-quad tiled — each B row is
-/// streamed once per four rows of C instead of once per row, and every dot
-/// product runs over eight partial accumulators so it vectorizes. Used by
-/// the batched conv backward for dW, where k is the long n*Ho*Wo axis.
-/// Partial-sum order differs from gemm_bt (which accumulates in double);
-/// results agree to normal float tolerance.
+/// Register-blocked A*B^T: C[m,n] (+)= A[m,k] * B^T with B stored [n,k]
+/// row-major, row-quad tiled — each B row is streamed once per four rows
+/// of C, and every dot product runs over eight partial accumulators so it
+/// vectorizes. Used by the batched conv backward for dW, where k is the
+/// long n*Ho*Wo axis.
 void gemm_bt_tiled(const float* a, const float* b, float* c, int m, int k,
                    int n, bool accumulate);
 
-/// Register-blocked GEMM: same contract as gemm() (C[m,n] (+)= A[m,k] *
-/// B[k,n], row-major, accumulation over k in ascending order) but computed
-/// through an MR x NR micro-kernel that keeps an output tile in registers
-/// and reuses each loaded B row across MR rows of A. On the long column
-/// dimension of a batched im2col lowering (n = N*Ho*Wo) this cuts B-stream
-/// traffic and loop overhead by ~MR x versus the rank-1-update gemm(), which
-/// is what makes one big GEMM beat N small ones even on a single core.
+/// Register-blocked GEMM: C[m,n] (+)= A[m,k] * B[k,n], row-major,
+/// accumulation over k in ascending order; when accumulate is false C is
+/// overwritten. Computed through an MR x NR micro-kernel that keeps an
+/// output tile in registers and reuses each loaded B row across MR rows of
+/// A, which on the long column dimension of a batched im2col lowering
+/// (n = N*Ho*Wo) cuts B-stream traffic and loop overhead by ~MR x.
 void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,
                 bool accumulate);
 

@@ -50,10 +50,9 @@ core::Tensor qdq(const core::Tensor& t, int frac_bits) {
 
 }  // namespace
 
-FixedStageExecutor::FixedStageExecutor(int frac_bits, FixedConvPath conv_path)
+FixedStageExecutor::FixedStageExecutor(int frac_bits)
     : name_("fixed_cpu_q" + std::to_string(frac_bits)),
-      frac_bits_(frac_bits),
-      conv_path_(conv_path) {}
+      frac_bits_(frac_bits) {}
 
 FixedStageExecutor::QuantizedWeights& FixedStageExecutor::cache_entry(
     const core::Conv2d& conv) {
@@ -102,57 +101,54 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
   if (!entry.valid || version == 0 || entry.version != version) {
     const core::Tensor& wt = conv.weight().value;
     entry.i16_ok = false;
-    if (conv_path_ == FixedConvPath::kBatched) {
-      // Per-conv int16 weight scale fw, chosen so the integer datapath is
-      // HARD overflow-free: (a) no weight saturates — max|w|*2^fw <=
-      // 32767 keeps |w_q| <= 32767, so no int16 product pair can wrap a
-      // madd lane; (b) the accumulator envelope — sum_k |w_q| <= 65535
-      // bounds |acc| <= 65535 * 32768 < 2^31 for ANY int16 activations.
-      // The L1 bound uses the worst row plus the per-tap rounding slack.
-      double max_abs = 0.0, max_l1 = 0.0;
-      for (int r = 0; r < co; ++r) {
-        const float* row = wt.data() + static_cast<std::size_t>(r) * kk;
-        double l1 = 0.0;
-        for (int p = 0; p < kk; ++p) {
-          const double a = std::fabs(static_cast<double>(row[p]));
-          l1 += a;
-          if (a > max_abs) max_abs = a;
-        }
-        if (l1 > max_l1) max_l1 = l1;
+    // Per-conv int16 weight scale fw, chosen so the integer datapath is
+    // HARD overflow-free: (a) no weight saturates — max|w|*2^fw <= 32767
+    // keeps |w_q| <= 32767, so no int16 product pair can wrap a madd
+    // lane; (b) the accumulator envelope — sum_k |w_q| <= 65535 bounds
+    // |acc| <= 65535 * 32768 < 2^31 for ANY int16 activations. The L1
+    // bound uses the worst row plus the per-tap rounding slack.
+    double max_abs = 0.0, max_l1 = 0.0;
+    for (int r = 0; r < co; ++r) {
+      const float* row = wt.data() + static_cast<std::size_t>(r) * kk;
+      double l1 = 0.0;
+      for (int p = 0; p < kk; ++p) {
+        const double a = std::fabs(static_cast<double>(row[p]));
+        l1 += a;
+        if (a > max_abs) max_abs = a;
       }
-      int fw = kWeightFracMax;
-      while (fw > 0 &&
-             max_abs * static_cast<double>(std::int64_t{1} << fw) > 32767.0) {
-        --fw;
-      }
-      while (fw > 0 &&
-             max_l1 * static_cast<double>(std::int64_t{1} << fw) +
-                     0.5 * kk + 1.0 >
-                 65535.0) {
-        --fw;
-      }
-      // The requantization shift fa+fw-frac_bits must be >= 0 even at the
-      // finest activation grid; weights too large (or a frac_bits too
-      // fine) fall back to the float carrier.
-      if (fw > 0 && fw >= frac_bits_ - kActFracMax && frac_bits_ < 31) {
-        entry.i16_ok = true;
-        entry.weight_frac_bits = fw;
-        static thread_local std::vector<std::int16_t> wq;
-        wq.resize(wt.numel());
-        fixed::quantize_i16(wt.data(), wq.data(), wt.numel(), fw);
-        core::pack_gemm_a_i16(wq.data(), co, kk, entry.packed16);
-      }
+      if (l1 > max_l1) max_l1 = l1;
     }
-    // The float-carrier representation is always built: it backs
-    // kBatchedFloat/kPerSample, and the per-call fallback when a call's
-    // activation range leaves no valid requantization shift.
-    entry.values.resize(wt.numel());
+    int fw = kWeightFracMax;
+    while (fw > 0 &&
+           max_abs * static_cast<double>(std::int64_t{1} << fw) > 32767.0) {
+      --fw;
+    }
+    while (fw > 0 &&
+           max_l1 * static_cast<double>(std::int64_t{1} << fw) +
+                   0.5 * kk + 1.0 >
+               65535.0) {
+      --fw;
+    }
+    // The requantization shift fa+fw-frac_bits must be >= 0 even at the
+    // finest activation grid; weights too large (or a frac_bits too fine)
+    // fall back to the float carrier.
+    if (fw > 0 && fw >= frac_bits_ - kActFracMax && frac_bits_ < 31) {
+      entry.i16_ok = true;
+      entry.weight_frac_bits = fw;
+      static thread_local std::vector<std::int16_t> wq;
+      wq.resize(wt.numel());
+      fixed::quantize_i16(wt.data(), wq.data(), wt.numel(), fw);
+      core::pack_gemm_a_i16(wq.data(), co, kk, entry.packed16);
+    }
+    // The float-carrier weights are always built: they back the per-call
+    // fallback when a call's activation range leaves no valid
+    // requantization shift.
+    static thread_local std::vector<float> wv;
+    wv.resize(wt.numel());
     for (std::size_t i = 0; i < wt.numel(); ++i) {
-      entry.values[i] = fixed::qdq_value(wt.data()[i], frac_bits_);
+      wv[i] = fixed::qdq_value(wt.data()[i], frac_bits_);
     }
-    if (conv_path_ != FixedConvPath::kPerSample) {
-      core::pack_gemm_a(entry.values.data(), co, kk, entry.packed);
-    }
+    core::pack_gemm_a(wv.data(), co, kk, entry.packed);
     entry.version = version;
     entry.valid = true;
     ++weight_packs_;
@@ -187,7 +183,7 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
   // order-independent, so the scale — and everything downstream — is
   // deterministic for any ISA or worker count.
   int fa = -1;
-  if (conv_path_ == FixedConvPath::kBatched && entry.i16_ok) {
+  if (entry.i16_ok) {
     const float mx = fixed::max_abs(in->data(), in_elems);
     if (std::isfinite(mx)) {
       fa = kActFracMax;
@@ -231,43 +227,30 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
     }
     return out;
   }
-  if (conv_path_ != FixedConvPath::kPerSample) {
-    // Float-carrier batched path (kBatchedFloat, and the kBatched
-    // fallback when a conv fails the int16 envelope): whole-batch
-    // lowering + one packed GEMM, scratch from the conv's recycled arena.
-    core::ScratchArena& arena = conv.lowering_arena();
-    if (n == 1) {
-      arena.frame(static_cast<std::size_t>(kk) * ncols);
-      float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
-      core::im2col_batched(in->data(), g, n, cols);
-      core::gemm_tiled_pa(entry.packed, cols, out.data(),
-                          static_cast<int>(ncols), /*accumulate=*/false);
-    } else {
-      arena.frame(static_cast<std::size_t>(kk) * ncols +
-                  static_cast<std::size_t>(co) * ncols);
-      float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
-      float* y = arena.alloc(static_cast<std::size_t>(co) * ncols);
-      core::im2col_batched(in->data(), g, n, cols);
-      core::gemm_tiled_pa(entry.packed, cols, y, static_cast<int>(ncols),
-                          /*accumulate=*/false);
-      core::permute_channel_major(y, out.data(), n, co, cc, /*to_nchw=*/true);
-    }
+  // Float-carrier fallback (a conv that fails the int16 envelope, or a
+  // call whose activation range leaves no valid requantization shift):
+  // whole-batch lowering + one packed float GEMM on the Q-grid weights,
+  // scratch from the conv's recycled arena.
+  ++float_carrier_calls_;
+  core::ScratchArena& arena = conv.lowering_arena();
+  if (n == 1) {
+    arena.frame(static_cast<std::size_t>(kk) * ncols);
+    float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
+    core::im2col_batched(in->data(), g, n, cols);
+    core::gemm_tiled_pa(entry.packed, cols, out.data(),
+                        static_cast<int>(ncols), /*accumulate=*/false);
   } else {
-    // Per-sample comparator: fresh scratch, one lowering and one
-    // rank-1-update GEMM per sample — the pre-batching fixed path.
-    std::vector<float> cols(g.col_rows() * cc);
-    const std::size_t in_sample = static_cast<std::size_t>(ci) * h * w;
-    const std::size_t out_sample = static_cast<std::size_t>(co) * ho * wo;
-    for (int ni = 0; ni < n; ++ni) {
-      core::im2col(in->data() + ni * in_sample, g, cols.data());
-      core::gemm(entry.values.data(), cols.data(),
-                 out.data() + ni * out_sample, co, kk, static_cast<int>(cc),
-                 /*accumulate=*/false);
-    }
+    arena.frame(static_cast<std::size_t>(kk) * ncols +
+                static_cast<std::size_t>(co) * ncols);
+    float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
+    float* y = arena.alloc(static_cast<std::size_t>(co) * ncols);
+    core::im2col_batched(in->data(), g, n, cols);
+    core::gemm_tiled_pa(entry.packed, cols, y, static_cast<int>(ncols),
+                        /*accumulate=*/false);
+    core::permute_channel_major(y, out.data(), n, co, cc, /*to_nchw=*/true);
   }
-  // Post-GEMM requantization (float carrier only): the accumulator ran at
-  // full precision, the output map re-enters the Q-grid datapath once per
-  // element.
+  // Post-GEMM requantization: the accumulator ran at full precision, the
+  // output map re-enters the Q-grid datapath once per element.
   fixed::qdq_inplace(out, frac_bits_);
   return out;
 }

@@ -61,43 +61,29 @@ class FloatStageExecutor final : public StageExecutor {
   CostModel modeled_seconds_;
 };
 
-/// How FixedStageExecutor lowers its convolutions.
-///  * kBatched (default): the INTEGER path — activations quantize once
-///    into int16 at a per-call dynamic precision (the finest grid that
-///    cannot saturate the observed range), the whole micro-batch lowers
-///    into one int16 column matrix, one packed integer GEMM accumulates
-///    into int32, and a single shift-based requantization (round half
-///    away from zero, the Fixed::operator* semantics) lands the output
-///    back on the Q(frac_bits) grid. Per-conv weight scales keep the
-///    int32 accumulators overflow-free; a conv (or a single call) whose
-///    weights or activation range cannot satisfy the envelope at the
-///    requested frac_bits falls back to the float-carrier arithmetic
-///    below, transparently.
-///  * kBatchedFloat: the PR 6 float-carrier comparator — same batched
-///    lowering and packed GEMM but with qdq'd float operands, float
-///    accumulate and a post-GEMM elementwise requantize. Kept for the
-///    int16-vs-float A/B bench rows and parity tests.
-///  * kPerSample: the pre-batching comparator — one lowering and one
-///    rank-1-update GEMM per sample, float carrier. Kept for parity tests
-///    and the batched-vs-per-sample benchmark rows.
-enum class FixedConvPath { kBatched, kBatchedFloat, kPerSample };
-
 /// Q-format fixed-point CPU backend: quantizes the weights AND saturates
-/// every stage-internal feature map to Qx.frac_bits, running convolutions
-/// through its own im2col+GEMM lowering. The default kBatched path is a
-/// true INTEGER datapath — int16 operands, int32 accumulate, one rounding
-/// shift back to the Q grid (the behaviour of a DSP-block MAC array with
-/// a wide accumulator followed by a rounding stage); see FixedConvPath
-/// for the float-carrier comparators. Quantized packed weights are cached
-/// per conv — keyed by Conv2d::uid() + snapshot weight version, LRU-capped
-/// — so serving steady-state requantizes + packs each layer once per
-/// hot-swap and replica churn cannot leak entries. ODE stages integrate
-/// with explicit Euler steps, mirroring the hardware solver, regardless
-/// of the stage's configured software solver.
+/// every stage-internal feature map to Qx.frac_bits. Its convolutions are
+/// a true INTEGER datapath (the behaviour of a DSP-block MAC array with a
+/// wide accumulator followed by a rounding stage): activations quantize
+/// once into int16 at a per-call dynamic precision (the finest grid that
+/// cannot saturate the observed range), the whole micro-batch lowers into
+/// one int16 column matrix, one packed integer GEMM accumulates into
+/// int32, and a single shift-based requantization (round half away from
+/// zero, the Fixed::operator* semantics) lands the output back on the
+/// Q(frac_bits) grid. Per-conv weight scales keep the int32 accumulators
+/// overflow-free. A conv (or a single call) whose weights or activation
+/// range cannot satisfy that envelope at the requested frac_bits falls
+/// back to the float carrier for that call — Q-grid float operands, one
+/// float GEMM, a post-GEMM elementwise requantize — counted by
+/// float_carrier_calls(). Quantized packed weights are cached per conv —
+/// keyed by Conv2d::uid() + snapshot weight version, LRU-capped — so
+/// serving steady-state requantizes + packs each layer once per hot-swap
+/// and replica churn cannot leak entries. ODE stages integrate with
+/// explicit Euler steps, mirroring the hardware solver, regardless of the
+/// stage's configured software solver.
 class FixedStageExecutor final : public StageExecutor {
  public:
-  explicit FixedStageExecutor(int frac_bits = 20,
-                              FixedConvPath conv_path = FixedConvPath::kBatched);
+  explicit FixedStageExecutor(int frac_bits = 20);
 
   const std::string& name() const override { return name_; }
   core::ExecBackend backend() const override {
@@ -107,10 +93,13 @@ class FixedStageExecutor final : public StageExecutor {
                    core::StageRunStats* stats) override;
 
   int frac_bits() const { return frac_bits_; }
-  FixedConvPath conv_path() const { return conv_path_; }
 
   /// Times a conv's weights were quantized + packed (cache observable).
   std::uint64_t weight_packs() const { return weight_packs_; }
+
+  /// Conv calls that fell back to the float carrier because the int16
+  /// envelope could not hold them (weights or activation range).
+  std::uint64_t float_carrier_calls() const { return float_carrier_calls_; }
 
   /// Live quantized-weight cache entries (telemetry / churn tests).
   std::size_t weight_cache_size() const { return wcache_.size(); }
@@ -139,15 +128,15 @@ class FixedStageExecutor final : public StageExecutor {
   /// staged PL datapath.
   core::Tensor run_block(core::BuildingBlock& block, const core::Tensor& x,
                          float t, bool branch_only);
-  /// One convolution through the fixed lowering (see FixedConvPath).
+  /// One convolution through the int16 lowering, or its float-carrier
+  /// fallback.
   core::Tensor fixed_conv(core::Conv2d& conv, const core::Tensor& x, float t);
 
   struct QuantizedWeights {
     std::uint64_t version = 0;
     bool valid = false;
     std::uint64_t last_use = 0;     // LRU tick for capacity eviction
-    std::vector<float> values;      // Q-grid weight values (float carrier)
-    core::PackedGemmA packed;       // the same, packed for the tiled GEMM
+    core::PackedGemmA packed;       // Q-grid float weights (fallback)
     // Integer path: per-conv weight scale + pair-interleaved int16 panels.
     bool i16_ok = false;            // envelope satisfied at this frac_bits
     int weight_frac_bits = 0;       // fw: weights are Q(fw) in int16
@@ -159,7 +148,6 @@ class FixedStageExecutor final : public StageExecutor {
 
   std::string name_;
   int frac_bits_;
-  FixedConvPath conv_path_;
   /// Keyed by Conv2d::uid() — stable, never-recycled layer identity. A
   /// raw-pointer key would alias when a new conv is allocated at a
   /// recycled address with a matching snapshot version (replica churn).
@@ -167,6 +155,7 @@ class FixedStageExecutor final : public StageExecutor {
   std::size_t wcache_capacity_ = 256;
   std::uint64_t use_tick_ = 0;
   std::uint64_t weight_packs_ = 0;
+  std::uint64_t float_carrier_calls_ = 0;
   // Recycled integer scratch for the int16 conv path (the float path
   // draws from the conv's ScratchArena; these are the executor-owned
   // int16/int32 twins, grown once to the high-water mark).

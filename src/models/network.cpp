@@ -82,10 +82,6 @@ void Network::for_each_batchnorm(
   }
 }
 
-void Network::set_conv_algo(core::ConvAlgo algo) {
-  for_each_conv([algo](core::Conv2d& conv) { conv.set_algo(algo); });
-}
-
 void Network::set_weight_version(std::uint64_t version) {
   for_each_conv([version](core::Conv2d& conv) {
     conv.set_weight_version(version);

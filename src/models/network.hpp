@@ -66,17 +66,13 @@ class Network final : public core::Layer {
   Stage* stage(StageId id);
 
   /// Applies fn to every convolution of the network (stem + every block of
-  /// every stage) — the walk behind algo/arena rewiring.
+  /// every stage) — the walk behind arena rewiring and weight stamping.
   void for_each_conv(const std::function<void(core::Conv2d&)>& fn);
 
   /// Applies fn to every batch norm (stem + both BNs of every block of
   /// every stage), in the fixed walk order snapshots and checkpoints rely
   /// on.
   void for_each_batchnorm(const std::function<void(core::BatchNorm2d&)>& fn);
-
-  /// Switches the software convolution algorithm of every conv layer
-  /// (batched im2col, per-sample im2col, or direct; see core::ConvAlgo).
-  void set_conv_algo(core::ConvAlgo algo);
 
   /// Stamps a snapshot version on every packed-weight-caching layer (all
   /// convs + fc). apply_snapshot() does this for you; 0 un-stamps (the

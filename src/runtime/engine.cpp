@@ -33,10 +33,6 @@ InferenceEngine::InferenceEngine(models::ModelSnapshot::Ptr snapshot,
   snapshot_ = std::move(snapshot);
   active_version_.store(snapshot_->version(), std::memory_order_release);
   ODENET_CHECK(!cfg_.backends.empty(), "engine needs at least one backend");
-  ODENET_CHECK(cfg_.static_backend < cfg_.backends.size(),
-               "static_backend " << cfg_.static_backend
-                                 << " out of range (have "
-                                 << cfg_.backends.size() << " backends)");
   ODENET_CHECK(!cfg_.model.empty(), "engine needs a non-empty model name");
   for (const auto& [name, spec] : cfg_.tenants) {
     tenants_.configure(name, spec);
@@ -68,7 +64,7 @@ InferenceEngine::InferenceEngine(models::ModelSnapshot::Ptr snapshot,
                    "fpga_sim backend: no ODE stage to offload in "
                        << models::arch_name(spec_.arch));
     }
-    // The cost-based router's service-time estimate: the PS/PL latency
+    // The cost order's modeled service-time estimate: the PS/PL latency
     // model for offloaded backends, the pure CpuModel otherwise (the
     // fixed-point CPU path executes the same MACs as float on the modeled
     // A9). Worker parallelism divides the effective per-request time.
@@ -99,8 +95,6 @@ InferenceEngine::InferenceEngine(models::ModelSnapshot::Ptr snapshot,
     if (dup > 0) backends_[i]->label += "#" + std::to_string(dup);
     backends_[i]->stats.name = backends_[i]->label;
   }
-  router_ = std::make_unique<Router>(cfg_.route_policy, cfg_.static_backend,
-                                     cfg_.route_hysteresis);
   for (int p = 0; p < kPriorityLevels; ++p) {
     priority_stats_[static_cast<std::size_t>(p)].priority =
         static_cast<Priority>(p);
@@ -127,7 +121,6 @@ std::unique_ptr<InferenceEngine::Worker> InferenceEngine::build_worker(
   worker->net->apply_snapshot(snapshot);
   worker->applied_version = snapshot.version();
   worker->net->set_training(false);
-  worker->net->set_conv_algo(cfg.conv_algo);
   if (cfg.per_image_batch_norm) {
     for (auto& stage : worker->net->stages()) {
       if (!stage->is_empty() && stage->is_ode()) {
@@ -141,12 +134,8 @@ std::unique_ptr<InferenceEngine::Worker> InferenceEngine::build_worker(
       worker->plan = models::StagePlan(&worker->float_exec);
       break;
     case core::ExecBackend::kFixed:
-      worker->fixed_exec = std::make_unique<models::FixedStageExecutor>(
-          cfg.frac_bits,
-          cfg.conv_algo == core::ConvAlgo::kIm2colPerSample
-              ? models::FixedConvPath::kPerSample
-              : (cfg.fixed_float_carrier ? models::FixedConvPath::kBatchedFloat
-                                         : models::FixedConvPath::kBatched));
+      worker->fixed_exec =
+          std::make_unique<models::FixedStageExecutor>(cfg.frac_bits);
       worker->plan = models::StagePlan(worker->fixed_exec.get());
       break;
     case core::ExecBackend::kFpgaSim: {
@@ -187,26 +176,18 @@ std::size_t InferenceEngine::pick_backend(const SubmitOptions& opts,
                                   << backends_.size() << ")");
     return opts.backend;
   }
+  // Placement reads only the gauges, never the EWMA: the submit path
+  // stays off the mutex the workers take in observe() after every
+  // micro-batch.
   std::vector<BackendLoad> loads;
   loads.reserve(backends_.size());
-  // Only the measured policy consumes the EWMA; skipping the read keeps
-  // the other policies' submit path off the mutex the workers take in
-  // observe() after every micro-batch.
-  const bool wants_measured =
-      router_->policy() == RoutePolicy::kMeasuredLatency;
   for (const auto& backend : backends_) {
     BackendLoad load;
     load.queue_depth = backend->queue->size();
     load.in_flight = backend->in_flight.load(std::memory_order_relaxed);
-    load.modeled_request_seconds = backend->modeled_request_seconds;
-    if (wants_measured) {
-      load.measured_request_seconds =
-          backend->ewma.seconds_per_request() /
-          static_cast<double>(backend->cfg.workers);
-    }
     loads.push_back(load);
   }
-  const std::size_t index = router_->route(loads);
+  const std::size_t index = least_depth(loads);
   if (count_routed) {
     backends_[index]->routed.fetch_add(1, std::memory_order_relaxed);
   }
@@ -500,14 +481,9 @@ std::uint64_t InferenceEngine::apply_published(
   // Reset the per-backend service-time EWMAs: the first batches after a
   // publish pay one-off repack/requantize work (versioned weight caches
   // rebuild on the new snapshot's version), so stale warm measurements
-  // would briefly misroute. The router falls back to the analytical model
-  // until fresh measurements arrive, then re-warms.
+  // would briefly misorder a cluster's spill. cost_order() falls back to
+  // the analytical model until fresh measurements arrive, then re-warms.
   for (auto& b : backends_) b->ewma.reset();
-  // And the hysteresis anchor with them: the sticky pick was justified by
-  // the measurements just discarded, and a stale anchor would keep
-  // biasing kMeasuredLatency toward the pre-publish backend through the
-  // hysteresis band while the EWMAs re-warm.
-  router_->reset_anchor();
   return version;
 }
 
@@ -545,7 +521,7 @@ void InferenceEngine::serve_batch(Backend& backend, Worker& worker,
       std::this_thread::sleep_for(backend.cfg.sim_batch_latency);
     }
     const double compute_seconds = watch.seconds();
-    // Completion callback into the measured-latency feedback loop: fold
+    // Completion callback into the measured service-time feedback: fold
     // this batch's observed service time into the backend's EWMA — and
     // re-derive the SLO-driven depth bound from the fresh measurement.
     backend.ewma.observe(compute_seconds, n);
@@ -682,15 +658,15 @@ BackendLoad InferenceEngine::aggregate_load() const {
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     const double modeled = backends_[i]->modeled_request_seconds;
     if (modeled > 0.0) modeled_rate += 1.0 / modeled;
-    // A cold backend stands in with the Router's capped model.
+    // A cold backend stands in with cost_order()'s capped model.
     const double seconds =
         measured_cost_seconds(measured[i], modeled, cheapest_warm);
     if (seconds > 0.0) measured_rate += 1.0 / seconds;
   }
   load.modeled_request_seconds =
       modeled_rate > 0.0 ? 1.0 / modeled_rate : 0.0;
-  // All-cold reports 0 so a cluster Router applies its own cold-start
-  // rule, exactly like a cold single backend.
+  // All-cold reports 0 so the cluster's cost_order() applies its own
+  // cold-start rule, exactly like a cold single backend.
   load.measured_request_seconds =
       (cheapest_warm > 0.0 && measured_rate > 0.0) ? 1.0 / measured_rate
                                                    : 0.0;
@@ -716,7 +692,6 @@ double InferenceEngine::measured_request_seconds(std::size_t index) const {
 EngineStats InferenceEngine::stats() const {
   EngineStats out;
   out.wall_seconds = uptime_.seconds();
-  out.policy = route_policy_name(cfg_.route_policy);
   out.model = cfg_.model;
   out.model_version = active_version_.load(std::memory_order_acquire);
   out.reloads = reloads_.load(std::memory_order_relaxed);

@@ -22,14 +22,12 @@
 // construction. Any request submitted after reload() returns is served on
 // the new version.
 //
-// Backend choice is routed by default: a Router policy (static,
-// round-robin, least-queue-depth, modeled-latency, measured-latency)
-// picks per request from live queue-depth/in-flight gauges plus a
-// per-request service-time estimate — the sched/ latency models', or for
-// measured-latency the per-backend EWMA of observed busy seconds/request
-// that workers feed back after every micro-batch (a cold backend is
-// priced at its model capped at the cheapest warm measurement; hysteresis
-// keeps placement from flapping).
+// Backend choice is routed by default: least_depth() (runtime/router.hpp)
+// places each request on the backend with the fewest outstanding
+// requests, from live queue-depth/in-flight gauges. Workers also feed a
+// per-backend EWMA of observed busy seconds/request after every
+// micro-batch; aggregate_load() rolls it up for the cluster's cost-ordered
+// spill (cost_order()).
 // SubmitOptions can pin a backend, set a priority class, and attach a
 // deadline — an expired request completes with DeadlineExceeded instead
 // of occupying a batch slot.
@@ -84,15 +82,6 @@ struct BackendConfig {
   /// backend (see sched/fpga_executor.hpp); kFpgaSim aligns its own
   /// offloaded stages regardless.
   bool per_image_batch_norm = false;
-  /// Software convolution algorithm of this backend's replicas. The
-  /// batched default turns each micro-batch into one im2col + one GEMM;
-  /// kIm2colPerSample restores the pre-batching path (kept for A/B
-  /// benchmarking).
-  core::ConvAlgo conv_algo = core::ConvAlgo::kIm2col;
-  /// kFixed only: run the batched conv on the PR 6 float-carrier
-  /// arithmetic (qdq'd float operands + float accumulate) instead of the
-  /// default int16 integer GEMM — the bench's int-vs-float A/B lever.
-  bool fixed_float_carrier = false;
   /// Simulated device occupancy: each served micro-batch additionally
   /// holds its worker for this long (a sleep inside the timed service
   /// window, so measured EWMAs and busy_seconds see it). Emulates a
@@ -108,16 +97,9 @@ struct EngineConfig {
   /// Largest micro-batch a worker takes from its backend queue. Dispatch
   /// is work-conserving: an idle worker starts whatever is queued at once.
   int max_batch = 8;
+  /// Routed submits (SubmitOptions::backend == kAnyBackend) go to the
+  /// backend with the fewest outstanding requests (least_depth()).
   std::vector<BackendConfig> backends{BackendConfig{}};
-  /// Backend choice for routed submits (SubmitOptions::backend ==
-  /// kAnyBackend). Least-depth keeps the pre-router behavior for
-  /// single-backend engines while balancing multi-backend ones.
-  RoutePolicy route_policy = RoutePolicy::kLeastDepth;
-  /// Target of RoutePolicy::kStatic.
-  std::size_t static_backend = 0;
-  /// kMeasuredLatency's anti-flap band: keep the previous pick while its
-  /// estimated completion cost is within (1 + hysteresis) of the best.
-  double route_hysteresis = 0.15;
   /// Anti-starvation aging: a request queued longer than this is
   /// promoted one priority class in pop order (see BatchQueue). 0
   /// disables promotion.
@@ -171,8 +153,8 @@ class InferenceEngine {
 
   /// THE submission entrypoint: one image ([C,S,S] or [1,C,S,S]), every
   /// knob in SubmitOptions — tenant, model ref (name + pinned version),
-  /// priority, deadline, backend pin, evictability. The Router picks the
-  /// backend unless opts.backend pins one. Per-request failures
+  /// priority, deadline, backend pin, evictability. least_depth() picks
+  /// the backend unless opts.backend pins one. Per-request failures
   /// (malformed image, wrong model name, a pinned model_version that is
   /// not live) fail the returned future with odenet::Error fast — they
   /// never reach a batch; submitting after shutdown() or pinning an
@@ -251,7 +233,7 @@ class InferenceEngine {
   const std::string& backend_label(std::size_t index) const;
   const EngineConfig& config() const { return cfg_; }
 
-  /// Live load gauges (the router's inputs, exposed for monitoring).
+  /// Live load gauges (least_depth()'s inputs, exposed for monitoring).
   std::size_t queue_depth(std::size_t index) const;
   int in_flight(std::size_t index) const;
   /// Whole-engine load rolled into one BackendLoad — the per-shard gauge
@@ -260,8 +242,8 @@ class InferenceEngine {
   /// (1 / sum(1/t_i)). The measured field is the same combination with
   /// each backend priced by measured_cost_seconds() (a cold backend at
   /// its model, capped at the cheapest warm measurement), and 0 while
-  /// EVERY backend is cold, so Router's own cold-start rule applies
-  /// unchanged at the cluster level.
+  /// EVERY backend is cold, so cost_order()'s own cold-start rule
+  /// applies unchanged at the cluster level.
   BackendLoad aggregate_load() const;
   /// Conv-scratch arenas a backend's pool has materialized — bounded by
   /// its peak batch concurrency, not its worker count.
@@ -271,8 +253,8 @@ class InferenceEngine {
   double modeled_request_seconds(std::size_t index) const;
   /// Measured per-request service seconds of one backend: the worker-fed
   /// EWMA of busy_seconds/request, normalized by its worker count; 0.0
-  /// until the estimator is warm (the measured-latency router falls back
-  /// to the modeled value).
+  /// until the estimator is warm (cost_order() falls back to the
+  /// modeled value).
   double measured_request_seconds(std::size_t index) const;
 
   /// Aggregated counters since construction (thread-safe snapshot).
@@ -295,12 +277,12 @@ class InferenceEngine {
     std::size_t index = 0;
     /// kFpgaSim: cfg.offloaded with the empty-means-all default applied.
     std::set<models::StageId> offloaded;
-    /// Modeled seconds to serve one request, / workers (router input).
+    /// Modeled seconds to serve one request, / workers (cost input).
     double modeled_request_seconds = 0.0;
     /// Measured service-time feedback: workers fold every completed
-    /// micro-batch's busy seconds/request into this EWMA; producers read
-    /// it (normalized by worker count) at routing time. Cold until a few
-    /// batches have completed — the router falls back to the model.
+    /// micro-batch's busy seconds/request into this EWMA; aggregate_load()
+    /// reads it (normalized by worker count). Cold until a few batches
+    /// have completed — cost_order() falls back to the model.
     sched::ServiceTimeEwma ewma;
     /// Conv-lowering scratch, checked out per served batch: arenas are
     /// created lazily on concurrent demand and recycled warm, so a
@@ -311,7 +293,7 @@ class InferenceEngine {
     std::vector<std::unique_ptr<Worker>> workers;
     /// Requests popped from the queue but not yet completed.
     std::atomic<int> in_flight{0};
-    /// Requests the Router placed here; atomic so routed submits never
+    /// Requests least_depth() placed here; atomic so routed submits never
     /// contend on stats_mutex_ (folded into BackendStats at snapshot).
     std::atomic<std::uint64_t> routed{0};
     BackendStats stats;  // guarded by stats_mutex_
@@ -358,7 +340,6 @@ class InferenceEngine {
   /// backend queue (constructed before them, outlives their teardown).
   TenantTable tenants_;
   std::vector<std::unique_ptr<Backend>> backends_;
-  std::unique_ptr<Router> router_;
   /// Registry binding (serve_from); null when standalone.
   models::SnapshotRegistry* registry_ = nullptr;
   std::uint64_t registry_token_ = 0;

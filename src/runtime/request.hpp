@@ -70,7 +70,8 @@ struct RequestClass {
   bool has_deadline() const { return deadline != Clock::time_point::max(); }
 };
 
-/// Sentinel backend index: let the engine's Router pick.
+/// Sentinel backend index: let the engine place the request
+/// (least_depth()).
 inline constexpr std::size_t kAnyBackend = static_cast<std::size_t>(-1);
 
 /// Per-request knobs of InferenceEngine::submit. Default-constructed

@@ -37,8 +37,7 @@ std::string EngineStats::to_json() const {
      << requests() << ",\"timeouts\":" << timeouts()
      << ",\"rejected\":" << rejected() << ",\"evicted\":" << evicted()
      << ",\"shed\":" << shed()
-     << ",\"routed\":" << routed() << ",\"policy\":\"" << policy
-     << "\",\"model\":\"" << model
+     << ",\"routed\":" << routed() << ",\"model\":\"" << model
      << "\",\"model_version\":" << model_version
      << ",\"reloads\":" << reloads << ",\"swaps\":" << swaps()
      << ",\"promotions\":" << promotions()

@@ -6,10 +6,9 @@
 // utilization in one place. On top of the per-backend view the engine
 // keeps per-priority latency histograms plus timeout/rejected/evicted
 // counters (the overload-protection ledger: every shed request is
-// attributed to its class), the router's placement decisions are counted
-// per backend, and each backend reports its measured EWMA service time
-// next to the analytical estimate — the numbers an autoscaling layer
-// would watch.
+// attributed to its class), routed placements are counted per backend,
+// and each backend reports its measured EWMA service time next to the
+// analytical estimate — the numbers an autoscaling layer would watch.
 #pragma once
 
 #include <array>
@@ -37,7 +36,7 @@ struct BackendStats {
   core::ExecBackend backend = core::ExecBackend::kFloat;
   std::uint64_t requests = 0;
   std::uint64_t batches = 0;
-  /// Requests the Router placed here (pinned submits are not counted).
+  /// Requests routed here (pinned submits are not counted).
   std::uint64_t routed = 0;
   /// Requests rejected with DeadlineExceeded while queued here.
   std::uint64_t timeouts = 0;
@@ -73,7 +72,7 @@ struct BackendStats {
   /// Simulated PL cycles consumed on behalf of this backend's requests.
   std::uint64_t pl_cycles = 0;
   /// Point-in-time gauges at snapshot: queued and in-flight requests (the
-  /// same numbers the router's load snapshot sees).
+  /// same numbers least_depth()'s load snapshot sees).
   std::size_t queue_depth = 0;
   /// Current TOTAL queue depth bound (0 = unbounded); tracks the
   /// SLO-adaptive retune when EngineConfig::target_delay is set.
@@ -81,8 +80,8 @@ struct BackendStats {
   int in_flight = 0;
   /// Measured per-request service seconds (worker-fed EWMA of
   /// busy_seconds/request, normalized by worker parallelism; 0 while
-  /// cold) next to the analytical estimate it replaces — the
-  /// measured-latency router's actual inputs.
+  /// cold) next to the analytical estimate it replaces — the inputs of
+  /// the cluster's cost_order().
   double measured_request_seconds = 0.0;
   double modeled_request_seconds = 0.0;
   /// Conv-scratch arena-pool gauges: arenas materialized (bounded by peak
@@ -151,8 +150,6 @@ struct EngineStats {
   /// Per-tenant ledgers (weights/quotas, live queued, completions, quota
   /// sheds), in tenant-id order; entry 0 is the anonymous default tenant.
   std::vector<TenantCounters> tenants;
-  /// Routing policy the engine is running (route_policy_name()).
-  std::string policy;
   /// Model name this engine serves (EngineConfig::model).
   std::string model;
   /// Seconds since the engine started serving.

@@ -94,8 +94,8 @@ class LatencyModel {
 /// model. The analytical LatencyModel/CpuModel estimate is a construction
 /// -time constant; it cannot see cache effects, host contention, or a
 /// batch-size mix that differs from its assumptions. A consumer (the
-/// serving runtime's measured-latency router) trusts the model while the
-/// estimator is cold and switches to the measurement once warm_after
+/// cluster's runtime::cost_order() spill ranking) trusts the model while
+/// the estimator is cold and switches to the measurement once warm_after
 /// completions have been folded in.
 ///
 /// observe() is called by backend worker threads (one call per completed

@@ -33,7 +33,6 @@ using runtime::BackendLoad;
 using runtime::InferenceResult;
 using runtime::Priority;
 using runtime::QueueFull;
-using runtime::RoutePolicy;
 
 namespace {
 
@@ -157,7 +156,7 @@ TEST(ClusterRouter, FailoverWalksRingPastNonAdmittingShards) {
 TEST(ClusterRouter, PlanIsPrimaryThenCostOrderedSpillCandidates) {
   const std::vector<std::pair<std::string, double>> shards = {
       {"shard0", 1.0}, {"shard1", 1.0}, {"shard2", 1.0}, {"shard3", 1.0}};
-  ClusterRouter router(shards, 64, RoutePolicy::kMeasuredLatency);
+  ClusterRouter router(shards, 64);
   const std::string tenant = "tenant-7";
   const std::size_t home = router.primary(tenant);
 

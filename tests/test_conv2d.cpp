@@ -5,6 +5,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "conv_reference.hpp"
 #include "core/conv2d.hpp"
 #include "core/init.hpp"
 #include "util/rng.hpp"
@@ -22,32 +23,6 @@ Tensor random_tensor(std::vector<int> shape, ou::Rng& rng, double scale = 1.0) {
     t.data()[i] = static_cast<float>(rng.normal(0.0, scale));
   }
   return t;
-}
-
-/// Direct reference convolution (independent implementation).
-Tensor ref_conv(const Tensor& x, const Tensor& w, int stride, int pad) {
-  const int n = x.dim(0), ci = x.dim(1), h = x.dim(2), wd = x.dim(3);
-  const int co = w.dim(0), k = w.dim(2);
-  const int ho = (h + 2 * pad - k) / stride + 1;
-  const int wo = (wd + 2 * pad - k) / stride + 1;
-  Tensor out({n, co, ho, wo});
-  for (int ni = 0; ni < n; ++ni)
-    for (int o = 0; o < co; ++o)
-      for (int oh = 0; oh < ho; ++oh)
-        for (int ow = 0; ow < wo; ++ow) {
-          double acc = 0;
-          for (int c = 0; c < ci; ++c)
-            for (int kh = 0; kh < k; ++kh)
-              for (int kw = 0; kw < k; ++kw) {
-                const int ih = oh * stride - pad + kh;
-                const int iw = ow * stride - pad + kw;
-                if (ih < 0 || ih >= h || iw < 0 || iw >= wd) continue;
-                acc += static_cast<double>(x.at(ni, c, ih, iw)) *
-                       w.at(o, c, kh, kw);
-              }
-          out.at(ni, o, oh, ow) = static_cast<float>(acc);
-        }
-  return out;
 }
 
 }  // namespace
@@ -69,7 +44,7 @@ TEST_P(ConvForward, MatchesReference) {
   odenet::core::init_conv(conv, rng);
   Tensor x = random_tensor({p.n, p.cin, p.size, p.size}, rng);
   Tensor got = conv.forward(x);
-  Tensor want = ref_conv(x, conv.weight().value, p.stride, 1);
+  Tensor want = conv_reference::forward(x, conv.weight().value, p.stride, 1);
   ASSERT_TRUE(got.same_shape(want)) << got.shape_str();
   for (std::size_t i = 0; i < got.numel(); ++i) {
     EXPECT_NEAR(got.data()[i], want.data()[i], 1e-4f) << "at " << i;

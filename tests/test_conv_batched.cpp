@@ -1,20 +1,20 @@
-// Batched im2col+GEMM conv fast path: property-style parity sweep.
+// Batched im2col+GEMM conv: property-style parity sweep.
 //
 // The batched lowering (one column matrix + one GEMM for the whole
-// micro-batch, arena-backed scratch) must agree with BOTH independent
-// implementations — the direct tap-walking kernel and the legacy
-// per-sample im2col — forward and backward (dW and dX), across randomized
-// geometries: kernel {1,3,5}, stride {1,2}, pad {0,1,2}, batch
-// {1,2,7,16}, non-square H != W, with and without the concat-time
-// channel. Max abs error <= 1e-4 everywhere. Also pins down the scratch
-// behaviour (no regrowth after the first call) and the n = 0 and
-// pad-only-edge cases.
+// micro-batch, arena-backed scratch) must agree with the naive
+// double-accumulation reference (conv_reference.hpp) forward and backward
+// (dW and dX), across randomized geometries: kernel {1,3,5}, stride
+// {1,2}, pad {0,1,2}, batch {1,2,7,16}, non-square H != W, with and
+// without the concat-time channel. Max abs error <= 1e-4 everywhere. Also
+// pins down the scratch behaviour (no regrowth after the first call) and
+// the n = 0 and pad-only-edge cases.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "conv_reference.hpp"
 #include "core/conv2d.hpp"
 #include "core/init.hpp"
 #include "util/rng.hpp"
@@ -57,52 +57,38 @@ struct Geometry {
   }
 };
 
-Conv2d make_conv(const Geometry& g, ConvAlgo algo) {
-  return Conv2d({.in_channels = g.cin,
-                 .out_channels = g.cout,
-                 .kernel = g.k,
-                 .stride = g.s,
-                 .pad = g.p,
-                 .time_channel = g.time_channel,
-                 .algo = algo});
-}
-
-/// Forward + backward parity of the batched path against direct and
-/// per-sample, on one geometry. All three share identical weights.
+/// Forward + backward parity of the batched conv against the naive
+/// reference on one geometry.
 void check_parity(const Geometry& g, ou::Rng& rng) {
   SCOPED_TRACE(g.str());
-  Conv2d direct = make_conv(g, ConvAlgo::kDirect);
-  init_conv(direct, rng);
-  Conv2d per_sample = make_conv(g, ConvAlgo::kIm2colPerSample);
-  per_sample.weight().value = direct.weight().value;
-  Conv2d batched = make_conv(g, ConvAlgo::kIm2col);
-  batched.weight().value = direct.weight().value;
-
-  for (Conv2d* c : {&direct, &per_sample, &batched}) {
-    c->set_training(true);
-    c->set_time(0.6f);
-  }
+  constexpr float kTime = 0.6f;
+  Conv2d conv({.in_channels = g.cin,
+               .out_channels = g.cout,
+               .kernel = g.k,
+               .stride = g.s,
+               .pad = g.p,
+               .time_channel = g.time_channel});
+  init_conv(conv, rng);
+  conv.set_training(true);
+  conv.set_time(kTime);
 
   Tensor x = random_tensor({g.n, g.cin, g.h, g.w}, rng);
-  Tensor y_direct = direct.forward(x);
-  Tensor y_per_sample = per_sample.forward(x);
-  Tensor y_batched = batched.forward(x);
-  EXPECT_LE(max_abs_diff(y_batched, y_direct), kTol) << "fwd vs direct";
-  EXPECT_LE(max_abs_diff(y_batched, y_per_sample), kTol)
-      << "fwd vs per-sample";
+  const Tensor x_in =
+      g.time_channel ? conv_reference::with_time_plane(x, kTime) : x;
+  const Tensor& w = conv.weight().value;
+  Tensor y_ref = conv_reference::forward(x_in, w, g.s, g.p);
+  Tensor y = conv.forward(x);
+  EXPECT_LE(max_abs_diff(y, y_ref), kTol) << "fwd";
 
-  Tensor gout = random_tensor(y_direct.shape(), rng);
-  Tensor gx_direct = direct.backward(gout);
-  Tensor gx_per_sample = per_sample.backward(gout);
-  Tensor gx_batched = batched.backward(gout);
-  EXPECT_LE(max_abs_diff(gx_batched, gx_direct), kTol) << "dX vs direct";
-  EXPECT_LE(max_abs_diff(gx_batched, gx_per_sample), kTol)
-      << "dX vs per-sample";
-  EXPECT_LE(max_abs_diff(batched.weight().grad, direct.weight().grad), kTol)
-      << "dW vs direct";
-  EXPECT_LE(
-      max_abs_diff(batched.weight().grad, per_sample.weight().grad), kTol)
-      << "dW vs per-sample";
+  Tensor gout = random_tensor(y_ref.shape(), rng);
+  conv_reference::Grads ref = conv_reference::backward(x_in, w, gout, g.s,
+                                                       g.p);
+  Tensor gx = conv.backward(gout);
+  const Tensor gx_ref = g.time_channel
+                           ? conv_reference::without_time_plane(ref.dx)
+                           : ref.dx;
+  EXPECT_LE(max_abs_diff(gx, gx_ref), kTol) << "dX";
+  EXPECT_LE(max_abs_diff(conv.weight().grad, ref.dw), kTol) << "dW";
 }
 
 }  // namespace
@@ -162,11 +148,8 @@ TEST(ConvBatchedParity, PadOnlyEdgeRows) {
 }
 
 TEST(ConvBatchedParity, RejectsEmptyBatch) {
-  for (ConvAlgo algo :
-       {ConvAlgo::kIm2col, ConvAlgo::kIm2colPerSample, ConvAlgo::kDirect}) {
-    Conv2d conv({.in_channels = 3, .out_channels = 4, .algo = algo});
-    EXPECT_THROW(conv.forward(Tensor({0, 3, 8, 8})), odenet::Error);
-  }
+  Conv2d conv({.in_channels = 3, .out_channels = 4});
+  EXPECT_THROW(conv.forward(Tensor({0, 3, 8, 8})), odenet::Error);
 }
 
 TEST(ConvBatchedParity, ScratchArenaStopsGrowingAfterFirstCall) {

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "conv_reference.hpp"
 #include "core/init.hpp"
 #include "data/cifar.hpp"
 #include "data/dataloader.hpp"
@@ -31,21 +32,17 @@ TEST(ConvEdge, OneByOneKernel) {
   EXPECT_FLOAT_EQ(y.at(0, 0, 0, 0), 5.0f);
 }
 
-TEST(ConvEdge, FiveByFiveKernelBothAlgosAgree) {
+TEST(ConvEdge, FiveByFiveKernelMatchesReference) {
   ou::Rng rng(1);
-  core::Conv2d direct({.in_channels = 2, .out_channels = 3, .kernel = 5,
-                       .stride = 1, .pad = 2, .algo = core::ConvAlgo::kDirect});
-  core::init_conv(direct, rng);
-  core::Conv2d lowered({.in_channels = 2, .out_channels = 3, .kernel = 5,
-                        .stride = 1, .pad = 2,
-                        .algo = core::ConvAlgo::kIm2col});
-  lowered.weight().value = direct.weight().value;
+  core::Conv2d conv({.in_channels = 2, .out_channels = 3, .kernel = 5,
+                     .stride = 1, .pad = 2});
+  core::init_conv(conv, rng);
   core::Tensor x({1, 2, 7, 7});
   for (std::size_t i = 0; i < x.numel(); ++i) {
     x.data()[i] = static_cast<float>(rng.normal(0, 1));
   }
-  core::Tensor a = direct.forward(x);
-  core::Tensor b = lowered.forward(x);
+  core::Tensor a = conv_reference::forward(x, conv.weight().value, 1, 2);
+  core::Tensor b = conv.forward(x);
   ASSERT_TRUE(a.same_shape(b));
   for (std::size_t i = 0; i < a.numel(); ++i) {
     EXPECT_NEAR(a.data()[i], b.data()[i], 1e-4f);

@@ -1,6 +1,8 @@
-// im2col/col2im/gemm and the equivalence of Conv2d's two algorithms.
+// The batched im2col/col2im lowering (at batch 1), gemm_at, and Conv2d
+// against the naive reference convolution.
 #include <gtest/gtest.h>
 
+#include "conv_reference.hpp"
 #include "core/conv2d.hpp"
 #include "core/im2col.hpp"
 #include "core/init.hpp"
@@ -35,7 +37,7 @@ TEST(Im2col, UnfoldsCenterTapExactly) {
   float src[9];
   for (int i = 0; i < 9; ++i) src[i] = static_cast<float>(i + 1);
   std::vector<float> cols(g.col_rows() * g.col_cols());
-  im2col(src, g, cols.data());
+  im2col_batched(src, g, 1, cols.data());
   const float* center = cols.data() + 4 * g.col_cols();  // row kh=1,kw=1
   for (int i = 0; i < 9; ++i) EXPECT_EQ(center[i], src[i]);
   // Top-left tap at output (0,0) reads the zero padding.
@@ -54,43 +56,24 @@ TEST(Im2col, Col2imIsAdjointOfIm2col) {
   for (auto& v : y) v = static_cast<float>(rng.normal(0, 1));
 
   std::vector<float> cols(y.size());
-  im2col(x.data(), g, cols.data());
+  im2col_batched(x.data(), g, 1, cols.data());
   double lhs = 0;
   for (std::size_t i = 0; i < y.size(); ++i) lhs += cols[i] * y[i];
 
   std::vector<float> back(x.size(), 0.0f);
-  col2im(y.data(), g, back.data());
+  col2im_batched(y.data(), g, 1, back.data());
   double rhs = 0;
   for (std::size_t i = 0; i < x.size(); ++i) rhs += x[i] * back[i];
 
   EXPECT_NEAR(lhs, rhs, 1e-3);
 }
 
-TEST(Im2col, GemmMatchesNaive) {
-  ou::Rng rng(3);
-  const int m = 5, k = 7, n = 4;
-  std::vector<float> a(m * k), b(k * n), c(m * n), ref(m * n, 0.0f);
-  for (auto& v : a) v = static_cast<float>(rng.normal(0, 1));
-  for (auto& v : b) v = static_cast<float>(rng.normal(0, 1));
-  for (int i = 0; i < m; ++i)
-    for (int p = 0; p < k; ++p)
-      for (int j = 0; j < n; ++j) ref[i * n + j] += a[i * k + p] * b[p * n + j];
-  gemm(a.data(), b.data(), c.data(), m, k, n, false);
-  for (int i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], ref[i], 1e-4f);
-
-  // Accumulation adds on top.
-  gemm(a.data(), b.data(), c.data(), m, k, n, true);
-  for (int i = 0; i < m * n; ++i) EXPECT_NEAR(c[i], 2 * ref[i], 1e-4f);
-}
-
 TEST(Im2col, GemmTransposedVariants) {
   ou::Rng rng(4);
   const int m = 4, k = 6, n = 3;
-  std::vector<float> at(k * m), bt(n * k), b(k * n), a(m * k);
+  std::vector<float> at(k * m), b(k * n);
   for (auto& v : at) v = static_cast<float>(rng.normal(0, 1));
   for (auto& v : b) v = static_cast<float>(rng.normal(0, 1));
-  for (auto& v : a) v = static_cast<float>(rng.normal(0, 1));
-  for (auto& v : bt) v = static_cast<float>(rng.normal(0, 1));
 
   // gemm_at: C = A^T B with A stored [k,m].
   std::vector<float> c1(m * n), ref1(m * n, 0.0f);
@@ -100,87 +83,71 @@ TEST(Im2col, GemmTransposedVariants) {
         ref1[i * n + j] += at[p * m + i] * b[p * n + j];
   gemm_at(at.data(), b.data(), c1.data(), m, k, n, false);
   for (int i = 0; i < m * n; ++i) EXPECT_NEAR(c1[i], ref1[i], 1e-4f);
-
-  // gemm_bt: C = A B^T with B stored [n,k].
-  std::vector<float> c2(m * n), ref2(m * n, 0.0f);
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < n; ++j)
-      for (int p = 0; p < k; ++p)
-        ref2[i * n + j] += a[i * k + p] * bt[j * k + p];
-  gemm_bt(a.data(), bt.data(), c2.data(), m, k, n, false);
-  for (int i = 0; i < m * n; ++i) EXPECT_NEAR(c2[i], ref2[i], 1e-4f);
 }
 
-struct AlgoCase {
+struct ConvCase {
   int n, cin, cout, size, stride;
   bool time_channel;
 };
 
-class ConvAlgoEquivalence : public ::testing::TestWithParam<AlgoCase> {};
+class ConvMatchesReference : public ::testing::TestWithParam<ConvCase> {};
 
-TEST_P(ConvAlgoEquivalence, ForwardMatchesDirect) {
+TEST_P(ConvMatchesReference, Forward) {
   const auto p = GetParam();
   ou::Rng rng(5);
-  Conv2d direct({.in_channels = p.cin, .out_channels = p.cout,
-                 .stride = p.stride, .time_channel = p.time_channel,
-                 .algo = ConvAlgo::kDirect});
-  init_conv(direct, rng);
-  Conv2d lowered({.in_channels = p.cin, .out_channels = p.cout,
-                  .stride = p.stride, .time_channel = p.time_channel,
-                  .algo = ConvAlgo::kIm2col});
-  lowered.weight().value = direct.weight().value;
-  direct.set_time(0.7f);
-  lowered.set_time(0.7f);
+  Conv2d conv({.in_channels = p.cin, .out_channels = p.cout,
+               .stride = p.stride, .time_channel = p.time_channel});
+  init_conv(conv, rng);
+  conv.set_time(0.7f);
 
   Tensor x = random_tensor({p.n, p.cin, p.size, p.size}, rng);
-  Tensor a = direct.forward(x);
-  Tensor b = lowered.forward(x);
+  const Tensor x_in =
+      p.time_channel ? conv_reference::with_time_plane(x, 0.7f) : x;
+  Tensor a = conv_reference::forward(x_in, conv.weight().value, p.stride, 1);
+  Tensor b = conv.forward(x);
   ASSERT_TRUE(a.same_shape(b));
   for (std::size_t i = 0; i < a.numel(); ++i) {
     EXPECT_NEAR(a.data()[i], b.data()[i], 1e-4f) << "at " << i;
   }
 }
 
-TEST_P(ConvAlgoEquivalence, BackwardMatchesDirect) {
+TEST_P(ConvMatchesReference, Backward) {
   const auto p = GetParam();
   ou::Rng rng(6);
-  Conv2d direct({.in_channels = p.cin, .out_channels = p.cout,
-                 .stride = p.stride, .time_channel = p.time_channel,
-                 .algo = ConvAlgo::kDirect});
-  init_conv(direct, rng);
-  Conv2d lowered({.in_channels = p.cin, .out_channels = p.cout,
-                  .stride = p.stride, .time_channel = p.time_channel,
-                  .algo = ConvAlgo::kIm2col});
-  lowered.weight().value = direct.weight().value;
-  direct.set_training(true);
-  lowered.set_training(true);
-  direct.set_time(0.3f);
-  lowered.set_time(0.3f);
+  Conv2d conv({.in_channels = p.cin, .out_channels = p.cout,
+               .stride = p.stride, .time_channel = p.time_channel});
+  init_conv(conv, rng);
+  conv.set_training(true);
+  conv.set_time(0.3f);
 
   Tensor x = random_tensor({p.n, p.cin, p.size, p.size}, rng);
   const int ho = Conv2d::out_extent(p.size, 3, p.stride, 1);
   Tensor g = random_tensor({p.n, p.cout, ho, ho}, rng);
 
-  direct.forward(x);
-  lowered.forward(x);
-  Tensor gin_a = direct.backward(g);
-  Tensor gin_b = lowered.backward(g);
+  const Tensor x_in =
+      p.time_channel ? conv_reference::with_time_plane(x, 0.3f) : x;
+  conv_reference::Grads ref =
+      conv_reference::backward(x_in, conv.weight().value, g, p.stride, 1);
+  const Tensor gin_a = p.time_channel
+                           ? conv_reference::without_time_plane(ref.dx)
+                           : ref.dx;
+  conv.forward(x);
+  Tensor gin_b = conv.backward(g);
 
   ASSERT_TRUE(gin_a.same_shape(gin_b));
   for (std::size_t i = 0; i < gin_a.numel(); ++i) {
     EXPECT_NEAR(gin_a.data()[i], gin_b.data()[i], 1e-3f) << "gin " << i;
   }
-  for (std::size_t i = 0; i < direct.weight().grad.numel(); ++i) {
-    EXPECT_NEAR(direct.weight().grad.data()[i],
-                lowered.weight().grad.data()[i], 1e-3f)
+  for (std::size_t i = 0; i < ref.dw.numel(); ++i) {
+    EXPECT_NEAR(ref.dw.data()[i], conv.weight().grad.data()[i], 1e-3f)
         << "gw " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, ConvAlgoEquivalence,
-    ::testing::Values(AlgoCase{1, 3, 4, 8, 1, false},
-                      AlgoCase{2, 4, 4, 6, 1, false},
-                      AlgoCase{1, 3, 8, 8, 2, false},
-                      AlgoCase{2, 2, 3, 5, 1, true},
-                      AlgoCase{1, 4, 4, 8, 1, true}));
+    Shapes, ConvMatchesReference,
+    ::testing::Values(ConvCase{1, 3, 4, 8, 1, false},
+                      ConvCase{2, 4, 4, 6, 1, false},
+                      ConvCase{1, 3, 8, 8, 2, false},
+                      ConvCase{2, 2, 3, 5, 1, true},
+                      ConvCase{1, 4, 4, 8, 1, true}));

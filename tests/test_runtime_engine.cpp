@@ -222,18 +222,14 @@ TEST(InferenceEngine, BackendParityWithinQuantizationTolerance) {
   BackendConfig float_ref;
   float_ref.backend = core::ExecBackend::kFloat;
   float_ref.per_image_batch_norm = true;  // align with the PL's BN semantics
-  BackendConfig fixed_cpu;  // default: int16 integer datapath
+  BackendConfig fixed_cpu;  // int16 integer datapath
   fixed_cpu.backend = core::ExecBackend::kFixed;
   fixed_cpu.per_image_batch_norm = true;
-  BackendConfig fixed_carrier;  // float-carrier comparator, PR 6 precision
-  fixed_carrier.backend = core::ExecBackend::kFixed;
-  fixed_carrier.per_image_batch_norm = true;
-  fixed_carrier.fixed_float_carrier = true;
   BackendConfig fpga_sim;
   fpga_sim.backend = core::ExecBackend::kFpgaSim;  // offloads every ODE stage
-  cfg.backends = {float_ref, fixed_cpu, fpga_sim, fixed_carrier};
+  cfg.backends = {float_ref, fixed_cpu, fpga_sim};
   InferenceEngine engine(net, cfg);
-  ASSERT_EQ(engine.backend_count(), 4u);
+  ASSERT_EQ(engine.backend_count(), 3u);
 
   util::Rng rng(77);
   core::Tensor image = random_image(rng);
@@ -245,14 +241,11 @@ TEST(InferenceEngine, BackendParityWithinQuantizationTolerance) {
   InferenceResult rf = engine.submit(image, pinned(0)).get();
   InferenceResult rq = engine.submit(image, pinned(1)).get();
   InferenceResult ra = engine.submit(image, pinned(2)).get();
-  InferenceResult rc = engine.submit(image, pinned(3)).get();
 
-  EXPECT_LT(max_abs_diff(rf.logits, rc.logits), 1e-3);   // Q11.20 activations
   EXPECT_LT(max_abs_diff(rf.logits, rq.logits), 0.1);    // int16 operand grid
   EXPECT_LT(max_abs_diff(rf.logits, ra.logits), 0.15);   // full PL datapath
   EXPECT_EQ(rf.pl_cycles, 0u);
   EXPECT_EQ(rq.pl_cycles, 0u);
-  EXPECT_EQ(rc.pl_cycles, 0u);
   EXPECT_GT(ra.pl_cycles, 0u);
 }
 
@@ -284,7 +277,6 @@ TEST(InferenceEngine, StatsFoldPlCyclesAndEmitJson) {
   EXPECT_NE(json.find("\"images_per_sec\""), std::string::npos);
   EXPECT_NE(json.find("\"fpga_sim\""), std::string::npos);
   EXPECT_NE(json.find("\"pl_cycles\""), std::string::npos);
-  EXPECT_NE(json.find("\"policy\""), std::string::npos);
   EXPECT_NE(json.find("\"priorities\""), std::string::npos);
   EXPECT_NE(json.find("\"hist_le_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"timeouts\""), std::string::npos);
@@ -365,7 +357,6 @@ TEST(InferenceEngine, RoutedSubmitBalancesAcrossBackends) {
   models::Network net = make_net(11);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.route_policy = runtime::RoutePolicy::kLeastDepth;
   cfg.backends = {BackendConfig{}, BackendConfig{}};  // two float replicas
   InferenceEngine engine(net, cfg);
   ASSERT_EQ(engine.backend_count(), 2u);
@@ -386,26 +377,6 @@ TEST(InferenceEngine, RoutedSubmitBalancesAcrossBackends) {
   // must have served work.
   EXPECT_GT(stats.backends[0].requests, 0u);
   EXPECT_GT(stats.backends[1].requests, 0u);
-  EXPECT_EQ(stats.policy, "least_depth");
-}
-
-TEST(InferenceEngine, StaticPolicyPinsRoutedTraffic) {
-  models::Network net = make_net(12);
-  EngineConfig cfg;
-  cfg.max_batch = 4;
-  cfg.route_policy = runtime::RoutePolicy::kStatic;
-  cfg.static_backend = 1;
-  cfg.backends = {BackendConfig{}, BackendConfig{}};
-  InferenceEngine engine(net, cfg);
-
-  util::Rng rng(12);
-  std::vector<std::future<InferenceResult>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(engine.submit(random_image(rng)));
-  for (auto& f : futures) EXPECT_EQ(f.get().backend_index, 1u);
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.backends[0].requests, 0u);
-  EXPECT_EQ(stats.backends[1].requests, 6u);
-  EXPECT_EQ(stats.backends[1].routed, 6u);
 }
 
 // ---- weight hot-swap --------------------------------------------------
@@ -625,7 +596,6 @@ TEST(InferenceEngine, StressManyProducersRoutedMixedPriorities) {
   models::Network net = make_net(13);
   EngineConfig cfg;
   cfg.max_batch = 8;
-  cfg.route_policy = runtime::RoutePolicy::kModeledLatency;
   BackendConfig two_workers;
   two_workers.workers = 2;
   cfg.backends = {two_workers, BackendConfig{}};
@@ -774,16 +744,15 @@ TEST(InferenceEngine, NonEvictableSubmitSurvivesHighPressure) {
             1u);
 }
 
-TEST(InferenceEngine, MeasuredLatencyPolicyWarmsFromServedTraffic) {
+TEST(InferenceEngine, MeasuredLatencyWarmsFromServedTraffic) {
   models::Network net = make_net(32);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.route_policy = runtime::RoutePolicy::kMeasuredLatency;
   cfg.backends = {BackendConfig{}, BackendConfig{}};
   InferenceEngine engine(net, cfg);
 
   util::Rng rng(32);
-  // Cold: the EWMA reports 0 and the router runs on the model.
+  // Cold: the EWMA reports 0 and cost_order() runs on the model.
   EXPECT_DOUBLE_EQ(engine.measured_request_seconds(0), 0.0);
   EXPECT_GT(engine.modeled_request_seconds(0), 0.0);
 
@@ -794,9 +763,8 @@ TEST(InferenceEngine, MeasuredLatencyPolicyWarmsFromServedTraffic) {
   for (auto& f : futures) EXPECT_GE(f.get().predicted, 0);
 
   const auto stats = engine.stats();
-  EXPECT_EQ(stats.policy, "measured_latency");
   EXPECT_EQ(stats.requests(), 24u);
-  // At least the anchor backend served enough batches to warm its EWMA,
+  // At least one backend served enough batches to warm its EWMA,
   // and the warmed measurement is surfaced through stats and the gauge.
   double measured_max = 0.0;
   for (std::size_t b = 0; b < engine.backend_count(); ++b) {
@@ -812,7 +780,7 @@ TEST(InferenceEngine, MeasuredLatencyPolicyWarmsFromServedTraffic) {
   EXPECT_GT(stats_max, 0.0);
 }
 
-// The cluster-level gauge applies the Router's cold-start rule: a cold
+// The cluster-level gauge applies cost_order()'s cold-start rule: a cold
 // backend counts at its model capped at the cheapest warm measurement,
 // not at an A9 model that can be far slower than this host.
 TEST(InferenceEngine, AggregateLoadCapsColdBackendAtWarmMeasurement) {
@@ -917,7 +885,6 @@ TEST(InferenceEngine, ReloadResetsMeasuredEwmaToColdState) {
   models::Network next = make_net(41);
   EngineConfig cfg;
   cfg.max_batch = 4;
-  cfg.route_policy = runtime::RoutePolicy::kMeasuredLatency;
   cfg.backends = {BackendConfig{}, BackendConfig{}};
   InferenceEngine engine(net, cfg);
 
