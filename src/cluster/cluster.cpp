@@ -179,15 +179,8 @@ std::future<runtime::InferenceResult> EngineCluster::submit(
         "cluster: no admitting shard for tenant '" + tenant + "'")));
     return promise.get_future();
   }
-  // spill=false keeps only the home shard; max_spills bounds the fan-out.
-  const std::size_t limit =
-      cfg_.spill ? std::min(plan.size(),
-                            cfg_.max_spills == std::numeric_limits<
-                                                   std::size_t>::max()
-                                ? plan.size()
-                                : cfg_.max_spills + 1)
-                 : std::size_t{1};
-  plan.resize(limit);
+  // spill=false keeps only the home shard.
+  if (!cfg_.spill) plan.resize(1);
 
   std::future<runtime::InferenceResult> future;
   for (std::size_t k = 0; k < plan.size(); ++k) {

@@ -26,9 +26,10 @@
 //    completion first, from each shard's measured-EWMA service time
 //    (the capped model while cold) — via InferenceEngine::try_submit,
 //    which leaves the request intact on a full queue instead of failing
-//    it. Only when every candidate is full does the cluster shed, and
-//    the caller sees one QueueFull through the future, exactly like a
-//    single overloaded engine.
+//    it. Every admitting shard is a candidate (ClusterConfig::spill
+//    turns spilling off). Only when every candidate is full does the
+//    cluster shed, and the caller sees one QueueFull through the
+//    future, exactly like a single overloaded engine.
 //
 // EngineCluster owns the shards and the stats ledger (placed /
 // spilled_in per shard, spilled / shed / no_admitting totals). The
@@ -40,7 +41,6 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,12 +71,9 @@ struct ClusterConfig {
   /// per-shard arc share at O(shards x virtual_nodes) ring size.
   int virtual_nodes = 64;
   /// Master switch for spill-then-shed; off = shed immediately when the
-  /// home shard is full (the pre-spill behavior, kept for A/B).
+  /// home shard is full (the pre-spill behavior, kept for A/B). On, every
+  /// admitting shard is a spill candidate.
   bool spill = true;
-  /// Spill fan-out bound: at most this many non-primary shards are
-  /// probed before shedding. Unbounded by default (every admitting
-  /// shard is a candidate).
-  std::size_t max_spills = std::numeric_limits<std::size_t>::max();
 };
 
 /// Pure placement logic, separated from engine ownership so tests can

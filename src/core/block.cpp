@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "core/gemm_kernels.hpp"
-
 namespace odenet::core {
 
 BuildingBlock::BuildingBlock(const BlockConfig& cfg, std::string name)
@@ -55,8 +53,8 @@ void BuildingBlock::set_training(bool training) {
 }
 
 bool BuildingBlock::fused_eval_ready() const {
-  return !training_ && fused_epilogues_enabled() &&
-         bn1_.eval_affine_foldable() && bn2_.eval_affine_foldable();
+  return !training_ && bn1_.eval_affine_foldable() &&
+         bn2_.eval_affine_foldable();
 }
 
 void BuildingBlock::fused_branch_eval(const Tensor& z, float t, float alpha,

@@ -45,9 +45,8 @@ class BuildingBlock final : public Layer {
   /// Backward through the branch of the most recent branch_forward().
   Tensor branch_backward(const Tensor& grad_out);
 
-  /// True when the fused inference path may run: eval mode, fused
-  /// epilogues enabled (see core::set_fused_epilogues), and both BNs
-  /// foldable to a fixed affine.
+  /// True when the fused inference path may run: eval mode and both BNs
+  /// foldable to a fixed affine (not batch-statistics eval).
   bool fused_eval_ready() const;
 
   /// Fused branch evaluation: conv1+bn1+relu is ONE GEMM, conv2+bn2 is

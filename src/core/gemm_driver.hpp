@@ -1,0 +1,105 @@
+// The one tiled-GEMM driver behind gemm_tiled_pa, gemm_tiled_pa_ep,
+// gemm_tiled_pa_ep_lowered (im2col.cpp) and gemm_i16_tiled_pa
+// (gemm_kernels.cpp). Internal to src/core: everything else calls those.
+//
+// The driver alone owns the blocking and the thread split:
+//  * B is consumed in kPanelCols-wide column panels. Every row tile of A
+//    sweeps one panel before the next is touched, so the panel is filled
+//    from memory once and re-read m/4 times from cache. Without it a
+//    batched im2col matrix (k ~ C*9, n ~ N*Ho*Wo, megabytes) would be
+//    re-streamed from DRAM once per row tile; k * 256 floats ~ 0.6 MB at
+//    the paper's largest lowering (k = 585).
+//  * One task = one column panel x one row-tile span. When the panels
+//    alone cannot feed every worker (the tall-skinny dX GEMM, small
+//    batches on wide machines) the row tiles split too, each extra block
+//    keeping >= kMinRowTilesPerTask row tiles so its duplicated panel fill
+//    stays amortized.
+//  * A product under gemm_parallel_min_flops() runs on the calling thread.
+// Every output tile's k loop runs whole inside one task, so the result is
+// bitwise identical for any split: thread-count invariance is structural.
+//
+// A caller supplies the two things that differ between the GEMMs:
+//  * how a panel is filled — fill(p0, full_tiles, packed) writes the
+//    panel's full-width column tiles [p0, p0 + 16 * full_tiles) as
+//    contiguous micro-panels of `micro_panel` elements each (packed from a
+//    row-major B, gathered from an NCHW image, or pair-interleaved int16);
+//  * what a tile runs — full(t, j0, bpanel) for the full 4 x 16 tile of
+//    row tile t at column j0, edge(t, j0, mr, nr) for a ragged one (the
+//    last < 4 rows or < 16 columns), which reads B in place through an
+//    ISA-independent scalar path.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <vector>
+
+#include "core/gemm_kernels.hpp"
+#include "util/thread_pool.hpp"
+
+namespace odenet::core::detail {
+
+inline constexpr int kPanelCols = 256;  // a multiple of kGemmTileCols
+inline constexpr int kMinRowTilesPerTask = 8;
+
+template <typename T, typename Fill, typename Full, typename Edge>
+void gemm_panels(int m, int k, int n, std::size_t micro_panel,
+                 const Fill& fill, const Full& full, const Edge& edge) {
+  if (m == 0 || n == 0) return;
+  const int panels = (n + kPanelCols - 1) / kPanelCols;
+  const int row_tiles = (m + kGemmTileRows - 1) / kGemmTileRows;
+
+  auto run_span = [&](int pi, int t0, int t1) {
+    const int p0 = pi * kPanelCols;
+    const int pn = std::min(kPanelCols, n - p0);
+    const int full_tiles = pn / kGemmTileCols;
+    // Thread-local, recycled across calls: one per worker.
+    static thread_local std::vector<T> packed;
+    packed.resize(static_cast<std::size_t>(std::max(full_tiles, 1)) *
+                  micro_panel);
+    fill(p0, full_tiles, packed.data());
+    for (int t = t0; t < t1; ++t) {
+      const int mr = std::min(kGemmTileRows, m - t * kGemmTileRows);
+      for (int jt = 0; jt < pn; jt += kGemmTileCols) {
+        const int nr = std::min(kGemmTileCols, pn - jt);
+        if (mr == kGemmTileRows && nr == kGemmTileCols) {
+          full(t, p0 + jt,
+               packed.data() +
+                   static_cast<std::size_t>(jt / kGemmTileCols) * micro_panel);
+        } else {
+          edge(t, p0 + jt, mr, nr);
+        }
+      }
+    }
+  };
+
+  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
+                            static_cast<std::size_t>(k) *
+                            static_cast<std::size_t>(n);
+  util::ThreadPool& pool = kernel_pool();
+  const std::size_t workers = pool.worker_count();
+  if (flops < gemm_parallel_min_flops() || workers <= 1) {
+    for (int pi = 0; pi < panels; ++pi) run_span(pi, 0, row_tiles);
+    return;
+  }
+  int row_blocks = 1;
+  if (static_cast<std::size_t>(panels) < workers) {
+    const int max_blocks =
+        (row_tiles + kMinRowTilesPerTask - 1) / kMinRowTilesPerTask;
+    row_blocks = std::min<int>(
+        max_blocks, static_cast<int>((workers + panels - 1) /
+                                     static_cast<std::size_t>(panels)));
+    row_blocks = std::max(row_blocks, 1);
+  }
+  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
+  util::parallel_for(pool, 0, static_cast<std::size_t>(panels) * row_blocks,
+                     [&](std::size_t task) {
+                       const int pi = static_cast<int>(task) / row_blocks;
+                       const int rb = static_cast<int>(task) % row_blocks;
+                       const int t0 = rb * tiles_per_block;
+                       const int t1 =
+                           std::min(row_tiles, t0 + tiles_per_block);
+                       if (t0 < t1) run_span(pi, t0, t1);
+                     });
+}
+
+}  // namespace odenet::core::detail

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/gemm_driver.hpp"
 #include "core/im2col.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -314,29 +315,11 @@ bool env_disables_simd() {
          std::strcmp(e, "OFF") == 0 || std::strcmp(e, "scalar") == 0;
 }
 
-bool env_disables_fused_epilogues() {
-  const char* e = std::getenv("ODENET_FUSED_EPILOGUE");
-  if (e == nullptr) return false;
-  return std::strcmp(e, "0") == 0 || std::strcmp(e, "off") == 0 ||
-         std::strcmp(e, "OFF") == 0;
-}
-
 std::atomic<bool> g_force_scalar{false};
-// -1 = unset (follow the env default), 0 = off, 1 = on.
-std::atomic<int> g_fused_epilogues{-1};
 std::atomic<std::size_t> g_min_flops_override{0};
 std::atomic<util::ThreadPool*> g_kernel_pool{nullptr};
 
-std::size_t default_min_flops() {
-  static const std::size_t value = [] {
-    if (const char* e = std::getenv("ODENET_GEMM_PAR_FLOPS")) {
-      const long long v = std::strtoll(e, nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return std::size_t{1} << 20;  // ~1M flops: under ~0.5 ms of work
-  }();
-  return value;
-}
+constexpr std::size_t kDefaultMinFlops = std::size_t{1} << 20;  // < ~0.5 ms
 
 }  // namespace
 
@@ -356,17 +339,6 @@ bool gemm_forced_scalar() {
   return g_force_scalar.load(std::memory_order_relaxed);
 }
 
-void set_fused_epilogues(bool enabled) {
-  g_fused_epilogues.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool fused_epilogues_enabled() {
-  const int v = g_fused_epilogues.load(std::memory_order_relaxed);
-  if (v >= 0) return v != 0;
-  static const bool env_default = !env_disables_fused_epilogues();
-  return env_default;
-}
-
 const GemmKernels& active_gemm_kernels() {
   if (!gemm_forced_scalar() && gemm_avx2_usable()) {
     return *gemm_avx2_kernels_impl();
@@ -378,7 +350,7 @@ const char* gemm_isa_name() { return active_gemm_kernels().isa; }
 
 std::size_t gemm_parallel_min_flops() {
   const std::size_t v = g_min_flops_override.load(std::memory_order_relaxed);
-  return v != 0 ? v : default_min_flops();
+  return v != 0 ? v : kDefaultMinFlops;
 }
 
 void gemm_set_parallel_min_flops(std::size_t flops) {
@@ -452,130 +424,70 @@ void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out) {
 void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
                        std::int32_t* c, int n, bool accumulate) {
   ODENET_CHECK(n >= 0, "bad gemm dimensions");
-  const int m = a.m, k = a.k;
-  if (m == 0 || n == 0) return;
+  const int k = a.k;
   const int kp = a.kpairs();
+  const std::size_t a_tile = static_cast<std::size_t>(kp) * kGemmTileRows * 2;
+  const std::size_t ldc = static_cast<std::size_t>(n);
   const GemmKernels& kernels = active_gemm_kernels();
-  // Same blocking constants as the float gemm_tiled_pa (im2col.cpp): 256
-  // int16 columns per B panel, >= 8 row tiles per extra m-split task.
-  constexpr int kPanelCols = 256;
-  constexpr int kMinRowTilesPerTask = 8;
-  const int panels = (n + kPanelCols - 1) / kPanelCols;
-  const int row_tiles = (m + kGemmTileRows - 1) / kGemmTileRows;
-
-  // One task = one column panel x one row-tile span; every output tile's
-  // k-loop is self-contained AND integer addition commutes mod 2^32, so
-  // any split (and any ISA) produces bitwise-identical C.
-  auto run_span = [&](int pi, int t0, int t1) {
-    const int p0 = pi * kPanelCols;
-    const int pn = std::min(kPanelCols, n - p0);
-    const int full_tiles = pn / kGemmTileCols;
-    // Pair-interleaved packing of the panel's full-width column tiles
-    // (thread-local, recycled): one sequential pass over B, padded odd-k
-    // tap zeroed.
-    static thread_local std::vector<std::int16_t> packed;
-    packed.resize(static_cast<std::size_t>(std::max(full_tiles, 1)) *
-                  static_cast<std::size_t>(std::max(kp, 1)) * kGemmTileCols *
-                  2);
-    for (int p = 0; p < kp; ++p) {
-      const std::int16_t* brow0 =
-          b + static_cast<std::size_t>(2 * p) * n + p0;
-      const std::int16_t* brow1 = 2 * p + 1 < k ? brow0 + n : nullptr;
-      for (int jt = 0; jt < full_tiles; ++jt) {
-        std::int16_t* dst =
-            packed.data() + (static_cast<std::size_t>(jt) * kp +
-                             static_cast<std::size_t>(p)) *
-                                kGemmTileCols * 2;
-        const std::int16_t* s0 = brow0 + jt * kGemmTileCols;
-        if (brow1 != nullptr) {
-          const std::int16_t* s1 = brow1 + jt * kGemmTileCols;
-          for (int j = 0; j < kGemmTileCols; ++j) {
-            dst[j * 2 + 0] = s0[j];
-            dst[j * 2 + 1] = s1[j];
-          }
-        } else {
-          // Phantom odd-k tap: zero the pad explicitly (storage is
-          // recycled, not zero-initialized).
-          for (int j = 0; j < kGemmTileCols; ++j) {
-            dst[j * 2 + 0] = s0[j];
-            dst[j * 2 + 1] = 0;
-          }
-        }
-      }
-    }
-    for (int t = t0; t < t1; ++t) {
-      const int i0 = t * kGemmTileRows;
-      const int mr = std::min(kGemmTileRows, m - i0);
-      const std::int16_t* apanel =
-          a.data.data() +
-          static_cast<std::size_t>(t) * kp * kGemmTileRows * 2;
-      for (int jt = 0; jt < pn; jt += kGemmTileCols) {
-        const int j0 = p0 + jt;
-        const int nr = std::min(kGemmTileCols, pn - jt);
-        if (mr == kGemmTileRows && nr == kGemmTileCols) {
-          const std::int16_t* bp =
-              packed.data() + static_cast<std::size_t>(jt / kGemmTileCols) *
-                                  kp * kGemmTileCols * 2;
-          kernels.tile4x16_i16(apanel, bp, kp,
-                               c + (static_cast<std::size_t>(i0) * n + j0),
-                               static_cast<std::size_t>(n), accumulate);
-        } else {
-          // Ragged edge: scalar dot-pairs reading B in place, with the
-          // micro-kernel's exact wraparound semantics — ISA-independent,
-          // so edges never perturb the bitwise-parity guarantee.
-          for (int i = 0; i < mr; ++i) {
-            std::int32_t* crow =
-                c + (i0 + i) * static_cast<std::size_t>(n) + j0;
-            for (int j = 0; j < nr; ++j) {
-              std::uint32_t sum =
-                  accumulate ? static_cast<std::uint32_t>(crow[j]) : 0u;
-              const std::int16_t* bcol = b + j0 + j;
-              for (int p = 0; p < kp; ++p) {
-                const int a0 = apanel[p * kGemmTileRows * 2 + i * 2 + 0];
-                const int a1 = apanel[p * kGemmTileRows * 2 + i * 2 + 1];
-                const int b0 = bcol[static_cast<std::size_t>(2 * p) * n];
-                const int b1 =
-                    2 * p + 1 < k
-                        ? bcol[static_cast<std::size_t>(2 * p + 1) * n]
-                        : 0;
-                sum += static_cast<std::uint32_t>(a0 * b0) +
-                       static_cast<std::uint32_t>(a1 * b1);
-              }
-              crow[j] = static_cast<std::int32_t>(sum);
+  // Integer addition commutes mod 2^32, so beyond the driver's split
+  // invariance every ISA produces bitwise-identical C too.
+  detail::gemm_panels<std::int16_t>(
+      a.m, k, n,
+      static_cast<std::size_t>(std::max(kp, 1)) * kGemmTileCols * 2,
+      [&](int p0, int full_tiles, std::int16_t* packed) {
+        // Pair-interleaved packing of the panel's full-width column tiles:
+        // one sequential pass over B, the padded odd-k tap zeroed
+        // explicitly (the storage is recycled, not zero-initialized).
+        for (int p = 0; p < kp; ++p) {
+          const std::int16_t* brow0 =
+              b + static_cast<std::size_t>(2 * p) * n + p0;
+          const std::int16_t* brow1 = 2 * p + 1 < k ? brow0 + n : nullptr;
+          for (int jt = 0; jt < full_tiles; ++jt) {
+            std::int16_t* dst = packed + (static_cast<std::size_t>(jt) * kp +
+                                          static_cast<std::size_t>(p)) *
+                                             kGemmTileCols * 2;
+            const std::int16_t* s0 = brow0 + jt * kGemmTileCols;
+            const std::int16_t* s1 =
+                brow1 != nullptr ? brow1 + jt * kGemmTileCols : nullptr;
+            for (int j = 0; j < kGemmTileCols; ++j) {
+              dst[j * 2 + 0] = s0[j];
+              dst[j * 2 + 1] = s1 != nullptr ? s1[j] : 0;
             }
           }
         }
-      }
-    }
-  };
-
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  const std::size_t workers = pool.worker_count();
-  if (flops < gemm_parallel_min_flops() || workers <= 1) {
-    for (int pi = 0; pi < panels; ++pi) run_span(pi, 0, row_tiles);
-    return;
-  }
-  int row_blocks = 1;
-  if (static_cast<std::size_t>(panels) < workers) {
-    const int max_blocks =
-        (row_tiles + kMinRowTilesPerTask - 1) / kMinRowTilesPerTask;
-    row_blocks = std::min<int>(
-        max_blocks, static_cast<int>((workers + panels - 1) /
-                                     static_cast<std::size_t>(panels)));
-    row_blocks = std::max(row_blocks, 1);
-  }
-  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
-  util::parallel_for(pool, 0, static_cast<std::size_t>(panels) * row_blocks,
-                     [&](std::size_t task) {
-                       const int pi = static_cast<int>(task) / row_blocks;
-                       const int rb = static_cast<int>(task) % row_blocks;
-                       const int t0 = rb * tiles_per_block;
-                       const int t1 = std::min(row_tiles, t0 + tiles_per_block);
-                       if (t0 < t1) run_span(pi, t0, t1);
-                     });
+      },
+      [&](int t, int j0, const std::int16_t* bp) {
+        kernels.tile4x16_i16(
+            a.data.data() + t * a_tile, bp, kp,
+            c + static_cast<std::size_t>(t) * kGemmTileRows * ldc + j0, ldc,
+            accumulate);
+      },
+      [&](int t, int j0, int mr, int nr) {
+        // Scalar dot-pairs reading B in place, with the micro-kernel's
+        // exact wraparound semantics — ISA-independent, so edges never
+        // perturb the bitwise-parity guarantee.
+        const std::int16_t* apanel = a.data.data() + t * a_tile;
+        for (int i = 0; i < mr; ++i) {
+          std::int32_t* crow =
+              c + static_cast<std::size_t>(t * kGemmTileRows + i) * ldc + j0;
+          for (int j = 0; j < nr; ++j) {
+            std::uint32_t sum =
+                accumulate ? static_cast<std::uint32_t>(crow[j]) : 0u;
+            const std::int16_t* bcol = b + j0 + j;
+            for (int p = 0; p < kp; ++p) {
+              const int a0 = apanel[p * kGemmTileRows * 2 + i * 2 + 0];
+              const int a1 = apanel[p * kGemmTileRows * 2 + i * 2 + 1];
+              const int b0 = bcol[static_cast<std::size_t>(2 * p) * n];
+              const int b1 =
+                  2 * p + 1 < k ? bcol[static_cast<std::size_t>(2 * p + 1) * n]
+                                : 0;
+              sum += static_cast<std::uint32_t>(a0 * b0) +
+                     static_cast<std::uint32_t>(a1 * b1);
+            }
+            crow[j] = static_cast<std::int32_t>(sum);
+          }
+        }
+      });
 }
 
 GemmPeak measure_gemm_peak() {

@@ -1,22 +1,24 @@
 // GEMM micro-kernel dispatch: one scalar and (on x86 hosts that have them)
-// one AVX2/FMA implementation of the two inner kernels every tiled GEMM in
-// im2col.cpp is built from, selected once at runtime.
+// one AVX2/FMA implementation of the inner kernels every tiled GEMM is
+// built from, selected once at runtime.
 //
-// Both kernels operate on PACKED panels (see PackedGemmA/PackedGemmB in
-// im2col.hpp) so the scalar and vector variants share one data layout and
-// one outer loop nest; only the innermost arithmetic differs. The scalar
-// kernels are the portable fallback — non-x86 targets, -mno-avx2 builds
-// (cmake -DODENET_DISABLE_AVX2=ON skips the AVX2 translation unit
-// entirely) and hosts without AVX2/FMA all run them, producing the same
-// ascending-k summation order as the pre-SIMD code.
+// The tile kernels operate on PACKED panels (see PackedGemmA/PackedGemmB
+// in im2col.hpp) so the scalar and vector variants share one data layout
+// and one outer loop nest — the tiled-GEMM driver in gemm_driver.hpp,
+// which alone sets the panel width and the thread split; only the
+// innermost arithmetic differs. The scalar kernels are the portable
+// fallback — non-x86 targets, -mno-avx2 builds (cmake
+// -DODENET_DISABLE_AVX2=ON skips the AVX2 translation unit entirely) and
+// hosts without AVX2/FMA all run them, producing the same ascending-k
+// summation order as the pre-SIMD code.
 //
 // Knobs:
 //  * env ODENET_SIMD=0|off|scalar — disable the vector kernels at startup;
 //  * gemm_force_scalar(true) — per-process override for benches/tests
 //    (A/B rows, ISA-parity suites);
-//  * env ODENET_GEMM_PAR_FLOPS / gemm_set_parallel_min_flops() — the flop
-//    count below which a GEMM runs sequentially instead of fanning out on
-//    the thread pool (small batches stay on the calling thread);
+//  * gemm_set_parallel_min_flops() — the flop count below which a GEMM
+//    runs sequentially instead of fanning out on the thread pool (tests
+//    force it down so even small shapes take the split);
 //  * set_kernel_pool() — substitute the pool the lowering/GEMM kernels
 //    fan out on (nullptr = the global pool); used by the thread-count
 //    invariance tests and the bench's thread-scaling rows.
@@ -186,19 +188,11 @@ bool gemm_avx2_usable();
 void gemm_force_scalar(bool force);
 bool gemm_forced_scalar();
 
-/// Fused-epilogue master switch: when off, eval-mode Conv2d/BuildingBlock
-/// keep the unfused conv -> BN -> ReLU -> axpy sequence (the benches' A/B
-/// lever, and an escape hatch for debugging). Defaults to on unless env
-/// ODENET_FUSED_EPILOGUE=0|off disables it at startup. Not meant to be
-/// toggled while forwards are executing concurrently.
-void set_fused_epilogues(bool enabled);
-bool fused_epilogues_enabled();
-
 /// GEMMs below this many flops (2*m*k*n) run sequentially on the calling
 /// thread — fan-out overhead beats the win on small batches. Default 1M
-/// flops, overridable via env ODENET_GEMM_PAR_FLOPS.
+/// flops.
 std::size_t gemm_parallel_min_flops();
-/// Overrides the threshold (0 restores the default/env value).
+/// Overrides the threshold (0 restores the default).
 void gemm_set_parallel_min_flops(std::size_t flops);
 
 /// Substitutes the thread pool the GEMM/lowering kernels fan out on;
@@ -245,12 +239,13 @@ struct PackedGemmB16 {
 void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out);
 
 /// Integer GEMM: C[m,n] (+)= A * B with A pre-packed (PackedGemmA16), B
-/// row-major int16 [k,n], C int32. The integer twin of gemm_tiled_pa: B is
-/// packed per column panel into recycled thread-local storage, full 4x16
-/// tiles run the dispatched micro-kernel, ragged edges run an
-/// ISA-independent scalar path with identical wraparound semantics, and
-/// the panel x row-block thread split is bitwise invariant for any worker
-/// count (integer addition commutes mod 2^32).
+/// row-major int16 [k,n], C int32. The integer twin of gemm_tiled_pa, on
+/// the same driver (gemm_driver.hpp): B is pair-interleaved per column
+/// panel into recycled thread-local storage, full 4x16 tiles run the
+/// dispatched micro-kernel, ragged edges run an ISA-independent scalar
+/// path with identical wraparound semantics, and the thread split is
+/// bitwise invariant for any worker count (integer addition commutes mod
+/// 2^32).
 void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
                        std::int32_t* c, int n, bool accumulate);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/gemm_driver.hpp"
 #include "core/gemm_kernels.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -251,17 +252,86 @@ namespace {
 // scalar and AVX2 kernels share).
 constexpr int kTileRows = kGemmTileRows;
 constexpr int kTileCols = kGemmTileCols;
-// Column-panel width (multiple of kTileCols): every row tile of A sweeps
-// one k x kPanelCols panel of B before the next panel is touched, so the
-// panel is streamed from memory once and re-read m/MR times from cache.
-// Without this, a batched im2col matrix (k ~ C*9, n ~ N*Ho*Wo, megabytes)
-// would be re-streamed from DRAM once per row tile. k * 256 floats ~ 0.6 MB
-// at the paper's largest lowering (k = 585).
-constexpr int kPanelCols = 256;
-// Minimum row tiles per task when a GEMM is additionally split along m
-// (panels alone can't feed every worker): big enough that the duplicated
-// B-panel pack per task stays amortized.
-constexpr int kMinRowTilesPerTask = 8;
+
+/// Floats in one packed [k][16] B micro-panel.
+std::size_t micro_panel_floats(int k) {
+  return static_cast<std::size_t>(std::max(k, 1)) * kTileCols;
+}
+
+/// Row tile t of a packed A: its [k][4] panel.
+const float* a_panel(const PackedGemmA& a, int t) {
+  return a.data.data() + static_cast<std::size_t>(t) * a.k * kTileRows;
+}
+
+/// Panel fill from a row-major B[k,n]: the panel's full-width column tiles
+/// copied into contiguous [k][16] micro-panels in one sequential pass over
+/// B. Rows of a wide B sit one page apart, so sweeping them once per ROW
+/// TILE of A would touch k pages per sweep and thrash the TLB; packed,
+/// every micro-kernel read is sequential.
+void pack_b_panel(const float* b, int k, int n, int p0, int full_tiles,
+                  float* packed) {
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<std::size_t>(p) * n + p0;
+    for (int jt = 0; jt < full_tiles; ++jt) {
+      std::memcpy(packed + (static_cast<std::size_t>(jt) * k + p) * kTileCols,
+                  brow + jt * kTileCols, kTileCols * sizeof(float));
+    }
+  }
+}
+
+/// Ragged-edge dot product: row i of A's packed row tile against B's
+/// column bcol read in place, summed in ascending k from `init` — the
+/// micro-kernel's values in the scalar kernel's order.
+float edge_dot(const float* apanel, int i, const float* bcol, int k, int n,
+               float init) {
+  float sum = init;
+  for (int p = 0; p < k; ++p) {
+    sum += apanel[p * kTileRows + i] * bcol[static_cast<std::size_t>(p) * n];
+  }
+  return sum;
+}
+
+/// The fused-epilogue GEMM over any panel fill: full tiles run the fused
+/// micro-kernel; ragged ones run edge_dot then the SAME epilogue chain
+/// inline (ISA-independent). The epilogue is per-element, so thread-count
+/// invariance stays structural. b is the row-major B the ragged path reads
+/// (nullptr for the implicit lowering, whose geometry has no ragged tile).
+template <typename Fill>
+void gemm_ep_panels(const PackedGemmA& a, const float* b, float* c, int n,
+                    const GemmEpilogue& ep, const Fill& fill) {
+  const int k = a.k;
+  const GemmKernels& kernels = active_gemm_kernels();
+  const std::size_t ldc = static_cast<std::size_t>(n);
+  detail::gemm_panels<float>(
+      a.m, k, n, micro_panel_floats(k), fill,
+      [&](int t, int j0, const float* bp) {
+        const int i0 = t * kTileRows;
+        const std::size_t at = static_cast<std::size_t>(i0) * ldc + j0;
+        kernels.tile4x16_ep(
+            a_panel(a, t), bp, k, c + at, ldc,
+            ep.scale != nullptr ? ep.scale + i0 : nullptr,
+            ep.shift != nullptr ? ep.shift + i0 : nullptr, ep.relu,
+            ep.residual != nullptr ? ep.residual + at : nullptr, ldc,
+            ep.beta);
+      },
+      [&](int t, int j0, int mr, int nr) {
+        for (int i = 0; i < mr; ++i) {
+          const int row = t * kTileRows + i;
+          const std::size_t at = static_cast<std::size_t>(row) * ldc + j0;
+          for (int j = 0; j < nr; ++j) {
+            float sum = edge_dot(a_panel(a, t), i, b + j0 + j, k, n, 0.0f);
+            // The epilogue chain, op for op the micro-kernel's.
+            if (ep.scale != nullptr) sum = sum * ep.scale[row];
+            if (ep.shift != nullptr) sum = sum + ep.shift[row];
+            if (ep.relu) sum = sum > 0.0f ? sum : 0.0f;
+            if (ep.residual != nullptr) {
+              sum = sum + ep.beta * ep.residual[at + j];
+            }
+            c[at + j] = sum;
+          }
+        }
+      });
+}
 
 }  // namespace
 
@@ -290,216 +360,37 @@ void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out) {
 void gemm_tiled_pa(const PackedGemmA& a, const float* b, float* c, int n,
                    bool accumulate) {
   ODENET_CHECK(n >= 0, "bad gemm dimensions");
-  const int m = a.m, k = a.k;
-  if (m == 0 || n == 0) return;
+  const int k = a.k;
   const GemmKernels& kernels = active_gemm_kernels();
-  const int panels = (n + kPanelCols - 1) / kPanelCols;
-  const int row_tiles = (m + kTileRows - 1) / kTileRows;
-
-  // One task = one column panel x one row-tile span. Every output tile's
-  // k-loop is self-contained, so the result is bitwise identical for any
-  // split — thread-count invariance is structural, not lucky.
-  auto run_span = [&](int pi, int t0, int t1) {
-    const int p0 = pi * kPanelCols;
-    const int pn = std::min(kPanelCols, n - p0);
-    // Pack the panel's full-width column tiles into contiguous [k x NR]
-    // micro-panels (one sequential pass over B). Rows of a wide B sit one
-    // page apart, so sweeping them once per ROW TILE of A would touch k
-    // pages per sweep and thrash the TLB; packed, every micro-kernel read
-    // is sequential. Thread-local: recycled across calls, one per worker.
-    const int full_tiles = pn / kTileCols;
-    static thread_local std::vector<float> packed;
-    packed.resize(static_cast<std::size_t>(std::max(full_tiles, 1)) *
-                  static_cast<std::size_t>(std::max(k, 1)) * kTileCols);
-    for (int p = 0; p < k; ++p) {
-      const float* brow = b + static_cast<std::size_t>(p) * n + p0;
-      for (int jt = 0; jt < full_tiles; ++jt) {
-        float* dst = packed.data() +
-                     (static_cast<std::size_t>(jt) * k +
-                      static_cast<std::size_t>(p)) *
-                         kTileCols;
-        std::memcpy(dst, brow + jt * kTileCols, kTileCols * sizeof(float));
-      }
-    }
-    for (int t = t0; t < t1; ++t) {
-      const int i0 = t * kTileRows;
-      const int mr = std::min(kTileRows, m - i0);
-      const float* apanel = a.data.data() +
-                            static_cast<std::size_t>(t) * k * kTileRows;
-      for (int jt = 0; jt < pn; jt += kTileCols) {
-        const int j0 = p0 + jt;
-        const int nr = std::min(kTileCols, pn - jt);
-        if (mr == kTileRows && nr == kTileCols) {
-          const float* bp = packed.data() +
-                            static_cast<std::size_t>(jt / kTileCols) * k *
-                                kTileCols;
-          kernels.tile4x16(apanel, bp, k,
-                           c + (static_cast<std::size_t>(i0) * n + j0),
-                           static_cast<std::size_t>(n), accumulate);
-        } else {
-          // Ragged edge: ascending-k scalar tile reading B in place (only
-          // the last <NR columns / <MR rows land here), reading A from the
-          // packed panel — same values, same order as the strided read.
-          for (int i = 0; i < mr; ++i) {
-            float* crow = c + (i0 + i) * static_cast<std::size_t>(n) + j0;
-            for (int j = 0; j < nr; ++j) {
-              float sum = accumulate ? crow[j] : 0.0f;
-              const float* bcol = b + j0 + j;
-              for (int p = 0; p < k; ++p) {
-                sum += apanel[p * kTileRows + i] *
-                       bcol[static_cast<std::size_t>(p) * n];
-              }
-              crow[j] = sum;
-            }
+  const std::size_t ldc = static_cast<std::size_t>(n);
+  detail::gemm_panels<float>(
+      a.m, k, n, micro_panel_floats(k),
+      [&](int p0, int full_tiles, float* packed) {
+        pack_b_panel(b, k, n, p0, full_tiles, packed);
+      },
+      [&](int t, int j0, const float* bp) {
+        const std::size_t at =
+            static_cast<std::size_t>(t) * kTileRows * ldc + j0;
+        kernels.tile4x16(a_panel(a, t), bp, k, c + at, ldc, accumulate);
+      },
+      [&](int t, int j0, int mr, int nr) {
+        for (int i = 0; i < mr; ++i) {
+          float* crow =
+              c + static_cast<std::size_t>(t * kTileRows + i) * ldc + j0;
+          for (int j = 0; j < nr; ++j) {
+            crow[j] = edge_dot(a_panel(a, t), i, b + j0 + j, k, n,
+                               accumulate ? crow[j] : 0.0f);
           }
         }
-      }
-    }
-  };
-
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  const std::size_t workers = pool.worker_count();
-  if (flops < gemm_parallel_min_flops() || workers <= 1) {
-    for (int pi = 0; pi < panels; ++pi) run_span(pi, 0, row_tiles);
-    return;
-  }
-  // Split along m too when column panels alone cannot feed every worker
-  // (the tall-skinny dX GEMM, small batches on wide machines). Each extra
-  // row block re-packs its panel's B tiles, so blocks stay >= 8 row tiles.
-  int row_blocks = 1;
-  if (static_cast<std::size_t>(panels) < workers) {
-    const int max_blocks =
-        (row_tiles + kMinRowTilesPerTask - 1) / kMinRowTilesPerTask;
-    row_blocks = std::min<int>(
-        max_blocks,
-        static_cast<int>((workers + panels - 1) /
-                         static_cast<std::size_t>(panels)));
-    row_blocks = std::max(row_blocks, 1);
-  }
-  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
-  util::parallel_for(
-      pool, 0, static_cast<std::size_t>(panels) * row_blocks,
-      [&](std::size_t task) {
-        const int pi = static_cast<int>(task) / row_blocks;
-        const int rb = static_cast<int>(task) % row_blocks;
-        const int t0 = rb * tiles_per_block;
-        const int t1 = std::min(row_tiles, t0 + tiles_per_block);
-        if (t0 < t1) run_span(pi, t0, t1);
       });
 }
 
 void gemm_tiled_pa_ep(const PackedGemmA& a, const float* b, float* c, int n,
                       const GemmEpilogue& ep) {
   ODENET_CHECK(n >= 0, "bad gemm dimensions");
-  const int m = a.m, k = a.k;
-  if (m == 0 || n == 0) return;
-  const GemmKernels& kernels = active_gemm_kernels();
-  const int panels = (n + kPanelCols - 1) / kPanelCols;
-  const int row_tiles = (m + kTileRows - 1) / kTileRows;
-
-  // gemm_tiled_pa's task shape with the epilogue threaded through: full
-  // tiles run the fused micro-kernel; ragged edges run the ascending-k
-  // scalar sum then the SAME epilogue chain inline (ISA-independent). The
-  // epilogue is per-element, so thread-count invariance stays structural.
-  auto run_span = [&](int pi, int t0, int t1) {
-    const int p0 = pi * kPanelCols;
-    const int pn = std::min(kPanelCols, n - p0);
-    const int full_tiles = pn / kTileCols;
-    static thread_local std::vector<float> packed;
-    packed.resize(static_cast<std::size_t>(std::max(full_tiles, 1)) *
-                  static_cast<std::size_t>(std::max(k, 1)) * kTileCols);
-    for (int p = 0; p < k; ++p) {
-      const float* brow = b + static_cast<std::size_t>(p) * n + p0;
-      for (int jt = 0; jt < full_tiles; ++jt) {
-        float* dst = packed.data() +
-                     (static_cast<std::size_t>(jt) * k +
-                      static_cast<std::size_t>(p)) *
-                         kTileCols;
-        std::memcpy(dst, brow + jt * kTileCols, kTileCols * sizeof(float));
-      }
-    }
-    for (int t = t0; t < t1; ++t) {
-      const int i0 = t * kTileRows;
-      const int mr = std::min(kTileRows, m - i0);
-      const float* apanel = a.data.data() +
-                            static_cast<std::size_t>(t) * k * kTileRows;
-      const float* scale4 = ep.scale != nullptr ? ep.scale + i0 : nullptr;
-      const float* shift4 = ep.shift != nullptr ? ep.shift + i0 : nullptr;
-      for (int jt = 0; jt < pn; jt += kTileCols) {
-        const int j0 = p0 + jt;
-        const int nr = std::min(kTileCols, pn - jt);
-        if (mr == kTileRows && nr == kTileCols) {
-          const float* bp = packed.data() +
-                            static_cast<std::size_t>(jt / kTileCols) * k *
-                                kTileCols;
-          const float* rtile =
-              ep.residual != nullptr
-                  ? ep.residual + static_cast<std::size_t>(i0) * n + j0
-                  : nullptr;
-          kernels.tile4x16_ep(apanel, bp, k,
-                              c + (static_cast<std::size_t>(i0) * n + j0),
-                              static_cast<std::size_t>(n), scale4, shift4,
-                              ep.relu, rtile, static_cast<std::size_t>(n),
-                              ep.beta);
-        } else {
-          for (int i = 0; i < mr; ++i) {
-            float* crow = c + (i0 + i) * static_cast<std::size_t>(n) + j0;
-            const float* rrow =
-                ep.residual != nullptr
-                    ? ep.residual + (i0 + i) * static_cast<std::size_t>(n) + j0
-                    : nullptr;
-            for (int j = 0; j < nr; ++j) {
-              float sum = 0.0f;
-              const float* bcol = b + j0 + j;
-              for (int p = 0; p < k; ++p) {
-                sum += apanel[p * kTileRows + i] *
-                       bcol[static_cast<std::size_t>(p) * n];
-              }
-              // The epilogue chain, op for op the micro-kernel's.
-              if (scale4 != nullptr) sum = sum * scale4[i];
-              if (shift4 != nullptr) sum = sum + shift4[i];
-              if (ep.relu) sum = sum > 0.0f ? sum : 0.0f;
-              if (rrow != nullptr) sum = sum + ep.beta * rrow[j];
-              crow[j] = sum;
-            }
-          }
-        }
-      }
-    }
-  };
-
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  const std::size_t workers = pool.worker_count();
-  if (flops < gemm_parallel_min_flops() || workers <= 1) {
-    for (int pi = 0; pi < panels; ++pi) run_span(pi, 0, row_tiles);
-    return;
-  }
-  int row_blocks = 1;
-  if (static_cast<std::size_t>(panels) < workers) {
-    const int max_blocks =
-        (row_tiles + kMinRowTilesPerTask - 1) / kMinRowTilesPerTask;
-    row_blocks = std::min<int>(
-        max_blocks,
-        static_cast<int>((workers + panels - 1) /
-                         static_cast<std::size_t>(panels)));
-    row_blocks = std::max(row_blocks, 1);
-  }
-  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
-  util::parallel_for(
-      pool, 0, static_cast<std::size_t>(panels) * row_blocks,
-      [&](std::size_t task) {
-        const int pi = static_cast<int>(task) / row_blocks;
-        const int rb = static_cast<int>(task) % row_blocks;
-        const int t0 = rb * tiles_per_block;
-        const int t1 = std::min(row_tiles, t0 + tiles_per_block);
-        if (t0 < t1) run_span(pi, t0, t1);
-      });
+  gemm_ep_panels(a, b, c, n, ep, [&](int p0, int full_tiles, float* packed) {
+    pack_b_panel(b, a.k, n, p0, full_tiles, packed);
+  });
 }
 
 namespace {
@@ -591,10 +482,6 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
   const std::size_t plane = static_cast<std::size_t>(g.height) * uw;
   const std::size_t sample = static_cast<std::size_t>(g.channels) * plane;
   const int n = static_cast<int>(plane * static_cast<std::size_t>(batch));
-  if (m == 0 || n == 0) return;
-  const GemmKernels& kernels = active_gemm_kernels();
-  const int panels = (n + kPanelCols - 1) / kPanelCols;
-  const int row_tiles = m / kTileRows;
   const int kk = g.kernel * g.kernel;
 
   TapSpec taps[kMaxImplicitTaps];
@@ -631,18 +518,14 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
     }
   }
 
-  // gemm_tiled_pa_ep's task shape, with the B-panel pack replaced by the
-  // direct gather. plane % 16 == 0 means every micro-panel sits inside one
-  // sample and pn % 16 == 0, so there are no ragged column edges; m % 4 ==
-  // 0 removes the ragged row edge. Same packed values, same kernel, same
-  // sweep order as the explicit composition — bitwise identical output.
-  auto run_span = [&](int pi, int t0, int t1) {
-    const int p0 = pi * kPanelCols;
-    const int pn = std::min(kPanelCols, n - p0);
-    const int full_tiles = pn / kTileCols;
-    static thread_local std::vector<float> packed;
-    packed.resize(static_cast<std::size_t>(full_tiles) *
-                  static_cast<std::size_t>(std::max(k, 1)) * kTileCols);
+  // gemm_tiled_pa_ep with the B-panel pack replaced by the direct gather.
+  // plane % 16 == 0 means every micro-panel sits inside one sample and
+  // every panel width is a multiple of 16, so there are no ragged column
+  // edges; m % 4 == 0 removes the ragged row edge. Same packed values, same
+  // kernel, same sweep order as the explicit composition — bitwise
+  // identical output.
+  gemm_ep_panels(a, nullptr, c, n, ep,
+                 [&](int p0, int full_tiles, float* packed) {
     for (int p = 0; p < k; ++p) {
       const TapSpec& ts = taps[p % kk];
       const float* chan = src + static_cast<std::size_t>(p / kk) * plane;
@@ -651,10 +534,9 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
       std::size_t rowbase = (q0 / uw) * uw;
       const float* splane = chan + ni * sample;
       for (int jt = 0; jt < full_tiles; ++jt) {
-        float* dst = packed.data() +
-                     (static_cast<std::size_t>(jt) * k +
-                      static_cast<std::size_t>(p)) *
-                         kTileCols;
+        float* dst = packed + (static_cast<std::size_t>(jt) * k +
+                               static_cast<std::size_t>(p)) *
+                                  kTileCols;
         if (q0 >= ts.flo && q0 + kTileCols <= ts.fhi) {
           std::memcpy(dst, splane + q0 + ts.shift,
                       kTileCols * sizeof(float));
@@ -672,58 +554,7 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
         }
       }
     }
-    for (int t = t0; t < t1; ++t) {
-      const int i0 = t * kTileRows;
-      const float* apanel = a.data.data() +
-                            static_cast<std::size_t>(t) * k * kTileRows;
-      const float* scale4 = ep.scale != nullptr ? ep.scale + i0 : nullptr;
-      const float* shift4 = ep.shift != nullptr ? ep.shift + i0 : nullptr;
-      for (int jt = 0; jt < full_tiles; ++jt) {
-        const int j0 = p0 + jt * kTileCols;
-        const float* bp = packed.data() +
-                          static_cast<std::size_t>(jt) * k * kTileCols;
-        const float* rtile =
-            ep.residual != nullptr
-                ? ep.residual + static_cast<std::size_t>(i0) * n + j0
-                : nullptr;
-        kernels.tile4x16_ep(apanel, bp, k,
-                            c + (static_cast<std::size_t>(i0) * n + j0),
-                            static_cast<std::size_t>(n), scale4, shift4,
-                            ep.relu, rtile, static_cast<std::size_t>(n),
-                            ep.beta);
-      }
-    }
-  };
-
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  const std::size_t workers = pool.worker_count();
-  if (flops < gemm_parallel_min_flops() || workers <= 1) {
-    for (int pi = 0; pi < panels; ++pi) run_span(pi, 0, row_tiles);
-    return;
-  }
-  int row_blocks = 1;
-  if (static_cast<std::size_t>(panels) < workers) {
-    const int max_blocks =
-        (row_tiles + kMinRowTilesPerTask - 1) / kMinRowTilesPerTask;
-    row_blocks = std::min<int>(
-        max_blocks,
-        static_cast<int>((workers + panels - 1) /
-                         static_cast<std::size_t>(panels)));
-    row_blocks = std::max(row_blocks, 1);
-  }
-  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
-  util::parallel_for(
-      pool, 0, static_cast<std::size_t>(panels) * row_blocks,
-      [&](std::size_t task) {
-        const int pi = static_cast<int>(task) / row_blocks;
-        const int rb = static_cast<int>(task) % row_blocks;
-        const int t0 = rb * tiles_per_block;
-        const int t1 = std::min(row_tiles, t0 + tiles_per_block);
-        if (t0 < t1) run_span(pi, t0, t1);
-      });
+  });
 }
 
 void permute_channel_major_add(const float* src, float* dst, int batch,

@@ -1,6 +1,13 @@
 // im2col / col2im lowering and the tiled GEMMs — the software
 // convolution path (core::Conv2d).
 //
+// The packed-A GEMMs here (gemm_tiled_pa, gemm_tiled_pa_ep,
+// gemm_tiled_pa_ep_lowered) and the int16 gemm_i16_tiled_pa
+// (gemm_kernels.hpp) all run on one internal driver, core/gemm_driver.hpp,
+// which alone fixes the B-panel width and the panel x row-block thread
+// split; each supplies only its panel fill and its tile. Every result is
+// bitwise identical for any worker count.
+//
 // im2col unfolds each KxK receptive field of a [C,H,W] plane stack into a
 // column of a [C*K*K, Ho*Wo] matrix so convolution becomes one matrix
 // product with the [Cout, C*K*K] weight view. col2im is its adjoint

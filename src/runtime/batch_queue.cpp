@@ -19,10 +19,10 @@ std::size_t lane_index(Priority p) {
 }  // namespace
 
 BatchQueue::BatchQueue(int max_batch, std::chrono::microseconds promote_after,
-                       QueueLimits limits, TenantTable* tenants)
+                       std::size_t max_queue_depth, TenantTable* tenants)
     : max_batch_(max_batch),
       promote_after_(promote_after),
-      limits_(limits),
+      max_queue_depth_(max_queue_depth),
       tenants_(tenants) {
   ODENET_CHECK(max_batch >= 1, "batch queue needs max_batch >= 1, got "
                                    << max_batch);
@@ -33,57 +33,36 @@ BatchQueue::BatchQueue(int max_batch, std::chrono::microseconds promote_after,
 
 bool BatchQueue::admit_locked(PendingRequest& req, std::size_t lane,
                               bool fail_on_reject) {
-  const std::size_t budget = limits_.per_priority[lane];
-  if (budget > 0 && class_depth_[lane] >= budget) {
-    // A class at its own budget sheds fail-fast; evicting lower-class
-    // work would not free this class's budget, so no eviction here.
-    if (!fail_on_reject) return false;  // spill probe: leave req intact
-    rejected_[lane] += 1;
-    std::ostringstream os;
-    os << "queue full: " << priority_name(req.cls.priority)
-       << "-priority budget " << budget << " reached (queue depth " << size_
-       << ")";
-    req.promise.set_exception(std::make_exception_ptr(QueueFull(os.str())));
-    return false;
-  }
-  if (limits_.max_queue_depth == 0 || size_ < limits_.max_queue_depth) {
-    return true;
-  }
+  if (max_queue_depth_ == 0 || size_ < max_queue_depth_) return true;
   // Total bound hit. Ordering guarantee: before rejecting the arrival,
   // look for an evictable waiter in a STRICTLY lower scheduling lane —
   // lowest lane first, oldest (front-most) evictable waiter within it.
   // A waiter that aging promoted out of these lanes is deliberately out
   // of reach (see the header comment).
-  if (limits_.evict_lower) {
-    for (std::size_t victim_lane = 0; victim_lane < lane; ++victim_lane) {
-      auto& vl = lanes_[victim_lane];
-      for (auto it = vl.begin(); it != vl.end(); ++it) {
-        if (!it->cls.evictable) continue;
-        const std::size_t victim_class = lane_index(it->cls.priority);
-        evicted_[victim_class] += 1;
-        --class_depth_[victim_class];
-        --size_;
-        if (tenants_ != nullptr) tenants_->uncharge(it->cls.tenant);
-        std::ostringstream os;
-        os << "queue full: " << priority_name(it->cls.priority)
-           << "-priority request evicted after "
-           << std::chrono::duration<double, std::milli>(Clock::now() -
-                                                        it->enqueued_at)
-                  .count()
-           << " ms queued to admit a " << priority_name(req.cls.priority)
-           << "-priority arrival (depth bound "
-           << limits_.max_queue_depth << ")";
-        it->promise.set_exception(
-            std::make_exception_ptr(QueueFull(os.str())));
-        vl.erase(it);
-        return true;
-      }
+  for (std::size_t victim_lane = 0; victim_lane < lane; ++victim_lane) {
+    auto& vl = lanes_[victim_lane];
+    for (auto it = vl.begin(); it != vl.end(); ++it) {
+      if (!it->cls.evictable) continue;
+      evicted_[lane_index(it->cls.priority)] += 1;
+      --size_;
+      if (tenants_ != nullptr) tenants_->uncharge(it->cls.tenant);
+      std::ostringstream os;
+      os << "queue full: " << priority_name(it->cls.priority)
+         << "-priority request evicted after "
+         << std::chrono::duration<double, std::milli>(Clock::now() -
+                                                      it->enqueued_at)
+                .count()
+         << " ms queued to admit a " << priority_name(req.cls.priority)
+         << "-priority arrival (depth bound " << max_queue_depth_ << ")";
+      it->promise.set_exception(std::make_exception_ptr(QueueFull(os.str())));
+      vl.erase(it);
+      return true;
     }
   }
   if (!fail_on_reject) return false;  // spill probe: leave req intact
   rejected_[lane] += 1;
   std::ostringstream os;
-  os << "queue full: depth bound " << limits_.max_queue_depth
+  os << "queue full: depth bound " << max_queue_depth_
      << " reached, no lower-priority waiter to evict for a "
      << priority_name(req.cls.priority) << "-priority arrival";
   req.promise.set_exception(std::make_exception_ptr(QueueFull(os.str())));
@@ -95,8 +74,7 @@ PushOutcome BatchQueue::push_impl(PendingRequest& req, bool fail_on_reject) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (closed_) return PushOutcome::kClosed;
-    if (limits_.max_queue_depth > 0 || limits_.per_priority[lane] > 0 ||
-        tenants_ != nullptr) {
+    if (max_queue_depth_ > 0 || tenants_ != nullptr) {
       // Expired requests must not hold slots (or tenant quota) against
       // live arrivals: a queue "full" of dead work would shed traffic it
       // could serve.
@@ -129,7 +107,6 @@ PushOutcome BatchQueue::push_impl(PendingRequest& req, bool fail_on_reject) {
     }
     req.enqueued_at = Clock::now();
     lanes_[lane].push_back(std::move(req));
-    ++class_depth_[lane];
     ++size_;
   }
   cv_.notify_one();
@@ -155,7 +132,6 @@ void BatchQueue::reap_expired_locked(Clock::time_point now) {
       // Keyed by the ORIGINAL class: promotion moves a request between
       // lanes but never re-labels it.
       timeouts_[lane_index(it->cls.priority)] += 1;
-      --class_depth_[lane_index(it->cls.priority)];
       --size_;
       if (tenants_ != nullptr) tenants_->uncharge(it->cls.tenant);
       std::ostringstream os;
@@ -235,7 +211,6 @@ bool BatchQueue::pop_batch(std::vector<PendingRequest>& out) {
                           });
         tenants_->uncharge(winner);
       }
-      --class_depth_[lane_index(it->cls.priority)];
       out.push_back(std::move(*it));
       lane->erase(it);
     }
@@ -261,21 +236,6 @@ bool BatchQueue::closed() const {
 std::size_t BatchQueue::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return size_;
-}
-
-QueueLimits BatchQueue::limits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return limits_;
-}
-
-void BatchQueue::set_max_depth(std::size_t depth) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  limits_.max_queue_depth = depth;
-}
-
-std::size_t BatchQueue::max_depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return limits_.max_queue_depth;
 }
 
 std::uint64_t BatchQueue::timeout_count(Priority p) const {

@@ -31,9 +31,9 @@
 //    pop, and on every push to a bounded queue; a worker parks only on
 //    an empty queue, so nothing waits for a reaper while one is idle.
 //
-// Admission control / load shedding (QueueLimits): with max_queue_depth
-// > 0 the queue fails fast under overload instead of letting depth (and
-// queueing delay) grow unboundedly. A push that finds the queue at its
+// Admission control / load shedding: with max_queue_depth > 0 the queue
+// fails fast under overload instead of letting depth (and queueing
+// delay) grow unboundedly. A push that finds the queue at its
 // bound either EVICTS the oldest waiter of the lowest scheduling lane
 // strictly below the arrival (when one exists and is evictable — the
 // victim's promise fails with QueueFull, the arrival is admitted) or
@@ -50,10 +50,8 @@
 // classes, on purpose: a request that aging already promoted out of a
 // lane stops being an eviction candidate for the classes it climbed
 // past — eviction composes with the starvation bound instead of
-// undoing it. Per-class budgets add a second, fail-fast-only bound: a
-// class at its own budget is rejected outright (evicting lower work
-// would not free its own budget). Rejections and evictions are counted
-// per ORIGINAL priority class.
+// undoing it. Rejections and evictions are counted per ORIGINAL priority
+// class.
 #pragma once
 
 #include <array>
@@ -67,21 +65,6 @@
 #include "runtime/tenant.hpp"
 
 namespace odenet::runtime {
-
-/// Admission-control bounds of a BatchQueue. Default-constructed limits
-/// keep the pre-overload-protection behavior (unbounded, never sheds).
-struct QueueLimits {
-  /// Total queued requests across all classes; 0 = unbounded.
-  std::size_t max_queue_depth = 0;
-  /// Per-priority depth budgets, indexed by Priority (counted by ORIGINAL
-  /// class, unaffected by aging/promotion); 0 = no per-class cap. A class
-  /// at its budget is rejected fail-fast, never admitted by eviction.
-  std::array<std::size_t, kPriorityLevels> per_priority{};
-  /// When the TOTAL bound is hit, admit a higher-class arrival by
-  /// evicting the oldest evictable waiter of the lowest class strictly
-  /// below it (false = always reject the arrival instead).
-  bool evict_lower = true;
-};
 
 /// What push() did with the request.
 enum class PushOutcome {
@@ -98,16 +81,18 @@ class BatchQueue {
  public:
   /// promote_after: aging threshold (see the header comment); zero
   /// disables promotion.
+  /// max_queue_depth: total queued requests across all classes (see the
+  /// header comment); 0 = unbounded, never sheds.
   /// tenants (not owned, may be null): enables per-tenant quota charging
   /// at queue-accept and weighted-fair pop order within each priority
   /// lane — see runtime/tenant.hpp. Null keeps tenant-blind behavior.
   explicit BatchQueue(int max_batch,
                       std::chrono::microseconds promote_after = {},
-                      QueueLimits limits = {},
+                      std::size_t max_queue_depth = 0,
                       TenantTable* tenants = nullptr);
 
-  /// Enqueues one request, applying the admission-control bounds (see
-  /// QueueLimits). On kRejected the queue has already failed the
+  /// Enqueues one request, applying admission control (see the header
+  /// comment). On kRejected the queue has already failed the
   /// request's promise with QueueFull; on kClosed the caller still owns
   /// the promise.
   PushOutcome push(PendingRequest&& req);
@@ -133,13 +118,6 @@ class BatchQueue {
 
   bool closed() const;
   std::size_t size() const;
-  QueueLimits limits() const;
-
-  /// Retunes the TOTAL depth bound at runtime (the engine's adaptive
-  /// bound: target-delay x measured service rate). 0 = unbounded.
-  /// Per-class budgets and eviction policy are construction-time.
-  void set_max_depth(std::size_t depth);
-  std::size_t max_depth() const;
 
   /// Requests rejected with DeadlineExceeded, cumulative (keyed by the
   /// request's original priority class, even after promotion).
@@ -183,9 +161,8 @@ class BatchQueue {
   const int max_batch_;
   /// Aging threshold: promote after this long queued. 0 = off.
   const std::chrono::microseconds promote_after_;
-  /// Mutable (under mutex_) so the engine can retune the total depth
-  /// bound from its measured EWMA; see set_max_depth().
-  QueueLimits limits_;
+  /// Total depth bound; 0 = unbounded.
+  const std::size_t max_queue_depth_;
   /// Shared per-tenant ledger + fair scheduler; null = tenant-blind.
   TenantTable* const tenants_;
 
@@ -194,9 +171,6 @@ class BatchQueue {
   /// One FIFO lane per priority class, indexed by Priority.
   std::array<std::deque<PendingRequest>, kPriorityLevels> lanes_;
   std::size_t size_ = 0;
-  /// Live queued requests by ORIGINAL class (promotion moves a request
-  /// between lanes_ but it keeps counting against its submitted class).
-  std::array<std::size_t, kPriorityLevels> class_depth_{};
   std::array<std::uint64_t, kPriorityLevels> timeouts_{};
   std::array<std::uint64_t, kPriorityLevels> rejected_{};
   std::array<std::uint64_t, kPriorityLevels> evicted_{};

@@ -46,12 +46,8 @@ InferenceEngine::InferenceEngine(models::ModelSnapshot::Ptr snapshot,
     backend->cfg = bc;
     backend->label = core::backend_name(bc.backend);
     backend->index = backends_.size();
-    QueueLimits limits;
-    limits.max_queue_depth = cfg_.max_queue_depth;
-    limits.per_priority = cfg_.priority_depth_budgets;
-    limits.evict_lower = cfg_.evict_lower_on_full;
     backend->queue = std::make_unique<BatchQueue>(
-        cfg_.max_batch, cfg_.promote_after, limits, &tenants_);
+        cfg_.max_batch, cfg_.promote_after, cfg_.max_queue_depth, &tenants_);
     backend->stats.backend = bc.backend;
     if (bc.backend == core::ExecBackend::kFpgaSim) {
       backend->offloaded = bc.offloaded;
@@ -522,10 +518,8 @@ void InferenceEngine::serve_batch(Backend& backend, Worker& worker,
     }
     const double compute_seconds = watch.seconds();
     // Completion callback into the measured service-time feedback: fold
-    // this batch's observed service time into the backend's EWMA — and
-    // re-derive the SLO-driven depth bound from the fresh measurement.
+    // this batch's observed service time into the backend's EWMA.
     backend.ewma.observe(compute_seconds, n);
-    retune_depth_bound(backend);
     const std::vector<int> preds = core::SoftmaxCrossEntropy::argmax(logits);
     const std::uint64_t batch_pl_cycles = run_stats.pl_cycles();
     const int classes = logits.dim(1);
@@ -588,28 +582,6 @@ void InferenceEngine::serve_batch(Backend& backend, Worker& worker,
       req.promise.set_exception(std::current_exception());
     }
   }
-}
-
-void InferenceEngine::retune_depth_bound(Backend& backend) {
-  if (cfg_.target_delay.count() <= 0) return;
-  const double seconds_per_request =
-      backend.ewma.seconds_per_request() /
-      static_cast<double>(backend.cfg.workers);
-  if (seconds_per_request <= 0.0) return;  // EWMA still cold
-  // bound = target delay x measured service rate: the deepest queue the
-  // backend can drain within the target. Floored at one full batch (a
-  // backlog must still be able to fill a whole batch) and capped by the
-  // static max_queue_depth when configured (the adaptive bound tightens
-  // the static one, it never loosens past it).
-  const double target =
-      std::chrono::duration<double>(cfg_.target_delay).count();
-  double bound = target / seconds_per_request;
-  const double floor = static_cast<double>(cfg_.max_batch);
-  const double cap = cfg_.max_queue_depth > 0
-                         ? static_cast<double>(cfg_.max_queue_depth)
-                         : 4096.0;
-  bound = std::max(floor, std::min(bound, cap));
-  backend.queue->set_max_depth(static_cast<std::size_t>(bound));
 }
 
 void InferenceEngine::shutdown() {
@@ -708,7 +680,6 @@ EngineStats InferenceEngine::stats() const {
     snap.evicted = backend->queue->evicted_total();
     snap.promotions = backend->queue->promotion_total();
     snap.queue_depth = backend->queue->size();
-    snap.depth_bound = backend->queue->max_depth();
     snap.in_flight = backend->in_flight.load(std::memory_order_relaxed);
     snap.measured_request_seconds =
         backend->ewma.seconds_per_request() /

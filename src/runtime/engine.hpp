@@ -34,10 +34,12 @@
 //
 // Overload protection: with EngineConfig::max_queue_depth set, each
 // backend queue sheds fail-fast — an arrival that finds the queue full
-// fails its future with QueueFull immediately (high-priority arrivals may
-// instead evict the oldest lower-class waiter), so queueing delay stays
-// bounded and deadlines stop expiring at the back of a runaway queue.
-// Per-priority rejected/evicted counters land in EngineStats::to_json().
+// fails its future with QueueFull immediately (a higher-priority arrival
+// instead evicts the oldest evictable lower-class waiter when there is
+// one), so queueing delay stays bounded and deadlines stop expiring at
+// the back of a runaway queue. The bound is the one admission knob; it
+// does not move at runtime. Per-priority rejected/evicted counters land
+// in EngineStats::to_json().
 //
 // Shutdown drains: close the queues, finish every in-flight and queued
 // request, then join. Every future handed out is eventually fulfilled.
@@ -106,32 +108,16 @@ struct EngineConfig {
   std::chrono::microseconds promote_after{16000};
   /// Admission control: bound each backend queue at this depth; an
   /// arrival that finds the queue full is shed fail-fast with QueueFull
-  /// through its future (or admitted by evicting a lower-priority
-  /// waiter — see BatchQueue/QueueLimits). 0 keeps queues unbounded (no
+  /// through its future, or admitted by evicting the oldest evictable
+  /// lower-priority waiter (see BatchQueue). 0 keeps queues unbounded (no
   /// shedding, the pre-overload-protection behavior).
   std::size_t max_queue_depth = 0;
-  /// Per-priority depth budgets within each backend queue, indexed by
-  /// Priority (0 = no per-class cap). Lets low-priority traffic be capped
-  /// well below the total bound so it can never crowd out high work.
-  std::array<std::size_t, kPriorityLevels> priority_depth_budgets{};
-  /// When a bounded queue is full, admit high-priority arrivals by
-  /// evicting the oldest evictable lower-class waiter instead of
-  /// rejecting them.
-  bool evict_lower_on_full = true;
   /// Name this engine serves requests as (SubmitOptions::model matches
   /// against it; the registry key when serve_from() binds one).
   std::string model = "default";
   /// Tenant weight/quota table, applied at construction. Tenants not
   /// listed here are interned on first submit with weight 1, no quota.
   std::vector<std::pair<std::string, TenantSpec>> tenants;
-  /// SLO-driven adaptive admission: when set, each backend's TOTAL queue
-  /// depth bound tracks target_delay x its measured service rate
-  /// (re-computed from the EWMA after every micro-batch, clamped to
-  /// [max_batch, max_queue_depth or 4096]), so the depth bound follows
-  /// the hardware's real speed instead of a static guess. 0 disables;
-  /// max_queue_depth then stays the static bound (and becomes the
-  /// adaptive bound's upper clamp when both are set).
-  std::chrono::microseconds target_delay{0};
 };
 
 class InferenceEngine {
@@ -312,9 +298,6 @@ class InferenceEngine {
   /// reload() forwards here when unbound, the registry subscription
   /// callback lands here when bound.
   std::uint64_t apply_published(models::ModelSnapshot::Ptr snapshot);
-  /// Recomputes a backend's adaptive depth bound from its EWMA (no-op
-  /// unless EngineConfig::target_delay is set).
-  void retune_depth_bound(Backend& backend);
   void serve_batch(Backend& backend, Worker& worker,
                    std::vector<PendingRequest>& batch);
   /// Routed or pinned backend choice for one submit. count_routed

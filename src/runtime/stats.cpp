@@ -59,7 +59,6 @@ std::string EngineStats::to_json() const {
        << ",\"mean_swap_ms\":" << fmt(b.mean_swap_seconds() * 1e3)
        << ",\"max_swap_ms\":" << fmt(b.max_swap_seconds * 1e3)
        << ",\"queue_depth\":" << b.queue_depth
-       << ",\"depth_bound\":" << b.depth_bound
        << ",\"in_flight\":" << b.in_flight
        << ",\"measured_request_ms\":"
        << fmt(b.measured_request_seconds * 1e3)

@@ -74,9 +74,6 @@ struct BackendStats {
   /// Point-in-time gauges at snapshot: queued and in-flight requests (the
   /// same numbers least_depth()'s load snapshot sees).
   std::size_t queue_depth = 0;
-  /// Current TOTAL queue depth bound (0 = unbounded); tracks the
-  /// SLO-adaptive retune when EngineConfig::target_delay is set.
-  std::size_t depth_bound = 0;
   int in_flight = 0;
   /// Measured per-request service seconds (worker-fed EWMA of
   /// busy_seconds/request, normalized by worker parallelism; 0 while
@@ -141,6 +138,7 @@ struct PriorityStats {
 /// JSON schema version emitted by EngineStats/ClusterStats::to_json().
 /// v2 added the "schema" field itself, the model name, and the
 /// per-tenant section; consumers must treat absent "schema" as v1.
+/// Dropping a key no consumer reads ("policy", "depth_bound") keeps v2.
 inline constexpr int kStatsSchemaVersion = 2;
 
 struct EngineStats {

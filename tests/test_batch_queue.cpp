@@ -19,7 +19,6 @@ using runtime::PendingRequest;
 using runtime::PushOutcome;
 using runtime::Priority;
 using runtime::QueueFull;
-using runtime::QueueLimits;
 
 namespace {
 
@@ -35,12 +34,6 @@ PendingRequest make_request(float tag,
 }
 
 float tag_of(const PendingRequest& req) { return req.image.data()[0]; }
-
-QueueLimits bounded(std::size_t depth) {
-  QueueLimits limits;
-  limits.max_queue_depth = depth;
-  return limits;
-}
 
 }  // namespace
 
@@ -264,7 +257,7 @@ TEST(BatchQueue, ExpiredDeadlineIsRejectedNotServed) {
 // ---- admission control / load shedding --------------------------------
 
 TEST(BatchQueue, DepthBoundRejectsArrivalFailFast) {
-  BatchQueue queue(8, {}, bounded(2));
+  BatchQueue queue(8, {}, /*max_queue_depth=*/2);
   ASSERT_EQ(queue.push(make_request(1.0f)), PushOutcome::kAccepted);
   ASSERT_EQ(queue.push(make_request(2.0f)), PushOutcome::kAccepted);
 
@@ -290,7 +283,7 @@ TEST(BatchQueue, DepthBoundRejectsArrivalFailFast) {
 }
 
 TEST(BatchQueue, HighPriorityEvictsOldestLowInsteadOfBeingRejected) {
-  BatchQueue queue(8, {}, bounded(2));
+  BatchQueue queue(8, {}, /*max_queue_depth=*/2);
   PendingRequest victim = make_request(1.0f, Priority::kLow);
   auto victim_future = victim.promise.get_future();
   ASSERT_EQ(queue.push(std::move(victim)), PushOutcome::kAccepted);
@@ -316,7 +309,7 @@ TEST(BatchQueue, HighPriorityEvictsOldestLowInsteadOfBeingRejected) {
 }
 
 TEST(BatchQueue, EvictionTakesTheLowestClassFirst) {
-  BatchQueue queue(8, {}, bounded(3));
+  BatchQueue queue(8, {}, /*max_queue_depth=*/3);
   PendingRequest low = make_request(1.0f, Priority::kLow);
   auto low_future = low.promise.get_future();
   ASSERT_EQ(queue.push(std::move(low)), PushOutcome::kAccepted);
@@ -349,30 +342,19 @@ TEST(BatchQueue, EvictionTakesTheLowestClassFirst) {
   EXPECT_EQ(queue.size(), 3u);
 }
 
-TEST(BatchQueue, LowArrivalNeverEvictsAndEvictionCanBeDisabled) {
+TEST(BatchQueue, LowArrivalNeverEvicts) {
   // A low arrival has no lower class to shed: rejected outright.
-  BatchQueue queue(8, {}, bounded(1));
+  BatchQueue queue(8, {}, /*max_queue_depth=*/1);
   ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)),
             PushOutcome::kAccepted);
   EXPECT_EQ(queue.push(make_request(2.0f, Priority::kLow)),
             PushOutcome::kRejected);
   EXPECT_EQ(queue.rejected_count(Priority::kLow), 1u);
-
-  // evict_lower = false: even high arrivals shed fail-fast.
-  QueueLimits no_evict = bounded(1);
-  no_evict.evict_lower = false;
-  BatchQueue strict(8, {}, no_evict);
-  ASSERT_EQ(strict.push(make_request(1.0f, Priority::kLow)),
-            PushOutcome::kAccepted);
-  EXPECT_EQ(strict.push(make_request(2.0f, Priority::kHigh)),
-            PushOutcome::kRejected);
-  EXPECT_EQ(strict.rejected_count(Priority::kHigh), 1u);
-  EXPECT_EQ(strict.evicted_total(), 0u);
-  EXPECT_EQ(strict.size(), 1u);
+  EXPECT_EQ(queue.evicted_total(), 0u);
 }
 
 TEST(BatchQueue, NonEvictableWaiterIsSkippedByEviction) {
-  BatchQueue queue(8, {}, bounded(2));
+  BatchQueue queue(8, {}, /*max_queue_depth=*/2);
   PendingRequest pinned = make_request(1.0f, Priority::kLow);
   pinned.cls.evictable = false;
   ASSERT_EQ(queue.push(std::move(pinned)), PushOutcome::kAccepted);
@@ -393,32 +375,8 @@ TEST(BatchQueue, NonEvictableWaiterIsSkippedByEviction) {
   EXPECT_EQ(queue.rejected_count(Priority::kHigh), 1u);
 }
 
-TEST(BatchQueue, PerPriorityBudgetShedsClassWithoutEviction) {
-  QueueLimits limits;  // no total bound — only the low-class budget
-  limits.per_priority[static_cast<std::size_t>(Priority::kLow)] = 2;
-  BatchQueue queue(8, {}, limits);
-  ASSERT_EQ(queue.push(make_request(1.0f, Priority::kLow)),
-            PushOutcome::kAccepted);
-  ASSERT_EQ(queue.push(make_request(2.0f, Priority::kLow)),
-            PushOutcome::kAccepted);
-
-  PendingRequest doomed = make_request(3.0f, Priority::kLow);
-  auto doomed_future = doomed.promise.get_future();
-  EXPECT_EQ(queue.push(std::move(doomed)), PushOutcome::kRejected);
-  EXPECT_THROW(doomed_future.get(), QueueFull);
-  EXPECT_EQ(queue.rejected_count(Priority::kLow), 1u);
-
-  // Other classes are not budgeted and flow freely past the low cap.
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(queue.push(make_request(10.0f + i, Priority::kNormal)),
-              PushOutcome::kAccepted);
-  }
-  EXPECT_EQ(queue.size(), 7u);
-  EXPECT_EQ(queue.evicted_total(), 0u);
-}
-
 TEST(BatchQueue, ExpiredRequestsDoNotHoldSlotsAgainstArrivals) {
-  BatchQueue queue(8, {}, bounded(1));
+  BatchQueue queue(8, {}, /*max_queue_depth=*/1);
   PendingRequest stale = make_request(1.0f);
   stale.cls.deadline = Clock::now() + std::chrono::milliseconds(2);
   auto stale_future = stale.promise.get_future();
@@ -436,7 +394,7 @@ TEST(BatchQueue, ExpiredRequestsDoNotHoldSlotsAgainstArrivals) {
 // ---- try_push (the cluster spill probe) --------------------------------
 
 TEST(BatchQueue, TryPushRejectLeavesRequestIntactForSpill) {
-  BatchQueue queue(8, {}, bounded(1));
+  BatchQueue queue(8, {}, /*max_queue_depth=*/1);
   ASSERT_EQ(queue.push(make_request(1.0f)), PushOutcome::kAccepted);
 
   // The probe bounces off the full queue WITHOUT failing the promise —
@@ -450,7 +408,7 @@ TEST(BatchQueue, TryPushRejectLeavesRequestIntactForSpill) {
   EXPECT_EQ(queue.rejected_total(), 0u);   // a probe is not a shed
 
   // The same request then lands in a second queue normally.
-  BatchQueue other(8, {}, bounded(1));
+  BatchQueue other(8, {}, /*max_queue_depth=*/1);
   EXPECT_EQ(other.try_push(probe), PushOutcome::kAccepted);
   other.close();
   std::vector<PendingRequest> batch;
@@ -463,7 +421,7 @@ TEST(BatchQueue, TryPushStillAdmitsByEvictingLowerClass) {
   // The probe shares submit()'s admission control: a high-priority
   // arrival on a full queue still evicts the oldest evictable lower-class
   // waiter instead of bouncing.
-  BatchQueue queue(8, {}, bounded(1));
+  BatchQueue queue(8, {}, /*max_queue_depth=*/1);
   PendingRequest victim = make_request(1.0f, Priority::kLow);
   auto victim_future = victim.promise.get_future();
   ASSERT_EQ(queue.push(std::move(victim)), PushOutcome::kAccepted);
@@ -517,9 +475,7 @@ TEST(BatchQueue, QuotaRejectionNeverEvictsANeighbor) {
   runtime::TenantTable tenants;
   const auto a = tenants.configure("a", {1.0, 1});
   const auto b = tenants.intern("b");
-  QueueLimits limits;
-  limits.max_queue_depth = 3;
-  BatchQueue queue(8, {}, limits, &tenants);
+  BatchQueue queue(8, {}, /*max_queue_depth=*/3, &tenants);
 
   ASSERT_EQ(queue.push(tenant_request(a, 1.0f)), PushOutcome::kAccepted);
   ASSERT_EQ(queue.push(tenant_request(b, 2.0f, Priority::kLow)),
@@ -542,8 +498,8 @@ TEST(BatchQueue, TryPushProbeChargesQuotaOnlyOnAccept) {
   // behind, a probe that lands charges the tenant at THIS queue.
   runtime::TenantTable tenants;
   const auto a = tenants.configure("a", {1.0, 1});
-  BatchQueue full(8, {}, bounded(1), &tenants);
-  BatchQueue sibling(8, {}, bounded(1), &tenants);
+  BatchQueue full(8, {}, /*max_queue_depth=*/1, &tenants);
+  BatchQueue sibling(8, {}, /*max_queue_depth=*/1, &tenants);
   ASSERT_EQ(full.push(make_request(1.0f)), PushOutcome::kAccepted);
 
   PendingRequest probe = tenant_request(a, 2.0f);
@@ -565,7 +521,7 @@ TEST(BatchQueue, TryPushProbeChargesQuotaOnlyOnAccept) {
 TEST(BatchQueue, EvictionAndExpiryReleaseTheTenantCharge) {
   runtime::TenantTable tenants;
   const auto a = tenants.configure("a", {1.0, 1});
-  BatchQueue queue(8, {}, bounded(1), &tenants);
+  BatchQueue queue(8, {}, /*max_queue_depth=*/1, &tenants);
 
   PendingRequest victim = tenant_request(a, 1.0f, Priority::kLow);
   auto victim_future = victim.promise.get_future();

@@ -7,10 +7,12 @@
 //    geometries x epilogue combinations, including residual aliasing C;
 //  * the standalone elementwise kernels against references and BITWISE
 //    scalar-vs-AVX2 (including -0.0 and NaN for relu);
-//  * thread-count invariance of the epilogue GEMM (bitwise at 1/2/8);
+//  * thread-count invariance of the epilogue GEMM and its implicit-lowering
+//    twin (bitwise at 1/2/8);
 //  * Conv2d::forward_fused == forward + affine + relu (+ accumulate),
 //    both the n==1 direct-GEMM path and the n>1 permute path;
-//  * BuildingBlock fused branch/forward/Euler vs the unfused chain;
+//  * BuildingBlock fused branch/forward/Euler and the fused OdeBlock solve
+//    vs the conv1 -> bn1 -> ReLU -> conv2 -> bn2 chain run layer by layer;
 //  * training mode is untouched (fused path gated off, outputs bitwise);
 //  * the restructured fixed-step solver == the exported step functions,
 //    with and without caller scratch;
@@ -138,11 +140,24 @@ struct PoolOverride {
   }
 };
 
-/// RAII fused-epilogue toggle (restores the enabled default).
-struct FusedOverride {
-  explicit FusedOverride(bool on) { set_fused_epilogues(on); }
-  ~FusedOverride() { set_fused_epilogues(true); }
-};
+/// The layer chain the fused branch replaces, run explicitly on the
+/// block's own layers: conv1 -> bn1 -> ReLU -> conv2 -> bn2 at time t.
+/// `relu` holds the ReLU mask for a backward through the chain.
+Tensor chain_branch(BuildingBlock& block, const Tensor& z, float t,
+                    ReLU& relu) {
+  block.conv1().set_time(t);
+  block.conv2().set_time(t);
+  Tensor h = block.conv1().forward(z);
+  h = block.bn1().forward(h);
+  h = relu.forward(h);
+  h = block.conv2().forward(h);
+  return block.bn2().forward(h);
+}
+
+Tensor chain_branch(BuildingBlock& block, const Tensor& z, float t) {
+  ReLU relu;
+  return chain_branch(block, z, t, relu);
+}
 
 void run_ep_vs_composition(const Shape& s, ou::Rng& rng) {
   const auto a = random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
@@ -321,6 +336,14 @@ TEST(FusedEpilogue, ImplicitLoweringMatchesExplicitBitwise) {
       ForceScalar forced(true);
       check();
     }
+    {
+      // Both sides under a forced 8-worker split: the gather runs once per
+      // task, and m = 4..12 keeps one row block, so every panel is its own
+      // task.
+      ou::ThreadPool pool(8);
+      PoolOverride ov(&pool, 1);
+      check();
+    }
   }
   // Geometries the implicit path must refuse (caller falls back to the
   // materialized lowering).
@@ -370,6 +393,57 @@ TEST(FusedEpilogue, GemmEpThreadCountInvarianceIsBitwise) {
       gemm_tiled_pa_ep(pa, b.data(), got.data(), s.n, ep);
       EXPECT_EQ(0, std::memcmp(got.data(), base.data(), cn * sizeof(float)))
           << "differs at " << workers << " workers";
+    }
+  }
+
+  // The implicit-lowering GEMM under the same split. m = 64 spans 16 row
+  // tiles, so a lone panel splits into row blocks that each gather it.
+  struct Geo {
+    int c, h, w, m, kernel, pad, batch;
+  };
+  const Geo geos[] = {{5, 8, 8, 8, 3, 1, 3},
+                      {4, 16, 16, 8, 3, 1, 3},
+                      {3, 8, 8, 64, 3, 1, 2},
+                      {3, 8, 8, 4, 5, 2, 2}};
+  for (const Geo& geo : geos) {
+    SCOPED_TRACE(testing::Message() << "lowered c=" << geo.c << " h=" << geo.h
+                                    << " m=" << geo.m << " k=" << geo.kernel
+                                    << " batch=" << geo.batch);
+    const LoweringGeometry g{.channels = geo.c, .height = geo.h,
+                             .width = geo.w, .kernel = geo.kernel,
+                             .stride = 1, .pad = geo.pad};
+    ASSERT_TRUE(gemm_implicit_lowering_ok(g, geo.m));
+    const int kk = static_cast<int>(g.col_rows());
+    const std::size_t n = g.col_cols() * geo.batch;
+    const std::size_t cn = static_cast<std::size_t>(geo.m) * n;
+    const auto src = random_vec(
+        static_cast<std::size_t>(geo.batch) * geo.c * geo.h * geo.w, rng);
+    const auto wvec = random_vec(static_cast<std::size_t>(geo.m) * kk, rng);
+    const auto scale = random_vec(static_cast<std::size_t>(geo.m), rng);
+    const auto shift = random_vec(static_cast<std::size_t>(geo.m), rng);
+    const auto resid = random_vec(cn, rng);
+    GemmEpilogue ep;
+    ep.scale = scale.data();
+    ep.shift = shift.data();
+    ep.relu = true;
+    ep.residual = resid.data();
+    ep.beta = 0.5f;
+    PackedGemmA pa;
+    pack_gemm_a(wvec.data(), geo.m, kk, pa);
+
+    std::vector<float> base(cn);
+    {
+      ou::ThreadPool one(1);
+      PoolOverride ov(&one, 1);
+      gemm_tiled_pa_ep_lowered(pa, src.data(), g, geo.batch, base.data(), ep);
+    }
+    for (std::size_t workers : {2u, 8u}) {
+      ou::ThreadPool pool(workers);
+      PoolOverride ov(&pool, 1);
+      std::vector<float> got(cn, -3.0f);
+      gemm_tiled_pa_ep_lowered(pa, src.data(), g, geo.batch, got.data(), ep);
+      EXPECT_EQ(0, std::memcmp(got.data(), base.data(), cn * sizeof(float)))
+          << "lowered differs at " << workers << " workers";
     }
   }
 }
@@ -584,13 +658,10 @@ TEST(FusedEpilogue, BlockFusedBranchMatchesUnfusedBitwise) {
       ASSERT_TRUE(block.fused_eval_ready());
       Tensor fused = block.branch_forward(x, 0.5f);
       Tensor fused_fwd = block.forward(x);
-      Tensor unfused, unfused_fwd;
-      {
-        FusedOverride off(false);
-        ASSERT_FALSE(block.fused_eval_ready());
-        unfused = block.branch_forward(x, 0.5f);
-        unfused_fwd = block.forward(x);
-      }
+      // forward() runs at the time the last branch evaluation set.
+      Tensor unfused = chain_branch(block, x, 0.5f);
+      Tensor unfused_fwd = chain_branch(block, x, 0.5f);
+      unfused_fwd.add(BuildingBlock::shortcut(x, 1, ch));
       ASSERT_TRUE(fused.same_shape(unfused));
       EXPECT_EQ(0, std::memcmp(fused.data(), unfused.data(),
                                fused.numel() * sizeof(float)))
@@ -622,11 +693,8 @@ TEST(FusedEpilogue, BlockFusedEulerStepMatchesUnfused) {
   block.fused_euler_step(z_fused, 1.5f, h);
 
   Tensor z_ref = z0;
-  {
-    FusedOverride off(false);
-    Tensor k1 = block.branch_forward(z_ref, 1.5f);
-    z_ref.axpy(h, k1);
-  }
+  Tensor k1 = chain_branch(block, z_ref, 1.5f);
+  z_ref.axpy(h, k1);
   EXPECT_LE(max_abs_diff(z_fused.data(), z_ref.data(), z_ref.numel()), 1e-5);
 }
 
@@ -640,19 +708,24 @@ TEST(FusedEpilogue, TrainingModeIsUntouched) {
   block.set_training(true);
   EXPECT_FALSE(block.fused_eval_ready());
 
-  // Training forward/backward runs identically whether the fused flag is
-  // on or off — the gate keys off training mode, not just the toggle.
+  // Training forward/backward runs exactly the layer chain — the gate
+  // keys off training mode.
   Tensor x = random_tensor({2, 3, 5, 5}, rng);
   block.bn1().set_use_batch_stats_in_eval(true);  // deterministic replay
   block.bn2().set_use_batch_stats_in_eval(true);
   Tensor on = block.forward(x);
   Tensor g_on = block.backward(Tensor::full(on.shape(), 0.5f));
-  Tensor off_out, g_off;
-  {
-    FusedOverride off(false);
-    off_out = block.forward(x);
-    g_off = block.backward(Tensor::full(on.shape(), 0.5f));
-  }
+  ReLU relu;
+  relu.set_training(true);  // keeps the mask for the backward
+  Tensor off_out = chain_branch(block, x, 0.0f, relu);
+  off_out.add(BuildingBlock::shortcut(x, 1, 3));
+  Tensor g_off = block.bn2().backward(Tensor::full(on.shape(), 0.5f));
+  g_off = block.conv2().backward(g_off);
+  g_off = relu.backward(g_off);
+  g_off = block.bn1().backward(g_off);
+  g_off = block.conv1().backward(g_off);
+  g_off.add(BuildingBlock::shortcut_backward(Tensor::full(on.shape(), 0.5f),
+                                             x.shape(), 1));
   EXPECT_EQ(0, std::memcmp(on.data(), off_out.data(),
                            on.numel() * sizeof(float)));
   EXPECT_EQ(0, std::memcmp(g_on.data(), g_off.data(),
@@ -664,10 +737,6 @@ TEST(FusedEpilogue, TrainingModeIsUntouched) {
   block.bn1().set_use_batch_stats_in_eval(false);
   block.bn2().set_use_batch_stats_in_eval(false);
   EXPECT_TRUE(block.fused_eval_ready());
-  set_fused_epilogues(false);
-  EXPECT_FALSE(block.fused_eval_ready());
-  set_fused_epilogues(true);
-  EXPECT_TRUE(fused_epilogues_enabled());
 }
 
 TEST(FusedEpilogue, OdeBlockFusedSolveMatchesUnfused) {
@@ -682,11 +751,13 @@ TEST(FusedEpilogue, OdeBlockFusedSolveMatchesUnfused) {
     Tensor x = random_tensor({2, 4, 6, 6}, rng);
 
     Tensor fused = ob.forward(x);
-    Tensor unfused;
-    {
-      FusedOverride off(false);
-      unfused = ob.forward(x);
-    }
+    os::FunctionDynamics chain([&](const Tensor& z, float t) {
+      return chain_branch(ob.block(), z, t);
+    });
+    os::SolveOptions opts;
+    opts.method = method;
+    opts.steps = ob.config().executions;
+    Tensor unfused = os::ode_solve(chain, x, ob.t0(), ob.t1(), opts);
     // Euler folds h per step (one regrouping per step); heun/rk4 run the
     // same eval + axpy sequence either way.
     EXPECT_LE(max_abs_diff(fused.data(), unfused.data(), fused.numel()), 1e-5);

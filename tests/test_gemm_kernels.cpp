@@ -225,13 +225,17 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
     PackedGemmB pb;
     pack_gemm_b_nt(bt.data(), s.k, s.n, pb);
 
-    std::vector<float> base_pa(cn), base_bt(cn), base_pb(cn);
+    // accumulate=true starts every tile from the C it finds: a split that
+    // ran a tile twice, or skipped one, would show in the sum.
+    const auto c0 = random_matrix(s.m, s.n, rng);
+    std::vector<float> base_pa(cn), base_bt(cn), base_pb(cn), base_acc = c0;
     {
       ou::ThreadPool one(1);
       PoolOverride ov(&one, 1);
       PackedGemmA pa;
       pack_gemm_a(a.data(), s.m, s.k, pa);
       gemm_tiled_pa(pa, b.data(), base_pa.data(), s.n, false);
+      gemm_tiled_pa(pa, b.data(), base_acc.data(), s.n, true);
       gemm_bt_tiled(a.data(), bt.data(), base_bt.data(), s.m, s.k, s.n,
                     false);
       gemm_tiled_pb(a.data(), pb, base_pb.data(), s.m, false);
@@ -246,6 +250,11 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
       EXPECT_EQ(0, std::memcmp(got.data(), base_pa.data(),
                                cn * sizeof(float)))
           << "gemm_tiled_pa differs at " << workers << " workers";
+      std::vector<float> acc = c0;
+      gemm_tiled_pa(pa, b.data(), acc.data(), s.n, true);
+      EXPECT_EQ(0, std::memcmp(acc.data(), base_acc.data(),
+                               cn * sizeof(float)))
+          << "gemm_tiled_pa accumulate differs at " << workers << " workers";
       gemm_bt_tiled(a.data(), bt.data(), got.data(), s.m, s.k, s.n, false);
       EXPECT_EQ(0, std::memcmp(got.data(), base_bt.data(),
                                cn * sizeof(float)))

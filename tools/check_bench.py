@@ -53,13 +53,13 @@ HIGHER_BETTER_ABSOLUTE = {
 # shed_goodput_ratio is gated because it is additionally stabilized
 # (best-of-3 in the bench) and doubles as the shed_protects acceptance.
 # The fractions of the measured GEMM peak (batched_fwd_frac_peak_b16,
-# batched_fwd_bwd_frac_peak_b16, float_frac_peak, fixed_frac_peak) and
-# routing_speedup spread more than the 20% band over repeated runs on one
-# host, so they are gated only through the floor verdicts in
-# BOOLEAN_GATES (the *_frac_peak_ok floors, routing_wins).
+# batched_fwd_bwd_frac_peak_b16, float_frac_peak, fixed_frac_peak,
+# fused_ode_frac_peak) and routing_speedup spread more than the 20% band
+# over repeated runs on one host, so they are gated only through the
+# floor verdicts in BOOLEAN_GATES (the *_frac_peak_ok floors,
+# routing_wins).
 HIGHER_BETTER_RELATIVE = {
     "batched_speedup",
-    "fused_ode_speedup",
     "fused_conv_bn_relu_speedup",
     "shed_goodput_ratio",
     "cluster_scaling_4x",
@@ -88,7 +88,7 @@ BOOLEAN_GATES = {
     "batched_fwd_bwd_frac_peak_ok",
     "float_frac_peak_ok",
     "fixed_frac_peak_ok",
-    "fused_ode_wins",
+    "fused_ode_frac_peak_ok",
     "dip_within_25pct",
     "shed_protects",
     "high_p99_bounded",
