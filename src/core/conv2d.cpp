@@ -239,20 +239,15 @@ void Conv2d::backward_im2col(const Tensor& in, const Tensor& grad_out,
   const std::size_t cc = g.col_cols();
   const std::size_t ncols = cc * static_cast<std::size_t>(n);
 
-  // One lowering of the whole batch drives BOTH gradients: dW from one
-  // tiled A*B^T product, the column gradient from one packed GEMM against
-  // a transposed weight view, each on the batched [kk, n*cc] layout. The
-  // channel-major grad_out view ([co, n*cc]) the GEMMs need is the
-  // [n, co, cc] tensor permuted; for n == 1 they coincide, so no copy.
-  // All scratch is arena-recycled — training stops allocating in the
-  // inner loop.
+  // One lowering of the whole batch drives BOTH gradients, each one GEMM
+  // on the batched [kk, n*cc] layout. The channel-major grad_out view
+  // ([co, n*cc]) the GEMMs need is the [n, co, cc] tensor permuted; for
+  // n == 1 they coincide, so no copy. All scratch is arena-recycled —
+  // training stops allocating in the inner loop.
   ScratchArena& arena = active_arena();
   const std::size_t gperm_floats =
       n == 1 ? 0 : static_cast<std::size_t>(co) * ncols;
-  const std::size_t wt_floats =
-      static_cast<std::size_t>(kk) * static_cast<std::size_t>(co);
-  arena.frame(2 * (static_cast<std::size_t>(kk) * ncols) + gperm_floats +
-              wt_floats);
+  arena.frame(2 * (static_cast<std::size_t>(kk) * ncols) + gperm_floats);
   float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
   float* grad_cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
   const float* gperm = grad_out.data();
@@ -263,24 +258,15 @@ void Conv2d::backward_im2col(const Tensor& in, const Tensor& grad_out,
   }
 
   im2col_batched(in.data(), g, n, cols);
-  // dW[co, kk] += G[co, n*cc] x cols^T (cols stored [kk, n*cc]): an A*B^T
-  // of two row-major matrices with the long axis contiguous — the tiled NT
-  // kernel streams cols once per four output rows.
-  gemm_bt_tiled(gperm, cols, weight_.grad.data(), co, static_cast<int>(ncols),
+  // dW[co, kk] += G[co, n*cc] x cols^T: cols [kk, n*cc] is the B^T layout.
+  gemm_tiled_bt(gperm, cols, weight_.grad.data(), co, static_cast<int>(ncols),
                 kk, /*accumulate=*/true);
-  // grad_cols[kk, n*cc] = W^T[kk, co] x G[co, n*cc]. Materializing the
-  // tiny transposed weight view ([kk, co], a few hundred KB at most) buys
-  // the packed gemm_tiled fast path for the big product.
-  float* wt = arena.alloc(wt_floats);
-  const float* wsrc = weight_.value.data();
-  for (int coi = 0; coi < co; ++coi) {
-    for (int p = 0; p < kk; ++p) {
-      wt[static_cast<std::size_t>(p) * co + coi] =
-          wsrc[static_cast<std::size_t>(coi) * kk + p];
-    }
-  }
-  gemm_tiled(wt, gperm, grad_cols, kk, co, static_cast<int>(ncols),
-             /*accumulate=*/false);
+  // grad_cols[kk, n*cc] = W^T[kk, co] x G[co, n*cc]: W [co, kk] is W^T
+  // stored transposed, packed straight into the tile layout.
+  static thread_local PackedGemmA wt;
+  pack_gemm_at(weight_.value.data(), kk, co, wt);
+  gemm_tiled_pa(wt, gperm, grad_cols, static_cast<int>(ncols),
+                /*accumulate=*/false);
   col2im_batched(grad_cols, g, n, grad_in_aug.data());
 }
 

@@ -4,7 +4,7 @@
 // The concrete executors live higher up the stack (models/executor.hpp for
 // the CPU backends, sched/fpga_executor.hpp for the simulated PL), but the
 // backend identity and the per-stage cost record are core vocabulary — the
-// layers, the co-simulator and the serving runtime all speak it.
+// layers, the executors and the serving runtime all speak it.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,19 @@
 // The one tiled-GEMM driver behind gemm_tiled_pa, gemm_tiled_pa_ep,
-// gemm_tiled_pa_ep_lowered (im2col.cpp) and gemm_i16_tiled_pa
-// (gemm_kernels.cpp). Internal to src/core: everything else calls those.
+// gemm_tiled_pa_ep_lowered and gemm_tiled_bt (im2col.cpp) and
+// gemm_i16_tiled_pa (gemm_kernels.cpp). Internal to src/core: everything
+// else calls those.
 //
 // The driver alone owns the blocking and the thread split:
-//  * B is consumed in kPanelCols-wide column panels. Every row tile of A
-//    sweeps one panel before the next is touched, so the panel is filled
-//    from memory once and re-read m/4 times from cache. Without it a
-//    batched im2col matrix (k ~ C*9, n ~ N*Ho*Wo, megabytes) would be
-//    re-streamed from DRAM once per row tile; k * 256 floats ~ 0.6 MB at
-//    the paper's largest lowering (k = 585).
+//  * B is consumed in column panels of up to kPanelCols columns. Every row
+//    tile of A sweeps one panel before the next is touched, so the panel
+//    is filled from memory once and re-read m/4 times from cache. Without
+//    it a batched im2col matrix (k ~ C*9, n ~ N*Ho*Wo, megabytes) would be
+//    re-streamed from DRAM once per row tile.
+//  * A packed panel holds at most kMaxPanelBytes: k * 256 floats at the
+//    paper's largest forward lowering (k = 585), ~0.6 MB. A deeper product
+//    gets a narrower panel, down to one 16-column micro-panel; a caller
+//    whose k exceeds even that (the conv dW, k = N*Ho*Wo) splits k into
+//    blocks itself (gemm_tiled_bt).
 //  * One task = one column panel x one row-tile span. When the panels
 //    alone cannot feed every worker (the tall-skinny dX GEMM, small
 //    batches on wide machines) the row tiles split too, each extra block
@@ -19,14 +24,17 @@
 // bitwise identical for any split: thread-count invariance is structural.
 //
 // A caller supplies the two things that differ between the GEMMs:
-//  * how a panel is filled — fill(p0, full_tiles, packed) writes the
-//    panel's full-width column tiles [p0, p0 + 16 * full_tiles) as
-//    contiguous micro-panels of `micro_panel` elements each (packed from a
-//    row-major B, gathered from an NCHW image, or pair-interleaved int16);
+//  * how a panel is filled — fill(p0, pn, packed) writes the panel's
+//    columns [p0, p0 + pn) as contiguous micro-panels of `micro_panel`
+//    elements each, one per 16-column tile: every full tile, plus the
+//    ragged last one (zero-padded) when the caller's edge() reads it
+//    (packed from a row-major or transposed B, gathered from an NCHW
+//    image, or pair-interleaved int16);
 //  * what a tile runs — full(t, j0, bpanel) for the full 4 x 16 tile of
-//    row tile t at column j0, edge(t, j0, mr, nr) for a ragged one (the
-//    last < 4 rows or < 16 columns), which reads B in place through an
-//    ISA-independent scalar path.
+//    row tile t at column j0, edge(t, j0, mr, nr, bpanel) for a ragged one
+//    (the last < 4 rows or < 16 columns), which either reads B in place
+//    through an ISA-independent scalar path or runs the full kernel on its
+//    zero-padded micro-panel.
 #pragma once
 
 #include <algorithm>
@@ -39,34 +47,42 @@
 namespace odenet::core::detail {
 
 inline constexpr int kPanelCols = 256;  // a multiple of kGemmTileCols
+inline constexpr std::size_t kMaxPanelBytes =
+    std::size_t{585} * kPanelCols * sizeof(float);
 inline constexpr int kMinRowTilesPerTask = 8;
 
 template <typename T, typename Fill, typename Full, typename Edge>
 void gemm_panels(int m, int k, int n, std::size_t micro_panel,
                  const Fill& fill, const Full& full, const Edge& edge) {
   if (m == 0 || n == 0) return;
-  const int panels = (n + kPanelCols - 1) / kPanelCols;
+  const std::size_t fit = kMaxPanelBytes / (micro_panel * sizeof(T));
+  const int panel_cols =
+      static_cast<int>(std::clamp<std::size_t>(
+          fit, 1, kPanelCols / kGemmTileCols)) *
+      kGemmTileCols;
+  const int panels = (n + panel_cols - 1) / panel_cols;
   const int row_tiles = (m + kGemmTileRows - 1) / kGemmTileRows;
 
   auto run_span = [&](int pi, int t0, int t1) {
-    const int p0 = pi * kPanelCols;
-    const int pn = std::min(kPanelCols, n - p0);
-    const int full_tiles = pn / kGemmTileCols;
+    const int p0 = pi * panel_cols;
+    const int pn = std::min(panel_cols, n - p0);
     // Thread-local, recycled across calls: one per worker.
     static thread_local std::vector<T> packed;
-    packed.resize(static_cast<std::size_t>(std::max(full_tiles, 1)) *
+    packed.resize(static_cast<std::size_t>(
+                      (pn + kGemmTileCols - 1) / kGemmTileCols) *
                   micro_panel);
-    fill(p0, full_tiles, packed.data());
+    fill(p0, pn, packed.data());
     for (int t = t0; t < t1; ++t) {
       const int mr = std::min(kGemmTileRows, m - t * kGemmTileRows);
       for (int jt = 0; jt < pn; jt += kGemmTileCols) {
         const int nr = std::min(kGemmTileCols, pn - jt);
+        const T* bpanel =
+            packed.data() +
+            static_cast<std::size_t>(jt / kGemmTileCols) * micro_panel;
         if (mr == kGemmTileRows && nr == kGemmTileCols) {
-          full(t, p0 + jt,
-               packed.data() +
-                   static_cast<std::size_t>(jt / kGemmTileCols) * micro_panel);
+          full(t, p0 + jt, bpanel);
         } else {
-          edge(t, p0 + jt, mr, nr);
+          edge(t, p0 + jt, mr, nr, bpanel);
         }
       }
     }

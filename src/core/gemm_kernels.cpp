@@ -100,28 +100,6 @@ void tile4x16_ep_scalar(const float* apanel, const float* bpanel, int k,
   }
 }
 
-/// Dot product over eight independent partial sums — the manual-unroll
-/// idiom the vectorizer turns into packed multiply-adds (a single
-/// accumulator cannot be vectorized under strict FP semantics).
-float dot_scalar(const float* x, const float* y, int k) {
-  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-  float s4 = 0.0f, s5 = 0.0f, s6 = 0.0f, s7 = 0.0f;
-  int p = 0;
-  for (; p + 8 <= k; p += 8) {
-    s0 += x[p + 0] * y[p + 0];
-    s1 += x[p + 1] * y[p + 1];
-    s2 += x[p + 2] * y[p + 2];
-    s3 += x[p + 3] * y[p + 3];
-    s4 += x[p + 4] * y[p + 4];
-    s5 += x[p + 5] * y[p + 5];
-    s6 += x[p + 6] * y[p + 6];
-    s7 += x[p + 7] * y[p + 7];
-  }
-  float s = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7));
-  for (; p < k; ++p) s += x[p] * y[p];
-  return s;
-}
-
 /// Scalar integer full-tile kernel over the pair-interleaved int16 panels.
 /// Accumulates in uint32 so the (impossible under the fixed backend's
 /// overflow envelope, but reachable with adversarial operands) wraparound
@@ -291,7 +269,7 @@ void affine_f32_scalar(const float* src, float* dst, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] * scale + shift;
 }
 
-constexpr GemmKernels kScalarKernels{tile4x16_scalar,  dot_scalar,
+constexpr GemmKernels kScalarKernels{tile4x16_scalar,
                                      tile4x16_i16_scalar, tile4x8_i32_scalar,
                                      qdq_f32_scalar,
                                      quant_f32_i16_scalar, requant_i32_scalar,
@@ -434,10 +412,11 @@ void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
   detail::gemm_panels<std::int16_t>(
       a.m, k, n,
       static_cast<std::size_t>(std::max(kp, 1)) * kGemmTileCols * 2,
-      [&](int p0, int full_tiles, std::int16_t* packed) {
+      [&](int p0, int pn, std::int16_t* packed) {
         // Pair-interleaved packing of the panel's full-width column tiles:
         // one sequential pass over B, the padded odd-k tap zeroed
         // explicitly (the storage is recycled, not zero-initialized).
+        const int full_tiles = pn / kGemmTileCols;
         for (int p = 0; p < kp; ++p) {
           const std::int16_t* brow0 =
               b + static_cast<std::size_t>(2 * p) * n + p0;
@@ -462,7 +441,7 @@ void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
             c + static_cast<std::size_t>(t) * kGemmTileRows * ldc + j0, ldc,
             accumulate);
       },
-      [&](int t, int j0, int mr, int nr) {
+      [&](int t, int j0, int mr, int nr, const std::int16_t*) {
         // Scalar dot-pairs reading B in place, with the micro-kernel's
         // exact wraparound semantics — ISA-independent, so edges never
         // perturb the bitwise-parity guarantee.

@@ -2,12 +2,12 @@
 // one AVX2/FMA implementation of the inner kernels every tiled GEMM is
 // built from, selected once at runtime.
 //
-// The tile kernels operate on PACKED panels (see PackedGemmA/PackedGemmB
-// in im2col.hpp) so the scalar and vector variants share one data layout
-// and one outer loop nest — the tiled-GEMM driver in gemm_driver.hpp,
-// which alone sets the panel width and the thread split; only the
-// innermost arithmetic differs. The scalar kernels are the portable
-// fallback — non-x86 targets, -mno-avx2 builds (cmake
+// The tile kernels operate on PACKED panels (PackedGemmA in im2col.hpp,
+// B packed per column panel by each GEMM) so the scalar and vector
+// variants share one data layout and one outer loop nest — the tiled-GEMM
+// driver in gemm_driver.hpp, which alone sets the panel width and the
+// thread split; only the innermost arithmetic differs. The scalar kernels
+// are the portable fallback — non-x86 targets, -mno-avx2 builds (cmake
 // -DODENET_DISABLE_AVX2=ON skips the AVX2 translation unit entirely) and
 // hosts without AVX2/FMA all run them, producing the same ascending-k
 // summation order as the pre-SIMD code.
@@ -48,10 +48,6 @@ inline constexpr int kGemmTileCols = 16;
 using GemmTile4x16Fn = void (*)(const float* apanel, const float* bpanel,
                                 int k, float* c, std::size_t ldc,
                                 bool accumulate);
-
-/// Dot product of two contiguous length-k vectors, computed over multiple
-/// independent partial sums (the gemm_bt_tiled inner op).
-using GemmDotFn = float (*)(const float* x, const float* y, int k);
 
 /// Integer full-tile micro-kernel: C[4][16] (+)= A16 * B16 with int16
 /// operands accumulated into int32. k is processed in PAIRS (the
@@ -152,7 +148,6 @@ using AffineF32Fn = void (*)(const float* src, float* dst, std::size_t n,
 
 struct GemmKernels {
   GemmTile4x16Fn tile4x16;
-  GemmDotFn dot;
   GemmTileI16Fn tile4x16_i16;
   GemmTileI32Fn tile4x8_i32;
   QdqF32Fn qdq_f32;

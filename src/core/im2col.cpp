@@ -229,29 +229,15 @@ void permute_channel_major(const float* src, float* dst, int batch,
   });
 }
 
-void gemm_at(const float* a, const float* b, float* c, int m, int k, int n,
-             bool accumulate) {
-  // A stored [k, m]: A^T[i, p] = a[p*m + i].
-  util::parallel_for(0, static_cast<std::size_t>(m), [&](std::size_t i) {
-    float* crow = c + i * n;
-    if (!accumulate) {
-      for (int j = 0; j < n; ++j) crow[j] = 0.0f;
-    }
-    for (int p = 0; p < k; ++p) {
-      const float av = a[static_cast<std::size_t>(p) * m + i];
-      if (av == 0.0f) continue;
-      const float* brow = b + static_cast<std::size_t>(p) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  });
-}
-
 namespace {
 
 // Micro-kernel geometry (see core/gemm_kernels.hpp — the 4 x 16 tile the
 // scalar and AVX2 kernels share).
 constexpr int kTileRows = kGemmTileRows;
 constexpr int kTileCols = kGemmTileCols;
+
+/// Terms gemm_tiled_bt sums per scratch tile before adding it to C.
+constexpr int kSumDepth = 128;
 
 /// Floats in one packed [k][16] B micro-panel.
 std::size_t micro_panel_floats(int k) {
@@ -263,13 +249,15 @@ const float* a_panel(const PackedGemmA& a, int t) {
   return a.data.data() + static_cast<std::size_t>(t) * a.k * kTileRows;
 }
 
-/// Panel fill from a row-major B[k,n]: the panel's full-width column tiles
-/// copied into contiguous [k][16] micro-panels in one sequential pass over
-/// B. Rows of a wide B sit one page apart, so sweeping them once per ROW
-/// TILE of A would touch k pages per sweep and thrash the TLB; packed,
-/// every micro-kernel read is sequential.
-void pack_b_panel(const float* b, int k, int n, int p0, int full_tiles,
+/// Panel fill from a row-major B[k,n]: the full-width column tiles of the
+/// panel's pn columns copied into contiguous [k][16] micro-panels in one
+/// sequential pass over B (its ragged tile is read in place by edge_dot).
+/// Rows of a wide B sit one page apart, so sweeping them once per ROW TILE
+/// of A would touch k pages per sweep and thrash the TLB; packed, every
+/// micro-kernel read is sequential.
+void pack_b_panel(const float* b, int k, int n, int p0, int pn,
                   float* packed) {
+  const int full_tiles = pn / kTileCols;
   for (int p = 0; p < k; ++p) {
     const float* brow = b + static_cast<std::size_t>(p) * n + p0;
     for (int jt = 0; jt < full_tiles; ++jt) {
@@ -314,7 +302,7 @@ void gemm_ep_panels(const PackedGemmA& a, const float* b, float* c, int n,
             ep.residual != nullptr ? ep.residual + at : nullptr, ldc,
             ep.beta);
       },
-      [&](int t, int j0, int mr, int nr) {
+      [&](int t, int j0, int mr, int nr, const float*) {
         for (int i = 0; i < mr; ++i) {
           const int row = t * kTileRows + i;
           const std::size_t at = static_cast<std::size_t>(row) * ldc + j0;
@@ -333,9 +321,11 @@ void gemm_ep_panels(const PackedGemmA& a, const float* b, float* c, int n,
       });
 }
 
-}  // namespace
-
-void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out) {
+/// Packs A[i][p] = a[i * row_stride + p * col_stride] into the row-panel
+/// layout: row-major A (row_stride k, col_stride 1) or A stored
+/// transposed (row_stride 1, col_stride m).
+void pack_a_strided(const float* a, int m, int k, std::size_t row_stride,
+                    std::size_t col_stride, PackedGemmA& out) {
   ODENET_CHECK(m >= 0 && k >= 0, "bad pack_gemm_a dimensions");
   out.m = m;
   out.k = k;
@@ -349,12 +339,52 @@ void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out) {
                    static_cast<std::size_t>(t) * k * kTileRows;
     for (int p = 0; p < k; ++p) {
       float* dst = panel + static_cast<std::size_t>(p) * kTileRows;
-      for (int i = 0; i < mr; ++i) {
-        dst[i] = a[(i0 + i) * static_cast<std::size_t>(k) + p];
-      }
+      const float* src = a + static_cast<std::size_t>(i0) * row_stride +
+                         static_cast<std::size_t>(p) * col_stride;
+      for (int i = 0; i < mr; ++i) dst[i] = src[i * row_stride];
       for (int i = mr; i < kTileRows; ++i) dst[i] = 0.0f;
     }
   }
+}
+
+/// Panel fill from B stored transposed, rows bt[j * ldb ..] (a Linear
+/// weight [out, in], a conv's column matrix [kk, N*Ho*Wo]): depth [k0,
+/// k0 + k) of columns [p0, p0 + pn) into [k][16] micro-panels, the ragged
+/// last tile zero-padded so it runs on the full kernel too. Each
+/// micro-panel reads its 16 rows of bt as 16 sequential streams.
+void pack_bt_panel(const float* bt, std::size_t ldb, int k0, int k, int p0,
+                   int pn, float* packed) {
+  for (int jt = 0; jt * kTileCols < pn; ++jt) {
+    const int nr = std::min(kTileCols, pn - jt * kTileCols);
+    const float* rows[kTileCols];
+    for (int j = 0; j < nr; ++j) {
+      rows[j] = bt + static_cast<std::size_t>(p0 + jt * kTileCols + j) * ldb +
+                k0;
+    }
+    float* dst = packed + static_cast<std::size_t>(jt) * k * kTileCols;
+    for (int p = 0; p < k; ++p, dst += kTileCols) {
+      for (int j = 0; j < nr; ++j) dst[j] = rows[j][p];
+      for (int j = nr; j < kTileCols; ++j) dst[j] = 0.0f;
+    }
+  }
+}
+
+/// Recycled storage for the per-call A pack of gemm_tiled and
+/// gemm_tiled_bt. Pool workers must read the CALLER's pack through a
+/// reference: naming this inside a worker resolves to the worker's own.
+PackedGemmA& call_pack() {
+  static thread_local PackedGemmA pa;
+  return pa;
+}
+
+}  // namespace
+
+void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out) {
+  pack_a_strided(a, m, k, static_cast<std::size_t>(k), 1, out);
+}
+
+void pack_gemm_at(const float* at, int m, int k, PackedGemmA& out) {
+  pack_a_strided(at, m, k, 1, static_cast<std::size_t>(m), out);
 }
 
 void gemm_tiled_pa(const PackedGemmA& a, const float* b, float* c, int n,
@@ -365,15 +395,15 @@ void gemm_tiled_pa(const PackedGemmA& a, const float* b, float* c, int n,
   const std::size_t ldc = static_cast<std::size_t>(n);
   detail::gemm_panels<float>(
       a.m, k, n, micro_panel_floats(k),
-      [&](int p0, int full_tiles, float* packed) {
-        pack_b_panel(b, k, n, p0, full_tiles, packed);
+      [&](int p0, int pn, float* packed) {
+        pack_b_panel(b, k, n, p0, pn, packed);
       },
       [&](int t, int j0, const float* bp) {
         const std::size_t at =
             static_cast<std::size_t>(t) * kTileRows * ldc + j0;
         kernels.tile4x16(a_panel(a, t), bp, k, c + at, ldc, accumulate);
       },
-      [&](int t, int j0, int mr, int nr) {
+      [&](int t, int j0, int mr, int nr, const float*) {
         for (int i = 0; i < mr; ++i) {
           float* crow =
               c + static_cast<std::size_t>(t * kTileRows + i) * ldc + j0;
@@ -388,8 +418,8 @@ void gemm_tiled_pa(const PackedGemmA& a, const float* b, float* c, int n,
 void gemm_tiled_pa_ep(const PackedGemmA& a, const float* b, float* c, int n,
                       const GemmEpilogue& ep) {
   ODENET_CHECK(n >= 0, "bad gemm dimensions");
-  gemm_ep_panels(a, b, c, n, ep, [&](int p0, int full_tiles, float* packed) {
-    pack_b_panel(b, a.k, n, p0, full_tiles, packed);
+  gemm_ep_panels(a, b, c, n, ep, [&](int p0, int pn, float* packed) {
+    pack_b_panel(b, a.k, n, p0, pn, packed);
   });
 }
 
@@ -525,7 +555,8 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
   // kernel, same sweep order as the explicit composition — bitwise
   // identical output.
   gemm_ep_panels(a, nullptr, c, n, ep,
-                 [&](int p0, int full_tiles, float* packed) {
+                 [&](int p0, int pn, float* packed) {
+    const int full_tiles = pn / kTileCols;
     for (int p = 0; p < k; ++p) {
       const TapSpec& ts = taps[p % kk];
       const float* chan = src + static_cast<std::size_t>(p / kk) * plane;
@@ -576,131 +607,74 @@ void permute_channel_major_add(const float* src, float* dst, int batch,
 void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,
                 bool accumulate) {
   ODENET_CHECK(m >= 0 && k >= 0 && n >= 0, "bad gemm dimensions");
-  // Per-call A packing into recycled thread-local storage; layers that
-  // call repeatedly with fixed weights should cache a PackedGemmA and use
-  // gemm_tiled_pa directly (Conv2d/Linear do, keyed by weight version).
-  static thread_local PackedGemmA pa;
+  // Layers that call repeatedly with fixed weights cache a PackedGemmA and
+  // use gemm_tiled_pa directly (Conv2d does, keyed by weight version).
+  PackedGemmA& pa = call_pack();
   pack_gemm_a(a, m, k, pa);
   gemm_tiled_pa(pa, b, c, n, accumulate);
 }
 
-void pack_gemm_b_nt(const float* bt, int k, int n, PackedGemmB& out) {
-  ODENET_CHECK(k >= 0 && n >= 0, "bad pack_gemm_b_nt dimensions");
-  out.k = k;
-  out.n = n;
-  const int col_tiles = (n + kTileCols - 1) / kTileCols;
-  out.data.resize(static_cast<std::size_t>(col_tiles) *
-                  static_cast<std::size_t>(std::max(k, 1)) * kTileCols);
-  for (int t = 0; t < col_tiles; ++t) {
-    const int j0 = t * kTileCols;
-    const int nr = std::min(kTileCols, n - j0);
-    float* panel = out.data.data() +
-                   static_cast<std::size_t>(t) * k * kTileCols;
-    for (int p = 0; p < k; ++p) {
-      float* dst = panel + static_cast<std::size_t>(p) * kTileCols;
-      for (int j = 0; j < nr; ++j) {
-        // B[p][j0+j] = bt[(j0+j)*k + p] (bt stores B^T row-major).
-        dst[j] = bt[(j0 + j) * static_cast<std::size_t>(k) + p];
-      }
-      for (int j = nr; j < kTileCols; ++j) dst[j] = 0.0f;
-    }
-  }
-}
-
-void gemm_tiled_pb(const float* a, const PackedGemmB& b, float* c, int m,
-                   bool accumulate) {
-  ODENET_CHECK(m >= 0, "bad gemm dimensions");
-  const int k = b.k, n = b.n;
-  if (m == 0 || n == 0) return;
+void gemm_tiled_bt(const float* a, const float* bt, float* c, int m, int k,
+                   int n, bool accumulate) {
+  ODENET_CHECK(m >= 0 && k >= 0 && n >= 0, "bad gemm dimensions");
+  PackedGemmA& pa = call_pack();
+  pack_gemm_a(a, m, k, pa);
   const GemmKernels& kernels = active_gemm_kernels();
-  const int col_tiles = (n + kTileCols - 1) / kTileCols;
-  const int row_tiles = (m + kTileRows - 1) / kTileRows;
-  static thread_local PackedGemmA pa_storage;
-  pack_gemm_a(a, m, k, pa_storage);
-  // Pool workers must read the CALLER's pack: naming the thread_local
-  // inside the lambda would resolve to each worker's own (empty) copy.
-  const PackedGemmA& pa = pa_storage;
-
-  auto run_tiles = [&](int t0, int t1) {
-    // Edge tiles run the full-width kernel into a scratch tile (packed
-    // panels are zero-padded, so phantom lanes compute zeros) and copy the
-    // live mr x nr corner out — every k-loop is vectorized, which matters
-    // for the m = 1 single-request Linear.
-    float tile[kTileRows * kTileCols];
-    for (int t = t0; t < t1; ++t) {
-      const int i0 = t * kTileRows;
-      const int mr = std::min(kTileRows, m - i0);
-      const float* apanel = pa.data.data() +
-                            static_cast<std::size_t>(t) * k * kTileRows;
-      for (int jt = 0; jt < col_tiles; ++jt) {
-        const int j0 = jt * kTileCols;
-        const int nr = std::min(kTileCols, n - j0);
-        const float* bpanel = b.data.data() +
-                              static_cast<std::size_t>(jt) * k * kTileCols;
-        if (mr == kTileRows && nr == kTileCols) {
-          kernels.tile4x16(apanel, bpanel, k,
-                           c + (static_cast<std::size_t>(i0) * n + j0),
-                           static_cast<std::size_t>(n), accumulate);
-        } else {
-          kernels.tile4x16(apanel, bpanel, k, tile, kTileCols,
-                           /*accumulate=*/false);
-          for (int i = 0; i < mr; ++i) {
-            float* crow = c + (i0 + i) * static_cast<std::size_t>(n) + j0;
-            const float* trow = tile + i * kTileCols;
-            for (int j = 0; j < nr; ++j) {
-              crow[j] = accumulate ? crow[j] + trow[j] : trow[j];
-            }
+  const std::size_t ldc = static_cast<std::size_t>(n);
+  // Depth blocks bound one micro-panel by the driver's panel cap when k
+  // is the long axis (a conv dW: k = N*Ho*Wo). Each block is one driver
+  // call, so a tile's blocks run in order on whatever worker takes them.
+  const int kc = static_cast<int>(detail::kMaxPanelBytes /
+                                  (kTileCols * sizeof(float)));
+  int k0 = 0;
+  do {
+    const int kb = std::min(kc, k - k0);
+    const bool acc = accumulate || k0 > 0;
+    // One tile over the block, kSumDepth terms at a time, each span summed
+    // fresh in a scratch tile whose live corner is then stored or added:
+    // the rounding error grows with the span and the span count rather
+    // than with k, which a conv dW makes thousands long. A full tile sums
+    // its first span in place on C, as gemm_tiled_pa's tiles do, so a
+    // product no deeper than kSumDepth (the Linear head) runs the plain
+    // micro-kernel. Ragged tiles run the full kernel over the zero-padded
+    // panels too, so every k loop vectorizes (the m = 1 Linear).
+    auto run_tile = [&](int t, int j0, int mr, int nr, const float* bp) {
+      const float* ap =
+          a_panel(pa, t) + static_cast<std::size_t>(k0) * kTileRows;
+      float* ct = c + static_cast<std::size_t>(t) * kTileRows * ldc + j0;
+      const bool full = mr == kTileRows && nr == kTileCols;
+      for (int d = 0; d == 0 || d < kb; d += kSumDepth) {
+        const int len = std::min(kSumDepth, kb - d);
+        const bool add = acc || d > 0;
+        if (full && d == 0) {
+          kernels.tile4x16(ap, bp, len, ct, ldc, add);
+          continue;
+        }
+        float tile[kTileRows * kTileCols];
+        kernels.tile4x16(ap + static_cast<std::size_t>(d) * kTileRows,
+                         bp + static_cast<std::size_t>(d) * kTileCols, len,
+                         tile, kTileCols, /*accumulate=*/false);
+        for (int i = 0; i < mr; ++i) {
+          float* crow = ct + static_cast<std::size_t>(i) * ldc;
+          const float* trow = tile + i * kTileCols;
+          for (int j = 0; j < nr; ++j) {
+            crow[j] = add ? crow[j] + trow[j] : trow[j];
           }
         }
       }
-    }
-  };
-
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  if (flops < gemm_parallel_min_flops() || pool.worker_count() <= 1) {
-    run_tiles(0, row_tiles);
-    return;
-  }
-  util::parallel_for(pool, 0, static_cast<std::size_t>(row_tiles),
-                     [&](std::size_t t) {
-    run_tiles(static_cast<int>(t), static_cast<int>(t) + 1);
-  });
-}
-
-void gemm_bt_tiled(const float* a, const float* b, float* c, int m, int k,
-                   int n, bool accumulate) {
-  ODENET_CHECK(m >= 0 && k >= 0 && n >= 0, "bad gemm dimensions");
-  // Row quads: each 4-row tile of C streams the whole of B once; the four
-  // A rows (and the current B row) stay cache-hot across the tile. The
-  // inner dot runs over independent partial sums (scalar: 8-way unroll the
-  // vectorizer packs; AVX2: explicit FMA lanes) — see gemm_kernels.hpp.
-  const GemmKernels& kernels = active_gemm_kernels();
-  const int row_tiles = (m + kTileRows - 1) / kTileRows;
-  auto run_tile = [&](std::size_t t) {
-    const int i0 = static_cast<int>(t) * kTileRows;
-    const int mr = std::min(kTileRows, m - i0);
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b + static_cast<std::size_t>(j) * k;
-      for (int i = 0; i < mr; ++i) {
-        const float* arow = a + (i0 + i) * static_cast<std::size_t>(k);
-        float* cv = c + (i0 + i) * static_cast<std::size_t>(n) + j;
-        const float dot = kernels.dot(arow, brow, k);
-        *cv = accumulate ? *cv + dot : dot;
-      }
-    }
-  };
-  const std::size_t flops = 2ull * static_cast<std::size_t>(m) *
-                            static_cast<std::size_t>(k) *
-                            static_cast<std::size_t>(n);
-  util::ThreadPool& pool = kernel_pool();
-  if (flops < gemm_parallel_min_flops() || pool.worker_count() <= 1) {
-    for (int t = 0; t < row_tiles; ++t) run_tile(static_cast<std::size_t>(t));
-    return;
-  }
-  util::parallel_for(pool, 0, static_cast<std::size_t>(row_tiles), run_tile);
+    };
+    detail::gemm_panels<float>(
+        m, kb, n, micro_panel_floats(kb),
+        [&](int p0, int pn, float* packed) {
+          pack_bt_panel(bt, static_cast<std::size_t>(k), k0, kb, p0, pn,
+                        packed);
+        },
+        [&](int t, int j0, const float* bp) {
+          run_tile(t, j0, kTileRows, kTileCols, bp);
+        },
+        run_tile);
+    k0 += kc;
+  } while (k0 < k);
 }
 
 }  // namespace odenet::core

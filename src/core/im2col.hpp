@@ -1,12 +1,15 @@
 // im2col / col2im lowering and the tiled GEMMs — the software
-// convolution path (core::Conv2d).
+// convolution path (core::Conv2d) and the Linear layer's products.
 //
-// The packed-A GEMMs here (gemm_tiled_pa, gemm_tiled_pa_ep,
-// gemm_tiled_pa_ep_lowered) and the int16 gemm_i16_tiled_pa
-// (gemm_kernels.hpp) all run on one internal driver, core/gemm_driver.hpp,
-// which alone fixes the B-panel width and the panel x row-block thread
-// split; each supplies only its panel fill and its tile. Every result is
-// bitwise identical for any worker count.
+// Every float GEMM here (gemm_tiled, gemm_tiled_pa, gemm_tiled_pa_ep,
+// gemm_tiled_pa_ep_lowered, gemm_tiled_bt) and the int16
+// gemm_i16_tiled_pa (gemm_kernels.hpp) runs on one internal driver,
+// core/gemm_driver.hpp, which alone fixes the B-panel width and the panel
+// x row-block thread split; each supplies only its panel fill and its
+// tile. Every result is bitwise identical for any worker count. The
+// operands come in the layouts their callers already hold: A row-major or
+// stored transposed (pack_gemm_a / pack_gemm_at), B row-major
+// (gemm_tiled_pa) or stored transposed (gemm_tiled_bt).
 //
 // im2col unfolds each KxK receptive field of a [C,H,W] plane stack into a
 // column of a [C*K*K, Ho*Wo] matrix so convolution becomes one matrix
@@ -75,19 +78,6 @@ void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
 void permute_channel_major(const float* src, float* dst, int batch,
                            int channels, std::size_t plane, bool to_nchw);
 
-/// C[m,n] (+)= A^T[m,k] * B[k,n] where A is stored [k,m] row-major. When
-/// accumulate is false C is overwritten. Parallelized over rows of C.
-void gemm_at(const float* a, const float* b, float* c, int m, int k, int n,
-             bool accumulate);
-
-/// Register-blocked A*B^T: C[m,n] (+)= A[m,k] * B^T with B stored [n,k]
-/// row-major, row-quad tiled — each B row is streamed once per four rows
-/// of C, and every dot product runs over eight partial accumulators so it
-/// vectorizes. Used by the batched conv backward for dW, where k is the
-/// long n*Ho*Wo axis.
-void gemm_bt_tiled(const float* a, const float* b, float* c, int m, int k,
-                   int n, bool accumulate);
-
 /// Register-blocked GEMM: C[m,n] (+)= A[m,k] * B[k,n], row-major,
 /// accumulation over k in ascending order; when accumulate is false C is
 /// overwritten. Computed through an MR x NR micro-kernel that keeps an
@@ -102,7 +92,7 @@ void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,
 /// k-major so the kernel reads 4 contiguous A values per k step). Edge
 /// rows past m are zero-padded, so a full-width kernel run over the last
 /// panel computes zeros for the phantom rows. This is the once-per-layer
-/// packed-weight format Conv2d/Linear cache across calls.
+/// packed-weight format Conv2d caches across calls.
 struct PackedGemmA {
   std::vector<float> data;
   int m = 0;
@@ -113,6 +103,12 @@ struct PackedGemmA {
 
 /// Packs row-major A[m,k] into `out` (storage recycled across calls).
 void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out);
+
+/// Packs A[m,k] from its transpose `at`, stored [k,m] row-major, into the
+/// same layout, so a product whose left operand is held transposed runs on
+/// gemm_tiled_pa: the conv input gradient's W^T (W is [Cout, C*K*K]) and
+/// the Linear weight gradient's G^T (G is [N, out]).
+void pack_gemm_at(const float* at, int m, int k, PackedGemmA& out);
 
 /// C[m,n] (+)= A * B[k,n] with A pre-packed: gemm_tiled with the A-side
 /// packing hoisted out, so steady-state serving packs each weight matrix
@@ -173,24 +169,15 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
 void permute_channel_major_add(const float* src, float* dst, int batch,
                                int channels, std::size_t plane);
 
-/// B^T stored [n,k] row-major (a Linear weight [out,in]) repacked into the
-/// column-panel layout the micro-kernel consumes: [ceil(n/16)] panels of
-/// [k][16], edge columns zero-padded. Cached once per weight version.
-struct PackedGemmB {
-  std::vector<float> data;
-  int k = 0;
-  int n = 0;
-
-  bool empty() const { return n == 0 || k == 0; }
-};
-
-/// Packs `bt` (stored [n,k] row-major, i.e. B transposed) into `out`.
-void pack_gemm_b_nt(const float* bt, int k, int n, PackedGemmB& out);
-
-/// C[m,n] (+)= A[m,k] * B with B pre-packed (the Linear forward product
-/// X * W^T with W packed once per version). A is packed per call into
-/// recycled thread-local storage.
-void gemm_tiled_pb(const float* a, const PackedGemmB& b, float* c, int m,
-                   bool accumulate);
+/// C[m,n] (+)= A[m,k] * B with B stored transposed, [n,k] row-major: the
+/// conv weight gradient G * cols^T (cols is [C*K*K, N*Ho*Wo]) and the
+/// Linear forward X * W^T (W is [out, in]). A is packed per call into
+/// recycled thread-local storage; B is packed per column panel, its ragged
+/// last tile zero-padded and run on the full micro-kernel into a scratch
+/// tile whose corner is then stored (added when accumulating). A long k is
+/// cut into depth blocks that keep one micro-panel within the driver's
+/// panel cap; blocks after the first accumulate onto C.
+void gemm_tiled_bt(const float* a, const float* bt, float* c, int m, int k,
+                   int n, bool accumulate);
 
 }  // namespace odenet::core

@@ -14,32 +14,18 @@ Linear::Linear(int in_features, int out_features, std::string name)
                "linear needs positive feature counts");
 }
 
-const PackedGemmB& Linear::packed_weights() {
-  const bool hit = packed_valid_ && weight_version_ != 0 &&
-                   packed_version_ == weight_version_;
-  if (!hit) {
-    pack_gemm_b_nt(weight_.value.data(), in_, out_, packed_weight_);
-    packed_version_ = weight_version_;
-    packed_valid_ = true;
-    ++weight_packs_;
-  }
-  return packed_weight_;
-}
-
 Tensor Linear::forward(const Tensor& x) {
   ODENET_CHECK(x.ndim() == 2 && x.dim(1) == in_,
                name_ << ": expected [N," << in_ << "], got " << x.shape_str());
   const int n = x.dim(0);
-  // out = X * W^T + b through the packed micro-kernel GEMM (W stored
-  // [out, in] is exactly the B^T layout pack_gemm_b_nt consumes, packed
-  // once per weight version): bias pre-fills each row and the GEMM
-  // accumulates on top.
+  // out = X * W^T + b (W stored [out, in] is the B^T layout): bias
+  // pre-fills each row and the GEMM accumulates on top.
   Tensor out({n, out_});
   for (int ni = 0; ni < n; ++ni) {
     float* row = out.data() + static_cast<std::size_t>(ni) * out_;
     for (int o = 0; o < out_; ++o) row[o] = bias_.value.at1(o);
   }
-  gemm_tiled_pb(x.data(), packed_weights(), out.data(), n,
+  gemm_tiled_bt(x.data(), weight_.value.data(), out.data(), n, in_, out_,
                 /*accumulate=*/true);
   if (training_) cached_input_ = x;
   return out;
@@ -54,10 +40,11 @@ Tensor Linear::backward(const Tensor& grad_out) {
                    grad_out.dim(1) == out_,
                name_ << ": grad shape " << grad_out.shape_str());
 
-  // dW[out, in] += G^T[out, N] * X[N, in] (G stored [N, out] is gemm_at's
-  // A layout); db += column sums of G.
-  gemm_at(grad_out.data(), x.data(), weight_.grad.data(), out_, n, in_,
-          /*accumulate=*/true);
+  // dW[out, in] += G^T[out, N] * X[N, in], G^T packed from its transposed
+  // storage G [N, out]; db += column sums of G.
+  static thread_local PackedGemmA gt;
+  pack_gemm_at(grad_out.data(), out_, n, gt);
+  gemm_tiled_pa(gt, x.data(), weight_.grad.data(), in_, /*accumulate=*/true);
   for (int ni = 0; ni < n; ++ni) {
     const float* grow = grad_out.data() + static_cast<std::size_t>(ni) * out_;
     for (int o = 0; o < out_; ++o) bias_.grad.at1(o) += grow[o];

@@ -2,9 +2,6 @@
 // 26.00 kB = (64*100 + 100) * 4 bytes).
 #pragma once
 
-#include <cstdint>
-
-#include "core/im2col.hpp"
 #include "core/layer.hpp"
 
 namespace odenet::core {
@@ -24,31 +21,13 @@ class Linear final : public Layer {
   Param& weight() { return weight_; }
   Param& bias() { return bias_; }
 
-  /// Same packed-weight versioning contract as Conv2d: 0 = unversioned
-  /// (repack each call into recycled storage), non-zero keys the cache.
-  std::uint64_t weight_version() const { return weight_version_; }
-  void set_weight_version(std::uint64_t version) {
-    weight_version_ = version;
-  }
-  void invalidate_packed_weights() { packed_valid_ = false; }
-  std::uint64_t weight_packs() const { return weight_packs_; }
-
  private:
-  /// W ([out, in] = (X*W^T)'s B^T) packed into the column-panel layout,
-  /// cached per weight version.
-  const PackedGemmB& packed_weights();
-
   int in_;
   int out_;
   std::string name_;
   Param weight_;  // [out, in]
   Param bias_;    // [out]
   Tensor cached_input_;
-  PackedGemmB packed_weight_;
-  std::uint64_t weight_version_ = 0;
-  std::uint64_t packed_version_ = 0;
-  bool packed_valid_ = false;
-  std::uint64_t weight_packs_ = 0;
 };
 
 }  // namespace odenet::core

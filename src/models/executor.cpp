@@ -23,9 +23,6 @@ std::uint64_t NetworkRunStats::pl_cycles() const {
   return total;
 }
 
-FloatStageExecutor::FloatStageExecutor(CostModel modeled_seconds)
-    : name_("float_cpu"), modeled_seconds_(std::move(modeled_seconds)) {}
-
 core::Tensor FloatStageExecutor::run(Stage& stage, const core::Tensor& x,
                                      core::StageRunStats* stats) {
   util::Stopwatch watch;
@@ -34,8 +31,7 @@ core::Tensor FloatStageExecutor::run(Stage& stage, const core::Tensor& x,
     stats->backend = core::ExecBackend::kFloat;
     stats->on_accelerator = false;
     stats->pl_cycles = 0;
-    stats->seconds = modeled_seconds_ ? modeled_seconds_(stage.spec())
-                                      : watch.seconds();
+    stats->seconds = watch.seconds();
   }
   return out;
 }

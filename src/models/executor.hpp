@@ -3,12 +3,11 @@
 // A StageExecutor runs one network stage over a batch; a StagePlan maps
 // each stage to the executor that should run it. Network::forward_stages
 // is the single dispatch loop — the float software path, the fixed-point
-// path and the PS/PL co-simulator (sched/system_sim.hpp) all route through
+// path and the simulated PL (sched/fpga_executor.hpp) all route through
 // it, differing only in the plan they pass.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -31,24 +30,13 @@ class StageExecutor {
   /// the run cost (measured or modeled, see each implementation).
   virtual core::Tensor run(Stage& stage, const core::Tensor& x,
                            core::StageRunStats* stats) = 0;
-
-  /// Re-syncs any backend-held copy of the stage's weights (e.g. the
-  /// accelerator's BRAM image) after the network's parameters changed.
-  /// CPU backends read the live parameters and need no sync.
-  virtual void reload_weights(Stage& stage) { (void)stage; }
 };
 
 /// Float32 reference backend: delegates to Stage::forward (the training
 /// path — forward caches survive for Network::backward). `seconds` is
-/// measured wall clock unless a cost model is installed, in which case the
-/// modeled latency is reported instead (the co-simulator installs the
-/// Cortex-A9 model).
+/// measured wall clock.
 class FloatStageExecutor final : public StageExecutor {
  public:
-  using CostModel = std::function<double(const StageSpec&)>;
-
-  explicit FloatStageExecutor(CostModel modeled_seconds = nullptr);
-
   const std::string& name() const override { return name_; }
   core::ExecBackend backend() const override {
     return core::ExecBackend::kFloat;
@@ -57,8 +45,7 @@ class FloatStageExecutor final : public StageExecutor {
                    core::StageRunStats* stats) override;
 
  private:
-  std::string name_;
-  CostModel modeled_seconds_;
+  std::string name_ = "float_cpu";
 };
 
 /// Q-format fixed-point CPU backend: quantizes the weights AND saturates

@@ -86,7 +86,6 @@ void Network::set_weight_version(std::uint64_t version) {
   for_each_conv([version](core::Conv2d& conv) {
     conv.set_weight_version(version);
   });
-  fc_.set_weight_version(version);
 }
 
 void Network::set_weight_version_where(
@@ -95,12 +94,10 @@ void Network::set_weight_version_where(
   for_each_conv([version, &changed](core::Conv2d& conv) {
     if (changed(conv.name())) conv.set_weight_version(version);
   });
-  if (changed(fc_.name())) fc_.set_weight_version(version);
 }
 
 void Network::invalidate_packed_weights() {
   for_each_conv([](core::Conv2d& conv) { conv.invalidate_packed_weights(); });
-  fc_.invalidate_packed_weights();
 }
 
 void Network::set_scratch_arena(core::ScratchArena* arena) {

@@ -48,9 +48,9 @@ class Network final : public core::Layer {
                       NetworkRunStats* stats = nullptr);
 
   /// THE per-stage dispatch loop: runs every non-empty stage through the
-  /// plan's executor for it. `h` is the stem output. Exposed so executors
-  /// stacked on stem/head pieces (the co-simulator, the serving runtime)
-  /// share one loop instead of reimplementing it.
+  /// plan's executor for it. `h` is the stem output. Exposed so callers
+  /// stacked on stem/head pieces (the serving runtime) share one loop
+  /// instead of reimplementing it.
   Tensor forward_stages(Tensor h, const StagePlan& plan,
                         NetworkRunStats* stats = nullptr);
 
@@ -75,7 +75,7 @@ class Network final : public core::Layer {
   void for_each_batchnorm(const std::function<void(core::BatchNorm2d&)>& fn);
 
   /// Stamps a snapshot version on every packed-weight-caching layer (all
-  /// convs + fc). apply_snapshot() does this for you; 0 un-stamps (the
+  /// convs). apply_snapshot() does this for you; 0 un-stamps (the
   /// weights are about to be mutated in place, e.g. by an optimizer
   /// step), which makes each layer rebuild its packed view per call.
   void set_weight_version(std::uint64_t version);
@@ -106,9 +106,9 @@ class Network final : public core::Layer {
     return external_arena_ != nullptr ? *external_arena_ : arena_;
   }
 
-  /// Pieces of the forward pass, exposed so external executors (e.g. the
-  /// PS/PL co-simulator in src/sched/system_sim.hpp) can interleave their
-  /// own stage implementations with the network's stem and head.
+  /// Pieces of the forward pass, exposed so a caller that drives the
+  /// stages itself (forward_stages with its own plan, per-stage timing)
+  /// can run the network's stem and head around them.
   Tensor stem_forward(const Tensor& x);
   Tensor head_forward(const Tensor& features);
 

@@ -11,6 +11,10 @@ namespace odenet::runtime {
 
 namespace {
 
+/// Anti-starvation aging: a request queued longer than this is promoted
+/// one priority class in pop order (see BatchQueue).
+constexpr std::chrono::microseconds kPromoteAfter{16000};
+
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -47,7 +51,7 @@ InferenceEngine::InferenceEngine(models::ModelSnapshot::Ptr snapshot,
     backend->label = core::backend_name(bc.backend);
     backend->index = backends_.size();
     backend->queue = std::make_unique<BatchQueue>(
-        cfg_.max_batch, cfg_.promote_after, cfg_.max_queue_depth, &tenants_);
+        cfg_.max_batch, kPromoteAfter, cfg_.max_queue_depth, &tenants_);
     backend->stats.backend = bc.backend;
     if (bc.backend == core::ExecBackend::kFpgaSim) {
       backend->offloaded = bc.offloaded;

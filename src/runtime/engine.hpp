@@ -102,10 +102,6 @@ struct EngineConfig {
   /// Routed submits (SubmitOptions::backend == kAnyBackend) go to the
   /// backend with the fewest outstanding requests (least_depth()).
   std::vector<BackendConfig> backends{BackendConfig{}};
-  /// Anti-starvation aging: a request queued longer than this is
-  /// promoted one priority class in pop order (see BatchQueue). 0
-  /// disables promotion.
-  std::chrono::microseconds promote_after{16000};
   /// Admission control: bound each backend queue at this depth; an
   /// arrival that finds the queue full is shed fail-fast with QueueFull
   /// through its future, or admitted by evicting the oldest evictable

@@ -14,7 +14,7 @@ FpgaStageExecutor::FpgaStageExecutor(models::Stage& stage, const Config& cfg)
   ODENET_CHECK(stage.is_ode(),
                models::stage_name(stage.spec().id)
                    << ": the PL implements one weight-shared block; only "
-                      "ODE stages are offloadable in the co-simulator");
+                      "ODE stages are offloadable");
   const auto& spec = stage.spec();
   accel_ = std::make_unique<fpga::OdeBlockAccelerator>(
       fpga::OdeBlockAccelerator::Config{.channels = spec.out_channels,
@@ -27,10 +27,6 @@ FpgaStageExecutor::FpgaStageExecutor(models::Stage& stage, const Config& cfg)
   // Align the software reference semantics with the hardware BN.
   stage.ode()->block().bn1().set_use_batch_stats_in_eval(true);
   stage.ode()->block().bn2().set_use_batch_stats_in_eval(true);
-}
-
-void FpgaStageExecutor::reload_weights(models::Stage& stage) {
-  accel_->load_weights(stage.ode()->block());
 }
 
 void FpgaStageExecutor::requantize(models::Stage& stage,

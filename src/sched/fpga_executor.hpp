@@ -46,9 +46,6 @@ class FpgaStageExecutor final : public models::StageExecutor {
   core::Tensor run(models::Stage& stage, const core::Tensor& x,
                    core::StageRunStats* stats) override;
 
-  /// Re-quantizes the stage's (possibly retrained) weights into BRAM.
-  void reload_weights(models::Stage& stage) override;
-
   /// Hot-swap path: rebuilds the BRAM weight image from the stage's
   /// current (post-apply_snapshot) weights and records the snapshot
   /// version the accelerator now serves. The PL is construction-sized,

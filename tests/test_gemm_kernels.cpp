@@ -1,16 +1,18 @@
 // SIMD GEMM micro-kernels and the packed-weight caches built on them
 // (core/gemm_kernels.hpp, the tiled GEMMs in core/im2col.hpp):
-//  * every tiled GEMM entry point against a double-accumulation reference
-//    across a geometry sweep that exercises full tiles and ragged edges;
+//  * every tiled GEMM entry point, in each operand layout (A row-major or
+//    transposed, B row-major or transposed), against a double-accumulation
+//    reference across a geometry sweep that exercises full tiles, ragged
+//    edges and the panel cap;
 //  * ISA parity — the AVX2 kernels against the scalar fallback on the
 //    same inputs (skipped on hosts without usable AVX2+FMA);
 //  * thread-count invariance — the panel split never changes any tile's
 //    summation order, so results are BITWISE equal across pool sizes;
 //  * the exact int32 x int32 -> int64 tile, scalar vs AVX2 bitwise on
 //    int32-rail operands whose sums wrap;
-//  * the once-per-version weight-packing caches of Conv2d and Linear
-//    (hit on repeat calls, rebuild on version change / invalidation /
-//    unversioned weights).
+//  * Conv2d's once-per-version weight-packing cache (hit on repeat calls,
+//    rebuild on version change / invalidation / unversioned weights), and
+//    Linear reading its live weights on every call.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -56,7 +58,8 @@ std::vector<float> reference_gemm(const std::vector<float>& a,
   return c;
 }
 
-/// B[k,n] -> B^T stored [n,k] row-major (the gemm_bt/pack_gemm_b_nt input).
+/// B[k,n] -> B^T stored [n,k] row-major (the gemm_tiled_bt / pack_gemm_at
+/// input).
 std::vector<float> transpose(const std::vector<float>& b, int k, int n) {
   std::vector<float> bt(static_cast<std::size_t>(n) * k);
   for (int p = 0; p < k; ++p) {
@@ -87,18 +90,22 @@ struct Shape {
 };
 
 /// Full tiles, ragged rows (m % 4), ragged cols (n % 16), sub-tile sizes,
-/// panel boundaries (n near the 256-wide packing panel) and a long-n case
-/// shaped like a batched lowering.
+/// panel boundaries (n near the 256-wide packing panel), a long-n case
+/// shaped like a batched lowering, a Linear-head forward (m 1, k 64,
+/// n 100), and two conv-dW-like products with k >> n that the panel cap
+/// cuts: k 2048 narrows the panel to 64 columns (two panels, the second
+/// ragged), k 9400 also splits the depth into two blocks.
 const Shape kShapes[] = {
-    {1, 1, 1},    {3, 5, 7},     {4, 8, 16},   {5, 16, 17},  {8, 9, 32},
+    {1, 1, 1},    {3, 5, 7},     {4, 8, 16},    {5, 16, 17},  {8, 9, 32},
     {12, 64, 48}, {17, 27, 100}, {20, 36, 255}, {16, 32, 256}, {7, 33, 257},
-    {64, 36, 585}, {100, 7, 130},
+    {64, 36, 585}, {100, 7, 130}, {1, 64, 100}, {16, 2048, 91}, {8, 9400, 21},
 };
 
 void run_all_tiled(const Shape& s, ou::Rng& rng) {
   SCOPED_TRACE(s.str());
   const auto a = random_matrix(s.m, s.k, rng);
   const auto b = random_matrix(s.k, s.n, rng);
+  const auto at = transpose(a, s.m, s.k);
   const auto bt = transpose(b, s.k, s.n);
   const auto want = reference_gemm(a, b, s.m, s.k, s.n);
   const double tol = tol_for(s.k);
@@ -114,22 +121,36 @@ void run_all_tiled(const Shape& s, ou::Rng& rng) {
   gemm_tiled_pa(pa, b.data(), c.data(), s.n, false);
   EXPECT_LE(max_abs_diff(c, want), tol) << "gemm_tiled_pa";
 
-  PackedGemmB pb;
-  pack_gemm_b_nt(bt.data(), s.k, s.n, pb);
+  // A stored transposed packs to the very same panels.
+  PackedGemmA pat;
+  pack_gemm_at(at.data(), s.m, s.k, pat);
+  EXPECT_EQ(pat.m, pa.m);
+  EXPECT_EQ(pat.k, pa.k);
+  ASSERT_EQ(pat.data.size(), pa.data.size());
+  EXPECT_EQ(0, std::memcmp(pat.data.data(), pa.data.data(),
+                           pa.data.size() * sizeof(float)))
+      << "pack_gemm_at";
   std::fill(c.begin(), c.end(), -7.0f);
-  gemm_tiled_pb(a.data(), pb, c.data(), s.m, false);
-  EXPECT_LE(max_abs_diff(c, want), tol) << "gemm_tiled_pb";
+  gemm_tiled_pa(pat, b.data(), c.data(), s.n, false);
+  EXPECT_LE(max_abs_diff(c, want), tol) << "pack_gemm_at + gemm_tiled_pa";
 
   std::fill(c.begin(), c.end(), -7.0f);
-  gemm_bt_tiled(a.data(), bt.data(), c.data(), s.m, s.k, s.n, false);
-  EXPECT_LE(max_abs_diff(c, want), tol) << "gemm_bt_tiled";
+  gemm_tiled_bt(a.data(), bt.data(), c.data(), s.m, s.k, s.n, false);
+  EXPECT_LE(max_abs_diff(c, want), tol) << "gemm_tiled_bt";
 
   // accumulate=true adds onto the existing C.
-  std::vector<float> acc(cn, 1.5f);
-  gemm_tiled_pa(pa, b.data(), acc.data(), s.n, true);
   std::vector<float> want_acc(cn);
   for (std::size_t i = 0; i < cn; ++i) want_acc[i] = want[i] + 1.5f;
+  std::vector<float> acc(cn, 1.5f);
+  gemm_tiled_pa(pa, b.data(), acc.data(), s.n, true);
   EXPECT_LE(max_abs_diff(acc, want_acc), tol) << "gemm_tiled_pa accumulate";
+  std::fill(acc.begin(), acc.end(), 1.5f);
+  gemm_tiled_pa(pat, b.data(), acc.data(), s.n, true);
+  EXPECT_LE(max_abs_diff(acc, want_acc), tol)
+      << "pack_gemm_at + gemm_tiled_pa accumulate";
+  std::fill(acc.begin(), acc.end(), 1.5f);
+  gemm_tiled_bt(a.data(), bt.data(), acc.data(), s.m, s.k, s.n, true);
+  EXPECT_LE(max_abs_diff(acc, want_acc), tol) << "gemm_tiled_bt accumulate";
 }
 
 /// RAII scalar-forcing so a failing EXPECT cannot leak the override.
@@ -155,7 +176,6 @@ struct PoolOverride {
 TEST(GemmKernels, DispatchIsConsistent) {
   const GemmKernels& k = active_gemm_kernels();
   ASSERT_NE(k.tile4x16, nullptr);
-  ASSERT_NE(k.dot, nullptr);
   EXPECT_STREQ(k.isa, gemm_isa_name());
   if (gemm_avx2_usable()) {
     EXPECT_TRUE(gemm_avx2_compiled());
@@ -188,6 +208,7 @@ TEST(GemmKernels, IsaParityAvx2VsScalar) {
     SCOPED_TRACE(s.str());
     const auto a = random_matrix(s.m, s.k, rng);
     const auto b = random_matrix(s.k, s.n, rng);
+    const auto at = transpose(a, s.m, s.k);
     const auto bt = transpose(b, s.k, s.n);
     const double tol = tol_for(s.k);
     const std::size_t cn = static_cast<std::size_t>(s.m) * s.n;
@@ -200,12 +221,21 @@ TEST(GemmKernels, IsaParityAvx2VsScalar) {
     }
     EXPECT_LE(max_abs_diff(vec, sca), tol) << "gemm_tiled isa parity";
 
-    gemm_bt_tiled(a.data(), bt.data(), vec.data(), s.m, s.k, s.n, false);
+    PackedGemmA pat;
+    pack_gemm_at(at.data(), s.m, s.k, pat);
+    gemm_tiled_pa(pat, b.data(), vec.data(), s.n, false);
     {
       ForceScalar forced(true);
-      gemm_bt_tiled(a.data(), bt.data(), sca.data(), s.m, s.k, s.n, false);
+      gemm_tiled_pa(pat, b.data(), sca.data(), s.n, false);
     }
-    EXPECT_LE(max_abs_diff(vec, sca), tol) << "gemm_bt_tiled isa parity";
+    EXPECT_LE(max_abs_diff(vec, sca), tol) << "pack_gemm_at isa parity";
+
+    gemm_tiled_bt(a.data(), bt.data(), vec.data(), s.m, s.k, s.n, false);
+    {
+      ForceScalar forced(true);
+      gemm_tiled_bt(a.data(), bt.data(), sca.data(), s.m, s.k, s.n, false);
+    }
+    EXPECT_LE(max_abs_diff(vec, sca), tol) << "gemm_tiled_bt isa parity";
   }
 }
 
@@ -219,16 +249,17 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
     SCOPED_TRACE(s.str());
     const auto a = random_matrix(s.m, s.k, rng);
     const auto b = random_matrix(s.k, s.n, rng);
+    const auto at = transpose(a, s.m, s.k);
     const auto bt = transpose(b, s.k, s.n);
     const std::size_t cn = static_cast<std::size_t>(s.m) * s.n;
-
-    PackedGemmB pb;
-    pack_gemm_b_nt(bt.data(), s.k, s.n, pb);
 
     // accumulate=true starts every tile from the C it finds: a split that
     // ran a tile twice, or skipped one, would show in the sum.
     const auto c0 = random_matrix(s.m, s.n, rng);
-    std::vector<float> base_pa(cn), base_bt(cn), base_pb(cn), base_acc = c0;
+    std::vector<float> base_pa(cn), base_bt(cn), base_acc = c0,
+        base_at_acc = c0, base_bt_acc = c0;
+    PackedGemmA pat;
+    pack_gemm_at(at.data(), s.m, s.k, pat);
     {
       ou::ThreadPool one(1);
       PoolOverride ov(&one, 1);
@@ -236,9 +267,11 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
       pack_gemm_a(a.data(), s.m, s.k, pa);
       gemm_tiled_pa(pa, b.data(), base_pa.data(), s.n, false);
       gemm_tiled_pa(pa, b.data(), base_acc.data(), s.n, true);
-      gemm_bt_tiled(a.data(), bt.data(), base_bt.data(), s.m, s.k, s.n,
+      gemm_tiled_pa(pat, b.data(), base_at_acc.data(), s.n, true);
+      gemm_tiled_bt(a.data(), bt.data(), base_bt.data(), s.m, s.k, s.n,
                     false);
-      gemm_tiled_pb(a.data(), pb, base_pb.data(), s.m, false);
+      gemm_tiled_bt(a.data(), bt.data(), base_bt_acc.data(), s.m, s.k, s.n,
+                    true);
     }
     for (std::size_t workers : {2u, 8u}) {
       ou::ThreadPool pool(workers);
@@ -255,17 +288,23 @@ TEST(GemmKernels, ThreadCountInvarianceIsBitwise) {
       EXPECT_EQ(0, std::memcmp(acc.data(), base_acc.data(),
                                cn * sizeof(float)))
           << "gemm_tiled_pa accumulate differs at " << workers << " workers";
-      gemm_bt_tiled(a.data(), bt.data(), got.data(), s.m, s.k, s.n, false);
-      EXPECT_EQ(0, std::memcmp(got.data(), base_bt.data(),
+      acc = c0;
+      gemm_tiled_pa(pat, b.data(), acc.data(), s.n, true);
+      EXPECT_EQ(0, std::memcmp(acc.data(), base_at_acc.data(),
                                cn * sizeof(float)))
-          << "gemm_bt_tiled differs at " << workers << " workers";
+          << "pack_gemm_at accumulate differs at " << workers << " workers";
       // The A pack lives in the calling thread's storage; the workers
       // must read that pack, not their own (empty) thread-local copy.
       std::fill(got.begin(), got.end(), -3.0f);
-      gemm_tiled_pb(a.data(), pb, got.data(), s.m, false);
-      EXPECT_EQ(0, std::memcmp(got.data(), base_pb.data(),
+      gemm_tiled_bt(a.data(), bt.data(), got.data(), s.m, s.k, s.n, false);
+      EXPECT_EQ(0, std::memcmp(got.data(), base_bt.data(),
                                cn * sizeof(float)))
-          << "gemm_tiled_pb differs at " << workers << " workers";
+          << "gemm_tiled_bt differs at " << workers << " workers";
+      acc = c0;
+      gemm_tiled_bt(a.data(), bt.data(), acc.data(), s.m, s.k, s.n, true);
+      EXPECT_EQ(0, std::memcmp(acc.data(), base_bt_acc.data(),
+                               cn * sizeof(float)))
+          << "gemm_tiled_bt accumulate differs at " << workers << " workers";
     }
   }
 }
@@ -355,39 +394,9 @@ TEST(GemmKernels, Conv2dPacksOncePerWeightVersion) {
   EXPECT_EQ(conv.weight_packs(), 5u);
 }
 
-TEST(GemmKernels, LinearPacksOncePerWeightVersion) {
-  ou::Rng rng(12);
-  Linear fc(6, 4);
-  for (std::size_t i = 0; i < fc.weight().value.numel(); ++i) {
-    fc.weight().value.data()[i] = static_cast<float>(rng.normal(0.0, 0.5));
-  }
-  Tensor x({3, 6});
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    x.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
-  }
-
-  EXPECT_EQ(fc.weight_version(), 0u);
-  (void)fc.forward(x);
-  (void)fc.forward(x);
-  EXPECT_EQ(fc.weight_packs(), 2u);
-
-  fc.set_weight_version(9);
-  (void)fc.forward(x);
-  (void)fc.forward(x);
-  EXPECT_EQ(fc.weight_packs(), 3u);
-
-  fc.set_weight_version(10);
-  (void)fc.forward(x);
-  EXPECT_EQ(fc.weight_packs(), 4u);
-
-  fc.invalidate_packed_weights();
-  (void)fc.forward(x);
-  EXPECT_EQ(fc.weight_packs(), 5u);
-}
-
 TEST(GemmKernels, PackedCacheStillCorrectAfterRepack) {
-  // The cached pack must track the live weights: forward after an SGD-like
-  // in-place weight mutation with version 0 re-reads the new values.
+  // Linear must read its live weights: forward after an SGD-like in-place
+  // weight mutation sees the new values.
   ou::Rng rng(13);
   Linear fc(5, 3);
   for (std::size_t i = 0; i < fc.weight().value.numel(); ++i) {
@@ -407,5 +416,5 @@ TEST(GemmKernels, PackedCacheStillCorrectAfterRepack) {
     diff = std::max(diff, std::fabs(static_cast<double>(before.data()[i]) -
                                     after.data()[i]));
   }
-  EXPECT_GT(diff, 0.0) << "version-0 cache served stale weights";
+  EXPECT_GT(diff, 0.0) << "forward served stale weights";
 }

@@ -1,5 +1,5 @@
-// The batched im2col/col2im lowering (at batch 1), gemm_at, and Conv2d
-// against the naive reference convolution.
+// The batched im2col/col2im lowering (at batch 1), the transposed-A GEMM
+// layout, and Conv2d against the naive reference convolution.
 #include <gtest/gtest.h>
 
 #include "conv_reference.hpp"
@@ -75,13 +75,15 @@ TEST(Im2col, GemmTransposedVariants) {
   for (auto& v : at) v = static_cast<float>(rng.normal(0, 1));
   for (auto& v : b) v = static_cast<float>(rng.normal(0, 1));
 
-  // gemm_at: C = A^T B with A stored [k,m].
+  // C = A B with A stored transposed, [k,m].
   std::vector<float> c1(m * n), ref1(m * n, 0.0f);
   for (int i = 0; i < m; ++i)
     for (int p = 0; p < k; ++p)
       for (int j = 0; j < n; ++j)
         ref1[i * n + j] += at[p * m + i] * b[p * n + j];
-  gemm_at(at.data(), b.data(), c1.data(), m, k, n, false);
+  PackedGemmA pa;
+  pack_gemm_at(at.data(), m, k, pa);
+  gemm_tiled_pa(pa, b.data(), c1.data(), n, false);
   for (int i = 0; i < m * n; ++i) EXPECT_NEAR(c1[i], ref1[i], 1e-4f);
 }
 

@@ -111,9 +111,10 @@ TEST(Linear, GradMatchesFiniteDifference) {
   EXPECT_NEAR(gin.at2(0, 1), (up - dn) / (2 * eps), 1e-2f);
 }
 
-// The fc layer now runs on the register-blocked tiled GEMM kernels
-// (gemm_bt_tiled forward, gemm_tiled/gemm_at backward); parity-check a
-// non-trivial random case against the legacy per-element loops.
+// The fc layer runs on the tiled GEMM driver (forward X * W^T through
+// gemm_tiled_bt; backward dW through pack_gemm_at + gemm_tiled_pa, dX
+// through gemm_tiled); parity-check a non-trivial random case against the
+// legacy per-element loops.
 TEST(Linear, TiledKernelsMatchLegacyLoops) {
   ou::Rng rng(7);
   const int n = 9, in = 23, out = 13;
