@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   cluster::EngineCluster cluster(std::move(shards));
 
   std::printf("placement (consistent hash, %d virtual nodes per shard):\n",
-              cluster.config().virtual_nodes);
+              cluster::kVirtualNodes);
   for (int t = 0; t < n_tenants; ++t) {
     const std::string tenant = "tenant-" + std::to_string(t);
     std::printf("  %-10s -> %s\n", tenant.c_str(),

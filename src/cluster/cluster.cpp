@@ -12,19 +12,16 @@ namespace odenet::cluster {
 // ClusterRouter
 
 ClusterRouter::ClusterRouter(
-    const std::vector<std::pair<std::string, double>>& shards,
-    int virtual_nodes)
+    const std::vector<std::pair<std::string, double>>& shards)
     : shard_count_(shards.size()) {
   ODENET_CHECK(!shards.empty(), "cluster needs at least one shard");
-  ODENET_CHECK(virtual_nodes > 0,
-               "virtual_nodes must be positive, got " << virtual_nodes);
   for (std::size_t s = 0; s < shards.size(); ++s) {
     ODENET_CHECK(!shards[s].first.empty(), "shard " << s << " has no name");
     ODENET_CHECK(shards[s].second > 0.0,
                  "shard '" << shards[s].first << "' has non-positive weight "
                            << shards[s].second);
     const int points = std::max(
-        1, static_cast<int>(virtual_nodes * shards[s].second + 0.5));
+        1, static_cast<int>(kVirtualNodes * shards[s].second + 0.5));
     for (int v = 0; v < points; ++v) {
       // "name#v" gives each virtual node its own stable ring position.
       ring_.push_back({hash64(shards[s].first + "#" + std::to_string(v)), s});
@@ -150,7 +147,7 @@ EngineCluster::EngineCluster(std::vector<ShardSpec> specs, ClusterConfig cfg)
                    "duplicate shard name '" << ring_shards[i].first << "'");
     }
   }
-  router_ = std::make_unique<ClusterRouter>(ring_shards, cfg_.virtual_nodes);
+  router_ = std::make_unique<ClusterRouter>(ring_shards);
 }
 
 EngineCluster::~EngineCluster() { shutdown(); }

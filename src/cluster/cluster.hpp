@@ -9,7 +9,7 @@
 // board next to a PL-offload one.
 //
 // Placement (ClusterRouter):
-//  - Tenant-aware consistent hashing. Each shard owns virtual_nodes
+//  - Tenant-aware consistent hashing. Each shard owns kVirtualNodes
 //    points (scaled by its weight) on a 64-bit hash ring; a tenant's
 //    home shard is the ring successor of its hash. Deterministic across
 //    cluster instances with the same shard names, and adding/removing a
@@ -52,6 +52,10 @@ namespace odenet::cluster {
 /// Returned as the shard index when no shard accepted a request.
 inline constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
+/// Ring points per unit of shard weight. More points smooth the per-shard
+/// arc share at O(shards x kVirtualNodes) ring size.
+inline constexpr int kVirtualNodes = 64;
+
 /// One shard of the cluster: its own snapshot (distinct versions across
 /// shards are allowed — canaries, staged rollouts) and engine config
 /// (distinct backend mixes allowed).
@@ -67,9 +71,6 @@ struct ShardSpec {
 };
 
 struct ClusterConfig {
-  /// Ring points per unit of shard weight. More points smooth the
-  /// per-shard arc share at O(shards x virtual_nodes) ring size.
-  int virtual_nodes = 64;
   /// Master switch for spill-then-shed; off = shed immediately when the
   /// home shard is full (the pre-spill behavior, kept for A/B). On, every
   /// admitting shard is a spill candidate.
@@ -83,8 +84,8 @@ class ClusterRouter {
  public:
   /// shards: (name, weight) per shard, index-aligned with the loads and
   /// admitting vectors later passed to plan().
-  ClusterRouter(const std::vector<std::pair<std::string, double>>& shards,
-                int virtual_nodes);
+  explicit ClusterRouter(
+      const std::vector<std::pair<std::string, double>>& shards);
 
   std::size_t shard_count() const { return shard_count_; }
 

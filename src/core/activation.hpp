@@ -12,6 +12,7 @@ class ReLU final : public Layer {
   const std::string& name() const override { return name_; }
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  void release_cache() override { cached_mask_ = Tensor(); }
 
  private:
   std::string name_;

@@ -21,6 +21,7 @@ class BatchNorm2d final : public Layer {
   const std::string& name() const override { return name_; }
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  void release_cache() override { cached_input_ = Tensor(); }
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
 
   int channels() const { return channels_; }
@@ -37,8 +38,8 @@ class BatchNorm2d final : public Layer {
   void set_use_batch_stats_in_eval(bool v) { batch_stats_in_eval_ = v; }
 
   /// Suppress running-statistics updates while still using batch statistics.
-  /// The ODE backward passes re-run the dynamics to rebuild caches; without
-  /// freezing, each replay would apply the momentum update again.
+  /// The ODE backward passes re-evaluate the dynamics to rebuild caches;
+  /// without freezing, each evaluation would apply the momentum update again.
   void set_freeze_running_stats(bool v) { freeze_running_stats_ = v; }
 
   /// True when eval-mode normalization is a fixed per-channel affine of

@@ -43,6 +43,13 @@ std::vector<Param*> BuildingBlock::params() {
   return out;
 }
 
+void BuildingBlock::release_cache() {
+  for (Layer* l : std::initializer_list<Layer*>{&conv1_, &bn1_, &relu_,
+                                               &conv2_, &bn2_}) {
+    l->release_cache();
+  }
+}
+
 void BuildingBlock::set_training(bool training) {
   Layer::set_training(training);
   conv1_.set_training(training);

@@ -39,6 +39,7 @@ class BuildingBlock final : public Layer {
   /// set_time() (irrelevant for blocks without a time channel).
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  void release_cache() override;
 
   /// ODE dynamics f(z, t): the residual branch only.
   Tensor branch_forward(const Tensor& z, float t);

@@ -53,6 +53,7 @@ class Conv2d final : public Layer {
   const std::string& name() const override { return name_; }
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  void release_cache() override { cached_input_ = Tensor(); }
   std::vector<Param*> params() override { return {&weight_}; }
 
   /// Eval-mode fused forward: one GEMM computes ep(conv(x)) — the folded

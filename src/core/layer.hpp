@@ -46,6 +46,10 @@ class Layer {
   /// Propagates gradients. Must be called after forward() in training mode.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// Drops the state forward() cached for backward(), for callers that know
+  /// no backward() will read it; backward() then needs a new forward().
+  virtual void release_cache() {}
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param*> params() { return {}; }
 

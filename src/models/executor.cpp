@@ -54,7 +54,7 @@ FixedStageExecutor::QuantizedWeights& FixedStageExecutor::cache_entry(
     const core::Conv2d& conv) {
   QuantizedWeights& entry = wcache_[conv.uid()];
   entry.last_use = ++use_tick_;
-  if (wcache_.size() > wcache_capacity_) {
+  if (wcache_.size() > kWeightCacheCapacity) {
     // Evict the least-recently-used entry that is not the one being
     // served. Replica churn through one executor stays bounded; a single
     // replica's working set (conv count << capacity) is never touched.

@@ -91,13 +91,11 @@ class FixedStageExecutor final : public StageExecutor {
   /// Live quantized-weight cache entries (telemetry / churn tests).
   std::size_t weight_cache_size() const { return wcache_.size(); }
 
-  /// Caps the quantized-weight cache; least-recently-used entries are
-  /// evicted past the cap, so replica churn (many short-lived Networks
-  /// through one executor) cannot grow the cache without bound. Default
-  /// 256 entries — far above any single replica's conv count.
-  void set_weight_cache_capacity(std::size_t cap) {
-    wcache_capacity_ = cap > 0 ? cap : 1;
-  }
+  /// Cap on the quantized-weight cache; least-recently-used entries are
+  /// evicted past it, so replica churn (many short-lived Networks through
+  /// one executor) cannot grow the cache without bound. Far above any
+  /// single replica's conv count.
+  static constexpr std::size_t kWeightCacheCapacity = 256;
 
   /// Most fractional bits a conv call's int16 activations may carry. The
   /// actual per-call precision fa is dynamic: the largest fa <= this cap
@@ -139,7 +137,6 @@ class FixedStageExecutor final : public StageExecutor {
   /// raw-pointer key would alias when a new conv is allocated at a
   /// recycled address with a matching snapshot version (replica churn).
   std::map<std::uint64_t, QuantizedWeights> wcache_;
-  std::size_t wcache_capacity_ = 256;
   std::uint64_t use_tick_ = 0;
   std::uint64_t weight_packs_ = 0;
   std::uint64_t float_carrier_calls_ = 0;

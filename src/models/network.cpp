@@ -129,6 +129,13 @@ core::Tensor Network::forward(const Tensor& x) {
 
 core::Tensor Network::forward_with(const Tensor& x, const StagePlan& plan,
                                    NetworkRunStats* stats) {
+  // A forward supersedes the last one's backward. ODE stages drop the
+  // trajectories a training forward left unconsumed (BN calibration runs
+  // training forwards back to back) before this forward allocates, so the
+  // M+1 states do not stay live beside the new activations.
+  for (auto& s : stages_) {
+    if (OdeBlock* ode = s->ode()) ode->release_cache();
+  }
   core::Tensor h = stem_forward(x);
   h = forward_stages(std::move(h), plan, stats);
   return head_forward(h);

@@ -130,8 +130,7 @@ class Network final : public core::Layer {
   void apply_snapshot_delta(const ModelSnapshot& snapshot);
 
   /// Checkpoint I/O — thin wrappers over export_snapshot()/apply_snapshot()
-  /// (binary format, see util/serialize.hpp; load accepts both the
-  /// versioned v2 snapshot format and legacy v1 blobs).
+  /// (binary format v2, see util/serialize.hpp).
   void save_weights(std::ostream& os);
   void load_weights(std::istream& is);
 

@@ -8,10 +8,15 @@
 //     the correspondence the paper builds on (Eq. 1 vs Eq. 5).
 //   * kUnit: t spans [0, 1] in M steps (the Neural-ODE convention).
 // Backward is either the adjoint method (Eq. 9) or exact discrete
-// backprop with checkpointing; see solver/adjoint.hpp for the trade-off.
+// backprop; see solver/adjoint.hpp for the trade-off. For discrete
+// backprop the training forward records its trajectory z_0..z_M (M + 1
+// states, held until backward consumes them or release_cache() drops
+// them) and backward differentiates those states instead of re-solving
+// the stage.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "core/block.hpp"
 #include "solver/adjoint.hpp"
@@ -43,6 +48,12 @@ class OdeBlock final : public core::Layer {
   const std::string& name() const override { return name_; }
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
+  /// Drops the recorded trajectory (or z1), e.g. when a training forward
+  /// is not followed by a backward.
+  void release_cache() override {
+    trajectory_.clear();
+    cached_z1_ = Tensor();
+  }
   std::vector<core::Param*> params() override { return block_.params(); }
   void set_training(bool training) override;
 
@@ -96,7 +107,7 @@ class OdeBlock final : public core::Layer {
   BlockDynamics dynamics_;
   solver::SolveStats stats_;
   solver::StepScratch scratch_;  // recycled stage storage for fixed steps
-  core::Tensor cached_z0_;  // for discrete backward
+  std::vector<core::Tensor> trajectory_;  // for discrete backward
   core::Tensor cached_z1_;  // for adjoint backward
 };
 

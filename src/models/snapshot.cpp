@@ -37,7 +37,6 @@ E enum_from_u32(std::uint32_t v, std::uint32_t count, const char* what) {
 ModelSnapshot::Ptr ModelSnapshot::capture(Network& net) {
   auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
   snap->version_ = take_next_version();
-  snap->has_spec_ = true;
   snap->spec_ = net.spec();
   snap->solver_cfg_ = net.solver_config();
   for (core::Param* p : net.params()) {
@@ -50,24 +49,7 @@ ModelSnapshot::Ptr ModelSnapshot::capture(Network& net) {
   return snap;
 }
 
-const NetworkSpec& ModelSnapshot::spec() const {
-  ODENET_CHECK(has_spec_,
-               "snapshot carries no architecture descriptor (legacy v1 "
-               "checkpoint)");
-  return spec_;
-}
-
-const SolverConfig& ModelSnapshot::solver_config() const {
-  ODENET_CHECK(has_spec_,
-               "snapshot carries no architecture descriptor (legacy v1 "
-               "checkpoint)");
-  return solver_cfg_;
-}
-
 void ModelSnapshot::check_compatible(const NetworkSpec& other) const {
-  ODENET_CHECK(has_spec_,
-               "cannot spec-check a legacy v1 snapshot; re-export it via "
-               "ModelSnapshot::save");
   ODENET_CHECK(spec_.arch == other.arch && spec_.n == other.n,
                "snapshot is " << arch_name(spec_.arch) << "-" << spec_.n
                               << ", network is " << arch_name(other.arch)
@@ -152,7 +134,6 @@ ModelSnapshot::Ptr ModelSnapshot::assemble(const ModelSnapshot& base,
   // snapshots stay self-contained value types — but the SHIPPED bytes
   // are the delta's alone, which is what the accounting reports.
   snap->version_ = take_next_version();
-  snap->has_spec_ = base.has_spec_;
   snap->spec_ = base.spec_;
   snap->solver_cfg_ = base.solver_cfg_;
   snap->params_ = base.params_;
@@ -207,7 +188,6 @@ StageId ModelSnapshot::stage_of_param(const std::string& name) {
 StageId ModelSnapshot::stage_of_bn(std::size_t i) const {
   // BN walk order (Network::for_each_batchnorm): the stem BN first, then
   // bn1+bn2 per block instance per stage in spec order.
-  ODENET_CHECK(has_spec_, "cannot map BN indices without a spec");
   if (i == 0) return StageId::kConv1;
   std::size_t cursor = 1;
   for (const auto& s : spec_.stages) {
@@ -262,14 +242,8 @@ std::size_t ModelSnapshot::total_payload_bytes() const {
 }
 
 void ModelSnapshot::save(std::ostream& os) const {
-  // Every v2 file must be spec-checkable, so a legacy v1 image (no
-  // descriptor) cannot be re-exported directly. Checked before any byte
-  // is written — a throw must not leave a v2 header on the stream.
-  ODENET_CHECK(has_spec_,
-               "cannot save a legacy v1 snapshot as v2 without a spec; "
-               "apply it to a network and re-capture instead");
   util::BinaryWriter w(os);
-  util::write_weights_header(w, util::kSnapshotVersion);
+  util::write_weights_header(w);
   w.write_string(arch_name(spec_.arch));
   w.write_u32(static_cast<std::uint32_t>(spec_.n));
   w.write_u32(static_cast<std::uint32_t>(spec_.width.input_channels));
@@ -282,7 +256,7 @@ void ModelSnapshot::save(std::ostream& os) const {
   w.write_f64(solver_cfg_.rtol);
   w.write_f64(solver_cfg_.atol);
   w.write_u64(version_);
-  // v1-compatible payload: params then BN running statistics.
+  // Payload: params then BN running statistics.
   w.write_u64(params_.size());
   for (const auto& p : params_) {
     w.write_string(p.name);
@@ -297,32 +271,29 @@ void ModelSnapshot::save(std::ostream& os) const {
 
 ModelSnapshot::Ptr ModelSnapshot::load(std::istream& is) {
   util::BinaryReader r(is);
-  const std::uint32_t format = util::read_weights_header(r);
+  util::read_weights_header(r);
   auto snap = std::shared_ptr<ModelSnapshot>(new ModelSnapshot());
-  if (format == util::kSnapshotVersion) {
-    snap->has_spec_ = true;
-    WidthConfig width;
-    const Arch arch = arch_from_name(r.read_string());
-    const int n = static_cast<int>(r.read_u32());
-    width.input_channels = static_cast<int>(r.read_u32());
-    width.input_size = static_cast<int>(r.read_u32());
-    width.base_channels = static_cast<int>(r.read_u32());
-    width.num_classes = static_cast<int>(r.read_u32());
-    snap->spec_ = make_spec(arch, n, width);
-    snap->solver_cfg_.method =
-        enum_from_u32<solver::Method>(r.read_u32(), 4, "solver method");
-    snap->solver_cfg_.gradient =
-        enum_from_u32<GradientMode>(r.read_u32(), 2, "gradient mode");
-    snap->solver_cfg_.time_span =
-        enum_from_u32<TimeSpan>(r.read_u32(), 2, "time span");
-    snap->solver_cfg_.rtol = r.read_f64();
-    snap->solver_cfg_.atol = r.read_f64();
-    snap->saved_version_ = r.read_u64();
-    ODENET_CHECK(snap->saved_version_ > 0, "snapshot has invalid version 0");
-  }
-  // A fresh local id either way: ids from other processes share this
-  // numbering only by accident, and a collision would let a reload() be
-  // mistaken for the already-live image.
+  WidthConfig width;
+  const Arch arch = arch_from_name(r.read_string());
+  const int n = static_cast<int>(r.read_u32());
+  width.input_channels = static_cast<int>(r.read_u32());
+  width.input_size = static_cast<int>(r.read_u32());
+  width.base_channels = static_cast<int>(r.read_u32());
+  width.num_classes = static_cast<int>(r.read_u32());
+  snap->spec_ = make_spec(arch, n, width);
+  snap->solver_cfg_.method =
+      enum_from_u32<solver::Method>(r.read_u32(), 4, "solver method");
+  snap->solver_cfg_.gradient =
+      enum_from_u32<GradientMode>(r.read_u32(), 2, "gradient mode");
+  snap->solver_cfg_.time_span =
+      enum_from_u32<TimeSpan>(r.read_u32(), 2, "time span");
+  snap->solver_cfg_.rtol = r.read_f64();
+  snap->solver_cfg_.atol = r.read_f64();
+  snap->saved_version_ = r.read_u64();
+  ODENET_CHECK(snap->saved_version_ > 0, "snapshot has invalid version 0");
+  // A fresh local id: ids from other processes share this numbering only
+  // by accident, and a collision would let a reload() be mistaken for the
+  // already-live image.
   snap->version_ = take_next_version();
   const std::uint64_t np = r.read_u64();
   ODENET_CHECK(np < (1ULL << 20), "unreasonable param count " << np);
@@ -346,7 +317,7 @@ ModelSnapshot::Ptr ModelSnapshot::load(std::istream& is) {
 }
 
 void ModelSnapshot::apply(Network& net) const {
-  if (has_spec_) check_compatible(net.spec());
+  check_compatible(net.spec());
   auto ps = net.params();
   ODENET_CHECK(params_.size() == ps.size(),
                net.name() << ": snapshot has " << params_.size()
@@ -387,7 +358,7 @@ void ModelSnapshot::apply_delta(Network& net) const {
   ODENET_CHECK(is_delta(),
                "apply_delta on a full snapshot (version "
                    << version_ << "); use apply() instead");
-  if (has_spec_) check_compatible(net.spec());
+  check_compatible(net.spec());
   auto ps = net.params();
   ODENET_CHECK(params_.size() == ps.size(),
                net.name() << ": snapshot has " << params_.size()

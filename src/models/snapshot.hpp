@@ -11,11 +11,9 @@
 // hot-swap (runtime::InferenceEngine::reload) possible — the engine never
 // has to drain to move to a new model.
 //
-// Snapshots serialize as checkpoint format v2 (util/serialize.hpp): the v1
-// weight blob preceded by an architecture descriptor + solver settings +
-// the version id. load() also accepts legacy v1 blobs, which carry no
-// descriptor — such snapshots can still be applied to a matching network
-// (param names/shapes are validated) but cannot be spec-checked up front.
+// Snapshots serialize as checkpoint format v2 (util/serialize.hpp): an
+// architecture descriptor + solver settings + the version id, then the
+// params and BN running statistics.
 #pragma once
 
 #include <cstdint>
@@ -81,7 +79,7 @@ class ModelSnapshot {
   /// Freezes `net`'s current weights under the next global version id.
   static Ptr capture(Network& net);
 
-  /// Reads a checkpoint (format v1 or v2). The loaded snapshot is
+  /// Reads a checkpoint (format v2). The loaded snapshot is
   /// assigned a fresh process-local version id — ids written by other
   /// processes share one numbering only by accident, so they are kept as
   /// provenance (saved_version()) rather than adopted; this is what
@@ -94,20 +92,16 @@ class ModelSnapshot {
   /// imply the same weight image; 0 is never a valid version.
   std::uint64_t version() const { return version_; }
   /// The version id the checkpoint was saved under in its originating
-  /// process (0 for fresh captures and legacy v1 files) — provenance
-  /// only, never used for swap coordination.
+  /// process (0 for fresh captures) — provenance only, never used for
+  /// swap coordination.
   std::uint64_t saved_version() const { return saved_version_; }
 
-  /// False for snapshots loaded from legacy v1 checkpoints, which carry no
-  /// architecture descriptor.
-  bool has_spec() const { return has_spec_; }
-  /// The captured network's architecture; only valid when has_spec().
-  const NetworkSpec& spec() const;
-  const SolverConfig& solver_config() const;
+  /// The captured network's architecture and forward solver settings.
+  const NetworkSpec& spec() const { return spec_; }
+  const SolverConfig& solver_config() const { return solver_cfg_; }
 
   /// Throws odenet::Error unless this snapshot fits a network built from
-  /// `spec` (same architecture, depth and width). Legacy v1 snapshots
-  /// without a descriptor are rejected — re-export them through save().
+  /// `spec` (same architecture, depth and width).
   void check_compatible(const NetworkSpec& spec) const;
 
   /// Throws odenet::Error unless `other` carries the identical parameter
@@ -121,7 +115,7 @@ class ModelSnapshot {
   void save(std::ostream& os) const;
 
   /// Overwrites `net`'s parameters and BN statistics with this image.
-  /// Validates the architecture descriptor (when present) and every param
+  /// Validates the architecture descriptor and every param
   /// name/size; throws odenet::Error on any mismatch, leaving partial
   /// state only on the (structurally impossible after validation) tail
   /// mismatch.
@@ -193,7 +187,6 @@ class ModelSnapshot {
 
   std::uint64_t version_ = 0;
   std::uint64_t saved_version_ = 0;  // provenance from the file, if any
-  bool has_spec_ = false;
   NetworkSpec spec_{};
   SolverConfig solver_cfg_{};
   std::vector<TensorRecord> params_;

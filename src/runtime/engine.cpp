@@ -29,9 +29,6 @@ InferenceEngine::InferenceEngine(models::ModelSnapshot::Ptr snapshot,
                                  const EngineConfig& cfg)
     : cfg_(cfg) {
   ODENET_CHECK(snapshot != nullptr, "engine needs a model snapshot");
-  ODENET_CHECK(snapshot->has_spec(),
-               "engine needs a spec-carrying snapshot (v2); re-export "
-               "legacy v1 checkpoints through a network");
   spec_ = snapshot->spec();
   solver_cfg_ = snapshot->solver_config();
   snapshot_ = std::move(snapshot);

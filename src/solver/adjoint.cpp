@@ -1,5 +1,7 @@
 #include "solver/adjoint.hpp"
 
+#include "solver/tableau.hpp"
+
 namespace odenet::solver {
 
 BackwardResult adjoint_backward(DifferentiableDynamics& f,
@@ -33,124 +35,51 @@ BackwardResult adjoint_backward(DifferentiableDynamics& f,
   return {.grad_z0 = std::move(a), .function_evals = evals};
 }
 
-namespace {
-
-/// Evaluates f at (u, t) and immediately applies the VJP with vector v.
-/// Returns vT df/du; accumulates vT df/dθ in the dynamics' params.
-core::Tensor eval_vjp(DifferentiableDynamics& f, const core::Tensor& u,
-                      float t, const core::Tensor& v, int& evals) {
-  f.eval(u, t);
-  ++evals;
-  return f.vjp(v);
-}
-
-}  // namespace
-
 BackwardResult discrete_backward(DifferentiableDynamics& f,
-                                 const core::Tensor& z0,
+                                 const std::vector<core::Tensor>& trajectory,
                                  const core::Tensor& grad_z1, float t0,
-                                 float t1, Method method, int steps) {
-  ODENET_CHECK(steps > 0, "discrete_backward needs steps > 0");
-  ODENET_CHECK(method != Method::kDopri5,
-               "discrete_backward supports fixed-step methods only");
+                                 float t1, Method method) {
+  const Tableau& tab = fixed_step_tableau(method);
+  ODENET_CHECK(trajectory.size() >= 2,
+               "discrete_backward needs the steps + 1 states of a solve, got "
+                   << trajectory.size());
+  ODENET_CHECK(trajectory.back().same_shape(grad_z1),
+               "trajectory/grad shape mismatch");
+  const int steps = static_cast<int>(trajectory.size()) - 1;
   const float h = (t1 - t0) / static_cast<float>(steps);
   int evals = 0;
 
-  // Checkpoint forward pass: store z_i for every step boundary.
-  std::vector<core::Tensor> zs;
-  zs.reserve(static_cast<std::size_t>(steps) + 1);
-  zs.push_back(z0);
-  for (int i = 0; i < steps; ++i) {
-    const float t = t0 + h * static_cast<float>(i);
-    core::Tensor z = zs.back();
-    switch (method) {
-      case Method::kEuler: z = euler_step(f, z, t, h); break;
-      case Method::kHeun: z = heun_step(f, z, t, h); break;
-      case Method::kRk4: z = rk4_step(f, z, t, h); break;
-      case Method::kDopri5: break;
-    }
-    evals += evals_per_step(method);
-    zs.push_back(std::move(z));
-  }
-
   core::Tensor a = grad_z1;
-
+  // Stage inputs u_j (u_0 is the step's own state) and their VJPs v_j.
+  std::array<core::Tensor, kMaxStages> u, v;
   for (int i = steps - 1; i >= 0; --i) {
     const float t = t0 + h * static_cast<float>(i);
-    const core::Tensor& z = zs[static_cast<std::size_t>(i)];
+    const core::Tensor& z = trajectory[static_cast<std::size_t>(i)];
+    auto stage_z = [&](int j) -> const core::Tensor& {
+      return j == 0 ? z : u[j];
+    };
+    auto stage_t = [&](int j) { return j == 0 ? t : t + tab.a[j].times(h); };
 
-    switch (method) {
-      case Method::kEuler: {
-        // z' = z + h k1, k1 = f(z, t).
-        core::Tensor v = a;
-        v.scale(h);
-        core::Tensor g = eval_vjp(f, z, t, v, evals);
-        a.add(g);
-        break;
-      }
-      case Method::kHeun: {
-        // z' = z + h/2 (k1 + k2); k1 = f(z,t); k2 = f(z + h k1, t + h).
-        core::Tensor k1 = f.eval(z, t);
-        ++evals;
-        core::Tensor u2 = z;
-        u2.axpy(h, k1);
-
-        core::Tensor dk2 = a;
-        dk2.scale(h * 0.5f);
-        core::Tensor v2 = eval_vjp(f, u2, t + h, dk2, evals);
-        // dz += v2 ; dk1 = h/2 a + h v2.
-        core::Tensor dk1 = a;
-        dk1.scale(h * 0.5f);
-        dk1.axpy(h, v2);
-        core::Tensor v1 = eval_vjp(f, z, t, dk1, evals);
-        a.add(v2);
-        a.add(v1);
-        break;
-      }
-      case Method::kRk4: {
-        // Recompute stages.
-        core::Tensor k1 = f.eval(z, t);
-        ++evals;
-        core::Tensor u2 = z;
-        u2.axpy(h * 0.5f, k1);
-        core::Tensor k2 = f.eval(u2, t + h * 0.5f);
-        ++evals;
-        core::Tensor u3 = z;
-        u3.axpy(h * 0.5f, k2);
-        core::Tensor k3 = f.eval(u3, t + h * 0.5f);
-        ++evals;
-        core::Tensor u4 = z;
-        u4.axpy(h, k3);
-
-        // Reverse order: k4 at u4, then k3 at u3, k2 at u2, k1 at z.
-        core::Tensor dk4 = a;
-        dk4.scale(h / 6.0f);
-        core::Tensor v4 = eval_vjp(f, u4, t + h, dk4, evals);
-
-        core::Tensor dk3 = a;
-        dk3.scale(h / 3.0f);
-        dk3.axpy(h, v4);
-        core::Tensor v3 = eval_vjp(f, u3, t + h * 0.5f, dk3, evals);
-
-        core::Tensor dk2 = a;
-        dk2.scale(h / 3.0f);
-        dk2.axpy(h * 0.5f, v3);
-        core::Tensor v2 = eval_vjp(f, u2, t + h * 0.5f, dk2, evals);
-
-        core::Tensor dk1 = a;
-        dk1.scale(h / 6.0f);
-        dk1.axpy(h * 0.5f, v2);
-        core::Tensor v1 = eval_vjp(f, z, t, dk1, evals);
-
-        a.add(v4);
-        a.add(v3);
-        a.add(v2);
-        a.add(v1);
-        break;
-      }
-      case Method::kDopri5:
-        break;
+    // Recompute the stage inputs: k_j only feeds u_{j+1}, so the last
+    // stage's derivative is never needed.
+    for (int j = 1; j < tab.stages; ++j) {
+      core::Tensor k = f.eval(stage_z(j - 1), stage_t(j - 1));
+      ++evals;
+      u[j] = z;
+      u[j].axpy(tab.a[j].times(h), k);
     }
+    // Reverse sweep: dL/dk_j = h b_j a + h a_{j+1} v_{j+1}; each VJP runs
+    // right after an eval at the same stage input, which caches what the
+    // dynamics' vjp reads.
+    for (int j = tab.stages - 1; j >= 0; --j) {
+      core::Tensor dk = a;
+      dk.scale(tab.b[j].times(h));
+      if (j + 1 < tab.stages) dk.axpy(tab.a[j + 1].times(h), v[j + 1]);
+      f.eval(stage_z(j), stage_t(j));
+      ++evals;
+      v[j] = f.vjp(dk);
+    }
+    for (int j = tab.stages - 1; j >= 0; --j) a.add(v[j]);
   }
 
   return {.grad_z0 = std::move(a), .function_evals = evals};

@@ -10,9 +10,12 @@
 //    the instability source discussed in §4.3 (ANODE, ref [13]).
 //
 //  * discrete_backward — exact reverse-mode differentiation of the chosen
-//    discretization (checkpointing: forward states are stored, dynamics are
-//    re-evaluated per stage in reverse order). Gradients match finite
-//    differences of the discrete forward pass to machine precision.
+//    discretization, through the states the forward solve recorded
+//    (SolveOptions::trajectory): nothing is re-solved, but each step's
+//    stage inputs are recomputed from its state and f is evaluated again
+//    before each VJP. Memory is the M+1 recorded states, held from the
+//    forward to the backward. Gradients match finite differences of the
+//    discrete forward pass to machine precision.
 //
 // Both need DifferentiableDynamics: eval(z, t) followed by vjp(v), where
 // vjp returns vT df/dz and accumulates vT df/dθ.
@@ -37,12 +40,14 @@ BackwardResult adjoint_backward(DifferentiableDynamics& f,
                                 const core::Tensor& grad_z1, float t0,
                                 float t1, int steps);
 
-/// Exact discrete gradients through the fixed-step forward solve that
-/// produced z(t1) from z0. Stores the per-step states (checkpointing) and
-/// replays each stage for its VJP. Supports Euler, Heun and RK4.
+/// Exact discrete gradients through a fixed-step forward solve over
+/// [t0, t1], given its recorded trajectory z_0..z_M (M = steps). Per step:
+/// stages - 1 evaluations recompute the stage inputs, then one evaluation
+/// + VJP per stage in reverse, so function_evals is M / 3M / 7M for
+/// Euler / Heun / RK4. Supports Euler, Heun and RK4.
 BackwardResult discrete_backward(DifferentiableDynamics& f,
-                                 const core::Tensor& z0,
+                                 const std::vector<core::Tensor>& trajectory,
                                  const core::Tensor& grad_z1, float t0,
-                                 float t1, Method method, int steps);
+                                 float t1, Method method);
 
 }  // namespace odenet::solver

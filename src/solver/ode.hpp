@@ -5,9 +5,13 @@
 // from t0 to t1 with a chosen numerical method. The paper uses the Euler
 // method on hardware; Heun (2nd order), classic RK4 (4th order) and
 // adaptive Dormand-Prince (RK45) are provided for the solver-order
-// experiments the paper lists as future work.
+// experiments the paper lists as future work. The fixed-step methods are
+// each one Butcher tableau (solver/tableau.hpp), which drives both the
+// step here and its derivative in discrete_backward (solver/adjoint.hpp);
+// a solve's recorded trajectory is what that backward differentiates.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <string>
 #include <vector>
@@ -72,13 +76,16 @@ int evals_per_step(Method m);
 /// Classical convergence order (1 / 2 / 4 / 5).
 int method_order(Method m);
 
+/// Most stages of a fixed-step method (RK4's four).
+inline constexpr int kMaxStages = 4;
+
 /// Reusable stage storage for the fixed-step methods. A caller that keeps
 /// one StepScratch alive across solves (the runtime's OdeBlock does)
 /// makes stepping allocation-free after the first step: every k-stage and
 /// the intermediate state land in these recycled tensors.
 struct StepScratch {
-  core::Tensor k1, k2, k3, k4;
-  core::Tensor u;  // intermediate state z + c*h*k
+  std::array<core::Tensor, kMaxStages> k;
+  core::Tensor u;  // intermediate state z + a*h*k
 };
 
 struct SolveOptions {
@@ -90,7 +97,9 @@ struct SolveOptions {
   double atol = 1e-9;
   /// Adaptive: hard cap on accepted+rejected steps.
   int max_steps = 100000;
-  /// When set, solvers append every intermediate state (including z0) here.
+  /// When set, solvers append every intermediate state (including z0) here:
+  /// steps + 1 states for a fixed-step solve, the input discrete_backward
+  /// differentiates.
   std::vector<core::Tensor>* trajectory = nullptr;
   /// Optional caller-owned stage storage for euler/heun/rk4 (values are
   /// identical with or without it; it only removes per-step allocation).
@@ -109,12 +118,5 @@ struct SolveStats {
 core::Tensor ode_solve(OdeFunction& f, const core::Tensor& z0, float t0,
                        float t1, const SolveOptions& opts,
                        SolveStats* stats = nullptr);
-
-/// Single fixed steps (exposed for the checkpointing backward passes).
-core::Tensor euler_step(OdeFunction& f, const core::Tensor& z, float t,
-                        float h);
-core::Tensor heun_step(OdeFunction& f, const core::Tensor& z, float t,
-                       float h);
-core::Tensor rk4_step(OdeFunction& f, const core::Tensor& z, float t, float h);
 
 }  // namespace odenet::solver

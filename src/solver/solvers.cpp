@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "solver/tableau.hpp"
+
 namespace odenet::solver {
 
 std::string method_name(Method m) {
@@ -16,13 +18,7 @@ std::string method_name(Method m) {
 }
 
 int evals_per_step(Method m) {
-  switch (m) {
-    case Method::kEuler: return 1;
-    case Method::kHeun: return 2;
-    case Method::kRk4: return 4;
-    case Method::kDopri5: return 6;
-  }
-  return 0;
+  return m == Method::kDopri5 ? 6 : fixed_step_tableau(m).stages;
 }
 
 int method_order(Method m) {
@@ -33,46 +29,6 @@ int method_order(Method m) {
     case Method::kDopri5: return 5;
   }
   return 0;
-}
-
-core::Tensor euler_step(OdeFunction& f, const core::Tensor& z, float t,
-                        float h) {
-  core::Tensor k1 = f.eval(z, t);
-  core::Tensor out = z;
-  out.axpy(h, k1);
-  return out;
-}
-
-core::Tensor heun_step(OdeFunction& f, const core::Tensor& z, float t,
-                       float h) {
-  core::Tensor k1 = f.eval(z, t);
-  core::Tensor mid = z;
-  mid.axpy(h, k1);
-  core::Tensor k2 = f.eval(mid, t + h);
-  core::Tensor out = z;
-  out.axpy(h * 0.5f, k1);
-  out.axpy(h * 0.5f, k2);
-  return out;
-}
-
-core::Tensor rk4_step(OdeFunction& f, const core::Tensor& z, float t,
-                      float h) {
-  core::Tensor k1 = f.eval(z, t);
-  core::Tensor u = z;
-  u.axpy(h * 0.5f, k1);
-  core::Tensor k2 = f.eval(u, t + h * 0.5f);
-  u = z;
-  u.axpy(h * 0.5f, k2);
-  core::Tensor k3 = f.eval(u, t + h * 0.5f);
-  u = z;
-  u.axpy(h, k3);
-  core::Tensor k4 = f.eval(u, t + h);
-  core::Tensor out = z;
-  out.axpy(h / 6.0f, k1);
-  out.axpy(h / 3.0f, k2);
-  out.axpy(h / 3.0f, k3);
-  out.axpy(h / 6.0f, k4);
-  return out;
 }
 
 namespace {
@@ -204,58 +160,34 @@ core::Tensor ode_solve(OdeFunction& f, const core::Tensor& z0, float t0,
     return dopri5_solve(f, z0, t0, t1, opts, stats);
   }
   ODENET_CHECK(opts.steps > 0, "fixed-step solve needs steps > 0");
+  const Tableau& tab = fixed_step_tableau(opts.method);
   const float h = (t1 - t0) / static_cast<float>(opts.steps);
   core::Tensor z = z0;
   if (opts.trajectory) opts.trajectory->push_back(z);
-  // In-place restructure of the exported step functions: stages land in
-  // scratch tensors (caller-provided via opts.scratch, so steady-state
-  // serving allocates nothing per step) and z is updated by axpy instead
-  // of copy+axpy. Same operations on the same floats in the same order —
-  // values are identical to euler_step/heun_step/rk4_step, which remain
-  // the checkpointing backward passes' replay primitives.
+  // Stages land in scratch tensors (caller-provided via opts.scratch, so
+  // steady-state serving allocates nothing per step) and z is updated in
+  // place.
   StepScratch local;
   StepScratch& s = opts.scratch != nullptr ? *opts.scratch : local;
   for (int i = 0; i < opts.steps; ++i) {
     const float t = t0 + h * static_cast<float>(i);
-    switch (opts.method) {
-      case Method::kEuler:
-        if (!f.euler_step_inplace(z, t, h)) {
-          f.eval_into(z, t, s.k1);
-          z.axpy(h, s.k1);
-        }
-        break;
-      case Method::kHeun:
-        f.eval_into(z, t, s.k1);
+    // Euler first offers the dynamics their fused in-place step.
+    if (opts.method != Method::kEuler || !f.euler_step_inplace(z, t, h)) {
+      f.eval_into(z, t, s.k[0]);
+      for (int j = 1; j < tab.stages; ++j) {
+        const float ah = tab.a[j].times(h);
         s.u = z;
-        s.u.axpy(h, s.k1);
-        f.eval_into(s.u, t + h, s.k2);
-        z.axpy(h * 0.5f, s.k1);
-        z.axpy(h * 0.5f, s.k2);
-        break;
-      case Method::kRk4:
-        f.eval_into(z, t, s.k1);
-        s.u = z;
-        s.u.axpy(h * 0.5f, s.k1);
-        f.eval_into(s.u, t + h * 0.5f, s.k2);
-        s.u = z;
-        s.u.axpy(h * 0.5f, s.k2);
-        f.eval_into(s.u, t + h * 0.5f, s.k3);
-        s.u = z;
-        s.u.axpy(h, s.k3);
-        f.eval_into(s.u, t + h, s.k4);
-        z.axpy(h / 6.0f, s.k1);
-        z.axpy(h / 3.0f, s.k2);
-        z.axpy(h / 3.0f, s.k3);
-        z.axpy(h / 6.0f, s.k4);
-        break;
-      case Method::kDopri5: break;  // handled above
+        s.u.axpy(ah, s.k[j - 1]);
+        f.eval_into(s.u, t + ah, s.k[j]);
+      }
+      for (int j = 0; j < tab.stages; ++j) z.axpy(tab.b[j].times(h), s.k[j]);
     }
     if (opts.trajectory) opts.trajectory->push_back(z);
   }
   if (stats) {
     stats->steps_taken = opts.steps;
     stats->steps_rejected = 0;
-    stats->function_evals = opts.steps * evals_per_step(opts.method);
+    stats->function_evals = opts.steps * tab.stages;
   }
   return z;
 }

@@ -74,20 +74,17 @@ std::vector<float> BinaryReader::read_floats() {
   return v;
 }
 
-void write_weights_header(BinaryWriter& w, std::uint32_t version) {
-  ODENET_CHECK(version == kWeightsVersion || version == kSnapshotVersion,
-               "unknown checkpoint format version " << version);
+void write_weights_header(BinaryWriter& w) {
   w.write_u32(kWeightsMagic);
-  w.write_u32(version);
+  w.write_u32(kSnapshotVersion);
 }
 
-std::uint32_t read_weights_header(BinaryReader& r) {
+void read_weights_header(BinaryReader& r) {
   const auto magic = r.read_u32();
   ODENET_CHECK(magic == kWeightsMagic, "bad checkpoint magic " << magic);
   const auto version = r.read_u32();
-  ODENET_CHECK(version == kWeightsVersion || version == kSnapshotVersion,
+  ODENET_CHECK(version == kSnapshotVersion,
                "unsupported checkpoint version " << version);
-  return version;
 }
 
 }  // namespace odenet::util

@@ -1,8 +1,9 @@
 // Binary serialization for model checkpoints.
 //
 // Format: little-endian, magic "ODNW", u32 version, then a sequence of
-// tagged float arrays (u64 length + payload). Readers validate magic and
-// length so truncated files fail loudly instead of producing garbage nets.
+// tagged float arrays (u64 length + payload). Readers validate magic,
+// version and length so truncated or foreign files fail loudly instead of
+// producing garbage nets.
 #pragma once
 
 #include <cstdint>
@@ -14,10 +15,9 @@
 namespace odenet::util {
 
 inline constexpr std::uint32_t kWeightsMagic = 0x4F444E57;  // "ODNW"
-/// v1: bare weight blob (params + BN stats). v2: versioned model snapshot —
-/// v1 payload preceded by an architecture descriptor and a monotonically
-/// increasing snapshot version id (models/snapshot.hpp).
-inline constexpr std::uint32_t kWeightsVersion = 1;
+/// The one checkpoint format: a versioned model snapshot — architecture
+/// descriptor, snapshot version id, then params and BN running statistics
+/// (models/snapshot.hpp). Version 1, a bare weight blob, is no longer read.
 inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 class BinaryWriter {
@@ -51,12 +51,10 @@ class BinaryReader {
   std::istream& is_;
 };
 
-/// Writes the standard checkpoint header (magic + format version; defaults
-/// to the legacy bare-blob format for backward compatibility).
-void write_weights_header(BinaryWriter& w,
-                          std::uint32_t version = kWeightsVersion);
-/// Validates the header and returns the format version (1 or 2); throws
-/// odenet::Error on a bad magic or an unknown version.
-std::uint32_t read_weights_header(BinaryReader& r);
+/// Writes the checkpoint header (magic + kSnapshotVersion).
+void write_weights_header(BinaryWriter& w);
+/// Validates the header; throws odenet::Error on a bad magic or any
+/// version but kSnapshotVersion.
+void read_weights_header(BinaryReader& r);
 
 }  // namespace odenet::util

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/block.hpp"
 #include "core/init.hpp"
 #include "solver/adjoint.hpp"
+#include "solver_reference.hpp"
 #include "util/rng.hpp"
 
 using namespace odenet::solver;
@@ -71,6 +73,16 @@ Tensor random_tensor(std::vector<int> shape, ou::Rng& rng) {
   return t;
 }
 
+/// Solves forward recording the trajectory, then backpropagates through it.
+BackwardResult solve_backward(DifferentiableDynamics& f, const Tensor& z0,
+                              const Tensor& grad_z1, float t1, Method m,
+                              int steps) {
+  std::vector<Tensor> traj;
+  SolveOptions opts{.method = m, .steps = steps, .trajectory = &traj};
+  ode_solve(f, z0, 0.0f, t1, opts);
+  return discrete_backward(f, traj, grad_z1, 0.0f, t1, m);
+}
+
 float scalar_solve(QuadraticDynamics& f, float z0v, Method m, int steps) {
   Tensor z0({1});
   z0.at1(0) = z0v;
@@ -92,7 +104,7 @@ TEST_P(DiscreteGradMethods, MatchesFiniteDifferenceInZ0) {
   z0.at1(0) = z0v;
   Tensor grad_out({1});
   grad_out.at1(0) = 1.0f;  // L = z(t1)
-  auto res = discrete_backward(f, z0, grad_out, 0.0f, 1.0f, m, steps);
+  auto res = solve_backward(f, z0, grad_out, 1.0f, m, steps);
 
   const float eps = 1e-3f;
   QuadraticDynamics fp(0.4f), fm(0.4f);
@@ -112,7 +124,7 @@ TEST_P(DiscreteGradMethods, MatchesFiniteDifferenceInTheta) {
   z0.at1(0) = 1.1f;
   Tensor grad_out({1});
   grad_out.at1(0) = 1.0f;
-  discrete_backward(f, z0, grad_out, 0.0f, 1.0f, m, steps);
+  solve_backward(f, z0, grad_out, 1.0f, m, steps);
 
   const float eps = 1e-3f;
   QuadraticDynamics fp(theta + eps), fm(theta - eps);
@@ -138,8 +150,7 @@ TEST(Adjoint, AgreesWithDiscreteForManySmallSteps) {
   Tensor grad_out({1});
   grad_out.at1(0) = 1.0f;
   auto adj = adjoint_backward(fa, z1, grad_out, 0.0f, 1.0f, steps);
-  auto dis = discrete_backward(fd, z0, grad_out, 0.0f, 1.0f, Method::kEuler,
-                               steps);
+  auto dis = solve_backward(fd, z0, grad_out, 1.0f, Method::kEuler, steps);
   // Adjoint converges to the discrete gradient at O(h): ~2% at h = 1/64.
   EXPECT_NEAR(adj.grad_z0.at1(0), dis.grad_z0.at1(0),
               0.03f * std::fabs(dis.grad_z0.at1(0)));
@@ -161,8 +172,7 @@ TEST(Adjoint, DivergesFromDiscreteForLargeSteps) {
   Tensor grad_out({1});
   grad_out.at1(0) = 1.0f;
   auto adj = adjoint_backward(fa, z1, grad_out, 0.0f, 1.0f, steps);
-  auto dis = discrete_backward(fd, z0, grad_out, 0.0f, 1.0f, Method::kEuler,
-                               steps);
+  auto dis = solve_backward(fd, z0, grad_out, 1.0f, Method::kEuler, steps);
   const float rel = std::fabs(adj.grad_z0.at1(0) - dis.grad_z0.at1(0)) /
                     std::fabs(dis.grad_z0.at1(0));
   EXPECT_GT(rel, 0.05f);  // clearly separated
@@ -177,10 +187,10 @@ TEST(Adjoint, FunctionEvalCounts) {
   auto adj = adjoint_backward(f, z0, g, 0.0f, 1.0f, 8);
   EXPECT_EQ(adj.function_evals, 8);
   QuadraticDynamics f2(0.2f);
-  auto dis = discrete_backward(f2, z0, g, 0.0f, 1.0f, Method::kRk4, 3);
-  // Forward checkpointing: 3 steps x 4 evals. Backward per step: 3 stage
-  // recomputes (k1..k3) + 4 eval+VJP pairs = 7 evals. Total 12 + 21 = 33.
-  EXPECT_EQ(dis.function_evals, 33);
+  auto dis = solve_backward(f2, z0, g, 1.0f, Method::kRk4, 3);
+  // The forward is not re-solved. Per step: 3 stage recomputes (k1..k3) +
+  // 4 eval+VJP pairs = 7 evals. Total 3 x 7 = 21.
+  EXPECT_EQ(dis.function_evals, 21);
 }
 
 TEST(BlockDynamics, DiscreteEulerGradMatchesFiniteDifference) {
@@ -195,8 +205,7 @@ TEST(BlockDynamics, DiscreteEulerGradMatchesFiniteDifference) {
   Tensor gout = random_tensor({1, 2, 3, 3}, rng);
   const int steps = 2;
 
-  auto res =
-      discrete_backward(dyn, z0, gout, 0.0f, 2.0f, Method::kEuler, steps);
+  auto res = solve_backward(dyn, z0, gout, 2.0f, Method::kEuler, steps);
 
   auto loss = [&](const Tensor& z) {
     SolveOptions opts{.method = Method::kEuler, .steps = steps};
@@ -213,6 +222,43 @@ TEST(BlockDynamics, DiscreteEulerGradMatchesFiniteDifference) {
   }
 }
 
+TEST(BlockDynamics, DiscreteBackwardMatchesReferenceSweepBitwise) {
+  // The tableau-driven backward against the per-method formulas in
+  // solver_reference.hpp: dL/dz0 and every parameter gradient bit for bit.
+  for (Method m : {Method::kEuler, Method::kHeun, Method::kRk4}) {
+    SCOPED_TRACE(method_name(m));
+    ou::Rng rng(12);
+    BuildingBlock block({.in_channels = 2, .out_channels = 2, .stride = 1,
+                         .time_channel = true});
+    odenet::core::init_block(block, rng);
+    block.set_training(true);
+    BlockDyn dyn(block);
+    Tensor z0 = random_tensor({2, 2, 3, 3}, rng);
+    Tensor gout = random_tensor({2, 2, 3, 3}, rng);
+    std::vector<Tensor> traj;
+    SolveOptions opts{.method = m, .steps = 3, .trajectory = &traj};
+    ode_solve(dyn, z0, 0.0f, 1.5f, opts);
+
+    block.zero_grads();
+    const Tensor got = discrete_backward(dyn, traj, gout, 0.0f, 1.5f, m).grad_z0;
+    std::vector<Tensor> got_grads;
+    for (auto* p : block.params()) got_grads.push_back(p->grad);
+    block.zero_grads();
+    const Tensor want =
+        solver_reference::discrete_backward(dyn, traj, gout, 0.0f, 1.5f, m);
+
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             want.numel() * sizeof(float)));
+    const auto params = block.params();
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      EXPECT_EQ(0, std::memcmp(got_grads[i].data(), params[i]->grad.data(),
+                               got_grads[i].numel() * sizeof(float)))
+          << params[i]->name;
+    }
+  }
+}
+
 TEST(BlockDynamics, ParamGradsAccumulateDuringBackward) {
   ou::Rng rng(10);
   BuildingBlock block({.in_channels = 2, .out_channels = 2, .stride = 1,
@@ -224,7 +270,7 @@ TEST(BlockDynamics, ParamGradsAccumulateDuringBackward) {
   Tensor z0 = random_tensor({1, 2, 3, 3}, rng);
   Tensor gout = random_tensor({1, 2, 3, 3}, rng);
   block.zero_grads();
-  discrete_backward(dyn, z0, gout, 0.0f, 1.0f, Method::kEuler, 2);
+  solve_backward(dyn, z0, gout, 1.0f, Method::kEuler, 2);
   float gmax = 0;
   for (auto* p : block.params()) gmax = std::max(gmax, p->grad.abs_max());
   EXPECT_GT(gmax, 0.0f);
@@ -234,9 +280,13 @@ TEST(Backward, RejectsInvalidArguments) {
   QuadraticDynamics f(0.1f);
   Tensor z({1}), g({1});
   EXPECT_THROW(adjoint_backward(f, z, g, 0.0f, 1.0f, 0), odenet::Error);
-  EXPECT_THROW(
-      discrete_backward(f, z, g, 0.0f, 1.0f, Method::kDopri5, 2),
-      odenet::Error);
+  const std::vector<Tensor> traj{z, z};
+  EXPECT_THROW(discrete_backward(f, traj, g, 0.0f, 1.0f, Method::kDopri5),
+               odenet::Error);
+  EXPECT_THROW(discrete_backward(f, {z}, g, 0.0f, 1.0f, Method::kEuler),
+               odenet::Error);
   Tensor bad({2});
   EXPECT_THROW(adjoint_backward(f, z, bad, 0.0f, 1.0f, 1), odenet::Error);
+  EXPECT_THROW(discrete_backward(f, traj, bad, 0.0f, 1.0f, Method::kEuler),
+               odenet::Error);
 }

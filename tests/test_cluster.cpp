@@ -95,8 +95,8 @@ runtime::SubmitOptions for_tenant(const std::string& tenant) {
 TEST(ClusterRouter, PlacementIsDeterministicAcrossInstances) {
   const std::vector<std::pair<std::string, double>> shards = {
       {"shard0", 1.0}, {"shard1", 1.0}, {"shard2", 1.0}, {"shard3", 1.0}};
-  ClusterRouter a(shards, 64);
-  ClusterRouter b(shards, 64);
+  ClusterRouter a(shards);
+  ClusterRouter b(shards);
   std::set<std::size_t> used;
   for (int t = 0; t < 200; ++t) {
     const std::string tenant = "tenant-" + std::to_string(t);
@@ -115,8 +115,8 @@ TEST(ClusterRouter, RemovingAShardOnlyRemapsItsOwnTenants) {
       {"a", 1.0}, {"b", 1.0}, {"c", 1.0}, {"d", 1.0}};
   const std::vector<std::pair<std::string, double>> three = {
       {"a", 1.0}, {"b", 1.0}, {"c", 1.0}};
-  ClusterRouter before(four, 64);
-  ClusterRouter after(three, 64);
+  ClusterRouter before(four);
+  ClusterRouter after(three);
   for (int t = 0; t < 200; ++t) {
     const std::string tenant = "tenant-" + std::to_string(t);
     const std::size_t home = before.primary(tenant);
@@ -133,7 +133,7 @@ TEST(ClusterRouter, RemovingAShardOnlyRemapsItsOwnTenants) {
 TEST(ClusterRouter, FailoverWalksRingPastNonAdmittingShards) {
   const std::vector<std::pair<std::string, double>> shards = {
       {"shard0", 1.0}, {"shard1", 1.0}, {"shard2", 1.0}};
-  ClusterRouter router(shards, 64);
+  ClusterRouter router(shards);
   const std::string tenant = "tenant-42";
   const std::size_t home = router.primary(tenant);
 
@@ -156,7 +156,7 @@ TEST(ClusterRouter, FailoverWalksRingPastNonAdmittingShards) {
 TEST(ClusterRouter, PlanIsPrimaryThenCostOrderedSpillCandidates) {
   const std::vector<std::pair<std::string, double>> shards = {
       {"shard0", 1.0}, {"shard1", 1.0}, {"shard2", 1.0}, {"shard3", 1.0}};
-  ClusterRouter router(shards, 64);
+  ClusterRouter router(shards);
   const std::string tenant = "tenant-7";
   const std::size_t home = router.primary(tenant);
 

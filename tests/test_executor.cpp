@@ -377,26 +377,31 @@ TEST(Executor, WeightCacheSurvivesReplicaChurnWithoutAliasing) {
     }
   }
   // Dead replicas' entries are retained only up to the LRU cap.
-  EXPECT_LE(fixed.weight_cache_size(), std::size_t{256});
+  EXPECT_LE(fixed.weight_cache_size(),
+            models::FixedStageExecutor::kWeightCacheCapacity);
 }
 
 TEST(Executor, WeightCacheCapacityBoundsChurn) {
-  // With a tiny capacity, many short-lived replicas cannot grow the cache
-  // beyond the cap (the pointer-keyed map used to grow without bound —
-  // one leaked entry per dead conv).
+  // Many short-lived replicas cannot grow the cache beyond the cap (the
+  // pointer-keyed map used to grow without bound — one leaked entry per
+  // dead conv). 40 replicas x 8 cached convs = 320 entries churn past the
+  // cap of 256, so eviction runs.
+  constexpr std::size_t kCap = models::FixedStageExecutor::kWeightCacheCapacity;
   util::Rng rng(44);
   models::FixedStageExecutor fixed(20);
-  fixed.set_weight_cache_capacity(3);
   models::StagePlan plan(&fixed);
   core::Tensor x = random_input(1, rng);
 
-  for (int round = 0; round < 5; ++round) {
+  std::size_t peak = 0;
+  for (int round = 0; round < 40; ++round) {
     util::Rng net_rng(100 + round);
     models::Network net(models::make_spec(Arch::kROdeNet3, 14, tiny_width()));
     net.init(net_rng);
     net.set_training(false);
     net.set_weight_version(1);
     (void)net.forward_with(x, plan);
-    EXPECT_LE(fixed.weight_cache_size(), std::size_t{3}) << "round " << round;
+    EXPECT_LE(fixed.weight_cache_size(), kCap) << "round " << round;
+    peak = std::max(peak, fixed.weight_cache_size());
   }
+  EXPECT_EQ(peak, kCap);  // the cap was reached, so entries were evicted
 }

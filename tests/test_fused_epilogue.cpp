@@ -1,7 +1,8 @@
 // Fused inference epilogues (core/gemm_kernels.hpp tile4x16_ep + the
 // elementwise kernel family, core/im2col.hpp gemm_tiled_pa_ep,
 // Conv2d::forward_fused, BuildingBlock's fused branch/Euler paths and the
-// allocation-free fixed-step solver loop):
+// allocation-free fixed-step solver loop; the loop's bitwise equality with
+// reference steps is in test_solvers):
 //  * the epilogue GEMM against the unfused GEMM + a scalar reference
 //    epilogue chain — BITWISE per ISA, across full-tile and ragged
 //    geometries x epilogue combinations, including residual aliasing C;
@@ -14,8 +15,6 @@
 //  * BuildingBlock fused branch/forward/Euler and the fused OdeBlock solve
 //    vs the conv1 -> bn1 -> ReLU -> conv2 -> bn2 chain run layer by layer;
 //  * training mode is untouched (fused path gated off, outputs bitwise);
-//  * the restructured fixed-step solver == the exported step functions,
-//    with and without caller scratch;
 //  * no arena growth after warmup for the fused OdeBlock forward;
 //  * shortcut/shortcut_backward vs the per-element reference walk.
 #include <gtest/gtest.h>
@@ -761,47 +760,6 @@ TEST(FusedEpilogue, OdeBlockFusedSolveMatchesUnfused) {
     // Euler folds h per step (one regrouping per step); heun/rk4 run the
     // same eval + axpy sequence either way.
     EXPECT_LE(max_abs_diff(fused.data(), unfused.data(), fused.numel()), 1e-5);
-  }
-}
-
-TEST(FusedEpilogue, SolverLoopMatchesExportedStepsBitwise) {
-  // The restructured in-place fixed-step loop — with AND without caller
-  // scratch — reproduces repeated euler_step/heun_step/rk4_step exactly.
-  ou::Rng rng(33);
-  Tensor z0 = random_tensor({2, 3, 4, 4}, rng);
-  os::FunctionDynamics f([](const Tensor& z, float t) {
-    Tensor out = z;
-    out.scale(-0.3f + 0.05f * t);
-    return out;
-  });
-  const int steps = 5;
-  const float t0 = 0.0f, t1 = 1.0f;
-  for (auto method : {os::Method::kEuler, os::Method::kHeun, os::Method::kRk4}) {
-    SCOPED_TRACE(os::method_name(method));
-    Tensor want = z0;
-    const float h = (t1 - t0) / static_cast<float>(steps);
-    for (int i = 0; i < steps; ++i) {
-      const float t = t0 + h * static_cast<float>(i);
-      switch (method) {
-        case os::Method::kEuler: want = os::euler_step(f, want, t, h); break;
-        case os::Method::kHeun: want = os::heun_step(f, want, t, h); break;
-        case os::Method::kRk4: want = os::rk4_step(f, want, t, h); break;
-        default: break;
-      }
-    }
-    os::SolveOptions opts;
-    opts.method = method;
-    opts.steps = steps;
-    Tensor no_scratch = os::ode_solve(f, z0, t0, t1, opts);
-    os::StepScratch scratch;
-    opts.scratch = &scratch;
-    Tensor with_scratch = os::ode_solve(f, z0, t0, t1, opts);
-    EXPECT_EQ(0, std::memcmp(no_scratch.data(), want.data(),
-                             want.numel() * sizeof(float)))
-        << "no scratch";
-    EXPECT_EQ(0, std::memcmp(with_scratch.data(), want.data(),
-                             want.numel() * sizeof(float)))
-        << "with scratch";
   }
 }
 

@@ -1,6 +1,6 @@
 // models::ModelSnapshot — the versioned weight images behind hot-swap:
 // capture/apply round trips, checkpoint (v2) serialization, legacy v1 blob
-// compatibility, version monotonicity, and spec-mismatch rejection.
+// rejection, version monotonicity, and spec-mismatch rejection.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -68,7 +68,6 @@ TEST(ModelSnapshot, CaptureApplyRoundTripIsBitwise) {
   models::Network a = make_net(2);
   models::Network b = make_net(3);  // different init
   const auto snap = a.export_snapshot();
-  EXPECT_TRUE(snap->has_spec());
   EXPECT_GT(snap->param_floats(), 0u);
   b.apply_snapshot(*snap);
   expect_params_equal(a, b);
@@ -97,7 +96,6 @@ TEST(ModelSnapshot, SaveLoadRoundTripKeepsWeightsAndProvenance) {
   EXPECT_GT(loaded->version(), snap->version());
   EXPECT_EQ(loaded->saved_version(), snap->version());
   EXPECT_EQ(snap->saved_version(), 0u);  // fresh captures have none
-  ASSERT_TRUE(loaded->has_spec());
   EXPECT_EQ(loaded->spec().arch, Arch::kROdeNet3);
   EXPECT_EQ(loaded->spec().n, 14);
   ASSERT_EQ(loaded->params().size(), snap->params().size());
@@ -118,14 +116,15 @@ TEST(ModelSnapshot, NetworkCheckpointWrappersRoundTrip) {
   expect_params_equal(a, b);
 }
 
-TEST(ModelSnapshot, LegacyV1BlobStillLoads) {
+TEST(ModelSnapshot, LegacyV1BlobIsRejected) {
   models::Network a = make_net(7);
   const auto snap = a.export_snapshot();
-  // Re-create the pre-snapshot checkpoint layout by hand: v1 header, then
+  // The retired v1 checkpoint layout, built by hand: v1 header, then
   // params, then BN running statistics — no descriptor, no version id.
   std::stringstream ss;
   util::BinaryWriter w(ss);
-  util::write_weights_header(w, util::kWeightsVersion);
+  w.write_u32(util::kWeightsMagic);
+  w.write_u32(1);
   w.write_u64(snap->params().size());
   for (const auto& p : snap->params()) {
     w.write_string(p.name);
@@ -137,17 +136,7 @@ TEST(ModelSnapshot, LegacyV1BlobStillLoads) {
     w.write_floats(bn.var);
   }
 
-  const auto legacy = ModelSnapshot::load(ss);
-  EXPECT_FALSE(legacy->has_spec());
-  EXPECT_GT(legacy->version(), snap->version());  // assigned fresh
-  EXPECT_EQ(legacy->saved_version(), 0u);         // v1 stores no id
-  models::Network b = make_net(8);
-  b.apply_snapshot(*legacy);  // param-name validation still applies
-  expect_params_equal(a, b);
-  // But a v1 image cannot be spec-checked or re-exported as-is.
-  EXPECT_THROW(legacy->check_compatible(a.spec()), odenet::Error);
-  std::stringstream out;
-  EXPECT_THROW(legacy->save(out), odenet::Error);
+  EXPECT_THROW(ModelSnapshot::load(ss), odenet::Error);
 }
 
 TEST(ModelSnapshot, SpecMismatchIsRejected) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "core/init.hpp"
 #include "models/architecture.hpp"
@@ -23,6 +25,11 @@ Tensor random_tensor(std::vector<int> shape, ou::Rng& rng) {
     t.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
   }
   return t;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 }  // namespace
 
@@ -299,6 +306,69 @@ TEST(OdeBlock, BackwardRequiresForward) {
   OdeBlock ob({.channels = 2, .executions = 2}, "b");
   ob.set_training(true);
   EXPECT_THROW(ob.backward(Tensor({1, 2, 4, 4})), odenet::Error);
+  // A released trajectory is gone too.
+  ou::Rng rng(25);
+  odenet::core::init_block(ob.block(), rng);
+  (void)ob.forward(random_tensor({1, 2, 4, 4}, rng));
+  ob.release_cache();
+  EXPECT_THROW(ob.backward(Tensor({1, 2, 4, 4})), odenet::Error);
+}
+
+TEST(OdeBlock, BackwardThroughRecordedTrajectoryMatchesResolve) {
+  // The training forward records z_0..z_M and backward differentiates
+  // those states. The reference re-solves the stage from z0 with running
+  // stats frozen and runs discrete_backward on that trajectory. dX, every
+  // parameter gradient and the BN running statistics agree bit for bit,
+  // and the backward costs M / 3M / 7M evaluations.
+  using odenet::solver::Method;
+  const int m = 3;
+  const std::pair<Method, int> cases[] = {
+      {Method::kEuler, 1}, {Method::kHeun, 3}, {Method::kRk4, 7}};
+  for (const auto& [method, evals_per_step] : cases) {
+    SCOPED_TRACE(odenet::solver::method_name(method));
+    ou::Rng rng(24);
+    const OdeBlockConfig cfg{.channels = 3, .executions = m, .method = method};
+    OdeBlock ob(cfg, "ob");
+    OdeBlock ref(cfg, "ref");
+    odenet::core::init_block(ob.block(), rng);
+    auto src = ob.block().params();
+    auto dst = ref.block().params();
+    for (std::size_t j = 0; j < src.size(); ++j) dst[j]->value = src[j]->value;
+    ob.set_training(true);
+    ref.set_training(true);
+    Tensor x = random_tensor({2, 3, 5, 5}, rng);
+    Tensor g = random_tensor({2, 3, 5, 5}, rng);
+
+    Tensor y = ob.forward(x);
+    // The backward re-evaluates f, so the forward dropped its last
+    // evaluation's layer caches.
+    EXPECT_THROW(ob.block().branch_backward(g), odenet::Error);
+    Tensor dx = ob.backward(g);
+
+    Tensor y_ref = ref.forward(x);
+    ref.block().set_freeze_running_stats(true);
+    std::vector<Tensor> traj;
+    odenet::solver::SolveOptions opts{
+        .method = method, .steps = m, .trajectory = &traj};
+    odenet::solver::ode_solve(ref.dynamics(), x, ref.t0(), ref.t1(), opts);
+    auto res = odenet::solver::discrete_backward(ref.dynamics(), traj, g,
+                                                 ref.t0(), ref.t1(), method);
+    ref.block().set_freeze_running_stats(false);
+
+    EXPECT_EQ(res.function_evals, evals_per_step * m);
+    EXPECT_TRUE(same_bits(y, y_ref));
+    EXPECT_TRUE(same_bits(dx, res.grad_z0));
+    for (std::size_t j = 0; j < src.size(); ++j) {
+      EXPECT_TRUE(same_bits(src[j]->grad, dst[j]->grad)) << src[j]->name;
+    }
+    const std::pair<odenet::core::BatchNorm2d*, odenet::core::BatchNorm2d*>
+        bns[] = {{&ob.block().bn1(), &ref.block().bn1()},
+                 {&ob.block().bn2(), &ref.block().bn2()}};
+    for (const auto& [got, want] : bns) {
+      EXPECT_TRUE(same_bits(got->running_mean(), want->running_mean()));
+      EXPECT_TRUE(same_bits(got->running_var(), want->running_var()));
+    }
+  }
 }
 
 TEST(OdeBlock, TrainingWithDopri5Rejected) {

@@ -485,7 +485,7 @@ TEST(InferenceEngine, ReloadRejectsMismatchedSnapshotAndKeepsServing) {
   std::stringstream hollow;
   {
     util::BinaryWriter w(hollow);
-    util::write_weights_header(w, util::kSnapshotVersion);
+    util::write_weights_header(w);
     w.write_string(models::arch_name(Arch::kROdeNet3));
     w.write_u32(14);
     w.write_u32(3);   // input_channels

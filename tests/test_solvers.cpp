@@ -1,10 +1,14 @@
 // ODE solvers: exact solutions, convergence orders (the defining property
-// of each method), backward-time integration, Dopri5 adaptivity.
+// of each method), backward-time integration, Dopri5 adaptivity, and the
+// tableau-driven fixed steps against the hand-written reference steps
+// (solver_reference.hpp), bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "solver/ode.hpp"
+#include "solver_reference.hpp"
 
 using namespace odenet::solver;
 using odenet::core::Tensor;
@@ -38,6 +42,11 @@ FunctionDynamics time_dynamics() {
     out.fill(t);
     return out;
   });
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 
 double solve_exp_error(Method m, int steps, float lambda = -1.0f,
@@ -213,8 +222,58 @@ TEST(StepFunctions, SingleStepsMatchManualFormulas) {
   Tensor z({1});
   z.at1(0) = 1.0f;
   // Euler: 1 + h*(-1).
-  EXPECT_NEAR(euler_step(f, z, 0.0f, 0.25f).at1(0), 0.75f, 1e-6f);
+  EXPECT_NEAR(solver_reference::euler_step(f, z, 0.0f, 0.25f).at1(0), 0.75f,
+              1e-6f);
   // Heun: 1 + h/2*(k1 + k2), k1=-1, k2=-(1-0.25)=-0.75.
-  EXPECT_NEAR(heun_step(f, z, 0.0f, 0.25f).at1(0),
+  EXPECT_NEAR(solver_reference::heun_step(f, z, 0.0f, 0.25f).at1(0),
               1.0f + 0.125f * (-1.0f - 0.75f), 1e-6f);
+}
+
+TEST(StepFunctions, SolveMatchesReferenceStepsBitwise) {
+  // The tableau-driven in-place loop — with and without caller scratch —
+  // reproduces the hand-written reference steps exactly, and so does every
+  // state it records (the states discrete_backward differentiates).
+  FunctionDynamics f([](const Tensor& z, float t) {
+    Tensor out = z;
+    out.scale(-0.3f + 0.05f * t);
+    return out;
+  });
+  Tensor z0({2, 3, 4, 4});
+  for (std::size_t i = 0; i < z0.numel(); ++i) {
+    z0.data()[i] = 0.01f * static_cast<float>(i % 37) - 0.2f;
+  }
+  const int steps = 5;
+  const float t0 = 0.25f, t1 = 1.5f;
+  const float h = (t1 - t0) / static_cast<float>(steps);
+  for (Method m : {Method::kEuler, Method::kHeun, Method::kRk4}) {
+    SCOPED_TRACE(method_name(m));
+    std::vector<Tensor> want{z0};
+    for (int i = 0; i < steps; ++i) {
+      const float t = t0 + h * static_cast<float>(i);
+      switch (m) {
+        case Method::kEuler:
+          want.push_back(solver_reference::euler_step(f, want.back(), t, h));
+          break;
+        case Method::kHeun:
+          want.push_back(solver_reference::heun_step(f, want.back(), t, h));
+          break;
+        default:
+          want.push_back(solver_reference::rk4_step(f, want.back(), t, h));
+          break;
+      }
+    }
+    std::vector<Tensor> traj;
+    SolveOptions opts{.method = m, .steps = steps, .trajectory = &traj};
+    Tensor no_scratch = ode_solve(f, z0, t0, t1, opts);
+    StepScratch scratch;
+    opts.scratch = &scratch;
+    opts.trajectory = nullptr;
+    Tensor with_scratch = ode_solve(f, z0, t0, t1, opts);
+    EXPECT_TRUE(same_bits(no_scratch, want.back())) << "no scratch";
+    EXPECT_TRUE(same_bits(with_scratch, want.back())) << "with scratch";
+    ASSERT_EQ(traj.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(same_bits(traj[i], want[i])) << "state " << i;
+    }
+  }
 }

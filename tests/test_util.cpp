@@ -267,7 +267,18 @@ TEST(Serialize, HeaderValidation) {
   std::stringstream bad;
   ou::BinaryWriter wb(bad);
   wb.write_u32(0x12345678);
-  wb.write_u32(1);
+  wb.write_u32(ou::kSnapshotVersion);
   ou::BinaryReader rb(bad);
   EXPECT_THROW(ou::read_weights_header(rb), odenet::Error);
+
+  // Right magic, wrong version: the retired v1 bare blob and an unknown
+  // future version are both rejected.
+  for (std::uint32_t version : {1u, ou::kSnapshotVersion + 1}) {
+    std::stringstream old;
+    ou::BinaryWriter wo(old);
+    wo.write_u32(ou::kWeightsMagic);
+    wo.write_u32(version);
+    ou::BinaryReader ro(old);
+    EXPECT_THROW(ou::read_weights_header(ro), odenet::Error) << version;
+  }
 }
