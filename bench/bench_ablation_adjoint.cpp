@@ -65,16 +65,16 @@ int main() {
   // the rODENet setting M doubles as the (N-8)/2 execution count.
   for (int steps : {1, 2, 4, 8, 16, 32}) {
     const float t1 = 2.0f;
-    // Discrete backprop differentiates the recorded states z_0..z_M; the
-    // adjoint keeps only z(t1) and reconstructs the rest backward.
+    // Discrete backprop differentiates the recorded step-start states
+    // z_0..z_{M-1}; the adjoint keeps only z(t1) and reconstructs the rest
+    // backward.
     std::vector<Tensor> traj;
     solver::SolveOptions opts{.method = solver::Method::kEuler,
                               .steps = steps, .trajectory = &traj};
-    solver::ode_solve(dyn, z0, 0.0f, t1, opts);
+    const Tensor z1 = solver::ode_solve(dyn, z0, 0.0f, t1, opts);
     auto dis = solver::discrete_backward(dyn, traj, gout, 0.0f, t1,
                                          solver::Method::kEuler);
-    auto adj =
-        solver::adjoint_backward(dyn, traj.back(), gout, 0.0f, t1, steps);
+    auto adj = solver::adjoint_backward(dyn, z1, gout, 0.0f, t1, steps);
 
     Tensor diff = adj.grad_z0;
     diff.axpy(-1.0f, dis.grad_z0);

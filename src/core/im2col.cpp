@@ -38,8 +38,7 @@ inline int end_valid_ow(int kw, int pad, int stride, int w, int wo) {
 /// per-element walk (zeros outside, source reads inside). Templated on the
 /// element type: the float instantiation serves Conv2d's lowering, the
 /// int16 one lowers pre-quantized activations for the integer GEMM (9x
-/// cheaper than quantizing the replicated column matrix), the int32 one
-/// the FPGA simulator's Q20 raws.
+/// cheaper than quantizing the replicated column matrix).
 template <typename T>
 void im2col_strided(const T* src, const LoweringGeometry& g,
                     std::size_t row_stride, T* dst) {
@@ -165,11 +164,6 @@ void col2im_strided(const float* cols, const LoweringGeometry& g,
 }
 
 }  // namespace
-
-void im2col_i32(const std::int32_t* src, const LoweringGeometry& g,
-                std::int32_t* dst) {
-  im2col_strided(src, g, g.col_cols(), dst);
-}
 
 void im2col_batched(const float* src, const LoweringGeometry& g, int batch,
                     float* dst) {

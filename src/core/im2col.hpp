@@ -43,12 +43,6 @@ struct LoweringGeometry {
   }
 };
 
-/// Single-sample lowering of a [C,H,W] int32 image into the
-/// [col_rows(), col_cols()] column matrix (out-of-image taps read 0) — the
-/// input side of the FPGA simulator's exact integer GEMM.
-void im2col_i32(const std::int32_t* src, const LoweringGeometry& g,
-                std::int32_t* dst);
-
 /// Batched lowering: unfolds a whole [N,C,H,W] batch into ONE column
 /// matrix [col_rows(), N * col_cols()], sample n occupying the contiguous
 /// column block [n * col_cols(), (n+1) * col_cols()); out-of-image taps

@@ -1,45 +1,33 @@
 #include "fixed/fixed_math.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "util/check.hpp"
 
 namespace odenet::fixed {
 
 std::uint64_t isqrt_u64(std::uint64_t x) {
-  // Non-restoring square root: processes two radicand bits per iteration,
-  // producing one result bit, MSB first.
-  std::uint64_t result = 0;
-  std::uint64_t remainder = 0;
-  for (int i = 62; i >= 0; i -= 2) {
-    remainder = (remainder << 2) | ((x >> i) & 0x3u);
-    const std::uint64_t trial = (result << 2) | 1u;
-    result <<= 1;
-    if (remainder >= trial) {
-      remainder -= trial;
-      result |= 1u;
-    }
-  }
-  return result;
+  // The double estimate lands within a step or two of floor(sqrt(x)); the
+  // integer fix-up makes it exact. floor(sqrt(x)) < 2^32 for any 64-bit
+  // x, which also keeps (r + 1)^2 from overflowing.
+  constexpr std::uint64_t kMaxRoot = 0xFFFFFFFFull;
+  std::uint64_t r = std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(std::sqrt(static_cast<double>(x))),
+      kMaxRoot);
+  while (r * r > x) --r;
+  while (r < kMaxRoot && (r + 1) * (r + 1) <= x) ++r;
+  return r;
 }
 
 std::int64_t idiv_i64(std::int64_t num, std::int64_t den) {
   ODENET_CHECK(den != 0, "fixed-point division by zero");
-  const bool neg = (num < 0) != (den < 0);
-  // Work in unsigned magnitudes to sidestep INT64_MIN overflow.
-  std::uint64_t n = num < 0 ? 0ULL - static_cast<std::uint64_t>(num)
-                            : static_cast<std::uint64_t>(num);
-  std::uint64_t d = den < 0 ? 0ULL - static_cast<std::uint64_t>(den)
-                            : static_cast<std::uint64_t>(den);
-  // Shift-subtract restoring division, one quotient bit per iteration.
-  std::uint64_t q = 0, r = 0;
-  for (int i = 63; i >= 0; --i) {
-    r = (r << 1) | ((n >> i) & 1u);
-    q <<= 1;
-    if (r >= d) {
-      r -= d;
-      q |= 1u;
-    }
+  // The one quotient int64 cannot hold, INT64_MIN / -1, wraps as the
+  // divider's register does; negating in uint64 covers it.
+  if (den == -1) {
+    return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(num));
   }
-  return neg ? -static_cast<std::int64_t>(q) : static_cast<std::int64_t>(q);
+  return num / den;
 }
 
 }  // namespace odenet::fixed

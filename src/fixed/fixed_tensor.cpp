@@ -54,15 +54,20 @@ void parallel_chunks(std::size_t n, Fn&& fn) {
 }  // namespace
 
 FixedTensor quantize(const core::Tensor& t, int frac_bits) {
-  ODENET_CHECK(frac_bits > 0 && frac_bits < 31, "bad frac_bits " << frac_bits);
   FixedTensor out;
   out.shape = t.shape();
   out.frac_bits = frac_bits;
   out.raw.resize(t.numel());
-  for (std::size_t i = 0; i < t.numel(); ++i) {
-    out.raw[i] = quantize_value(t.data()[i], frac_bits, nullptr);
-  }
+  quantize(t.data(), out.raw.data(), t.numel(), frac_bits);
   return out;
+}
+
+void quantize(const float* src, std::int32_t* dst, std::size_t n,
+              int frac_bits) {
+  ODENET_CHECK(frac_bits > 0 && frac_bits < 31, "bad frac_bits " << frac_bits);
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = quantize_value(src[i], frac_bits, nullptr);
+  }
 }
 
 float qdq_value(float v, int frac_bits) {
@@ -124,11 +129,14 @@ float max_abs(const float* src, std::size_t n) {
 
 core::Tensor dequantize(const FixedTensor& t) {
   core::Tensor out(t.shape);
-  const double inv = 1.0 / static_cast<double>(std::int64_t{1} << t.frac_bits);
-  for (std::size_t i = 0; i < t.raw.size(); ++i) {
-    out.data()[i] = static_cast<float>(t.raw[i] * inv);
-  }
+  dequantize(t.raw.data(), out.data(), t.raw.size(), t.frac_bits);
   return out;
+}
+
+void dequantize(const std::int32_t* src, float* dst, std::size_t n,
+                int frac_bits) {
+  const double inv = 1.0 / static_cast<double>(std::int64_t{1} << frac_bits);
+  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<float>(src[i] * inv);
 }
 
 QuantizationError measure_quantization(const core::Tensor& t, int frac_bits) {

@@ -24,8 +24,16 @@ struct FixedTensor {
 /// Quantizes a float tensor to the given fractional precision (saturating).
 FixedTensor quantize(const core::Tensor& t, int frac_bits = 20);
 
+/// quantize() over `n` floats into a caller-owned raw buffer.
+void quantize(const float* src, std::int32_t* dst, std::size_t n,
+              int frac_bits);
+
 /// Back to float.
 core::Tensor dequantize(const FixedTensor& t);
+
+/// dequantize() of `n` Q(frac_bits) raws into a caller-owned buffer.
+void dequantize(const std::int32_t* src, float* dst, std::size_t n,
+                int frac_bits);
 
 /// One value through the saturating Q(frac_bits) round trip.
 float qdq_value(float v, int frac_bits);

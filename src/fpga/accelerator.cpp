@@ -44,6 +44,9 @@ OdeBlockAccelerator::OdeBlockAccelerator(const Config& cfg,
   bram_.allocate("fmap.out", fwords, 1, 32);
   bram_.allocate("bn.params", static_cast<std::size_t>(4) * cfg.channels, 1,
                  32);
+  fmap_in_.resize(fwords);
+  fmap_mid_.resize(fwords);
+  fmap_out_.resize(fwords);
 }
 
 void OdeBlockAccelerator::load_weights(core::BuildingBlock& block) {
@@ -62,64 +65,58 @@ void OdeBlockAccelerator::load_weights(core::BuildingBlock& block) {
   weights_loaded_ = true;
 }
 
-fixed::FixedTensor OdeBlockAccelerator::to_fixed_fmap(
-    const core::Tensor& z) const {
-  core::Tensor squeezed = z;
-  if (z.ndim() == 4) {
+void OdeBlockAccelerator::check_fmap(const core::Tensor& z) const {
+  const bool batched = z.ndim() == 4;
+  if (batched) {
     ODENET_CHECK(z.dim(0) == 1, "accelerator processes one image at a time");
-    squeezed = z.reshaped({z.dim(1), z.dim(2), z.dim(3)});
   }
-  ODENET_CHECK(squeezed.ndim() == 3 && squeezed.dim(0) == cfg_.channels &&
-                   squeezed.dim(1) == cfg_.extent &&
-                   squeezed.dim(2) == cfg_.extent,
+  const int lead = batched ? 1 : 0;
+  ODENET_CHECK(z.ndim() == 3 + lead && z.dim(lead) == cfg_.channels &&
+                   z.dim(lead + 1) == cfg_.extent &&
+                   z.dim(lead + 2) == cfg_.extent,
                "accelerator input shape mismatch: " << z.shape_str());
-  return fixed::quantize(squeezed, cfg_.frac_bits);
 }
 
-core::Tensor OdeBlockAccelerator::to_float_fmap(const fixed::FixedTensor& f,
-                                                bool batched) const {
-  core::Tensor out = fixed::dequantize(f);
-  if (batched) {
-    return out.reshaped({1, cfg_.channels, cfg_.extent, cfg_.extent});
-  }
-  return out;
+void OdeBlockAccelerator::branch(float t, const fixed::Q20* euler_h) {
+  conv1_.run(fmap_in_.data(), t, fmap_mid_.data());
+  bn1_.run(fmap_mid_.data(), fmap_out_.data());
+  conv2_.run(fmap_out_.data(), t, fmap_mid_.data());
+  bn2_.run(fmap_mid_.data(),
+           euler_h != nullptr ? fmap_in_.data() : fmap_out_.data(), euler_h);
 }
 
 core::Tensor OdeBlockAccelerator::eval_branch(const core::Tensor& z, float t,
                                               CycleBreakdown* cycles) {
   ODENET_CHECK(weights_loaded_, "accelerator: weights not loaded");
-  fixed::FixedTensor f = to_fixed_fmap(z);
-  CycleBreakdown local;
-  f = conv1_.run(f, t, &local.conv1);
-  f = bn1_.run(f, &local.bn1);
-  f = conv2_.run(f, t, &local.conv2);
-  f = bn2_.run(f, &local.bn2);
-  if (cycles != nullptr) *cycles = local;
-  return to_float_fmap(f, z.ndim() == 4);
+  check_fmap(z);
+  fixed::quantize(z.data(), fmap_in_.data(), fmap_words(), cfg_.frac_bits);
+  branch(t, nullptr);
+  if (cycles != nullptr) *cycles = cycles_per_execution();
+  core::Tensor out(z.shape());
+  fixed::dequantize(fmap_out_.data(), out.data(), fmap_words(),
+                    cfg_.frac_bits);
+  return out;
 }
 
 core::Tensor OdeBlockAccelerator::solve_euler(const core::Tensor& z0,
                                               int steps, float h,
                                               AcceleratorReport* report) {
+  check_fmap(z0);
+  core::Tensor out(z0.shape());
+  solve_euler(z0.data(), steps, h, out.data(), report);
+  return out;
+}
+
+void OdeBlockAccelerator::solve_euler(const float* z0, int steps, float h,
+                                      float* z1, AcceleratorReport* report) {
   ODENET_CHECK(weights_loaded_, "accelerator: weights not loaded");
   ODENET_CHECK(steps >= 1, "solve_euler needs steps >= 1");
-  const bool batched = z0.ndim() == 4;
-  fixed::FixedTensor z = to_fixed_fmap(z0);
+  fixed::quantize(z0, fmap_in_.data(), fmap_words(), cfg_.frac_bits);
   const fixed::Q20 h_fixed = fixed::Q20::from_float(h);
-
   for (int i = 0; i < steps; ++i) {
-    const float t = h * static_cast<float>(i);
-    fixed::FixedTensor f = conv1_.run(z, t);
-    f = bn1_.run(f);
-    f = conv2_.run(f, t);
-    f = bn2_.run(f);
-    // Euler update on the BN2 writeback adder: z += h * f (fixed-point).
-    for (std::size_t j = 0; j < z.raw.size(); ++j) {
-      const auto zf = fixed::Q20::from_raw(z.raw[j]);
-      const auto ff = fixed::Q20::from_raw(f.raw[j]);
-      z.raw[j] = (zf + h_fixed * ff).raw();
-    }
+    branch(h * static_cast<float>(i), &h_fixed);
   }
+  fixed::dequantize(fmap_in_.data(), z1, fmap_words(), cfg_.frac_bits);
 
   if (report != nullptr) {
     report->per_execution = cycles_per_execution();
@@ -127,7 +124,6 @@ core::Tensor OdeBlockAccelerator::solve_euler(const core::Tensor& z0,
     report->executions = steps;
     report->clock_mhz = cfg_.clock_mhz;
   }
-  return to_float_fmap(z, batched);
 }
 
 CycleBreakdown OdeBlockAccelerator::cycles_per_execution() const {

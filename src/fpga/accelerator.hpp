@@ -5,10 +5,18 @@
 // arithmetic the Verilog datapath performs (so outputs can be compared
 // against the float software path) and counts cycles with the calibrated
 // microarchitectural model (so latencies can be compared against Table 5).
+//
+// The functional model works in the three raw buffers of the BRAM plan,
+// fmap.in, fmap.mid and fmap.out, allocated once at construction: conv1
+// reads fmap.in into fmap.mid, BN1 writes fmap.out, conv2 writes
+// fmap.mid, and BN2 writes fmap.out — or, in an Euler solve, applies
+// z += h*f on its writeback adder straight into the state in fmap.in.
+// Once warm, a solve allocates nothing but the tensor it returns, and the
+// raw-pointer solve_euler nothing at all.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "core/block.hpp"
 #include "fpga/axi.hpp"
@@ -75,6 +83,12 @@ class OdeBlockAccelerator {
   core::Tensor solve_euler(const core::Tensor& z0, int steps, float h,
                            AcceleratorReport* report = nullptr);
 
+  /// solve_euler() on one [C,H,W] float image at `z0`, written to `z1`
+  /// (which may alias `z0`): quantized straight into fmap.in and
+  /// dequantized straight out of it.
+  void solve_euler(const float* z0, int steps, float h, float* z1,
+                   AcceleratorReport* report = nullptr);
+
   /// Cycle cost of one f(z,t) evaluation (data independent).
   CycleBreakdown cycles_per_execution() const;
   /// One fmap in + one fmap out over AXI.
@@ -86,9 +100,12 @@ class OdeBlockAccelerator {
   const Config& config() const { return cfg_; }
 
  private:
-  fixed::FixedTensor to_fixed_fmap(const core::Tensor& z) const;
-  core::Tensor to_float_fmap(const fixed::FixedTensor& f,
-                             bool batched) const;
+  /// conv1 -> BN1(+ReLU) -> conv2 -> BN2 on fmap.in at time t. BN2 writes
+  /// f to fmap.out, or with euler_h adds h*f into fmap.in.
+  void branch(float t, const fixed::Q20* euler_h);
+  /// Checks a [C,H,W] or [1,C,H,W] fmap against the configuration.
+  void check_fmap(const core::Tensor& z) const;
+  std::size_t fmap_words() const { return fmap_in_.size(); }
 
   Config cfg_;
   ConvEngine conv1_;
@@ -96,6 +113,7 @@ class OdeBlockAccelerator {
   ConvEngine conv2_;
   BnEngine bn2_;
   BramAllocator bram_;
+  std::vector<std::int32_t> fmap_in_, fmap_mid_, fmap_out_;
   bool weights_loaded_ = false;
 };
 

@@ -1,11 +1,47 @@
 #include "fpga/bn_engine.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "fixed/fixed_math.hpp"
 #include "util/check.hpp"
 
 namespace odenet::fpga {
+
+namespace {
+
+/// Q(fb) product a * v rounded half away from zero — the DSP multiply
+/// and rounding stage — without a branch: for a negative product,
+/// -((-p + half) >> fb) == (p + half - 1) >> fb (arithmetic shift), so the
+/// sign only lowers the rounding offset by one.
+inline std::int64_t qmul(std::int64_t a, std::int64_t v, int fb) {
+  const std::int64_t p = a * v;
+  return (p + (std::int64_t{1} << (fb - 1)) + (p >> 63)) >> fb;
+}
+
+/// The normalize pass over one channel (see the header's functional
+/// model); kRelu and kEuler are hoisted out of the element loop.
+template <bool kRelu, bool kEuler>
+void normalize(const std::int32_t* src, std::int32_t* dst, std::size_t n,
+               std::int64_t mean, std::int64_t inv_std, std::int64_t gamma,
+               std::int64_t beta, int fb, fixed::Q20 h) {
+  constexpr std::int64_t kLo = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int64_t kHi = std::numeric_limits<std::int32_t>::max();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t centered = static_cast<std::int64_t>(src[i]) - mean;
+    std::int64_t y = qmul(qmul(centered, inv_std, fb), gamma, fb) + beta;
+    if constexpr (kRelu) y = std::max<std::int64_t>(y, 0);
+    const auto y32 = static_cast<std::int32_t>(std::clamp(y, kLo, kHi));
+    if constexpr (kEuler) {
+      dst[i] = (fixed::Q20::from_raw(dst[i]) + h * fixed::Q20::from_raw(y32))
+                   .raw();
+    } else {
+      dst[i] = y32;
+    }
+  }
+}
+
+}  // namespace
 
 BnEngine::BnEngine(const BnEngineConfig& cfg) : cfg_(cfg) {
   ODENET_CHECK(cfg.channels > 0 && cfg.extent > 0,
@@ -34,68 +70,58 @@ std::uint64_t BnEngine::cycles_per_run() const {
   return bn_cycles(cfg_.channels, cfg_.extent);
 }
 
-fixed::FixedTensor BnEngine::run(const fixed::FixedTensor& input,
-                                 std::uint64_t* cycles) const {
+void BnEngine::run(const std::int32_t* in, std::int32_t* out,
+                   const fixed::Q20* euler_h) const {
   ODENET_CHECK(!gamma_.empty(), "bn engine: params not loaded");
-  ODENET_CHECK(input.shape.size() == 3 && input.shape[0] == cfg_.channels &&
-                   input.shape[1] == cfg_.extent &&
-                   input.shape[2] == cfg_.extent,
-               "bn engine input shape mismatch");
   const std::size_t plane =
       static_cast<std::size_t>(cfg_.extent) * cfg_.extent;
   const int fb = cfg_.frac_bits;
   const std::int64_t one = std::int64_t{1} << fb;
   const auto eps_raw = static_cast<std::int64_t>(
       static_cast<double>(cfg_.eps) * static_cast<double>(one) + 0.5);
-
-  fixed::FixedTensor out;
-  out.shape = input.shape;
-  out.frac_bits = fb;
-  out.raw.resize(input.raw.size());
+  // Division by the element count: an arithmetic shift (floor division)
+  // when it is a power of two, else the divide unit.
+  int shift = -1;
+  if ((plane & (plane - 1)) == 0) {
+    shift = 0;
+    while ((std::size_t{1} << shift) < plane) ++shift;
+  }
+  auto divide = [&](std::int64_t v) {
+    return shift >= 0 ? v >> shift
+                      : fixed::idiv_i64(v, static_cast<std::int64_t>(plane));
+  };
+  const fixed::Q20 h = euler_h != nullptr ? *euler_h : fixed::Q20{};
+  auto* const pass =
+      euler_h != nullptr
+          ? (cfg_.fused_relu ? normalize<true, true> : normalize<false, true>)
+          : (cfg_.fused_relu ? normalize<true, false> : normalize<false, false>);
 
   for (int c = 0; c < cfg_.channels; ++c) {
-    const std::int32_t* src =
-        input.raw.data() + static_cast<std::size_t>(c) * plane;
-    std::int32_t* dst = out.raw.data() + static_cast<std::size_t>(c) * plane;
+    const std::int32_t* src = in + static_cast<std::size_t>(c) * plane;
+    std::int32_t* dst = out + static_cast<std::size_t>(c) * plane;
 
-    // Pass 1: mean. Sum of Q(fb) raws; divide by the (power-of-two) count.
+    // Statistics pass: Σx and Σx² (each x² < 2^63) in one sweep.
     std::int64_t sum = 0;
-    for (std::size_t i = 0; i < plane; ++i) sum += src[i];
-    std::int64_t mean_raw;
-    if ((plane & (plane - 1)) == 0) {
-      int shift = 0;
-      while ((std::size_t{1} << shift) < plane) ++shift;
-      mean_raw = sum >> shift;  // arithmetic shift == floor division
-    } else {
-      mean_raw = fixed::idiv_i64(sum, static_cast<std::int64_t>(plane));
-    }
-
-    // Pass 2: variance. (x - mean)^2 accumulates at Q(2*fb); the final
-    // value is brought back to Q(fb) after the mean division. |x - mean|
-    // < 2^32, so each square fits uint64, and the sum saturates at
-    // INT64_MAX instead of overflowing — reachable only when a channel
-    // holds raws of both signs near the int32 rails. Sums that fit are
-    // unchanged, and a saturated one keeps every later step in range.
-    constexpr std::uint64_t kSqMax =
-        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
-    std::uint64_t sq_sum = 0;
+    unsigned __int128 sum_sq = 0;
     for (std::size_t i = 0; i < plane; ++i) {
-      const std::int64_t d = static_cast<std::int64_t>(src[i]) - mean_raw;
-      const std::uint64_t mag = static_cast<std::uint64_t>(d < 0 ? -d : d);
-      const std::uint64_t d2 = mag * mag;
-      sq_sum = d2 > kSqMax - sq_sum ? kSqMax : sq_sum + d2;
+      const std::int64_t x = src[i];
+      sum += x;
+      sum_sq += static_cast<std::uint64_t>(x * x);
     }
-    const auto sq = static_cast<std::int64_t>(sq_sum);
-    std::int64_t var_raw;  // Q(fb)
-    if ((plane & (plane - 1)) == 0) {
-      int shift = 0;
-      while ((std::size_t{1} << shift) < plane) ++shift;
-      var_raw = (sq >> shift) >> fb;
-    } else {
-      var_raw = fixed::idiv_i64(sq, static_cast<std::int64_t>(plane)) >> fb;
-    }
+    const std::int64_t mean_raw = divide(sum);
 
-    // sqrt(var + eps) with the bit-serial unit, then one division for
+    // Σ(x - mean)² exactly (|terms| < 2^74), clamped to INT64_MAX: the
+    // value of the hardware's saturating variance accumulator.
+    const __int128 m = mean_raw;
+    const __int128 centered_sq = static_cast<__int128>(sum_sq) -
+                                 2 * m * sum +
+                                 static_cast<__int128>(plane) * m * m;
+    constexpr std::int64_t kSqMax = std::numeric_limits<std::int64_t>::max();
+    const std::int64_t sq =
+        centered_sq > kSqMax ? kSqMax : static_cast<std::int64_t>(centered_sq);
+    const std::int64_t var_raw = divide(sq) >> fb;  // Q(fb)
+
+    // sqrt(var + eps) on the sqrt unit, then one division for
     // inv_std = 1/std (per channel, not per element).
     const std::uint64_t radicand =
         static_cast<std::uint64_t>(var_raw + eps_raw) << fb;
@@ -104,29 +130,25 @@ fixed::FixedTensor BnEngine::run(const fixed::FixedTensor& input,
     const std::int64_t inv_std_raw =
         fixed::idiv_i64(one << fb, std_raw);  // Q(fb)
 
-    // Pass 3: normalize: ((x - mean) * inv_std) * gamma + beta.
+    // Normalize pass: ((x - mean) * inv_std) * gamma + beta.
     const std::int64_t g = gamma_[static_cast<std::size_t>(c)];
     const std::int64_t b = beta_[static_cast<std::size_t>(c)];
-    const std::int64_t half = std::int64_t{1} << (fb - 1);
-    auto qmul = [fb, half](std::int64_t a, std::int64_t v) {
-      const std::int64_t p = a * v;
-      return p >= 0 ? (p + half) >> fb : -((-p + half) >> fb);
-    };
-    for (std::size_t i = 0; i < plane; ++i) {
-      const std::int64_t centered =
-          static_cast<std::int64_t>(src[i]) - mean_raw;
-      std::int64_t y = qmul(qmul(centered, inv_std_raw), g) + b;
-      if (cfg_.fused_relu && y < 0) y = 0;
-      // Saturate to 32-bit raw.
-      if (y > std::numeric_limits<std::int32_t>::max()) {
-        y = std::numeric_limits<std::int32_t>::max();
-      } else if (y < std::numeric_limits<std::int32_t>::min()) {
-        y = std::numeric_limits<std::int32_t>::min();
-      }
-      dst[i] = static_cast<std::int32_t>(y);
-    }
+    pass(src, dst, plane, mean_raw, inv_std_raw, g, b, fb, h);
   }
+}
 
+fixed::FixedTensor BnEngine::run(const fixed::FixedTensor& input,
+                                 std::uint64_t* cycles) const {
+  ODENET_CHECK(!gamma_.empty(), "bn engine: params not loaded");
+  ODENET_CHECK(input.shape.size() == 3 && input.shape[0] == cfg_.channels &&
+                   input.shape[1] == cfg_.extent &&
+                   input.shape[2] == cfg_.extent,
+               "bn engine input shape mismatch");
+  fixed::FixedTensor out;
+  out.shape = input.shape;
+  out.frac_bits = cfg_.frac_bits;
+  out.raw.resize(input.raw.size());
+  run(input.raw.data(), out.raw.data());
   if (cycles != nullptr) *cycles += cycles_per_run();
   return out;
 }

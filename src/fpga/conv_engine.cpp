@@ -1,11 +1,17 @@
 #include "fpga/conv_engine.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "core/gemm_kernels.hpp"
-#include "core/im2col.hpp"
 
 namespace odenet::fpga {
+
+namespace {
+constexpr int kRows = core::kGemmTileRows;
+constexpr int kCols = core::kGemmTileColsI32;
+constexpr int kTaps = 9;
+}  // namespace
 
 ConvEngine::ConvEngine(const ConvEngineConfig& cfg)
     : cfg_(cfg), macs_(cfg.parallelism) {
@@ -14,6 +20,39 @@ ConvEngine::ConvEngine(const ConvEngineConfig& cfg)
   ODENET_CHECK(cfg.extent > 0, "conv engine needs positive extent");
   ODENET_CHECK(cfg.frac_bits > 0 && cfg.frac_bits < 31,
                "bad frac_bits " << cfg.frac_bits);
+
+  // Panel-fill plan. Column tile jt covers output positions [8jt, 8jt+8)
+  // of the flattened plane; tap (kh, kw) reads each position's input
+  // shifted by (kh-1, kw-1), zero outside the image.
+  const int e = cfg.extent;
+  const int n = e * e;
+  const int col_tiles = (n + kCols - 1) / kCols;
+  tap_rows_.resize(static_cast<std::size_t>(col_tiles) * kTaps);
+  for (int jt = 0; jt < col_tiles; ++jt) {
+    const int q0 = jt * kCols;
+    const bool one_row = q0 + kCols <= n && q0 / e == (q0 + kCols - 1) / e;
+    for (int tap = 0; tap < kTaps; ++tap) {
+      const int dh = tap / 3 - 1, dw = tap % 3 - 1;
+      TapRow& r = tap_rows_[static_cast<std::size_t>(jt) * kTaps + tap];
+      if (one_row) {
+        // The 8 columns are one image row: a copy of the shifted source
+        // row, clipped at the image's left and right edges.
+        const int ih = q0 / e + dh, iw0 = q0 % e + dw;
+        if (ih < 0 || ih >= e) continue;  // lo == hi: all zero
+        r.lo = std::max(0, -iw0);
+        r.hi = std::min(kCols, e - iw0);
+        r.src = ih * e + iw0 + r.lo;
+        continue;
+      }
+      r.gather = static_cast<int>(gather_.size());
+      for (int q = q0; q < q0 + kCols; ++q) {
+        const int ih = q / e + dh, iw = q % e + dw;
+        const bool in_image =
+            q < n && ih >= 0 && ih < e && iw >= 0 && iw < e;
+        gather_.push_back(in_image ? ih * e + iw : -1);
+      }
+    }
+  }
 }
 
 void ConvEngine::load_weights(const fixed::FixedTensor& w) {
@@ -78,47 +117,63 @@ std::uint64_t ConvEngine::cycles_per_run() const {
                      cfg_.parallelism);
 }
 
-fixed::FixedTensor ConvEngine::run(const fixed::FixedTensor& input, float t,
-                                   std::uint64_t* cycles) const {
-  ODENET_CHECK(!weight_panels_.empty(), "conv engine: weights not loaded");
-  // Accept [C,H,W] or [1,C,H,W].
-  std::vector<int> shape = input.shape;
-  if (shape.size() == 4) {
-    ODENET_CHECK(shape[0] == 1, "conv engine processes one image at a time");
-    shape.erase(shape.begin());
+void ConvEngine::fill_panel(const std::int32_t* in, int jt,
+                            std::int32_t* panel) const {
+  // Panel row p = c * 9 + tap, as in the weights' [Cin*9] order. Every
+  // channel of one tap shares its TapRow, so each tap streams down the
+  // channel planes with a fixed source offset and a fixed column mask.
+  const std::size_t plane = static_cast<std::size_t>(cfg_.extent) *
+                            static_cast<std::size_t>(cfg_.extent);
+  constexpr std::size_t kChannelStride = static_cast<std::size_t>(kTaps) * kCols;
+  const TapRow* rows = tap_rows_.data() + static_cast<std::size_t>(jt) * kTaps;
+  for (int tap = 0; tap < kTaps; ++tap) {
+    const TapRow& r = rows[tap];
+    std::int32_t* dst = panel + tap * kCols;
+    if (r.gather >= 0) {
+      const int* off = gather_.data() + r.gather;
+      const std::int32_t* src = in;
+      for (int c = 0; c < cfg_.in_channels;
+           ++c, dst += kChannelStride, src += plane) {
+        for (int j = 0; j < kCols; ++j) dst[j] = off[j] >= 0 ? src[off[j]] : 0;
+      }
+    } else if (r.hi - r.lo == kCols) {
+      const std::int32_t* src = in + r.src;
+      for (int c = 0; c < cfg_.in_channels;
+           ++c, dst += kChannelStride, src += plane) {
+        std::memcpy(dst, src, kCols * sizeof(std::int32_t));
+      }
+    } else if (r.hi == r.lo) {
+      for (int c = 0; c < cfg_.in_channels; ++c, dst += kChannelStride) {
+        std::memset(dst, 0, kCols * sizeof(std::int32_t));
+      }
+    } else {
+      // A one-row tile spans at least 8 columns of an image at least 8
+      // wide, so a shift of one column clips exactly one edge column:
+      // [1, 8) at the left edge or [0, 7) at the right.
+      const std::int32_t* src = in + r.src;
+      const int zero_col = r.lo == 1 ? 0 : kCols - 1;
+      for (int c = 0; c < cfg_.in_channels;
+           ++c, dst += kChannelStride, src += plane) {
+        std::memcpy(dst + r.lo, src, (kCols - 1) * sizeof(std::int32_t));
+        dst[zero_col] = 0;
+      }
+    }
   }
-  ODENET_CHECK(shape.size() == 3 && shape[0] == cfg_.in_channels &&
-                   shape[1] == cfg_.extent && shape[2] == cfg_.extent,
-               "conv engine input shape mismatch");
+}
 
-  constexpr int kRows = core::kGemmTileRows;
-  constexpr int kCols = core::kGemmTileColsI32;
+void ConvEngine::run(const std::int32_t* in, float t,
+                     std::int32_t* out) const {
+  ODENET_CHECK(!weight_panels_.empty(), "conv engine: weights not loaded");
   const int co = cfg_.out_channels;
-  const core::LoweringGeometry g{.channels = cfg_.in_channels,
-                                 .height = cfg_.extent,
-                                 .width = cfg_.extent};
-  const std::size_t k = g.col_rows();
-  const int n = static_cast<int>(g.col_cols());
+  const std::size_t k = static_cast<std::size_t>(cfg_.in_channels) * kTaps;
+  const int n = cfg_.extent * cfg_.extent;
   const int col_tiles = (n + kCols - 1) / kCols;
   const int row_tiles = (co + kRows - 1) / kRows;
 
-  // Lower the input to [Cin*9, H*W], then repack it as column panels of
-  // [Cin*9][8] (one sequential pass over the lowering; the ragged last
-  // panel's phantom columns are zero). Thread-local: recycled across runs.
-  static thread_local std::vector<std::int32_t> cols;
-  static thread_local std::vector<std::int32_t> panels;
-  cols.resize(k * static_cast<std::size_t>(n));
-  core::im2col_i32(input.raw.data(), g, cols.data());
-  panels.resize(static_cast<std::size_t>(col_tiles) * k * kCols);
-  for (std::size_t p = 0; p < k; ++p) {
-    const std::int32_t* src = cols.data() + p * static_cast<std::size_t>(n);
-    for (int jt = 0; jt < col_tiles; ++jt) {
-      std::int32_t* dst = panels.data() + (jt * k + p) * kCols;
-      const int nr = std::min(kCols, n - jt * kCols);
-      std::copy_n(src + jt * kCols, nr, dst);
-      std::fill(dst + nr, dst + kCols, 0);
-    }
-  }
+  // One [Cin*9][8] column panel at a time, cache-hot across every row
+  // panel of weights. Thread-local: recycled across runs.
+  static thread_local std::vector<std::int32_t> panel;
+  panel.resize(k * kCols);
 
   // The time plane's affine term: t_raw times each position's in-bounds
   // tap sum, added in uint64 so it wraps exactly like the GEMM sums.
@@ -128,23 +183,17 @@ fixed::FixedTensor ConvEngine::run(const fixed::FixedTensor& input, float t,
                                                         << cfg_.frac_bits) +
                                 (t >= 0 ? 0.5 : -0.5));
 
-  fixed::FixedTensor out;
-  out.shape = {co, cfg_.extent, cfg_.extent};
-  out.frac_bits = cfg_.frac_bits;
-  out.raw.resize(static_cast<std::size_t>(co) * n);
-
-  // Column panels outer: one [Cin*9][8] panel stays cache-hot across every
-  // row panel of weights. Each 4x8 int64 tile is written back as soon as
-  // it is computed, so no int64 output plane is materialized.
+  // Each 4x8 int64 tile is written back (bias, rounding, saturation) in
+  // the pass that stores it, so no int64 output plane is materialized.
   const core::GemmKernels& kernels = core::active_gemm_kernels();
   std::int64_t tile[kRows * kCols] = {};
   for (int jt = 0; jt < col_tiles; ++jt) {
+    fill_panel(in, jt, panel.data());
     const int j0 = jt * kCols;
     const int nr = std::min(kCols, n - j0);
-    const std::int32_t* bpanel = panels.data() + jt * k * kCols;
     for (int rt = 0; rt < row_tiles; ++rt) {
-      kernels.tile4x8_i32(weight_panels_.data() + rt * k * kRows, bpanel,
-                          static_cast<int>(k), tile, kCols);
+      kernels.tile4x8_i32(weight_panels_.data() + rt * k * kRows,
+                          panel.data(), static_cast<int>(k), tile, kCols);
       const int mr = std::min(kRows, co - rt * kRows);
       for (int i = 0; i < mr; ++i) {
         const std::size_t row = static_cast<std::size_t>(rt * kRows + i) * n;
@@ -154,13 +203,31 @@ fixed::FixedTensor ConvEngine::run(const fixed::FixedTensor& input, float t,
             acc += static_cast<std::uint64_t>(t_raw) *
                    static_cast<std::uint64_t>(time_tap_sums_[row + j0 + j]);
           }
-          out.raw[row + j0 + j] = MacArray::writeback(
+          out[row + j0 + j] = MacArray::writeback(
               static_cast<std::int64_t>(acc), cfg_.frac_bits);
         }
       }
     }
   }
+}
 
+fixed::FixedTensor ConvEngine::run(const fixed::FixedTensor& input, float t,
+                                   std::uint64_t* cycles) const {
+  // Accept [C,H,W] or [1,C,H,W].
+  std::vector<int> shape = input.shape;
+  if (shape.size() == 4) {
+    ODENET_CHECK(shape[0] == 1, "conv engine processes one image at a time");
+    shape.erase(shape.begin());
+  }
+  ODENET_CHECK(shape.size() == 3 && shape[0] == cfg_.in_channels &&
+                   shape[1] == cfg_.extent && shape[2] == cfg_.extent,
+               "conv engine input shape mismatch");
+  fixed::FixedTensor out;
+  out.shape = {cfg_.out_channels, cfg_.extent, cfg_.extent};
+  out.frac_bits = cfg_.frac_bits;
+  out.raw.resize(static_cast<std::size_t>(cfg_.out_channels) * cfg_.extent *
+                 cfg_.extent);
+  run(input.raw.data(), t, out.raw.data());
   if (cycles != nullptr) *cycles += cycles_per_run();
   return out;
 }

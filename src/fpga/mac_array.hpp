@@ -12,10 +12,13 @@
 // final writeback rounding, like a DSP48 cascade. The products and sums
 // themselves run on the exact int32 x int32 -> int64 GEMM tile
 // (core/gemm_kernels.hpp, see ConvEngine::run); only timing and the
-// writeback live here.
+// writeback live here. The writeback is inline: ConvEngine applies it to
+// every element of each 4x8 tile, together with the time-plane bias, in
+// the one pass that stores the tile.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -41,7 +44,22 @@ class MacArray {
 
   /// Rounding writeback: wide Q(2F) accumulator -> saturated Q(F) raw,
   /// rounding half away from zero. Defined for every int64 accumulator.
-  static std::int32_t writeback(std::int64_t acc, int frac_bits);
+  static std::int32_t writeback(std::int64_t acc, int frac_bits) {
+    // Round half away from zero on the magnitude, (|acc| + half) >> F,
+    // then cap the magnitude at INT32_MAX (2^31 for a negative result) and
+    // restore the sign. Branch-free; |acc| <= 2^63 and half < 2^30, so in
+    // uint64 nothing overflows, INT64_MIN and the rails included.
+    const auto sign = static_cast<std::uint64_t>(acc >> 63);  // ~0 if < 0
+    const std::uint64_t mag = (static_cast<std::uint64_t>(acc) ^ sign) - sign;
+    const std::uint64_t rounded =
+        (mag + (std::uint64_t{1} << (frac_bits - 1))) >> frac_bits;
+    constexpr std::uint64_t kMaxMag =
+        static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max());
+    const std::uint64_t cap = kMaxMag - sign;  // kMaxMag + 1 when negative
+    const std::uint64_t sat = rounded < cap ? rounded : cap;
+    return static_cast<std::int32_t>(
+        static_cast<std::uint32_t>((sat ^ sign) - sign));
+  }
 
  private:
   int units_;

@@ -132,7 +132,7 @@ core::Tensor Network::forward_with(const Tensor& x, const StagePlan& plan,
   // A forward supersedes the last one's backward. ODE stages drop the
   // trajectories a training forward left unconsumed (BN calibration runs
   // training forwards back to back) before this forward allocates, so the
-  // M+1 states do not stay live beside the new activations.
+  // M step-start states do not stay live beside the new activations.
   for (auto& s : stages_) {
     if (OdeBlock* ode = s->ode()) ode->release_cache();
   }

@@ -9,10 +9,10 @@
 //   * kUnit: t spans [0, 1] in M steps (the Neural-ODE convention).
 // Backward is either the adjoint method (Eq. 9) or exact discrete
 // backprop; see solver/adjoint.hpp for the trade-off. For discrete
-// backprop the training forward records its trajectory z_0..z_M (M + 1
-// states, held until backward consumes them or release_cache() drops
-// them) and backward differentiates those states instead of re-solving
-// the stage.
+// backprop the training forward records its trajectory z_0..z_{M-1} (the
+// M step-start states, held until backward consumes them or
+// release_cache() drops them) and backward differentiates those states
+// instead of re-solving the stage.
 #pragma once
 
 #include <memory>

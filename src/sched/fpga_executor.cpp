@@ -1,7 +1,5 @@
 #include "sched/fpga_executor.hpp"
 
-#include <algorithm>
-
 namespace odenet::sched {
 
 FpgaStageExecutor::FpgaStageExecutor(models::Stage& stage, const Config& cfg)
@@ -44,24 +42,30 @@ core::Tensor FpgaStageExecutor::run(models::Stage& stage,
                                     const core::Tensor& x,
                                     core::StageRunStats* stats) {
   const auto& spec = stage.spec();
+  const auto& pl = accel_->config();
+  ODENET_CHECK(x.ndim() == 4 && x.dim(1) == pl.channels &&
+                   x.dim(2) == pl.extent && x.dim(3) == pl.extent,
+               name_ << ": input " << x.shape_str() << " does not match the "
+                     << pl.channels << "x" << pl.extent << "x" << pl.extent
+                     << " PL feature map");
   const int batch = x.dim(0);
-  const int c = x.dim(1), s = x.dim(2);
   // Step size from the stage's time span (h == 1 for the paper's
   // ResNet-compatible span, 1/M for the unit span).
   models::OdeBlock* ode = stage.ode();
   const float h =
       (ode->t1() - ode->t0()) / static_cast<float>(spec.executions);
-  // Per-image PL execution: the accelerator owns one feature map.
-  core::Tensor out({batch, c, s, s});
+  // Per-image PL execution: the accelerator owns one feature map; each
+  // image is quantized straight into it and dequantized straight into its
+  // slice of the output.
+  core::Tensor out(x.shape());
+  const std::size_t image =
+      static_cast<std::size_t>(pl.channels) * pl.extent * pl.extent;
   std::uint64_t cycles = 0;
   for (int b = 0; b < batch; ++b) {
-    core::Tensor zi({1, c, s, s});
-    std::copy_n(x.data() + static_cast<std::size_t>(b) * c * s * s,
-                static_cast<std::size_t>(c) * s * s, zi.data());
+    const std::size_t at = static_cast<std::size_t>(b) * image;
     fpga::AcceleratorReport ar;
-    core::Tensor zo = accel_->solve_euler(zi, spec.executions, h, &ar);
-    std::copy_n(zo.data(), static_cast<std::size_t>(c) * s * s,
-                out.data() + static_cast<std::size_t>(b) * c * s * s);
+    accel_->solve_euler(x.data() + at, spec.executions, h, out.data() + at,
+                        &ar);
     cycles += ar.total_cycles();
   }
   if (stats != nullptr) {

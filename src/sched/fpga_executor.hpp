@@ -41,6 +41,9 @@ class FpgaStageExecutor final : public models::StageExecutor {
 
   /// Per-image PL execution of the whole stage (spec().executions Euler
   /// steps on the accelerator, one fmap AXI round trip per execution).
+  /// Each image is quantized straight into the accelerator's fmap.in and
+  /// dequantized straight into its slice of the result, so a warm run
+  /// allocates only the returned tensor.
   /// stats->seconds is the modeled per-image latency share of the batch;
   /// stats->pl_cycles the exact cycles consumed over the batch.
   core::Tensor run(models::Stage& stage, const core::Tensor& x,

@@ -40,12 +40,11 @@ BackwardResult discrete_backward(DifferentiableDynamics& f,
                                  const core::Tensor& grad_z1, float t0,
                                  float t1, Method method) {
   const Tableau& tab = fixed_step_tableau(method);
-  ODENET_CHECK(trajectory.size() >= 2,
-               "discrete_backward needs the steps + 1 states of a solve, got "
-                   << trajectory.size());
-  ODENET_CHECK(trajectory.back().same_shape(grad_z1),
+  ODENET_CHECK(!trajectory.empty(),
+               "discrete_backward needs the step-start states of a solve");
+  ODENET_CHECK(trajectory.front().same_shape(grad_z1),
                "trajectory/grad shape mismatch");
-  const int steps = static_cast<int>(trajectory.size()) - 1;
+  const int steps = static_cast<int>(trajectory.size());
   const float h = (t1 - t0) / static_cast<float>(steps);
   int evals = 0;
 

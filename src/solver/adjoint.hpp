@@ -13,8 +13,8 @@
 //    discretization, through the states the forward solve recorded
 //    (SolveOptions::trajectory): nothing is re-solved, but each step's
 //    stage inputs are recomputed from its state and f is evaluated again
-//    before each VJP. Memory is the M+1 recorded states, held from the
-//    forward to the backward. Gradients match finite differences of the
+//    before each VJP. Memory is the M recorded step-start states, held
+//    from the forward to the backward. Gradients match finite differences of the
 //    discrete forward pass to machine precision.
 //
 // Both need DifferentiableDynamics: eval(z, t) followed by vjp(v), where
@@ -41,7 +41,8 @@ BackwardResult adjoint_backward(DifferentiableDynamics& f,
                                 float t1, int steps);
 
 /// Exact discrete gradients through a fixed-step forward solve over
-/// [t0, t1], given its recorded trajectory z_0..z_M (M = steps). Per step:
+/// [t0, t1], given its recorded step-start states z_0..z_{M-1} (M = steps,
+/// taken from their count; shapes are checked against z_0). Per step:
 /// stages - 1 evaluations recompute the stage inputs, then one evaluation
 /// + VJP per stage in reverse, so function_evals is M / 3M / 7M for
 /// Euler / Heun / RK4. Supports Euler, Heun and RK4.

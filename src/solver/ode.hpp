@@ -97,9 +97,10 @@ struct SolveOptions {
   double atol = 1e-9;
   /// Adaptive: hard cap on accepted+rejected steps.
   int max_steps = 100000;
-  /// When set, solvers append every intermediate state (including z0) here:
-  /// steps + 1 states for a fixed-step solve, the input discrete_backward
-  /// differentiates.
+  /// When set, solvers append the state each accepted step starts from:
+  /// z_0..z_{M-1} for an M-step fixed-step solve, the input
+  /// discrete_backward differentiates. The result z_M is the solve's
+  /// return value and is not copied here.
   std::vector<core::Tensor>* trajectory = nullptr;
   /// Optional caller-owned stage storage for euler/heun/rk4 (values are
   /// identical with or without it; it only removes per-step allocation).

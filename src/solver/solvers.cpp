@@ -87,7 +87,6 @@ core::Tensor dopri5_solve(OdeFunction& f, const core::Tensor& z0, float t0,
   ODENET_CHECK(span > 0.0, "dopri5 requires t0 != t1");
 
   core::Tensor z = z0;
-  if (opts.trajectory) opts.trajectory->push_back(z);
   double t = t0;
   double h = dir * span / 16.0;  // initial guess; adapted immediately
   int taken = 0, rejected = 0, evals = 0;
@@ -131,11 +130,11 @@ core::Tensor dopri5_solve(OdeFunction& f, const core::Tensor& z0, float t0,
 
     const double norm = error_norm(err, z, z_new, opts.rtol, opts.atol);
     if (norm <= 1.0) {
+      if (opts.trajectory) opts.trajectory->push_back(z);
       t += h;
       z = std::move(z_new);
       k1 = std::move(k7);  // FSAL
       ++taken;
-      if (opts.trajectory) opts.trajectory->push_back(z);
     } else {
       ++rejected;
     }
@@ -163,7 +162,6 @@ core::Tensor ode_solve(OdeFunction& f, const core::Tensor& z0, float t0,
   const Tableau& tab = fixed_step_tableau(opts.method);
   const float h = (t1 - t0) / static_cast<float>(opts.steps);
   core::Tensor z = z0;
-  if (opts.trajectory) opts.trajectory->push_back(z);
   // Stages land in scratch tensors (caller-provided via opts.scratch, so
   // steady-state serving allocates nothing per step) and z is updated in
   // place.
@@ -171,6 +169,7 @@ core::Tensor ode_solve(OdeFunction& f, const core::Tensor& z0, float t0,
   StepScratch& s = opts.scratch != nullptr ? *opts.scratch : local;
   for (int i = 0; i < opts.steps; ++i) {
     const float t = t0 + h * static_cast<float>(i);
+    if (opts.trajectory) opts.trajectory->push_back(z);
     // Euler first offers the dynamics their fused in-place step.
     if (opts.method != Method::kEuler || !f.euler_step_inplace(z, t, h)) {
       f.eval_into(z, t, s.k[0]);
@@ -182,7 +181,6 @@ core::Tensor ode_solve(OdeFunction& f, const core::Tensor& z0, float t0,
       }
       for (int j = 0; j < tab.stages; ++j) z.axpy(tab.b[j].times(h), s.k[j]);
     }
-    if (opts.trajectory) opts.trajectory->push_back(z);
   }
   if (stats) {
     stats->steps_taken = opts.steps;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 
 #include "util/check.hpp"
 
@@ -83,6 +84,42 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+namespace {
+/// One parallel_for call's chunks. The caller and every worker that picks
+/// up one of the call's tasks claim chunks in order until none is left;
+/// the call returns once each chunk has finished. Queued tasks share
+/// ownership, so one that starts after the call returned finds nothing to
+/// claim and never touches `fn`.
+struct ForkJoin {
+  std::size_t begin = 0, end = 0, chunk = 0, chunks = 0;
+  const std::function<void(std::size_t)>* fn = nullptr;
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;
+  std::condition_variable finished;
+  std::size_t done = 0;        // guarded by mutex
+  std::exception_ptr error;    // first failure, guarded by mutex
+
+  void drain() {
+    for (std::size_t c = next.fetch_add(1); c < chunks;
+         c = next.fetch_add(1)) {
+      const std::size_t lo = begin + c * chunk;
+      const std::size_t hi = std::min(end, lo + chunk);
+      // A failing chunk stops; the other chunks still run, so every
+      // claimed chunk is counted and the caller is always released.
+      std::exception_ptr failure;
+      try {
+        for (std::size_t i = lo; i < hi; ++i) (*fn)(i);
+      } catch (...) {
+        failure = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mutex);
+      if (failure && !error) error = failure;
+      if (++done == chunks) finished.notify_all();
+    }
+  }
+};
+}  // namespace
+
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain) {
@@ -93,32 +130,25 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  const std::size_t chunks = std::min(workers, (n + grain - 1) / grain);
-  const std::size_t chunk = (n + chunks - 1) / chunks;
+  auto job = std::make_shared<ForkJoin>();
+  job->begin = begin;
+  job->end = end;
+  // One contiguous chunk per worker at most; the boundaries depend only on
+  // n, grain and the worker count, never on which thread runs a chunk.
+  const std::size_t split = std::min(workers, (n + grain - 1) / grain);
+  job->chunk = (n + split - 1) / split;
+  job->chunks = (n + job->chunk - 1) / job->chunk;
+  job->fn = &fn;
 
-  // First exception wins; the rest of the work still runs to completion so
-  // the pool stays consistent.
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    pool.submit([lo, hi, &fn, &failed, &first_error, &error_mutex] {
-      try {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      } catch (...) {
-        if (!failed.exchange(true)) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          first_error = std::current_exception();
-        }
-      }
-    });
+  // The caller runs chunks too, so it queues one task fewer than there
+  // are chunks and waits only for chunks a worker has already claimed.
+  for (std::size_t t = 1; t < job->chunks; ++t) {
+    pool.submit([job] { job->drain(); });
   }
-  pool.wait_idle();
-  if (failed.load() && first_error) std::rethrow_exception(first_error);
+  job->drain();
+  std::unique_lock<std::mutex> lock(job->mutex);
+  job->finished.wait(lock, [&] { return job->done == job->chunks; });
+  if (job->error) std::rethrow_exception(job->error);
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

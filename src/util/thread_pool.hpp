@@ -32,7 +32,8 @@ class ThreadPool {
   /// Enqueue a task; returns immediately.
   void submit(std::function<void()> task);
 
-  /// Block until every submitted task has finished.
+  /// Block until every submitted task has finished (engine shutdown);
+  /// parallel_for does not use it, it waits for its own chunks only.
   void wait_idle();
 
   /// Process-wide default pool (size from ODENET_THREADS env or
@@ -56,7 +57,11 @@ class ThreadPool {
 /// worker, or the caller is itself a worker of THIS pool (nested
 /// parallel_for on the same pool is safe — it degrades to sequential
 /// execution instead of deadlocking; workers of other pools fan out
-/// normally). fn must be safe to call concurrently for distinct i.
+/// normally). Otherwise the caller runs chunks alongside the workers and
+/// returns once its own chunks are done: callers sharing a pool never
+/// wait on each other's work, and an exception from fn surfaces in the
+/// call that raised it (the first one, after the other chunks finish).
+/// fn must be safe to call concurrently for distinct i.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain = 1);

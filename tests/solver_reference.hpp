@@ -54,7 +54,8 @@ inline Tensor rk4_step(OdeFunction& f, const Tensor& z, float t, float h) {
   return out;
 }
 
-/// dL/dz0 through the steps that produced `traj` (z_0..z_M) over [t0, t1]:
+/// dL/dz0 through the steps that started from `traj` (z_0..z_{M-1}) over
+/// [t0, t1]:
 /// per step, recompute the stage inputs from z_i, then evaluate f at each
 /// stage input and apply its VJP, last stage first. Accumulates
 /// dL/dθ into the dynamics like solver::discrete_backward.
@@ -62,7 +63,7 @@ inline Tensor discrete_backward(DifferentiableDynamics& f,
                                 const std::vector<Tensor>& traj,
                                 const Tensor& grad_z1, float t0, float t1,
                                 Method method) {
-  const int steps = static_cast<int>(traj.size()) - 1;
+  const int steps = static_cast<int>(traj.size());
   const float h = (t1 - t0) / static_cast<float>(steps);
   auto eval_vjp = [&f](const Tensor& u, float t, const Tensor& v) {
     f.eval(u, t);

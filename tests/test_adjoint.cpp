@@ -283,7 +283,7 @@ TEST(Backward, RejectsInvalidArguments) {
   const std::vector<Tensor> traj{z, z};
   EXPECT_THROW(discrete_backward(f, traj, g, 0.0f, 1.0f, Method::kDopri5),
                odenet::Error);
-  EXPECT_THROW(discrete_backward(f, {z}, g, 0.0f, 1.0f, Method::kEuler),
+  EXPECT_THROW(discrete_backward(f, {}, g, 0.0f, 1.0f, Method::kEuler),
                odenet::Error);
   Tensor bad({2});
   EXPECT_THROW(adjoint_backward(f, z, bad, 0.0f, 1.0f, 1), odenet::Error);

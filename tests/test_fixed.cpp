@@ -1,11 +1,13 @@
 // Fixed-point arithmetic: the paper's 32-bit Q20 format plus the narrower
-// ablation formats, the bit-serial sqrt/divide hardware kernels, and
-// tensor quantization.
+// ablation formats, the sqrt/divide hardware units (against the bit-serial
+// algorithms they stand for), and tensor quantization.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "fixed/fixed_math.hpp"
 #include "fixed/fixed_tensor.hpp"
@@ -14,6 +16,44 @@
 
 using namespace odenet::fixed;
 namespace ou = odenet::util;
+
+namespace {
+/// The sequential non-restoring square root: two radicand bits in, one
+/// result bit out per iteration, MSB first — the golden isqrt_u64.
+std::uint64_t bit_serial_isqrt(std::uint64_t x) {
+  std::uint64_t result = 0, remainder = 0;
+  for (int i = 62; i >= 0; i -= 2) {
+    remainder = (remainder << 2) | ((x >> i) & 0x3u);
+    const std::uint64_t trial = (result << 2) | 1u;
+    result <<= 1;
+    if (remainder >= trial) {
+      remainder -= trial;
+      result |= 1u;
+    }
+  }
+  return result;
+}
+
+/// The sequential restoring shift-subtract divider on magnitudes, one
+/// quotient bit per iteration, sign applied last — the golden idiv_i64.
+std::int64_t bit_serial_idiv(std::int64_t num, std::int64_t den) {
+  const bool neg = (num < 0) != (den < 0);
+  const std::uint64_t n = num < 0 ? 0 - static_cast<std::uint64_t>(num)
+                                  : static_cast<std::uint64_t>(num);
+  const std::uint64_t d = den < 0 ? 0 - static_cast<std::uint64_t>(den)
+                                  : static_cast<std::uint64_t>(den);
+  std::uint64_t q = 0, r = 0;
+  for (int i = 63; i >= 0; --i) {
+    r = (r << 1) | ((n >> i) & 1u);
+    q <<= 1;
+    if (r >= d) {
+      r -= d;
+      q |= 1u;
+    }
+  }
+  return static_cast<std::int64_t>(neg ? 0 - q : q);
+}
+}  // namespace
 
 TEST(QFormat, StaticProperties) {
   EXPECT_EQ(Q20::kFracBits, 20);
@@ -150,6 +190,42 @@ TEST(FixedMath, IdivMatchesHardwareTruncation) {
     EXPECT_EQ(idiv_i64(num, den), num / den) << num << "/" << den;
   }
   EXPECT_THROW(idiv_i64(1, 0), odenet::Error);
+}
+
+TEST(FixedMath, UnitsMatchTheBitSerialAlgorithms) {
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> radicands = {0, 1, 2, 3, 4, kTop, kTop - 1,
+                                          std::uint64_t{1} << 63};
+  // Perfect squares and their neighbours, up to the largest 32-bit root.
+  for (std::uint64_t r : {1ull, 2ull, 3037000499ull, 3037000500ull,
+                          4294967294ull, 4294967295ull}) {
+    radicands.push_back(r * r - 1);
+    radicands.push_back(r * r);
+    radicands.push_back(r * r + 1);
+  }
+  ou::Rng rng(17);
+  for (int i = 0; i < 20000; ++i) radicands.push_back(rng.next_u64() >> (i % 64));
+  for (std::uint64_t x : radicands) {
+    ASSERT_EQ(isqrt_u64(x), bit_serial_isqrt(x)) << x;
+  }
+
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::pair<std::int64_t, std::int64_t>> divisions = {
+      {kMin, -1}, {kMin, 1}, {kMin, 2}, {kMin, kMin}, {kMax, -1},
+      {kMax, kMin}, {0, -7}, {-1, kMax}, {std::int64_t{1} << 40, 3238}};
+  for (int i = 0; i < 20000; ++i) {
+    // Non-negative draws of every magnitude, then random signs.
+    const auto num = static_cast<std::int64_t>(rng.next_u64() >> (1 + i % 63));
+    auto den = static_cast<std::int64_t>(rng.next_u64() >> (1 + (i * 7) % 63));
+    if (den == 0) den = 1;
+    divisions.emplace_back(rng.bernoulli(0.5) ? num : -num,
+                           rng.bernoulli(0.5) ? den : -den);
+  }
+  for (const auto& [num, den] : divisions) {
+    ASSERT_EQ(idiv_i64(num, den), bit_serial_idiv(num, den))
+        << num << "/" << den;
+  }
 }
 
 TEST(FixedTensor, QuantizeDequantizeRoundTrip) {

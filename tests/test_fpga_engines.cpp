@@ -1,16 +1,21 @@
 // The PL simulator: cycle model against the paper's published numbers,
 // functional fixed-point equivalence against the float reference kernels,
 // bitwise equality of the GEMM-backed conv engine with the per-pixel MAC
-// loop (golden reference, both ISAs, int32-rail operands), BN and
-// writeback arithmetic at the rails, BRAM allocation, AXI, timing closure.
+// loop and of the one-pass BN engine with the three-pass BN loop (golden
+// references, both ISAs, int32-rail operands), the fused Euler writeback,
+// allocation-free warm solves, BN and writeback arithmetic at the rails,
+// BRAM allocation, AXI, timing closure.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
 
 #include "core/gemm_kernels.hpp"
 #include "core/init.hpp"
+#include "fixed/fixed_math.hpp"
 #include "fpga/accelerator.hpp"
 #include "fpga/axi.hpp"
 #include "fpga/bn_engine.hpp"
@@ -18,8 +23,30 @@
 #include "fpga/conv_engine.hpp"
 #include "fpga/device.hpp"
 #include "fpga/mac_array.hpp"
+#include "models/architecture.hpp"
+#include "models/network.hpp"
 #include "models/odeblock.hpp"
+#include "sched/fpga_executor.hpp"
 #include "util/rng.hpp"
+
+// Counts this thread's heap allocations, for the allocation-free checks.
+namespace {
+thread_local std::size_t tl_allocations = 0;
+}  // namespace
+
+// Out of line, so the compiler pairs new with delete rather than the
+// malloc and free inside them.
+__attribute__((noinline)) void* operator new(std::size_t n) {
+  ++tl_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 using namespace odenet::fpga;
 using odenet::core::Tensor;
@@ -80,6 +107,73 @@ ofx::FixedTensor golden_conv(const ofx::FixedTensor& weights,
         out.raw[(static_cast<std::size_t>(o) * h + oh) * w + ow] =
             MacArray::writeback(static_cast<std::int64_t>(acc), fb);
       }
+    }
+  }
+  return out;
+}
+
+/// Golden reference for BnEngine::run, the PL's three streaming passes per
+/// channel as the hardware orders them: the mean, the variance as a
+/// running sum of (x - mean)^2 that saturates at INT64_MAX, then the
+/// normalize ((x - mean) * inv_std) * gamma + beta with branchy
+/// round-half-away-from-zero products, optional ReLU and int32
+/// saturation.
+ofx::FixedTensor golden_bn(const ofx::FixedTensor& input,
+                           const std::vector<std::int32_t>& gamma,
+                           const std::vector<std::int32_t>& beta, bool relu,
+                           float eps = 1e-5f) {
+  const int channels = input.shape[0];
+  const std::size_t plane =
+      static_cast<std::size_t>(input.shape[1]) * input.shape[2];
+  const int fb = input.frac_bits;
+  const std::int64_t one = std::int64_t{1} << fb;
+  const auto eps_raw = static_cast<std::int64_t>(
+      static_cast<double>(eps) * static_cast<double>(one) + 0.5);
+  const bool pow2 = (plane & (plane - 1)) == 0;
+  int shift = 0;
+  while ((std::size_t{1} << shift) < plane) ++shift;
+  ofx::FixedTensor out = input;
+  for (int c = 0; c < channels; ++c) {
+    const std::int32_t* src =
+        input.raw.data() + static_cast<std::size_t>(c) * plane;
+    std::int32_t* dst = out.raw.data() + static_cast<std::size_t>(c) * plane;
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < plane; ++i) sum += src[i];
+    const std::int64_t mean =
+        pow2 ? sum >> shift
+             : ofx::idiv_i64(sum, static_cast<std::int64_t>(plane));
+    constexpr std::uint64_t kSqMax =
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+    std::uint64_t sq_sum = 0;
+    for (std::size_t i = 0; i < plane; ++i) {
+      const std::int64_t d = static_cast<std::int64_t>(src[i]) - mean;
+      const std::uint64_t mag = static_cast<std::uint64_t>(d < 0 ? -d : d);
+      const std::uint64_t d2 = mag * mag;
+      sq_sum = d2 > kSqMax - sq_sum ? kSqMax : sq_sum + d2;
+    }
+    const auto sq = static_cast<std::int64_t>(sq_sum);
+    const std::int64_t var =
+        (pow2 ? sq >> shift
+              : ofx::idiv_i64(sq, static_cast<std::int64_t>(plane))) >>
+        fb;
+    const auto std_raw = static_cast<std::int64_t>(
+        ofx::isqrt_u64(static_cast<std::uint64_t>(var + eps_raw) << fb));
+    const std::int64_t inv_std = ofx::idiv_i64(one << fb, std_raw);
+    const std::int64_t half = std::int64_t{1} << (fb - 1);
+    auto qmul = [fb, half](std::int64_t a, std::int64_t v) {
+      const std::int64_t p = a * v;
+      return p >= 0 ? (p + half) >> fb : -((-p + half) >> fb);
+    };
+    for (std::size_t i = 0; i < plane; ++i) {
+      const std::int64_t centered = static_cast<std::int64_t>(src[i]) - mean;
+      std::int64_t y = qmul(qmul(centered, inv_std), gamma[c]) + beta[c];
+      if (relu && y < 0) y = 0;
+      if (y > std::numeric_limits<std::int32_t>::max()) {
+        y = std::numeric_limits<std::int32_t>::max();
+      } else if (y < std::numeric_limits<std::int32_t>::min()) {
+        y = std::numeric_limits<std::int32_t>::min();
+      }
+      dst[i] = static_cast<std::int32_t>(y);
     }
   }
   return out;
@@ -390,6 +484,21 @@ TEST(ConvEngine, GemmMatchesGoldenLoopWithRailOperands) {
   }
 }
 
+TEST(ConvEngine, GemmMatchesGoldenLoopWhereTilesStraddleRows) {
+  // Extents whose 8-column tiles straddle image rows (or run past a plane
+  // smaller than one tile) take the masked gather; 9 and 12 also mix in
+  // one-row tiles that take the row copy.
+  ou::Rng rng(14);
+  for (int extent : {1, 2, 3, 5, 6, 7, 9, 12}) {
+    for (bool time_plane : {false, true}) {
+      expect_engine_matches_golden(ConvGeometry{3, 5, extent}, time_plane,
+                                   /*rails=*/false, rng);
+    }
+    expect_engine_matches_golden(ConvGeometry{2, 4, extent},
+                                 /*time_plane=*/true, /*rails=*/true, rng);
+  }
+}
+
 TEST(BnEngine, CycleModel) {
   // elems*20 + channels*40.
   EXPECT_EQ(BnEngine::bn_cycles(64, 8), 4096u * 20 + 64u * 40);
@@ -458,6 +567,116 @@ TEST(BnEngine, RailChannelSaturatesVarianceInsteadOfOverflowing) {
   const ofx::FixedTensor y = engine.run(x);
   for (std::size_t i = 0; i < y.raw.size(); ++i) {
     EXPECT_EQ(y.raw[i], i % 2 == 0 ? 5931008 : -5931008) << "at " << i;
+  }
+}
+
+namespace {
+enum class Plane { kFullRange, kAlternatingRails, kRailOutlier };
+
+/// A [channels, extent, extent] Q20 map of the given kind.
+ofx::FixedTensor bn_input(int channels, int extent, Plane kind,
+                          ou::Rng& rng) {
+  ofx::FixedTensor x;
+  x.shape = {channels, extent, extent};
+  const std::size_t n = static_cast<std::size_t>(channels) * extent * extent;
+  switch (kind) {
+    case Plane::kFullRange:
+      x.raw.resize(n);
+      for (auto& v : x.raw) v = static_cast<std::int32_t>(rng.next_u64() >> 32);
+      break;
+    case Plane::kAlternatingRails:
+      x.raw.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        x.raw[i] = i % 2 == 0 ? std::numeric_limits<std::int32_t>::max()
+                              : std::numeric_limits<std::int32_t>::min();
+      }
+      break;
+    case Plane::kRailOutlier: {
+      x.raw = random_raws(n, rng, 0.5, /*rails=*/false);
+      const std::size_t plane = n / static_cast<std::size_t>(channels);
+      for (int c = 0; c < channels; ++c) {
+        x.raw[static_cast<std::size_t>(c) * plane +
+              rng.uniform_int(static_cast<int>(plane))] =
+            c % 2 == 0 ? std::numeric_limits<std::int32_t>::max()
+                       : std::numeric_limits<std::int32_t>::min();
+      }
+      break;
+    }
+  }
+  return x;
+}
+
+/// Gamma/beta near N(1, 0.5) / N(0, 0.5) at Q20, as trained BNs hold.
+std::pair<ofx::FixedTensor, ofx::FixedTensor> bn_params(int channels,
+                                                        ou::Rng& rng) {
+  ofx::FixedTensor gamma, beta;
+  gamma.shape = beta.shape = {channels};
+  for (int c = 0; c < channels; ++c) {
+    gamma.raw.push_back(static_cast<std::int32_t>(
+        std::lround(rng.normal(1.0, 0.5) * (1 << 20))));
+    beta.raw.push_back(static_cast<std::int32_t>(
+        std::lround(rng.normal(0.0, 0.5) * (1 << 20))));
+  }
+  return {gamma, beta};
+}
+}  // namespace
+
+TEST(BnEngine, OnePassMatchesThreePassGoldenLoop) {
+  // Exact Σx / Σx² statistics against the saturating three-pass loop:
+  // power-of-two and other plane sizes, full-range words, rails whose
+  // variance sum saturates, one rail outlier among small values.
+  ou::Rng rng(15);
+  for (int extent : {1, 2, 3, 6, 7, 8, 12, 16, 32}) {
+    for (Plane kind : {Plane::kFullRange, Plane::kAlternatingRails,
+                       Plane::kRailOutlier}) {
+      for (bool relu : {false, true}) {
+        SCOPED_TRACE("extent " + std::to_string(extent) + " kind " +
+                     std::to_string(static_cast<int>(kind)) +
+                     (relu ? " relu" : ""));
+        const int channels = 3;
+        const auto [gamma, beta] = bn_params(channels, rng);
+        BnEngine engine({.channels = channels, .extent = extent,
+                         .fused_relu = relu});
+        engine.load_params(gamma, beta);
+        const ofx::FixedTensor x = bn_input(channels, extent, kind, rng);
+        const ofx::FixedTensor want = golden_bn(x, gamma.raw, beta.raw, relu);
+        const ofx::FixedTensor got = engine.run(x);
+        ASSERT_EQ(got.shape, want.shape);
+        EXPECT_EQ(0, std::memcmp(got.raw.data(), want.raw.data(),
+                                 want.raw.size() * sizeof(std::int32_t)));
+      }
+    }
+  }
+}
+
+TEST(BnEngine, FusedEulerWritebackMatchesQ20Operators) {
+  // BN2 of an Euler step writes z + h*y, with y the normalized value,
+  // through Q20's saturating operators — in place over z.
+  ou::Rng rng(16);
+  for (int extent : {3, 8}) {
+    for (float h : {1.0f, 1.0f / 6.0f, -0.75f}) {
+      const int channels = 4;
+      const auto [gamma, beta] = bn_params(channels, rng);
+      BnEngine engine({.channels = channels, .extent = extent});
+      engine.load_params(gamma, beta);
+      const ofx::FixedTensor x =
+          bn_input(channels, extent, Plane::kRailOutlier, rng);
+      const ofx::FixedTensor y = golden_bn(x, gamma.raw, beta.raw, false);
+      // z spans small values and both rails, so the add saturates too.
+      std::vector<std::int32_t> z = random_raws(x.raw.size(), rng, 4.0, false);
+      z[0] = std::numeric_limits<std::int32_t>::max();
+      z[1] = std::numeric_limits<std::int32_t>::min();
+      std::vector<std::int32_t> want(z.size());
+      const auto hq = ofx::Q20::from_float(h);
+      for (std::size_t i = 0; i < z.size(); ++i) {
+        want[i] = (ofx::Q20::from_raw(z[i]) + hq * ofx::Q20::from_raw(y.raw[i]))
+                      .raw();
+      }
+      engine.run(x.raw.data(), z.data(), &hq);
+      EXPECT_EQ(0, std::memcmp(z.data(), want.data(),
+                               want.size() * sizeof(std::int32_t)))
+          << "extent " << extent << " h " << h;
+    }
   }
 }
 
@@ -621,4 +840,59 @@ TEST(Accelerator, BramPlanShrinksWithNarrowWeights) {
   OdeBlockAccelerator q8({.channels = 64, .extent = 8, .parallelism = 16,
                           .frac_bits = 8});
   EXPECT_LT(q8.bram().bram36_used(), q20.bram().bram36_used());
+}
+
+TEST(Accelerator, WarmSolveAllocatesOnlyItsResult) {
+  // The functional model works in the accelerator's three fmap buffers:
+  // once warm, a solve allocates what its returned tensor needs, whatever
+  // the step count, and the raw-buffer solve allocates nothing.
+  ou::Rng rng(32);
+  odenet::core::BuildingBlock block({.in_channels = 64, .out_channels = 64,
+                                     .stride = 1, .time_channel = true});
+  odenet::core::init_block(block, rng);
+  OdeBlockAccelerator accel({.channels = 64, .extent = 8, .parallelism = 16});
+  accel.load_weights(block);
+  const Tensor z0 = random_tensor({1, 64, 8, 8}, rng);
+  (void)accel.solve_euler(z0, 1, 1.0f);  // warm-up
+  auto allocations = [](auto&& fn) {
+    const std::size_t before = tl_allocations;
+    fn();
+    return tl_allocations - before;
+  };
+  const std::size_t result = allocations([&] { Tensor t(z0.shape()); });
+  const std::size_t one =
+      allocations([&] { (void)accel.solve_euler(z0, 1, 1.0f); });
+  const std::size_t many =
+      allocations([&] { (void)accel.solve_euler(z0, 24, 1.0f); });
+  EXPECT_EQ(one, many);
+  EXPECT_LE(many, result);
+  std::vector<float> out(z0.numel());
+  EXPECT_EQ(0u, allocations([&] {
+              accel.solve_euler(z0.data(), 24, 1.0f, out.data());
+            }));
+}
+
+TEST(Accelerator, WarmStageExecutorAllocatesOnlyItsResult) {
+  // rODENet-3-56's layer3_2 on the PL, one image per run as perfbench's
+  // offload workload sends it.
+  ou::Rng rng(33);
+  odenet::models::Network net(
+      odenet::models::make_spec(odenet::models::Arch::kROdeNet3, 56));
+  net.init(rng);
+  net.set_training(false);
+  odenet::models::Stage& stage =
+      *net.stage(odenet::models::StageId::kLayer3_2);
+  odenet::sched::FpgaStageExecutor exec(stage, {});
+  const Tensor x = random_tensor({1, 64, 8, 8}, rng);
+  odenet::core::StageRunStats stats;
+  const Tensor warm = exec.run(stage, x, &stats);
+  const std::size_t before_result = tl_allocations;
+  { Tensor t(x.shape()); }
+  const std::size_t result = tl_allocations - before_result;
+  const std::size_t before = tl_allocations;
+  const Tensor out = exec.run(stage, x, &stats);
+  EXPECT_LE(tl_allocations - before, result);
+  EXPECT_EQ(0, std::memcmp(out.data(), warm.data(),
+                           out.numel() * sizeof(float)));
+  EXPECT_EQ(stats.pl_cycles, 39641088u);
 }

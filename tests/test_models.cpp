@@ -315,7 +315,7 @@ TEST(OdeBlock, BackwardRequiresForward) {
 }
 
 TEST(OdeBlock, BackwardThroughRecordedTrajectoryMatchesResolve) {
-  // The training forward records z_0..z_M and backward differentiates
+  // The training forward records z_0..z_{M-1} and backward differentiates
   // those states. The reference re-solves the stage from z0 with running
   // stats frozen and runs discrete_backward on that trajectory. dX, every
   // parameter gradient and the BN running statistics agree bit for bit,

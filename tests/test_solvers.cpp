@@ -140,16 +140,18 @@ TEST(Solvers, BackwardIntegrationInvertsForward) {
   EXPECT_NEAR(back.at1(0), 1.0f, 1e-4f);
 }
 
-TEST(Solvers, TrajectoryHasStepsPlusOneStates) {
+TEST(Solvers, TrajectoryHasOneStatePerStep) {
+  // The step-start states z_0..z_4; z_5 is the return value, not a copy.
   auto f = exp_dynamics(-1.0f);
   Tensor z0({1});
   z0.at1(0) = 1.0f;
   std::vector<Tensor> traj;
   SolveOptions opts{.method = Method::kEuler, .steps = 5,
                     .trajectory = &traj};
-  ode_solve(f, z0, 0.0f, 1.0f, opts);
-  ASSERT_EQ(traj.size(), 6u);
+  const Tensor z5 = ode_solve(f, z0, 0.0f, 1.0f, opts);
+  ASSERT_EQ(traj.size(), 5u);
   EXPECT_EQ(traj.front().at1(0), 1.0f);
+  EXPECT_NE(traj.back().at1(0), z5.at1(0));
 }
 
 TEST(Solvers, StatsCountFunctionEvals) {
@@ -271,8 +273,9 @@ TEST(StepFunctions, SolveMatchesReferenceStepsBitwise) {
     Tensor with_scratch = ode_solve(f, z0, t0, t1, opts);
     EXPECT_TRUE(same_bits(no_scratch, want.back())) << "no scratch";
     EXPECT_TRUE(same_bits(with_scratch, want.back())) << "with scratch";
-    ASSERT_EQ(traj.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
+    // The trajectory holds the step-start states, all but the last.
+    ASSERT_EQ(traj.size() + 1, want.size());
+    for (std::size_t i = 0; i < traj.size(); ++i) {
       EXPECT_TRUE(same_bits(traj[i], want[i])) << "state " << i;
     }
   }

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstring>
+#include <future>
 #include <numeric>
 #include <sstream>
+#include <thread>
 
 #include "util/check.hpp"
 #include "util/cli.hpp"
@@ -165,6 +169,101 @@ TEST(ThreadPool, DeterministicViaPerElementWrites) {
     return acc;
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(ThreadPool, CallersWaitOnlyForTheirOwnChunks) {
+  // Caller A's two chunks (one on A's thread, one on a worker) block until
+  // caller B's parallel_for on the same pool has returned. B must return
+  // without A's chunks finishing: a join that waited for the whole pool
+  // would hang here, so every wait is bounded and a hang fails instead.
+  using namespace std::chrono_literals;
+  ou::ThreadPool pool(2);
+  std::promise<void> b_returned;
+  const std::shared_future<void> b_done = b_returned.get_future().share();
+  std::atomic<int> a_running{0};
+  std::atomic<bool> a_gave_up{false};
+  auto a = std::async(std::launch::async, [&] {
+    ou::parallel_for(pool, 0, 2, [&](std::size_t) {
+      a_running++;
+      if (b_done.wait_for(20s) != std::future_status::ready) a_gave_up = true;
+    });
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  while (a_running.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  std::vector<std::size_t> out(64, 0);
+  auto b = std::async(std::launch::async, [&] {
+    ou::parallel_for(pool, 0, out.size(), [&](std::size_t i) { out[i] = i; });
+  });
+  const bool b_in_time = b.wait_for(10s) == std::future_status::ready;
+  b_returned.set_value();  // release A whatever happened
+  EXPECT_EQ(a_running.load(), 2) << "A's chunks never both started";
+  EXPECT_TRUE(b_in_time) << "parallel_for waited on another caller's chunks";
+  ASSERT_EQ(a.wait_for(30s), std::future_status::ready);
+  ASSERT_EQ(b.wait_for(30s), std::future_status::ready);
+  a.get();
+  b.get();
+  EXPECT_FALSE(a_gave_up.load());
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i);
+}
+
+TEST(ThreadPool, ExceptionStaysInItsOwnCall) {
+  // A throws once B is running on the same pool; B completes normally.
+  using namespace std::chrono_literals;
+  ou::ThreadPool pool(3);
+  std::atomic<bool> b_running{false};
+  auto a = std::async(std::launch::async, [&] {
+    ou::parallel_for(pool, 0, 8, [&](std::size_t i) {
+      if (i != 0) return;
+      const auto deadline = std::chrono::steady_clock::now() + 20s;
+      while (!b_running.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      throw std::runtime_error("a");
+    });
+  });
+  std::atomic<int> b_calls{0};
+  auto b = std::async(std::launch::async, [&] {
+    ou::parallel_for(pool, 0, 64, [&](std::size_t) {
+      b_running = true;
+      b_calls++;
+    });
+  });
+  ASSERT_EQ(b.wait_for(30s), std::future_status::ready);
+  EXPECT_NO_THROW(b.get());
+  EXPECT_EQ(b_calls.load(), 64);
+  ASSERT_EQ(a.wait_for(30s), std::future_status::ready);
+  EXPECT_THROW(a.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, ResultsBitwiseEqualAcrossWorkerCounts) {
+  // Float work per index lands in its own slot, so the result is the
+  // same bits for 1, 2 and 4 workers and any grain.
+  auto run = [](std::size_t workers, std::size_t grain) {
+    ou::ThreadPool pool(workers);
+    std::vector<float> out(1001);
+    ou::parallel_for(
+        pool, 0, out.size(),
+        [&](std::size_t i) {
+          float acc = 0.0f;
+          for (std::size_t k = 1; k <= i % 97 + 1; ++k) {
+            acc += std::sin(static_cast<float>(i * k)) / static_cast<float>(k);
+          }
+          out[i] = acc;
+        },
+        grain);
+    return out;
+  };
+  for (std::size_t grain : {1, 7, 300}) {
+    const std::vector<float> one = run(1, grain);
+    for (std::size_t workers : {2, 4}) {
+      const std::vector<float> many = run(workers, grain);
+      EXPECT_EQ(0, std::memcmp(one.data(), many.data(),
+                               one.size() * sizeof(float)))
+          << workers << " workers, grain " << grain;
+    }
+  }
 }
 
 TEST(Table, AlignedFormatting) {
