@@ -55,7 +55,8 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
     fold_eval_affine(fold_scale_, fold_shift_);
     const GemmKernels& kernels = active_gemm_kernels();
     Tensor out(x.shape());
-    util::parallel_for(0, static_cast<std::size_t>(c), [&](std::size_t ci) {
+    util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(c),
+                       [&](std::size_t ci) {
       const float s = fold_scale_[ci];
       const float b = fold_shift_[ci];
       for (int ni = 0; ni < n; ++ni) {
@@ -69,7 +70,8 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
 
   Tensor mean({c}), var({c});
   {
-    util::parallel_for(0, static_cast<std::size_t>(c), [&](std::size_t ci) {
+    util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(c),
+                       [&](std::size_t ci) {
       double sum = 0.0, sq = 0.0;
       for (int ni = 0; ni < n; ++ni) {
         const float* p = x.data() + ((static_cast<std::size_t>(ni) * c) + ci) * plane;
@@ -103,7 +105,8 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   }
 
   Tensor out(x.shape());
-  util::parallel_for(0, static_cast<std::size_t>(c), [&](std::size_t ci) {
+  util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(c),
+                     [&](std::size_t ci) {
     const float m = mean.at1(static_cast<int>(ci));
     const float is = inv_std.at1(static_cast<int>(ci));
     const float g = gamma_.value.at1(static_cast<int>(ci));
@@ -139,7 +142,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   float* gg = gamma_.grad.data();
   float* gb = beta_.grad.data();
 
-  util::parallel_for(0, static_cast<std::size_t>(c), [&](std::size_t ci) {
+  util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(c),
+                     [&](std::size_t ci) {
     const float mu = cached_mean_.at1(static_cast<int>(ci));
     const float is = cached_inv_std_.at1(static_cast<int>(ci));
     const float g = gamma_.value.at1(static_cast<int>(ci));

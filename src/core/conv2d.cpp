@@ -1,23 +1,14 @@
 #include "core/conv2d.hpp"
 
-#include <atomic>
 #include <cstring>
 
 #include "core/im2col.hpp"
 
 namespace odenet::core {
 
-namespace {
-// Process-global monotonic layer identity. Never recycled (unlike a heap
-// address), so caches keyed by uid can never alias a dead layer's entry
-// onto a new layer that happened to reuse its storage.
-std::atomic<std::uint64_t> g_conv_uid{0};
-}  // namespace
-
 Conv2d::Conv2d(const Conv2dConfig& cfg, std::string name)
     : cfg_(cfg),
       name_(std::move(name)),
-      uid_(++g_conv_uid),
       weight_(name_ + ".weight",
               Tensor({cfg.out_channels,
                       cfg.in_channels + (cfg.time_channel ? 1 : 0),
@@ -62,14 +53,11 @@ Tensor Conv2d::augment(const Tensor& x) const {
 }
 
 const PackedGemmA& Conv2d::packed_weights() {
-  const bool hit = packed_valid_ && weight_version_ != 0 &&
-                   packed_version_ == weight_version_;
-  if (!hit) {
+  if (!pack_current(packed_version_)) {
     const int co = cfg_.out_channels;
     const int kk = static_cast<int>(weight_.value.numel()) / co;
     pack_gemm_a(weight_.value.data(), co, kk, packed_weight_);
     packed_version_ = weight_version_;
-    packed_valid_ = true;
     ++weight_packs_;
   }
   return packed_weight_;

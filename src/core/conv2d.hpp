@@ -20,6 +20,7 @@
 #include <optional>
 
 #include "core/arena.hpp"
+#include "core/gemm_kernels.hpp"
 #include "core/im2col.hpp"
 #include "core/layer.hpp"
 
@@ -34,6 +35,19 @@ struct Conv2dConfig {
   /// When true the layer consumes in_channels data planes plus one implicit
   /// plane filled with the current time value (set via set_time()).
   bool time_channel = false;
+};
+
+/// A conv's weights on a Q(frac_bits) grid, packed for both fixed-point
+/// GEMMs: int16 panels at a per-conv weight scale Q(fw) for the integer
+/// datapath, and Q-grid float panels for its float-carrier fallback.
+/// models::FixedStageExecutor builds it; see Conv2d::fixed_pack().
+struct FixedPackedWeights {
+  std::uint64_t version = 0;   // weight version it was built from
+  int frac_bits = 0;           // Q grid it was built for
+  bool i16_ok = false;         // int16 envelope holds at frac_bits
+  int weight_frac_bits = 0;    // fw: the int16 weights are Q(fw)
+  PackedGemmA16 packed16;      // integer path
+  PackedGemmA packed;          // Q-grid float weights (fallback)
 };
 
 /// Per-out-channel epilogue a fused eval-mode forward applies inside the
@@ -74,13 +88,6 @@ class Conv2d final : public Layer {
   const Conv2dConfig& config() const { return cfg_; }
   Param& weight() { return weight_; }
 
-  /// Process-unique, never-recycled layer identity, stable across moves.
-  /// External caches (the fixed executor's quantized-weight cache) key on
-  /// this instead of the object address, which CAN be recycled: a conv
-  /// allocated where a destroyed one lived, stamped with the same snapshot
-  /// version, would otherwise silently serve the dead layer's weights.
-  std::uint64_t uid() const { return uid_; }
-
   /// Points the lowering scratch at an external arena (not owned; must
   /// outlive the layer or be reset). nullptr restores the layer-owned
   /// arena. One arena serves one execution context: sharing an arena
@@ -100,23 +107,33 @@ class Conv2d final : public Layer {
 
   /// Snapshot version stamped on the current weights (see
   /// models::ModelSnapshot). 0 means "unversioned": the weights may be
-  /// mutated between calls (training, manual writes), so the packed
-  /// weight view is rebuilt each call into recycled storage. A non-zero
-  /// version keys the once-per-layer packed-weight cache — serving
-  /// replicas pack each conv exactly once per hot-swap.
+  /// mutated between calls (training, manual writes), so every packed
+  /// view is rebuilt each call into recycled storage. A non-zero version
+  /// keys the packs this conv holds — serving replicas pack each conv
+  /// once per hot-swap. Callers that mutate weight().value in place must
+  /// re-stamp (the trainer stamps 0).
   std::uint64_t weight_version() const { return weight_version_; }
   void set_weight_version(std::uint64_t version) {
     weight_version_ = version;
   }
 
-  /// Drops the cached packed-weight view. Callers that mutate
-  /// weight().value in place while a non-zero version is stamped must
-  /// call this (or re-stamp) — the optimizer step does.
-  void invalidate_packed_weights() { packed_valid_ = false; }
+  /// The one reuse rule of every pack this conv holds: a pack built from
+  /// weight version `packed_version` is current when the weights carry a
+  /// non-zero version equal to it.
+  bool pack_current(std::uint64_t packed_version) const {
+    return weight_version_ != 0 && packed_version == weight_version_;
+  }
 
-  /// Times the forward path (re)packed the weight matrix — the cache
-  /// hit/invalidate observable the packing tests pin down.
+  /// Times the forward path (re)packed the float weight matrix — the
+  /// cache observable the packing tests pin down.
   std::uint64_t weight_packs() const { return weight_packs_; }
+
+  /// The fixed-point pack of these weights. A fixed-point executor
+  /// (models::FixedStageExecutor) quantizes and fills it, and rebuilds it
+  /// unless pack_current(version) holds and it was built for the
+  /// executor's frac_bits; the conv only holds it, so a replica's packs
+  /// live and die with the replica.
+  FixedPackedWeights& fixed_pack() { return fixed_pack_; }
 
   /// Output spatial size for an input of extent `in` (same formula for H/W).
   static int out_extent(int in, int kernel, int stride, int pad);
@@ -148,20 +165,19 @@ class Conv2d final : public Layer {
 
   Conv2dConfig cfg_;
   std::string name_;
-  std::uint64_t uid_ = 0;  // assigned once in the constructor
   Param weight_;  // [Cout, Cin(+1), K, K]
   float time_ = 0.0f;
   Tensor cached_input_;  // augmented input, cached in training mode
   ScratchArena own_arena_;        // fallback scratch for standalone layers
   ScratchArena* arena_ = nullptr;  // external scratch (not owned)
-  // Packed-weight cache (owns its storage, so moving the layer — or the
-  // Network that holds it — cannot leave the cache pointing at freed
-  // weights). packed_version_ is only meaningful while packed_valid_.
+  // Packed weights (owning their storage, so moving the layer — or the
+  // Network that holds it — cannot leave a pack pointing at freed
+  // weights). A version of 0 never matches, so an unbuilt pack is stale.
   PackedGemmA packed_weight_;
   std::uint64_t weight_version_ = 0;
   std::uint64_t packed_version_ = 0;
-  bool packed_valid_ = false;
   std::uint64_t weight_packs_ = 0;
+  FixedPackedWeights fixed_pack_;
 };
 
 }  // namespace odenet::core

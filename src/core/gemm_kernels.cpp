@@ -372,33 +372,6 @@ void pack_gemm_a_i16(const std::int16_t* a, int m, int k, PackedGemmA16& out) {
   }
 }
 
-void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out) {
-  ODENET_CHECK(k >= 0 && n >= 0, "bad pack_gemm_b_i16 dimensions");
-  out.k = k;
-  out.n = n;
-  const int col_tiles = (n + kGemmTileCols - 1) / kGemmTileCols;
-  const int kp = (k + 1) / 2;
-  out.data.assign(static_cast<std::size_t>(col_tiles) *
-                      static_cast<std::size_t>(std::max(kp, 1)) *
-                      kGemmTileCols * 2,
-                  0);
-  for (int t = 0; t < col_tiles; ++t) {
-    const int j0 = t * kGemmTileCols;
-    const int nr = std::min(kGemmTileCols, n - j0);
-    std::int16_t* panel =
-        out.data.data() + static_cast<std::size_t>(t) * kp * kGemmTileCols * 2;
-    for (int p = 0; p < kp; ++p) {
-      std::int16_t* dst = panel + static_cast<std::size_t>(p) * kGemmTileCols * 2;
-      const std::int16_t* brow0 = b + static_cast<std::size_t>(2 * p) * n + j0;
-      for (int j = 0; j < nr; ++j) dst[j * 2 + 0] = brow0[j];
-      if (2 * p + 1 < k) {
-        const std::int16_t* brow1 = brow0 + n;
-        for (int j = 0; j < nr; ++j) dst[j * 2 + 1] = brow1[j];
-      }
-    }
-  }
-}
-
 void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
                        std::int32_t* c, int n, bool accumulate) {
   ODENET_CHECK(n >= 0, "bad gemm dimensions");

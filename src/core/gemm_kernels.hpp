@@ -19,7 +19,7 @@
 //  * gemm_set_parallel_min_flops() — the flop count below which a GEMM
 //    runs sequentially instead of fanning out on the thread pool (tests
 //    force it down so even small shapes take the split);
-//  * set_kernel_pool() — substitute the pool the lowering/GEMM kernels
+//  * set_kernel_pool() — substitute the pool the lowering/GEMM/BN kernels
 //    fan out on (nullptr = the global pool); used by the thread-count
 //    invariance tests and the bench's thread-scaling rows.
 #pragma once
@@ -52,8 +52,9 @@ using GemmTile4x16Fn = void (*)(const float* apanel, const float* bpanel,
 /// Integer full-tile micro-kernel: C[4][16] (+)= A16 * B16 with int16
 /// operands accumulated into int32. k is processed in PAIRS (the
 /// `_mm256_madd_epi16` dot-pair shape): `apanel` is a packed
-/// [kpairs][4][2] row panel, `bpanel` a packed [kpairs][16][2] column
-/// panel (see PackedGemmA16 / PackedGemmB16), both pair-interleaved and
+/// [kpairs][4][2] row panel (see PackedGemmA16), `bpanel` a packed
+/// [kpairs][16][2] column panel (entry [p][j][s] = B[2p+s][j], filled per
+/// column panel by gemm_i16_tiled_pa), both pair-interleaved and
 /// zero-padded to an even k. Accumulation is two's-complement wraparound
 /// (never saturating, never UB): integer addition is associative mod 2^32,
 /// so every ISA, k-order and thread split produces bitwise-identical C.
@@ -190,9 +191,9 @@ std::size_t gemm_parallel_min_flops();
 /// Overrides the threshold (0 restores the default).
 void gemm_set_parallel_min_flops(std::size_t flops);
 
-/// Substitutes the thread pool the GEMM/lowering kernels fan out on;
-/// nullptr restores the global pool. The pool must outlive every kernel
-/// call made while it is installed.
+/// Substitutes the thread pool the GEMM, lowering and batch-norm kernels
+/// fan out on; nullptr restores the global pool. The pool must outlive
+/// every kernel call made while it is installed.
 void set_kernel_pool(util::ThreadPool* pool);
 util::ThreadPool& kernel_pool();
 
@@ -202,7 +203,8 @@ util::ThreadPool& kernel_pool();
 /// [p][i][s] = A[4t+i][2p+s]. The [2] pair axis is innermost so one 32-bit
 /// broadcast yields a row's (even, odd) k-pair for `_mm256_madd_epi16`.
 /// Edge rows past m and the phantom odd-k tap are zero-padded. This is the
-/// once-per-layer packed-weight format the fixed backend caches.
+/// once-per-layer packed-weight format the fixed backend keeps on each
+/// conv (core::FixedPackedWeights).
 struct PackedGemmA16 {
   std::vector<std::int16_t> data;
   int m = 0;
@@ -214,24 +216,6 @@ struct PackedGemmA16 {
 
 /// Packs row-major A[m,k] int16 into `out` (storage recycled across calls).
 void pack_gemm_a_i16(const std::int16_t* a, int m, int k, PackedGemmA16& out);
-
-/// An int16 B[k,n] matrix repacked into the pair-interleaved column-panel
-/// layout: [ceil(n/16)] panels of [kpairs][16][2], entry [p][j][s] =
-/// B[2p+s][16t+j], edge columns and the phantom odd-k tap zero-padded. One
-/// 256-bit load covers 8 columns' k-pairs. gemm_i16_tiled_pa builds this
-/// layout per column panel internally; the standalone pack exists for the
-/// kernel parity tests and callers with a reusable B.
-struct PackedGemmB16 {
-  std::vector<std::int16_t> data;
-  int k = 0;
-  int n = 0;
-
-  int kpairs() const { return (k + 1) / 2; }
-  bool empty() const { return n == 0 || k == 0; }
-};
-
-/// Packs row-major B[k,n] int16 into `out` (storage recycled across calls).
-void pack_gemm_b_i16(const std::int16_t* b, int k, int n, PackedGemmB16& out);
 
 /// Integer GEMM: C[m,n] (+)= A * B with A pre-packed (PackedGemmA16), B
 /// row-major int16 [k,n], C int32. The integer twin of gemm_tiled_pa, on

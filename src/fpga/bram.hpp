@@ -43,7 +43,6 @@ class BramAllocator {
   int bram18_used() const { return bram18_used_; }
   /// BRAM36-equivalent tiles (two halves round up to a full tile).
   int bram36_used() const { return (bram18_used_ + 1) / 2; }
-  int bram36_capacity() const { return device_.bram36; }
   double utilization() const;
   bool saturated() const { return bram36_used() > device_.bram36; }
   /// Usage clamped to capacity (a real design would stop at 100%).

@@ -37,12 +37,6 @@ std::string stage_name(StageId id) {
   return "?";
 }
 
-const std::vector<StageId>& ode_capable_stages() {
-  static const std::vector<StageId> stages = {
-      StageId::kLayer1, StageId::kLayer2_2, StageId::kLayer3_2};
-  return stages;
-}
-
 const StageSpec& NetworkSpec::stage(StageId id) const {
   for (const auto& s : stages) {
     if (s.id == id) return s;

@@ -40,8 +40,6 @@ enum class StageId {
   kFc,
 };
 std::string stage_name(StageId id);
-/// The three residual stage ids that can host an ODEBlock.
-const std::vector<StageId>& ode_capable_stages();
 
 /// Geometry/width knobs. Paper defaults: CIFAR input (3x32x32), 16 base
 /// channels, 100 classes. Tests and the scaled-down training benches shrink

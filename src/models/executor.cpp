@@ -50,26 +50,72 @@ FixedStageExecutor::FixedStageExecutor(int frac_bits)
     : name_("fixed_cpu_q" + std::to_string(frac_bits)),
       frac_bits_(frac_bits) {}
 
-FixedStageExecutor::QuantizedWeights& FixedStageExecutor::cache_entry(
-    const core::Conv2d& conv) {
-  QuantizedWeights& entry = wcache_[conv.uid()];
-  entry.last_use = ++use_tick_;
-  if (wcache_.size() > kWeightCacheCapacity) {
-    // Evict the least-recently-used entry that is not the one being
-    // served. Replica churn through one executor stays bounded; a single
-    // replica's working set (conv count << capacity) is never touched.
-    auto victim = wcache_.end();
-    for (auto it = wcache_.begin(); it != wcache_.end(); ++it) {
-      if (it->first == conv.uid()) continue;
-      if (victim == wcache_.end() ||
-          it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    // Erasing another element never invalidates `entry`'s reference.
-    if (victim != wcache_.end()) wcache_.erase(victim);
+const core::FixedPackedWeights& FixedStageExecutor::packed_weights(
+    core::Conv2d& conv) {
+  // A hot-swap re-stamps the conv's weight version and the mismatch
+  // triggers one requantize + repack; version 0 (unversioned weights)
+  // rebuilds per call into the same recycled storage. A pack built for
+  // another frac_bits sits on another Q grid, so it is rebuilt too.
+  core::FixedPackedWeights& pack = conv.fixed_pack();
+  if (conv.pack_current(pack.version) && pack.frac_bits == frac_bits_) {
+    return pack;
   }
-  return entry;
+  const core::Tensor& wt = conv.weight().value;
+  const int co = conv.config().out_channels;
+  const int kk = static_cast<int>(wt.numel()) / co;
+  pack.i16_ok = false;
+  // Per-conv int16 weight scale fw, chosen so the integer datapath is
+  // HARD overflow-free: (a) no weight saturates — max|w|*2^fw <= 32767
+  // keeps |w_q| <= 32767, so no int16 product pair can wrap a madd
+  // lane; (b) the accumulator envelope — sum_k |w_q| <= 65535 bounds
+  // |acc| <= 65535 * 32768 < 2^31 for ANY int16 activations. The L1
+  // bound uses the worst row plus the per-tap rounding slack.
+  double max_abs = 0.0, max_l1 = 0.0;
+  for (int r = 0; r < co; ++r) {
+    const float* row = wt.data() + static_cast<std::size_t>(r) * kk;
+    double l1 = 0.0;
+    for (int p = 0; p < kk; ++p) {
+      const double a = std::fabs(static_cast<double>(row[p]));
+      l1 += a;
+      if (a > max_abs) max_abs = a;
+    }
+    if (l1 > max_l1) max_l1 = l1;
+  }
+  int fw = kWeightFracMax;
+  while (fw > 0 &&
+         max_abs * static_cast<double>(std::int64_t{1} << fw) > 32767.0) {
+    --fw;
+  }
+  while (fw > 0 &&
+         max_l1 * static_cast<double>(std::int64_t{1} << fw) +
+                 0.5 * kk + 1.0 >
+             65535.0) {
+    --fw;
+  }
+  // The requantization shift fa+fw-frac_bits must be >= 0 even at the
+  // finest activation grid; weights too large (or a frac_bits too fine)
+  // fall back to the float carrier.
+  if (fw > 0 && fw >= frac_bits_ - kActFracMax && frac_bits_ < 31) {
+    pack.i16_ok = true;
+    pack.weight_frac_bits = fw;
+    static thread_local std::vector<std::int16_t> wq;
+    wq.resize(wt.numel());
+    fixed::quantize_i16(wt.data(), wq.data(), wt.numel(), fw);
+    core::pack_gemm_a_i16(wq.data(), co, kk, pack.packed16);
+  }
+  // The float-carrier weights are always built: they back the per-call
+  // fallback when a call's activation range leaves no valid
+  // requantization shift.
+  static thread_local std::vector<float> wv;
+  wv.resize(wt.numel());
+  for (std::size_t i = 0; i < wt.numel(); ++i) {
+    wv[i] = fixed::qdq_value(wt.data()[i], frac_bits_);
+  }
+  core::pack_gemm_a(wv.data(), co, kk, pack.packed);
+  pack.version = conv.weight_version();
+  pack.frac_bits = frac_bits_;
+  ++weight_packs_;
+  return pack;
 }
 
 core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
@@ -88,67 +134,7 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
   const int kk = static_cast<int>(g.col_rows());
   const std::size_t cc = g.col_cols();
 
-  // Quantized packed weights, cached per snapshot version: a hot-swap
-  // re-stamps the conv's weight version and the key mismatch triggers one
-  // requantize + repack; version 0 (unversioned weights) rebuilds per
-  // call into the same recycled storage.
-  QuantizedWeights& entry = cache_entry(conv);
-  const std::uint64_t version = conv.weight_version();
-  if (!entry.valid || version == 0 || entry.version != version) {
-    const core::Tensor& wt = conv.weight().value;
-    entry.i16_ok = false;
-    // Per-conv int16 weight scale fw, chosen so the integer datapath is
-    // HARD overflow-free: (a) no weight saturates — max|w|*2^fw <= 32767
-    // keeps |w_q| <= 32767, so no int16 product pair can wrap a madd
-    // lane; (b) the accumulator envelope — sum_k |w_q| <= 65535 bounds
-    // |acc| <= 65535 * 32768 < 2^31 for ANY int16 activations. The L1
-    // bound uses the worst row plus the per-tap rounding slack.
-    double max_abs = 0.0, max_l1 = 0.0;
-    for (int r = 0; r < co; ++r) {
-      const float* row = wt.data() + static_cast<std::size_t>(r) * kk;
-      double l1 = 0.0;
-      for (int p = 0; p < kk; ++p) {
-        const double a = std::fabs(static_cast<double>(row[p]));
-        l1 += a;
-        if (a > max_abs) max_abs = a;
-      }
-      if (l1 > max_l1) max_l1 = l1;
-    }
-    int fw = kWeightFracMax;
-    while (fw > 0 &&
-           max_abs * static_cast<double>(std::int64_t{1} << fw) > 32767.0) {
-      --fw;
-    }
-    while (fw > 0 &&
-           max_l1 * static_cast<double>(std::int64_t{1} << fw) +
-                   0.5 * kk + 1.0 >
-               65535.0) {
-      --fw;
-    }
-    // The requantization shift fa+fw-frac_bits must be >= 0 even at the
-    // finest activation grid; weights too large (or a frac_bits too fine)
-    // fall back to the float carrier.
-    if (fw > 0 && fw >= frac_bits_ - kActFracMax && frac_bits_ < 31) {
-      entry.i16_ok = true;
-      entry.weight_frac_bits = fw;
-      static thread_local std::vector<std::int16_t> wq;
-      wq.resize(wt.numel());
-      fixed::quantize_i16(wt.data(), wq.data(), wt.numel(), fw);
-      core::pack_gemm_a_i16(wq.data(), co, kk, entry.packed16);
-    }
-    // The float-carrier weights are always built: they back the per-call
-    // fallback when a call's activation range leaves no valid
-    // requantization shift.
-    static thread_local std::vector<float> wv;
-    wv.resize(wt.numel());
-    for (std::size_t i = 0; i < wt.numel(); ++i) {
-      wv[i] = fixed::qdq_value(wt.data()[i], frac_bits_);
-    }
-    core::pack_gemm_a(wv.data(), co, kk, entry.packed);
-    entry.version = version;
-    entry.valid = true;
-    ++weight_packs_;
-  }
+  const core::FixedPackedWeights& pack = packed_weights(conv);
 
   // Time-plane augmentation with the time VALUE on the Q grid (the
   // hardware folds t into a bias plane at the same precision).
@@ -179,7 +165,7 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
   // order-independent, so the scale — and everything downstream — is
   // deterministic for any ISA or worker count.
   int fa = -1;
-  if (entry.i16_ok) {
+  if (pack.i16_ok) {
     const float mx = fixed::max_abs(in->data(), in_elems);
     if (std::isfinite(mx)) {
       fa = kActFracMax;
@@ -191,7 +177,7 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
       }
       // Range beyond int16 even at fa=1, or no valid rounding shift at
       // this range -> float carrier for this call.
-      if (fa < 1 || fa + entry.weight_frac_bits < frac_bits_) fa = -1;
+      if (fa < 1 || fa + pack.weight_frac_bits < frac_bits_) fa = -1;
     }
   }
   if (fa >= 0) {
@@ -207,9 +193,9 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
     fixed::quantize_i16(in->data(), inq, in_elems, fa);
     core::im2col_batched_i16(inq, g, n, cols);
     acc_scratch_.resize(static_cast<std::size_t>(co) * ncols);
-    core::gemm_i16_tiled_pa(entry.packed16, cols, acc_scratch_.data(),
+    core::gemm_i16_tiled_pa(pack.packed16, cols, acc_scratch_.data(),
                             static_cast<int>(ncols), /*accumulate=*/false);
-    const int shift = fa + entry.weight_frac_bits - frac_bits_;
+    const int shift = fa + pack.weight_frac_bits - frac_bits_;
     if (n == 1) {
       fixed::requantize_i32(acc_scratch_.data(), out.data(),
                             acc_scratch_.size(), shift, frac_bits_);
@@ -233,7 +219,7 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
     arena.frame(static_cast<std::size_t>(kk) * ncols);
     float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
     core::im2col_batched(in->data(), g, n, cols);
-    core::gemm_tiled_pa(entry.packed, cols, out.data(),
+    core::gemm_tiled_pa(pack.packed, cols, out.data(),
                         static_cast<int>(ncols), /*accumulate=*/false);
   } else {
     arena.frame(static_cast<std::size_t>(kk) * ncols +
@@ -241,7 +227,7 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
     float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
     float* y = arena.alloc(static_cast<std::size_t>(co) * ncols);
     core::im2col_batched(in->data(), g, n, cols);
-    core::gemm_tiled_pa(entry.packed, cols, y, static_cast<int>(ncols),
+    core::gemm_tiled_pa(pack.packed, cols, y, static_cast<int>(ncols),
                         /*accumulate=*/false);
     core::permute_channel_major(y, out.data(), n, co, cc, /*to_nchw=*/true);
   }

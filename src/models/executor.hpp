@@ -12,8 +12,6 @@
 #include <vector>
 
 #include "core/execution.hpp"
-#include "core/gemm_kernels.hpp"
-#include "core/im2col.hpp"
 #include "models/stage.hpp"
 
 namespace odenet::models {
@@ -62,12 +60,13 @@ class FloatStageExecutor final : public StageExecutor {
 /// range cannot satisfy that envelope at the requested frac_bits falls
 /// back to the float carrier for that call — Q-grid float operands, one
 /// float GEMM, a post-GEMM elementwise requantize — counted by
-/// float_carrier_calls(). Quantized packed weights are cached per conv —
-/// keyed by Conv2d::uid() + snapshot weight version, LRU-capped — so
-/// serving steady-state requantizes + packs each layer once per hot-swap
-/// and replica churn cannot leak entries. ODE stages integrate with
-/// explicit Euler steps, mirroring the hardware solver, regardless of the
-/// stage's configured software solver.
+/// float_carrier_calls(). The quantized packed weights live on each conv
+/// (Conv2d::fixed_pack()), beside its float pack and under the same
+/// version rule, keyed also by frac_bits: serving steady state
+/// requantizes + packs each layer once per hot-swap, and a replica's packs
+/// go with the replica. The executor keeps no per-layer state. ODE stages
+/// integrate with explicit Euler steps, mirroring the hardware solver,
+/// regardless of the stage's configured software solver.
 class FixedStageExecutor final : public StageExecutor {
  public:
   explicit FixedStageExecutor(int frac_bits = 20);
@@ -81,21 +80,12 @@ class FixedStageExecutor final : public StageExecutor {
 
   int frac_bits() const { return frac_bits_; }
 
-  /// Times a conv's weights were quantized + packed (cache observable).
+  /// Times this executor quantized + packed a conv's weights.
   std::uint64_t weight_packs() const { return weight_packs_; }
 
   /// Conv calls that fell back to the float carrier because the int16
   /// envelope could not hold them (weights or activation range).
   std::uint64_t float_carrier_calls() const { return float_carrier_calls_; }
-
-  /// Live quantized-weight cache entries (telemetry / churn tests).
-  std::size_t weight_cache_size() const { return wcache_.size(); }
-
-  /// Cap on the quantized-weight cache; least-recently-used entries are
-  /// evicted past it, so replica churn (many short-lived Networks through
-  /// one executor) cannot grow the cache without bound. Far above any
-  /// single replica's conv count.
-  static constexpr std::size_t kWeightCacheCapacity = 256;
 
   /// Most fractional bits a conv call's int16 activations may carry. The
   /// actual per-call precision fa is dynamic: the largest fa <= this cap
@@ -116,28 +106,12 @@ class FixedStageExecutor final : public StageExecutor {
   /// One convolution through the int16 lowering, or its float-carrier
   /// fallback.
   core::Tensor fixed_conv(core::Conv2d& conv, const core::Tensor& x, float t);
-
-  struct QuantizedWeights {
-    std::uint64_t version = 0;
-    bool valid = false;
-    std::uint64_t last_use = 0;     // LRU tick for capacity eviction
-    core::PackedGemmA packed;       // Q-grid float weights (fallback)
-    // Integer path: per-conv weight scale + pair-interleaved int16 panels.
-    bool i16_ok = false;            // envelope satisfied at this frac_bits
-    int weight_frac_bits = 0;       // fw: weights are Q(fw) in int16
-    core::PackedGemmA16 packed16;
-  };
-
-  /// Cache lookup + LRU touch + capacity eviction for one conv.
-  QuantizedWeights& cache_entry(const core::Conv2d& conv);
+  /// The conv's fixed pack at this executor's frac_bits, rebuilt unless
+  /// the conv's weight version and frac_bits both match it.
+  const core::FixedPackedWeights& packed_weights(core::Conv2d& conv);
 
   std::string name_;
   int frac_bits_;
-  /// Keyed by Conv2d::uid() — stable, never-recycled layer identity. A
-  /// raw-pointer key would alias when a new conv is allocated at a
-  /// recycled address with a matching snapshot version (replica churn).
-  std::map<std::uint64_t, QuantizedWeights> wcache_;
-  std::uint64_t use_tick_ = 0;
   std::uint64_t weight_packs_ = 0;
   std::uint64_t float_carrier_calls_ = 0;
   // Recycled integer scratch for the int16 conv path (the float path
@@ -168,11 +142,6 @@ class StagePlan {
     auto it = overrides_.find(id);
     if (it != overrides_.end()) return it->second;
     return default_;
-  }
-
-  StageExecutor* default_executor() const { return default_; }
-  const std::map<StageId, StageExecutor*>& overrides() const {
-    return overrides_;
   }
 
  private:

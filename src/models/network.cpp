@@ -96,10 +96,6 @@ void Network::set_weight_version_where(
   });
 }
 
-void Network::invalidate_packed_weights() {
-  for_each_conv([](core::Conv2d& conv) { conv.invalidate_packed_weights(); });
-}
-
 void Network::set_scratch_arena(core::ScratchArena* arena) {
   external_arena_ = arena;
   core::ScratchArena* wired = arena != nullptr ? arena : &arena_;

@@ -88,10 +88,6 @@ class Network final : public core::Layer {
       std::uint64_t version,
       const std::function<bool(const std::string& layer_name)>& changed);
 
-  /// Drops every layer's cached packed-weight view without touching the
-  /// stamped version.
-  void invalidate_packed_weights();
-
   /// Re-points every conv's lowering scratch: nullptr (the default wiring,
   /// applied at construction) means the network-owned arena — so replicas
   /// and trainers recycle one buffer across every conv call — while a

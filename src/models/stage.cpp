@@ -69,10 +69,4 @@ void Stage::set_training(bool training) {
   for (auto& b : blocks_) b->set_training(training);
 }
 
-core::BuildingBlock* Stage::representative_block() {
-  if (ode_) return &ode_->block();
-  if (!blocks_.empty()) return blocks_.front().get();
-  return nullptr;
-}
-
 }  // namespace odenet::models

@@ -37,11 +37,6 @@ class Stage final : public core::Layer {
     return blocks_;
   }
 
-  /// The single block instance driving this stage's compute (the ODE block
-  /// or the first stacked block); nullptr for removed stages. Used by the
-  /// FPGA offload path, which implements one block instance per stage.
-  core::BuildingBlock* representative_block();
-
  private:
   StageSpec spec_;
   std::string name_;

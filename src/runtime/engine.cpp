@@ -118,14 +118,6 @@ std::unique_ptr<InferenceEngine::Worker> InferenceEngine::build_worker(
   worker->net->apply_snapshot(snapshot);
   worker->applied_version = snapshot.version();
   worker->net->set_training(false);
-  if (cfg.per_image_batch_norm) {
-    for (auto& stage : worker->net->stages()) {
-      if (!stage->is_empty() && stage->is_ode()) {
-        stage->ode()->block().bn1().set_use_batch_stats_in_eval(true);
-        stage->ode()->block().bn2().set_use_batch_stats_in_eval(true);
-      }
-    }
-  }
   switch (cfg.backend) {
     case core::ExecBackend::kFloat:
       worker->plan = models::StagePlan(&worker->float_exec);

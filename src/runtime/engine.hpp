@@ -78,12 +78,6 @@ struct BackendConfig {
   int frac_bits = 20;
   /// Worker threads (each with its own Network replica).
   int workers = 1;
-  /// Switch the replica's ODE-stage batch norms to on-the-fly statistics,
-  /// matching the accelerator's per-image normalization. Set this on a
-  /// float/fixed backend when comparing its logits against a kFpgaSim
-  /// backend (see sched/fpga_executor.hpp); kFpgaSim aligns its own
-  /// offloaded stages regardless.
-  bool per_image_batch_norm = false;
   /// Simulated device occupancy: each served micro-batch additionally
   /// holds its worker for this long (a sleep inside the timed service
   /// window, so measured EWMAs and busy_seconds see it). Emulates a

@@ -35,7 +35,6 @@ void FpgaStageExecutor::requantize(models::Stage& stage,
                    << models::stage_name(stage.spec().id));
   accel_->load_weights(stage.ode()->block());
   weight_version_ = snapshot_version;
-  requantize_count_ += 1;
 }
 
 core::Tensor FpgaStageExecutor::run(models::Stage& stage,

@@ -58,16 +58,10 @@ class FpgaStageExecutor final : public models::StageExecutor {
 
   /// Delta-publish fast path: the published snapshot does not touch this
   /// executor's stage, so the BRAM image is already correct — adopt the
-  /// new version id without re-quantizing anything. The byte/stage
-  /// accounting tests assert requantize_count() stays flat across such
-  /// publishes.
+  /// new version id without re-quantizing anything.
   void adopt_version(std::uint64_t snapshot_version) {
     weight_version_ = snapshot_version;
   }
-
-  /// BRAM weight-image rebuilds since construction (requantize() calls;
-  /// adopt_version() does not count).
-  std::uint64_t requantize_count() const { return requantize_count_; }
 
   /// Snapshot version whose weights currently sit in BRAM (stamped at
   /// construction via Config::snapshot_version, updated by requantize();
@@ -85,7 +79,6 @@ class FpgaStageExecutor final : public models::StageExecutor {
   Config cfg_;
   models::StageId stage_id_{};
   std::uint64_t weight_version_ = 0;
-  std::uint64_t requantize_count_ = 0;
   std::unique_ptr<fpga::OdeBlockAccelerator> accel_;
 };
 

@@ -151,10 +151,4 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   if (job->error) std::rethrow_exception(job->error);
 }
 
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
-  parallel_for(ThreadPool::global(), begin, end, fn, grain);
-}
-
 }  // namespace odenet::util

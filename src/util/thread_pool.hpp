@@ -66,9 +66,4 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   std::size_t grain = 1);
 
-/// parallel_for on the global pool.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain = 1);
-
 }  // namespace odenet::util

@@ -319,151 +319,114 @@ TEST(EngineCluster, CordonedShardReceivesNothingAndFullCordonRejects) {
 // ---- wire protocol -----------------------------------------------------
 
 TEST(ClusterProtocol, RequestRoundTripsThroughEncodeDecode) {
-  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    WireRequest req;
-    req.version = version;
-    req.id = 0x0123456789ABCDEFull;
-    req.priority = Priority::kHigh;
-    req.evictable = false;
-    req.deadline_us = 250000;
-    req.tenant = "tenant-\xC3\xA9";  // arbitrary bytes survive
-    if (version == 2) {
-      req.model = "resnet-ode/tiny";
-      req.model_version = 0xFEDCBA9876543210ull;
-    }
-    req.channels = 3;
-    req.height = 2;
-    req.width = 4;
-    req.pixels.resize(24);
-    for (std::size_t i = 0; i < req.pixels.size(); ++i) {
-      req.pixels[i] = static_cast<float>(i) - 11.5f;
-    }
-
-    const std::vector<std::uint8_t> frame = cluster::encode_request(req);
-    ASSERT_GE(frame.size(), cluster::kFrameHeaderBytes);
-    const std::uint32_t payload = cluster::decode_frame_length(frame.data());
-    ASSERT_EQ(payload + cluster::kFrameHeaderBytes, frame.size());
-
-    const WireRequest back = cluster::decode_request(
-        frame.data() + cluster::kFrameHeaderBytes, payload);
-    EXPECT_EQ(back.version, version);
-    EXPECT_EQ(back.id, req.id);
-    EXPECT_EQ(back.priority, req.priority);
-    EXPECT_EQ(back.evictable, req.evictable);
-    EXPECT_EQ(back.deadline_us, req.deadline_us);
-    EXPECT_EQ(back.tenant, req.tenant);
-    EXPECT_EQ(back.model, req.model);
-    EXPECT_EQ(back.model_version, req.model_version);
-    EXPECT_EQ(back.channels, req.channels);
-    EXPECT_EQ(back.height, req.height);
-    EXPECT_EQ(back.width, req.width);
-    EXPECT_EQ(back.pixels, req.pixels);
+  WireRequest req;
+  req.id = 0x0123456789ABCDEFull;
+  req.priority = Priority::kHigh;
+  req.evictable = false;
+  req.deadline_us = 250000;
+  req.tenant = "tenant-\xC3\xA9";  // arbitrary bytes survive
+  req.model = "resnet-ode/tiny";
+  req.model_version = 0xFEDCBA9876543210ull;
+  req.channels = 3;
+  req.height = 2;
+  req.width = 4;
+  req.pixels.resize(24);
+  for (std::size_t i = 0; i < req.pixels.size(); ++i) {
+    req.pixels[i] = static_cast<float>(i) - 11.5f;
   }
+
+  const std::vector<std::uint8_t> frame = cluster::encode_request(req);
+  ASSERT_GE(frame.size(), cluster::kFrameHeaderBytes);
+  const std::uint32_t payload = cluster::decode_frame_length(frame.data());
+  ASSERT_EQ(payload + cluster::kFrameHeaderBytes, frame.size());
+
+  const WireRequest back = cluster::decode_request(
+      frame.data() + cluster::kFrameHeaderBytes, payload);
+  EXPECT_EQ(back.id, req.id);
+  EXPECT_EQ(back.priority, req.priority);
+  EXPECT_EQ(back.evictable, req.evictable);
+  EXPECT_EQ(back.deadline_us, req.deadline_us);
+  EXPECT_EQ(back.tenant, req.tenant);
+  EXPECT_EQ(back.model, req.model);
+  EXPECT_EQ(back.model_version, req.model_version);
+  EXPECT_EQ(back.channels, req.channels);
+  EXPECT_EQ(back.height, req.height);
+  EXPECT_EQ(back.width, req.width);
+  EXPECT_EQ(back.pixels, req.pixels);
 }
 
 TEST(ClusterProtocol, ResponseRoundTripsThroughEncodeDecode) {
-  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    WireResponse res;
-    res.version = version;
-    res.id = 77;
-    res.status = cluster::ResponseStatus::kShed;
-    res.shard = 2;
-    res.predicted = -1;
-    res.latency_ms = 12.5f;
-    if (version == 2) res.model_version = 41;
-    res.logits = {0.5f, -1.25f, 3.0f};
-    res.message = "cluster: all 4 candidate shard(s) full";
+  WireResponse res;
+  res.id = 77;
+  res.status = cluster::ResponseStatus::kShed;
+  res.shard = 2;
+  res.predicted = -1;
+  res.latency_ms = 12.5f;
+  res.model_version = 41;
+  res.logits = {0.5f, -1.25f, 3.0f};
+  res.message = "cluster: all 4 candidate shard(s) full";
 
-    const std::vector<std::uint8_t> frame = cluster::encode_response(res);
-    const std::uint32_t payload = cluster::decode_frame_length(frame.data());
-    const WireResponse back = cluster::decode_response(
-        frame.data() + cluster::kFrameHeaderBytes, payload);
-    EXPECT_EQ(back.version, version);
-    EXPECT_EQ(back.id, res.id);
-    EXPECT_EQ(back.status, res.status);
-    EXPECT_EQ(back.shard, res.shard);
-    EXPECT_EQ(back.predicted, res.predicted);
-    EXPECT_FLOAT_EQ(back.latency_ms, res.latency_ms);
-    EXPECT_EQ(back.model_version, version == 2 ? 41u : 0u);
-    EXPECT_EQ(back.logits, res.logits);
-    EXPECT_EQ(back.message, res.message);
-  }
-}
-
-TEST(ClusterProtocol, V1FramesCannotCarryModelRefs) {
-  // A v1 frame has no model fields; encoding must refuse rather than
-  // silently drop a pinned model ref.
-  WireRequest req;
-  req.version = 1;
-  req.model = "m";
-  req.channels = 1;
-  req.height = 1;
-  req.width = 1;
-  req.pixels = {0.0f};
-  EXPECT_THROW(cluster::encode_request(req), odenet::Error);
-  req.model.clear();
-  req.model_version = 3;
-  EXPECT_THROW(cluster::encode_request(req), odenet::Error);
-  req.model_version = 0;
-  EXPECT_NO_THROW(cluster::encode_request(req));
+  const std::vector<std::uint8_t> frame = cluster::encode_response(res);
+  const std::uint32_t payload = cluster::decode_frame_length(frame.data());
+  const WireResponse back = cluster::decode_response(
+      frame.data() + cluster::kFrameHeaderBytes, payload);
+  EXPECT_EQ(back.id, res.id);
+  EXPECT_EQ(back.status, res.status);
+  EXPECT_EQ(back.shard, res.shard);
+  EXPECT_EQ(back.predicted, res.predicted);
+  EXPECT_FLOAT_EQ(back.latency_ms, res.latency_ms);
+  EXPECT_EQ(back.model_version, 41u);
+  EXPECT_EQ(back.logits, res.logits);
+  EXPECT_EQ(back.message, res.message);
 }
 
 TEST(ClusterProtocol, TruncatedAndMalformedFramesThrowReadably) {
-  // Both wire versions: every proper prefix must throw (never read out
-  // of bounds, never return garbage) — the truncation fuzz.
-  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    WireRequest req;
-    req.version = version;
-    req.tenant = "t";
-    if (version == 2) req.model = "m";
-    req.channels = 1;
-    req.height = 2;
-    req.width = 2;
-    req.pixels = {1.0f, 2.0f, 3.0f, 4.0f};
-    const std::vector<std::uint8_t> frame = cluster::encode_request(req);
-    const std::uint8_t* payload = frame.data() + cluster::kFrameHeaderBytes;
-    const std::size_t size = frame.size() - cluster::kFrameHeaderBytes;
+  // Every proper prefix must throw (never read out of bounds, never
+  // return garbage) — the truncation fuzz.
+  WireRequest req;
+  req.tenant = "t";
+  req.model = "m";
+  req.channels = 1;
+  req.height = 2;
+  req.width = 2;
+  req.pixels = {1.0f, 2.0f, 3.0f, 4.0f};
+  const std::vector<std::uint8_t> frame = cluster::encode_request(req);
+  const std::uint8_t* payload = frame.data() + cluster::kFrameHeaderBytes;
+  const std::size_t size = frame.size() - cluster::kFrameHeaderBytes;
 
-    for (std::size_t cut = 0; cut < size; ++cut) {
-      EXPECT_THROW(cluster::decode_request(payload, cut), odenet::Error)
-          << "v" << static_cast<int>(version) << " prefix of " << cut
-          << " bytes";
-    }
-    // Trailing junk is rejected too (framing mismatch, not ignorable).
-    std::vector<std::uint8_t> padded(payload, payload + size);
-    padded.push_back(0);
-    EXPECT_THROW(cluster::decode_request(padded.data(), padded.size()),
-                 odenet::Error);
-    // A response magic in a request slot is a protocol error.
-    std::vector<std::uint8_t> wrong(payload, payload + size);
-    wrong[0] = 0x52;  // 'R'
-    EXPECT_THROW(cluster::decode_request(wrong.data(), wrong.size()),
-                 odenet::Error);
-    // Declaring more pixels than the payload carries must throw, not
-    // read past the buffer: bump the channel count without adding bytes.
-    std::vector<std::uint8_t> lying(payload, payload + size);
-    // channels low byte: magic(4) + id(8) + priority(1) + flags(1) +
-    // deadline(4) + [v2: model_version(8)] + tenant_len(2) +
-    // [v2: model_len(2)] = offset 20 (v1) / 30 (v2).
-    lying[version == 1 ? 20 : 30] = 9;
-    EXPECT_THROW(cluster::decode_request(lying.data(), lying.size()),
-                 odenet::Error);
+  for (std::size_t cut = 0; cut < size; ++cut) {
+    EXPECT_THROW(cluster::decode_request(payload, cut), odenet::Error)
+        << "prefix of " << cut << " bytes";
   }
+  // Trailing junk is rejected too (framing mismatch, not ignorable).
+  std::vector<std::uint8_t> padded(payload, payload + size);
+  padded.push_back(0);
+  EXPECT_THROW(cluster::decode_request(padded.data(), padded.size()),
+               odenet::Error);
+  // A response magic in a request slot is a protocol error.
+  std::vector<std::uint8_t> wrong(payload, payload + size);
+  wrong[0] = 0x52;  // 'R'
+  EXPECT_THROW(cluster::decode_request(wrong.data(), wrong.size()),
+               odenet::Error);
+  // Declaring more pixels than the payload carries must throw, not
+  // read past the buffer: bump the channel count without adding bytes.
+  std::vector<std::uint8_t> lying(payload, payload + size);
+  // channels low byte: magic(4) + id(8) + priority(1) + flags(1) +
+  // deadline(4) + model_version(8) + tenant_len(2) + model_len(2) = 30.
+  lying[30] = 9;
+  EXPECT_THROW(cluster::decode_request(lying.data(), lying.size()),
+               odenet::Error);
 
-  // Response truncation fuzz, both versions.
-  for (std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    WireResponse res;
-    res.version = version;
-    res.logits = {1.0f, 2.0f};
-    res.message = "x";
-    const std::vector<std::uint8_t> frame = cluster::encode_response(res);
-    const std::uint8_t* payload = frame.data() + cluster::kFrameHeaderBytes;
-    const std::size_t size = frame.size() - cluster::kFrameHeaderBytes;
-    for (std::size_t cut = 0; cut < size; ++cut) {
-      EXPECT_THROW(cluster::decode_response(payload, cut), odenet::Error)
-          << "v" << static_cast<int>(version) << " prefix of " << cut
-          << " bytes";
-    }
+  // Response truncation fuzz.
+  WireResponse res;
+  res.logits = {1.0f, 2.0f};
+  res.message = "x";
+  const std::vector<std::uint8_t> rframe = cluster::encode_response(res);
+  const std::uint8_t* rpayload = rframe.data() + cluster::kFrameHeaderBytes;
+  const std::size_t rsize = rframe.size() - cluster::kFrameHeaderBytes;
+  for (std::size_t cut = 0; cut < rsize; ++cut) {
+    EXPECT_THROW(cluster::decode_response(rpayload, cut), odenet::Error)
+        << "prefix of " << cut << " bytes";
   }
 }
 
@@ -485,12 +448,8 @@ TEST(SocketFrontend, ServesConcurrentPipelinedClientsWithIdCorrelation) {
       util::Rng rng(100 + c);
       // Pipeline all requests, then collect all responses.
       std::set<std::uint64_t> outstanding;
-      // Client 0 speaks the legacy v1 frames; the rest v2 — one server,
-      // both dialects, responses echo the request's version.
-      const std::uint8_t version = c == 0 ? 1 : 2;
       for (int i = 0; i < kPerClient; ++i) {
         WireRequest req;
-        req.version = version;
         req.id = static_cast<std::uint64_t>(c) * 1000 + i;
         req.tenant = "tenant-" + std::to_string(c) + "-" + std::to_string(i);
         req.channels = 3;
@@ -506,13 +465,8 @@ TEST(SocketFrontend, ServesConcurrentPipelinedClientsWithIdCorrelation) {
         // Correlation: every response id matches one outstanding request.
         ASSERT_EQ(outstanding.erase(res.id), 1u) << res.id;
         ASSERT_EQ(res.status, cluster::ResponseStatus::kOk) << res.message;
-        EXPECT_EQ(res.version, version);
-        if (version == 2) {
-          // v2 responses name the snapshot version that served.
-          EXPECT_GT(res.model_version, 0u);
-        } else {
-          EXPECT_EQ(res.model_version, 0u);
-        }
+        // Responses name the snapshot version that served.
+        EXPECT_GT(res.model_version, 0u);
         EXPECT_EQ(res.logits.size(), 5u);
         EXPECT_GE(res.predicted, 0);
         EXPECT_LT(res.predicted, 5);
@@ -574,6 +528,56 @@ TEST(SocketFrontend, TruncatedFrameGetsErrorResponseAndDropsConnection) {
   const WireResponse res = good.recv();
   EXPECT_EQ(res.id, 5u);
   EXPECT_EQ(res.status, cluster::ResponseStatus::kOk) << res.message;
+
+  frontend.stop();
+  cluster.shutdown();
+}
+
+TEST(SocketFrontend, LegacyV1FrameIsABadMagic) {
+  // Protocol v1 is gone: a well-formed v1 request over a live socket is a
+  // bad magic like any other — answered with kError and counted as a
+  // protocol error, never served.
+  EngineCluster cluster(tiny_shards(1));
+  SocketFrontend frontend(cluster, FrontendConfig{});
+  frontend.start();
+
+  // v1 request: u32 magic | u64 id | u8 priority | u8 flags |
+  // u32 deadline_us | u16 tenant_len | u16 channels | u16 height |
+  // u16 width | tenant bytes | f32 pixels — one pixel for tenant "t".
+  std::vector<std::uint8_t> frame(cluster::kFrameHeaderBytes, 0);
+  const auto put = [&frame](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      frame.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  put(0x4F444E51u, 4);  // the retired v1 request magic
+  put(9, 8);  // request_id
+  put(1, 1);  // priority
+  put(1, 1);  // flags: evictable
+  put(0, 4);  // deadline_us
+  put(1, 2);  // tenant_len
+  put(1, 2);  // channels
+  put(1, 2);  // height
+  put(1, 2);  // width
+  frame.push_back('t');
+  put(0, 4);  // pixel 0.0f
+  const std::size_t payload = frame.size() - cluster::kFrameHeaderBytes;
+  for (std::size_t i = 0; i < cluster::kFrameHeaderBytes; ++i) {
+    frame[i] = static_cast<std::uint8_t>(payload >> (8 * i));
+  }
+
+  FrontendClient client("127.0.0.1", frontend.port());
+  client.send_raw(frame.data(), frame.size());
+  const WireResponse res = client.recv();
+  EXPECT_EQ(res.status, cluster::ResponseStatus::kError);
+  EXPECT_NE(res.message.find("bad request magic"), std::string::npos)
+      << res.message;
+
+  for (int i = 0; i < 200 && frontend.counters().protocol_errors == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(frontend.counters().protocol_errors, 1u);
+  EXPECT_EQ(frontend.counters().requests, 0u);
 
   frontend.stop();
   cluster.shutdown();

@@ -1,17 +1,53 @@
 // StageExecutor backends and StagePlan routing (models/executor.hpp,
 // sched/fpga_executor.hpp): backend parity within quantization tolerance,
-// single dispatch loop, per-stage stats.
+// single dispatch loop, per-stage stats, and the fixed backend's packs on
+// each conv (one per weight version and frac_bits, freed with the
+// replica).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
+#include <malloc.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "core/gemm_kernels.hpp"
 #include "models/executor.hpp"
 #include "models/network.hpp"
 #include "sched/fpga_executor.hpp"
 #include "sched/latency_model.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
+
+// Counts live heap bytes on every thread, for the replica-churn check.
+namespace {
+std::atomic<long long> g_live_bytes{0};
+}  // namespace
+
+// Out of line, so the compiler pairs new with delete rather than the
+// malloc and free inside them.
+__attribute__((noinline)) void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes.fetch_add(static_cast<long long>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<long long>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 using namespace odenet;
 using models::Arch;
@@ -338,70 +374,108 @@ TEST(Executor, FixedWeightCacheKeyedBySnapshotVersion) {
   EXPECT_GT(fixed.weight_packs(), packs_warm);
 }
 
-TEST(Executor, WeightCacheSurvivesReplicaChurnWithoutAliasing) {
-  // Regression: the cache used to be keyed by raw Conv2d*, so a replica
-  // torn down and a new one allocated at a recycled address — with a
-  // matching weight version — would silently serve the OLD replica's
-  // quantized weights. Keys are now Conv2d::uid(), a process-global
-  // never-recycled identity, so every fresh network quantizes its own
-  // weights and stale entries age out of the LRU instead of aliasing.
-  util::Rng rng(43);
-  models::FixedStageExecutor fixed(20);
-  models::StagePlan plan(&fixed);
-  core::Tensor x = random_input(1, rng);
-
-  core::Tensor first_out;
-  for (int round = 0; round < 4; ++round) {
-    // Same seed every round: identical weights, and the version stamp is
-    // forced to the SAME value — exactly the aliasing trap. Heap reuse
-    // across rounds makes recycled addresses likely.
-    util::Rng net_rng(99);
-    auto net = std::make_unique<models::Network>(
-        models::make_spec(Arch::kROdeNet3, 14, tiny_width()));
-    net->init(net_rng);
-    net->set_training(false);
-    net->set_weight_version(7);
-
-    const std::uint64_t packs_before = fixed.weight_packs();
-    core::Tensor out = net->forward_with(x, plan);
-    // A fresh replica must repack: a cache hit here could only come from
-    // a stale aliased entry.
-    EXPECT_GT(fixed.weight_packs(), packs_before) << "round " << round;
-    if (round == 0) {
-      first_out = std::move(out);
-    } else {
-      ASSERT_TRUE(first_out.same_shape(out));
-      for (std::size_t i = 0; i < out.numel(); ++i) {
-        ASSERT_EQ(first_out.data()[i], out.data()[i]) << "round " << round;
-      }
-    }
-  }
-  // Dead replicas' entries are retained only up to the LRU cap.
-  EXPECT_LE(fixed.weight_cache_size(),
-            models::FixedStageExecutor::kWeightCacheCapacity);
-}
-
-TEST(Executor, WeightCacheCapacityBoundsChurn) {
-  // Many short-lived replicas cannot grow the cache beyond the cap (the
-  // pointer-keyed map used to grow without bound — one leaked entry per
-  // dead conv). 40 replicas x 8 cached convs = 320 entries churn past the
-  // cap of 256, so eviction runs.
-  constexpr std::size_t kCap = models::FixedStageExecutor::kWeightCacheCapacity;
-  util::Rng rng(44);
-  models::FixedStageExecutor fixed(20);
-  models::StagePlan plan(&fixed);
-  core::Tensor x = random_input(1, rng);
-
-  std::size_t peak = 0;
-  for (int round = 0; round < 40; ++round) {
-    util::Rng net_rng(100 + round);
+TEST(Executor, FixedPackKeyedByFracBitsAcrossAlternatingExecutors) {
+  // The fixed pack lives on the conv, keyed by (weight version,
+  // frac_bits). Two executors at different Q grids on one versioned
+  // network: each switch of grid repacks every conv once, a repeat run on
+  // the same grid packs nothing, and every output is bitwise what that
+  // executor gives run alone. A pack keyed by the version only would
+  // serve q8 the q20 weights (and the reverse), and the outputs would
+  // differ.
+  util::Rng rng(45);
+  const core::Tensor x = random_input(2, rng);
+  const auto make_net = [] {
+    util::Rng net_rng(46);
     models::Network net(models::make_spec(Arch::kROdeNet3, 14, tiny_width()));
     net.init(net_rng);
     net.set_training(false);
-    net.set_weight_version(1);
-    (void)net.forward_with(x, plan);
-    EXPECT_LE(fixed.weight_cache_size(), kCap) << "round " << round;
-    peak = std::max(peak, fixed.weight_cache_size());
+    net.set_weight_version(5);
+    return net;
+  };
+
+  models::FixedStageExecutor alone20(20), alone8(8);
+  models::Network net20 = make_net();
+  models::Network net8 = make_net();
+  const core::Tensor want20 =
+      net20.forward_with(x, models::StagePlan(&alone20));
+  const core::Tensor want8 = net8.forward_with(x, models::StagePlan(&alone8));
+  const std::uint64_t convs = alone20.weight_packs();  // one pack per conv
+  ASSERT_GT(convs, 0u);
+  ASSERT_EQ(alone8.weight_packs(), convs);
+  ASSERT_GT(max_abs_diff(want20, want8), 0.0);  // the grids differ
+
+  models::Network net = make_net();
+  models::FixedStageExecutor q20(20), q8(8);
+  const models::StagePlan plan20(&q20), plan8(&q8);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    for (const auto& [exec, plan, want] :
+         {std::tuple{&q20, &plan20, &want20},
+          std::tuple{&q8, &plan8, &want8}}) {
+      SCOPED_TRACE(exec->name());
+      const std::uint64_t before = exec->weight_packs();
+      for (int run = 0; run < 2; ++run) {
+        const core::Tensor got = net.forward_with(x, *plan);
+        ASSERT_TRUE(got.same_shape(*want));
+        EXPECT_EQ(0, std::memcmp(got.data(), want->data(),
+                                 got.numel() * sizeof(float)))
+            << "run " << run;
+      }
+      EXPECT_EQ(exec->weight_packs() - before, convs);
+    }
   }
-  EXPECT_EQ(peak, kCap);  // the cap was reached, so entries were evicted
+}
+
+TEST(Executor, ReplicaChurnRepacksAndFreesItsPacks) {
+  // A replica's fixed packs live on its convs, so they go with it: 40
+  // fresh replicas through one executor each repack (reusing a pack could
+  // only serve another replica's weights), give identical outputs, and
+  // leave live heap where the first round left it. Every replica has the
+  // same weights under the same version stamp, the case a cache keyed by
+  // address or version alone would alias. One kernel-pool worker keeps
+  // each worker thread's recycled scratch out of the count.
+  util::ThreadPool one_worker(1);
+  struct KernelPoolPin {
+    explicit KernelPoolPin(util::ThreadPool* pool) {
+      core::set_kernel_pool(pool);
+    }
+    ~KernelPoolPin() { core::set_kernel_pool(nullptr); }
+  } pin(&one_worker);
+  util::Rng rng(44);
+  models::FixedStageExecutor fixed(20);
+  const models::StagePlan plan(&fixed);
+  const core::Tensor x = random_input(1, rng);
+
+  constexpr int kRounds = 40;
+  core::Tensor first_out;
+  std::vector<std::uint64_t> packs(kRounds);
+  std::vector<long long> live(kRounds);
+  std::vector<int> same(kRounds, 1);
+  for (int round = 0; round < kRounds; ++round) {
+    {
+      util::Rng net_rng(99);
+      models::Network net(models::make_spec(Arch::kROdeNet3, 14, tiny_width()));
+      net.init(net_rng);
+      net.set_training(false);
+      net.set_weight_version(7);
+      const std::uint64_t before = fixed.weight_packs();
+      core::Tensor out = net.forward_with(x, plan);
+      packs[round] = fixed.weight_packs() - before;
+      if (round == 0) {
+        first_out = std::move(out);
+      } else {
+        same[round] = out.same_shape(first_out) &&
+                      std::memcmp(out.data(), first_out.data(),
+                                  out.numel() * sizeof(float)) == 0;
+      }
+    }
+    live[round] = g_live_bytes.load();
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    EXPECT_GT(packs[round], 0u);
+    EXPECT_EQ(packs[round], packs[0]);
+    EXPECT_TRUE(same[round]);
+    EXPECT_EQ(live[round], live[0]);
+  }
 }

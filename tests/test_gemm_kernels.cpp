@@ -386,12 +386,6 @@ TEST(GemmKernels, Conv2dPacksOncePerWeightVersion) {
   (void)conv.forward(x);
   (void)conv.forward(x);
   EXPECT_EQ(conv.weight_packs(), 4u);
-
-  // Explicit invalidation -> one repack even at the same version.
-  conv.invalidate_packed_weights();
-  (void)conv.forward(x);
-  (void)conv.forward(x);
-  EXPECT_EQ(conv.weight_packs(), 5u);
 }
 
 TEST(GemmKernels, PackedCacheStillCorrectAfterRepack) {

@@ -216,35 +216,53 @@ TEST(InferenceEngine, DestructorFulfillsEveryFuture) {
 }
 
 TEST(InferenceEngine, BackendParityWithinQuantizationTolerance) {
+  // The engine's fixed and fpga_sim replies against float networks built
+  // from the same snapshot outside the engine. The PL normalizes each
+  // image by its own statistics, so the fpga_sim reference runs its
+  // ODE-stage batch norms on batch statistics too.
   models::Network net = make_net(7);
+  const models::ModelSnapshot::Ptr snapshot =
+      models::ModelSnapshot::capture(net);
   EngineConfig cfg;
-  cfg.max_batch = 1;  // per-image, so batch-stat BN sees one image everywhere
-  BackendConfig float_ref;
-  float_ref.backend = core::ExecBackend::kFloat;
-  float_ref.per_image_batch_norm = true;  // align with the PL's BN semantics
+  cfg.max_batch = 1;  // one image per batch, as in the references below
   BackendConfig fixed_cpu;  // int16 integer datapath
   fixed_cpu.backend = core::ExecBackend::kFixed;
-  fixed_cpu.per_image_batch_norm = true;
   BackendConfig fpga_sim;
   fpga_sim.backend = core::ExecBackend::kFpgaSim;  // offloads every ODE stage
-  cfg.backends = {float_ref, fixed_cpu, fpga_sim};
-  InferenceEngine engine(net, cfg);
-  ASSERT_EQ(engine.backend_count(), 3u);
+  cfg.backends = {fixed_cpu, fpga_sim};
+  InferenceEngine engine(snapshot, cfg);
+  ASSERT_EQ(engine.backend_count(), 2u);
+
+  const auto reference = [&snapshot](bool per_image_ode_bn) {
+    models::Network ref(snapshot->spec(), snapshot->solver_config());
+    ref.apply_snapshot(*snapshot);
+    ref.set_training(false);
+    for (auto& stage : ref.stages()) {
+      if (per_image_ode_bn && !stage->is_empty() && stage->is_ode()) {
+        stage->ode()->block().bn1().set_use_batch_stats_in_eval(true);
+        stage->ode()->block().bn2().set_use_batch_stats_in_eval(true);
+      }
+    }
+    return ref;
+  };
+  models::Network float_ref = reference(false);
+  models::Network pl_ref = reference(true);
 
   util::Rng rng(77);
   core::Tensor image = random_image(rng);
+  const core::Tensor batch = image.reshaped({1, 3, 16, 16});
   auto pinned = [](std::size_t index) {
     SubmitOptions opts;
     opts.backend = index;
     return opts;
   };
-  InferenceResult rf = engine.submit(image, pinned(0)).get();
-  InferenceResult rq = engine.submit(image, pinned(1)).get();
-  InferenceResult ra = engine.submit(image, pinned(2)).get();
+  InferenceResult rq = engine.submit(image, pinned(0)).get();
+  InferenceResult ra = engine.submit(image, pinned(1)).get();
+  const core::Tensor want_q = float_ref.forward(batch);
+  const core::Tensor want_a = pl_ref.forward(batch);
 
-  EXPECT_LT(max_abs_diff(rf.logits, rq.logits), 0.1);    // int16 operand grid
-  EXPECT_LT(max_abs_diff(rf.logits, ra.logits), 0.15);   // full PL datapath
-  EXPECT_EQ(rf.pl_cycles, 0u);
+  EXPECT_LT(max_abs_diff(want_q, rq.logits), 0.1);   // int16 operand grid
+  EXPECT_LT(max_abs_diff(want_a, ra.logits), 0.15);  // full PL datapath
   EXPECT_EQ(rq.pl_cycles, 0u);
   EXPECT_GT(ra.pl_cycles, 0u);
 }
