@@ -255,7 +255,7 @@ RoutingRow run_routing(models::Network& net, const core::Tensor& images,
     row.modeled_seconds =
         std::max(row.modeled_seconds,
                  static_cast<double>(stats.backends[b].requests) *
-                     engine.modeled_request_seconds(b));
+                     stats.backends[b].modeled_request_seconds);
   }
   row.modeled_images_per_sec =
       row.modeled_seconds > 0.0 ? n / row.modeled_seconds : 0.0;

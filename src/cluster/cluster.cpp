@@ -11,20 +11,14 @@ namespace odenet::cluster {
 // ---------------------------------------------------------------------------
 // ClusterRouter
 
-ClusterRouter::ClusterRouter(
-    const std::vector<std::pair<std::string, double>>& shards)
+ClusterRouter::ClusterRouter(const std::vector<std::string>& shards)
     : shard_count_(shards.size()) {
   ODENET_CHECK(!shards.empty(), "cluster needs at least one shard");
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    ODENET_CHECK(!shards[s].first.empty(), "shard " << s << " has no name");
-    ODENET_CHECK(shards[s].second > 0.0,
-                 "shard '" << shards[s].first << "' has non-positive weight "
-                           << shards[s].second);
-    const int points = std::max(
-        1, static_cast<int>(kVirtualNodes * shards[s].second + 0.5));
-    for (int v = 0; v < points; ++v) {
+    ODENET_CHECK(!shards[s].empty(), "shard " << s << " has no name");
+    for (int v = 0; v < kVirtualNodes; ++v) {
       // "name#v" gives each virtual node its own stable ring position.
-      ring_.push_back({hash64(shards[s].first + "#" + std::to_string(v)), s});
+      ring_.push_back({hash64(shards[s] + "#" + std::to_string(v)), s});
     }
   }
   // Sort by (hash, shard) so hash collisions between different shards'
@@ -129,7 +123,7 @@ std::string ClusterStats::to_json() const {
 EngineCluster::EngineCluster(std::vector<ShardSpec> specs, ClusterConfig cfg)
     : cfg_(cfg) {
   ODENET_CHECK(!specs.empty(), "cluster needs at least one shard");
-  std::vector<std::pair<std::string, double>> ring_shards;
+  std::vector<std::string> ring_shards;
   ring_shards.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     auto shard = std::make_unique<Shard>();
@@ -137,14 +131,14 @@ EngineCluster::EngineCluster(std::vector<ShardSpec> specs, ClusterConfig cfg)
                                         : specs[i].name;
     shard->engine = std::make_unique<runtime::InferenceEngine>(
         std::move(specs[i].snapshot), specs[i].engine);
-    ring_shards.emplace_back(shard->name, specs[i].weight);
+    ring_shards.push_back(shard->name);
     shards_.push_back(std::move(shard));
   }
   // Duplicate names would alias ring arcs (two shards, one identity).
   for (std::size_t i = 0; i < ring_shards.size(); ++i) {
     for (std::size_t j = i + 1; j < ring_shards.size(); ++j) {
-      ODENET_CHECK(ring_shards[i].first != ring_shards[j].first,
-                   "duplicate shard name '" << ring_shards[i].first << "'");
+      ODENET_CHECK(ring_shards[i] != ring_shards[j],
+                   "duplicate shard name '" << ring_shards[i] << "'");
     }
   }
   router_ = std::make_unique<ClusterRouter>(ring_shards);

@@ -10,12 +10,12 @@
 //
 // Placement (ClusterRouter):
 //  - Tenant-aware consistent hashing. Each shard owns kVirtualNodes
-//    points (scaled by its weight) on a 64-bit hash ring; a tenant's
-//    home shard is the ring successor of its hash. Deterministic across
-//    cluster instances with the same shard names, and adding/removing a
-//    shard only remaps the tenants whose arcs it owned — the property
-//    that keeps per-tenant state (warm caches, fairness ledgers) from
-//    churning fleet-wide on topology changes.
+//    points on a 64-bit hash ring; a tenant's home shard is the ring
+//    successor of its hash. Deterministic across cluster instances with
+//    the same shard names, and adding/removing a shard only remaps the
+//    tenants whose arcs it owned — the property that keeps per-tenant
+//    state (warm caches, fairness ledgers) from churning fleet-wide on
+//    topology changes.
 //  - Failure-aware: a non-admitting shard (drained, failed, or
 //    operator-cordoned via set_admitting) is skipped by walking the ring
 //    to the next admitting successor — the classic consistent-hash
@@ -52,8 +52,8 @@ namespace odenet::cluster {
 /// Returned as the shard index when no shard accepted a request.
 inline constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
-/// Ring points per unit of shard weight. More points smooth the per-shard
-/// arc share at O(shards x kVirtualNodes) ring size.
+/// Ring points per shard. More points smooth the per-shard arc share at
+/// O(shards x kVirtualNodes) ring size.
 inline constexpr int kVirtualNodes = 64;
 
 /// One shard of the cluster: its own snapshot (distinct versions across
@@ -63,11 +63,9 @@ struct ShardSpec {
   models::ModelSnapshot::Ptr snapshot;
   runtime::EngineConfig engine;
   /// Ring identity; defaults to "shard<index>". Placement is a pure
-  /// function of the shard names/weights, so keeping names stable across
+  /// function of the shard names, so keeping names stable across
   /// restarts keeps tenants on their shards.
   std::string name;
-  /// Relative ring share (capacity weight): 2.0 owns twice the arc.
-  double weight = 1.0;
 };
 
 struct ClusterConfig {
@@ -82,10 +80,9 @@ struct ClusterConfig {
 /// construction.
 class ClusterRouter {
  public:
-  /// shards: (name, weight) per shard, index-aligned with the loads and
+  /// shards: one name per shard, index-aligned with the loads and
   /// admitting vectors later passed to plan().
-  explicit ClusterRouter(
-      const std::vector<std::pair<std::string, double>>& shards);
+  explicit ClusterRouter(const std::vector<std::string>& shards);
 
   std::size_t shard_count() const { return shard_count_; }
 

@@ -24,73 +24,4 @@ float* ScratchArena::alloc(std::size_t floats) {
   return span;
 }
 
-ArenaPool::Lease::Lease(Lease&& other) noexcept
-    : pool_(other.pool_), slot_(other.slot_), arena_(std::move(other.arena_)) {
-  other.pool_ = nullptr;
-}
-
-ArenaPool::Lease& ArenaPool::Lease::operator=(Lease&& other) noexcept {
-  if (this != &other) {
-    if (pool_ != nullptr && arena_ != nullptr) {
-      pool_->release(slot_, std::move(arena_));
-    }
-    pool_ = other.pool_;
-    slot_ = other.slot_;
-    arena_ = std::move(other.arena_);
-    other.pool_ = nullptr;
-  }
-  return *this;
-}
-
-ArenaPool::Lease::~Lease() {
-  if (pool_ != nullptr && arena_ != nullptr) {
-    pool_->release(slot_, std::move(arena_));
-  }
-}
-
-ArenaPool::Lease ArenaPool::acquire() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (!idle_.empty()) {
-    IdleEntry entry = std::move(idle_.back());
-    idle_.pop_back();
-    return Lease(this, entry.slot, std::move(entry.arena));
-  }
-  const std::size_t slot = created_++;
-  slots_.emplace_back();
-  lock.unlock();
-  return Lease(this, slot, std::make_unique<ScratchArena>());
-}
-
-std::size_t ArenaPool::created() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return created_;
-}
-
-std::size_t ArenaPool::idle() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return idle_.size();
-}
-
-std::size_t ArenaPool::capacity_floats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const Slot& s : slots_) total += s.capacity;
-  return total;
-}
-
-std::uint64_t ArenaPool::growth_total() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = 0;
-  for (const Slot& s : slots_) total += s.growths;
-  return total;
-}
-
-void ArenaPool::release(std::size_t slot, std::unique_ptr<ScratchArena> arena) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Slot& s = slots_[slot];
-  s.capacity = arena->capacity();
-  s.growths = arena->growths();
-  idle_.push_back(IdleEntry{slot, std::move(arena)});
-}
-
 }  // namespace odenet::core

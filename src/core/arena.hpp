@@ -6,23 +6,12 @@
 // them fresh per forward (the seed behaviour) puts a malloc + page-fault
 // memset in the serving inner loop; a ScratchArena instead grows once to
 // the high-water mark and recycles the same storage for every subsequent
-// frame.
-//
-// Two pieces:
-//  * ScratchArena — a frame-scoped bump allocator over one monotonically
-//    growing float buffer. NOT thread-safe; one arena belongs to one
-//    execution context (a Network replica, a trainer, a worker).
-//  * ArenaPool — a mutex-protected checkout pool of arenas for contexts
-//    where workers outnumber concurrently-active batches (the inference
-//    engine backends): arenas are created lazily on concurrent demand and
-//    recycled warm, so capacity converges to (peak concurrency) arenas
-//    instead of (worker count).
+// frame. It is NOT thread-safe: one arena belongs to one execution
+// context (a Network replica, a trainer, a standalone layer).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 namespace odenet::core {
@@ -76,77 +65,6 @@ class ScratchArena {
   std::size_t used_ = 0;
   std::uint64_t growths_ = 0;
   std::uint64_t frames_ = 0;
-};
-
-/// Thread-safe checkout pool of ScratchArenas.
-///
-/// acquire() pops a recycled arena or creates one when every arena is
-/// leased; the returned Lease hands it back on destruction. The pool must
-/// outlive its leases.
-class ArenaPool {
- public:
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept;
-    Lease& operator=(Lease&& other) noexcept;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease();
-
-    ScratchArena* get() const { return arena_.get(); }
-    ScratchArena& operator*() const { return *arena_; }
-    ScratchArena* operator->() const { return arena_.get(); }
-    explicit operator bool() const { return arena_ != nullptr; }
-
-   private:
-    friend class ArenaPool;
-    Lease(ArenaPool* pool, std::size_t slot,
-          std::unique_ptr<ScratchArena> arena)
-        : pool_(pool), slot_(slot), arena_(std::move(arena)) {}
-
-    ArenaPool* pool_ = nullptr;
-    std::size_t slot_ = 0;
-    std::unique_ptr<ScratchArena> arena_;
-  };
-
-  ArenaPool() = default;
-
-  /// Checks out an arena (recycled if one is idle, freshly created
-  /// otherwise). Never blocks on arena availability.
-  Lease acquire();
-
-  /// Arenas ever created — bounded by the peak number of simultaneous
-  /// leases, not by the number of callers.
-  std::size_t created() const;
-  /// Arenas currently idle in the pool.
-  std::size_t idle() const;
-
-  /// Aggregate telemetry over every arena the pool has created — the
-  /// resident conv-scratch footprint and how often any arena's buffer had
-  /// to grow. Currently-leased arenas are counted at their last check-in,
-  /// so the gauges trail an in-flight batch by one release.
-  std::size_t capacity_floats() const;
-  std::uint64_t growth_total() const;
-
- private:
-  friend class Lease;
-  void release(std::size_t slot, std::unique_ptr<ScratchArena> arena);
-
-  /// Telemetry of one created arena, refreshed every time it checks in.
-  struct Slot {
-    std::size_t capacity = 0;
-    std::uint64_t growths = 0;
-  };
-  struct IdleEntry {
-    std::size_t slot = 0;
-    std::unique_ptr<ScratchArena> arena;
-  };
-
-  mutable std::mutex mutex_;
-  std::vector<IdleEntry> idle_;
-  std::vector<Slot> slots_;  // one per created arena
-  std::size_t created_ = 0;
 };
 
 }  // namespace odenet::core

@@ -27,7 +27,7 @@ Network::Network(const NetworkSpec& spec, const SolverConfig& solver_cfg)
   }
   // All convs share the network-owned lowering arena: one scratch buffer,
   // sized by the largest conv of the net, recycled across every call.
-  set_scratch_arena(nullptr);
+  for_each_conv([this](core::Conv2d& conv) { conv.set_arena(&arena_); });
 }
 
 Network::Network(Network&& other) noexcept
@@ -37,16 +37,14 @@ Network::Network(Network&& other) noexcept
       name_(std::move(other.name_)),
       float_exec_(std::move(other.float_exec_)),
       arena_(std::move(other.arena_)),
-      external_arena_(other.external_arena_),
       stem_conv_(std::move(other.stem_conv_)),
       stem_bn_(std::move(other.stem_bn_)),
       stem_relu_(std::move(other.stem_relu_)),
       stages_(std::move(other.stages_)),
       gap_(std::move(other.gap_)),
       fc_(std::move(other.fc_)) {
-  // Convs still point at other's arena member; re-point them here (or at
-  // the still-valid external arena).
-  set_scratch_arena(external_arena_);
+  // Convs still point at other's arena member; re-point them here.
+  for_each_conv([this](core::Conv2d& conv) { conv.set_arena(&arena_); });
 }
 
 void Network::for_each_conv(const std::function<void(core::Conv2d&)>& fn) {
@@ -94,12 +92,6 @@ void Network::set_weight_version_where(
   for_each_conv([version, &changed](core::Conv2d& conv) {
     if (changed(conv.name())) conv.set_weight_version(version);
   });
-}
-
-void Network::set_scratch_arena(core::ScratchArena* arena) {
-  external_arena_ = arena;
-  core::ScratchArena* wired = arena != nullptr ? arena : &arena_;
-  for_each_conv([wired](core::Conv2d& conv) { conv.set_arena(wired); });
 }
 
 core::Tensor Network::stem_forward(const Tensor& x) {

@@ -66,7 +66,7 @@ class Network final : public core::Layer {
   Stage* stage(StageId id);
 
   /// Applies fn to every convolution of the network (stem + every block of
-  /// every stage) — the walk behind arena rewiring and weight stamping.
+  /// every stage) — the walk behind arena wiring and weight stamping.
   void for_each_conv(const std::function<void(core::Conv2d&)>& fn);
 
   /// Applies fn to every batch norm (stem + both BNs of every block of
@@ -88,19 +88,10 @@ class Network final : public core::Layer {
       std::uint64_t version,
       const std::function<bool(const std::string& layer_name)>& changed);
 
-  /// Re-points every conv's lowering scratch: nullptr (the default wiring,
-  /// applied at construction) means the network-owned arena — so replicas
-  /// and trainers recycle one buffer across every conv call — while a
-  /// non-null arena lets an owner (e.g. an inference-engine arena pool)
-  /// substitute shared scratch per batch. The external arena is not owned
-  /// and must stay alive until rewired.
-  void set_scratch_arena(core::ScratchArena* arena);
-
-  /// The arena conv lowering currently draws from (owned unless an
-  /// external one is wired). Capacity/growth counters show scratch reuse.
-  const core::ScratchArena& scratch_arena() const {
-    return external_arena_ != nullptr ? *external_arena_ : arena_;
-  }
+  /// The network-owned arena every conv's lowering draws from, so
+  /// replicas and trainers recycle one buffer across every conv call.
+  /// Capacity/growth counters show scratch reuse.
+  const core::ScratchArena& scratch_arena() const { return arena_; }
 
   /// Pieces of the forward pass, exposed so a caller that drives the
   /// stages itself (forward_stages with its own plan, per-stage timing)
@@ -135,8 +126,7 @@ class Network final : public core::Layer {
   SolverConfig solver_cfg_;
   std::string name_;
   FloatStageExecutor float_exec_;  // fallback for unplanned stages
-  core::ScratchArena arena_;  // default conv-lowering scratch (recycled)
-  core::ScratchArena* external_arena_ = nullptr;  // not owned
+  core::ScratchArena arena_;  // conv-lowering scratch (recycled)
   core::Conv2d stem_conv_;
   core::BatchNorm2d stem_bn_;
   core::ReLU stem_relu_;

@@ -118,9 +118,10 @@ std::unique_ptr<InferenceEngine::Worker> InferenceEngine::build_worker(
   worker->net->apply_snapshot(snapshot);
   worker->applied_version = snapshot.version();
   worker->net->set_training(false);
+  // Stages the plan leaves unassigned run on the replica's own float
+  // executor.
   switch (cfg.backend) {
     case core::ExecBackend::kFloat:
-      worker->plan = models::StagePlan(&worker->float_exec);
       break;
     case core::ExecBackend::kFixed:
       worker->fixed_exec =
@@ -128,7 +129,6 @@ std::unique_ptr<InferenceEngine::Worker> InferenceEngine::build_worker(
       worker->plan = models::StagePlan(worker->fixed_exec.get());
       break;
     case core::ExecBackend::kFpgaSim: {
-      worker->plan = models::StagePlan(&worker->float_exec);
       for (models::StageId id : backend.offloaded) {
         models::Stage* stage = worker->net->stage(id);
         ODENET_CHECK(stage != nullptr, "cannot offload absent stage "
@@ -241,16 +241,9 @@ std::future<InferenceResult> InferenceEngine::submit(core::Tensor image,
   if (!check_model_ref(opts, &error)) return failed_future(error);
 
   const std::size_t index = pick_backend(opts);
-  PendingRequest req;
-  req.image = std::move(image);
-  req.cls.priority = opts.priority;
-  req.cls.evictable = opts.evictable;
-  req.cls.tenant = tenants_.intern(opts.tenant);
-  if (opts.deadline.count() > 0) {
-    req.cls.deadline = Clock::now() + opts.deadline;
-  }
-  std::future<InferenceResult> future = req.promise.get_future();
-  const PushOutcome outcome = backends_[index]->queue->push(std::move(req));
+  std::future<InferenceResult> future;
+  const PushOutcome outcome = backends_[index]->queue->push(
+      make_request(std::move(image), opts, &future));
   ODENET_CHECK(outcome != PushOutcome::kClosed,
                "submit() after engine shutdown");
   // kRejected (admission control or tenant quota shed the request): the
@@ -284,15 +277,8 @@ bool InferenceEngine::try_submit(core::Tensor& image,
     return true;
   }
   const std::size_t index = pick_backend(opts, /*count_routed=*/false);
-  PendingRequest req;
-  req.image = std::move(image);
-  req.cls.priority = opts.priority;
-  req.cls.evictable = opts.evictable;
-  req.cls.tenant = tenants_.intern(opts.tenant);
-  if (opts.deadline.count() > 0) {
-    req.cls.deadline = Clock::now() + opts.deadline;
-  }
-  std::future<InferenceResult> future = req.promise.get_future();
+  std::future<InferenceResult> future;
+  PendingRequest req = make_request(std::move(image), opts, &future);
   const PushOutcome outcome = backends_[index]->queue->try_push(req);
   ODENET_CHECK(outcome != PushOutcome::kClosed,
                "try_submit() after engine shutdown");
@@ -308,6 +294,21 @@ bool InferenceEngine::try_submit(core::Tensor& image,
   }
   out = std::move(future);
   return true;
+}
+
+PendingRequest InferenceEngine::make_request(
+    core::Tensor image, const SubmitOptions& opts,
+    std::future<InferenceResult>* future) {
+  PendingRequest req;
+  req.image = std::move(image);
+  req.cls.priority = opts.priority;
+  req.cls.evictable = opts.evictable;
+  req.cls.tenant = tenants_.intern(opts.tenant);
+  if (opts.deadline.count() > 0) {
+    req.cls.deadline = Clock::now() + opts.deadline;
+  }
+  *future = req.promise.get_future();
+  return req;
 }
 
 std::vector<std::future<InferenceResult>> InferenceEngine::submit_batch(
@@ -484,11 +485,6 @@ void InferenceEngine::serve_batch(Backend& backend, Worker& worker,
   // promises resolve so a caller who saw every future settle also sees the
   // gauges back at zero.
   backend.in_flight.fetch_add(n, std::memory_order_relaxed);
-  // Conv-lowering scratch for this batch: a warm arena checked out from
-  // the backend pool, so replicas stop reallocating per request and idle
-  // workers hold no scratch. Restored before the lease returns the arena.
-  core::ArenaPool::Lease scratch = backend.arena_pool.acquire();
-  worker.net->set_scratch_arena(scratch.get());
   try {
     const auto& w = spec_.width;
     core::Tensor x({n, w.input_channels, w.input_size, w.input_size});
@@ -555,6 +551,8 @@ void InferenceEngine::serve_batch(Backend& backend, Worker& worker,
       backend.stats.max_latency_seconds =
           std::max(backend.stats.max_latency_seconds, latency_max);
       backend.stats.pl_cycles += batch_pl_cycles;
+      worker.arena_capacity_floats = worker.net->scratch_arena().capacity();
+      worker.arena_growths = worker.net->scratch_arena().growths();
       for (int i = 0; i < n; ++i) {
         const auto& result = results[static_cast<std::size_t>(i)];
         priority_stats_[static_cast<std::size_t>(result.priority)]
@@ -562,7 +560,6 @@ void InferenceEngine::serve_batch(Backend& backend, Worker& worker,
       }
     }
     backend.in_flight.fetch_sub(n, std::memory_order_relaxed);
-    worker.net->set_scratch_arena(nullptr);
     for (int i = 0; i < n; ++i) {
       batch[static_cast<std::size_t>(i)].promise.set_value(
           std::move(results[static_cast<std::size_t>(i)]));
@@ -570,7 +567,6 @@ void InferenceEngine::serve_batch(Backend& backend, Worker& worker,
   } catch (...) {
     // A failed batch fails each rider; the engine keeps serving.
     backend.in_flight.fetch_sub(n, std::memory_order_relaxed);
-    worker.net->set_scratch_arena(nullptr);
     for (auto& req : batch) {
       req.promise.set_exception(std::current_exception());
     }
@@ -595,16 +591,6 @@ const std::string& InferenceEngine::backend_label(std::size_t index) const {
   return backends_[index]->label;
 }
 
-std::size_t InferenceEngine::queue_depth(std::size_t index) const {
-  ODENET_CHECK(index < backends_.size(), "backend index out of range");
-  return backends_[index]->queue->size();
-}
-
-int InferenceEngine::in_flight(std::size_t index) const {
-  ODENET_CHECK(index < backends_.size(), "backend index out of range");
-  return backends_[index]->in_flight.load(std::memory_order_relaxed);
-}
-
 BackendLoad InferenceEngine::aggregate_load() const {
   BackendLoad load;
   std::vector<double> measured(backends_.size());
@@ -612,7 +598,8 @@ BackendLoad InferenceEngine::aggregate_load() const {
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     load.queue_depth += backends_[i]->queue->size();
     load.in_flight += backends_[i]->in_flight.load(std::memory_order_relaxed);
-    measured[i] = measured_request_seconds(i);
+    measured[i] = backends_[i]->ewma.seconds_per_request() /
+                  static_cast<double>(backends_[i]->cfg.workers);
     if (measured[i] > 0.0 &&
         (cheapest_warm == 0.0 || measured[i] < cheapest_warm)) {
       cheapest_warm = measured[i];
@@ -636,22 +623,6 @@ BackendLoad InferenceEngine::aggregate_load() const {
       (cheapest_warm > 0.0 && measured_rate > 0.0) ? 1.0 / measured_rate
                                                    : 0.0;
   return load;
-}
-
-std::size_t InferenceEngine::scratch_arenas(std::size_t index) const {
-  ODENET_CHECK(index < backends_.size(), "backend index out of range");
-  return backends_[index]->arena_pool.created();
-}
-
-double InferenceEngine::modeled_request_seconds(std::size_t index) const {
-  ODENET_CHECK(index < backends_.size(), "backend index out of range");
-  return backends_[index]->modeled_request_seconds;
-}
-
-double InferenceEngine::measured_request_seconds(std::size_t index) const {
-  ODENET_CHECK(index < backends_.size(), "backend index out of range");
-  return backends_[index]->ewma.seconds_per_request() /
-         static_cast<double>(backends_[index]->cfg.workers);
 }
 
 EngineStats InferenceEngine::stats() const {
@@ -678,9 +649,10 @@ EngineStats InferenceEngine::stats() const {
         backend->ewma.seconds_per_request() /
         static_cast<double>(backend->cfg.workers);
     snap.modeled_request_seconds = backend->modeled_request_seconds;
-    snap.arenas = backend->arena_pool.created();
-    snap.arena_capacity_floats = backend->arena_pool.capacity_floats();
-    snap.arena_growths = backend->arena_pool.growth_total();
+    for (const auto& worker : backend->workers) {
+      snap.arena_capacity_floats += worker->arena_capacity_floats;
+      snap.arena_growths += worker->arena_growths;
+    }
     for (int p = 0; p < kPriorityLevels; ++p) {
       auto& ps = out.priorities[static_cast<std::size_t>(p)];
       ps.timeouts += backend->queue->timeout_count(static_cast<Priority>(p));

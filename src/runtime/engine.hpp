@@ -209,9 +209,6 @@ class InferenceEngine {
   const std::string& backend_label(std::size_t index) const;
   const EngineConfig& config() const { return cfg_; }
 
-  /// Live load gauges (least_depth()'s inputs, exposed for monitoring).
-  std::size_t queue_depth(std::size_t index) const;
-  int in_flight(std::size_t index) const;
   /// Whole-engine load rolled into one BackendLoad — the per-shard gauge
   /// a cluster-level router consumes. Depth and in-flight sum across
   /// backends; the service-time estimates combine as parallel servers
@@ -221,31 +218,25 @@ class InferenceEngine {
   /// EVERY backend is cold, so cost_order()'s own cold-start rule
   /// applies unchanged at the cluster level.
   BackendLoad aggregate_load() const;
-  /// Conv-scratch arenas a backend's pool has materialized — bounded by
-  /// its peak batch concurrency, not its worker count.
-  std::size_t scratch_arenas(std::size_t index) const;
-  /// Modeled per-request service seconds of one backend, normalized by
-  /// its worker count (sched::LatencyModel / CpuModel).
-  double modeled_request_seconds(std::size_t index) const;
-  /// Measured per-request service seconds of one backend: the worker-fed
-  /// EWMA of busy_seconds/request, normalized by its worker count; 0.0
-  /// until the estimator is warm (cost_order() falls back to the
-  /// modeled value).
-  double measured_request_seconds(std::size_t index) const;
 
-  /// Aggregated counters since construction (thread-safe snapshot).
+  /// Counters aggregated since construction, plus each backend's live
+  /// gauges: queue depth, in flight, service-time estimates (thread-safe
+  /// snapshot).
   EngineStats stats() const;
 
  private:
   struct Worker {
     std::unique_ptr<models::Network> net;
-    models::FloatStageExecutor float_exec;
     std::unique_ptr<models::FixedStageExecutor> fixed_exec;
     std::vector<std::unique_ptr<sched::FpgaStageExecutor>> fpga_execs;
     models::StagePlan plan;
     /// Snapshot version this worker's replica (and BRAM image) carries.
     /// Touched only by the worker's own loop after construction.
     std::uint64_t applied_version = 0;
+    /// The replica's conv-scratch figures as of its last accounted batch;
+    /// guarded by stats_mutex_ (stats() sums them per backend).
+    std::size_t arena_capacity_floats = 0;
+    std::uint64_t arena_growths = 0;
   };
   struct Backend {
     BackendConfig cfg;
@@ -260,11 +251,6 @@ class InferenceEngine {
     /// reads it (normalized by worker count). Cold until a few batches
     /// have completed — cost_order() falls back to the model.
     sched::ServiceTimeEwma ewma;
-    /// Conv-lowering scratch, checked out per served batch: arenas are
-    /// created lazily on concurrent demand and recycled warm, so a
-    /// lightly-loaded backend with many workers keeps one warm arena
-    /// instead of one per replica.
-    core::ArenaPool arena_pool;
     std::unique_ptr<BatchQueue> queue;
     std::vector<std::unique_ptr<Worker>> workers;
     /// Requests popped from the queue but not yet completed.
@@ -290,6 +276,11 @@ class InferenceEngine {
   std::uint64_t apply_published(models::ModelSnapshot::Ptr snapshot);
   void serve_batch(Backend& backend, Worker& worker,
                    std::vector<PendingRequest>& batch);
+  /// The request submit() and try_submit() enqueue: the image with its
+  /// class (priority, evictability, interned tenant, absolute deadline);
+  /// `future` receives the future of its promise.
+  PendingRequest make_request(core::Tensor image, const SubmitOptions& opts,
+                              std::future<InferenceResult>* future);
   /// Routed or pinned backend choice for one submit. count_routed
   /// controls the routed-placement counter: submit() counts at decision
   /// time, try_submit() only once the queue accepted (a spill probe that

@@ -63,7 +63,6 @@ std::string EngineStats::to_json() const {
        << ",\"measured_request_ms\":"
        << fmt(b.measured_request_seconds * 1e3)
        << ",\"modeled_request_ms\":" << fmt(b.modeled_request_seconds * 1e3)
-       << ",\"arenas\":" << b.arenas
        << ",\"arena_capacity_floats\":" << b.arena_capacity_floats
        << ",\"arena_growths\":" << b.arena_growths
        << ",\"mean_batch\":" << fmt(b.mean_batch_size())

@@ -81,10 +81,9 @@ struct BackendStats {
   /// the cluster's cost_order().
   double measured_request_seconds = 0.0;
   double modeled_request_seconds = 0.0;
-  /// Conv-scratch arena-pool gauges: arenas materialized (bounded by peak
-  /// batch concurrency), their resident float capacity, and cumulative
-  /// buffer growths (flat after warmup — the no-regrowth invariant).
-  std::size_t arenas = 0;
+  /// Conv-scratch gauges summed over the backend's replicas, each as of
+  /// its last served batch: resident float capacity and cumulative buffer
+  /// growths (flat after warmup — the no-regrowth invariant).
   std::size_t arena_capacity_floats = 0;
   std::uint64_t arena_growths = 0;
 
@@ -138,7 +137,8 @@ struct PriorityStats {
 /// JSON schema version emitted by EngineStats/ClusterStats::to_json().
 /// v2 added the "schema" field itself, the model name, and the
 /// per-tenant section; consumers must treat absent "schema" as v1.
-/// Dropping a key no consumer reads ("policy", "depth_bound") keeps v2.
+/// Dropping a key no consumer reads ("policy", "depth_bound", "arenas")
+/// keeps v2.
 inline constexpr int kStatsSchemaVersion = 2;
 
 struct EngineStats {

@@ -1,19 +1,11 @@
-// ScratchArena / ArenaPool (core/arena.hpp): frame recycling without
-// regrowth, frame-budget enforcement, span disjointness, and race-free
-// concurrent checkout — the invariants the batched conv path and the
-// inference engine's per-backend pools lean on. The concurrency tests run
-// under the ThreadSanitizer CI job.
+// ScratchArena (core/arena.hpp): frame recycling without regrowth,
+// frame-budget enforcement and span disjointness — the invariants the
+// batched conv path leans on.
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <cstring>
-#include <thread>
-#include <vector>
 
 #include "core/arena.hpp"
 #include "util/check.hpp"
 
-using odenet::core::ArenaPool;
 using odenet::core::ScratchArena;
 
 TEST(ScratchArena, FrameRecyclesWithoutRegrowth) {
@@ -67,85 +59,4 @@ TEST(ScratchArena, SpansAreDisjointAndStableWithinFrame) {
   for (int i = 0; i < 32; ++i) b[i] = 2.0f;
   for (int i = 0; i < 64; ++i) EXPECT_EQ(a[i], 1.0f);
   for (int i = 0; i < 32; ++i) EXPECT_EQ(b[i], 2.0f);
-}
-
-TEST(ArenaPool, SequentialAcquireRecyclesOneArena) {
-  ArenaPool pool;
-  EXPECT_EQ(pool.created(), 0u);
-  ScratchArena* first = nullptr;
-  {
-    ArenaPool::Lease lease = pool.acquire();
-    first = lease.get();
-    lease->frame(128);
-    EXPECT_EQ(pool.idle(), 0u);
-  }
-  EXPECT_EQ(pool.created(), 1u);
-  EXPECT_EQ(pool.idle(), 1u);
-  {
-    // The recycled arena comes back warm: same object, capacity kept.
-    ArenaPool::Lease lease = pool.acquire();
-    EXPECT_EQ(lease.get(), first);
-    EXPECT_EQ(lease->capacity(), 128u);
-  }
-  EXPECT_EQ(pool.created(), 1u);
-}
-
-TEST(ArenaPool, ConcurrentLeasesGetDistinctArenas) {
-  ArenaPool pool;
-  ArenaPool::Lease a = pool.acquire();
-  ArenaPool::Lease b = pool.acquire();
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(pool.created(), 2u);
-}
-
-TEST(ArenaPool, LeaseMoveTransfersOwnership) {
-  ArenaPool pool;
-  ArenaPool::Lease a = pool.acquire();
-  ScratchArena* raw = a.get();
-  ArenaPool::Lease b = std::move(a);
-  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): post-move probe
-  ASSERT_TRUE(b);
-  EXPECT_EQ(b.get(), raw);
-  ArenaPool::Lease c;
-  c = std::move(b);
-  EXPECT_EQ(c.get(), raw);
-  // One arena in flight the whole time.
-  EXPECT_EQ(pool.created(), 1u);
-}
-
-TEST(ArenaPool, ConcurrentCheckoutIsRaceFree) {
-  // The engine-worker pattern: several threads repeatedly check out an
-  // arena, frame it, fill disjoint spans, verify, return it. TSan-clean,
-  // and the pool never creates more arenas than the peak concurrency.
-  constexpr int kThreads = 8;
-  constexpr int kIters = 200;
-  ArenaPool pool;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, &mismatches, t] {
-      for (int it = 0; it < kIters; ++it) {
-        ArenaPool::Lease lease = pool.acquire();
-        const std::size_t floats = 256 + static_cast<std::size_t>(t) * 16;
-        lease->frame(2 * floats);
-        float* x = lease->alloc(floats);
-        float* y = lease->alloc(floats);
-        const float vx = static_cast<float>(t * kIters + it);
-        for (std::size_t i = 0; i < floats; ++i) x[i] = vx;
-        for (std::size_t i = 0; i < floats; ++i) y[i] = -vx;
-        for (std::size_t i = 0; i < floats; ++i) {
-          if (x[i] != vx || y[i] != -vx) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_LE(pool.created(), static_cast<std::size_t>(kThreads));
-  EXPECT_GE(pool.created(), 1u);
-  EXPECT_EQ(pool.idle(), pool.created());
 }

@@ -93,8 +93,8 @@ runtime::SubmitOptions for_tenant(const std::string& tenant) {
 // ---- ClusterRouter: placement ------------------------------------------
 
 TEST(ClusterRouter, PlacementIsDeterministicAcrossInstances) {
-  const std::vector<std::pair<std::string, double>> shards = {
-      {"shard0", 1.0}, {"shard1", 1.0}, {"shard2", 1.0}, {"shard3", 1.0}};
+  const std::vector<std::string> shards = {"shard0", "shard1", "shard2",
+                                           "shard3"};
   ClusterRouter a(shards);
   ClusterRouter b(shards);
   std::set<std::size_t> used;
@@ -111,10 +111,8 @@ TEST(ClusterRouter, PlacementIsDeterministicAcrossInstances) {
 }
 
 TEST(ClusterRouter, RemovingAShardOnlyRemapsItsOwnTenants) {
-  const std::vector<std::pair<std::string, double>> four = {
-      {"a", 1.0}, {"b", 1.0}, {"c", 1.0}, {"d", 1.0}};
-  const std::vector<std::pair<std::string, double>> three = {
-      {"a", 1.0}, {"b", 1.0}, {"c", 1.0}};
+  const std::vector<std::string> four = {"a", "b", "c", "d"};
+  const std::vector<std::string> three = {"a", "b", "c"};
   ClusterRouter before(four);
   ClusterRouter after(three);
   for (int t = 0; t < 200; ++t) {
@@ -131,8 +129,7 @@ TEST(ClusterRouter, RemovingAShardOnlyRemapsItsOwnTenants) {
 }
 
 TEST(ClusterRouter, FailoverWalksRingPastNonAdmittingShards) {
-  const std::vector<std::pair<std::string, double>> shards = {
-      {"shard0", 1.0}, {"shard1", 1.0}, {"shard2", 1.0}};
+  const std::vector<std::string> shards = {"shard0", "shard1", "shard2"};
   ClusterRouter router(shards);
   const std::string tenant = "tenant-42";
   const std::size_t home = router.primary(tenant);
@@ -154,8 +151,8 @@ TEST(ClusterRouter, FailoverWalksRingPastNonAdmittingShards) {
 }
 
 TEST(ClusterRouter, PlanIsPrimaryThenCostOrderedSpillCandidates) {
-  const std::vector<std::pair<std::string, double>> shards = {
-      {"shard0", 1.0}, {"shard1", 1.0}, {"shard2", 1.0}, {"shard3", 1.0}};
+  const std::vector<std::string> shards = {"shard0", "shard1", "shard2",
+                                           "shard3"};
   ClusterRouter router(shards);
   const std::string tenant = "tenant-7";
   const std::size_t home = router.primary(tenant);
@@ -180,6 +177,19 @@ TEST(ClusterRouter, PlanIsPrimaryThenCostOrderedSpillCandidates) {
 
   EXPECT_TRUE(
       router.plan(tenant, loads, std::vector<bool>(4, false)).empty());
+}
+
+// Placement is a pure function of the shard names: these homes are what
+// the 64-points-per-shard ring gives "shard0".."shard3", so a change to the
+// ring keys, the hash or the successor rule shows here as moved tenants.
+TEST(EngineCluster, HomeShardsOfFixedTenantsArePinned) {
+  EngineCluster cluster(tiny_shards(4));
+  const std::vector<std::size_t> expected = {0, 0, 1, 1, 0, 1, 3, 0,
+                                             0, 3, 0, 2, 2, 0, 0, 3};
+  for (std::size_t t = 0; t < expected.size(); ++t) {
+    const std::string tenant = "tenant-" + std::to_string(t);
+    EXPECT_EQ(cluster.primary_shard(tenant), expected[t]) << tenant;
+  }
 }
 
 // ---- EngineCluster: spill-then-shed -----------------------------------

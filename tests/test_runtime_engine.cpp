@@ -69,13 +69,16 @@ EngineConfig held_worker_config(int max_batch) {
 std::future<InferenceResult> occupy_worker(InferenceEngine& engine,
                                            util::Rng& rng) {
   auto blocker = engine.submit(random_image(rng));
-  while (engine.in_flight(0) != 1 &&
+  const auto in_flight = [&engine] {
+    return engine.stats().backends[0].in_flight;
+  };
+  while (in_flight() != 1 &&
          blocker.wait_for(std::chrono::seconds(0)) !=
              std::future_status::ready) {
     std::this_thread::yield();
   }
-  EXPECT_EQ(engine.in_flight(0), 1) << "blocker finished before the test "
-                                       "could queue behind it";
+  EXPECT_EQ(in_flight(), 1) << "blocker finished before the test "
+                               "could queue behind it";
   return blocker;
 }
 
@@ -303,11 +306,34 @@ TEST(InferenceEngine, StatsFoldPlCyclesAndEmitJson) {
   EXPECT_NE(json.find("\"promotions\""), std::string::npos);
   EXPECT_NE(json.find("\"arena_capacity_floats\""), std::string::npos);
 
-  // Arena-pool gauges: serving materialized scratch, and a steady workload
-  // stops growing it.
-  EXPECT_GE(stats.backends[0].arenas, 1u);
+  // Conv-scratch gauges: serving grew the replica's arena.
   EXPECT_GT(stats.backends[0].arena_capacity_floats, 0u);
   EXPECT_GE(stats.backends[0].arena_growths, 1u);
+}
+
+TEST(InferenceEngine, ReplicaArenaStopsGrowingOnARepeatedWave) {
+  models::Network net = make_net(12);
+  EngineConfig cfg;
+  cfg.max_batch = 1;  // every batch one image: every wave frames alike
+  InferenceEngine engine(net, cfg);
+
+  util::Rng rng(12);
+  std::vector<core::Tensor> images;
+  for (int i = 0; i < 4; ++i) images.push_back(random_image(rng));
+  const auto serve_wave = [&engine, &images] {
+    for (const core::Tensor& image : images) {
+      EXPECT_GE(engine.submit(image).get().predicted, 0);
+    }
+    return engine.stats().backends[0];
+  };
+  const runtime::BackendStats first = serve_wave();
+  EXPECT_GT(first.arena_capacity_floats, 0u);
+  EXPECT_GE(first.arena_growths, 1u);
+  // The one replica recycles its warm arena: the second wave neither
+  // grows it nor leaves it reading differently.
+  const runtime::BackendStats second = serve_wave();
+  EXPECT_EQ(second.arena_capacity_floats, first.arena_capacity_floats);
+  EXPECT_EQ(second.arena_growths, first.arena_growths);
 }
 
 TEST(InferenceEngine, MalformedImageFailsItsFutureOnly) {
@@ -378,7 +404,7 @@ TEST(InferenceEngine, RoutedSubmitBalancesAcrossBackends) {
   cfg.backends = {BackendConfig{}, BackendConfig{}};  // two float replicas
   InferenceEngine engine(net, cfg);
   ASSERT_EQ(engine.backend_count(), 2u);
-  EXPECT_GT(engine.modeled_request_seconds(0), 0.0);
+  EXPECT_GT(engine.stats().backends[0].modeled_request_seconds, 0.0);
 
   util::Rng rng(11);
   std::vector<std::future<InferenceResult>> futures;
@@ -673,17 +699,10 @@ TEST(InferenceEngine, StressManyProducersRoutedMixedPriorities) {
     priority_sum += ps.requests;
   }
   EXPECT_EQ(priority_sum, static_cast<std::uint64_t>(kTotal));
-  // Drained engine: gauges return to zero, and each backend's conv-scratch
-  // pool materialized at least one arena but never more than it has
-  // workers (arenas are created on concurrent demand, not per replica).
-  for (std::size_t b = 0; b < engine.backend_count(); ++b) {
-    EXPECT_EQ(engine.queue_depth(b), 0u);
-    EXPECT_EQ(engine.in_flight(b), 0);
-    if (stats.backends[b].requests > 0) {
-      EXPECT_GE(engine.scratch_arenas(b), 1u);
-    }
-    EXPECT_LE(engine.scratch_arenas(b),
-              static_cast<std::size_t>(cfg.backends[b].workers));
+  // Drained engine: gauges return to zero.
+  for (const auto& b : stats.backends) {
+    EXPECT_EQ(b.queue_depth, 0u);
+    EXPECT_EQ(b.in_flight, 0);
   }
 }
 
@@ -771,8 +790,9 @@ TEST(InferenceEngine, MeasuredLatencyWarmsFromServedTraffic) {
 
   util::Rng rng(32);
   // Cold: the EWMA reports 0 and cost_order() runs on the model.
-  EXPECT_DOUBLE_EQ(engine.measured_request_seconds(0), 0.0);
-  EXPECT_GT(engine.modeled_request_seconds(0), 0.0);
+  const auto cold = engine.stats();
+  EXPECT_DOUBLE_EQ(cold.backends[0].measured_request_seconds, 0.0);
+  EXPECT_GT(cold.backends[0].modeled_request_seconds, 0.0);
 
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 24; ++i) {
@@ -782,14 +802,8 @@ TEST(InferenceEngine, MeasuredLatencyWarmsFromServedTraffic) {
 
   const auto stats = engine.stats();
   EXPECT_EQ(stats.requests(), 24u);
-  // At least one backend served enough batches to warm its EWMA,
-  // and the warmed measurement is surfaced through stats and the gauge.
-  double measured_max = 0.0;
-  for (std::size_t b = 0; b < engine.backend_count(); ++b) {
-    measured_max =
-        std::max(measured_max, engine.measured_request_seconds(b));
-  }
-  EXPECT_GT(measured_max, 0.0);
+  // At least one backend served enough batches to warm its EWMA, and the
+  // warmed measurement is surfaced through stats.
   double stats_max = 0.0;
   for (const auto& b : stats.backends) {
     stats_max = std::max(stats_max, b.measured_request_seconds);
@@ -814,12 +828,15 @@ TEST(InferenceEngine, AggregateLoadCapsColdBackendAtWarmMeasurement) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_GE(engine.submit(random_image(rng), pinned).get().predicted, 0);
   }
-  const double warm = engine.measured_request_seconds(0);
+  const auto stats = engine.stats();
+  const double warm = stats.backends[0].measured_request_seconds;
   ASSERT_GT(warm, 0.0);
-  ASSERT_DOUBLE_EQ(engine.measured_request_seconds(1), 0.0);  // never ran
+  // Backend 1 never ran.
+  ASSERT_DOUBLE_EQ(stats.backends[1].measured_request_seconds, 0.0);
 
   // Parallel servers: 1 / (1/t0 + 1/t1), with t1 the capped model.
-  const double cold = std::min(engine.modeled_request_seconds(1), warm);
+  const double cold =
+      std::min(stats.backends[1].modeled_request_seconds, warm);
   const double expected = 1.0 / (1.0 / warm + 1.0 / cold);
   EXPECT_NEAR(engine.aggregate_load().measured_request_seconds, expected,
               1e-12 * expected);
@@ -913,15 +930,15 @@ TEST(InferenceEngine, ReloadResetsMeasuredEwmaToColdState) {
   }
   for (auto& f : futures) EXPECT_GE(f.get().predicted, 0);
   double warm_max = 0.0;
-  for (std::size_t b = 0; b < engine.backend_count(); ++b) {
-    warm_max = std::max(warm_max, engine.measured_request_seconds(b));
+  for (const auto& b : engine.stats().backends) {
+    warm_max = std::max(warm_max, b.measured_request_seconds);
   }
   ASSERT_GT(warm_max, 0.0) << "EWMA never warmed; test cannot proceed";
 
   engine.reload(next.export_snapshot());
-  for (std::size_t b = 0; b < engine.backend_count(); ++b) {
-    EXPECT_DOUBLE_EQ(engine.measured_request_seconds(b), 0.0)
-        << "backend " << b << " EWMA survived the reload";
+  for (const auto& b : engine.stats().backends) {
+    EXPECT_DOUBLE_EQ(b.measured_request_seconds, 0.0)
+        << "backend " << b.name << " EWMA survived the reload";
   }
 
   // Fresh traffic re-warms at least one backend.
@@ -931,8 +948,8 @@ TEST(InferenceEngine, ReloadResetsMeasuredEwmaToColdState) {
   }
   for (auto& f : futures) EXPECT_GE(f.get().predicted, 0);
   double rewarm_max = 0.0;
-  for (std::size_t b = 0; b < engine.backend_count(); ++b) {
-    rewarm_max = std::max(rewarm_max, engine.measured_request_seconds(b));
+  for (const auto& b : engine.stats().backends) {
+    rewarm_max = std::max(rewarm_max, b.measured_request_seconds);
   }
   EXPECT_GT(rewarm_max, 0.0);
 }
