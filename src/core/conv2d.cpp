@@ -1,5 +1,6 @@
 #include "core/conv2d.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/im2col.hpp"
@@ -33,25 +34,6 @@ std::uint64_t Conv2d::mac_count(int in_h, int in_w) const {
          static_cast<std::uint64_t>(cfg_.kernel);
 }
 
-Tensor Conv2d::augment(const Tensor& x) const {
-  if (!cfg_.time_channel) return x;
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  ODENET_CHECK(c == cfg_.in_channels,
-               name_ << ": expected " << cfg_.in_channels << " channels, got "
-                     << c);
-  Tensor out({n, c + 1, h, w});
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
-  const std::size_t in_sample = static_cast<std::size_t>(c) * plane;
-  const std::size_t out_sample = static_cast<std::size_t>(c + 1) * plane;
-  for (int i = 0; i < n; ++i) {
-    std::memcpy(out.data() + i * out_sample, x.data() + i * in_sample,
-                in_sample * sizeof(float));
-    float* tplane = out.data() + i * out_sample + in_sample;
-    for (std::size_t j = 0; j < plane; ++j) tplane[j] = time_;
-  }
-  return out;
-}
-
 const PackedGemmA& Conv2d::packed_weights() {
   if (!pack_current(packed_version_)) {
     const int co = cfg_.out_channels;
@@ -63,48 +45,27 @@ const PackedGemmA& Conv2d::packed_weights() {
   return packed_weight_;
 }
 
-Tensor Conv2d::forward_im2col(const Tensor& in) {
-  const int n = in.dim(0), ci = in.dim(1), h = in.dim(2), w = in.dim(3);
-  const LoweringGeometry g{.channels = ci, .height = h, .width = w,
-                           .kernel = cfg_.kernel, .stride = cfg_.stride,
-                           .pad = cfg_.pad};
-  const int ho = g.out_h(), wo = g.out_w();
-  const int co = cfg_.out_channels;
-  Tensor out({n, co, ho, wo});
+namespace {
 
-  const std::size_t kk = g.col_rows();
-  const std::size_t cc = g.col_cols();
-  const std::size_t ncols = cc * static_cast<std::size_t>(n);
-
-  // The whole batch lowers into ONE column matrix and ONE GEMM; every
-  // buffer comes from the recycled arena, so past the first call the path
-  // allocates nothing. The GEMM result is [co, n*cc] (channel-major); for
-  // n == 1 that IS the output layout, so write it in place, otherwise
-  // un-permute into NCHW.
-  ScratchArena& arena = active_arena();
-  const PackedGemmA& wp = packed_weights();
-  if (n == 1) {
-    arena.frame(kk * ncols);
-    float* cols = arena.alloc(kk * ncols);
-    im2col_batched(in.data(), g, n, cols);
-    gemm_tiled_pa(wp, cols, out.data(), static_cast<int>(ncols),
-                  /*accumulate=*/false);
-    return out;
+/// Writes the lowering's input into dst [n, ci, h, w]: each sample of x,
+/// followed by a plane of t when the conv has a time channel.
+void write_lowering_input(const Tensor& x, bool time_channel, float t,
+                          float* dst) {
+  const int n = x.dim(0);
+  const std::size_t plane = static_cast<std::size_t>(x.dim(2)) * x.dim(3);
+  const std::size_t in_sample = static_cast<std::size_t>(x.dim(1)) * plane;
+  const std::size_t out_sample = in_sample + (time_channel ? plane : 0);
+  for (int i = 0; i < n; ++i) {
+    float* sample = dst + i * out_sample;
+    std::memcpy(sample, x.data() + i * in_sample, in_sample * sizeof(float));
+    if (time_channel) std::fill_n(sample + in_sample, plane, t);
   }
-  arena.frame(kk * ncols + static_cast<std::size_t>(co) * ncols);
-  float* cols = arena.alloc(kk * ncols);
-  float* y = arena.alloc(static_cast<std::size_t>(co) * ncols);
-  im2col_batched(in.data(), g, n, cols);
-  gemm_tiled_pa(wp, cols, y, static_cast<int>(ncols), /*accumulate=*/false);
-  permute_channel_major(y, out.data(), n, co, cc, /*to_nchw=*/true);
-  return out;
 }
 
-void Conv2d::forward_fused(const Tensor& x, const ConvEpilogue& ep,
-                           Tensor& out, bool accumulate) {
-  ODENET_CHECK(!training_,
-               name_ << ": forward_fused is eval-only (training mode keeps "
-                        "the unfused forward)");
+}  // namespace
+
+void Conv2d::run(const Tensor& x, float t, const PackedGemmA& weights,
+                 const ConvEpilogue& ep, Tensor& out, bool accumulate) {
   ODENET_CHECK(x.ndim() == 4, name_ << ": conv2d expects NCHW input, got "
                                     << x.shape_str());
   ODENET_CHECK(x.dim(0) > 0, name_ << ": empty batch (n = 0)");
@@ -113,14 +74,15 @@ void Conv2d::forward_fused(const Tensor& x, const ConvEpilogue& ep,
                name_ << ": expected " << cfg_.in_channels << " channels, got "
                      << cx);
   const int ci = cx + (cfg_.time_channel ? 1 : 0);
-  ODENET_CHECK(ci == weight_.value.dim(1),
-               name_ << ": channel mismatch " << ci << " vs weight "
-                     << weight_.value.shape_str());
   const LoweringGeometry g{.channels = ci, .height = h, .width = w,
                            .kernel = cfg_.kernel, .stride = cfg_.stride,
                            .pad = cfg_.pad};
   const int ho = g.out_h(), wo = g.out_w();
   const int co = cfg_.out_channels;
+  ODENET_CHECK(weights.m == co && weights.k == static_cast<int>(g.col_rows()),
+               name_ << ": packed weights [" << weights.m << "," << weights.k
+                     << "] do not match the lowering [" << co << ","
+                     << g.col_rows() << "]");
   const bool shape_ok = out.ndim() == 4 && out.dim(0) == n &&
                         out.dim(1) == co && out.dim(2) == ho &&
                         out.dim(3) == wo;
@@ -133,86 +95,56 @@ void Conv2d::forward_fused(const Tensor& x, const ConvEpilogue& ep,
     out = Tensor({n, co, ho, wo});
   }
 
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
-  const std::size_t kk = g.col_rows();
-  const std::size_t cc = g.col_cols();
-  const std::size_t ncols = cc * static_cast<std::size_t>(n);
-  const std::size_t aug_floats =
-      cfg_.time_channel
-          ? static_cast<std::size_t>(n) * static_cast<std::size_t>(ci) * plane
-          : 0;
-  const std::size_t y_floats =
-      n > 1 ? static_cast<std::size_t>(co) * ncols : 0;
-
-  // Everything transient — the augmented input, the lowering, the
-  // channel-major GEMM result — lives in the recycled arena: after warmup
-  // a fused forward allocates nothing. When the geometry admits the
-  // implicit lowering, the column matrix is never materialized at all:
-  // the GEMM gathers B panels straight from the (augmented) image.
+  // Training lowers the input it caches for backward; eval lowers x
+  // itself, or an arena copy when the time plane must be appended. The
+  // column matrix is never materialized when the geometry admits the
+  // implicit lowering — the GEMM gathers B panels straight from the image.
+  const std::size_t in_floats = static_cast<std::size_t>(n) * ci * h * w;
+  const std::size_t ncols = g.col_cols() * static_cast<std::size_t>(n);
   const bool implicit = gemm_implicit_lowering_ok(g, co);
+  const bool staged = cfg_.time_channel && !training_;
   ScratchArena& arena = active_arena();
-  const PackedGemmA& wp = packed_weights();
-  arena.frame(aug_floats + (implicit ? 0 : kk * ncols) + y_floats);
+  arena.frame((staged ? in_floats : 0) +
+              (implicit ? 0 : g.col_rows() * ncols));
   const float* src = x.data();
-  if (cfg_.time_channel) {
-    float* aug = arena.alloc(aug_floats);
-    const std::size_t in_sample = static_cast<std::size_t>(cx) * plane;
-    const std::size_t aug_sample = static_cast<std::size_t>(ci) * plane;
-    for (int i = 0; i < n; ++i) {
-      std::memcpy(aug + i * aug_sample, src + i * in_sample,
-                  in_sample * sizeof(float));
-      float* tplane = aug + i * aug_sample + in_sample;
-      for (std::size_t j = 0; j < plane; ++j) tplane[j] = time_;
+  if (training_) {
+    if (cached_input_.shape() != std::vector<int>{n, ci, h, w}) {
+      cached_input_ = Tensor({n, ci, h, w});
     }
-    src = aug;
-  }
-  float* cols = nullptr;
-  if (!implicit) {
-    cols = arena.alloc(kk * ncols);
-    im2col_batched(src, g, n, cols);
+    write_lowering_input(x, cfg_.time_channel, t, cached_input_.data());
+    src = cached_input_.data();
+  } else if (staged) {
+    float* in = arena.alloc(in_floats);
+    write_lowering_input(x, cfg_.time_channel, t, in);
+    src = in;
   }
 
   GemmEpilogue ge;
   ge.scale = ep.scale;
   ge.shift = ep.shift;
   ge.relu = ep.relu;
-  if (n == 1) {
-    // Channel-major IS NCHW at n == 1: the GEMM writes the output (and,
-    // when accumulating, reads it as the in-register residual) directly.
-    if (accumulate) {
-      ge.residual = out.data();
-      ge.beta = 1.0f;
-    }
-    if (implicit) {
-      gemm_tiled_pa_ep_lowered(wp, src, g, n, out.data(), ge);
-    } else {
-      gemm_tiled_pa_ep(wp, cols, out.data(), static_cast<int>(ncols), ge);
-    }
-    return;
-  }
-  float* y = arena.alloc(y_floats);
+  if (accumulate) ge.residual = out.data();
   if (implicit) {
-    gemm_tiled_pa_ep_lowered(wp, src, g, n, y, ge);
+    gemm_tiled_pa_ep_lowered(weights, src, g, n, out.data(), ge);
   } else {
-    gemm_tiled_pa_ep(wp, cols, y, static_cast<int>(ncols), ge);
-  }
-  if (accumulate) {
-    permute_channel_major_add(y, out.data(), n, co, cc);
-  } else {
-    permute_channel_major(y, out.data(), n, co, cc, /*to_nchw=*/true);
+    float* cols = arena.alloc(g.col_rows() * ncols);
+    im2col_batched(src, g, n, cols);
+    gemm_tiled_pa_ep(weights, cols, out.data(), static_cast<int>(ncols), ge,
+                     n);
   }
 }
 
+void Conv2d::forward_fused(const Tensor& x, const ConvEpilogue& ep,
+                           Tensor& out, bool accumulate) {
+  ODENET_CHECK(!training_,
+               name_ << ": forward_fused is eval-only (training mode keeps "
+                        "the unfused forward)");
+  run(x, time_, packed_weights(), ep, out, accumulate);
+}
+
 Tensor Conv2d::forward(const Tensor& x) {
-  ODENET_CHECK(x.ndim() == 4, name_ << ": conv2d expects NCHW input, got "
-                                    << x.shape_str());
-  ODENET_CHECK(x.dim(0) > 0, name_ << ": empty batch (n = 0)");
-  Tensor in = augment(x);
-  ODENET_CHECK(in.dim(1) == weight_.value.dim(1),
-               name_ << ": channel mismatch " << in.dim(1) << " vs weight "
-                     << weight_.value.shape_str());
-  Tensor out = forward_im2col(in);
-  if (training_) cached_input_ = std::move(in);
+  Tensor out;
+  run(x, time_, packed_weights(), ConvEpilogue{}, out, /*accumulate=*/false);
   return out;
 }
 
@@ -241,7 +173,7 @@ void Conv2d::backward_im2col(const Tensor& in, const Tensor& grad_out,
   const float* gperm = grad_out.data();
   if (n > 1) {
     float* gp = arena.alloc(gperm_floats);
-    permute_channel_major(grad_out.data(), gp, n, co, cc, /*to_nchw=*/false);
+    permute_channel_major(grad_out.data(), gp, n, co, cc);
     gperm = gp;
   }
 

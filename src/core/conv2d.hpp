@@ -9,11 +9,14 @@
 // Convolutions carry no bias (matching the paper's byte-exact parameter
 // accounting); biasing is delegated to the following batch norm.
 //
-// There is one software algorithm: the whole micro-batch lowers into one
-// column matrix (im2col_batched) and runs through a single
-// register-blocked GEMM, with every scratch buffer served from a recycled
-// ScratchArena — no allocation after the first call. Backward reuses the
-// same lowering for dW and dX.
+// There is one software algorithm, Conv2d::run: the whole micro-batch
+// lowers — implicitly inside the GEMM's panel fill when the geometry
+// allows, into one column matrix (im2col_batched) otherwise — and runs
+// through a single register-blocked GEMM whose tiles store straight into
+// the NCHW output, with every scratch buffer served from a recycled
+// ScratchArena — no allocation after the first call. forward(),
+// forward_fused() and the fixed backend's float carrier all call it.
+// Backward reuses the explicit lowering for dW and dX.
 #pragma once
 
 #include <cstdint>
@@ -70,16 +73,25 @@ class Conv2d final : public Layer {
   void release_cache() override { cached_input_ = Tensor(); }
   std::vector<Param*> params() override { return {&weight_}; }
 
-  /// Eval-mode fused forward: one GEMM computes ep(conv(x)) — the folded
-  /// BN affine and ReLU applied in the output tile — and either overwrites
-  /// `out` (accumulate = false; reallocated on shape mismatch) or
-  /// accumulates into it (accumulate = true: out += ep(conv(x)), the Euler
-  /// state update; `out` must already have the output shape). The time
-  /// channel is augmented into arena scratch, so after warmup the call
-  /// allocates nothing. Only valid in eval mode — training keeps the
-  /// unfused forward() and its autograd caches.
+  /// Eval-mode fused forward: run() with this conv's weights and time —
+  /// ep(conv(x)), the folded BN affine and ReLU applied in the output tile.
+  /// Only valid in eval mode — training keeps the unfused forward() and
+  /// its autograd caches.
   void forward_fused(const Tensor& x, const ConvEpilogue& ep, Tensor& out,
                      bool accumulate);
+
+  /// The one lowered convolution: one GEMM with `weights` (this conv's
+  /// [Cout, Cin(+1)*K*K] weight view, packed — its own, or the fixed
+  /// backend's Q-grid copy) computes ep(conv(x)) with the time plane
+  /// filled with t, and either overwrites `out` (accumulate = false;
+  /// reallocated on shape mismatch) or accumulates into it (accumulate =
+  /// true: out += ep(conv(x)), the Euler state update; `out` must already
+  /// have the output shape). Every tile lands in NCHW `out` directly. The
+  /// time plane is written into the cached input in training mode and
+  /// into arena scratch otherwise, so in eval mode the call allocates
+  /// nothing after warmup. x must not alias out.
+  void run(const Tensor& x, float t, const PackedGemmA& weights,
+           const ConvEpilogue& ep, Tensor& out, bool accumulate);
 
   /// Integration time used to fill the implicit channel; only meaningful
   /// when cfg.time_channel is set.
@@ -99,11 +111,6 @@ class Conv2d final : public Layer {
   const ScratchArena& scratch_arena() const {
     return arena_ != nullptr ? *arena_ : own_arena_;
   }
-
-  /// The same arena, mutable — for executors that run their own lowering
-  /// of this conv's geometry (the fixed-point batched path) and should
-  /// share its recycled scratch instead of growing a second buffer.
-  ScratchArena& lowering_arena() { return active_arena(); }
 
   /// Snapshot version stamped on the current weights (see
   /// models::ModelSnapshot). 0 means "unversioned": the weights may be
@@ -143,12 +150,6 @@ class Conv2d final : public Layer {
   std::uint64_t mac_count(int in_h, int in_w) const;
 
  private:
-  /// Returns x with the constant time plane appended (or x itself untouched
-  /// when the layer has no time channel).
-  Tensor augment(const Tensor& x) const;
-
-  /// Batched lowering: whole-batch im2col + one GEMM, arena-backed.
-  Tensor forward_im2col(const Tensor& in);
   /// Batched lowering backward: one lowering of the whole batch, dW via
   /// the tiled A*B^T kernel, dX via the packed GEMM on a transposed
   /// weight view; all scratch arena-backed.
@@ -167,7 +168,7 @@ class Conv2d final : public Layer {
   std::string name_;
   Param weight_;  // [Cout, Cin(+1), K, K]
   float time_ = 0.0f;
-  Tensor cached_input_;  // augmented input, cached in training mode
+  Tensor cached_input_;  // lowering input (time plane appended), training
   ScratchArena own_arena_;        // fallback scratch for standalone layers
   ScratchArena* arena_ = nullptr;  // external scratch (not owned)
   // Packed weights (owning their storage, so moving the layer — or the

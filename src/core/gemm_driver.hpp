@@ -35,6 +35,8 @@
 //    (the last < 4 rows or < 16 columns), which either reads B in place
 //    through an ISA-independent scalar path or runs the full kernel on its
 //    zero-padded micro-panel.
+// The conv GEMMs store through NchwStore below, so a batched product lands
+// in the NCHW feature map without a permute.
 #pragma once
 
 #include <algorithm>
@@ -50,6 +52,52 @@ inline constexpr int kPanelCols = 256;  // a multiple of kGemmTileCols
 inline constexpr std::size_t kMaxPanelBytes =
     std::size_t{585} * kPanelCols * sizeof(float);
 inline constexpr int kMinRowTilesPerTask = 8;
+
+/// Where a batched conv GEMM (gemm_tiled_pa_ep, gemm_tiled_pa_ep_lowered,
+/// gemm_i16_tiled_pa) stores its product: column j of the
+/// [m, batch * plane] product is pixel j % plane of sample j / plane of an
+/// NCHW [batch, m, plane] output. At batch 1 (plane == n) that is the
+/// row-major C[m, n].
+struct NchwStore {
+  std::size_t m = 0;
+  std::size_t plane = 0;
+
+  std::size_t at(int i, int j) const {
+    const std::size_t s = static_cast<std::size_t>(j) / plane;
+    return (s * m + static_cast<std::size_t>(i)) * plane +
+           (static_cast<std::size_t>(j) - s * plane);
+  }
+
+  /// True when the 16 columns from j0 lie in one sample: the tile is then
+  /// one kernel store at at(i0, j0) with leading dimension `plane`.
+  bool tile_in_sample(int j0) const {
+    return static_cast<std::size_t>(j0) % plane + kGemmTileCols <= plane;
+  }
+
+  /// A full tile that straddles two samples (only when plane % 16 != 0):
+  /// kernel(tile) runs the same micro-kernel into a 4 x 16 scratch tile,
+  /// which first holds the tile's window of `in` when it is non-null (the
+  /// residual, or C itself when accumulating); then every element is
+  /// stored at its place. Same kernel, same values as a contiguous tile.
+  template <typename T, typename Kernel>
+  void straddled_tile(T* c, const T* in, int i0, int j0,
+                      const Kernel& kernel) const {
+    T tile[kGemmTileRows * kGemmTileCols];
+    if (in != nullptr) {
+      for (int i = 0; i < kGemmTileRows; ++i) {
+        for (int j = 0; j < kGemmTileCols; ++j) {
+          tile[i * kGemmTileCols + j] = in[at(i0 + i, j0 + j)];
+        }
+      }
+    }
+    kernel(tile);
+    for (int i = 0; i < kGemmTileRows; ++i) {
+      for (int j = 0; j < kGemmTileCols; ++j) {
+        c[at(i0 + i, j0 + j)] = tile[i * kGemmTileCols + j];
+      }
+    }
+  }
+};
 
 template <typename T, typename Fill, typename Full, typename Edge>
 void gemm_panels(int m, int k, int n, std::size_t micro_panel,

@@ -373,12 +373,14 @@ void pack_gemm_a_i16(const std::int16_t* a, int m, int k, PackedGemmA16& out) {
 }
 
 void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
-                       std::int32_t* c, int n, bool accumulate) {
-  ODENET_CHECK(n >= 0, "bad gemm dimensions");
+                       std::int32_t* c, int n, bool accumulate, int batch) {
+  ODENET_CHECK(n >= 0 && batch > 0 && n % batch == 0,
+               "bad gemm dimensions: n " << n << ", batch " << batch);
   const int k = a.k;
   const int kp = a.kpairs();
   const std::size_t a_tile = static_cast<std::size_t>(kp) * kGemmTileRows * 2;
-  const std::size_t ldc = static_cast<std::size_t>(n);
+  const detail::NchwStore out{static_cast<std::size_t>(a.m),
+                              static_cast<std::size_t>(n / batch)};
   const GemmKernels& kernels = active_gemm_kernels();
   // Integer addition commutes mod 2^32, so beyond the driver's split
   // invariance every ISA produces bitwise-identical C too.
@@ -409,10 +411,18 @@ void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
         }
       },
       [&](int t, int j0, const std::int16_t* bp) {
-        kernels.tile4x16_i16(
-            a.data.data() + t * a_tile, bp, kp,
-            c + static_cast<std::size_t>(t) * kGemmTileRows * ldc + j0, ldc,
-            accumulate);
+        const std::int16_t* apanel = a.data.data() + t * a_tile;
+        const int i0 = t * kGemmTileRows;
+        if (out.tile_in_sample(j0)) {
+          kernels.tile4x16_i16(apanel, bp, kp, c + out.at(i0, j0), out.plane,
+                               accumulate);
+          return;
+        }
+        out.straddled_tile(c, accumulate ? c : nullptr, i0, j0,
+                           [&](std::int32_t* tile) {
+                             kernels.tile4x16_i16(apanel, bp, kp, tile,
+                                                  kGemmTileCols, accumulate);
+                           });
       },
       [&](int t, int j0, int mr, int nr, const std::int16_t*) {
         // Scalar dot-pairs reading B in place, with the micro-kernel's
@@ -420,11 +430,10 @@ void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
         // perturb the bitwise-parity guarantee.
         const std::int16_t* apanel = a.data.data() + t * a_tile;
         for (int i = 0; i < mr; ++i) {
-          std::int32_t* crow =
-              c + static_cast<std::size_t>(t * kGemmTileRows + i) * ldc + j0;
           for (int j = 0; j < nr; ++j) {
+            std::int32_t& cij = c[out.at(t * kGemmTileRows + i, j0 + j)];
             std::uint32_t sum =
-                accumulate ? static_cast<std::uint32_t>(crow[j]) : 0u;
+                accumulate ? static_cast<std::uint32_t>(cij) : 0u;
             const std::int16_t* bcol = b + j0 + j;
             for (int p = 0; p < kp; ++p) {
               const int a0 = apanel[p * kGemmTileRows * 2 + i * 2 + 0];
@@ -436,7 +445,7 @@ void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
               sum += static_cast<std::uint32_t>(a0 * b0) +
                      static_cast<std::uint32_t>(a1 * b1);
             }
-            crow[j] = static_cast<std::int32_t>(sum);
+            cij = static_cast<std::int32_t>(sum);
           }
         }
       });

@@ -217,16 +217,20 @@ struct PackedGemmA16 {
 /// Packs row-major A[m,k] int16 into `out` (storage recycled across calls).
 void pack_gemm_a_i16(const std::int16_t* a, int m, int k, PackedGemmA16& out);
 
-/// Integer GEMM: C[m,n] (+)= A * B with A pre-packed (PackedGemmA16), B
-/// row-major int16 [k,n], C int32. The integer twin of gemm_tiled_pa, on
-/// the same driver (gemm_driver.hpp): B is pair-interleaved per column
-/// panel into recycled thread-local storage, full 4x16 tiles run the
-/// dispatched micro-kernel, ragged edges run an ISA-independent scalar
-/// path with identical wraparound semantics, and the thread split is
-/// bitwise invariant for any worker count (integer addition commutes mod
-/// 2^32).
+/// Integer GEMM: C (+)= A * B with A pre-packed (PackedGemmA16), B
+/// row-major int16 [k,n] (the batched lowering of `batch` samples, n a
+/// multiple of batch), C int32 stored like gemm_tiled_pa_ep's: column j
+/// is pixel j % plane of sample j / plane of an NCHW [batch, m, plane] C
+/// (plane = n / batch), so at batch 1 C is row-major [m, n]. The integer
+/// twin of gemm_tiled_pa, on the same driver (gemm_driver.hpp): B is
+/// pair-interleaved per column panel into recycled thread-local storage,
+/// full 4x16 tiles run the dispatched micro-kernel, ragged edges run an
+/// ISA-independent scalar path with identical wraparound semantics, and
+/// the thread split is bitwise invariant for any worker count (integer
+/// addition commutes mod 2^32).
 void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
-                       std::int32_t* c, int n, bool accumulate);
+                       std::int32_t* c, int n, bool accumulate,
+                       int batch = 1);
 
 /// Measured throughput of this host's GEMM kernels on the current kernel
 /// pool and ISA: one large-conv-sized product (m = 128 out-channels,

@@ -205,20 +205,14 @@ void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
 }
 
 void permute_channel_major(const float* src, float* dst, int batch,
-                           int channels, std::size_t plane, bool to_nchw) {
+                           int channels, std::size_t plane) {
   const std::size_t ncols = plane * static_cast<std::size_t>(batch);
   util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(batch),
                      [&](std::size_t ni) {
     for (int c = 0; c < channels; ++c) {
-      const std::size_t nchw =
-          (ni * static_cast<std::size_t>(channels) + c) * plane;
-      const std::size_t cmajor =
-          static_cast<std::size_t>(c) * ncols + ni * plane;
-      if (to_nchw) {
-        std::memcpy(dst + nchw, src + cmajor, plane * sizeof(float));
-      } else {
-        std::memcpy(dst + cmajor, src + nchw, plane * sizeof(float));
-      }
+      std::memcpy(dst + static_cast<std::size_t>(c) * ncols + ni * plane,
+                  src + (ni * static_cast<std::size_t>(channels) + c) * plane,
+                  plane * sizeof(float));
     }
   });
 }
@@ -273,43 +267,52 @@ float edge_dot(const float* apanel, int i, const float* bcol, int k, int n,
   return sum;
 }
 
-/// The fused-epilogue GEMM over any panel fill: full tiles run the fused
-/// micro-kernel; ragged ones run edge_dot then the SAME epilogue chain
-/// inline (ISA-independent). The epilogue is per-element, so thread-count
-/// invariance stays structural. b is the row-major B the ragged path reads
-/// (nullptr for the implicit lowering, whose geometry has no ragged tile).
+/// The fused-epilogue GEMM over any panel fill, every tile stored through
+/// `out`: full tiles run the fused micro-kernel (a tile straddling two
+/// samples through a scratch tile); ragged ones run edge_dot then the SAME
+/// epilogue chain inline (ISA-independent). The epilogue is per-element,
+/// so thread-count invariance stays structural. b is the row-major B the
+/// ragged path reads (nullptr for the implicit lowering, whose geometry
+/// has no ragged tile).
 template <typename Fill>
 void gemm_ep_panels(const PackedGemmA& a, const float* b, float* c, int n,
-                    const GemmEpilogue& ep, const Fill& fill) {
+                    const detail::NchwStore& out, const GemmEpilogue& ep,
+                    const Fill& fill) {
   const int k = a.k;
   const GemmKernels& kernels = active_gemm_kernels();
-  const std::size_t ldc = static_cast<std::size_t>(n);
   detail::gemm_panels<float>(
       a.m, k, n, micro_panel_floats(k), fill,
       [&](int t, int j0, const float* bp) {
         const int i0 = t * kTileRows;
-        const std::size_t at = static_cast<std::size_t>(i0) * ldc + j0;
-        kernels.tile4x16_ep(
-            a_panel(a, t), bp, k, c + at, ldc,
-            ep.scale != nullptr ? ep.scale + i0 : nullptr,
-            ep.shift != nullptr ? ep.shift + i0 : nullptr, ep.relu,
-            ep.residual != nullptr ? ep.residual + at : nullptr, ldc,
-            ep.beta);
+        const float* scale4 = ep.scale != nullptr ? ep.scale + i0 : nullptr;
+        const float* shift4 = ep.shift != nullptr ? ep.shift + i0 : nullptr;
+        if (out.tile_in_sample(j0)) {
+          const std::size_t at = out.at(i0, j0);
+          kernels.tile4x16_ep(
+              a_panel(a, t), bp, k, c + at, out.plane, scale4, shift4,
+              ep.relu, ep.residual != nullptr ? ep.residual + at : nullptr,
+              out.plane, ep.beta);
+          return;
+        }
+        out.straddled_tile(c, ep.residual, i0, j0, [&](float* tile) {
+          kernels.tile4x16_ep(a_panel(a, t), bp, k, tile, kTileCols, scale4,
+                              shift4, ep.relu,
+                              ep.residual != nullptr ? tile : nullptr,
+                              kTileCols, ep.beta);
+        });
       },
       [&](int t, int j0, int mr, int nr, const float*) {
         for (int i = 0; i < mr; ++i) {
           const int row = t * kTileRows + i;
-          const std::size_t at = static_cast<std::size_t>(row) * ldc + j0;
           for (int j = 0; j < nr; ++j) {
+            const std::size_t at = out.at(row, j0 + j);
             float sum = edge_dot(a_panel(a, t), i, b + j0 + j, k, n, 0.0f);
             // The epilogue chain, op for op the micro-kernel's.
             if (ep.scale != nullptr) sum = sum * ep.scale[row];
             if (ep.shift != nullptr) sum = sum + ep.shift[row];
             if (ep.relu) sum = sum > 0.0f ? sum : 0.0f;
-            if (ep.residual != nullptr) {
-              sum = sum + ep.beta * ep.residual[at + j];
-            }
-            c[at + j] = sum;
+            if (ep.residual != nullptr) sum = sum + ep.beta * ep.residual[at];
+            c[at] = sum;
           }
         }
       });
@@ -410,9 +413,12 @@ void gemm_tiled_pa(const PackedGemmA& a, const float* b, float* c, int n,
 }
 
 void gemm_tiled_pa_ep(const PackedGemmA& a, const float* b, float* c, int n,
-                      const GemmEpilogue& ep) {
-  ODENET_CHECK(n >= 0, "bad gemm dimensions");
-  gemm_ep_panels(a, b, c, n, ep, [&](int p0, int pn, float* packed) {
+                      const GemmEpilogue& ep, int batch) {
+  ODENET_CHECK(n >= 0 && batch > 0 && n % batch == 0,
+               "bad gemm dimensions: n " << n << ", batch " << batch);
+  const detail::NchwStore out{static_cast<std::size_t>(a.m),
+                              static_cast<std::size_t>(n / batch)};
+  gemm_ep_panels(a, b, c, n, out, ep, [&](int p0, int pn, float* packed) {
     pack_b_panel(b, a.k, n, p0, pn, packed);
   });
 }
@@ -543,12 +549,13 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
   }
 
   // gemm_tiled_pa_ep with the B-panel pack replaced by the direct gather.
-  // plane % 16 == 0 means every micro-panel sits inside one sample and
-  // every panel width is a multiple of 16, so there are no ragged column
-  // edges; m % 4 == 0 removes the ragged row edge. Same packed values, same
-  // kernel, same sweep order as the explicit composition — bitwise
-  // identical output.
-  gemm_ep_panels(a, nullptr, c, n, ep,
+  // plane % 16 == 0 means every micro-panel (and every output tile) sits
+  // inside one sample and every panel width is a multiple of 16, so there
+  // are no ragged column edges; m % 4 == 0 removes the ragged row edge.
+  // Same packed values, same kernel, same sweep order as the explicit
+  // composition — bitwise identical output.
+  const detail::NchwStore out{static_cast<std::size_t>(m), plane};
+  gemm_ep_panels(a, nullptr, c, n, out, ep,
                  [&](int p0, int pn, float* packed) {
     const int full_tiles = pn / kTileCols;
     for (int p = 0; p < k; ++p) {
@@ -578,22 +585,6 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
           while (q0 - rowbase >= uw) rowbase += uw;
         }
       }
-    }
-  });
-}
-
-void permute_channel_major_add(const float* src, float* dst, int batch,
-                               int channels, std::size_t plane) {
-  const std::size_t ncols = plane * static_cast<std::size_t>(batch);
-  const GemmKernels& kernels = active_gemm_kernels();
-  util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(batch),
-                     [&](std::size_t ni) {
-    for (int c = 0; c < channels; ++c) {
-      const std::size_t nchw =
-          (ni * static_cast<std::size_t>(channels) + c) * plane;
-      const std::size_t cmajor =
-          static_cast<std::size_t>(c) * ncols + ni * plane;
-      kernels.axpy_f32(1.0f, src + cmajor, dst + nchw, plane);
     }
   });
 }

@@ -65,12 +65,12 @@ void im2col_batched_i16(const std::int16_t* src, const LoweringGeometry& g,
 void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
                     float* dst);
 
-/// The layout change around a batched-lowering GEMM: copies between the
-/// channel-major matrix view [C, N*plane] (sample n in column block
-/// n*plane) and the sample-major NCHW view [N, C, plane]. to_nchw selects
-/// the direction; src and dst must not alias. Parallelized over samples.
+/// Copies an NCHW [N, C, plane] tensor into the channel-major matrix view
+/// [C, N*plane] (sample n in column block n*plane) — the conv backward's
+/// grad_out as its batched GEMMs read it. src and dst must not alias.
+/// Parallelized over samples.
 void permute_channel_major(const float* src, float* dst, int batch,
-                           int channels, std::size_t plane, bool to_nchw);
+                           int channels, std::size_t plane);
 
 /// Register-blocked GEMM: C[m,n] (+)= A[m,k] * B[k,n], row-major,
 /// accumulation over k in ascending order; when accumulate is false C is
@@ -117,25 +117,29 @@ void gemm_tiled_pa(const PackedGemmA& a, const float* b, float* c, int n,
 ///                                    the output ROW, i.e. the conv's out
 ///                                    channel)
 ///   t = max(t, 0)                   (when relu)
-///   t = t + beta * residual[i*n+j]  (when residual != nullptr)
-/// residual shares C's [m,n] layout and MAY alias c — each tile reads its
-/// own residual window before storing, so in-place `c = ep(A*B) + beta*c`
+///   t = t + beta * residual[..]     (when residual != nullptr)
+/// residual shares C's layout and MAY alias c — each tile reads its own
+/// residual window before storing, so in-place `c = ep(A*B) + beta*c`
 /// (the Euler update z += h*f(z)) is safe under any thread split.
 struct GemmEpilogue {
   const float* scale = nullptr;  // per-row multipliers [m]
   const float* shift = nullptr;  // per-row addends [m]
   bool relu = false;
-  const float* residual = nullptr;  // [m,n], may alias c
+  const float* residual = nullptr;  // C's layout, may alias c
   float beta = 1.0f;
 };
 
 /// gemm_tiled_pa with the epilogue fused into the micro-kernel's store:
-/// C[m,n] = ep(A * B[k,n]). Always overwrites (residual IS the accumulate
-/// path). The GEMM summation order is identical to gemm_tiled_pa, and the
-/// epilogue arithmetic is bitwise identical to running the unfused GEMM
-/// followed by the standalone elementwise kernels, on either ISA.
+/// C = ep(A * B[k,n]), B the batched lowering of `batch` samples (n a
+/// multiple of batch). Column j of the product is pixel j % plane of
+/// sample j / plane (plane = n / batch): C is the NCHW [batch, m, plane]
+/// conv output, and at batch 1 the row-major [m, n]. Always overwrites
+/// (residual IS the accumulate path). The GEMM summation order is
+/// identical to gemm_tiled_pa, and the epilogue arithmetic is bitwise
+/// identical to running the unfused GEMM followed by the standalone
+/// elementwise kernels, on either ISA.
 void gemm_tiled_pa_ep(const PackedGemmA& a, const float* b, float* c, int n,
-                      const GemmEpilogue& ep);
+                      const GemmEpilogue& ep, int batch = 1);
 
 /// True when gemm_tiled_pa_ep_lowered can run the lowering implicitly:
 /// stride-1 "same" geometry (out extents == in extents), plane a multiple
@@ -148,20 +152,15 @@ bool gemm_implicit_lowering_ok(const LoweringGeometry& g, int m);
 /// instead of materializing the [C*K*K, N*plane] column matrix and copying
 /// it into micro-panels, each panel row is gathered straight from the
 /// [N,C,H,W] image (shifted plane copy + zeroed out-of-image taps). Packed
-/// panel values, summation order, and epilogue are identical to the
-/// explicit im2col_batched + gemm_tiled_pa_ep composition, so results are
-/// bitwise equal on either ISA and under any thread split — the fused
-/// inference path just skips one full write + read of the column matrix.
-/// Requires gemm_implicit_lowering_ok(g, a.m) and a.k == g.col_rows().
+/// panel values, summation order, epilogue and the NCHW [batch, m, plane]
+/// output are identical to the explicit im2col_batched +
+/// gemm_tiled_pa_ep(..., batch) composition, so results are bitwise equal
+/// on either ISA and under any thread split — the conv just skips one full
+/// write + read of the column matrix. Requires
+/// gemm_implicit_lowering_ok(g, a.m) and a.k == g.col_rows().
 void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
                               const LoweringGeometry& g, int batch, float* c,
                               const GemmEpilogue& ep);
-
-/// permute_channel_major(to_nchw=true) fused with an axpy: NCHW dst +=
-/// channel-major src (the batched fused conv's residual accumulation).
-/// src and dst must not alias. Parallelized over samples.
-void permute_channel_major_add(const float* src, float* dst, int batch,
-                               int channels, std::size_t plane);
 
 /// C[m,n] (+)= A[m,k] * B with B stored transposed, [n,k] row-major: the
 /// conv weight gradient G * cols^T (cols is [C*K*K, N*Ho*Wo]) and the

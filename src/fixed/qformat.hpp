@@ -67,10 +67,6 @@ class Fixed {
   }
 
   constexpr Storage raw() const { return raw_; }
-  float to_float() const {
-    return static_cast<float>(static_cast<double>(raw_) /
-                              static_cast<double>(kOneRaw));
-  }
   double to_double() const {
     return static_cast<double>(raw_) / static_cast<double>(kOneRaw);
   }

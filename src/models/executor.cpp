@@ -1,7 +1,7 @@
 #include "models/executor.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "core/gemm_kernels.hpp"
@@ -129,44 +129,25 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
   const core::LoweringGeometry g{.channels = ci, .height = h, .width = w,
                                  .kernel = cfg.kernel, .stride = cfg.stride,
                                  .pad = cfg.pad};
-  const int ho = g.out_h(), wo = g.out_w();
   const int co = cfg.out_channels;
-  const int kk = static_cast<int>(g.col_rows());
-  const std::size_t cc = g.col_cols();
+  const std::size_t ncols = g.col_cols() * static_cast<std::size_t>(n);
 
   const core::FixedPackedWeights& pack = packed_weights(conv);
 
-  // Time-plane augmentation with the time VALUE on the Q grid (the
-  // hardware folds t into a bias plane at the same precision).
+  // The time VALUE sits on the Q grid (the hardware folds t into a bias
+  // plane at the same precision).
   const float tq = cfg.time_channel ? fixed::qdq_value(t, frac_bits_) : 0.0f;
-  core::Tensor aug;
-  const core::Tensor* in = &x;
-  if (cfg.time_channel) {
-    aug = core::Tensor({n, ci, h, w});
-    const std::size_t plane = static_cast<std::size_t>(h) * w;
-    const std::size_t in_sample = static_cast<std::size_t>(c) * plane;
-    const std::size_t aug_sample = static_cast<std::size_t>(ci) * plane;
-    for (int i = 0; i < n; ++i) {
-      std::memcpy(aug.data() + i * aug_sample, x.data() + i * in_sample,
-                  in_sample * sizeof(float));
-      float* tplane = aug.data() + i * aug_sample + in_sample;
-      for (std::size_t j = 0; j < plane; ++j) tplane[j] = tq;
-    }
-    in = &aug;
-  }
-
-  core::Tensor out({n, co, ho, wo});
-  const std::size_t ncols = cc * static_cast<std::size_t>(n);
-  const std::size_t in_elems = static_cast<std::size_t>(n) * ci * h * w;
+  core::Tensor out({n, co, g.out_h(), g.out_w()});
   // Dynamic activation scale for this call: the finest Q(fa) grid whose
-  // rounded values cannot saturate int16 for the observed range (ODE
-  // stages legitimately push activations past +-8 as the Euler sweep
-  // accumulates, so a fixed fa would clip them). The scan is exact and
-  // order-independent, so the scale — and everything downstream — is
-  // deterministic for any ISA or worker count.
+  // rounded values cannot saturate int16 for the observed range of the
+  // input and its time plane (ODE stages legitimately push activations
+  // past +-8 as the Euler sweep accumulates, so a fixed fa would clip
+  // them). The scan is exact and order-independent, so the scale — and
+  // everything downstream — is deterministic for any ISA or worker count.
   int fa = -1;
   if (pack.i16_ok) {
-    const float mx = fixed::max_abs(in->data(), in_elems);
+    const float mx =
+        std::max(fixed::max_abs(x.data(), x.numel()), std::fabs(tq));
     if (std::isfinite(mx)) {
       fa = kActFracMax;
       while (fa > 0 &&
@@ -181,58 +162,43 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
     }
   }
   if (fa >= 0) {
-    // Integer path: quantize the (augmented) input once into int16 at
-    // Q(fa), lower the int16 image, run the integer GEMM into int32
-    // accumulators, and requantize via ONE rounding shift straight onto
-    // the Q(frac_bits) grid — no per-element float qdq afterwards (the
-    // shift output is exactly grid-aligned by construction).
-    const std::size_t col_elems = static_cast<std::size_t>(kk) * ncols;
-    i16_scratch_.resize(in_elems + col_elems);
+    // Integer path: quantize the input once into int16 at Q(fa), each
+    // sample followed by its quantized time plane; lower the int16 image,
+    // run the integer GEMM into NCHW int32 accumulators, and requantize
+    // via ONE rounding shift straight into the Q(frac_bits) output — no
+    // per-element float qdq afterwards (the shift output is exactly
+    // grid-aligned by construction).
+    const std::size_t plane = static_cast<std::size_t>(h) * w;
+    const std::size_t in_sample = static_cast<std::size_t>(c) * plane;
+    const std::size_t q_sample = static_cast<std::size_t>(ci) * plane;
+    const std::size_t in_elems = q_sample * static_cast<std::size_t>(n);
+    i16_scratch_.resize(in_elems + g.col_rows() * ncols);
     std::int16_t* inq = i16_scratch_.data();
     std::int16_t* cols = i16_scratch_.data() + in_elems;
-    fixed::quantize_i16(in->data(), inq, in_elems, fa);
-    core::im2col_batched_i16(inq, g, n, cols);
-    acc_scratch_.resize(static_cast<std::size_t>(co) * ncols);
-    core::gemm_i16_tiled_pa(pack.packed16, cols, acc_scratch_.data(),
-                            static_cast<int>(ncols), /*accumulate=*/false);
-    const int shift = fa + pack.weight_frac_bits - frac_bits_;
-    if (n == 1) {
-      fixed::requantize_i32(acc_scratch_.data(), out.data(),
-                            acc_scratch_.size(), shift, frac_bits_);
-    } else {
-      core::ScratchArena& arena = conv.lowering_arena();
-      arena.frame(static_cast<std::size_t>(co) * ncols);
-      float* y = arena.alloc(static_cast<std::size_t>(co) * ncols);
-      fixed::requantize_i32(acc_scratch_.data(), y, acc_scratch_.size(),
-                            shift, frac_bits_);
-      core::permute_channel_major(y, out.data(), n, co, cc, /*to_nchw=*/true);
+    std::int16_t tq16 = 0;
+    if (cfg.time_channel) fixed::quantize_i16(&tq, &tq16, 1, fa);
+    for (int i = 0; i < n; ++i) {
+      std::int16_t* sample = inq + i * q_sample;
+      fixed::quantize_i16(x.data() + i * in_sample, sample, in_sample, fa);
+      if (cfg.time_channel) std::fill_n(sample + in_sample, plane, tq16);
     }
+    core::im2col_batched_i16(inq, g, n, cols);
+    acc_scratch_.resize(out.numel());
+    core::gemm_i16_tiled_pa(pack.packed16, cols, acc_scratch_.data(),
+                            static_cast<int>(ncols), /*accumulate=*/false, n);
+    fixed::requantize_i32(acc_scratch_.data(), out.data(), out.numel(),
+                          fa + pack.weight_frac_bits - frac_bits_,
+                          frac_bits_);
     return out;
   }
   // Float-carrier fallback (a conv that fails the int16 envelope, or a
   // call whose activation range leaves no valid requantization shift):
-  // whole-batch lowering + one packed float GEMM on the Q-grid weights,
-  // scratch from the conv's recycled arena.
+  // the conv's own lowered GEMM on the Q-grid weights and time value,
+  // then one elementwise requantization — the accumulator ran at full
+  // precision, the output map re-enters the Q-grid datapath once.
   ++float_carrier_calls_;
-  core::ScratchArena& arena = conv.lowering_arena();
-  if (n == 1) {
-    arena.frame(static_cast<std::size_t>(kk) * ncols);
-    float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
-    core::im2col_batched(in->data(), g, n, cols);
-    core::gemm_tiled_pa(pack.packed, cols, out.data(),
-                        static_cast<int>(ncols), /*accumulate=*/false);
-  } else {
-    arena.frame(static_cast<std::size_t>(kk) * ncols +
-                static_cast<std::size_t>(co) * ncols);
-    float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
-    float* y = arena.alloc(static_cast<std::size_t>(co) * ncols);
-    core::im2col_batched(in->data(), g, n, cols);
-    core::gemm_tiled_pa(pack.packed, cols, y, static_cast<int>(ncols),
-                        /*accumulate=*/false);
-    core::permute_channel_major(y, out.data(), n, co, cc, /*to_nchw=*/true);
-  }
-  // Post-GEMM requantization: the accumulator ran at full precision, the
-  // output map re-enters the Q-grid datapath once per element.
+  conv.run(x, tq, pack.packed, core::ConvEpilogue{}, out,
+           /*accumulate=*/false);
   fixed::qdq_inplace(out, frac_bits_);
   return out;
 }

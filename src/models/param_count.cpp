@@ -56,10 +56,6 @@ double network_param_kb(const NetworkSpec& spec) {
   return network_param_bytes(spec) / 1000.0;
 }
 
-double stage_param_kb(const StageSpec& spec) {
-  return static_cast<double>(stage_param_count(spec)) * 4.0 / 1000.0;
-}
-
 std::vector<Table2Row> table2_rows(const WidthConfig& w) {
   const int c = w.base_channels;
   const int s = w.input_size;

@@ -32,7 +32,6 @@ std::size_t network_param_count(const NetworkSpec& spec);
 double network_param_bytes(const NetworkSpec& spec);
 /// Paper units: kB = 1000 bytes, float32.
 double network_param_kb(const NetworkSpec& spec);
-double stage_param_kb(const StageSpec& spec);
 
 /// One row of the paper's Table 2 (network structure of ODENet).
 struct Table2Row {

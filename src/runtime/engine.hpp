@@ -190,9 +190,6 @@ class InferenceEngine {
   /// engine (shutdown unsubscribes). One registry per engine.
   void serve_from(models::SnapshotRegistry& registry);
 
-  /// Model name requests are matched against (EngineConfig::model).
-  const std::string& model_name() const { return cfg_.model; }
-
   /// Per-tenant ledger (quota/fairness state + counters).
   const TenantTable& tenants() const { return tenants_; }
 

@@ -66,8 +66,6 @@ struct RequestClass {
   /// Tenant the request is accounted against (interned at submit from
   /// SubmitOptions::tenant; quota/fairness handle, see runtime/tenant.hpp).
   TenantId tenant = kDefaultTenant;
-
-  bool has_deadline() const { return deadline != Clock::time_point::max(); }
 };
 
 /// Sentinel backend index: let the engine place the request

@@ -76,7 +76,7 @@ models::ModelSnapshot::Ptr Trainer::publish_snapshot() {
     // travel. A registry that already evicted the base (or a first
     // publish) gets the full snapshot.
     const bool can_delta =
-        cfg_.publish_delta && last_published_ != nullptr &&
+        last_published_ != nullptr &&
         cfg_.registry->find(cfg_.registry_model,
                             last_published_->version()) != nullptr;
     if (can_delta) {

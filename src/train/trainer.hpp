@@ -60,11 +60,6 @@ struct TrainerConfig {
   /// training; on_snapshot still sees the raw snapshot either way).
   models::SnapshotRegistry* registry = nullptr;
   std::string registry_model = "default";
-  /// Ship registry publishes as deltas against the previous published
-  /// base when it is still retained: only tensors the optimizer actually
-  /// changed travel (a head fine-tune does not re-ship the trunk). Falls
-  /// back to a full publish when no retained base exists.
-  bool publish_delta = true;
 };
 
 class Trainer {

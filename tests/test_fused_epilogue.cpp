@@ -10,8 +10,12 @@
 //    scalar-vs-AVX2 (including -0.0 and NaN for relu);
 //  * thread-count invariance of the epilogue GEMM and its implicit-lowering
 //    twin (bitwise at 1/2/8);
-//  * Conv2d::forward_fused == forward + affine + relu (+ accumulate),
-//    both the n==1 direct-GEMM path and the n>1 permute path;
+//  * the batched NCHW store of the epilogue GEMM and its implicit-lowering
+//    twin against the batch-1 (channel-major) product permuted in the
+//    test — BITWISE, tiles inside one sample and straddling samples,
+//    residual aliasing the output, scalar and AVX2, 1/2/8 workers;
+//  * Conv2d::forward_fused == forward + affine + relu (+ accumulate), at
+//    batch 1 and batched;
 //  * BuildingBlock fused branch/forward/Euler and the fused OdeBlock solve
 //    vs the conv1 -> bn1 -> ReLU -> conv2 -> bn2 chain run layer by layer;
 //  * training mode is untouched (fused path gated off, outputs bitwise);
@@ -138,6 +142,48 @@ struct PoolOverride {
     gemm_set_parallel_min_flops(0);
   }
 };
+
+/// Runs `check` under the active ISA and the scalar fallback, each on a
+/// 1-, 2- and 8-worker kernel pool with the parallel threshold forced to
+/// one flop, so even the smallest shape takes the panel split.
+template <typename Fn>
+void on_every_kernel_config(const Fn& check) {
+  for (bool scalar : {false, true}) {
+    ForceScalar forced(scalar);
+    for (std::size_t workers : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << (scalar ? "scalar" : gemm_isa_name())
+                                      << " workers=" << workers);
+      ou::ThreadPool pool(workers);
+      PoolOverride ov(&pool, 1);
+      check();
+    }
+  }
+}
+
+/// The channel-major [m, batch * plane] matrix re-laid as NCHW
+/// [batch, m, plane] (to_cm = false) or back — the permute the batched
+/// store replaced, written out as the reference.
+std::vector<float> relayout(const std::vector<float>& src, int m, int batch,
+                            std::size_t plane, bool to_cm) {
+  std::vector<float> dst(src.size());
+  const std::size_t ncols = plane * static_cast<std::size_t>(batch);
+  for (int s = 0; s < batch; ++s) {
+    for (int i = 0; i < m; ++i) {
+      for (std::size_t q = 0; q < plane; ++q) {
+        const std::size_t cm = static_cast<std::size_t>(i) * ncols +
+                               static_cast<std::size_t>(s) * plane + q;
+        const std::size_t nchw =
+            (static_cast<std::size_t>(s) * m + i) * plane + q;
+        if (to_cm) {
+          dst[cm] = src[nchw];
+        } else {
+          dst[nchw] = src[cm];
+        }
+      }
+    }
+  }
+  return dst;
+}
 
 /// The layer chain the fused branch replaces, run explicitly on the
 /// block's own layers: conv1 -> bn1 -> ReLU -> conv2 -> bn2 at time t.
@@ -324,7 +370,7 @@ TEST(FusedEpilogue, ImplicitLoweringMatchesExplicitBitwise) {
     auto check = [&] {
       std::vector<float> explicit_c(cn, -1.0f), implicit_c(cn, -2.0f);
       gemm_tiled_pa_ep(pa, cols.data(), explicit_c.data(),
-                       static_cast<int>(n), ep);
+                       static_cast<int>(n), ep, batch);
       gemm_tiled_pa_ep_lowered(pa, src.data(), g, batch, implicit_c.data(),
                                ep);
       ASSERT_EQ(0, std::memcmp(explicit_c.data(), implicit_c.data(),
@@ -356,6 +402,100 @@ TEST(FusedEpilogue, ImplicitLoweringMatchesExplicitBitwise) {
       {.channels = 3, .height = 8, .width = 8, .kernel = 3, .stride = 1,
        .pad = 0},
       4));  // "valid" conv: out extents shrink
+}
+
+TEST(FusedEpilogue, BatchedStoreMatchesChannelMajorReferenceBitwise) {
+  // gemm_tiled_pa_ep(..., batch) stores column j at pixel j % plane of
+  // sample j / plane. The reference is the same GEMM at batch 1 — the
+  // channel-major [m, batch * plane] product, its residual laid out alike
+  // — permuted to NCHW here. A plane of 64 keeps every tile inside one
+  // sample; 36 and 20 make full tiles straddle two samples, 7 three; m = 6
+  // and the odd planes add ragged rows and columns. The batched run
+  // accumulates in place: its residual IS the output.
+  struct Geo {
+    int m, k, plane, batch;
+  };
+  const Geo geos[] = {{8, 27, 64, 3}, {8, 36, 36, 3}, {6, 9, 20, 5},
+                      {4, 18, 7, 8},  {12, 45, 36, 2}};
+  ou::Rng rng(33);
+  for (const Geo& geo : geos) {
+    SCOPED_TRACE(testing::Message() << "m=" << geo.m << " k=" << geo.k
+                                    << " plane=" << geo.plane
+                                    << " batch=" << geo.batch);
+    const std::size_t plane = static_cast<std::size_t>(geo.plane);
+    const int n = geo.plane * geo.batch;
+    const auto a = random_vec(static_cast<std::size_t>(geo.m) * geo.k, rng);
+    const auto b = random_vec(static_cast<std::size_t>(geo.k) * n, rng);
+    const auto scale = random_vec(static_cast<std::size_t>(geo.m), rng);
+    const auto shift = random_vec(static_cast<std::size_t>(geo.m), rng);
+    const auto state = random_vec(static_cast<std::size_t>(geo.m) * n, rng);
+    PackedGemmA pa;
+    pack_gemm_a(a.data(), geo.m, geo.k, pa);
+    GemmEpilogue ep;
+    ep.scale = scale.data();
+    ep.shift = shift.data();
+    ep.relu = true;
+    ep.beta = 0.5f;
+    on_every_kernel_config([&] {
+      std::vector<float> state_cm =
+          relayout(state, geo.m, geo.batch, plane, true);
+      std::vector<float> want_cm(state.size());
+      ep.residual = state_cm.data();
+      gemm_tiled_pa_ep(pa, b.data(), want_cm.data(), n, ep);
+      const auto want = relayout(want_cm, geo.m, geo.batch, plane, false);
+      std::vector<float> got = state;
+      ep.residual = got.data();
+      gemm_tiled_pa_ep(pa, b.data(), got.data(), n, ep, geo.batch);
+      ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                               got.size() * sizeof(float)));
+    });
+  }
+
+  // The implicit lowering stores the same way (its planes are multiples
+  // of 16); the reference is the explicit lowering at batch 1, permuted.
+  struct LoweredGeo {
+    int c, hw, m, batch;
+  };
+  const LoweredGeo lowered[] = {{3, 8, 8, 3}, {4, 4, 4, 5}, {2, 16, 12, 2}};
+  for (const LoweredGeo& geo : lowered) {
+    SCOPED_TRACE(testing::Message() << "lowered c=" << geo.c << " hw="
+                                    << geo.hw << " m=" << geo.m
+                                    << " batch=" << geo.batch);
+    const LoweringGeometry g{.channels = geo.c, .height = geo.hw,
+                             .width = geo.hw};
+    ASSERT_TRUE(gemm_implicit_lowering_ok(g, geo.m));
+    const int kk = static_cast<int>(g.col_rows());
+    const std::size_t plane = g.col_cols();
+    const int n = static_cast<int>(plane) * geo.batch;
+    const auto src = random_vec(
+        static_cast<std::size_t>(geo.batch) * geo.c * plane, rng);
+    const auto wvec = random_vec(static_cast<std::size_t>(geo.m) * kk, rng);
+    const auto scale = random_vec(static_cast<std::size_t>(geo.m), rng);
+    const auto shift = random_vec(static_cast<std::size_t>(geo.m), rng);
+    const auto state = random_vec(static_cast<std::size_t>(geo.m) * n, rng);
+    PackedGemmA pa;
+    pack_gemm_a(wvec.data(), geo.m, kk, pa);
+    std::vector<float> cols(static_cast<std::size_t>(kk) * n);
+    im2col_batched(src.data(), g, geo.batch, cols.data());
+    GemmEpilogue ep;
+    ep.scale = scale.data();
+    ep.shift = shift.data();
+    ep.relu = true;
+    ep.beta = 0.5f;
+    on_every_kernel_config([&] {
+      std::vector<float> state_cm =
+          relayout(state, geo.m, geo.batch, plane, true);
+      std::vector<float> want_cm(state.size());
+      ep.residual = state_cm.data();
+      gemm_tiled_pa_ep(pa, cols.data(), want_cm.data(), n, ep);
+      const auto want = relayout(want_cm, geo.m, geo.batch, plane, false);
+      std::vector<float> got = state;
+      ep.residual = got.data();
+      gemm_tiled_pa_ep_lowered(pa, src.data(), g, geo.batch, got.data(), ep);
+      ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                               got.size() * sizeof(float)));
+    });
+  }
 }
 
 TEST(FusedEpilogue, GemmEpThreadCountInvarianceIsBitwise) {
@@ -576,8 +716,9 @@ TEST(FusedEpilogue, ConvForwardFusedMatchesUnfusedChain) {
     int n, ci, co, hw;
     bool time_channel;
   };
-  // Both GEMM->output paths: n == 1 writes NCHW directly, n > 1 goes
-  // through the channel-major permute.
+  // Batch 1 and batched; planes that are multiples of 16 (hw 8: implicit
+  // lowering) and planes that are not (explicit lowering, output tiles
+  // straddling two samples).
   const Geo geos[] = {
       {1, 3, 5, 6, false}, {1, 4, 4, 7, true},  {3, 3, 5, 6, false},
       {2, 4, 4, 5, true},  {4, 8, 8, 8, true},  {2, 2, 7, 9, false},

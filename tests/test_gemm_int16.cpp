@@ -7,6 +7,10 @@
 //    (both sides use defined wraparound arithmetic);
 //  * thread-count invariance — the panel x row-block split never changes
 //    any tile's summation order, so 1/2/8 workers agree bitwise;
+//  * the batched NCHW store against the batch-1 (channel-major) product
+//    permuted in the test — bitwise, tiles inside one sample and
+//    straddling samples, overwrite and accumulate, scalar and AVX2, 1/2/8
+//    workers;
 //  * saturation edges — operands at the int16 rails accumulate exactly
 //    while the true sum fits int32;
 //  * the SIMD quantize kernels (qdq_f32, quant_f32_i16) against the
@@ -95,6 +99,32 @@ struct PoolOverride {
     gemm_set_parallel_min_flops(0);
   }
 };
+
+/// The channel-major [m, batch * plane] matrix re-laid as NCHW
+/// [batch, m, plane] (to_cm = false) or back — the permute the batched
+/// store replaced, written out as the reference.
+std::vector<std::int32_t> relayout(const std::vector<std::int32_t>& src,
+                                   int m, int batch, std::size_t plane,
+                                   bool to_cm) {
+  std::vector<std::int32_t> dst(src.size());
+  const std::size_t ncols = plane * static_cast<std::size_t>(batch);
+  for (int s = 0; s < batch; ++s) {
+    for (int i = 0; i < m; ++i) {
+      for (std::size_t q = 0; q < plane; ++q) {
+        const std::size_t cm = static_cast<std::size_t>(i) * ncols +
+                               static_cast<std::size_t>(s) * plane + q;
+        const std::size_t nchw =
+            (static_cast<std::size_t>(s) * m + i) * plane + q;
+        if (to_cm) {
+          dst[cm] = src[nchw];
+        } else {
+          dst[nchw] = src[cm];
+        }
+      }
+    }
+  }
+  return dst;
+}
 
 void run_i16_sweep(ou::Rng& rng) {
   for (const Shape& s : kShapes) {
@@ -192,6 +222,59 @@ TEST(GemmInt16, ThreadCountInvarianceIsBitwise) {
       EXPECT_EQ(0, std::memcmp(got.data(), base.data(),
                                cn * sizeof(std::int32_t)))
           << "gemm_i16_tiled_pa differs at " << workers << " workers";
+    }
+  }
+}
+
+TEST(GemmInt16, BatchedStoreMatchesChannelMajorReferenceBitwise) {
+  // gemm_i16_tiled_pa(..., batch) stores column j at pixel j % plane of
+  // sample j / plane. The reference is the same GEMM at batch 1 — the
+  // channel-major [m, batch * plane] product — permuted to NCHW here. A
+  // plane of 64 keeps every tile inside one sample; 36 and 20 make full
+  // tiles straddle two samples, 7 three; m = 6, odd k and the odd planes
+  // add ragged rows, columns and the phantom k tap.
+  struct Geo {
+    int m, k, plane, batch;
+  };
+  const Geo geos[] = {{8, 27, 64, 3}, {8, 37, 36, 3}, {6, 9, 20, 5},
+                      {4, 18, 7, 8}};
+  ou::Rng rng(26);
+  for (const Geo& geo : geos) {
+    SCOPED_TRACE(testing::Message() << "m=" << geo.m << " k=" << geo.k
+                                    << " plane=" << geo.plane
+                                    << " batch=" << geo.batch);
+    const std::size_t plane = static_cast<std::size_t>(geo.plane);
+    const int n = geo.plane * geo.batch;
+    const auto a = random_i16(geo.m, geo.k, 300, rng);
+    const auto b = random_i16(geo.k, n, 300, rng);
+    std::vector<std::int32_t> init(static_cast<std::size_t>(geo.m) * n);
+    for (auto& v : init) {
+      v = static_cast<std::int32_t>(rng.uniform_int(2001)) - 1000;
+    }
+    PackedGemmA16 pa;
+    pack_gemm_a_i16(a.data(), geo.m, geo.k, pa);
+    for (bool scalar : {false, true}) {
+      ForceScalar forced(scalar);
+      for (std::size_t workers : {1u, 2u, 8u}) {
+        ou::ThreadPool pool(workers);
+        PoolOverride ov(&pool, 1);
+        for (bool accumulate : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << (scalar ? "scalar" : gemm_isa_name())
+                       << " workers=" << workers
+                       << " accumulate=" << accumulate);
+          std::vector<std::int32_t> want_cm =
+              relayout(init, geo.m, geo.batch, plane, true);
+          gemm_i16_tiled_pa(pa, b.data(), want_cm.data(), n, accumulate);
+          const auto want =
+              relayout(want_cm, geo.m, geo.batch, plane, false);
+          std::vector<std::int32_t> got = init;
+          gemm_i16_tiled_pa(pa, b.data(), got.data(), n, accumulate,
+                            geo.batch);
+          ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                   got.size() * sizeof(std::int32_t)));
+        }
+      }
     }
   }
 }

@@ -285,18 +285,24 @@ TEST(SnapshotRegistry, TrainerPublishesDeltasIntoTheRegistry) {
     }
   }
 
-  // With delta publishing off, the second publish re-ships everything.
-  SnapshotRegistry full_reg;
+  // At retention 1 another publisher's version evicts the trainer's
+  // base, so the trainer's next publish re-ships the full image.
+  SnapshotRegistry small_reg(SnapshotRegistry::Config{.retention = 1});
   models::Network net2 = make_net(9);
   train::TrainerConfig cfg2;
-  cfg2.registry = &full_reg;
+  cfg2.registry = &small_reg;
   cfg2.registry_model = "full";
-  cfg2.publish_delta = false;
   train::Trainer t2(net2, cfg2);
-  (void)t2.publish_snapshot();
+  const auto base = t2.publish_snapshot();
+  ASSERT_TRUE(t2.last_publish().accepted);
+  models::Network other = make_net(10);
+  ASSERT_TRUE(small_reg.publish("full", other.export_snapshot()).accepted);
+  ASSERT_EQ(small_reg.find("full", base->version()), nullptr);
   perturb_fc(net2, 0.125f);
   (void)t2.publish_snapshot();
+  EXPECT_TRUE(t2.last_publish().accepted);
   EXPECT_FALSE(t2.last_publish().was_delta);
   EXPECT_EQ(t2.last_publish().tensors_shipped,
             t2.last_publish().tensors_total);
+  EXPECT_EQ(t2.last_publish().bytes_shipped, t2.last_publish().bytes_total);
 }

@@ -53,14 +53,15 @@ HIGHER_BETTER_ABSOLUTE = {
 # shed_goodput_ratio is gated because it is additionally stabilized
 # (best-of-3 in the bench) and doubles as the shed_protects acceptance.
 # The fractions of the measured GEMM peak (batched_fwd_frac_peak_b16,
-# batched_fwd_bwd_frac_peak_b16, float_frac_peak, fixed_frac_peak,
-# fused_ode_frac_peak) and routing_speedup spread more than the 20% band
-# over repeated runs on one host, so they are gated only through the
-# floor verdicts in BOOLEAN_GATES (the *_frac_peak_ok floors,
-# routing_wins).
+# batched_fwd_bwd_frac_peak_b16, fused_fwd_frac_peak_b16, float_frac_peak,
+# fixed_frac_peak, fused_ode_frac_peak) and routing_speedup spread more
+# than the 20% band over repeated runs on one host, so they are gated only
+# through the floor verdicts in BOOLEAN_GATES (the *_frac_peak_ok floors,
+# routing_wins). fused_conv_bn_relu_speedup is context: both of its arms
+# run the same conv, so it measures only the two elementwise passes fusion
+# saves, and its spread crosses the 20% band.
 HIGHER_BETTER_RELATIVE = {
     "batched_speedup",
-    "fused_conv_bn_relu_speedup",
     "shed_goodput_ratio",
     "cluster_scaling_4x",
     "spill_goodput_ratio",
@@ -86,6 +87,7 @@ BOOLEAN_GATES = {
     "routing_wins",
     "batched_fwd_frac_peak_ok",
     "batched_fwd_bwd_frac_peak_ok",
+    "fused_fwd_frac_peak_ok",
     "float_frac_peak_ok",
     "fixed_frac_peak_ok",
     "fused_ode_frac_peak_ok",
