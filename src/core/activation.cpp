@@ -9,7 +9,7 @@ Tensor ReLU::forward(const Tensor& x) {
   const float* src = x.data();
   float* dst = out.data();
   if (training_) {
-    cached_mask_ = Tensor(x.shape());
+    if (!cached_mask_.same_shape(x)) cached_mask_ = Tensor(x.shape());
     float* mask = cached_mask_.data();
     for (std::size_t i = 0; i < x.numel(); ++i) {
       const bool pos = src[i] > 0.0f;

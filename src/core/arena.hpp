@@ -1,8 +1,8 @@
 // Reusable scratch memory for the lowered-convolution hot path.
 //
 // The batched im2col/GEMM convolution (core/conv2d.hpp) needs large
-// transient buffers — the column matrix, the time-augmented input,
-// the gradient columns — whose sizes repeat call after call. Allocating
+// transient buffers — the column matrix, the time plane, the gradient
+// columns — whose sizes repeat call after call. Allocating
 // them fresh per forward (the seed behaviour) puts a malloc + page-fault
 // memset in the serving inner loop; a ScratchArena instead grows once to
 // the high-water mark and recycles the same storage for every subsequent

@@ -1,7 +1,6 @@
 #include "core/conv2d.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "core/im2col.hpp"
 
@@ -45,24 +44,19 @@ const PackedGemmA& Conv2d::packed_weights() {
   return packed_weight_;
 }
 
-namespace {
-
-/// Writes the lowering's input into dst [n, ci, h, w]: each sample of x,
-/// followed by a plane of t when the conv has a time channel.
-void write_lowering_input(const Tensor& x, bool time_channel, float t,
-                          float* dst) {
-  const int n = x.dim(0);
-  const std::size_t plane = static_cast<std::size_t>(x.dim(2)) * x.dim(3);
-  const std::size_t in_sample = static_cast<std::size_t>(x.dim(1)) * plane;
-  const std::size_t out_sample = in_sample + (time_channel ? plane : 0);
-  for (int i = 0; i < n; ++i) {
-    float* sample = dst + i * out_sample;
-    std::memcpy(sample, x.data() + i * in_sample, in_sample * sizeof(float));
-    if (time_channel) std::fill_n(sample + in_sample, plane, t);
-  }
+LoweringGeometry Conv2d::lowering(int h, int w) const {
+  return {.channels = cfg_.in_channels + (cfg_.time_channel ? 1 : 0),
+          .height = h, .width = w, .kernel = cfg_.kernel,
+          .stride = cfg_.stride, .pad = cfg_.pad};
 }
 
-}  // namespace
+const float* Conv2d::time_plane(ScratchArena& arena, std::size_t plane,
+                                float t) const {
+  if (!cfg_.time_channel) return nullptr;
+  float* tp = arena.alloc(plane);
+  std::fill_n(tp, plane, t);
+  return tp;
+}
 
 void Conv2d::run(const Tensor& x, float t, const PackedGemmA& weights,
                  const ConvEpilogue& ep, Tensor& out, bool accumulate) {
@@ -73,10 +67,7 @@ void Conv2d::run(const Tensor& x, float t, const PackedGemmA& weights,
   ODENET_CHECK(cx == cfg_.in_channels,
                name_ << ": expected " << cfg_.in_channels << " channels, got "
                      << cx);
-  const int ci = cx + (cfg_.time_channel ? 1 : 0);
-  const LoweringGeometry g{.channels = ci, .height = h, .width = w,
-                           .kernel = cfg_.kernel, .stride = cfg_.stride,
-                           .pad = cfg_.pad};
+  const LoweringGeometry g = lowering(h, w);
   const int ho = g.out_h(), wo = g.out_w();
   const int co = cfg_.out_channels;
   ODENET_CHECK(weights.m == co && weights.k == static_cast<int>(g.col_rows()),
@@ -94,30 +85,23 @@ void Conv2d::run(const Tensor& x, float t, const PackedGemmA& weights,
   } else if (!shape_ok) {
     out = Tensor({n, co, ho, wo});
   }
+  if (training_) {
+    if (!cached_input_.same_shape(x)) cached_input_ = Tensor(x.shape());
+    std::copy_n(x.data(), x.numel(), cached_input_.data());
+    cached_time_ = t;
+  }
 
-  // Training lowers the input it caches for backward; eval lowers x
-  // itself, or an arena copy when the time plane must be appended. The
-  // column matrix is never materialized when the geometry admits the
+  // The lowering reads x itself and the time channel from one plane of t.
+  // The column matrix is never materialized when the geometry admits the
   // implicit lowering — the GEMM gathers B panels straight from the image.
-  const std::size_t in_floats = static_cast<std::size_t>(n) * ci * h * w;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
   const std::size_t ncols = g.col_cols() * static_cast<std::size_t>(n);
   const bool implicit = gemm_implicit_lowering_ok(g, co);
-  const bool staged = cfg_.time_channel && !training_;
   ScratchArena& arena = active_arena();
-  arena.frame((staged ? in_floats : 0) +
-              (implicit ? 0 : g.col_rows() * ncols));
-  const float* src = x.data();
-  if (training_) {
-    if (cached_input_.shape() != std::vector<int>{n, ci, h, w}) {
-      cached_input_ = Tensor({n, ci, h, w});
-    }
-    write_lowering_input(x, cfg_.time_channel, t, cached_input_.data());
-    src = cached_input_.data();
-  } else if (staged) {
-    float* in = arena.alloc(in_floats);
-    write_lowering_input(x, cfg_.time_channel, t, in);
-    src = in;
-  }
+  arena.frame((implicit ? 0 : g.col_rows() * ncols) +
+              (cfg_.time_channel ? plane : 0));
+  float* cols = implicit ? nullptr : arena.alloc(g.col_rows() * ncols);
+  const float* tplane = time_plane(arena, plane, t);
 
   GemmEpilogue ge;
   ge.scale = ep.scale;
@@ -125,10 +109,9 @@ void Conv2d::run(const Tensor& x, float t, const PackedGemmA& weights,
   ge.relu = ep.relu;
   if (accumulate) ge.residual = out.data();
   if (implicit) {
-    gemm_tiled_pa_ep_lowered(weights, src, g, n, out.data(), ge);
+    gemm_tiled_pa_ep_lowered(weights, x.data(), g, n, out.data(), ge, tplane);
   } else {
-    float* cols = arena.alloc(g.col_rows() * ncols);
-    im2col_batched(src, g, n, cols);
+    im2col_batched(x.data(), g, n, cols, tplane);
     gemm_tiled_pa_ep(weights, cols, out.data(), static_cast<int>(ncols), ge,
                      n);
   }
@@ -148,26 +131,32 @@ Tensor Conv2d::forward(const Tensor& x) {
   return out;
 }
 
-void Conv2d::backward_im2col(const Tensor& in, const Tensor& grad_out,
-                             Tensor& grad_in_aug) {
-  const int n = in.dim(0), ci = in.dim(1), h = in.dim(2), w = in.dim(3);
-  const LoweringGeometry g{.channels = ci, .height = h, .width = w,
-                           .kernel = cfg_.kernel, .stride = cfg_.stride,
-                           .pad = cfg_.pad};
+Tensor Conv2d::backward(const Tensor& grad_out) {
+  ODENET_CHECK(!cached_input_.empty(),
+               name_ << ": backward without forward in training mode");
+  const Tensor& x = cached_input_;
+  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const int co = cfg_.out_channels;
+  ODENET_CHECK(grad_out.ndim() == 4 && grad_out.dim(0) == n &&
+                   grad_out.dim(1) == co,
+               name_ << ": grad_out shape " << grad_out.shape_str());
+  const LoweringGeometry g = lowering(h, w);
   const int kk = static_cast<int>(g.col_rows());
   const std::size_t cc = g.col_cols();
   const std::size_t ncols = cc * static_cast<std::size_t>(n);
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
 
-  // One lowering of the whole batch drives BOTH gradients, each one GEMM
-  // on the batched [kk, n*cc] layout. The channel-major grad_out view
-  // ([co, n*cc]) the GEMMs need is the [n, co, cc] tensor permuted; for
-  // n == 1 they coincide, so no copy. All scratch is arena-recycled —
-  // training stops allocating in the inner loop.
+  // One lowering of the whole batch, at the forward's t, drives BOTH
+  // gradients, each one GEMM on the batched [kk, n*cc] layout. The
+  // channel-major grad_out view ([co, n*cc]) the GEMMs need is the
+  // [n, co, cc] tensor permuted; for n == 1 they coincide, so no copy. All
+  // scratch is arena-recycled — training stops allocating in the inner
+  // loop.
   ScratchArena& arena = active_arena();
   const std::size_t gperm_floats =
       n == 1 ? 0 : static_cast<std::size_t>(co) * ncols;
-  arena.frame(2 * (static_cast<std::size_t>(kk) * ncols) + gperm_floats);
+  arena.frame(2 * (static_cast<std::size_t>(kk) * ncols) + gperm_floats +
+              (cfg_.time_channel ? plane : 0));
   float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
   float* grad_cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
   const float* gperm = grad_out.data();
@@ -176,44 +165,21 @@ void Conv2d::backward_im2col(const Tensor& in, const Tensor& grad_out,
     permute_channel_major(grad_out.data(), gp, n, co, cc);
     gperm = gp;
   }
+  const float* tplane = time_plane(arena, plane, cached_time_);
 
-  im2col_batched(in.data(), g, n, cols);
+  im2col_batched(x.data(), g, n, cols, tplane);
   // dW[co, kk] += G[co, n*cc] x cols^T: cols [kk, n*cc] is the B^T layout.
   gemm_tiled_bt(gperm, cols, weight_.grad.data(), co, static_cast<int>(ncols),
                 kk, /*accumulate=*/true);
   // grad_cols[kk, n*cc] = W^T[kk, co] x G[co, n*cc]: W [co, kk] is W^T
-  // stored transposed, packed straight into the tile layout.
+  // stored transposed, packed straight into the tile layout. The time
+  // channel's rows (t is not trained) are not scattered back.
   static thread_local PackedGemmA wt;
   pack_gemm_at(weight_.value.data(), kk, co, wt);
   gemm_tiled_pa(wt, gperm, grad_cols, static_cast<int>(ncols),
                 /*accumulate=*/false);
-  col2im_batched(grad_cols, g, n, grad_in_aug.data());
-}
-
-Tensor Conv2d::backward(const Tensor& grad_out) {
-  ODENET_CHECK(!cached_input_.empty(),
-               name_ << ": backward without forward in training mode");
-  const Tensor& in = cached_input_;
-  const int n = in.dim(0), ci = in.dim(1), h = in.dim(2), w = in.dim(3);
-  ODENET_CHECK(grad_out.ndim() == 4 && grad_out.dim(0) == n &&
-                   grad_out.dim(1) == cfg_.out_channels,
-               name_ << ": grad_out shape " << grad_out.shape_str());
-
-  Tensor grad_in_aug({n, ci, h, w});
-  backward_im2col(in, grad_out, grad_in_aug);
-
-  if (!cfg_.time_channel) return grad_in_aug;
-
-  // Strip the gradient of the constant time plane (t is not trained).
-  const int cd = cfg_.in_channels;
-  Tensor grad_in({n, cd, h, w});
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
-  for (int ni = 0; ni < n; ++ni) {
-    std::memcpy(grad_in.data() + static_cast<std::size_t>(ni) * cd * plane,
-                grad_in_aug.data() +
-                    static_cast<std::size_t>(ni) * ci * plane,
-                static_cast<std::size_t>(cd) * plane * sizeof(float));
-  }
+  Tensor grad_in(x.shape());
+  col2im_batched(grad_cols, g, n, grad_in.data(), cfg_.time_channel);
   return grad_in;
 }
 

@@ -4,7 +4,10 @@
 // which the scalar integration time t is concatenated to the input as one
 // constant feature plane before each convolution (ConcatConv2d). This is
 // what makes layer1/layer2_2/layer3_2 parameter sizes in Table 2 come out to
-// 19.84 / 76.544 / 300.544 kB: weights are Cout x (Cin+1) x 3 x 3.
+// 19.84 / 76.544 / 300.544 kB: weights are Cout x (Cin+1) x 3 x 3. The
+// concatenated input is never built: the lowering (core/im2col.hpp) reads
+// the time channel's K*K GEMM rows from one plane of t that every sample
+// of the batch shares.
 //
 // Convolutions carry no bias (matching the paper's byte-exact parameter
 // accounting); biasing is delegated to the following batch norm.
@@ -16,7 +19,8 @@
 // the NCHW output, with every scratch buffer served from a recycled
 // ScratchArena — no allocation after the first call. forward(),
 // forward_fused() and the fixed backend's float carrier all call it.
-// Backward reuses the explicit lowering for dW and dX.
+// Training caches x and the t it ran at; backward lowers them again,
+// explicitly, for dW and dX, and dX leaves the time channel out.
 #pragma once
 
 #include <cstdint>
@@ -82,19 +86,24 @@ class Conv2d final : public Layer {
 
   /// The one lowered convolution: one GEMM with `weights` (this conv's
   /// [Cout, Cin(+1)*K*K] weight view, packed — its own, or the fixed
-  /// backend's Q-grid copy) computes ep(conv(x)) with the time plane
-  /// filled with t, and either overwrites `out` (accumulate = false;
-  /// reallocated on shape mismatch) or accumulates into it (accumulate =
-  /// true: out += ep(conv(x)), the Euler state update; `out` must already
-  /// have the output shape). Every tile lands in NCHW `out` directly. The
-  /// time plane is written into the cached input in training mode and
-  /// into arena scratch otherwise, so in eval mode the call allocates
-  /// nothing after warmup. x must not alias out.
+  /// backend's Q-grid copy) computes ep(conv(x)) with the time channel
+  /// at t, and either overwrites `out` (accumulate = false; reallocated
+  /// on shape mismatch) or accumulates into it (accumulate = true:
+  /// out += ep(conv(x)), the Euler state update; `out` must already have
+  /// the output shape). Every tile lands in NCHW `out` directly. The time
+  /// channel's one plane of t lives in arena scratch, so in eval mode the
+  /// call allocates nothing after warmup. In training mode x and t are
+  /// cached for backward(). x must not alias out.
   void run(const Tensor& x, float t, const PackedGemmA& weights,
            const ConvEpilogue& ep, Tensor& out, bool accumulate);
 
-  /// Integration time used to fill the implicit channel; only meaningful
-  /// when cfg.time_channel is set.
+  /// The lowering of an HxW input: in_channels (+1 for the time channel,
+  /// its last) channels of this conv's kernel, stride and pad. Its
+  /// col_rows() is the packed weights' depth.
+  LoweringGeometry lowering(int h, int w) const;
+
+  /// Integration time of the time channel for forward() and
+  /// forward_fused(); only meaningful when cfg.time_channel is set.
   void set_time(float t) { time_ = t; }
 
   const Conv2dConfig& config() const { return cfg_; }
@@ -150,11 +159,10 @@ class Conv2d final : public Layer {
   std::uint64_t mac_count(int in_h, int in_w) const;
 
  private:
-  /// Batched lowering backward: one lowering of the whole batch, dW via
-  /// the tiled A*B^T kernel, dX via the packed GEMM on a transposed
-  /// weight view; all scratch arena-backed.
-  void backward_im2col(const Tensor& in, const Tensor& grad_out,
-                       Tensor& grad_in_aug);
+  /// The time channel's [plane] of t, allocated from the arena's current
+  /// frame; nullptr for a conv without a time channel.
+  const float* time_plane(ScratchArena& arena, std::size_t plane,
+                          float t) const;
 
   ScratchArena& active_arena() {
     return arena_ != nullptr ? *arena_ : own_arena_;
@@ -168,7 +176,8 @@ class Conv2d final : public Layer {
   std::string name_;
   Param weight_;  // [Cout, Cin(+1), K, K]
   float time_ = 0.0f;
-  Tensor cached_input_;  // lowering input (time plane appended), training
+  Tensor cached_input_;       // training: the forward's x ...
+  float cached_time_ = 0.0f;  // ... and the t it ran at
   ScratchArena own_arena_;        // fallback scratch for standalone layers
   ScratchArena* arena_ = nullptr;  // external scratch (not owned)
   // Packed weights (owning their storage, so moving the layer — or the

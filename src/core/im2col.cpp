@@ -12,6 +12,137 @@ namespace odenet::core {
 
 namespace {
 
+// Micro-kernel geometry (see core/gemm_kernels.hpp — the 4 x 16 tile the
+// scalar and AVX2 kernels share).
+constexpr int kTileRows = kGemmTileRows;
+constexpr int kTileCols = kGemmTileCols;
+
+// Per-tap gather plan for the stride-1 "same" lowering: column row (c, kh,
+// kw) of the im2col matrix is the input plane flat-shifted by `shift` with
+// out-of-image taps zeroed. [lo, hi) bounds the plane range whose shifted
+// source lies inside the plane at all; [zl, zr) the horizontally-valid
+// columns within each row. No row mask is needed: a position whose column
+// is valid reads inside the plane exactly when its source row is inside
+// the image, so [lo, hi) clips the rows.
+struct TapSpec {
+  std::ptrdiff_t shift = 0;
+  std::size_t lo = 0, hi = 0;
+  std::size_t zl = 0, zr = 0;
+  // Fast interior range of the implicit fill: a micro-panel row wholly
+  // inside [lo, fhi) is one constant-size 16-float copy plus ncz
+  // pointwise zeros (cz lists the column-clipped in-tile positions — valid
+  // because tiles are 16-aligned, so when the image width divides 16 every
+  // tile shares one column phase). Tiles outside take the general gather.
+  std::size_t fhi = 0;
+  int cz[kTileCols] = {};
+  int ncz = 0;
+};
+
+constexpr int kMaxTaps = 49;  // kernels up to 7x7
+
+/// True when g lowers through a tap plan: stride-1 "same" geometry (out
+/// extents == in extents) with a kernel of at most kMaxTaps taps.
+bool tap_plan_ok(const LoweringGeometry& g) {
+  return g.stride == 1 && g.height > 0 && g.width > 0 &&
+         g.out_h() == g.height && g.out_w() == g.width &&
+         g.kernel * g.kernel <= kMaxTaps;
+}
+
+/// Fills taps[kh * K + kw] for every tap of g (requires tap_plan_ok(g)).
+void plan_taps(const LoweringGeometry& g, TapSpec* taps) {
+  const std::size_t w = static_cast<std::size_t>(g.width);
+  const std::size_t plane = static_cast<std::size_t>(g.height) * w;
+  for (int t = 0; t < g.kernel * g.kernel; ++t) {
+    const int dh = t / g.kernel - g.pad, dw = t % g.kernel - g.pad;
+    // The tap's offset as magnitudes: rows up (dh < 0) or down, columns
+    // left (dw < 0) or right. A tap may lie further off the plane than it
+    // has rows or columns (k = 5, pad = 2 on a one-row input).
+    const std::size_t up = dh < 0 ? static_cast<std::size_t>(-dh) : 0;
+    const std::size_t down = dh > 0 ? static_cast<std::size_t>(dh) : 0;
+    const std::size_t left = dw < 0 ? static_cast<std::size_t>(-dw) : 0;
+    const std::size_t right = dw > 0 ? static_cast<std::size_t>(dw) : 0;
+    TapSpec& ts = taps[t];
+    ts.shift = static_cast<std::ptrdiff_t>(dh) * g.width + dw;
+    const std::size_t back = up * w + left, ahead = down * w + right;
+    ts.lo = std::min(back > ahead ? back - ahead : 0, plane);
+    ts.hi = std::max(plane - std::min(plane, ahead > back ? ahead - back : 0),
+                     ts.lo);
+    // The flat shift wraps row ends into neighboring rows; those columns
+    // read outside [0, w) and must be zero.
+    ts.zl = std::min(left, w);
+    ts.zr = std::max(w - std::min(right, w), ts.zl);
+    ts.fhi = ts.hi;
+    ts.ncz = 0;
+    if (ts.zl > 0 || ts.zr < w) {
+      if (w <= kTileCols && kTileCols % w == 0) {
+        for (int j = 0; j < kTileCols; ++j) {
+          const std::size_t jm = static_cast<std::size_t>(j) % w;
+          if (jm < ts.zl || jm >= ts.zr) ts.cz[ts.ncz++] = j;
+        }
+      } else {
+        ts.fhi = ts.lo;  // column phase varies per tile: general path only
+      }
+    }
+  }
+}
+
+/// Fills dst[0, len) with positions [q0, q0 + len) of the tap-shifted
+/// plane, out-of-image taps zero. rowbase is the flat offset of the row
+/// containing q0 (tracked by the caller, so no division is needed).
+template <typename T>
+inline void gather_tap_row(const T* splane, const TapSpec& ts, std::size_t w,
+                           std::size_t q0, std::size_t rowbase,
+                           std::size_t len, T* dst) {
+  const std::size_t q1 = q0 + len;
+  const std::size_t a0 = std::max(q0, ts.lo);
+  const std::size_t a1 = std::min(q1, ts.hi);
+  if (a1 <= a0) {
+    std::memset(dst, 0, len * sizeof(T));
+    return;
+  }
+  if (a0 > q0) std::memset(dst, 0, (a0 - q0) * sizeof(T));
+  std::memcpy(dst + (a0 - q0), splane + a0 + ts.shift, (a1 - a0) * sizeof(T));
+  if (q1 > a1) std::memset(dst + (a1 - q0), 0, (q1 - a1) * sizeof(T));
+  // Columns clipped by the horizontal shift, row by covered row.
+  if (ts.zl > 0 || ts.zr < w) {
+    for (std::size_t rb = rowbase; rb < a1; rb += w) {
+      std::size_t s = std::max(a0, rb);
+      std::size_t e = std::min(a1, rb + ts.zl);
+      for (; s < e; ++s) dst[s - q0] = T{};
+      s = std::max(a0, rb + ts.zr);
+      e = std::min(a1, rb + w);
+      for (; s < e; ++s) dst[s - q0] = T{};
+    }
+  }
+}
+
+/// Where a lowering reads channel c of sample n: the data planes of x
+/// [N, data_channels, H, W], then — for a conv with a time channel — one
+/// [H*W] plane of t that every sample shares as its last channel.
+template <typename T>
+struct PlaneSource {
+  const T* x;
+  const T* time_plane;  // nullptr: no time channel
+  int data_channels;
+  std::size_t plane;
+
+  PlaneSource(const T* src, const T* tplane, const LoweringGeometry& g)
+      : x(src),
+        time_plane(tplane),
+        data_channels(g.channels - (tplane != nullptr ? 1 : 0)),
+        plane(static_cast<std::size_t>(g.height) * g.width) {
+    ODENET_CHECK(data_channels >= 0,
+                 "a lowering with a time plane needs a channel for it");
+  }
+
+  const T* at(std::size_t n, int c) const {
+    if (c == data_channels) return time_plane;
+    return x + (n * static_cast<std::size_t>(data_channels) +
+                static_cast<std::size_t>(c)) *
+                   plane;
+  }
+};
+
 /// First output column whose tap ow*stride - pad + kw lands inside [0, w),
 /// and one past the last — hoisting the bounds check out of the copy loop.
 inline int first_valid_ow(int kw, int pad, int stride) {
@@ -27,88 +158,35 @@ inline int end_valid_ow(int kw, int pad, int stride, int w, int wo) {
   return end < wo ? end : wo;
 }
 
-/// Lowers one [C,H,W] sample. Lowered row r of this sample lives at
-/// dst + r * row_stride; with row_stride == col_cols() this is the classic
-/// per-sample layout, with row_stride == batch * col_cols() it writes one
-/// sample's column block of the batched matrix.
-///
-/// Per (kh, kw) tap the valid output-column range is computed once, so the
-/// interior is a branch-free copy: one memcpy per output row at stride 1,
-/// a gathered strided copy otherwise. Values are identical to the naive
-/// per-element walk (zeros outside, source reads inside). Templated on the
-/// element type: the float instantiation serves Conv2d's lowering, the
-/// int16 one lowers pre-quantized activations for the integer GEMM (9x
-/// cheaper than quantizing the replicated column matrix).
+/// Lowers sample n: its lowered row r lives at dst + r * row_stride, one
+/// sample's column block of the batched matrix. With a tap plan (the
+/// stride-1 "same" geometry) each row is the whole input plane gathered
+/// through its tap. Otherwise the valid output-column range of each (kh,
+/// kw) tap is computed once, so the interior is a branch-free copy: one
+/// memcpy per output row at stride 1, a gathered strided copy otherwise.
+/// Values are identical to the naive per-element walk (zeros outside,
+/// source reads inside). Templated on the element type: the float
+/// instantiation serves Conv2d, the int16 one lowers pre-quantized
+/// activations for the integer GEMM.
 template <typename T>
-void im2col_strided(const T* src, const LoweringGeometry& g,
-                    std::size_t row_stride, T* dst) {
-  const int ho = g.out_h(), wo = g.out_w();
-  const std::size_t plane = static_cast<std::size_t>(g.height) * g.width;
-  // "Same" geometry (stride 1, symmetric pad: the ODE-block 3x3/pad-1
-  // conv): each tap's lowered row is the input plane flat-shifted by
-  // (kh-pad)*w + (kw-pad). One plane-sized memcpy replaces ho row-sized
-  // ones — the per-call overhead of the small copies dominates on the
-  // 8x8/4x4 planes — then the wrapped edge columns and the out-of-range
-  // top/bottom rows are zeroed. Values match the general walk exactly.
-  if (g.stride == 1 && ho == g.height && wo == g.width) {
-    const int h = g.height, w = g.width;
-    std::size_t row = 0;
+void im2col_sample(const PlaneSource<T>& src, std::size_t n,
+                   const LoweringGeometry& g, const TapSpec* taps,
+                   std::size_t row_stride, T* dst) {
+  std::size_t row = 0;
+  if (taps != nullptr) {
+    const std::size_t w = static_cast<std::size_t>(g.width);
     for (int c = 0; c < g.channels; ++c) {
-      const T* cplane = src + static_cast<std::size_t>(c) * plane;
-      for (int kh = 0; kh < g.kernel; ++kh) {
-        for (int kw = 0; kw < g.kernel; ++kw, ++row) {
-          T* out_row = dst + row * row_stride;
-          const int dh = kh - g.pad, dw = kw - g.pad;
-          const std::ptrdiff_t shift =
-              static_cast<std::ptrdiff_t>(dh) * w + dw;
-          std::size_t lo = shift < 0 ? static_cast<std::size_t>(-shift) : 0;
-          std::size_t hi = shift > 0 ? plane - std::min<std::size_t>(
-                                                   plane,
-                                                   static_cast<std::size_t>(
-                                                       shift))
-                                     : plane;
-          lo = std::min(lo, plane);
-          hi = std::max(hi, lo);
-          if (lo > 0) std::memset(out_row, 0, lo * sizeof(T));
-          if (hi > lo) {
-            std::memcpy(out_row + lo, cplane + lo + shift,
-                        (hi - lo) * sizeof(T));
-          }
-          if (hi < plane) {
-            std::memset(out_row + hi, 0, (plane - hi) * sizeof(T));
-          }
-          // Rows whose source row is outside [0, h) are all zeros. Clamped
-          // to [0, h]: a tap further than h rows off the plane (k = 5,
-          // pad = 2 on a 1-row input) must not zero past this sample's
-          // row block, which in the batched layout belongs to another
-          // sample and another thread.
-          const int row0 = std::min(dh < 0 ? -dh : 0, h);
-          const int row1 = std::max(dh > 0 ? h - dh : h, row0);
-          if (row0 > 0) {
-            std::memset(out_row, 0,
-                        static_cast<std::size_t>(row0) * w * sizeof(T));
-          }
-          if (row1 < h) {
-            std::memset(out_row + static_cast<std::size_t>(row1) * w, 0,
-                        static_cast<std::size_t>(h - row1) * w * sizeof(T));
-          }
-          // The flat shift wraps row ends into neighboring rows; those
-          // columns read outside [0, w) and must be zero.
-          const int zl = std::min(dw < 0 ? -dw : 0, w);
-          const int zr = std::max(w - (dw > 0 ? dw : 0), zl);
-          for (int oh = row0; oh < row1; ++oh) {
-            T* out = out_row + static_cast<std::size_t>(oh) * w;
-            for (int ow = 0; ow < zl; ++ow) out[ow] = T{};
-            for (int ow = zr; ow < w; ++ow) out[ow] = T{};
-          }
-        }
+      const T* cplane = src.at(n, c);
+      for (int t = 0; t < g.kernel * g.kernel; ++t, ++row) {
+        gather_tap_row(cplane, taps[t], w, 0, 0, src.plane,
+                       dst + row * row_stride);
       }
     }
     return;
   }
-  std::size_t row = 0;
+  const int ho = g.out_h(), wo = g.out_w();
   for (int c = 0; c < g.channels; ++c) {
-    const T* cplane = src + static_cast<std::size_t>(c) * plane;
+    const T* cplane = src.at(n, c);
     for (int kh = 0; kh < g.kernel; ++kh) {
       for (int kw = 0; kw < g.kernel; ++kw, ++row) {
         T* out_row = dst + row * row_stride;
@@ -137,13 +215,14 @@ void im2col_strided(const T* src, const LoweringGeometry& g,
   }
 }
 
-/// Adjoint of im2col_strided for one sample (same row_stride convention).
-void col2im_strided(const float* cols, const LoweringGeometry& g,
-                    std::size_t row_stride, float* dst) {
+/// Adjoint of im2col_sample over the first `channels` planes of one sample
+/// (same row_stride convention); rows past them are not read.
+void col2im_sample(const float* cols, const LoweringGeometry& g, int channels,
+                   std::size_t row_stride, float* dst) {
   const int ho = g.out_h(), wo = g.out_w();
   const std::size_t plane = static_cast<std::size_t>(g.height) * g.width;
   std::size_t row = 0;
-  for (int c = 0; c < g.channels; ++c) {
+  for (int c = 0; c < channels; ++c) {
     float* cplane = dst + static_cast<std::size_t>(c) * plane;
     for (int kh = 0; kh < g.kernel; ++kh) {
       for (int kw = 0; kw < g.kernel; ++kw, ++row) {
@@ -163,44 +242,47 @@ void col2im_strided(const float* cols, const LoweringGeometry& g,
   }
 }
 
+template <typename T>
+void im2col_batch(const T* src, const LoweringGeometry& g, int batch, T* dst,
+                  const T* time_plane) {
+  ODENET_CHECK(batch > 0, "im2col_batched needs a non-empty batch");
+  const PlaneSource<T> in(src, time_plane, g);
+  TapSpec taps[kMaxTaps];
+  const bool planned = tap_plan_ok(g);
+  if (planned) plan_taps(g, taps);
+  const std::size_t cc = g.col_cols();
+  const std::size_t row_stride = cc * static_cast<std::size_t>(batch);
+  util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(batch),
+                     [&](std::size_t ni) {
+    im2col_sample(in, ni, g, planned ? taps : nullptr, row_stride,
+                  dst + ni * cc);
+  });
+}
+
 }  // namespace
 
 void im2col_batched(const float* src, const LoweringGeometry& g, int batch,
-                    float* dst) {
-  ODENET_CHECK(batch > 0, "im2col_batched needs a non-empty batch");
-  const std::size_t sample =
-      static_cast<std::size_t>(g.channels) * g.height * g.width;
-  const std::size_t cc = g.col_cols();
-  const std::size_t row_stride = cc * static_cast<std::size_t>(batch);
-  util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(batch),
-                     [&](std::size_t ni) {
-    im2col_strided(src + ni * sample, g, row_stride, dst + ni * cc);
-  });
+                    float* dst, const float* time_plane) {
+  im2col_batch(src, g, batch, dst, time_plane);
 }
 
 void im2col_batched_i16(const std::int16_t* src, const LoweringGeometry& g,
-                        int batch, std::int16_t* dst) {
-  ODENET_CHECK(batch > 0, "im2col_batched_i16 needs a non-empty batch");
-  const std::size_t sample =
-      static_cast<std::size_t>(g.channels) * g.height * g.width;
-  const std::size_t cc = g.col_cols();
-  const std::size_t row_stride = cc * static_cast<std::size_t>(batch);
-  util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(batch),
-                     [&](std::size_t ni) {
-    im2col_strided(src + ni * sample, g, row_stride, dst + ni * cc);
-  });
+                        int batch, std::int16_t* dst,
+                        const std::int16_t* time_plane) {
+  im2col_batch(src, g, batch, dst, time_plane);
 }
 
 void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
-                    float* dst) {
+                    float* dst, bool time_channel) {
   ODENET_CHECK(batch > 0, "col2im_batched needs a non-empty batch");
+  const int channels = g.channels - (time_channel ? 1 : 0);
   const std::size_t sample =
-      static_cast<std::size_t>(g.channels) * g.height * g.width;
+      static_cast<std::size_t>(channels) * g.height * g.width;
   const std::size_t cc = g.col_cols();
   const std::size_t row_stride = cc * static_cast<std::size_t>(batch);
   util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(batch),
                      [&](std::size_t ni) {
-    col2im_strided(cols + ni * cc, g, row_stride, dst + ni * sample);
+    col2im_sample(cols + ni * cc, g, channels, row_stride, dst + ni * sample);
   });
 }
 
@@ -218,11 +300,6 @@ void permute_channel_major(const float* src, float* dst, int batch,
 }
 
 namespace {
-
-// Micro-kernel geometry (see core/gemm_kernels.hpp — the 4 x 16 tile the
-// scalar and AVX2 kernels share).
-constexpr int kTileRows = kGemmTileRows;
-constexpr int kTileCols = kGemmTileCols;
 
 /// Terms gemm_tiled_bt sums per scratch tile before adding it to C.
 constexpr int kSumDepth = 128;
@@ -423,84 +500,16 @@ void gemm_tiled_pa_ep(const PackedGemmA& a, const float* b, float* c, int n,
   });
 }
 
-namespace {
-
-// Per-tap gather plan for the implicit stride-1 "same" lowering: column
-// row (c, kh, kw) of the im2col matrix is the input plane shifted by
-// `shift` with out-of-image taps zeroed. [lo, hi) bounds the plane range
-// whose shifted source lies inside the plane at all; [rlo, rhi) the flat
-// range of vertically-valid rows; [zl, zr) the horizontally-valid columns
-// within each row. Identical masking to im2col_strided's fast path.
-struct TapSpec {
-  std::ptrdiff_t shift = 0;
-  std::size_t lo = 0, hi = 0;
-  std::size_t rlo = 0, rhi = 0;
-  int zl = 0, zr = 0;
-  // Fast interior range: a micro-panel row wholly inside [flo, fhi) is one
-  // constant-size 16-float copy plus ncz pointwise zeros (cz lists the
-  // column-clipped in-tile positions — valid because tiles are 16-aligned,
-  // so when the image width divides 16 every tile shares one column
-  // phase). Tiles outside take the general masked gather.
-  std::size_t flo = 0, fhi = 0;
-  int cz[kGemmTileCols] = {};
-  int ncz = 0;
-};
-
-constexpr int kMaxImplicitTaps = 49;  // kernels up to 7x7
-
-// Fill one micro-panel row: columns [q0, q0+16) of the tap-shifted plane.
-// rowbase is the flat offset of the row containing q0 (tracked by the
-// caller so no per-tile division is needed).
-inline void gather_tap_row16(const float* splane, const TapSpec& ts,
-                             std::size_t w, std::size_t q0,
-                             std::size_t rowbase, float* dst) {
-  const std::size_t q1 = q0 + kTileCols;
-  const std::size_t a0 = std::max(q0, ts.lo);
-  const std::size_t a1 = std::min(q1, ts.hi);
-  if (a1 <= a0) {
-    std::memset(dst, 0, kTileCols * sizeof(float));
-    return;
-  }
-  if (a0 > q0) std::memset(dst, 0, (a0 - q0) * sizeof(float));
-  std::memcpy(dst + (a0 - q0), splane + a0 + ts.shift,
-              (a1 - a0) * sizeof(float));
-  if (q1 > a1) std::memset(dst + (a1 - q0), 0, (q1 - a1) * sizeof(float));
-  // Rows clipped by the vertical shift.
-  if (a0 < ts.rlo) {
-    const std::size_t e = std::min(a1, ts.rlo);
-    std::memset(dst + (a0 - q0), 0, (e - a0) * sizeof(float));
-  }
-  if (a1 > ts.rhi) {
-    const std::size_t s = std::max(a0, ts.rhi);
-    std::memset(dst + (s - q0), 0, (a1 - s) * sizeof(float));
-  }
-  // Columns clipped by the horizontal shift, row by covered row.
-  if (ts.zl > 0 || static_cast<std::size_t>(ts.zr) < w) {
-    for (std::size_t rb = rowbase; rb < a1; rb += w) {
-      std::size_t s = std::max(a0, rb);
-      std::size_t e = std::min(a1, rb + static_cast<std::size_t>(ts.zl));
-      for (; s < e; ++s) dst[s - q0] = 0.0f;
-      s = std::max(a0, rb + static_cast<std::size_t>(ts.zr));
-      e = std::min(a1, rb + w);
-      for (; s < e; ++s) dst[s - q0] = 0.0f;
-    }
-  }
-}
-
-}  // namespace
-
 bool gemm_implicit_lowering_ok(const LoweringGeometry& g, int m) {
   const std::size_t plane =
       static_cast<std::size_t>(g.height) * static_cast<std::size_t>(g.width);
-  return g.stride == 1 && g.height > 0 && g.width > 0 &&
-         g.out_h() == g.height && g.out_w() == g.width &&
-         plane % kTileCols == 0 && m % kTileRows == 0 &&
-         g.kernel * g.kernel <= kMaxImplicitTaps;
+  return tap_plan_ok(g) && plane % kTileCols == 0 && m % kTileRows == 0;
 }
 
 void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
                               const LoweringGeometry& g, int batch, float* c,
-                              const GemmEpilogue& ep) {
+                              const GemmEpilogue& ep,
+                              const float* time_plane) {
   const int m = a.m, k = a.k;
   ODENET_CHECK(gemm_implicit_lowering_ok(g, m),
                "gemm_tiled_pa_ep_lowered: geometry not implicit-eligible");
@@ -508,45 +517,13 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
                "gemm_tiled_pa_ep_lowered: packed A k " << k
                    << " != lowering rows " << g.col_rows());
   ODENET_CHECK(batch > 0, "gemm_tiled_pa_ep_lowered needs a non-empty batch");
+  const PlaneSource<float> in(src, time_plane, g);
   const std::size_t uw = static_cast<std::size_t>(g.width);
-  const std::size_t plane = static_cast<std::size_t>(g.height) * uw;
-  const std::size_t sample = static_cast<std::size_t>(g.channels) * plane;
+  const std::size_t plane = in.plane;
   const int n = static_cast<int>(plane * static_cast<std::size_t>(batch));
   const int kk = g.kernel * g.kernel;
-
-  TapSpec taps[kMaxImplicitTaps];
-  for (int t = 0; t < kk; ++t) {
-    const int dh = t / g.kernel - g.pad, dw = t % g.kernel - g.pad;
-    TapSpec& ts = taps[t];
-    ts.shift = static_cast<std::ptrdiff_t>(dh) * g.width + dw;
-    std::size_t lo = ts.shift < 0 ? static_cast<std::size_t>(-ts.shift) : 0;
-    std::size_t hi =
-        ts.shift > 0
-            ? plane - std::min<std::size_t>(
-                          plane, static_cast<std::size_t>(ts.shift))
-            : plane;
-    ts.lo = std::min(lo, plane);
-    ts.hi = std::max(hi, ts.lo);
-    const int row0 = dh < 0 ? std::min(-dh, g.height) : 0;
-    const int row1 = dh > 0 ? std::max(g.height - dh, row0) : g.height;
-    ts.rlo = static_cast<std::size_t>(row0) * uw;
-    ts.rhi = static_cast<std::size_t>(row1) * uw;
-    ts.zl = std::min(dw < 0 ? -dw : 0, g.width);
-    ts.zr = std::max(g.width - (dw > 0 ? dw : 0), ts.zl);
-    ts.flo = std::max(ts.lo, ts.rlo);
-    ts.fhi = std::max(std::min(ts.hi, ts.rhi), ts.flo);
-    ts.ncz = 0;
-    if (ts.zl > 0 || ts.zr < g.width) {
-      if (g.width <= kTileCols && kTileCols % g.width == 0) {
-        for (int j = 0; j < kTileCols; ++j) {
-          const int jm = j % g.width;
-          if (jm < ts.zl || jm >= ts.zr) ts.cz[ts.ncz++] = j;
-        }
-      } else {
-        ts.fhi = ts.flo;  // column phase varies per tile: general path only
-      }
-    }
-  }
+  TapSpec taps[kMaxTaps];
+  plan_taps(g, taps);
 
   // gemm_tiled_pa_ep with the B-panel pack replaced by the direct gather.
   // plane % 16 == 0 means every micro-panel (and every output tile) sits
@@ -560,27 +537,27 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
     const int full_tiles = pn / kTileCols;
     for (int p = 0; p < k; ++p) {
       const TapSpec& ts = taps[p % kk];
-      const float* chan = src + static_cast<std::size_t>(p / kk) * plane;
+      const int ch = p / kk;
       std::size_t ni = static_cast<std::size_t>(p0) / plane;
       std::size_t q0 = static_cast<std::size_t>(p0) - ni * plane;
       std::size_t rowbase = (q0 / uw) * uw;
-      const float* splane = chan + ni * sample;
+      const float* splane = in.at(ni, ch);
       for (int jt = 0; jt < full_tiles; ++jt) {
         float* dst = packed + (static_cast<std::size_t>(jt) * k +
                                static_cast<std::size_t>(p)) *
                                   kTileCols;
-        if (q0 >= ts.flo && q0 + kTileCols <= ts.fhi) {
+        if (q0 >= ts.lo && q0 + kTileCols <= ts.fhi) {
           std::memcpy(dst, splane + q0 + ts.shift,
                       kTileCols * sizeof(float));
           for (int z = 0; z < ts.ncz; ++z) dst[ts.cz[z]] = 0.0f;
         } else {
-          gather_tap_row16(splane, ts, uw, q0, rowbase, dst);
+          gather_tap_row(splane, ts, uw, q0, rowbase, kTileCols, dst);
         }
         q0 += kTileCols;
         if (q0 == plane) {
           q0 = 0;
           rowbase = 0;
-          splane += sample;
+          if (jt + 1 < full_tiles) splane = in.at(++ni, ch);
         } else {
           while (q0 - rowbase >= uw) rowbase += uw;
         }

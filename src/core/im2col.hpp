@@ -14,8 +14,20 @@
 // im2col unfolds each KxK receptive field of a [C,H,W] plane stack into a
 // column of a [C*K*K, Ho*Wo] matrix so convolution becomes one matrix
 // product with the [Cout, C*K*K] weight view. col2im is its adjoint
-// (scatter-add), used for the input gradient. The float lowerings work on
-// whole [N,C,H,W] batches; a batch of one is the single-sample case.
+// (scatter-add), used for the input gradient. The lowerings work on whole
+// [N,C,H,W] batches; a batch of one is the single-sample case. This file
+// is the only code that maps a conv's input to GEMM rows:
+//   - A conv with a time channel (the ODE blocks' concatenated t plane)
+//     passes one [H*W] plane of t that every sample shares; the lowering
+//     reads the last channel's K*K rows from it, so no [N, C+1, H, W]
+//     copy of the input is ever built, and col2im scatters only the data
+//     channels.
+//   - The stride-1 "same" geometry (kernels up to 7x7) lowers through one
+//     per-tap plan — each lowered row is the input plane flat-shifted with
+//     its out-of-image taps zeroed — shared by the explicit lowering (whole
+//     planes) and the implicit GEMM panel fill (16-column micro-panel
+//     rows). Every other geometry (the downsampling stride-2 convs, larger
+//     kernels) takes the general per-row walk.
 #pragma once
 
 #include <cstddef>
@@ -47,23 +59,28 @@ struct LoweringGeometry {
 /// matrix [col_rows(), N * col_cols()], sample n occupying the contiguous
 /// column block [n * col_cols(), (n+1) * col_cols()); out-of-image taps
 /// read 0. Convolving the batch is then a single GEMM with the
-/// [Cout, C*K*K] weight view — the lowering Conv2d is built on.
-/// Parallelized over samples.
+/// [Cout, C*K*K] weight view — the lowering Conv2d is built on. With a
+/// time_plane ([H*W], shared by every sample) the lowering's last channel
+/// is the time channel: its K*K rows read time_plane, and src holds the
+/// other g.channels - 1 planes per sample. Parallelized over samples.
 void im2col_batched(const float* src, const LoweringGeometry& g, int batch,
-                    float* dst);
+                    float* dst, const float* time_plane = nullptr);
 
 /// Same batched lowering over pre-quantized int16 activations — the input
 /// side of the fixed backend's integer GEMM. Lowering the [N,C,H,W] int16
 /// image instead of quantizing the lowered matrix does the quantize pass
 /// once per pixel instead of once per K*K-replicated column entry.
 void im2col_batched_i16(const std::int16_t* src, const LoweringGeometry& g,
-                        int batch, std::int16_t* dst);
+                        int batch, std::int16_t* dst,
+                        const std::int16_t* time_plane = nullptr);
 
 /// Adjoint of im2col_batched: scatter-adds the batched column matrix back
 /// into a [N,C,H,W] buffer (which must be zero-initialized or hold a
-/// partial sum). Parallelized over samples (disjoint writes).
+/// partial sum). With time_channel, g's last channel is the time channel:
+/// its rows are not scattered and dst holds g.channels - 1 planes per
+/// sample. Parallelized over samples (disjoint writes).
 void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
-                    float* dst);
+                    float* dst, bool time_channel = false);
 
 /// Copies an NCHW [N, C, plane] tensor into the channel-major matrix view
 /// [C, N*plane] (sample n in column block n*plane) — the conv backward's
@@ -151,16 +168,18 @@ bool gemm_implicit_lowering_ok(const LoweringGeometry& g, int m);
 /// gemm_tiled_pa_ep with the im2col itself folded into the B-panel pack:
 /// instead of materializing the [C*K*K, N*plane] column matrix and copying
 /// it into micro-panels, each panel row is gathered straight from the
-/// [N,C,H,W] image (shifted plane copy + zeroed out-of-image taps). Packed
-/// panel values, summation order, epilogue and the NCHW [batch, m, plane]
-/// output are identical to the explicit im2col_batched +
-/// gemm_tiled_pa_ep(..., batch) composition, so results are bitwise equal
-/// on either ISA and under any thread split — the conv just skips one full
-/// write + read of the column matrix. Requires
-/// gemm_implicit_lowering_ok(g, a.m) and a.k == g.col_rows().
+/// [N,C,H,W] image (and time_plane, as in im2col_batched) through the
+/// same tap plan the explicit lowering uses. Packed panel values,
+/// summation order, epilogue and the NCHW [batch, m, plane] output are
+/// identical to the explicit im2col_batched + gemm_tiled_pa_ep(..., batch)
+/// composition, so results are bitwise equal on either ISA and under any
+/// thread split — the conv just skips one full write + read of the column
+/// matrix. Requires gemm_implicit_lowering_ok(g, a.m) and
+/// a.k == g.col_rows().
 void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
                               const LoweringGeometry& g, int batch, float* c,
-                              const GemmEpilogue& ep);
+                              const GemmEpilogue& ep,
+                              const float* time_plane = nullptr);
 
 /// C[m,n] (+)= A[m,k] * B with B stored transposed, [n,k] row-major: the
 /// conv weight gradient G * cols^T (cols is [C*K*K, N*Ho*Wo]) and the

@@ -125,10 +125,7 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
   ODENET_CHECK(c == cfg.in_channels,
                conv.name() << ": fixed conv expected " << cfg.in_channels
                            << " channels, got " << c);
-  const int ci = c + (cfg.time_channel ? 1 : 0);
-  const core::LoweringGeometry g{.channels = ci, .height = h, .width = w,
-                                 .kernel = cfg.kernel, .stride = cfg.stride,
-                                 .pad = cfg.pad};
+  const core::LoweringGeometry g = conv.lowering(h, w);
   const int co = cfg.out_channels;
   const std::size_t ncols = g.col_cols() * static_cast<std::size_t>(n);
 
@@ -162,27 +159,26 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
     }
   }
   if (fa >= 0) {
-    // Integer path: quantize the input once into int16 at Q(fa), each
-    // sample followed by its quantized time plane; lower the int16 image,
-    // run the integer GEMM into NCHW int32 accumulators, and requantize
-    // via ONE rounding shift straight into the Q(frac_bits) output — no
-    // per-element float qdq afterwards (the shift output is exactly
-    // grid-aligned by construction).
-    const std::size_t plane = static_cast<std::size_t>(h) * w;
-    const std::size_t in_sample = static_cast<std::size_t>(c) * plane;
-    const std::size_t q_sample = static_cast<std::size_t>(ci) * plane;
-    const std::size_t in_elems = q_sample * static_cast<std::size_t>(n);
-    i16_scratch_.resize(in_elems + g.col_rows() * ncols);
-    std::int16_t* inq = i16_scratch_.data();
-    std::int16_t* cols = i16_scratch_.data() + in_elems;
-    std::int16_t tq16 = 0;
-    if (cfg.time_channel) fixed::quantize_i16(&tq, &tq16, 1, fa);
-    for (int i = 0; i < n; ++i) {
-      std::int16_t* sample = inq + i * q_sample;
-      fixed::quantize_i16(x.data() + i * in_sample, sample, in_sample, fa);
-      if (cfg.time_channel) std::fill_n(sample + in_sample, plane, tq16);
+    // Integer path: quantize the input into int16 at Q(fa) in one call and
+    // the time value into one plane every sample shares; lower the int16
+    // image, run the integer GEMM into NCHW int32 accumulators, and
+    // requantize via ONE rounding shift straight into the Q(frac_bits)
+    // output — no per-element float qdq afterwards (the shift output is
+    // exactly grid-aligned by construction).
+    const std::size_t time_elems =
+        cfg.time_channel ? static_cast<std::size_t>(h) * w : 0;
+    i16_scratch_.resize(x.numel() + time_elems + g.col_rows() * ncols);
+    std::int16_t* xq = i16_scratch_.data();
+    std::int16_t* tplane = xq + x.numel();
+    std::int16_t* cols = tplane + time_elems;
+    fixed::quantize_i16(x.data(), xq, x.numel(), fa);
+    if (cfg.time_channel) {
+      std::int16_t tq16 = 0;
+      fixed::quantize_i16(&tq, &tq16, 1, fa);
+      std::fill_n(tplane, time_elems, tq16);
     }
-    core::im2col_batched_i16(inq, g, n, cols);
+    core::im2col_batched_i16(xq, g, n, cols,
+                             cfg.time_channel ? tplane : nullptr);
     acc_scratch_.resize(out.numel());
     core::gemm_i16_tiled_pa(pack.packed16, cols, acc_scratch_.data(),
                             static_cast<int>(ncols), /*accumulate=*/false, n);

@@ -214,10 +214,6 @@ void Network::apply_snapshot(const ModelSnapshot& snapshot) {
   snapshot.apply(*this);
 }
 
-void Network::apply_snapshot_delta(const ModelSnapshot& snapshot) {
-  snapshot.apply_delta(*this);
-}
-
 void Network::save_weights(std::ostream& os) {
   export_snapshot()->save(os);
 }

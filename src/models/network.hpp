@@ -105,16 +105,11 @@ class Network final : public core::Layer {
   /// private frozen copy. See models/snapshot.hpp.
   std::shared_ptr<const ModelSnapshot> export_snapshot();
 
-  /// Overwrites parameters and BN statistics from a snapshot; throws
-  /// odenet::Error when the snapshot does not fit this architecture.
+  /// Overwrites every parameter and BN statistic from a snapshot (a
+  /// delta-only apply is ModelSnapshot::apply with the version this
+  /// network carries); throws odenet::Error when the snapshot does not
+  /// fit this architecture.
   void apply_snapshot(const ModelSnapshot& snapshot);
-
-  /// Applies only the snapshot's CHANGED tensors (ModelSnapshot change
-  /// masks) and re-stamps only the touched layers. The caller must
-  /// guarantee this network currently carries the snapshot's delta_base()
-  /// image — the engine's worker sync checks versions before choosing
-  /// this path over apply_snapshot().
-  void apply_snapshot_delta(const ModelSnapshot& snapshot);
 
   /// Checkpoint I/O — thin wrappers over export_snapshot()/apply_snapshot()
   /// (binary format v2, see util/serialize.hpp).

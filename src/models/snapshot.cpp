@@ -316,7 +316,10 @@ ModelSnapshot::Ptr ModelSnapshot::load(std::istream& is) {
   return snap;
 }
 
-void ModelSnapshot::apply(Network& net) const {
+bool ModelSnapshot::apply(Network& net, std::uint64_t carried_version) const {
+  // A delta against the image `net` carries writes only its changed
+  // tensors; anything else writes the whole image.
+  const bool delta = is_delta() && delta_base_ == carried_version;
   check_compatible(net.spec());
   auto ps = net.params();
   ODENET_CHECK(params_.size() == ps.size(),
@@ -331,65 +334,33 @@ void ModelSnapshot::apply(Network& net) const {
                             << "'");
     ODENET_CHECK(rec.values.size() == p->value.numel(),
                  net.name() << ": size mismatch for " << rec.name);
-    p->value.storage() = rec.values;
+    if (!delta || param_changed_[i]) p->value.storage() = rec.values;
   }
   std::size_t bi = 0;
-  net.for_each_batchnorm([this, &bi, &net](core::BatchNorm2d& bn) {
-    ODENET_CHECK(bi < bns_.size(),
-                 net.name() << ": snapshot BN count mismatch");
-    const BnRecord& rec = bns_[bi++];
-    ODENET_CHECK(rec.mean.size() == bn.running_mean().numel() &&
-                     rec.var.size() == bn.running_var().numel(),
-                 net.name() << ": BN stat size mismatch");
-    bn.running_mean().storage() = rec.mean;
-    bn.running_var().storage() = rec.var;
-  });
-  ODENET_CHECK(bi == bns_.size(), net.name()
-                                      << ": snapshot BN count mismatch");
-  // Stamp the image's version on every packed-weight-caching layer: the
-  // next forward packs each weight matrix once and every later call is a
-  // cache hit until the next apply (a hot-swap re-stamps a new version,
-  // which invalidates by key mismatch). Anyone mutating weights in place
-  // afterwards must un-stamp (Trainer does, after each optimizer step).
-  net.set_weight_version(version_);
-}
-
-void ModelSnapshot::apply_delta(Network& net) const {
-  ODENET_CHECK(is_delta(),
-               "apply_delta on a full snapshot (version "
-                   << version_ << "); use apply() instead");
-  check_compatible(net.spec());
-  auto ps = net.params();
-  ODENET_CHECK(params_.size() == ps.size(),
-               net.name() << ": snapshot has " << params_.size()
-                          << " params, network has " << ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    if (!param_changed_[i]) continue;
-    const TensorRecord& rec = params_[i];
-    core::Param* p = ps[i];
-    ODENET_CHECK(rec.name == p->name,
-                 net.name() << ": snapshot param '" << rec.name
-                            << "' does not match network param '" << p->name
-                            << "'");
-    ODENET_CHECK(rec.values.size() == p->value.numel(),
-                 net.name() << ": size mismatch for " << rec.name);
-    p->value.storage() = rec.values;
-  }
-  std::size_t bi = 0;
-  net.for_each_batchnorm([this, &bi, &net](core::BatchNorm2d& bn) {
+  net.for_each_batchnorm([this, &bi, &net, delta](core::BatchNorm2d& bn) {
     ODENET_CHECK(bi < bns_.size(),
                  net.name() << ": snapshot BN count mismatch");
     const std::size_t i = bi++;
-    if (!bn_changed_[i]) return;
     const BnRecord& rec = bns_[i];
     ODENET_CHECK(rec.mean.size() == bn.running_mean().numel() &&
                      rec.var.size() == bn.running_var().numel(),
                  net.name() << ": BN stat size mismatch");
+    if (delta && !bn_changed_[i]) return;
     bn.running_mean().storage() = rec.mean;
     bn.running_var().storage() = rec.var;
   });
   ODENET_CHECK(bi == bns_.size(), net.name()
                                       << ": snapshot BN count mismatch");
+  if (!delta) {
+    // Stamp the image's version on every packed-weight-caching layer: the
+    // next forward packs each weight matrix once and every later call is
+    // a cache hit until the next apply (a hot-swap re-stamps a new
+    // version, which invalidates by key mismatch). Anyone mutating
+    // weights in place afterwards must un-stamp (Trainer does, after each
+    // optimizer step).
+    net.set_weight_version(version_);
+    return false;
+  }
   // Re-stamp ONLY the layers whose tensors this image changes: untouched
   // layers keep their old stamp and with it their packed-weight caches.
   // A layer counts as changed when any changed param name sits under its
@@ -405,6 +376,7 @@ void ModelSnapshot::apply_delta(Network& net) const {
         }
         return false;
       });
+  return true;
 }
 
 }  // namespace odenet::models

@@ -115,19 +115,16 @@ class ModelSnapshot {
   void save(std::ostream& os) const;
 
   /// Overwrites `net`'s parameters and BN statistics with this image.
-  /// Validates the architecture descriptor and every param
-  /// name/size; throws odenet::Error on any mismatch, leaving partial
-  /// state only on the (structurally impossible after validation) tail
-  /// mismatch.
-  void apply(Network& net) const;
-
-  /// Fast apply for delta-assembled snapshots: overwrites ONLY the
-  /// changed tensors and re-stamps only the layers they belong to, so
+  /// `carried_version` is the version `net` carries now (0: unknown). A
+  /// delta-assembled image whose delta_base() is that version writes ONLY
+  /// its changed tensors and re-stamps only the layers they belong to, so
   /// the unchanged layers keep their packed-weight caches (no repack on
-  /// the next forward). Requires is_delta() and a network currently
-  /// carrying delta_base() — the caller (the engine's worker sync)
-  /// checks; apply_delta itself validates shapes like apply().
-  void apply_delta(Network& net) const;
+  /// the next forward); any other apply writes every tensor and stamps
+  /// every layer. Returns true when it took the delta path. Validates the
+  /// architecture descriptor and every param name/size; throws
+  /// odenet::Error on any mismatch, leaving partial state only on the
+  /// (structurally impossible after validation) tail mismatch.
+  bool apply(Network& net, std::uint64_t carried_version = 0) const;
 
   /// The changed tensors of `next` relative to `base` (bytewise compare;
   /// both snapshots must share one parameter/BN signature — throws

@@ -359,28 +359,17 @@ void InferenceEngine::sync_worker(Backend& backend, Worker& worker) {
   // only BRAM stages it touches are re-quantized — a head fine-tune
   // leaves every offloaded trunk stage's BRAM image alone, it just
   // adopts the new version id. Any version skew (worker two publishes
-  // behind, rollback across versions) falls back to the full apply.
-  const bool delta_sync =
-      snap->is_delta() && snap->delta_base() == worker.applied_version;
+  // behind, rollback across versions) takes the full apply.
+  const bool delta_sync = snap->apply(*worker.net, worker.applied_version);
   std::uint64_t requantized = 0, skipped = 0;
-  if (delta_sync) {
-    worker.net->apply_snapshot_delta(*snap);
-    for (auto& exec : worker.fpga_execs) {
-      if (snap->stage_changed(exec->stage_id())) {
-        models::Stage* stage = worker.net->stage(exec->stage_id());
-        exec->requantize(*stage, snap->version());
-        ++requantized;
-      } else {
-        exec->adopt_version(snap->version());
-        ++skipped;
-      }
-    }
-  } else {
-    worker.net->apply_snapshot(*snap);
-    for (auto& exec : worker.fpga_execs) {
+  for (auto& exec : worker.fpga_execs) {
+    if (!delta_sync || snap->stage_changed(exec->stage_id())) {
       models::Stage* stage = worker.net->stage(exec->stage_id());
       exec->requantize(*stage, snap->version());
       ++requantized;
+    } else {
+      exec->adopt_version(snap->version());
+      ++skipped;
     }
   }
   const double seconds = watch.seconds();

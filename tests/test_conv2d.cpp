@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include "conv_reference.hpp"
@@ -205,6 +206,48 @@ TEST(Conv2dTime, BackwardStripsTimePlaneGrad) {
   Tensor gin = conv.backward(random_tensor({2, 2, 4, 4}, rng));
   // Gradient w.r.t. the data input only: same shape as x.
   EXPECT_TRUE(gin.same_shape(x));
+}
+
+TEST(Conv2dTime, BackwardUsesTheForwardsTime) {
+  // set_time() between forward and backward must not move the gradients:
+  // the conv lowers its cached input again at the t the forward ran at.
+  // Implicit (8x8) and explicit (6x6) forward lowerings.
+  for (int size : {8, 6}) {
+    ou::Rng rng(8);
+    Conv2d a({.in_channels = 3, .out_channels = 4, .time_channel = true});
+    odenet::core::init_conv(a, rng);
+    Conv2d b({.in_channels = 3, .out_channels = 4, .time_channel = true});
+    b.weight().value = a.weight().value;
+    Tensor x = random_tensor({2, 3, size, size}, rng);
+    Tensor g = random_tensor({2, 4, size, size}, rng);
+    for (Conv2d* conv : {&a, &b}) {
+      conv->set_training(true);
+      conv->set_time(0.5f);
+      conv->forward(x);
+    }
+    b.set_time(2.0f);
+    Tensor ga = a.backward(g);
+    Tensor gb = b.backward(g);
+    ASSERT_TRUE(ga.same_shape(gb));
+    EXPECT_EQ(0, std::memcmp(ga.data(), gb.data(), ga.numel() * sizeof(float)))
+        << "dX at " << size;
+    EXPECT_EQ(0, std::memcmp(a.weight().grad.data(), b.weight().grad.data(),
+                             a.weight().grad.numel() * sizeof(float)))
+        << "dW at " << size;
+
+    // And both match the reference at the forward's t.
+    const Tensor x_in = conv_reference::with_time_plane(x, 0.5f);
+    const conv_reference::Grads ref =
+        conv_reference::backward(x_in, a.weight().value, g, 1, 1);
+    const Tensor dx_ref = conv_reference::without_time_plane(ref.dx);
+    for (std::size_t i = 0; i < gb.numel(); ++i) {
+      ASSERT_NEAR(gb.data()[i], dx_ref.data()[i], 1e-4f) << "dX " << i;
+    }
+    for (std::size_t i = 0; i < ref.dw.numel(); ++i) {
+      ASSERT_NEAR(b.weight().grad.data()[i], ref.dw.data()[i], 1e-4f)
+          << "dW " << i;
+    }
+  }
 }
 
 TEST(Conv2dTime, TimeWeightsReceiveGradient) {

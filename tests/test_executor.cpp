@@ -17,6 +17,7 @@
 #include <tuple>
 #include <vector>
 
+#include "conv_reference.hpp"
 #include "core/gemm_kernels.hpp"
 #include "models/executor.hpp"
 #include "models/network.hpp"
@@ -125,6 +126,65 @@ TEST(Executor, FixedBackendWithinQuantizationTolerance) {
   models::StagePlan coarse(&q8);
   core::Tensor coarse_out = net.forward_with(x, coarse);
   EXPECT_LT(max_abs_diff(base, coarse_out), 1.0);
+}
+
+TEST(Executor, FixedOdeStagesMatchReferenceConvOnTimePlane) {
+  // The int16 path lowers x and one quantized time plane that every
+  // sample shares. Each ODE stage's fixed Euler solve must track the same
+  // solve whose convs are the naive reference on the concatenated
+  // [N, C+1, H, W] input. ODENet's layer1, rODENet-2's layer2_2 and
+  // rODENet-3's layer3_2 see 16/8/4, 12/6/3 and 20/10/5 planes at these
+  // input sizes (H*W % 16 == 0 and != 0), at batches 1, 3 and 8. Budget
+  // 0.05: 2.5x the worst 0.020 measured, while a time plane at t = 0
+  // instead of t misses by more than 1.
+  for (Arch arch : {Arch::kOdeNet, Arch::kROdeNet2, Arch::kROdeNet3}) {
+    for (int size : {16, 12, 20}) {
+      models::WidthConfig width = tiny_width();
+      width.input_size = size;
+      util::Rng rng(static_cast<std::uint64_t>(size));
+      models::Network net(models::make_spec(arch, 14, width));
+      net.init(rng);
+      net.set_training(false);
+      for (int batch : {1, 3, 8}) {
+        for (auto& stage : net.stages()) {
+          if (!stage->is_ode()) continue;
+          SCOPED_TRACE(testing::Message()
+                       << models::arch_name(arch) << " " << stage->name()
+                       << " input " << size << " batch " << batch);
+          const int c = stage->spec().in_channels, s = stage->spec().in_size;
+          core::Tensor x({batch, c, s, s});
+          for (std::size_t i = 0; i < x.numel(); ++i) {
+            x.data()[i] = static_cast<float>(rng.normal(0.0, 0.5));
+          }
+          models::FixedStageExecutor fixed(20);
+          const core::Tensor got = fixed.run(*stage, x, nullptr);
+          EXPECT_EQ(fixed.float_carrier_calls(), 0u);
+
+          models::OdeBlock& ode = *stage->ode();
+          core::BuildingBlock& block = ode.block();
+          const int steps = ode.config().executions;
+          const float h = (ode.t1() - ode.t0()) / static_cast<float>(steps);
+          auto conv = [](core::Conv2d& cv, const core::Tensor& in, float t) {
+            return conv_reference::forward(
+                conv_reference::with_time_plane(in, t), cv.weight().value,
+                cv.config().stride, cv.config().pad);
+          };
+          core::Tensor z = x;
+          float t = ode.t0();
+          for (int k = 0; k < steps; ++k, t += h) {
+            core::Tensor f = block.bn1().forward(conv(block.conv1(), z, t));
+            for (std::size_t i = 0; i < f.numel(); ++i) {
+              f.data()[i] = std::max(f.data()[i], 0.0f);
+            }
+            f = block.bn2().forward(conv(block.conv2(), f, t));
+            z.axpy(h, f);
+          }
+          ASSERT_TRUE(got.same_shape(z));
+          EXPECT_LT(max_abs_diff(got, z), 0.05);
+        }
+      }
+    }
+  }
 }
 
 TEST(Executor, FpgaSimBackendMatchesFloatWithinTolerance) {

@@ -334,7 +334,9 @@ TEST(FusedEpilogue, GemmEpResidualMayAliasC) {
 TEST(FusedEpilogue, ImplicitLoweringMatchesExplicitBitwise) {
   // The implicit B gather must pack exactly the values im2col
   // materializes — same micro-kernel, same sweep order, so the output is
-  // bitwise equal to the explicit composition on either ISA.
+  // bitwise equal to the explicit composition on either ISA. Each
+  // geometry also runs with its last channel as a time channel read from
+  // one shared plane.
   struct Geo {
     int c, h, w, m, kernel, pad;
   };
@@ -344,50 +346,58 @@ TEST(FusedEpilogue, ImplicitLoweringMatchesExplicitBitwise) {
   const int batch = 3;
   ou::Rng rng(31);
   for (const Geo& geo : geos) {
-    SCOPED_TRACE(testing::Message() << "c=" << geo.c << " h=" << geo.h
-                                    << " w=" << geo.w << " m=" << geo.m
-                                    << " k=" << geo.kernel);
-    const LoweringGeometry g{.channels = geo.c, .height = geo.h,
-                             .width = geo.w, .kernel = geo.kernel,
-                             .stride = 1, .pad = geo.pad};
-    ASSERT_TRUE(gemm_implicit_lowering_ok(g, geo.m));
-    const std::size_t kk = g.col_rows();
-    const std::size_t n = g.col_cols() * batch;
-    const auto src = random_vec(
-        static_cast<std::size_t>(batch) * geo.c * geo.h * geo.w, rng);
-    const auto wvec = random_vec(static_cast<std::size_t>(geo.m) * kk, rng);
-    const auto scale = random_vec(static_cast<std::size_t>(geo.m), rng);
-    const auto shift = random_vec(static_cast<std::size_t>(geo.m), rng);
-    PackedGemmA pa;
-    pack_gemm_a(wvec.data(), geo.m, static_cast<int>(kk), pa);
-    GemmEpilogue ep;
-    ep.scale = scale.data();
-    ep.shift = shift.data();
-    ep.relu = true;
-    std::vector<float> cols(kk * n);
-    im2col_batched(src.data(), g, batch, cols.data());
-    const std::size_t cn = static_cast<std::size_t>(geo.m) * n;
-    auto check = [&] {
-      std::vector<float> explicit_c(cn, -1.0f), implicit_c(cn, -2.0f);
-      gemm_tiled_pa_ep(pa, cols.data(), explicit_c.data(),
-                       static_cast<int>(n), ep, batch);
-      gemm_tiled_pa_ep_lowered(pa, src.data(), g, batch, implicit_c.data(),
-                               ep);
-      ASSERT_EQ(0, std::memcmp(explicit_c.data(), implicit_c.data(),
-                               cn * sizeof(float)));
-    };
-    check();
-    {
-      ForceScalar forced(true);
+    for (bool time_channel : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "c=" << geo.c << " h=" << geo.h << " w=" << geo.w
+                   << " m=" << geo.m << " k=" << geo.kernel
+                   << (time_channel ? " tc" : ""));
+      const LoweringGeometry g{.channels = geo.c, .height = geo.h,
+                               .width = geo.w, .kernel = geo.kernel,
+                               .stride = 1, .pad = geo.pad};
+      ASSERT_TRUE(gemm_implicit_lowering_ok(g, geo.m));
+      const std::size_t kk = g.col_rows();
+      const std::size_t n = g.col_cols() * batch;
+      const std::size_t plane = static_cast<std::size_t>(geo.h) * geo.w;
+      const auto src = random_vec(static_cast<std::size_t>(batch) *
+                                      (geo.c - (time_channel ? 1 : 0)) *
+                                      plane,
+                                  rng);
+      const std::vector<float> tplane(plane, 0.625f);
+      const float* tp = time_channel ? tplane.data() : nullptr;
+      const auto wvec = random_vec(static_cast<std::size_t>(geo.m) * kk, rng);
+      const auto scale = random_vec(static_cast<std::size_t>(geo.m), rng);
+      const auto shift = random_vec(static_cast<std::size_t>(geo.m), rng);
+      PackedGemmA pa;
+      pack_gemm_a(wvec.data(), geo.m, static_cast<int>(kk), pa);
+      GemmEpilogue ep;
+      ep.scale = scale.data();
+      ep.shift = shift.data();
+      ep.relu = true;
+      std::vector<float> cols(kk * n);
+      im2col_batched(src.data(), g, batch, cols.data(), tp);
+      const std::size_t cn = static_cast<std::size_t>(geo.m) * n;
+      auto check = [&] {
+        std::vector<float> explicit_c(cn, -1.0f), implicit_c(cn, -2.0f);
+        gemm_tiled_pa_ep(pa, cols.data(), explicit_c.data(),
+                         static_cast<int>(n), ep, batch);
+        gemm_tiled_pa_ep_lowered(pa, src.data(), g, batch,
+                                 implicit_c.data(), ep, tp);
+        ASSERT_EQ(0, std::memcmp(explicit_c.data(), implicit_c.data(),
+                                 cn * sizeof(float)));
+      };
       check();
-    }
-    {
-      // Both sides under a forced 8-worker split: the gather runs once per
-      // task, and m = 4..12 keeps one row block, so every panel is its own
-      // task.
-      ou::ThreadPool pool(8);
-      PoolOverride ov(&pool, 1);
-      check();
+      {
+        ForceScalar forced(true);
+        check();
+      }
+      {
+        // Both sides under a forced 8-worker split: the gather runs once
+        // per task, and m = 4..12 keeps one row block, so every panel is
+        // its own task.
+        ou::ThreadPool pool(8);
+        PoolOverride ov(&pool, 1);
+        check();
+      }
     }
   }
   // Geometries the implicit path must refuse (caller falls back to the

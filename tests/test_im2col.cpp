@@ -1,6 +1,13 @@
-// The batched im2col/col2im lowering (at batch 1), the transposed-A GEMM
-// layout, and Conv2d against the naive reference convolution.
+// The batched im2col/col2im lowering against a naive lowering (the tap
+// plan and the general walk, with and without a time plane), the
+// transposed-A GEMM layout, and Conv2d against the naive reference
+// convolution.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <tuple>
 
 #include "conv_reference.hpp"
 #include "core/conv2d.hpp"
@@ -68,6 +75,123 @@ TEST(Im2col, Col2imIsAdjointOfIm2col) {
   EXPECT_NEAR(lhs, rhs, 1e-3);
 }
 
+namespace {
+
+/// The textbook lowering of a [N, C, H, W] batch (channel C-1 read from
+/// tplane when it is given): row (c, kh, kw), column n * Ho*Wo + oh * Wo + ow.
+template <typename T>
+std::vector<T> naive_lowering(const std::vector<T>& src, const T* tplane,
+                              const LoweringGeometry& g, int batch) {
+  const int ho = g.out_h(), wo = g.out_w();
+  const int data = g.channels - (tplane != nullptr ? 1 : 0);
+  const std::size_t ncols = g.col_cols() * batch;
+  std::vector<T> cols(g.col_rows() * ncols);
+  for (int n = 0; n < batch; ++n)
+    for (int c = 0; c < g.channels; ++c)
+      for (int kh = 0; kh < g.kernel; ++kh)
+        for (int kw = 0; kw < g.kernel; ++kw)
+          for (int oh = 0; oh < ho; ++oh)
+            for (int ow = 0; ow < wo; ++ow) {
+              const int ih = oh * g.stride - g.pad + kh;
+              const int iw = ow * g.stride - g.pad + kw;
+              T v{};
+              if (ih >= 0 && ih < g.height && iw >= 0 && iw < g.width) {
+                const std::size_t at =
+                    static_cast<std::size_t>(ih) * g.width + iw;
+                v = c < data ? src[(static_cast<std::size_t>(n) * data + c) *
+                                       g.height * g.width +
+                                   at]
+                             : tplane[at];
+              }
+              const std::size_t row =
+                  (static_cast<std::size_t>(c) * g.kernel + kh) * g.kernel +
+                  kw;
+              cols[row * ncols + static_cast<std::size_t>(n) * ho * wo +
+                   static_cast<std::size_t>(oh) * wo + ow] = v;
+            }
+  return cols;
+}
+
+/// im2col_batched (float) and im2col_batched_i16 against the naive
+/// lowering, bitwise, into buffers pre-filled with a sentinel so a write
+/// outside a sample's rows or columns shows too; then col2im_batched with
+/// a time channel against the full scatter's data planes.
+void check_lowering(const LoweringGeometry& g, int batch, bool time_channel,
+                    ou::Rng& rng) {
+  SCOPED_TRACE(testing::Message()
+               << "c=" << g.channels << " h=" << g.height << " w=" << g.width
+               << " k=" << g.kernel << " s=" << g.stride << " p=" << g.pad
+               << " n=" << batch << (time_channel ? " tc" : ""));
+  const std::size_t plane = static_cast<std::size_t>(g.height) * g.width;
+  const int data = g.channels - (time_channel ? 1 : 0);
+  std::vector<float> src(static_cast<std::size_t>(batch) * data * plane);
+  for (auto& v : src) v = static_cast<float>(rng.normal(0, 1));
+  const std::vector<float> tplane(plane, 0.375f);
+  const float* tp = time_channel ? tplane.data() : nullptr;
+  const std::vector<float> want = naive_lowering(src, tp, g, batch);
+  std::vector<float> got(want.size(), -7.0f);
+  im2col_batched(src.data(), g, batch, got.data(), tp);
+  ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                           want.size() * sizeof(float)));
+
+  std::vector<std::int16_t> src16(src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src16[i] = static_cast<std::int16_t>(src[i] * 1000.0f);
+  }
+  const std::vector<std::int16_t> tplane16(plane, 375);
+  const std::int16_t* tp16 = time_channel ? tplane16.data() : nullptr;
+  const std::vector<std::int16_t> want16 =
+      naive_lowering(src16, tp16, g, batch);
+  std::vector<std::int16_t> got16(want16.size(), -7);
+  im2col_batched_i16(src16.data(), g, batch, got16.data(), tp16);
+  ASSERT_EQ(0, std::memcmp(got16.data(), want16.data(),
+                           want16.size() * sizeof(std::int16_t)));
+
+  if (!time_channel) return;
+  std::vector<float> full(static_cast<std::size_t>(batch) * g.channels *
+                          plane);
+  col2im_batched(want.data(), g, batch, full.data());
+  std::vector<float> dx(src.size());
+  col2im_batched(want.data(), g, batch, dx.data(), /*time_channel=*/true);
+  for (int n = 0; n < batch; ++n) {
+    ASSERT_EQ(0, std::memcmp(dx.data() + n * data * plane,
+                             full.data() + n * g.channels * plane,
+                             data * plane * sizeof(float)));
+  }
+}
+
+}  // namespace
+
+TEST(Im2col, MatchesNaiveLoweringAcrossKernelsAndPads) {
+  // Stride 1 at every pad from 0 to k-1: the "same" pad (k-1)/2 lowers
+  // through the tap plan (up to 7x7), every other pad — and the 9x9 kernel
+  // above the plan's cap — through the general walk. Stride 2 is the
+  // downsampling convs' geometry.
+  ou::Rng rng(12);
+  for (int k : {1, 3, 5, 7, 9}) {
+    for (int stride : {1, 2}) {
+      for (int pad = 0; pad < k; ++pad) {
+        const int base = std::max(k - 2 * pad, 1);
+        const LoweringGeometry g{.channels = 3, .height = base + 2,
+                                 .width = base + 3, .kernel = k,
+                                 .stride = stride, .pad = pad};
+        check_lowering(g, 3, /*time_channel=*/false, rng);
+        check_lowering(g, 2, /*time_channel=*/true, rng);
+      }
+    }
+  }
+  // Taps further off the plane than it has rows or columns: k = 5, pad = 2
+  // (and 7, 3) on a one-row input, whose zeroing must stay inside each
+  // sample's row block; and the same on a one-column input.
+  for (const auto& [k, h, w] : {std::tuple{5, 1, 6}, std::tuple{7, 1, 4},
+                                std::tuple{5, 6, 1}, std::tuple{5, 1, 1}}) {
+    const LoweringGeometry g{.channels = 2, .height = h, .width = w,
+                             .kernel = k, .stride = 1, .pad = k / 2};
+    check_lowering(g, 3, /*time_channel=*/false, rng);
+    check_lowering(g, 3, /*time_channel=*/true, rng);
+  }
+}
+
 TEST(Im2col, GemmTransposedVariants) {
   ou::Rng rng(4);
   const int m = 4, k = 6, n = 3;
@@ -90,6 +214,7 @@ TEST(Im2col, GemmTransposedVariants) {
 struct ConvCase {
   int n, cin, cout, size, stride;
   bool time_channel;
+  bool implicit;  // the forward lowers inside the GEMM's panel fill
 };
 
 class ConvMatchesReference : public ::testing::TestWithParam<ConvCase> {};
@@ -101,6 +226,9 @@ TEST_P(ConvMatchesReference, Forward) {
                .stride = p.stride, .time_channel = p.time_channel});
   init_conv(conv, rng);
   conv.set_time(0.7f);
+
+  EXPECT_EQ(gemm_implicit_lowering_ok(conv.lowering(p.size, p.size), p.cout),
+            p.implicit);
 
   Tensor x = random_tensor({p.n, p.cin, p.size, p.size}, rng);
   const Tensor x_in =
@@ -146,10 +274,23 @@ TEST_P(ConvMatchesReference, Backward) {
   }
 }
 
+// The time-channel cases cover batches 1, 3 and 8 on both lowerings:
+// implicit at 8x8 and 16x16; explicit at stride 2, on the 6x6 and 10x10
+// planes whose H*W % 16 != 0 (a 12- and a 20-pixel input after two
+// downsamples), and at 12x12 and 20x20, whose planes are multiples of 16,
+// with a Cout that is not a multiple of 4.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConvMatchesReference,
-    ::testing::Values(ConvCase{1, 3, 4, 8, 1, false},
-                      ConvCase{2, 4, 4, 6, 1, false},
-                      ConvCase{1, 3, 8, 8, 2, false},
-                      ConvCase{2, 2, 3, 5, 1, true},
-                      ConvCase{1, 4, 4, 8, 1, true}));
+    ::testing::Values(ConvCase{1, 3, 4, 8, 1, false, true},
+                      ConvCase{2, 4, 4, 6, 1, false, false},
+                      ConvCase{1, 3, 8, 8, 2, false, false},
+                      ConvCase{2, 2, 3, 5, 1, true, false},
+                      ConvCase{1, 4, 4, 8, 1, true, true},
+                      ConvCase{3, 3, 8, 8, 1, true, true},
+                      ConvCase{8, 2, 4, 16, 1, true, true},
+                      ConvCase{3, 4, 4, 12, 2, true, false},
+                      ConvCase{8, 3, 4, 20, 2, true, false},
+                      ConvCase{1, 3, 4, 6, 1, true, false},
+                      ConvCase{3, 2, 8, 10, 1, true, false},
+                      ConvCase{8, 2, 3, 12, 1, true, false},
+                      ConvCase{3, 3, 5, 20, 1, true, false}));

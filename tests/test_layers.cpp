@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include "core/activation.hpp"
 #include "core/init.hpp"
@@ -10,10 +12,36 @@
 #include "core/softmax.hpp"
 #include "util/rng.hpp"
 
+// Counts this thread's heap allocations, for the in-place cache checks.
+namespace {
+thread_local std::size_t tl_allocations = 0;
+}  // namespace
+
+// Out of line, so the compiler pairs new with delete rather than the
+// malloc and free inside them.
+__attribute__((noinline)) void* operator new(std::size_t n) {
+  ++tl_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 using namespace odenet::core;
 namespace ou = odenet::util;
 
 namespace {
+template <typename Fn>
+std::size_t allocations(Fn&& fn) {
+  const std::size_t before = tl_allocations;
+  fn();
+  return tl_allocations - before;
+}
+
 Tensor random_tensor(std::vector<int> shape, ou::Rng& rng) {
   Tensor t(std::move(shape));
   for (std::size_t i = 0; i < t.numel(); ++i) {
@@ -50,6 +78,28 @@ TEST(ReLU, BackwardMasks) {
   EXPECT_EQ(gin.at1(0), 0.0f);
   EXPECT_EQ(gin.at1(1), 5.0f);
   EXPECT_EQ(gin.at1(2), 0.0f);
+}
+
+TEST(ReLU, TrainingMaskIsRefilledInPlace) {
+  // Once the mask has the input's shape, a training forward allocates
+  // only what an eval forward does (its output); the refilled mask is the
+  // latest input's.
+  ou::Rng rng(3);
+  ReLU relu;
+  const Tensor x = random_tensor({2, 3, 4, 4}, rng);
+  (void)relu.forward(x);  // warm-up
+  const std::size_t eval = allocations([&] { (void)relu.forward(x); });
+  relu.set_training(true);
+  (void)relu.forward(x);
+  const Tensor x2 = random_tensor({2, 3, 4, 4}, rng);
+  EXPECT_EQ(allocations([&] { (void)relu.forward(x2); }), eval);
+  const Tensor gin = relu.backward(Tensor::full(x2.shape(), 1.0f));
+  for (std::size_t i = 0; i < x2.numel(); ++i) {
+    EXPECT_EQ(gin.data()[i], x2.data()[i] > 0.0f ? 1.0f : 0.0f) << i;
+  }
+  // A new shape regrows the mask.
+  const Tensor x3 = random_tensor({1, 3, 4, 4}, rng);
+  EXPECT_GT(allocations([&] { (void)relu.forward(x3); }), eval);
 }
 
 TEST(ReLU, BackwardWithoutForwardThrows) {
