@@ -6,8 +6,17 @@
 // adjoint reconstructs z(t) by integrating backward; with few/large steps
 // the reconstruction error corrupts the gradient — the proposed mechanism
 // for ODENet's training instability at small N.
+//
+// A second table prints what each backward costs an OdeBlock at every M:
+// the floats its training forward holds for the backward and the
+// evaluations of f the backward makes, for discrete backprop from
+// recorded evaluations (a training step), discrete backprop from the
+// trajectory (a forward no backward preceded) and the adjoint.
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/init.hpp"
 #include "models/odeblock.hpp"
@@ -35,6 +44,27 @@ class BlockDyn final : public solver::DifferentiableDynamics {
 double cosine(const Tensor& a, const Tensor& b) {
   return a.dot(b) / (std::sqrt(static_cast<double>(a.sqnorm())) *
                      std::sqrt(static_cast<double>(b.sqnorm())) + 1e-30);
+}
+
+/// What one training step's backward cost an OdeBlock: floats held from
+/// its forward to its backward, and evaluations of f in the backward.
+struct BackwardCost {
+  std::size_t floats = 0;
+  int evals = 0;
+};
+
+/// Runs `steps` forward+backward steps of `ob` and returns the last one's
+/// cost (the first follows no backward; later ones do).
+BackwardCost step_cost(models::OdeBlock& ob, const Tensor& z0,
+                       const Tensor& gout, int steps) {
+  BackwardCost cost;
+  for (int i = 0; i < steps; ++i) {
+    (void)ob.forward(z0);
+    cost.floats = ob.backward_floats();
+    (void)ob.backward(gout);
+    cost.evals = ob.last_backward_evals();
+  }
+  return cost;
 }
 
 }  // namespace
@@ -94,6 +124,47 @@ int main() {
       "(the coarse grids of small-N ODENets) the gradients disagree\n"
       "substantially — consistent with the unstable Figure-6 training\n"
       "curves for ODENet-20 and the paper's future-work item on the\n"
-      "adjoint accuracy loss.\n");
+      "adjoint accuracy loss.\n\n");
+
+  std::printf("=== Memory/time trade-off per backward (OdeBlock, Euler, "
+              "state [1,4,6,6] = %zu floats) ===\n\n",
+              z0.numel());
+  util::TableWriter cost_table(
+      {"M", "recorded: floats held", "recorded: f evals",
+       "trajectory: floats held", "trajectory: f evals",
+       "adjoint: floats held", "adjoint: f evals"});
+  for (int steps : {1, 2, 4, 8, 16, 32}) {
+    models::OdeBlockConfig cfg{.channels = 4, .executions = steps};
+    std::vector<BackwardCost> costs;
+    // Recorded: the second step follows a backward. Trajectory: the
+    // first step follows none. Adjoint: holds z(t1) only.
+    for (const auto& [gradient, runs] :
+         {std::pair{models::GradientMode::kDiscreteBackprop, 2},
+          std::pair{models::GradientMode::kDiscreteBackprop, 1},
+          std::pair{models::GradientMode::kAdjoint, 1}}) {
+      cfg.gradient = gradient;
+      models::OdeBlock ob(cfg, "ablation");
+      util::Rng block_rng(11);
+      core::init_block(ob.block(), block_rng);
+      ob.set_training(true);
+      costs.push_back(step_cost(ob, z0, gout, runs));
+    }
+    std::vector<std::string> row{std::to_string(steps)};
+    for (const BackwardCost& c : costs) {
+      row.push_back(std::to_string(c.floats));
+      row.push_back(std::to_string(c.evals));
+    }
+    cost_table.add_row(row);
+  }
+  std::printf("%s\n", cost_table.to_string().c_str());
+  std::printf(
+      "Expected shape: recorded discrete backprop holds each evaluation's\n"
+      "layer caches (5 state-sized tensors plus 4 per-channel statistics)\n"
+      "and evaluates f 0 times; from the trajectory it holds the M\n"
+      "step-start states and evaluates f again once per Euler step; the\n"
+      "adjoint holds only z(t1), whatever M, and evaluates f once per\n"
+      "step while integrating backward. A training step takes the first\n"
+      "column pair: ~5x the trajectory's memory buys a backward with no\n"
+      "forward convolution.\n");
   return 0;
 }

@@ -9,8 +9,8 @@ Tensor ReLU::forward(const Tensor& x) {
   const float* src = x.data();
   float* dst = out.data();
   if (training_) {
-    if (!cached_mask_.same_shape(x)) cached_mask_ = Tensor(x.shape());
-    float* mask = cached_mask_.data();
+    if (!cache_.mask.same_shape(x)) cache_.mask = Tensor(x.shape());
+    float* mask = cache_.mask.data();
     for (std::size_t i = 0; i < x.numel(); ++i) {
       const bool pos = src[i] > 0.0f;
       dst[i] = pos ? src[i] : 0.0f;
@@ -23,12 +23,12 @@ Tensor ReLU::forward(const Tensor& x) {
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
-  ODENET_CHECK(!cached_mask_.empty(),
+  ODENET_CHECK(!cache_.mask.empty(),
                name_ << ": backward without forward in training mode");
-  ODENET_CHECK(grad_out.same_shape(cached_mask_),
+  ODENET_CHECK(grad_out.same_shape(cache_.mask),
                name_ << ": grad shape mismatch");
   Tensor grad_in(grad_out.shape());
-  active_gemm_kernels().mul_f32(grad_out.data(), cached_mask_.data(),
+  active_gemm_kernels().mul_f32(grad_out.data(), cache_.mask.data(),
                                 grad_in.data(), grad_out.numel());
   return grad_in;
 }

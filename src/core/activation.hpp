@@ -1,6 +1,8 @@
 // ReLU activation (paper ref [8]).
 #pragma once
 
+#include <utility>
+
 #include "core/layer.hpp"
 
 namespace odenet::core {
@@ -12,11 +14,18 @@ class ReLU final : public Layer {
   const std::string& name() const override { return name_; }
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  void release_cache() override { cached_mask_ = Tensor(); }
+  void release_cache() override { cache_ = Cache(); }
+
+  /// What backward() reads, cached by a training forward.
+  struct Cache {
+    Tensor mask;  // 1 where input > 0
+  };
+  /// Exchanges the cache with `c` (moves, no copy).
+  void swap_cache(Cache& c) { std::swap(cache_, c); }
 
  private:
   std::string name_;
-  Tensor cached_mask_;  // 1 where input > 0
+  Cache cache_;
 };
 
 }  // namespace odenet::core

@@ -123,17 +123,20 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   });
 
   if (training_) {
-    cached_input_ = x;
-    cached_mean_ = std::move(mean);
-    cached_inv_std_ = std::move(inv_std);
+    cache_.input = x;
+    cache_.mean = std::move(mean);
+    cache_.inv_std = std::move(inv_std);
   }
   return out;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
-  ODENET_CHECK(!cached_input_.empty(),
+  ODENET_CHECK(!cache_.input.empty(),
                name_ << ": backward without forward in training mode");
-  const Tensor& x = cached_input_;
+  const Tensor& x = cache_.input;
+  ODENET_CHECK(grad_out.same_shape(x),
+               name_ << ": grad_out " << grad_out.shape_str()
+                     << " does not match the cached input " << x.shape_str());
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   const double m_count = static_cast<double>(n) * plane;
@@ -144,8 +147,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
 
   util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(c),
                      [&](std::size_t ci) {
-    const float mu = cached_mean_.at1(static_cast<int>(ci));
-    const float is = cached_inv_std_.at1(static_cast<int>(ci));
+    const float mu = cache_.mean.at1(static_cast<int>(ci));
+    const float is = cache_.inv_std.at1(static_cast<int>(ci));
     const float g = gamma_.value.at1(static_cast<int>(ci));
 
     // First pass: dgamma = sum(dy * xhat), dbeta = sum(dy).

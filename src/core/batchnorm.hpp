@@ -7,6 +7,7 @@
 // current feature map with dedicated divide and square-root units.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "core/layer.hpp"
@@ -21,8 +22,17 @@ class BatchNorm2d final : public Layer {
   const std::string& name() const override { return name_; }
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  void release_cache() override { cached_input_ = Tensor(); }
+  void release_cache() override { cache_ = Cache(); }
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
+
+  /// What backward() reads, cached by a training forward.
+  struct Cache {
+    Tensor input;
+    Tensor mean;     // [C] batch statistics
+    Tensor inv_std;  // [C]
+  };
+  /// Exchanges the cache with `c` (moves, no copy).
+  void swap_cache(Cache& c) { std::swap(cache_, c); }
 
   int channels() const { return channels_; }
   float eps() const { return eps_; }
@@ -38,8 +48,9 @@ class BatchNorm2d final : public Layer {
   void set_use_batch_stats_in_eval(bool v) { batch_stats_in_eval_ = v; }
 
   /// Suppress running-statistics updates while still using batch statistics.
-  /// The ODE backward passes re-evaluate the dynamics to rebuild caches;
-  /// without freezing, each evaluation would apply the momentum update again.
+  /// An ODE backward that re-evaluates the dynamics to rebuild caches
+  /// freezes them; without it, each evaluation would apply the momentum
+  /// update again.
   void set_freeze_running_stats(bool v) { freeze_running_stats_ = v; }
 
   /// True when eval-mode normalization is a fixed per-channel affine of
@@ -71,10 +82,7 @@ class BatchNorm2d final : public Layer {
   Tensor running_mean_;  // [C]
   Tensor running_var_;   // [C]
 
-  // Cached forward state for backward.
-  Tensor cached_input_;
-  Tensor cached_mean_;     // [C]
-  Tensor cached_inv_std_;  // [C]
+  Cache cache_;
 
   // Folded eval coefficients, recomputed each eval forward into recycled
   // storage (gamma/beta/running stats may have changed since last call).

@@ -50,6 +50,24 @@ void BuildingBlock::release_cache() {
   }
 }
 
+std::size_t BuildingBlock::BranchCaches::floats() const {
+  std::size_t n = 0;
+  for (const Tensor* t : {&conv1.input, &bn1.input, &bn1.mean, &bn1.inv_std,
+                          &relu.mask, &conv2.input, &bn2.input, &bn2.mean,
+                          &bn2.inv_std}) {
+    n += t->numel();
+  }
+  return n;
+}
+
+void BuildingBlock::swap_branch_caches(BranchCaches& c) {
+  conv1_.swap_cache(c.conv1);
+  bn1_.swap_cache(c.bn1);
+  relu_.swap_cache(c.relu);
+  conv2_.swap_cache(c.conv2);
+  bn2_.swap_cache(c.bn2);
+}
+
 void BuildingBlock::set_training(bool training) {
   Layer::set_training(training);
   conv1_.set_training(training);

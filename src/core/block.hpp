@@ -46,6 +46,24 @@ class BuildingBlock final : public Layer {
   /// Backward through the branch of the most recent branch_forward().
   Tensor branch_backward(const Tensor& grad_out);
 
+  /// The layer caches of one training branch evaluation — everything
+  /// branch_backward() reads: conv1's and conv2's inputs and t, both BNs'
+  /// inputs and batch statistics, and the ReLU mask.
+  struct BranchCaches {
+    Conv2d::Cache conv1;
+    BatchNorm2d::Cache bn1;
+    ReLU::Cache relu;
+    Conv2d::Cache conv2;
+    BatchNorm2d::Cache bn2;
+
+    /// Elements of every cached tensor.
+    std::size_t floats() const;
+  };
+  /// Exchanges the branch's layer caches with `c` (moves, no copy). An ODE
+  /// block keeps one BranchCaches per recorded evaluation and swaps it in
+  /// around that evaluation's branch_forward() and branch_backward().
+  void swap_branch_caches(BranchCaches& c);
+
   /// True when the fused inference path may run: eval mode and both BNs
   /// foldable to a fixed affine (not batch-statistics eval).
   bool fused_eval_ready() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/im2col.hpp"
+#include "util/thread_pool.hpp"
 
 namespace odenet::core {
 
@@ -86,9 +87,9 @@ void Conv2d::run(const Tensor& x, float t, const PackedGemmA& weights,
     out = Tensor({n, co, ho, wo});
   }
   if (training_) {
-    if (!cached_input_.same_shape(x)) cached_input_ = Tensor(x.shape());
-    std::copy_n(x.data(), x.numel(), cached_input_.data());
-    cached_time_ = t;
+    if (!cache_.input.same_shape(x)) cache_.input = Tensor(x.shape());
+    std::copy_n(x.data(), x.numel(), cache_.input.data());
+    cache_.time = t;
   }
 
   // The lowering reads x itself and the time channel from one plane of t.
@@ -132,9 +133,9 @@ Tensor Conv2d::forward(const Tensor& x) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  ODENET_CHECK(!cached_input_.empty(),
+  ODENET_CHECK(!cache_.input.empty(),
                name_ << ": backward without forward in training mode");
-  const Tensor& x = cached_input_;
+  const Tensor& x = cache_.input;
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const int co = cfg_.out_channels;
   ODENET_CHECK(grad_out.ndim() == 4 && grad_out.dim(0) == n &&
@@ -145,41 +146,67 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const std::size_t cc = g.col_cols();
   const std::size_t ncols = cc * static_cast<std::size_t>(n);
   const std::size_t plane = static_cast<std::size_t>(h) * w;
+  // dX has rows for the data channels only: t is not trained, so the
+  // time channel's K*K rows of W^T are neither packed nor computed.
+  LoweringGeometry gx = g;
+  gx.channels = cfg_.in_channels;
+  const int kx = static_cast<int>(gx.col_rows());
 
-  // One lowering of the whole batch, at the forward's t, drives BOTH
-  // gradients, each one GEMM on the batched [kk, n*cc] layout. The
-  // channel-major grad_out view ([co, n*cc]) the GEMMs need is the
-  // [n, co, cc] tensor permuted; for n == 1 they coincide, so no copy. All
+  // dW: one lowering of the whole batch, at the forward's t, and one GEMM
+  // on the batched [kk, n*cc] layout against the channel-major grad_out
+  // view ([co, n*cc], the [n, co, cc] tensor permuted; for n == 1 they
+  // coincide, so no copy). dX: one sample at a time, so its [kx, cc]
+  // column block is scattered while it is still in cache. The samples
+  // split into one contiguous group per pool worker, each with its own
+  // one-sample scratch (one group, one scratch on a single worker). All
   // scratch is arena-recycled — training stops allocating in the inner
   // loop.
   ScratchArena& arena = active_arena();
   const std::size_t gperm_floats =
       n == 1 ? 0 : static_cast<std::size_t>(co) * ncols;
-  arena.frame(2 * (static_cast<std::size_t>(kk) * ncols) + gperm_floats +
-              (cfg_.time_channel ? plane : 0));
+  const std::size_t groups = std::min<std::size_t>(
+      static_cast<std::size_t>(n),
+      std::max<std::size_t>(kernel_pool().worker_count(), 1));
+  const std::size_t scratch = static_cast<std::size_t>(kx) * cc;
+  arena.frame(static_cast<std::size_t>(kk) * ncols + groups * scratch +
+              gperm_floats + (cfg_.time_channel ? plane : 0));
   float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
-  float* grad_cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
+  float* grad_cols = arena.alloc(groups * scratch);
   const float* gperm = grad_out.data();
   if (n > 1) {
     float* gp = arena.alloc(gperm_floats);
     permute_channel_major(grad_out.data(), gp, n, co, cc);
     gperm = gp;
   }
-  const float* tplane = time_plane(arena, plane, cached_time_);
+  const float* tplane = time_plane(arena, plane, cache_.time);
 
   im2col_batched(x.data(), g, n, cols, tplane);
   // dW[co, kk] += G[co, n*cc] x cols^T: cols [kk, n*cc] is the B^T layout.
   gemm_tiled_bt(gperm, cols, weight_.grad.data(), co, static_cast<int>(ncols),
                 kk, /*accumulate=*/true);
-  // grad_cols[kk, n*cc] = W^T[kk, co] x G[co, n*cc]: W [co, kk] is W^T
-  // stored transposed, packed straight into the tile layout. The time
-  // channel's rows (t is not trained) are not scattered back.
-  static thread_local PackedGemmA wt;
-  pack_gemm_at(weight_.value.data(), kk, co, wt);
-  gemm_tiled_pa(wt, gperm, grad_cols, static_cast<int>(ncols),
-                /*accumulate=*/false);
+  // grad_cols[kx, cc] = W^T[kx, co] x G_i[co, cc] per sample i: W [co, kk]
+  // is W^T stored transposed, its data rows packed straight into the tile
+  // layout, and G_i is sample i's block of NCHW grad_out.
+  static thread_local PackedGemmA wt_storage;
+  // Pool workers must read this thread's pack: inside the lambda the
+  // thread_local name would resolve to each worker's own.
+  PackedGemmA& wt = wt_storage;
+  pack_gemm_at(weight_.value.data(), kx, co, wt, kk);
   Tensor grad_in(x.shape());
-  col2im_batched(grad_cols, g, n, grad_in.data(), cfg_.time_channel);
+  const std::size_t in_sample = static_cast<std::size_t>(cfg_.in_channels) *
+                                plane;
+  const std::size_t per_group = (static_cast<std::size_t>(n) + groups - 1) /
+                                groups;
+  util::parallel_for(kernel_pool(), 0, groups, [&](std::size_t gi) {
+    float* sample_cols = grad_cols + gi * scratch;
+    const std::size_t end =
+        std::min(static_cast<std::size_t>(n), (gi + 1) * per_group);
+    for (std::size_t i = gi * per_group; i < end; ++i) {
+      gemm_tiled_pa(wt, grad_out.data() + i * co * cc, sample_cols,
+                    static_cast<int>(cc), /*accumulate=*/false);
+      col2im_batched(sample_cols, gx, 1, grad_in.data() + i * in_sample);
+    }
+  });
   return grad_in;
 }
 

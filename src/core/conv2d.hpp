@@ -19,12 +19,17 @@
 // the NCHW output, with every scratch buffer served from a recycled
 // ScratchArena — no allocation after the first call. forward(),
 // forward_fused() and the fixed backend's float carrier all call it.
-// Training caches x and the t it ran at; backward lowers them again,
-// explicitly, for dW and dX, and dX leaves the time channel out.
+// Training caches x and the t it ran at (Conv2d::Cache, which an ODE block
+// swaps in and out per recorded evaluation). backward() lowers them again
+// for dW — one batched column matrix and one GEMM — and computes dX one
+// sample at a time: W^T's data-channel rows (t is not trained, so the
+// time channel's rows are never computed) times the sample's [Cout, H*W]
+// block of grad_out, read straight from NCHW, scattered by col2im while
+// that one-sample column block is still in cache.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <utility>
 
 #include "core/arena.hpp"
 #include "core/gemm_kernels.hpp"
@@ -74,8 +79,17 @@ class Conv2d final : public Layer {
   const std::string& name() const override { return name_; }
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  void release_cache() override { cached_input_ = Tensor(); }
+  void release_cache() override { cache_ = Cache(); }
   std::vector<Param*> params() override { return {&weight_}; }
+
+  /// What backward() reads, cached by a training forward: x itself and
+  /// the t the forward ran at.
+  struct Cache {
+    Tensor input;
+    float time = 0.0f;
+  };
+  /// Exchanges the cache with `c` (moves, no copy).
+  void swap_cache(Cache& c) { std::swap(cache_, c); }
 
   /// Eval-mode fused forward: run() with this conv's weights and time —
   /// ep(conv(x)), the folded BN affine and ReLU applied in the output tile.
@@ -176,8 +190,7 @@ class Conv2d final : public Layer {
   std::string name_;
   Param weight_;  // [Cout, Cin(+1), K, K]
   float time_ = 0.0f;
-  Tensor cached_input_;       // training: the forward's x ...
-  float cached_time_ = 0.0f;  // ... and the t it ran at
+  Cache cache_;  // training: the forward's x and t
   ScratchArena own_arena_;        // fallback scratch for standalone layers
   ScratchArena* arena_ = nullptr;  // external scratch (not owned)
   // Packed weights (owning their storage, so moving the layer — or the

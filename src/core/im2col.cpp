@@ -215,28 +215,45 @@ void im2col_sample(const PlaneSource<T>& src, std::size_t n,
   }
 }
 
-/// Adjoint of im2col_sample over the first `channels` planes of one sample
-/// (same row_stride convention); rows past them are not read.
-void col2im_sample(const float* cols, const LoweringGeometry& g, int channels,
-                   std::size_t row_stride, float* dst) {
+/// Adjoint of im2col_sample for one channel plane: scatter-adds its K*K
+/// lowered rows (row_stride apart) into dst. With a tap plan each tap's
+/// in-image positions are contiguous spans of whole rows, added span by
+/// span; otherwise the general walk visits (kh, kw, oh, ow) with a bounds
+/// test per tap. Either way every element receives its adds in tap order,
+/// so both give the naive scatter's values bit for bit.
+void col2im_plane(const float* cols, const LoweringGeometry& g,
+                  const TapSpec* taps, std::size_t row_stride, float* dst) {
+  const int kk = g.kernel * g.kernel;
+  if (taps != nullptr) {
+    const std::size_t w = static_cast<std::size_t>(g.width);
+    for (int t = 0; t < kk; ++t) {
+      const TapSpec& ts = taps[t];
+      const float* in = cols + static_cast<std::size_t>(t) * row_stride;
+      // Position q reads dst[q + shift]; it is in-image when q lies in
+      // [lo, hi) and its column in [zl, zr).
+      for (std::size_t rb = ts.lo / w * w; rb < ts.hi; rb += w) {
+        const std::size_t s = std::max(ts.lo, rb + ts.zl);
+        const std::size_t e = std::min(ts.hi, rb + ts.zr);
+        if (s >= e) continue;
+        float* out = dst + static_cast<std::ptrdiff_t>(s) + ts.shift;
+        const float* src = in + s;
+        for (std::size_t j = 0; j < e - s; ++j) out[j] += src[j];
+      }
+    }
+    return;
+  }
   const int ho = g.out_h(), wo = g.out_w();
-  const std::size_t plane = static_cast<std::size_t>(g.height) * g.width;
-  std::size_t row = 0;
-  for (int c = 0; c < channels; ++c) {
-    float* cplane = dst + static_cast<std::size_t>(c) * plane;
-    for (int kh = 0; kh < g.kernel; ++kh) {
-      for (int kw = 0; kw < g.kernel; ++kw, ++row) {
-        const float* in_row = cols + row * row_stride;
-        for (int oh = 0; oh < ho; ++oh) {
-          const int ih = oh * g.stride - g.pad + kh;
-          if (ih < 0 || ih >= g.height) continue;
-          float* out = cplane + static_cast<std::size_t>(ih) * g.width;
-          const float* in = in_row + static_cast<std::size_t>(oh) * wo;
-          for (int ow = 0; ow < wo; ++ow) {
-            const int iw = ow * g.stride - g.pad + kw;
-            if (iw >= 0 && iw < g.width) out[iw] += in[ow];
-          }
-        }
+  for (int t = 0; t < kk; ++t) {
+    const int kh = t / g.kernel, kw = t % g.kernel;
+    const float* in_row = cols + static_cast<std::size_t>(t) * row_stride;
+    for (int oh = 0; oh < ho; ++oh) {
+      const int ih = oh * g.stride - g.pad + kh;
+      if (ih < 0 || ih >= g.height) continue;
+      float* out = dst + static_cast<std::size_t>(ih) * g.width;
+      const float* in = in_row + static_cast<std::size_t>(oh) * wo;
+      for (int ow = 0; ow < wo; ++ow) {
+        const int iw = ow * g.stride - g.pad + kw;
+        if (iw >= 0 && iw < g.width) out[iw] += in[ow];
       }
     }
   }
@@ -273,16 +290,24 @@ void im2col_batched_i16(const std::int16_t* src, const LoweringGeometry& g,
 }
 
 void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
-                    float* dst, bool time_channel) {
+                    float* dst) {
   ODENET_CHECK(batch > 0, "col2im_batched needs a non-empty batch");
-  const int channels = g.channels - (time_channel ? 1 : 0);
-  const std::size_t sample =
-      static_cast<std::size_t>(channels) * g.height * g.width;
+  TapSpec taps[kMaxTaps];
+  const bool planned = tap_plan_ok(g);
+  if (planned) plan_taps(g, taps);
+  const std::size_t plane = static_cast<std::size_t>(g.height) * g.width;
   const std::size_t cc = g.col_cols();
   const std::size_t row_stride = cc * static_cast<std::size_t>(batch);
-  util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(batch),
-                     [&](std::size_t ni) {
-    col2im_sample(cols + ni * cc, g, channels, row_stride, dst + ni * sample);
+  const std::size_t kk = static_cast<std::size_t>(g.kernel) * g.kernel;
+  const std::size_t channels = static_cast<std::size_t>(g.channels);
+  // One task per (sample, channel) plane: disjoint writes, so one sample's
+  // scatter spreads over the pool too.
+  util::parallel_for(kernel_pool(), 0,
+                     static_cast<std::size_t>(batch) * channels,
+                     [&](std::size_t task) {
+    const std::size_t ni = task / channels, c = task % channels;
+    col2im_plane(cols + c * kk * row_stride + ni * cc, g,
+                 planned ? taps : nullptr, row_stride, dst + task * plane);
   });
 }
 
@@ -457,8 +482,12 @@ void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out) {
   pack_a_strided(a, m, k, static_cast<std::size_t>(k), 1, out);
 }
 
-void pack_gemm_at(const float* at, int m, int k, PackedGemmA& out) {
-  pack_a_strided(at, m, k, 1, static_cast<std::size_t>(m), out);
+void pack_gemm_at(const float* at, int m, int k, PackedGemmA& out,
+                  int ld) {
+  ODENET_CHECK(ld == 0 || ld >= m,
+               "pack_gemm_at: row stride " << ld << " < m " << m);
+  pack_a_strided(at, m, k, 1, static_cast<std::size_t>(ld == 0 ? m : ld),
+                 out);
 }
 
 void gemm_tiled_pa(const PackedGemmA& a, const float* b, float* c, int n,

@@ -15,19 +15,21 @@
 // column of a [C*K*K, Ho*Wo] matrix so convolution becomes one matrix
 // product with the [Cout, C*K*K] weight view. col2im is its adjoint
 // (scatter-add), used for the input gradient. The lowerings work on whole
-// [N,C,H,W] batches; a batch of one is the single-sample case. This file
+// [N,C,H,W] batches; a batch of one is the single-sample case (the conv
+// backward scatters its input gradient one sample at a time). This file
 // is the only code that maps a conv's input to GEMM rows:
 //   - A conv with a time channel (the ODE blocks' concatenated t plane)
 //     passes one [H*W] plane of t that every sample shares; the lowering
 //     reads the last channel's K*K rows from it, so no [N, C+1, H, W]
-//     copy of the input is ever built, and col2im scatters only the data
-//     channels.
+//     copy of the input is ever built. t is not trained, so the input
+//     gradient never has time-channel rows to scatter.
 //   - The stride-1 "same" geometry (kernels up to 7x7) lowers through one
 //     per-tap plan — each lowered row is the input plane flat-shifted with
 //     its out-of-image taps zeroed — shared by the explicit lowering (whole
-//     planes) and the implicit GEMM panel fill (16-column micro-panel
-//     rows). Every other geometry (the downsampling stride-2 convs, larger
-//     kernels) takes the general per-row walk.
+//     planes), the implicit GEMM panel fill (16-column micro-panel rows)
+//     and col2im (contiguous row adds, tap by tap). Every other geometry
+//     (the downsampling stride-2 convs, larger kernels) takes the general
+//     per-row walk.
 #pragma once
 
 #include <cstddef>
@@ -74,13 +76,14 @@ void im2col_batched_i16(const std::int16_t* src, const LoweringGeometry& g,
                         int batch, std::int16_t* dst,
                         const std::int16_t* time_plane = nullptr);
 
-/// Adjoint of im2col_batched: scatter-adds the batched column matrix back
-/// into a [N,C,H,W] buffer (which must be zero-initialized or hold a
-/// partial sum). With time_channel, g's last channel is the time channel:
-/// its rows are not scattered and dst holds g.channels - 1 planes per
-/// sample. Parallelized over samples (disjoint writes).
+/// Adjoint of im2col_batched (without a time plane): scatter-adds the
+/// batched column matrix back into a [N,C,H,W] buffer (which must be
+/// zero-initialized or hold a partial sum). Every element receives its
+/// adds in tap order, the naive (c, kh, kw, oh, ow) scatter's order, so
+/// the tap-plan path and the general walk both match it bit for bit.
+/// Parallelized over (sample, channel) planes (disjoint writes).
 void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
-                    float* dst, bool time_channel = false);
+                    float* dst);
 
 /// Copies an NCHW [N, C, plane] tensor into the channel-major matrix view
 /// [C, N*plane] (sample n in column block n*plane) — the conv backward's
@@ -115,11 +118,14 @@ struct PackedGemmA {
 /// Packs row-major A[m,k] into `out` (storage recycled across calls).
 void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out);
 
-/// Packs A[m,k] from its transpose `at`, stored [k,m] row-major, into the
-/// same layout, so a product whose left operand is held transposed runs on
-/// gemm_tiled_pa: the conv input gradient's W^T (W is [Cout, C*K*K]) and
-/// the Linear weight gradient's G^T (G is [N, out]).
-void pack_gemm_at(const float* at, int m, int k, PackedGemmA& out);
+/// Packs A[m,k] from its transpose `at`, stored [k, ld] row-major (ld = 0
+/// means m; ld > m packs the leading m columns), into the same layout, so
+/// a product whose left operand is held transposed runs on gemm_tiled_pa:
+/// the conv input gradient's W^T (W is [Cout, C*K*K]; a conv with a time
+/// channel packs only the data channels' rows, ld = (C+1)*K*K) and the
+/// Linear weight gradient's G^T (G is [N, out]).
+void pack_gemm_at(const float* at, int m, int k, PackedGemmA& out,
+                  int ld = 0);
 
 /// C[m,n] (+)= A * B[k,n] with A pre-packed: gemm_tiled with the A-side
 /// packing hoisted out, so steady-state serving packs each weight matrix

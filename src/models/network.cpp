@@ -117,10 +117,11 @@ core::Tensor Network::forward(const Tensor& x) {
 
 core::Tensor Network::forward_with(const Tensor& x, const StagePlan& plan,
                                    NetworkRunStats* stats) {
-  // A forward supersedes the last one's backward. ODE stages drop the
-  // trajectories a training forward left unconsumed (BN calibration runs
-  // training forwards back to back) before this forward allocates, so the
-  // M step-start states do not stay live beside the new activations.
+  // A forward supersedes the last one's backward. ODE stages drop what a
+  // training forward left unconsumed (BN calibration runs training
+  // forwards back to back) before this forward allocates, so the M
+  // step-start states do not stay live beside the new activations;
+  // recorded evaluations' slots are refilled in place.
   for (auto& s : stages_) {
     if (OdeBlock* ode = s->ode()) ode->release_cache();
   }

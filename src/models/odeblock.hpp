@@ -9,10 +9,20 @@
 //   * kUnit: t spans [0, 1] in M steps (the Neural-ODE convention).
 // Backward is either the adjoint method (Eq. 9) or exact discrete
 // backprop; see solver/adjoint.hpp for the trade-off. For discrete
-// backprop the training forward records its trajectory z_0..z_{M-1} (the
-// M step-start states, held until backward consumes them or
-// release_cache() drops them) and backward differentiates those states
-// instead of re-solving the stage.
+// backprop a training forward keeps what the backward differentiates,
+// held until backward consumes it or release_cache() drops it:
+//  * In a training step (a backward consumed the previous training
+//    forward) it records every evaluation of f: the branch's layer caches
+//    (conv inputs and t, BN inputs and batch statistics, the ReLU mask)
+//    are swapped into that evaluation's slot, and backward swaps each
+//    slot back in for its VJP — the reverse sweep alone, f evaluated 0
+//    times. Slots persist across steps and are refilled in place.
+//  * Otherwise (a fresh block, or training forwards no backward follows,
+//    such as BN calibration) it records the trajectory z_0..z_{M-1} (the
+//    M step-start states) and holds no slot storage; backward evaluates f
+//    again before each VJP: M / 3M / 7M evaluations for Euler / Heun /
+//    RK4.
+// Neither re-solves the stage, and both give the same bits.
 #pragma once
 
 #include <memory>
@@ -48,12 +58,10 @@ class OdeBlock final : public core::Layer {
   const std::string& name() const override { return name_; }
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
-  /// Drops the recorded trajectory (or z1), e.g. when a training forward
-  /// is not followed by a backward.
-  void release_cache() override {
-    trajectory_.clear();
-    cached_z1_ = Tensor();
-  }
+  /// Drops what the last training forward kept for backward() (recorded
+  /// evaluations, trajectory or z1), e.g. when no backward follows. Slot
+  /// storage stays, to be refilled in place by the next recording forward.
+  void release_cache() override;
   std::vector<core::Param*> params() override { return block_.params(); }
   void set_training(bool training) override;
 
@@ -69,16 +77,38 @@ class OdeBlock final : public core::Layer {
   /// Stats of the most recent forward solve (meaningful for Dopri5).
   const solver::SolveStats& last_stats() const { return stats_; }
 
+  /// Evaluations of f the most recent backward made (0 when it consumed
+  /// recorded evaluations).
+  int last_backward_evals() const { return backward_evals_; }
+
+  /// Evaluation slots this block holds (M * stages once a recording
+  /// forward ran; 0 for a block no backward has ever followed).
+  std::size_t evaluation_slots() const { return dynamics_.slots(); }
+
+  /// Floats the last training forward holds for backward(): its recorded
+  /// evaluations' layer caches, its trajectory or z1.
+  std::size_t backward_floats() const;
+
   /// Dynamics adapter exposing f(z,t) = branch(z,t) with VJP support; used
   /// by the solvers and by tests.
   solver::DifferentiableDynamics& dynamics() { return dynamics_; }
 
  private:
-  class BlockDynamics final : public solver::DifferentiableDynamics {
+  class BlockDynamics final : public solver::DifferentiableDynamics,
+                              public solver::RecordedDynamics {
    public:
     explicit BlockDynamics(core::BuildingBlock& b) : block_(b) {}
     core::Tensor eval(const core::Tensor& z, float t) override {
-      return block_.branch_forward(z, t);
+      if (!recording_) return block_.branch_forward(z, t);
+      // The slot's buffers swap in and are refilled in place; the new
+      // caches swap out into the slot.
+      ODENET_CHECK(recorded_ < slots_.size(),
+                   "more evaluations than recording slots");
+      core::BuildingBlock::BranchCaches& slot = slots_[recorded_++];
+      block_.swap_branch_caches(slot);
+      core::Tensor out = block_.branch_forward(z, t);
+      block_.swap_branch_caches(slot);
+      return out;
     }
     void eval_into(const core::Tensor& z, float t,
                    core::Tensor& out) override {
@@ -97,8 +127,41 @@ class OdeBlock final : public core::Layer {
       return block_.branch_backward(v);
     }
 
+    int recorded_evaluations() const override {
+      return static_cast<int>(recorded_);
+    }
+    core::Tensor vjp_recorded(int evaluation, const core::Tensor& v) override {
+      ODENET_CHECK(evaluation >= 0 &&
+                       static_cast<std::size_t>(evaluation) < recorded_,
+                   "evaluation " << evaluation << " was not recorded");
+      core::BuildingBlock::BranchCaches& slot =
+          slots_[static_cast<std::size_t>(evaluation)];
+      block_.swap_branch_caches(slot);
+      core::Tensor g = block_.branch_backward(v);
+      block_.swap_branch_caches(slot);
+      return g;
+    }
+
+    /// Evaluations from here on go to slots 0..evaluations-1.
+    void start_recording(std::size_t evaluations) {
+      slots_.resize(evaluations);
+      recorded_ = 0;
+      recording_ = true;
+    }
+    void stop_recording() { recording_ = false; }
+    void drop_record() { recorded_ = 0; }
+    std::size_t slots() const { return slots_.size(); }
+    std::size_t recorded_floats() const {
+      std::size_t n = 0;
+      for (std::size_t e = 0; e < recorded_; ++e) n += slots_[e].floats();
+      return n;
+    }
+
    private:
     core::BuildingBlock& block_;
+    std::vector<core::BuildingBlock::BranchCaches> slots_;
+    std::size_t recorded_ = 0;  // slots holding the last forward's caches
+    bool recording_ = false;
   };
 
   OdeBlockConfig cfg_;
@@ -109,6 +172,9 @@ class OdeBlock final : public core::Layer {
   solver::StepScratch scratch_;  // recycled stage storage for fixed steps
   std::vector<core::Tensor> trajectory_;  // for discrete backward
   core::Tensor cached_z1_;  // for adjoint backward
+  // A backward consumed the last training forward: the next one records.
+  bool backward_followed_ = false;
+  int backward_evals_ = 0;
 };
 
 }  // namespace odenet::models

@@ -35,6 +35,33 @@ BackwardResult adjoint_backward(DifferentiableDynamics& f,
   return {.grad_z0 = std::move(a), .function_evals = evals};
 }
 
+namespace {
+
+/// The reverse sweep of a fixed-step solve: dL/dk_j = h b_j a +
+/// h a_{j+1} v_{j+1}, last stage first, where v_j = vjp(i, j, dL/dk_j) is
+/// stage j's VJP in step i. prepare(i) runs before step i's VJPs. Returns
+/// dL/dz_0.
+template <typename Prepare, typename Vjp>
+core::Tensor reverse_sweep(const Tableau& tab, int steps, float h,
+                           const core::Tensor& grad_z1, Prepare&& prepare,
+                           Vjp&& vjp) {
+  core::Tensor a = grad_z1;
+  std::array<core::Tensor, kMaxStages> v;
+  for (int i = steps - 1; i >= 0; --i) {
+    prepare(i);
+    for (int j = tab.stages - 1; j >= 0; --j) {
+      core::Tensor dk = a;
+      dk.scale(tab.b[j].times(h));
+      if (j + 1 < tab.stages) dk.axpy(tab.a[j + 1].times(h), v[j + 1]);
+      v[j] = vjp(i, j, dk);
+    }
+    for (int j = tab.stages - 1; j >= 0; --j) a.add(v[j]);
+  }
+  return a;
+}
+
+}  // namespace
+
 BackwardResult discrete_backward(DifferentiableDynamics& f,
                                  const std::vector<core::Tensor>& trajectory,
                                  const core::Tensor& grad_z1, float t0,
@@ -48,40 +75,53 @@ BackwardResult discrete_backward(DifferentiableDynamics& f,
   const float h = (t1 - t0) / static_cast<float>(steps);
   int evals = 0;
 
-  core::Tensor a = grad_z1;
-  // Stage inputs u_j (u_0 is the step's own state) and their VJPs v_j.
-  std::array<core::Tensor, kMaxStages> u, v;
-  for (int i = steps - 1; i >= 0; --i) {
-    const float t = t0 + h * static_cast<float>(i);
+  // Stage inputs u_j of the current step (u_0 is the step's own state).
+  std::array<core::Tensor, kMaxStages> u;
+  float t = t0;
+  auto stage_z = [&](int i, int j) -> const core::Tensor& {
+    return j == 0 ? trajectory[static_cast<std::size_t>(i)] : u[j];
+  };
+  auto stage_t = [&](int j) { return j == 0 ? t : t + tab.a[j].times(h); };
+  // Recompute the stage inputs: k_j only feeds u_{j+1}, so the last
+  // stage's derivative is never needed.
+  auto prepare = [&](int i) {
+    t = t0 + h * static_cast<float>(i);
     const core::Tensor& z = trajectory[static_cast<std::size_t>(i)];
-    auto stage_z = [&](int j) -> const core::Tensor& {
-      return j == 0 ? z : u[j];
-    };
-    auto stage_t = [&](int j) { return j == 0 ? t : t + tab.a[j].times(h); };
-
-    // Recompute the stage inputs: k_j only feeds u_{j+1}, so the last
-    // stage's derivative is never needed.
     for (int j = 1; j < tab.stages; ++j) {
-      core::Tensor k = f.eval(stage_z(j - 1), stage_t(j - 1));
+      core::Tensor k = f.eval(stage_z(i, j - 1), stage_t(j - 1));
       ++evals;
       u[j] = z;
       u[j].axpy(tab.a[j].times(h), k);
     }
-    // Reverse sweep: dL/dk_j = h b_j a + h a_{j+1} v_{j+1}; each VJP runs
-    // right after an eval at the same stage input, which caches what the
-    // dynamics' vjp reads.
-    for (int j = tab.stages - 1; j >= 0; --j) {
-      core::Tensor dk = a;
-      dk.scale(tab.b[j].times(h));
-      if (j + 1 < tab.stages) dk.axpy(tab.a[j + 1].times(h), v[j + 1]);
-      f.eval(stage_z(j), stage_t(j));
-      ++evals;
-      v[j] = f.vjp(dk);
-    }
-    for (int j = tab.stages - 1; j >= 0; --j) a.add(v[j]);
-  }
-
+  };
+  // Each VJP runs right after an eval at the same stage input, which
+  // caches what the dynamics' vjp reads.
+  auto vjp = [&](int i, int j, const core::Tensor& dk) {
+    f.eval(stage_z(i, j), stage_t(j));
+    ++evals;
+    return f.vjp(dk);
+  };
+  core::Tensor a = reverse_sweep(tab, steps, h, grad_z1, prepare, vjp);
   return {.grad_z0 = std::move(a), .function_evals = evals};
+}
+
+BackwardResult discrete_backward(RecordedDynamics& f, int steps,
+                                 const core::Tensor& grad_z1, float t0,
+                                 float t1, Method method) {
+  const Tableau& tab = fixed_step_tableau(method);
+  ODENET_CHECK(steps > 0, "discrete_backward needs steps > 0");
+  ODENET_CHECK(f.recorded_evaluations() == steps * tab.stages,
+               "discrete_backward: a " << steps << "-step "
+                   << method_name(method) << " solve makes "
+                   << steps * tab.stages << " evaluations, "
+                   << f.recorded_evaluations() << " recorded");
+  const float h = (t1 - t0) / static_cast<float>(steps);
+  core::Tensor a = reverse_sweep(
+      tab, steps, h, grad_z1, [](int) {},
+      [&](int i, int j, const core::Tensor& dk) {
+        return f.vjp_recorded(i * tab.stages + j, dk);
+      });
+  return {.grad_z0 = std::move(a), .function_evals = 0};
 }
 
 }  // namespace odenet::solver

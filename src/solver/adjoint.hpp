@@ -10,15 +10,21 @@
 //    the instability source discussed in §4.3 (ANODE, ref [13]).
 //
 //  * discrete_backward — exact reverse-mode differentiation of the chosen
-//    discretization, through the states the forward solve recorded
-//    (SolveOptions::trajectory): nothing is re-solved, but each step's
-//    stage inputs are recomputed from its state and f is evaluated again
-//    before each VJP. Memory is the M recorded step-start states, held
-//    from the forward to the backward. Gradients match finite differences of the
-//    discrete forward pass to machine precision.
+//    discretization; nothing is re-solved. Two forms, equal bit for bit:
+//     - from RecordedDynamics, whose forward solve kept what each of its
+//       M * stages evaluations' VJP reads (an OdeBlock's layer caches):
+//       the reverse sweep alone, f evaluated 0 times. Memory is those
+//       caches, held from the forward to the backward.
+//     - from the M step-start states the forward solve recorded
+//       (SolveOptions::trajectory): each step's stage inputs are
+//       recomputed from its state and f is evaluated again before each
+//       VJP. Memory is the M states.
+//    Gradients match finite differences of the discrete forward pass to
+//    machine precision.
 //
-// Both need DifferentiableDynamics: eval(z, t) followed by vjp(v), where
-// vjp returns vT df/dz and accumulates vT df/dθ.
+// The adjoint and the trajectory form need DifferentiableDynamics:
+// eval(z, t) followed by vjp(v), where vjp returns vT df/dz and
+// accumulates vT df/dθ.
 #pragma once
 
 #include "solver/ode.hpp"
@@ -48,6 +54,13 @@ BackwardResult adjoint_backward(DifferentiableDynamics& f,
 /// Euler / Heun / RK4. Supports Euler, Heun and RK4.
 BackwardResult discrete_backward(DifferentiableDynamics& f,
                                  const std::vector<core::Tensor>& trajectory,
+                                 const core::Tensor& grad_z1, float t0,
+                                 float t1, Method method);
+
+/// The same gradients from an M-step forward solve whose dynamics recorded
+/// all M * stages evaluations (checked): one recorded VJP per stage in
+/// reverse, function_evals 0.
+BackwardResult discrete_backward(RecordedDynamics& f, int steps,
                                  const core::Tensor& grad_z1, float t0,
                                  float t1, Method method);
 

@@ -53,6 +53,21 @@ class DifferentiableDynamics : public OdeFunction {
   virtual core::Tensor vjp(const core::Tensor& v) = 0;
 };
 
+/// Dynamics that record, during a fixed-step forward solve, what each
+/// evaluation's VJP reads, so discrete_backward (solver/adjoint.hpp) runs
+/// the reverse sweep without evaluating f again. Evaluations are numbered
+/// in the order the solve makes them: stage j of step i is evaluation
+/// i * stages + j.
+class RecordedDynamics {
+ public:
+  virtual ~RecordedDynamics() = default;
+  /// Evaluations the last forward solve recorded (0 when it recorded none).
+  virtual int recorded_evaluations() const = 0;
+  /// vT df/dz at recorded evaluation `evaluation`; accumulates vT df/dθ.
+  virtual core::Tensor vjp_recorded(int evaluation,
+                                    const core::Tensor& v) = 0;
+};
+
 /// Adapter turning a lambda into dynamics (used heavily in tests, where
 /// analytic ODEs with known solutions validate convergence orders).
 class FunctionDynamics final : public OdeFunction {

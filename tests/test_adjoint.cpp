@@ -52,6 +52,45 @@ class QuadraticDynamics final : public DifferentiableDynamics {
   Tensor cached_z_;
 };
 
+/// QuadraticDynamics that records each evaluation's z during a solve, so
+/// the reverse sweep reads it back instead of evaluating f again.
+class RecordingQuadratic final : public DifferentiableDynamics,
+                                 public RecordedDynamics {
+ public:
+  explicit RecordingQuadratic(float theta) : theta_(theta) {}
+
+  Tensor eval(const Tensor& z, float) override {
+    zs_.push_back(z);
+    Tensor out = z;
+    out.mul(z);
+    out.scale(theta_);
+    return out;
+  }
+  Tensor vjp(const Tensor&) override {
+    ADD_FAILURE() << "the recorded sweep must not call vjp()";
+    return {};
+  }
+  int recorded_evaluations() const override {
+    return static_cast<int>(zs_.size());
+  }
+  Tensor vjp_recorded(int evaluation, const Tensor& v) override {
+    const Tensor& z = zs_.at(static_cast<std::size_t>(evaluation));
+    Tensor z2 = z;
+    z2.mul(z);
+    theta_grad_ += v.dot(z2);
+    Tensor gz = v;
+    gz.mul(z);
+    gz.scale(2.0f * theta_);
+    return gz;
+  }
+
+  float theta_ = 0.0f;
+  float theta_grad_ = 0.0f;
+
+ private:
+  std::vector<Tensor> zs_;
+};
+
 /// Dynamics adapter over a BuildingBlock's residual branch.
 class BlockDyn final : public DifferentiableDynamics {
  public:
@@ -131,6 +170,37 @@ TEST_P(DiscreteGradMethods, MatchesFiniteDifferenceInTheta) {
   const float up = scalar_solve(fp, 1.1f, m, steps);
   const float dn = scalar_solve(fm, 1.1f, m, steps);
   EXPECT_NEAR(f.theta_grad_, (up - dn) / (2 * eps), 5e-3f) << method_name(m);
+}
+
+TEST_P(DiscreteGradMethods, RecordedSweepEqualsTrajectorySweep) {
+  // The same solve differentiated from its recorded evaluations (f
+  // evaluated 0 times) and from its trajectory (re-evaluated): dz0 and
+  // dtheta bit for bit.
+  const Method m = GetParam();
+  const int steps = 3;
+  Tensor z0({3});
+  for (int i = 0; i < 3; ++i) z0.at1(i) = 0.6f + 0.25f * static_cast<float>(i);
+  Tensor g({3});
+  for (int i = 0; i < 3; ++i) g.at1(i) = 1.0f - 0.4f * static_cast<float>(i);
+
+  RecordingQuadratic rec(0.35f);
+  SolveOptions opts{.method = m, .steps = steps};
+  ode_solve(rec, z0, 0.0f, 1.0f, opts);
+  EXPECT_EQ(rec.recorded_evaluations(), steps * evals_per_step(m));
+  const BackwardResult got = discrete_backward(
+      static_cast<RecordedDynamics&>(rec), steps, g, 0.0f, 1.0f, m);
+
+  QuadraticDynamics f(0.35f);
+  const BackwardResult want = solve_backward(f, z0, g, 1.0f, m, steps);
+  EXPECT_EQ(got.function_evals, 0);
+  EXPECT_EQ(0, std::memcmp(got.grad_z0.data(), want.grad_z0.data(),
+                           want.grad_z0.numel() * sizeof(float)));
+  EXPECT_EQ(0, std::memcmp(&rec.theta_grad_, &f.theta_grad_, sizeof(float)));
+
+  // A record that does not cover every evaluation of the solve is refused.
+  EXPECT_THROW(discrete_backward(static_cast<RecordedDynamics&>(rec),
+                                 steps + 1, g, 0.0f, 1.0f, m),
+               odenet::Error);
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, DiscreteGradMethods,

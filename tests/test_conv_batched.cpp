@@ -10,7 +10,9 @@
 // the n = 0 and pad-only-edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -131,6 +133,58 @@ TEST(ConvBatchedParity, LargeBatchOdeBlockShape) {
   Geometry g{.n = 16, .cin = 8, .cout = 8, .h = 8, .w = 8, .k = 3, .s = 1,
              .p = 1, .time_channel = true};
   check_parity(g, rng);
+}
+
+TEST(ConvBatchedParity, InputGradientIsPerSample) {
+  // The backward computes dX one sample at a time, so sample i's dX at
+  // batch n is, bit for bit, a batch-1 backward on sample i: on the tap
+  // plan's stride-1 geometry (planes that are and are not multiples of
+  // 16, with and without the time channel) and on the general walk.
+  ou::Rng rng(19);
+  const Geometry geometries[] = {
+      {.n = 5, .cin = 4, .cout = 8, .h = 8, .w = 8, .k = 3, .s = 1, .p = 1,
+       .time_channel = true},
+      {.n = 3, .cin = 3, .cout = 5, .h = 7, .w = 5, .k = 3, .s = 1, .p = 1,
+       .time_channel = true},
+      {.n = 4, .cin = 2, .cout = 4, .h = 6, .w = 9, .k = 5, .s = 1, .p = 2,
+       .time_channel = false},
+      {.n = 3, .cin = 4, .cout = 8, .h = 9, .w = 8, .k = 3, .s = 2, .p = 1,
+       .time_channel = false},
+      {.n = 2, .cin = 3, .cout = 4, .h = 5, .w = 5, .k = 1, .s = 1, .p = 0,
+       .time_channel = true},
+  };
+  for (const Geometry& g : geometries) {
+    SCOPED_TRACE(g.str());
+    const Conv2dConfig cfg{.in_channels = g.cin, .out_channels = g.cout,
+                           .kernel = g.k, .stride = g.s, .pad = g.p,
+                           .time_channel = g.time_channel};
+    Conv2d batched(cfg);
+    init_conv(batched, rng);
+    batched.set_training(true);
+    batched.set_time(0.4f);
+    Tensor x = random_tensor({g.n, g.cin, g.h, g.w}, rng);
+    const Tensor y = batched.forward(x);
+    const Tensor gout = random_tensor(y.shape(), rng);
+    const Tensor dx = batched.backward(gout);
+
+    const std::size_t in_sample = x.numel() / g.n;
+    const std::size_t out_sample = gout.numel() / g.n;
+    for (int i = 0; i < g.n; ++i) {
+      Conv2d single(cfg);
+      single.weight().value = batched.weight().value;
+      single.set_training(true);
+      single.set_time(0.4f);
+      Tensor xi({1, g.cin, g.h, g.w});
+      std::copy_n(x.data() + i * in_sample, in_sample, xi.data());
+      Tensor gi({1, y.dim(1), y.dim(2), y.dim(3)});
+      std::copy_n(gout.data() + i * out_sample, out_sample, gi.data());
+      single.forward(xi);
+      const Tensor dxi = single.backward(gi);
+      EXPECT_EQ(0, std::memcmp(dxi.data(), dx.data() + i * in_sample,
+                               in_sample * sizeof(float)))
+          << "sample " << i;
+    }
+  }
 }
 
 TEST(ConvBatchedParity, PadOnlyEdgeRows) {

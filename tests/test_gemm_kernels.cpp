@@ -15,6 +15,7 @@
 //    Linear reading its live weights on every call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -133,6 +134,20 @@ void run_all_tiled(const Shape& s, ou::Rng& rng) {
   std::fill(c.begin(), c.end(), -7.0f);
   gemm_tiled_pa(pat, b.data(), c.data(), s.n, false);
   EXPECT_LE(max_abs_diff(c, want), tol) << "pack_gemm_at + gemm_tiled_pa";
+  // ... and so does its leading m columns of a wider [k, m + 3] matrix
+  // (the conv dX packing W^T's data rows past the time channel's).
+  const int ld = s.m + 3;
+  std::vector<float> wide(static_cast<std::size_t>(s.k) * ld, 99.0f);
+  for (int p = 0; p < s.k; ++p) {
+    std::copy_n(at.data() + static_cast<std::size_t>(p) * s.m, s.m,
+                wide.data() + static_cast<std::size_t>(p) * ld);
+  }
+  PackedGemmA patw;
+  pack_gemm_at(wide.data(), s.m, s.k, patw, ld);
+  ASSERT_EQ(patw.data.size(), pa.data.size());
+  EXPECT_EQ(0, std::memcmp(patw.data.data(), pa.data.data(),
+                           pa.data.size() * sizeof(float)))
+      << "pack_gemm_at with a row stride";
 
   std::fill(c.begin(), c.end(), -7.0f);
   gemm_tiled_bt(a.data(), bt.data(), c.data(), s.m, s.k, s.n, false);

@@ -112,10 +112,42 @@ std::vector<T> naive_lowering(const std::vector<T>& src, const T* tplane,
   return cols;
 }
 
+/// The textbook scatter-add of a [C*K*K, N*Ho*Wo] column matrix onto
+/// `init` ([N, C, H, W]), visiting (n, c, kh, kw, oh, ow) in order.
+std::vector<float> naive_scatter(const std::vector<float>& cols,
+                                 const LoweringGeometry& g, int batch,
+                                 std::vector<float> init) {
+  const int ho = g.out_h(), wo = g.out_w();
+  const std::size_t ncols = g.col_cols() * batch;
+  for (int n = 0; n < batch; ++n)
+    for (int c = 0; c < g.channels; ++c)
+      for (int kh = 0; kh < g.kernel; ++kh)
+        for (int kw = 0; kw < g.kernel; ++kw)
+          for (int oh = 0; oh < ho; ++oh)
+            for (int ow = 0; ow < wo; ++ow) {
+              const int ih = oh * g.stride - g.pad + kh;
+              const int iw = ow * g.stride - g.pad + kw;
+              if (ih < 0 || ih >= g.height || iw < 0 || iw >= g.width) {
+                continue;
+              }
+              const std::size_t row =
+                  (static_cast<std::size_t>(c) * g.kernel + kh) * g.kernel +
+                  kw;
+              init[((static_cast<std::size_t>(n) * g.channels + c) *
+                        g.height +
+                    ih) *
+                       g.width +
+                   iw] += cols[row * ncols +
+                               static_cast<std::size_t>(n) * ho * wo +
+                               static_cast<std::size_t>(oh) * wo + ow];
+            }
+  return init;
+}
+
 /// im2col_batched (float) and im2col_batched_i16 against the naive
 /// lowering, bitwise, into buffers pre-filled with a sentinel so a write
-/// outside a sample's rows or columns shows too; then col2im_batched with
-/// a time channel against the full scatter's data planes.
+/// outside a sample's rows or columns shows too; then col2im_batched
+/// against the naive scatter, bitwise.
 void check_lowering(const LoweringGeometry& g, int batch, bool time_channel,
                     ou::Rng& rng) {
   SCOPED_TRACE(testing::Message()
@@ -147,26 +179,27 @@ void check_lowering(const LoweringGeometry& g, int batch, bool time_channel,
   ASSERT_EQ(0, std::memcmp(got16.data(), want16.data(),
                            want16.size() * sizeof(std::int16_t)));
 
-  if (!time_channel) return;
-  std::vector<float> full(static_cast<std::size_t>(batch) * g.channels *
-                          plane);
-  col2im_batched(want.data(), g, batch, full.data());
+  // col2im over the data channels' rows (a conv's input gradient has no
+  // time-channel rows) onto a partial sum, against the naive scatter.
+  LoweringGeometry gx = g;
+  gx.channels = data;
+  std::vector<float> cols(gx.col_rows() * gx.col_cols() * batch);
+  for (auto& v : cols) v = static_cast<float>(rng.normal(0, 1));
   std::vector<float> dx(src.size());
-  col2im_batched(want.data(), g, batch, dx.data(), /*time_channel=*/true);
-  for (int n = 0; n < batch; ++n) {
-    ASSERT_EQ(0, std::memcmp(dx.data() + n * data * plane,
-                             full.data() + n * g.channels * plane,
-                             data * plane * sizeof(float)));
-  }
+  for (auto& v : dx) v = static_cast<float>(rng.normal(0, 1));
+  const std::vector<float> dx_want = naive_scatter(cols, gx, batch, dx);
+  col2im_batched(cols.data(), gx, batch, dx.data());
+  ASSERT_EQ(0, std::memcmp(dx.data(), dx_want.data(),
+                           dx.size() * sizeof(float)));
 }
 
 }  // namespace
 
 TEST(Im2col, MatchesNaiveLoweringAcrossKernelsAndPads) {
   // Stride 1 at every pad from 0 to k-1: the "same" pad (k-1)/2 lowers
-  // through the tap plan (up to 7x7), every other pad — and the 9x9 kernel
-  // above the plan's cap — through the general walk. Stride 2 is the
-  // downsampling convs' geometry.
+  // and scatters through the tap plan (up to 7x7), every other pad — and
+  // the 9x9 kernel above the plan's cap — through the general walk.
+  // Stride 2 is the downsampling convs' geometry.
   ou::Rng rng(12);
   for (int k : {1, 3, 5, 7, 9}) {
     for (int stride : {1, 2}) {
@@ -182,9 +215,11 @@ TEST(Im2col, MatchesNaiveLoweringAcrossKernelsAndPads) {
   }
   // Taps further off the plane than it has rows or columns: k = 5, pad = 2
   // (and 7, 3) on a one-row input, whose zeroing must stay inside each
-  // sample's row block; and the same on a one-column input.
-  for (const auto& [k, h, w] : {std::tuple{5, 1, 6}, std::tuple{7, 1, 4},
-                                std::tuple{5, 6, 1}, std::tuple{5, 1, 1}}) {
+  // sample's row block; and the same on one-column inputs.
+  for (const auto& [k, h, w] :
+       {std::tuple{3, 1, 6}, std::tuple{5, 1, 6}, std::tuple{7, 1, 4},
+        std::tuple{3, 5, 1}, std::tuple{5, 6, 1}, std::tuple{7, 3, 1},
+        std::tuple{5, 1, 1}}) {
     const LoweringGeometry g{.channels = 2, .height = h, .width = w,
                              .kernel = k, .stride = 1, .pad = k / 2};
     check_lowering(g, 3, /*time_channel=*/false, rng);

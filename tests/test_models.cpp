@@ -12,6 +12,7 @@
 #include "models/network.hpp"
 #include "models/odeblock.hpp"
 #include "models/param_count.hpp"
+#include "solver_reference.hpp"
 #include "util/rng.hpp"
 
 using namespace odenet::models;
@@ -367,6 +368,100 @@ TEST(OdeBlock, BackwardThroughRecordedTrajectoryMatchesResolve) {
     for (const auto& [got, want] : bns) {
       EXPECT_TRUE(same_bits(got->running_mean(), want->running_mean()));
       EXPECT_TRUE(same_bits(got->running_var(), want->running_var()));
+    }
+  }
+}
+
+TEST(OdeBlock, RecordedStepMatchesReevaluatedReference) {
+  // Two training steps per method. The first follows no backward, so it
+  // keeps the trajectory and its backward evaluates f again (M / 3M / 7M
+  // evaluations); the second follows one, so it records every
+  // evaluation's layer caches and its backward evaluates f 0 times. Each
+  // step's dX, every parameter gradient and the BN running statistics
+  // match, bit for bit, a reference block that solves with a trajectory
+  // and runs solver_reference::discrete_backward with running stats
+  // frozen.
+  using odenet::solver::Method;
+  const int m = 3;
+  const std::pair<Method, int> cases[] = {
+      {Method::kEuler, 1}, {Method::kHeun, 2}, {Method::kRk4, 4}};
+  for (const auto& [method, stages] : cases) {
+    SCOPED_TRACE(odenet::solver::method_name(method));
+    ou::Rng rng(31);
+    const OdeBlockConfig cfg{.channels = 4, .executions = m, .method = method};
+    OdeBlock ob(cfg, "ob");
+    OdeBlock ref(cfg, "ref");
+    odenet::core::init_block(ob.block(), rng);
+    auto src = ob.block().params();
+    auto dst = ref.block().params();
+    for (std::size_t j = 0; j < src.size(); ++j) dst[j]->value = src[j]->value;
+    ob.set_training(true);
+    ref.set_training(true);
+    for (int step = 0; step < 2; ++step) {
+      SCOPED_TRACE(step == 0 ? "re-evaluated" : "recorded");
+      Tensor x = random_tensor({2, 4, 8, 8}, rng);
+      Tensor g = random_tensor({2, 4, 8, 8}, rng);
+      ob.zero_grads();
+      ref.zero_grads();
+
+      Tensor y = ob.forward(x);
+      EXPECT_EQ(ob.evaluation_slots(),
+                step == 0 ? 0u : static_cast<std::size_t>(m * stages));
+      Tensor dx = ob.backward(g);
+      EXPECT_EQ(ob.last_backward_evals(),
+                step == 0 ? m * (2 * stages - 1) : 0);
+
+      std::vector<Tensor> traj;
+      odenet::solver::SolveOptions opts{
+          .method = method, .steps = m, .trajectory = &traj};
+      Tensor y_ref = odenet::solver::ode_solve(ref.dynamics(), x, ref.t0(),
+                                               ref.t1(), opts);
+      ref.block().set_freeze_running_stats(true);
+      Tensor dx_ref = solver_reference::discrete_backward(
+          ref.dynamics(), traj, g, ref.t0(), ref.t1(), method);
+      ref.block().set_freeze_running_stats(false);
+
+      EXPECT_TRUE(same_bits(y, y_ref));
+      EXPECT_TRUE(same_bits(dx, dx_ref));
+      for (std::size_t j = 0; j < src.size(); ++j) {
+        EXPECT_TRUE(same_bits(src[j]->grad, dst[j]->grad)) << src[j]->name;
+      }
+      const std::pair<odenet::core::BatchNorm2d*, odenet::core::BatchNorm2d*>
+          bns[] = {{&ob.block().bn1(), &ref.block().bn1()},
+                   {&ob.block().bn2(), &ref.block().bn2()}};
+      for (const auto& [got, want] : bns) {
+        EXPECT_TRUE(same_bits(got->running_mean(), want->running_mean()));
+        EXPECT_TRUE(same_bits(got->running_var(), want->running_var()));
+      }
+    }
+    // The record is consumed: a second backward needs a new forward.
+    EXPECT_THROW(ob.backward(Tensor({2, 4, 8, 8})), odenet::Error);
+  }
+}
+
+TEST(OdeBlock, TrainingForwardsWithoutBackwardRecordNothing) {
+  // BN calibration: training-mode forwards that no backward follows keep
+  // only the trajectory and allocate no evaluation slots, so a calibrated
+  // model carries none into serving.
+  ou::Rng rng(32);
+  OdeBlock ob({.channels = 4, .executions = 3}, "cal");
+  odenet::core::init_block(ob.block(), rng);
+  ob.set_training(true);
+  Tensor x = random_tensor({2, 4, 8, 8}, rng);
+  for (int pass = 0; pass < 4; ++pass) {
+    (void)ob.forward(x);
+    EXPECT_EQ(ob.evaluation_slots(), 0u);
+    EXPECT_EQ(ob.backward_floats(), 3 * x.numel());  // z_0..z_2
+  }
+  // The same holds across a network's calibration passes.
+  Network net(make_spec(Arch::kROdeNet3, 20));
+  net.init(rng);
+  net.set_training(true);
+  Tensor images = random_tensor({2, 3, 32, 32}, rng);
+  for (int pass = 0; pass < 4; ++pass) (void)net.forward(images);
+  for (auto& s : net.stages()) {
+    if (OdeBlock* ode = s->ode()) {
+      EXPECT_EQ(ode->evaluation_slots(), 0u);
     }
   }
 }
