@@ -12,8 +12,8 @@
 // H*W per image forward, 3x that for forward+backward (dW and dX).
 //
 // Three A/B sections follow the grid, all at batch 16:
-//   * simd    — the active micro-kernel ISA vs the scalar fallback
-//     (gemm_force_scalar), isolating the AVX2/FMA win;
+//   * simd    — the active kernel tier vs the scalar fallback (the tier
+//     capped by gemm_cap_isa), isolating the vector kernels' win;
 //   * fused   — conv+BN+ReLU as one GEMM (its fraction of the peak,
 //     measured next to it) vs the layer chain; both run the same conv, so
 //     the ratio is the two elementwise passes fusion saves — context, not
@@ -246,14 +246,14 @@ int main(int argc, char** argv) {
     print_row(row);
   }
 
-  // --- SIMD A/B: active ISA vs forced-scalar kernels, batch 16 ----------
+  // --- SIMD A/B: the active tier vs the scalar tier, batch 16 -----------
   const int ab_batch = 16;
   const int ab_reps = reps_opt > 0 ? reps_opt : 12;
   Tensor x16 = random_tensor({ab_batch, channels, size, size}, rng);
   const double simd_sec = time_batched_fwd(weights, x16, ab_reps);
-  core::gemm_force_scalar(true);
+  core::gemm_cap_isa(core::GemmIsa::kScalar);
   const double scalar_sec = time_batched_fwd(weights, x16, ab_reps);
-  core::gemm_force_scalar(false);
+  core::gemm_cap_isa(core::GemmIsa::kAvx512);
   const double simd_speedup = scalar_sec / simd_sec;
   std::printf("\n--- SIMD A/B (batched fwd, batch %d) ---\n", ab_batch);
   std::printf("%-11s %12.6f s  %12.1f img/s\n", core::gemm_isa_name(),

@@ -153,37 +153,29 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const int kx = static_cast<int>(gx.col_rows());
 
   // dW: one lowering of the whole batch, at the forward's t, and one GEMM
-  // on the batched [kk, n*cc] layout against the channel-major grad_out
-  // view ([co, n*cc], the [n, co, cc] tensor permuted; for n == 1 they
-  // coincide, so no copy). dX: one sample at a time, so its [kx, cc]
+  // on the batched [kk, n*cc] layout against grad_out, whose A pack reads
+  // the [n, co, cc] tensor as the [co, n*cc] matrix in place. dX: one
+  // sample at a time, so its [kx, cc]
   // column block is scattered while it is still in cache. The samples
   // split into one contiguous group per pool worker, each with its own
   // one-sample scratch (one group, one scratch on a single worker). All
   // scratch is arena-recycled — training stops allocating in the inner
   // loop.
   ScratchArena& arena = active_arena();
-  const std::size_t gperm_floats =
-      n == 1 ? 0 : static_cast<std::size_t>(co) * ncols;
   const std::size_t groups = std::min<std::size_t>(
       static_cast<std::size_t>(n),
       std::max<std::size_t>(kernel_pool().worker_count(), 1));
   const std::size_t scratch = static_cast<std::size_t>(kx) * cc;
   arena.frame(static_cast<std::size_t>(kk) * ncols + groups * scratch +
-              gperm_floats + (cfg_.time_channel ? plane : 0));
+              (cfg_.time_channel ? plane : 0));
   float* cols = arena.alloc(static_cast<std::size_t>(kk) * ncols);
   float* grad_cols = arena.alloc(groups * scratch);
-  const float* gperm = grad_out.data();
-  if (n > 1) {
-    float* gp = arena.alloc(gperm_floats);
-    permute_channel_major(grad_out.data(), gp, n, co, cc);
-    gperm = gp;
-  }
   const float* tplane = time_plane(arena, plane, cache_.time);
 
   im2col_batched(x.data(), g, n, cols, tplane);
   // dW[co, kk] += G[co, n*cc] x cols^T: cols [kk, n*cc] is the B^T layout.
-  gemm_tiled_bt(gperm, cols, weight_.grad.data(), co, static_cast<int>(ncols),
-                kk, /*accumulate=*/true);
+  gemm_tiled_bt(grad_out.data(), cols, weight_.grad.data(), co,
+                static_cast<int>(ncols), kk, /*accumulate=*/true, n);
   // grad_cols[kx, cc] = W^T[kx, co] x G_i[co, cc] per sample i: W [co, kk]
   // is W^T stored transposed, its data rows packed straight into the tile
   // layout, and G_i is sample i's block of NCHW grad_out.

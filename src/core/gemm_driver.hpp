@@ -30,11 +30,15 @@
 //    ragged last one (zero-padded) when the caller's edge() reads it
 //    (packed from a row-major or transposed B, gathered from an NCHW
 //    image, or pair-interleaved int16);
-//  * what a tile runs — full(t, j0, bpanel) for the full 4 x 16 tile of
-//    row tile t at column j0, edge(t, j0, mr, nr, bpanel) for a ragged one
-//    (the last < 4 rows or < 16 columns), which either reads B in place
-//    through an ISA-independent scalar path or runs the full kernel on its
-//    zero-padded micro-panel.
+//  * what a tile runs — full(t, rows, j0, bpanel) for the full tile of
+//    `rows` rows from row tile t at column j0: 8 rows (row tiles t and
+//    t + 1, the kernel table's 8 x 16 entry) for every pair of full row
+//    tiles inside a task's span, else 4 — and edge(t, j0, mr, nr, bpanel)
+//    for a ragged one (the last < 4 rows or < 16 columns), which either
+//    reads B in place through an ISA-independent scalar path or runs the
+//    full kernel on its zero-padded micro-panel. Pairing changes which
+//    kernel computes a tile, never its arithmetic: an 8 x 16 entry equals
+//    two 4 x 16 calls bitwise on every tier.
 // The conv GEMMs store through NchwStore below, so a batched product lands
 // in the NCHW feature map without a permute.
 #pragma once
@@ -120,19 +124,22 @@ void gemm_panels(int m, int k, int n, std::size_t micro_panel,
                       (pn + kGemmTileCols - 1) / kGemmTileCols) *
                   micro_panel);
     fill(p0, pn, packed.data());
-    for (int t = t0; t < t1; ++t) {
+    for (int t = t0; t < t1;) {
       const int mr = std::min(kGemmTileRows, m - t * kGemmTileRows);
+      const int tiles =
+          t + 1 < t1 && m - (t + 1) * kGemmTileRows >= kGemmTileRows ? 2 : 1;
       for (int jt = 0; jt < pn; jt += kGemmTileCols) {
         const int nr = std::min(kGemmTileCols, pn - jt);
         const T* bpanel =
             packed.data() +
             static_cast<std::size_t>(jt / kGemmTileCols) * micro_panel;
         if (mr == kGemmTileRows && nr == kGemmTileCols) {
-          full(t, p0 + jt, bpanel);
+          full(t, tiles * kGemmTileRows, p0 + jt, bpanel);
         } else {
-          edge(t, p0 + jt, mr, nr, bpanel);
+          for (int r = 0; r < tiles; ++r) edge(t + r, p0 + jt, mr, nr, bpanel);
         }
       }
+      t += tiles;
     }
   };
 
@@ -154,7 +161,9 @@ void gemm_panels(int m, int k, int n, std::size_t micro_panel,
                                      static_cast<std::size_t>(panels)));
     row_blocks = std::max(row_blocks, 1);
   }
-  const int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
+  // An even span pairs every row tile but the matrix's last.
+  int tiles_per_block = (row_tiles + row_blocks - 1) / row_blocks;
+  tiles_per_block += tiles_per_block % 2;
   util::parallel_for(pool, 0, static_cast<std::size_t>(panels) * row_blocks,
                      [&](std::size_t task) {
                        const int pi = static_cast<int>(task) / row_blocks;

@@ -16,9 +16,11 @@
 namespace odenet::core {
 
 // Defined in gemm_kernels_avx2.cpp — the only translation unit compiled
-// with -mavx2 -mfma. Returns nullptr when that TU was built without AVX2
-// codegen (non-x86, -mno-avx2, or -DODENET_DISABLE_AVX2=ON).
+// with -mavx2 -mfma (its AVX-512 kernels add a per-function target).
+// Both return nullptr when that TU was built without AVX2 codegen
+// (non-x86, -mno-avx2, or -DODENET_DISABLE_AVX2=ON).
 const GemmKernels* gemm_avx2_kernels_impl();
+const GemmKernels* gemm_avx512_kernels_impl();
 
 namespace {
 
@@ -57,9 +59,9 @@ void tile4x16_scalar(const float* apanel, const float* bpanel, int k,
 /// byte-for-byte twin of tile4x16_scalar (never accumulating — an epilogue
 /// store always overwrites), then every element runs the fixed epilogue
 /// chain before its single store. The chain's op order (affine, relu,
-/// residual) is mirrored in the AVX2 twin and in gemm_tiled_pa_ep's
-/// ragged-edge path; keeping all three identical is what makes fused
-/// output bitwise equal to GEMM + elementwise kernels on either ISA.
+/// residual) is mirrored in the vector twins and in gemm_tiled_pa_ep's
+/// ragged-edge path; keeping them identical is what makes fused output
+/// bitwise equal to GEMM + elementwise kernels on every tier.
 void tile4x16_ep_scalar(const float* apanel, const float* bpanel, int k,
                         float* c, std::size_t ldc, const float* scale4,
                         const float* shift4, bool relu, const float* residual,
@@ -269,18 +271,38 @@ void affine_f32_scalar(const float* src, float* dst, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] * scale + shift;
 }
 
-constexpr GemmKernels kScalarKernels{tile4x16_scalar,
-                                     tile4x16_i16_scalar, tile4x8_i32_scalar,
-                                     qdq_f32_scalar,
-                                     quant_f32_i16_scalar, requant_i32_scalar,
-                                     max_abs_f32_scalar, tile4x16_ep_scalar,
-                                     relu_f32_scalar, axpy_f32_scalar,
-                                     mul_f32_scalar, scale_f32_scalar,
-                                     affine_f32_scalar, "scalar"};
+constexpr GemmKernels kScalarKernels{
+    tile4x16_scalar,
+    detail::paired_tile<tile4x16_scalar>,
+    tile4x16_i16_scalar,
+    detail::paired_tile_i16<tile4x16_i16_scalar>,
+    tile4x8_i32_scalar,
+    qdq_f32_scalar,
+    quant_f32_i16_scalar,
+    requant_i32_scalar,
+    max_abs_f32_scalar,
+    tile4x16_ep_scalar,
+    detail::paired_tile_ep<tile4x16_ep_scalar>,
+    relu_f32_scalar,
+    axpy_f32_scalar,
+    mul_f32_scalar,
+    scale_f32_scalar,
+    affine_f32_scalar,
+    "scalar"};
 
 bool cpu_supports_avx2_fma() {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+bool cpu_supports_avx512_vnni() {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vnni");
 #else
   return false;
 #endif
@@ -293,7 +315,7 @@ bool env_disables_simd() {
          std::strcmp(e, "OFF") == 0 || std::strcmp(e, "scalar") == 0;
 }
 
-std::atomic<bool> g_force_scalar{false};
+std::atomic<GemmIsa> g_isa_cap{GemmIsa::kAvx512};
 std::atomic<std::size_t> g_min_flops_override{0};
 std::atomic<util::ThreadPool*> g_kernel_pool{nullptr};
 
@@ -301,25 +323,36 @@ constexpr std::size_t kDefaultMinFlops = std::size_t{1} << 20;  // < ~0.5 ms
 
 }  // namespace
 
-bool gemm_avx2_compiled() { return gemm_avx2_kernels_impl() != nullptr; }
-
-bool gemm_avx2_usable() {
-  static const bool usable =
-      gemm_avx2_compiled() && cpu_supports_avx2_fma() && !env_disables_simd();
-  return usable;
+GemmIsa gemm_best_isa() {
+  static const GemmIsa best = [] {
+    if (gemm_avx2_kernels_impl() == nullptr || !cpu_supports_avx2_fma() ||
+        env_disables_simd()) {
+      return GemmIsa::kScalar;
+    }
+    return gemm_avx512_kernels_impl() != nullptr &&
+                   cpu_supports_avx512_vnni()
+               ? GemmIsa::kAvx512
+               : GemmIsa::kAvx2;
+  }();
+  return best;
 }
 
-void gemm_force_scalar(bool force) {
-  g_force_scalar.store(force, std::memory_order_relaxed);
+void gemm_cap_isa(GemmIsa cap) {
+  g_isa_cap.store(cap, std::memory_order_relaxed);
 }
 
-bool gemm_forced_scalar() {
-  return g_force_scalar.load(std::memory_order_relaxed);
+GemmIsa gemm_isa() {
+  return std::min(gemm_best_isa(), g_isa_cap.load(std::memory_order_relaxed));
 }
 
 const GemmKernels& active_gemm_kernels() {
-  if (!gemm_forced_scalar() && gemm_avx2_usable()) {
-    return *gemm_avx2_kernels_impl();
+  switch (gemm_isa()) {
+    case GemmIsa::kAvx512:
+      return *gemm_avx512_kernels_impl();
+    case GemmIsa::kAvx2:
+      return *gemm_avx2_kernels_impl();
+    case GemmIsa::kScalar:
+      break;
   }
   return kScalarKernels;
 }
@@ -410,19 +443,27 @@ void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
           }
         }
       },
-      [&](int t, int j0, const std::int16_t* bp) {
+      [&](int t, int rows, int j0, const std::int16_t* bp) {
         const std::int16_t* apanel = a.data.data() + t * a_tile;
         const int i0 = t * kGemmTileRows;
         if (out.tile_in_sample(j0)) {
-          kernels.tile4x16_i16(apanel, bp, kp, c + out.at(i0, j0), out.plane,
-                               accumulate);
+          std::int32_t* ct = c + out.at(i0, j0);
+          if (rows == kGemmPairRows) {
+            kernels.tile8x16_i16(apanel, apanel + a_tile, bp, kp, ct,
+                                 out.plane, accumulate);
+          } else {
+            kernels.tile4x16_i16(apanel, bp, kp, ct, out.plane, accumulate);
+          }
           return;
         }
-        out.straddled_tile(c, accumulate ? c : nullptr, i0, j0,
-                           [&](std::int32_t* tile) {
-                             kernels.tile4x16_i16(apanel, bp, kp, tile,
-                                                  kGemmTileCols, accumulate);
-                           });
+        for (int r = 0; r < rows; r += kGemmTileRows) {
+          out.straddled_tile(c, accumulate ? c : nullptr, i0 + r, j0,
+                             [&](std::int32_t* tile) {
+                               kernels.tile4x16_i16(
+                                   apanel + r / kGemmTileRows * a_tile, bp,
+                                   kp, tile, kGemmTileCols, accumulate);
+                             });
+        }
       },
       [&](int t, int j0, int mr, int nr, const std::int16_t*) {
         // Scalar dot-pairs reading B in place, with the micro-kernel's

@@ -1,21 +1,33 @@
-// GEMM micro-kernel dispatch: one scalar and (on x86 hosts that have them)
-// one AVX2/FMA implementation of the inner kernels every tiled GEMM is
-// built from, selected once at runtime.
+// GEMM micro-kernel dispatch: the inner kernels every tiled GEMM is built
+// from, in up to three tiers — scalar, AVX2/FMA and AVX-512 — selected
+// once at runtime. A tier is the kernel table active_gemm_kernels()
+// returns.
 //
 // The tile kernels operate on PACKED panels (PackedGemmA in im2col.hpp,
-// B packed per column panel by each GEMM) so the scalar and vector
-// variants share one data layout and one outer loop nest — the tiled-GEMM
-// driver in gemm_driver.hpp, which alone sets the panel width and the
-// thread split; only the innermost arithmetic differs. The scalar kernels
-// are the portable fallback — non-x86 targets, -mno-avx2 builds (cmake
-// -DODENET_DISABLE_AVX2=ON skips the AVX2 translation unit entirely) and
-// hosts without AVX2/FMA all run them, producing the same ascending-k
-// summation order as the pre-SIMD code.
+// B packed per column panel by each GEMM) so every tier shares one data
+// layout and one outer loop nest — the tiled-GEMM driver in
+// gemm_driver.hpp, which alone sets the panel width and the thread split;
+// only the innermost arithmetic differs. The driver hands each pair of
+// full 4-row tiles to the row-paired 8 x 16 entries (tile8x16,
+// tile8x16_ep, tile8x16_i16): the AVX-512 tier computes both row tiles in
+// one pass over the B micro-panel (8 zmm accumulators, `vfmadd` per k or
+// `vpdpwssd` per k-pair), the scalar and AVX2 tiers as two 4 x 16 calls.
+// The AVX-512 tier reuses the AVX2 kernels for everything else. Per
+// output element the arithmetic is the same in both vector tiers (one
+// fused multiply-add per k in ascending order, the same two-rounding
+// epilogue, exact int32 wraparound), so their outputs are bitwise equal;
+// the scalar tier rounds each multiply-add twice.
+//
+// The scalar kernels are the portable fallback — non-x86 targets,
+// -mno-avx2 builds (cmake -DODENET_DISABLE_AVX2=ON stubs the vector
+// translation unit, AVX-512 kernels included) and hosts without AVX2/FMA
+// all run them, producing the same ascending-k summation order as the
+// pre-SIMD code.
 //
 // Knobs:
-//  * env ODENET_SIMD=0|off|scalar — disable the vector kernels at startup;
-//  * gemm_force_scalar(true) — per-process override for benches/tests
-//    (A/B rows, ISA-parity suites);
+//  * env ODENET_SIMD=0|off|scalar — disable the vector tiers at startup;
+//  * gemm_cap_isa() — per-process cap on the tier, for benches and tests
+//    (the scalar A/B rows, the ISA-parity suites);
 //  * gemm_set_parallel_min_flops() — the flop count below which a GEMM
 //    runs sequentially instead of fanning out on the thread pool (tests
 //    force it down so even small shapes take the split);
@@ -41,6 +53,9 @@ namespace odenet::core {
 /// B row is reused MR times.
 inline constexpr int kGemmTileRows = 4;
 inline constexpr int kGemmTileCols = 16;
+/// Rows of the row-paired tile: two consecutive 4-row panels of a packed
+/// A against one B micro-panel.
+inline constexpr int kGemmPairRows = 2 * kGemmTileRows;
 
 /// Full-tile micro-kernel: C[4][16] (+)= sum_p Apanel[p][4] * Bpanel[p][16].
 /// `apanel` is a packed [k][4] row panel, `bpanel` a packed [k][16] column
@@ -48,6 +63,15 @@ inline constexpr int kGemmTileCols = 16;
 using GemmTile4x16Fn = void (*)(const float* apanel, const float* bpanel,
                                 int k, float* c, std::size_t ldc,
                                 bool accumulate);
+
+/// Row-paired full tile: C[8][16] (+)= the 4x16 tile of `apanel0` in rows
+/// 0..3 and that of `apanel1` in rows 4..7, both over the same `bpanel`.
+/// The two [k][4] panels are any two row panels of one packed A (the
+/// driver passes consecutive ones). Bitwise equal to two GemmTile4x16Fn
+/// calls of the same tier.
+using GemmTile8x16Fn = void (*)(const float* apanel0, const float* apanel1,
+                                const float* bpanel, int k, float* c,
+                                std::size_t ldc, bool accumulate);
 
 /// Integer full-tile micro-kernel: C[4][16] (+)= A16 * B16 with int16
 /// operands accumulated into int32. k is processed in PAIRS (the
@@ -64,6 +88,16 @@ using GemmTileI16Fn = void (*)(const std::int16_t* apanel,
                                const std::int16_t* bpanel, int kpairs,
                                std::int32_t* c, std::size_t ldc,
                                bool accumulate);
+
+/// Row-paired integer tile: C[8][16] (+)= the GemmTileI16Fn tiles of
+/// `apanel0` (rows 0..3) and `apanel1` (rows 4..7) over one `bpanel`.
+/// Same wraparound contract, so bitwise equal to two GemmTileI16Fn calls
+/// on every tier.
+using GemmTile8x16I16Fn = void (*)(const std::int16_t* apanel0,
+                                   const std::int16_t* apanel1,
+                                   const std::int16_t* bpanel, int kpairs,
+                                   std::int32_t* c, std::size_t ldc,
+                                   bool accumulate);
 
 /// Column width of the exact integer tile: int64 lanes are twice as wide
 /// as f32 ones, so the 8 ymm accumulators of the 4x16 f32 tile hold a 4x8
@@ -118,22 +152,33 @@ using RequantI32Fn = void (*)(const std::int32_t* acc, float* dst,
 /// tile only touches its own window, so in-place residual accumulation
 /// (z += h*f(z)) is safe under any thread split.
 ///
-/// Bitwise contract: the epilogue arithmetic uses NO fused multiply-add in
-/// either ISA variant (the AVX2 TU is built with -ffp-contract=off), so
+/// Bitwise contract: the epilogue arithmetic uses NO fused multiply-add on
+/// any tier (the vector TU is built with -ffp-contract=off), so
 /// fused-epilogue output is bitwise identical to running the plain GEMM
-/// followed by the elementwise kernels below, on either ISA.
+/// followed by the elementwise kernels below, on every tier.
 using GemmTileEp4x16Fn = void (*)(const float* apanel, const float* bpanel,
                                   int k, float* c, std::size_t ldc,
                                   const float* scale4, const float* shift4,
                                   bool relu, const float* residual,
                                   std::size_t ldr, float beta);
 
+/// Row-paired fused-epilogue tile: GemmTile8x16Fn's accumulation, then
+/// GemmTileEp4x16Fn's epilogue chain with the 8 per-row coefficients
+/// scale8/shift8 and an 8 x 16 residual window. Bitwise equal to two
+/// GemmTileEp4x16Fn calls of the same tier.
+using GemmTileEp8x16Fn = void (*)(const float* apanel0, const float* apanel1,
+                                  const float* bpanel, int k, float* c,
+                                  std::size_t ldc, const float* scale8,
+                                  const float* shift8, bool relu,
+                                  const float* residual, std::size_t ldr,
+                                  float beta);
+
 /// Standalone SIMD elementwise kernels — the epilogue ops as streaming
 /// passes, for every elementwise sweep that cannot fuse into a GEMM
 /// (Tensor::axpy/scale/mul, ReLU forward/backward, BatchNorm2d eval).
-/// Each is bitwise identical between the scalar and AVX2 variants (two-op
-/// mul-then-add sequences, no contraction) and bitwise identical to the
-/// matching fused-epilogue stage.
+/// Each is bitwise identical across the tiers (two-op mul-then-add
+/// sequences, no contraction) and bitwise identical to the matching
+/// fused-epilogue stage.
 /// dst[i] = src[i] > 0 ? src[i] : 0 (NaN -> 0, -0 -> +0). src may == dst.
 using ReluF32Fn = void (*)(const float* src, float* dst, std::size_t n);
 /// y[i] += a * x[i].
@@ -149,40 +194,48 @@ using AffineF32Fn = void (*)(const float* src, float* dst, std::size_t n,
 
 struct GemmKernels {
   GemmTile4x16Fn tile4x16;
+  GemmTile8x16Fn tile8x16;
   GemmTileI16Fn tile4x16_i16;
+  GemmTile8x16I16Fn tile8x16_i16;
   GemmTileI32Fn tile4x8_i32;
   QdqF32Fn qdq_f32;
   QuantF32ToI16Fn quant_f32_i16;
   RequantI32Fn requant_i32;
   MaxAbsF32Fn max_abs_f32;
   GemmTileEp4x16Fn tile4x16_ep;
+  GemmTileEp8x16Fn tile8x16_ep;
   ReluF32Fn relu_f32;
   AxpyF32Fn axpy_f32;
   MulF32Fn mul_f32;
   ScaleF32Fn scale_f32;
   AffineF32Fn affine_f32;
-  const char* isa;  // "scalar" or "avx2+fma"
+  const char* isa;  // "scalar", "avx2+fma" or "avx512+vnni"
 };
 
-/// The kernel set every tiled GEMM call uses right now (AVX2 when
-/// compiled in, supported by the CPU, and not disabled; scalar otherwise).
+/// The kernel tiers, lowest first.
+enum class GemmIsa { kScalar, kAvx2, kAvx512 };
+
+/// The highest tier this build and host run: AVX-512 when the vector
+/// translation unit is compiled in and the CPU reports AVX2, FMA,
+/// AVX512F, AVX512BW and AVX512-VNNI; AVX2 when it reports AVX2 and FMA;
+/// scalar otherwise or when ODENET_SIMD disables the vector tiers.
+GemmIsa gemm_best_isa();
+
+/// Caps the active tier at `cap` (GemmIsa::kAvx512, the default, lifts
+/// the cap) — the bench's scalar A/B rows and the ISA-parity tests pin a
+/// tier around runs with it. Not meant to be changed while kernels are
+/// executing concurrently.
+void gemm_cap_isa(GemmIsa cap);
+
+/// The tier every tiled GEMM call uses right now: the lower of
+/// gemm_best_isa() and the cap.
+GemmIsa gemm_isa();
+
+/// That tier's kernel table.
 const GemmKernels& active_gemm_kernels();
 
-/// Name of the active instruction set ("scalar" / "avx2+fma").
+/// Name of the active tier ("scalar" / "avx2+fma" / "avx512+vnni").
 const char* gemm_isa_name();
-
-/// True when the AVX2 translation unit was built with AVX2+FMA codegen.
-bool gemm_avx2_compiled();
-
-/// True when the AVX2 kernels are compiled in, the host CPU supports
-/// AVX2+FMA, and ODENET_SIMD does not disable them.
-bool gemm_avx2_usable();
-
-/// Force the scalar kernels regardless of CPU support — the bench's
-/// SIMD-off A/B rows and the ISA-parity tests flip this around runs.
-/// Not meant to be toggled while kernels are executing concurrently.
-void gemm_force_scalar(bool force);
-bool gemm_forced_scalar();
 
 /// GEMMs below this many flops (2*m*k*n) run sequentially on the calling
 /// thread — fan-out overhead beats the win on small batches. Default 1M
@@ -201,8 +254,9 @@ util::ThreadPool& kernel_pool();
 /// layout the integer micro-kernel consumes: [ceil(m/4)] panels of
 /// [kpairs][4][2], where panel t holds rows 4t..4t+3 and entry
 /// [p][i][s] = A[4t+i][2p+s]. The [2] pair axis is innermost so one 32-bit
-/// broadcast yields a row's (even, odd) k-pair for `_mm256_madd_epi16`.
-/// Edge rows past m and the phantom odd-k tap are zero-padded. This is the
+/// broadcast yields a row's (even, odd) k-pair for `_mm256_madd_epi16`
+/// (AVX2) or `_mm512_dpwssd_epi32` (`vpdpwssd`, AVX-512). Edge rows
+/// past m and the phantom odd-k tap are zero-padded. This is the
 /// once-per-layer packed-weight format the fixed backend keeps on each
 /// conv (core::FixedPackedWeights).
 struct PackedGemmA16 {
@@ -224,7 +278,8 @@ void pack_gemm_a_i16(const std::int16_t* a, int m, int k, PackedGemmA16& out);
 /// (plane = n / batch), so at batch 1 C is row-major [m, n]. The integer
 /// twin of gemm_tiled_pa, on the same driver (gemm_driver.hpp): B is
 /// pair-interleaved per column panel into recycled thread-local storage,
-/// full 4x16 tiles run the dispatched micro-kernel, ragged edges run an
+/// full tiles run the dispatched micro-kernels (row pairs on the 8 x 16
+/// entry, `vpdpwssd` on the AVX-512 tier), ragged edges run an
 /// ISA-independent scalar path with identical wraparound semantics, and
 /// the thread split is bitwise invariant for any worker count (integer
 /// addition commutes mod 2^32).
@@ -233,7 +288,7 @@ void gemm_i16_tiled_pa(const PackedGemmA16& a, const std::int16_t* b,
                        int batch = 1);
 
 /// Measured throughput of this host's GEMM kernels on the current kernel
-/// pool and ISA: one large-conv-sized product (m = 128 out-channels,
+/// pool and tier: one large-conv-sized product (m = 128 out-channels,
 /// k = 3x3x64 taps, n = a 32x32 plane), timed as one warm-up then the
 /// median of 7 runs, through gemm_tiled_pa (f32) and gemm_i16_tiled_pa
 /// (int16 -> int32). The denominators of the benches' fraction-of-peak
@@ -243,5 +298,44 @@ struct GemmPeak {
   double gops_i16 = 0.0;
 };
 GemmPeak measure_gemm_peak();
+
+namespace detail {
+
+// The row-paired entries of a tier with no 8 x 16 kernel of its own (the
+// scalar and AVX2 tiers): two 4 x 16 calls over the same B micro-panel,
+// so pairing leaves every output of that tier unchanged.
+
+template <GemmTile4x16Fn Quad>
+void paired_tile(const float* apanel0, const float* apanel1,
+                 const float* bpanel, int k, float* c, std::size_t ldc,
+                 bool accumulate) {
+  Quad(apanel0, bpanel, k, c, ldc, accumulate);
+  Quad(apanel1, bpanel, k, c + kGemmTileRows * ldc, ldc, accumulate);
+}
+
+template <GemmTileEp4x16Fn Quad>
+void paired_tile_ep(const float* apanel0, const float* apanel1,
+                    const float* bpanel, int k, float* c, std::size_t ldc,
+                    const float* scale8, const float* shift8, bool relu,
+                    const float* residual, std::size_t ldr, float beta) {
+  Quad(apanel0, bpanel, k, c, ldc, scale8, shift8, relu, residual, ldr,
+       beta);
+  Quad(apanel1, bpanel, k, c + kGemmTileRows * ldc, ldc,
+       scale8 != nullptr ? scale8 + kGemmTileRows : nullptr,
+       shift8 != nullptr ? shift8 + kGemmTileRows : nullptr, relu,
+       residual != nullptr ? residual + kGemmTileRows * ldr : nullptr, ldr,
+       beta);
+}
+
+template <GemmTileI16Fn Quad>
+void paired_tile_i16(const std::int16_t* apanel0,
+                     const std::int16_t* apanel1, const std::int16_t* bpanel,
+                     int kpairs, std::int32_t* c, std::size_t ldc,
+                     bool accumulate) {
+  Quad(apanel0, bpanel, kpairs, c, ldc, accumulate);
+  Quad(apanel1, bpanel, kpairs, c + kGemmTileRows * ldc, ldc, accumulate);
+}
+
+}  // namespace detail
 
 }  // namespace odenet::core

@@ -1,9 +1,11 @@
-// AVX2/FMA GEMM micro-kernels — the ONLY translation unit built with
-// -mavx2 -mfma (CMake sets per-source flags; the rest of the library stays
-// at the baseline ISA so the runtime dispatch in gemm_kernels.cpp is what
-// decides, not the loader). When the flags are absent (non-x86 target,
-// -mno-avx2, or -DODENET_DISABLE_AVX2=ON) this file compiles to a stub
-// that reports "no vector kernels".
+// AVX2/FMA and AVX-512 GEMM micro-kernels — the ONLY translation unit
+// built with vector codegen: -mavx2 -mfma for the whole file (CMake sets
+// per-source flags), plus a per-function AVX-512 target on the row-paired
+// 8 x 16 tiles. The rest of the library stays at the baseline ISA, so the
+// runtime dispatch in gemm_kernels.cpp is what decides, not the loader.
+// When the flags are absent (non-x86 target, -mno-avx2, or
+// -DODENET_DISABLE_AVX2=ON) this file compiles to a stub that reports "no
+// vector kernels" for both vector tiers.
 #include "core/gemm_kernels.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -230,6 +232,157 @@ void tile4x8_i32_avx2(const std::int32_t* apanel, const std::int32_t* bpanel,
   }
 }
 
+// The AVX-512 tier's row-paired tiles. One zmm holds a whole 16-column
+// row, so the 8 x 16 tile is 8 zmm accumulators fed by one B load per k
+// (two ymm loads fed 4 rows on AVX2). Per element the arithmetic is the
+// AVX2 tile's — one FMA per k in ascending order, the same epilogue op
+// sequence, the same wraparound int32 sums — so the outputs are bitwise
+// equal to two tile4x16_avx2 / tile4x16_ep_avx2 / tile4x16_i16_avx2
+// calls. The target attribute keeps AVX-512 codegen inside these
+// functions; they run only when the CPU reports every listed feature.
+#define ODENET_AVX512_TARGET \
+  __attribute__((target("avx512f,avx512bw,avx512vnni")))
+
+ODENET_AVX512_TARGET
+void tile8x16_avx512(const float* apanel0, const float* apanel1,
+                     const float* bpanel, int k, float* c, std::size_t ldc,
+                     bool accumulate) {
+  __m512 c0, c1, c2, c3, c4, c5, c6, c7;
+  if (accumulate) {
+    c0 = _mm512_loadu_ps(c + 0 * ldc);
+    c1 = _mm512_loadu_ps(c + 1 * ldc);
+    c2 = _mm512_loadu_ps(c + 2 * ldc);
+    c3 = _mm512_loadu_ps(c + 3 * ldc);
+    c4 = _mm512_loadu_ps(c + 4 * ldc);
+    c5 = _mm512_loadu_ps(c + 5 * ldc);
+    c6 = _mm512_loadu_ps(c + 6 * ldc);
+    c7 = _mm512_loadu_ps(c + 7 * ldc);
+  } else {
+    c0 = c1 = c2 = c3 = c4 = c5 = c6 = c7 = _mm512_setzero_ps();
+  }
+  for (int p = 0; p < k; ++p) {
+    const __m512 b =
+        _mm512_loadu_ps(bpanel + static_cast<std::size_t>(p) * kGemmTileCols);
+    const float* x = apanel0 + static_cast<std::size_t>(p) * kGemmTileRows;
+    const float* y = apanel1 + static_cast<std::size_t>(p) * kGemmTileRows;
+    c0 = _mm512_fmadd_ps(_mm512_set1_ps(x[0]), b, c0);
+    c1 = _mm512_fmadd_ps(_mm512_set1_ps(x[1]), b, c1);
+    c2 = _mm512_fmadd_ps(_mm512_set1_ps(x[2]), b, c2);
+    c3 = _mm512_fmadd_ps(_mm512_set1_ps(x[3]), b, c3);
+    c4 = _mm512_fmadd_ps(_mm512_set1_ps(y[0]), b, c4);
+    c5 = _mm512_fmadd_ps(_mm512_set1_ps(y[1]), b, c5);
+    c6 = _mm512_fmadd_ps(_mm512_set1_ps(y[2]), b, c6);
+    c7 = _mm512_fmadd_ps(_mm512_set1_ps(y[3]), b, c7);
+  }
+  _mm512_storeu_ps(c + 0 * ldc, c0);
+  _mm512_storeu_ps(c + 1 * ldc, c1);
+  _mm512_storeu_ps(c + 2 * ldc, c2);
+  _mm512_storeu_ps(c + 3 * ldc, c3);
+  _mm512_storeu_ps(c + 4 * ldc, c4);
+  _mm512_storeu_ps(c + 5 * ldc, c5);
+  _mm512_storeu_ps(c + 6 * ldc, c6);
+  _mm512_storeu_ps(c + 7 * ldc, c7);
+}
+
+/// tile8x16_avx512's k loop (never accumulating), then tile4x16_ep_avx2's
+/// epilogue chain per zmm row: separate mul and add (the TU's
+/// -ffp-contract=off keeps them two roundings), relu as max(t, 0) with
+/// the value first (NaN -> 0, -0.0 -> +0.0), then t + beta * r.
+ODENET_AVX512_TARGET
+void tile8x16_ep_avx512(const float* apanel0, const float* apanel1,
+                        const float* bpanel, int k, float* c, std::size_t ldc,
+                        const float* scale8, const float* shift8, bool relu,
+                        const float* residual, std::size_t ldr, float beta) {
+  __m512 c0, c1, c2, c3, c4, c5, c6, c7;
+  c0 = c1 = c2 = c3 = c4 = c5 = c6 = c7 = _mm512_setzero_ps();
+  for (int p = 0; p < k; ++p) {
+    const __m512 b =
+        _mm512_loadu_ps(bpanel + static_cast<std::size_t>(p) * kGemmTileCols);
+    const float* x = apanel0 + static_cast<std::size_t>(p) * kGemmTileRows;
+    const float* y = apanel1 + static_cast<std::size_t>(p) * kGemmTileRows;
+    c0 = _mm512_fmadd_ps(_mm512_set1_ps(x[0]), b, c0);
+    c1 = _mm512_fmadd_ps(_mm512_set1_ps(x[1]), b, c1);
+    c2 = _mm512_fmadd_ps(_mm512_set1_ps(x[2]), b, c2);
+    c3 = _mm512_fmadd_ps(_mm512_set1_ps(x[3]), b, c3);
+    c4 = _mm512_fmadd_ps(_mm512_set1_ps(y[0]), b, c4);
+    c5 = _mm512_fmadd_ps(_mm512_set1_ps(y[1]), b, c5);
+    c6 = _mm512_fmadd_ps(_mm512_set1_ps(y[2]), b, c6);
+    c7 = _mm512_fmadd_ps(_mm512_set1_ps(y[3]), b, c7);
+  }
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 beta_v = _mm512_set1_ps(beta);
+  const __m512 rows[kGemmPairRows] = {c0, c1, c2, c3, c4, c5, c6, c7};
+  for (int i = 0; i < kGemmPairRows; ++i) {
+    __m512 t = rows[i];
+    if (scale8 != nullptr) t = _mm512_mul_ps(t, _mm512_set1_ps(scale8[i]));
+    if (shift8 != nullptr) t = _mm512_add_ps(t, _mm512_set1_ps(shift8[i]));
+    // All lanes kept: _mm512_max_ps's undefined pass-through trips GCC
+    // 12's -Wmaybe-uninitialized; the zeroing form is the same vmaxps.
+    if (relu) t = _mm512_maskz_max_ps(0xffff, t, zero);
+    if (residual != nullptr) {
+      const float* rrow = residual + static_cast<std::size_t>(i) * ldr;
+      t = _mm512_add_ps(t, _mm512_mul_ps(beta_v, _mm512_loadu_ps(rrow)));
+    }
+    _mm512_storeu_ps(c + static_cast<std::size_t>(i) * ldc, t);
+  }
+}
+
+/// A row's (even, odd) k-pair of a pair-interleaved A panel, broadcast to
+/// every 32-bit lane.
+ODENET_AVX512_TARGET
+inline __m512i broadcast_pair(const std::int16_t* ap) {
+  std::int32_t v;
+  std::memcpy(&v, ap, sizeof(v));
+  return _mm512_set1_epi32(v);
+}
+
+/// Integer 8x16 tile via `vpdpwssd`: per 32-bit lane, C += a.lo * b.lo +
+/// a.hi * b.hi with wraparound — the madd + add of tile4x16_i16_avx2 in
+/// one instruction, on one zmm per pair-interleaved [16][2] B row.
+ODENET_AVX512_TARGET
+void tile8x16_i16_avx512(const std::int16_t* apanel0,
+                         const std::int16_t* apanel1,
+                         const std::int16_t* bpanel, int kpairs,
+                         std::int32_t* c, std::size_t ldc, bool accumulate) {
+  __m512i c0, c1, c2, c3, c4, c5, c6, c7;
+  if (accumulate) {
+    c0 = _mm512_loadu_si512(c + 0 * ldc);
+    c1 = _mm512_loadu_si512(c + 1 * ldc);
+    c2 = _mm512_loadu_si512(c + 2 * ldc);
+    c3 = _mm512_loadu_si512(c + 3 * ldc);
+    c4 = _mm512_loadu_si512(c + 4 * ldc);
+    c5 = _mm512_loadu_si512(c + 5 * ldc);
+    c6 = _mm512_loadu_si512(c + 6 * ldc);
+    c7 = _mm512_loadu_si512(c + 7 * ldc);
+  } else {
+    c0 = c1 = c2 = c3 = c4 = c5 = c6 = c7 = _mm512_setzero_si512();
+  }
+  for (int p = 0; p < kpairs; ++p) {
+    const __m512i b =
+        _mm512_loadu_si512(bpanel + static_cast<std::size_t>(p) * 32);
+    const std::int16_t* x = apanel0 + static_cast<std::size_t>(p) * 8;
+    const std::int16_t* y = apanel1 + static_cast<std::size_t>(p) * 8;
+    c0 = _mm512_dpwssd_epi32(c0, broadcast_pair(x + 0), b);
+    c1 = _mm512_dpwssd_epi32(c1, broadcast_pair(x + 2), b);
+    c2 = _mm512_dpwssd_epi32(c2, broadcast_pair(x + 4), b);
+    c3 = _mm512_dpwssd_epi32(c3, broadcast_pair(x + 6), b);
+    c4 = _mm512_dpwssd_epi32(c4, broadcast_pair(y + 0), b);
+    c5 = _mm512_dpwssd_epi32(c5, broadcast_pair(y + 2), b);
+    c6 = _mm512_dpwssd_epi32(c6, broadcast_pair(y + 4), b);
+    c7 = _mm512_dpwssd_epi32(c7, broadcast_pair(y + 6), b);
+  }
+  _mm512_storeu_si512(c + 0 * ldc, c0);
+  _mm512_storeu_si512(c + 1 * ldc, c1);
+  _mm512_storeu_si512(c + 2 * ldc, c2);
+  _mm512_storeu_si512(c + 3 * ldc, c3);
+  _mm512_storeu_si512(c + 4 * ldc, c4);
+  _mm512_storeu_si512(c + 5 * ldc, c5);
+  _mm512_storeu_si512(c + 6 * ldc, c6);
+  _mm512_storeu_si512(c + 7 * ldc, c7);
+}
+
+#undef ODENET_AVX512_TARGET
+
 /// Vector twin of the scalar quantize_raw_double: 4 doubles at a time.
 /// round-half-away-from-zero = trunc(s + copysign(0.5, s)); NaN lanes are
 /// zeroed via an ordered-compare mask; the final +0.0 normalizes -0.0 so
@@ -427,18 +580,39 @@ void affine_f32_avx2(const float* src, float* dst, std::size_t n, float scale,
   for (; i < n; ++i) dst[i] = src[i] * scale + shift;
 }
 
-constexpr GemmKernels kAvx2Kernels{tile4x16_avx2,
-                                   tile4x16_i16_avx2, tile4x8_i32_avx2,
-                                   qdq_f32_avx2,
-                                   quant_f32_i16_avx2, requant_i32_avx2,
-                                   max_abs_f32_avx2, tile4x16_ep_avx2,
-                                   relu_f32_avx2, axpy_f32_avx2,
-                                   mul_f32_avx2, scale_f32_avx2,
-                                   affine_f32_avx2, "avx2+fma"};
+constexpr GemmKernels kAvx2Kernels{
+    tile4x16_avx2,
+    detail::paired_tile<tile4x16_avx2>,
+    tile4x16_i16_avx2,
+    detail::paired_tile_i16<tile4x16_i16_avx2>,
+    tile4x8_i32_avx2,
+    qdq_f32_avx2,
+    quant_f32_i16_avx2,
+    requant_i32_avx2,
+    max_abs_f32_avx2,
+    tile4x16_ep_avx2,
+    detail::paired_tile_ep<tile4x16_ep_avx2>,
+    relu_f32_avx2,
+    axpy_f32_avx2,
+    mul_f32_avx2,
+    scale_f32_avx2,
+    affine_f32_avx2,
+    "avx2+fma"};
+
+// The AVX-512 tier: the AVX2 table with the row-paired tiles swapped in.
+constexpr GemmKernels kAvx512Kernels = [] {
+  GemmKernels k = kAvx2Kernels;
+  k.tile8x16 = tile8x16_avx512;
+  k.tile8x16_i16 = tile8x16_i16_avx512;
+  k.tile8x16_ep = tile8x16_ep_avx512;
+  k.isa = "avx512+vnni";
+  return k;
+}();
 
 }  // namespace
 
 const GemmKernels* gemm_avx2_kernels_impl() { return &kAvx2Kernels; }
+const GemmKernels* gemm_avx512_kernels_impl() { return &kAvx512Kernels; }
 
 }  // namespace odenet::core
 
@@ -447,6 +621,7 @@ const GemmKernels* gemm_avx2_kernels_impl() { return &kAvx2Kernels; }
 namespace odenet::core {
 
 const GemmKernels* gemm_avx2_kernels_impl() { return nullptr; }
+const GemmKernels* gemm_avx512_kernels_impl() { return nullptr; }
 
 }  // namespace odenet::core
 

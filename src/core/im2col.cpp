@@ -12,8 +12,8 @@ namespace odenet::core {
 
 namespace {
 
-// Micro-kernel geometry (see core/gemm_kernels.hpp — the 4 x 16 tile the
-// scalar and AVX2 kernels share).
+// Micro-kernel geometry (see core/gemm_kernels.hpp — the 4 x 16 tile
+// every tier shares; row pairs run the 8 x 16 entries).
 constexpr int kTileRows = kGemmTileRows;
 constexpr int kTileCols = kGemmTileCols;
 
@@ -29,13 +29,17 @@ struct TapSpec {
   std::size_t lo = 0, hi = 0;
   std::size_t zl = 0, zr = 0;
   // Fast interior range of the implicit fill: a micro-panel row wholly
-  // inside [lo, fhi) is one constant-size 16-float copy plus ncz
-  // pointwise zeros (cz lists the column-clipped in-tile positions — valid
-  // because tiles are 16-aligned, so when the image width divides 16 every
-  // tile shares one column phase). Tiles outside take the general gather.
+  // inside [lo, fhi) is one constant-size 16-float copy plus pointwise
+  // zeros at its column-clipped in-tile positions. Tiles are 16-aligned
+  // and the plane is a multiple of 16, so when the image width divides 16
+  // every tile covers whole rows (cz[0] lists its clips), and when 16
+  // divides the width every tile lies in one row: a tap reaches at most
+  // kernel / 2 < 16 columns past the edge, so only a row's first tile
+  // (cz[0]) and last tile (cz[1]) clip. Other widths take the general
+  // gather.
   std::size_t fhi = 0;
-  int cz[kTileCols] = {};
-  int ncz = 0;
+  int cz[2][kTileCols] = {};
+  int ncz[2] = {};
 };
 
 constexpr int kMaxTaps = 49;  // kernels up to 7x7
@@ -72,12 +76,20 @@ void plan_taps(const LoweringGeometry& g, TapSpec* taps) {
     ts.zl = std::min(left, w);
     ts.zr = std::max(w - std::min(right, w), ts.zl);
     ts.fhi = ts.hi;
-    ts.ncz = 0;
+    ts.ncz[0] = ts.ncz[1] = 0;
     if (ts.zl > 0 || ts.zr < w) {
-      if (w <= kTileCols && kTileCols % w == 0) {
+      if (kTileCols % w == 0 || w % kTileCols == 0) {
+        // Column of in-tile position j in a row's first tile (jf, wrapping
+        // every w columns) and in its last (jl). Counted, not divided:
+        // every conv call plans its taps.
+        std::size_t jf = 0;
         for (int j = 0; j < kTileCols; ++j) {
-          const std::size_t jm = static_cast<std::size_t>(j) % w;
-          if (jm < ts.zl || jm >= ts.zr) ts.cz[ts.ncz++] = j;
+          const std::size_t jl =
+              w > kTileCols ? w - kTileCols + static_cast<std::size_t>(j)
+                            : jf;
+          if (jf < ts.zl || jf >= ts.zr) ts.cz[0][ts.ncz[0]++] = j;
+          if (jl < ts.zl || jl >= ts.zr) ts.cz[1][ts.ncz[1]++] = j;
+          if (++jf == w) jf = 0;
         }
       } else {
         ts.fhi = ts.lo;  // column phase varies per tile: general path only
@@ -311,19 +323,6 @@ void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
   });
 }
 
-void permute_channel_major(const float* src, float* dst, int batch,
-                           int channels, std::size_t plane) {
-  const std::size_t ncols = plane * static_cast<std::size_t>(batch);
-  util::parallel_for(kernel_pool(), 0, static_cast<std::size_t>(batch),
-                     [&](std::size_t ni) {
-    for (int c = 0; c < channels; ++c) {
-      std::memcpy(dst + static_cast<std::size_t>(c) * ncols + ni * plane,
-                  src + (ni * static_cast<std::size_t>(channels) + c) * plane,
-                  plane * sizeof(float));
-    }
-  });
-}
-
 namespace {
 
 /// Terms gemm_tiled_bt sums per scratch tile before adding it to C.
@@ -384,24 +383,34 @@ void gemm_ep_panels(const PackedGemmA& a, const float* b, float* c, int n,
   const GemmKernels& kernels = active_gemm_kernels();
   detail::gemm_panels<float>(
       a.m, k, n, micro_panel_floats(k), fill,
-      [&](int t, int j0, const float* bp) {
+      [&](int t, int rows, int j0, const float* bp) {
         const int i0 = t * kTileRows;
-        const float* scale4 = ep.scale != nullptr ? ep.scale + i0 : nullptr;
-        const float* shift4 = ep.shift != nullptr ? ep.shift + i0 : nullptr;
+        const float* scale = ep.scale != nullptr ? ep.scale + i0 : nullptr;
+        const float* shift = ep.shift != nullptr ? ep.shift + i0 : nullptr;
         if (out.tile_in_sample(j0)) {
           const std::size_t at = out.at(i0, j0);
-          kernels.tile4x16_ep(
-              a_panel(a, t), bp, k, c + at, out.plane, scale4, shift4,
-              ep.relu, ep.residual != nullptr ? ep.residual + at : nullptr,
-              out.plane, ep.beta);
+          const float* residual =
+              ep.residual != nullptr ? ep.residual + at : nullptr;
+          if (rows == kGemmPairRows) {
+            kernels.tile8x16_ep(a_panel(a, t), a_panel(a, t + 1), bp, k,
+                                c + at, out.plane, scale, shift, ep.relu,
+                                residual, out.plane, ep.beta);
+          } else {
+            kernels.tile4x16_ep(a_panel(a, t), bp, k, c + at, out.plane,
+                                scale, shift, ep.relu, residual, out.plane,
+                                ep.beta);
+          }
           return;
         }
-        out.straddled_tile(c, ep.residual, i0, j0, [&](float* tile) {
-          kernels.tile4x16_ep(a_panel(a, t), bp, k, tile, kTileCols, scale4,
-                              shift4, ep.relu,
-                              ep.residual != nullptr ? tile : nullptr,
-                              kTileCols, ep.beta);
-        });
+        for (int r = 0; r < rows; r += kTileRows) {
+          out.straddled_tile(c, ep.residual, i0 + r, j0, [&](float* tile) {
+            kernels.tile4x16_ep(
+                a_panel(a, t + r / kTileRows), bp, k, tile, kTileCols,
+                scale != nullptr ? scale + r : nullptr,
+                shift != nullptr ? shift + r : nullptr, ep.relu,
+                ep.residual != nullptr ? tile : nullptr, kTileCols, ep.beta);
+          });
+        }
       },
       [&](int t, int j0, int mr, int nr, const float*) {
         for (int i = 0; i < mr; ++i) {
@@ -422,26 +431,36 @@ void gemm_ep_panels(const PackedGemmA& a, const float* b, float* c, int n,
 
 /// Packs A[i][p] = a[i * row_stride + p * col_stride] into the row-panel
 /// layout: row-major A (row_stride k, col_stride 1) or A stored
-/// transposed (row_stride 1, col_stride m).
+/// transposed (row_stride 1, col_stride m). With batch > 1 the columns
+/// split into `batch` blocks of k / batch, block s read from
+/// a + s * m * row_stride: A is the NCHW [batch, m, k / batch] tensor
+/// (row_stride k / batch) read as the [m, k] matrix whose column block s
+/// is sample s.
 void pack_a_strided(const float* a, int m, int k, std::size_t row_stride,
-                    std::size_t col_stride, PackedGemmA& out) {
+                    std::size_t col_stride, PackedGemmA& out,
+                    int batch = 1) {
   ODENET_CHECK(m >= 0 && k >= 0, "bad pack_gemm_a dimensions");
   out.m = m;
   out.k = k;
   const int row_tiles = (m + kTileRows - 1) / kTileRows;
   out.data.resize(static_cast<std::size_t>(row_tiles) *
                   static_cast<std::size_t>(std::max(k, 1)) * kTileRows);
+  const std::size_t kb = static_cast<std::size_t>(k / batch);
+  const std::size_t sample_stride = static_cast<std::size_t>(m) * row_stride;
   for (int t = 0; t < row_tiles; ++t) {
     const int i0 = t * kTileRows;
     const int mr = std::min(kTileRows, m - i0);
-    float* panel = out.data.data() +
-                   static_cast<std::size_t>(t) * k * kTileRows;
-    for (int p = 0; p < k; ++p) {
-      float* dst = panel + static_cast<std::size_t>(p) * kTileRows;
-      const float* src = a + static_cast<std::size_t>(i0) * row_stride +
-                         static_cast<std::size_t>(p) * col_stride;
-      for (int i = 0; i < mr; ++i) dst[i] = src[i * row_stride];
-      for (int i = mr; i < kTileRows; ++i) dst[i] = 0.0f;
+    float* dst = out.data.data() + static_cast<std::size_t>(t) * k * kTileRows;
+    for (int s = 0; s < batch; ++s) {
+      const float* rows = a + static_cast<std::size_t>(s) * sample_stride +
+                          static_cast<std::size_t>(i0) * row_stride;
+      for (std::size_t q = 0; q < kb; ++q, dst += kTileRows) {
+        const float* src = rows + q * col_stride;
+        for (int i = 0; i < kTileRows; ++i) {
+          dst[i] = i < mr ? src[static_cast<std::size_t>(i) * row_stride]
+                          : 0.0f;
+        }
+      }
     }
   }
 }
@@ -478,8 +497,12 @@ PackedGemmA& call_pack() {
 
 }  // namespace
 
-void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out) {
-  pack_a_strided(a, m, k, static_cast<std::size_t>(k), 1, out);
+void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out,
+                 int batch) {
+  ODENET_CHECK(batch > 0 && k % batch == 0,
+               "bad pack_gemm_a dimensions: k " << k << ", batch " << batch);
+  pack_a_strided(a, m, k, static_cast<std::size_t>(k / batch), 1, out,
+                 batch);
 }
 
 void pack_gemm_at(const float* at, int m, int k, PackedGemmA& out,
@@ -501,10 +524,14 @@ void gemm_tiled_pa(const PackedGemmA& a, const float* b, float* c, int n,
       [&](int p0, int pn, float* packed) {
         pack_b_panel(b, k, n, p0, pn, packed);
       },
-      [&](int t, int j0, const float* bp) {
-        const std::size_t at =
-            static_cast<std::size_t>(t) * kTileRows * ldc + j0;
-        kernels.tile4x16(a_panel(a, t), bp, k, c + at, ldc, accumulate);
+      [&](int t, int rows, int j0, const float* bp) {
+        float* ct = c + static_cast<std::size_t>(t) * kTileRows * ldc + j0;
+        if (rows == kGemmPairRows) {
+          kernels.tile8x16(a_panel(a, t), a_panel(a, t + 1), bp, k, ct, ldc,
+                           accumulate);
+        } else {
+          kernels.tile4x16(a_panel(a, t), bp, k, ct, ldc, accumulate);
+        }
       },
       [&](int t, int j0, int mr, int nr, const float*) {
         for (int i = 0; i < mr; ++i) {
@@ -578,7 +605,13 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
         if (q0 >= ts.lo && q0 + kTileCols <= ts.fhi) {
           std::memcpy(dst, splane + q0 + ts.shift,
                       kTileCols * sizeof(float));
-          for (int z = 0; z < ts.ncz; ++z) dst[ts.cz[z]] = 0.0f;
+          // A row's first tile, its last, or (wide rows) a middle one.
+          const std::size_t col0 = q0 - rowbase;
+          const int phase = col0 == 0 ? 0 : col0 + kTileCols == uw ? 1 : -1;
+          if (phase >= 0) {
+            const int* cz = ts.cz[phase];
+            for (int z = 0; z < ts.ncz[phase]; ++z) dst[cz[z]] = 0.0f;
+          }
         } else {
           gather_tap_row(splane, ts, uw, q0, rowbase, kTileCols, dst);
         }
@@ -606,10 +639,10 @@ void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,
 }
 
 void gemm_tiled_bt(const float* a, const float* bt, float* c, int m, int k,
-                   int n, bool accumulate) {
+                   int n, bool accumulate, int batch) {
   ODENET_CHECK(m >= 0 && k >= 0 && n >= 0, "bad gemm dimensions");
   PackedGemmA& pa = call_pack();
-  pack_gemm_a(a, m, k, pa);
+  pack_gemm_a(a, m, k, pa, batch);
   const GemmKernels& kernels = active_gemm_kernels();
   const std::size_t ldc = static_cast<std::size_t>(n);
   // Depth blocks bound one micro-panel by the driver's panel cap when k
@@ -628,23 +661,35 @@ void gemm_tiled_bt(const float* a, const float* bt, float* c, int m, int k,
     // its first span in place on C, as gemm_tiled_pa's tiles do, so a
     // product no deeper than kSumDepth (the Linear head) runs the plain
     // micro-kernel. Ragged tiles run the full kernel over the zero-padded
-    // panels too, so every k loop vectorizes (the m = 1 Linear).
+    // panels too, so every k loop vectorizes (the m = 1 Linear). mr is 8
+    // for a row pair, which runs the 8 x 16 entry.
     auto run_tile = [&](int t, int j0, int mr, int nr, const float* bp) {
       const float* ap =
           a_panel(pa, t) + static_cast<std::size_t>(k0) * kTileRows;
+      const std::size_t pair_offset =
+          mr == kGemmPairRows ? static_cast<std::size_t>(pa.k) * kTileRows
+                              : 0;
+      auto kernel = [&](int d, int len, float* dst, std::size_t ld,
+                        bool add) {
+        const float* ad = ap + static_cast<std::size_t>(d) * kTileRows;
+        const float* bd = bp + static_cast<std::size_t>(d) * kTileCols;
+        if (pair_offset != 0) {
+          kernels.tile8x16(ad, ad + pair_offset, bd, len, dst, ld, add);
+        } else {
+          kernels.tile4x16(ad, bd, len, dst, ld, add);
+        }
+      };
       float* ct = c + static_cast<std::size_t>(t) * kTileRows * ldc + j0;
-      const bool full = mr == kTileRows && nr == kTileCols;
+      const bool full = mr >= kTileRows && nr == kTileCols;
       for (int d = 0; d == 0 || d < kb; d += kSumDepth) {
         const int len = std::min(kSumDepth, kb - d);
         const bool add = acc || d > 0;
         if (full && d == 0) {
-          kernels.tile4x16(ap, bp, len, ct, ldc, add);
+          kernel(0, len, ct, ldc, add);
           continue;
         }
-        float tile[kTileRows * kTileCols];
-        kernels.tile4x16(ap + static_cast<std::size_t>(d) * kTileRows,
-                         bp + static_cast<std::size_t>(d) * kTileCols, len,
-                         tile, kTileCols, /*accumulate=*/false);
+        float tile[kGemmPairRows * kTileCols];
+        kernel(d, len, tile, kTileCols, /*accumulate=*/false);
         for (int i = 0; i < mr; ++i) {
           float* crow = ct + static_cast<std::size_t>(i) * ldc;
           const float* trow = tile + i * kTileCols;
@@ -660,8 +705,8 @@ void gemm_tiled_bt(const float* a, const float* bt, float* c, int m, int k,
           pack_bt_panel(bt, static_cast<std::size_t>(k), k0, kb, p0, pn,
                         packed);
         },
-        [&](int t, int j0, const float* bp) {
-          run_tile(t, j0, kTileRows, kTileCols, bp);
+        [&](int t, int rows, int j0, const float* bp) {
+          run_tile(t, j0, rows, kTileCols, bp);
         },
         run_tile);
     k0 += kc;

@@ -85,13 +85,6 @@ void im2col_batched_i16(const std::int16_t* src, const LoweringGeometry& g,
 void col2im_batched(const float* cols, const LoweringGeometry& g, int batch,
                     float* dst);
 
-/// Copies an NCHW [N, C, plane] tensor into the channel-major matrix view
-/// [C, N*plane] (sample n in column block n*plane) — the conv backward's
-/// grad_out as its batched GEMMs read it. src and dst must not alias.
-/// Parallelized over samples.
-void permute_channel_major(const float* src, float* dst, int batch,
-                           int channels, std::size_t plane);
-
 /// Register-blocked GEMM: C[m,n] (+)= A[m,k] * B[k,n], row-major,
 /// accumulation over k in ascending order; when accumulate is false C is
 /// overwritten. Computed through an MR x NR micro-kernel that keeps an
@@ -116,7 +109,12 @@ struct PackedGemmA {
 };
 
 /// Packs row-major A[m,k] into `out` (storage recycled across calls).
-void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out);
+/// With batch > 1, A is read in place from an NCHW [batch, m, k / batch]
+/// tensor whose sample s supplies columns [s * k / batch,
+/// (s + 1) * k / batch): the packed bytes equal those of its
+/// channel-major [m, k] copy.
+void pack_gemm_a(const float* a, int m, int k, PackedGemmA& out,
+                 int batch = 1);
 
 /// Packs A[m,k] from its transpose `at`, stored [k, ld] row-major (ld = 0
 /// means m; ld > m packs the leading m columns), into the same layout, so
@@ -160,7 +158,7 @@ struct GemmEpilogue {
 /// (residual IS the accumulate path). The GEMM summation order is
 /// identical to gemm_tiled_pa, and the epilogue arithmetic is bitwise
 /// identical to running the unfused GEMM followed by the standalone
-/// elementwise kernels, on either ISA.
+/// elementwise kernels, on every tier.
 void gemm_tiled_pa_ep(const PackedGemmA& a, const float* b, float* c, int n,
                       const GemmEpilogue& ep, int batch = 1);
 
@@ -178,7 +176,7 @@ bool gemm_implicit_lowering_ok(const LoweringGeometry& g, int m);
 /// same tap plan the explicit lowering uses. Packed panel values,
 /// summation order, epilogue and the NCHW [batch, m, plane] output are
 /// identical to the explicit im2col_batched + gemm_tiled_pa_ep(..., batch)
-/// composition, so results are bitwise equal on either ISA and under any
+/// composition, so results are bitwise equal on every tier and under any
 /// thread split — the conv just skips one full write + read of the column
 /// matrix. Requires gemm_implicit_lowering_ok(g, a.m) and
 /// a.k == g.col_rows().
@@ -189,13 +187,16 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
 
 /// C[m,n] (+)= A[m,k] * B with B stored transposed, [n,k] row-major: the
 /// conv weight gradient G * cols^T (cols is [C*K*K, N*Ho*Wo]) and the
-/// Linear forward X * W^T (W is [out, in]). A is packed per call into
+/// Linear forward X * W^T (W is [out, in]). A is row-major [m, k] at
+/// batch 1; with batch > 1 it is the NCHW [batch, m, k / batch] tensor
+/// pack_gemm_a reads in place — the conv's grad_out as dW's left operand,
+/// no channel-major copy. A is packed per call into
 /// recycled thread-local storage; B is packed per column panel, its ragged
 /// last tile zero-padded and run on the full micro-kernel into a scratch
 /// tile whose corner is then stored (added when accumulating). A long k is
 /// cut into depth blocks that keep one micro-panel within the driver's
 /// panel cap; blocks after the first accumulate onto C.
 void gemm_tiled_bt(const float* a, const float* bt, float* c, int m, int k,
-                   int n, bool accumulate);
+                   int n, bool accumulate, int batch = 1);
 
 }  // namespace odenet::core

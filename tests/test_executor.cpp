@@ -19,6 +19,7 @@
 
 #include "conv_reference.hpp"
 #include "core/gemm_kernels.hpp"
+#include "kernel_tiers.hpp"
 #include "models/executor.hpp"
 #include "models/network.hpp"
 #include "sched/fpga_executor.hpp"
@@ -537,5 +538,61 @@ TEST(Executor, ReplicaChurnRepacksAndFreesItsPacks) {
     EXPECT_EQ(packs[round], packs[0]);
     EXPECT_TRUE(same[round]);
     EXPECT_EQ(live[round], live[0]);
+  }
+}
+
+TEST(Executor, EvalOutputsAreBitwiseAcrossAvx2AndAvx512) {
+  // rODENet-3-20 at its CIFAR width (convs of 16, 32 and 64 channels, so
+  // the driver pairs row tiles, on 32x32 / 16x16 / 8x8 planes): the float,
+  // fixed and fpga_sim plans give bitwise-equal outputs capped at AVX2 and
+  // on the AVX-512 tier. The fixed plan runs twice: on the input, and at
+  // 400x the input, where conv inputs outgrow int16 and take the float
+  // carrier — as often on either tier.
+  if (!kernel_tiers::avx512_usable()) GTEST_SKIP() << kernel_tiers::kNoAvx512;
+  util::Rng rng(77);
+  models::Network net(models::make_spec(Arch::kROdeNet3, 20));
+  net.init(rng);
+  sched::FpgaStageExecutor fpga(*net.stage(StageId::kLayer3_2),
+                                sched::FpgaStageExecutor::Config{});
+  net.set_training(false);
+  core::Tensor x({3, 3, 32, 32});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x.data()[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  }
+  core::Tensor wide = x;
+  for (std::size_t i = 0; i < wide.numel(); ++i) wide.data()[i] *= 400.0f;
+
+  struct Outputs {
+    std::vector<core::Tensor> logits;
+    std::uint64_t carriers = 0;
+  };
+  auto run = [&] {
+    Outputs out;
+    models::FloatStageExecutor float_exec;
+    models::FixedStageExecutor fixed(20);
+    models::StagePlan pl_plan;
+    pl_plan.assign(StageId::kLayer3_2, &fpga);
+    out.logits.push_back(net.forward_with(x, models::StagePlan(&float_exec)));
+    out.logits.push_back(net.forward_with(x, models::StagePlan(&fixed)));
+    const std::uint64_t narrow_carriers = fixed.float_carrier_calls();
+    out.logits.push_back(net.forward_with(wide, models::StagePlan(&fixed)));
+    out.carriers = fixed.float_carrier_calls() - narrow_carriers;
+    out.logits.push_back(net.forward_with(x, pl_plan));
+    return out;
+  };
+  Outputs avx2;
+  {
+    kernel_tiers::IsaCap cap(core::GemmIsa::kAvx2);
+    avx2 = run();
+  }
+  const Outputs avx512 = run();
+  EXPECT_GT(avx2.carriers, 0u) << "the wide input never took the carrier";
+  EXPECT_EQ(avx512.carriers, avx2.carriers);
+  const char* names[] = {"float", "fixed", "fixed at 400x", "fpga_sim"};
+  for (std::size_t i = 0; i < avx2.logits.size(); ++i) {
+    ASSERT_TRUE(avx512.logits[i].same_shape(avx2.logits[i])) << names[i];
+    EXPECT_EQ(0, std::memcmp(avx512.logits[i].data(), avx2.logits[i].data(),
+                             avx2.logits[i].numel() * sizeof(float)))
+        << names[i];
   }
 }

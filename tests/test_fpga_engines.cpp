@@ -2,9 +2,9 @@
 // functional fixed-point equivalence against the float reference kernels,
 // bitwise equality of the GEMM-backed conv engine with the per-pixel MAC
 // loop and of the one-pass BN engine with the three-pass BN loop (golden
-// references, both ISAs, int32-rail operands), the fused Euler writeback,
-// allocation-free warm solves, BN and writeback arithmetic at the rails,
-// BRAM allocation, AXI, timing closure.
+// references, every kernel tier, int32-rail operands), the fused Euler
+// writeback, allocation-free warm solves, BN and writeback arithmetic at
+// the rails, BRAM allocation, AXI, timing closure.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,6 +23,7 @@
 #include "fpga/conv_engine.hpp"
 #include "fpga/device.hpp"
 #include "fpga/mac_array.hpp"
+#include "kernel_tiers.hpp"
 #include "models/architecture.hpp"
 #include "models/network.hpp"
 #include "models/odeblock.hpp"
@@ -200,18 +201,12 @@ std::vector<std::int32_t> random_raws(std::size_t n, ou::Rng& rng, double std,
   return v;
 }
 
-/// RAII scalar-kernel forcing so a failing EXPECT cannot leak it.
-struct ForceScalar {
-  explicit ForceScalar(bool on) { odenet::core::gemm_force_scalar(on); }
-  ~ForceScalar() { odenet::core::gemm_force_scalar(false); }
-};
-
 struct ConvGeometry {
   int cin, cout, extent;
 };
 
-/// Runs the engine on random weights/input for every t and both kernel
-/// ISAs, asserting bitwise equality with golden_conv.
+/// Runs the engine on random weights/input for every t and every kernel
+/// tier, asserting bitwise equality with golden_conv.
 void expect_engine_matches_golden(const ConvGeometry& g, bool time_plane,
                                   bool rails, ou::Rng& rng) {
   SCOPED_TRACE(std::to_string(g.cin) + "->" + std::to_string(g.cout) + " @" +
@@ -231,8 +226,8 @@ void expect_engine_matches_golden(const ConvGeometry& g, bool time_plane,
   ASSERT_EQ(engine.has_time_weights(), time_plane);
   for (float t : {0.0f, 0.37f, 11.0f, -2.5f}) {
     const ofx::FixedTensor want = golden_conv(w, x, t);
-    for (bool scalar : {false, true}) {
-      ForceScalar forced(scalar);
+    for (kernel_tiers::GemmIsa isa : kernel_tiers::usable_tiers()) {
+      kernel_tiers::IsaCap cap(isa);
       const ofx::FixedTensor got = engine.run(x, t);
       ASSERT_EQ(got.shape, want.shape);
       EXPECT_EQ(0, std::memcmp(got.raw.data(), want.raw.data(),
@@ -782,7 +777,7 @@ TEST(Accelerator, EulerSolveMatchesOdeBlock) {
 
 TEST(Accelerator, SolveEulerOutputIsPinned) {
   // A seeded layer3_2-shaped block (64 channels, 8x8, time plane) over the
-  // 24 Euler steps of rODENet-3-56, under both kernel ISAs. The hash and
+  // 24 Euler steps of rODENet-3-56, under every kernel tier. The hash and
   // samples were captured from the per-pixel MAC loop engine; the GEMM
   // engine must reproduce them bit for bit.
   ou::Rng rng(2021);
@@ -792,8 +787,8 @@ TEST(Accelerator, SolveEulerOutputIsPinned) {
   OdeBlockAccelerator accel({.channels = 64, .extent = 8, .parallelism = 16});
   accel.load_weights(block);
   Tensor z0 = random_tensor({1, 64, 8, 8}, rng, 1.0);
-  for (bool scalar : {false, true}) {
-    ForceScalar forced(scalar);
+  for (kernel_tiers::GemmIsa isa : kernel_tiers::usable_tiers()) {
+    kernel_tiers::IsaCap cap(isa);
     AcceleratorReport report;
     const Tensor out = accel.solve_euler(z0, 24, 1.0f, &report);
     EXPECT_EQ(fnv1a_bits(out), 0x992c48d85aa3fccbull)

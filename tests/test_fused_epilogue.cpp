@@ -7,13 +7,13 @@
 //    epilogue chain — BITWISE per ISA, across full-tile and ragged
 //    geometries x epilogue combinations, including residual aliasing C;
 //  * the standalone elementwise kernels against references and BITWISE
-//    scalar-vs-AVX2 (including -0.0 and NaN for relu);
+//    vector-vs-scalar (including -0.0 and NaN for relu);
 //  * thread-count invariance of the epilogue GEMM and its implicit-lowering
 //    twin (bitwise at 1/2/8);
 //  * the batched NCHW store of the epilogue GEMM and its implicit-lowering
 //    twin against the batch-1 (channel-major) product permuted in the
 //    test — BITWISE, tiles inside one sample and straddling samples,
-//    residual aliasing the output, scalar and AVX2, 1/2/8 workers;
+//    residual aliasing the output, every tier, 1/2/8 workers;
 //  * Conv2d::forward_fused == forward + affine + relu (+ accumulate), at
 //    batch 1 and batched;
 //  * BuildingBlock fused branch/forward/Euler and the fused OdeBlock solve
@@ -33,12 +33,14 @@
 #include "core/gemm_kernels.hpp"
 #include "core/im2col.hpp"
 #include "core/init.hpp"
+#include "kernel_tiers.hpp"
 #include "models/odeblock.hpp"
 #include "solver/ode.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace odenet::core;
+using namespace kernel_tiers;
 namespace om = odenet::models;
 namespace os = odenet::solver;
 namespace ou = odenet::util;
@@ -125,12 +127,6 @@ const EpCombo kCombos[] = {
     {true, true, true, "affine+relu+residual"},
 };
 
-/// RAII scalar-forcing so a failing EXPECT cannot leak the override.
-struct ForceScalar {
-  explicit ForceScalar(bool on) { gemm_force_scalar(on); }
-  ~ForceScalar() { gemm_force_scalar(false); }
-};
-
 /// RAII kernel-pool + parallel-threshold override.
 struct PoolOverride {
   explicit PoolOverride(ou::ThreadPool* pool, std::size_t min_flops) {
@@ -143,15 +139,15 @@ struct PoolOverride {
   }
 };
 
-/// Runs `check` under the active ISA and the scalar fallback, each on a
-/// 1-, 2- and 8-worker kernel pool with the parallel threshold forced to
-/// one flop, so even the smallest shape takes the panel split.
+/// Runs `check` under every tier this host runs, each on a 1-, 2- and
+/// 8-worker kernel pool with the parallel threshold forced to one flop,
+/// so even the smallest shape takes the panel split.
 template <typename Fn>
 void on_every_kernel_config(const Fn& check) {
-  for (bool scalar : {false, true}) {
-    ForceScalar forced(scalar);
+  for (GemmIsa isa : usable_tiers()) {
+    IsaCap cap(isa);
     for (std::size_t workers : {1u, 2u, 8u}) {
-      SCOPED_TRACE(testing::Message() << (scalar ? "scalar" : gemm_isa_name())
+      SCOPED_TRACE(testing::Message() << gemm_isa_name()
                                       << " workers=" << workers);
       ou::ThreadPool pool(workers);
       PoolOverride ov(&pool, 1);
@@ -261,13 +257,13 @@ TEST(FusedEpilogue, GemmEpMatchesUnfusedCompositionBitwise) {
 }
 
 TEST(FusedEpilogue, GemmEpScalarMatchesUnfusedCompositionBitwise) {
-  ForceScalar forced(true);
+  IsaCap cap(GemmIsa::kScalar);
   ou::Rng rng(22);
   for (const Shape& s : kShapes) run_ep_vs_composition(s, rng);
 }
 
 TEST(FusedEpilogue, GemmEpIsaParityWithinTolerance) {
-  if (!gemm_avx2_usable()) {
+  if (gemm_best_isa() == GemmIsa::kScalar) {
     GTEST_SKIP() << "AVX2+FMA kernels not usable on this host";
   }
   ou::Rng rng(23);
@@ -288,7 +284,7 @@ TEST(FusedEpilogue, GemmEpIsaParityWithinTolerance) {
     std::vector<float> vec(cn), sca(cn);
     gemm_tiled_pa_ep(pa, b.data(), vec.data(), s.n, ep);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       gemm_tiled_pa_ep(pa, b.data(), sca.data(), s.n, ep);
     }
     // The k loop uses FMA on AVX2, so parity is tolerance-based (the
@@ -334,15 +330,19 @@ TEST(FusedEpilogue, GemmEpResidualMayAliasC) {
 TEST(FusedEpilogue, ImplicitLoweringMatchesExplicitBitwise) {
   // The implicit B gather must pack exactly the values im2col
   // materializes — same micro-kernel, same sweep order, so the output is
-  // bitwise equal to the explicit composition on either ISA. Each
+  // bitwise equal to the explicit composition on every tier. Each
   // geometry also runs with its last channel as a time channel read from
-  // one shared plane.
+  // one shared plane. Rows of 32 and 48 (and 7x7 taps on 32) take the
+  // fast copy with per-tile-phase clip lists: only a row's first and last
+  // 16-column tiles clip.
   struct Geo {
     int c, h, w, m, kernel, pad;
   };
   const Geo geos[] = {{3, 4, 4, 4, 3, 1},   {5, 8, 8, 8, 3, 1},
                       {2, 2, 8, 12, 3, 1},  {4, 16, 16, 8, 3, 1},
-                      {7, 8, 2, 4, 3, 1},   {3, 8, 8, 4, 5, 2}};
+                      {7, 8, 2, 4, 3, 1},   {3, 8, 8, 4, 5, 2},
+                      {3, 32, 32, 8, 3, 1}, {2, 48, 48, 12, 3, 1},
+                      {2, 5, 32, 4, 3, 1},  {2, 32, 32, 4, 7, 3}};
   const int batch = 3;
   ou::Rng rng(31);
   for (const Geo& geo : geos) {
@@ -385,9 +385,8 @@ TEST(FusedEpilogue, ImplicitLoweringMatchesExplicitBitwise) {
         ASSERT_EQ(0, std::memcmp(explicit_c.data(), implicit_c.data(),
                                  cn * sizeof(float)));
       };
-      check();
-      {
-        ForceScalar forced(true);
+      for (GemmIsa isa : usable_tiers()) {
+        IsaCap cap(isa);
         check();
       }
       {
@@ -661,14 +660,14 @@ TEST(FusedEpilogue, ReluKernelSpecialValues) {
   EXPECT_EQ(got[5], std::numeric_limits<float>::infinity());
   EXPECT_EQ(got[6], 0.0f);
 
-  ForceScalar forced(true);
+  IsaCap cap(GemmIsa::kScalar);
   std::vector<float> sca(x.size());
   active_gemm_kernels().relu_f32(x.data(), sca.data(), x.size());
   EXPECT_EQ(0, std::memcmp(sca.data(), got.data(), x.size() * sizeof(float)));
 }
 
 TEST(FusedEpilogue, ElementwiseIsaParityIsBitwise) {
-  if (!gemm_avx2_usable()) {
+  if (gemm_best_isa() == GemmIsa::kScalar) {
     GTEST_SKIP() << "AVX2+FMA kernels not usable on this host";
   }
   ou::Rng rng(27);
@@ -681,7 +680,7 @@ TEST(FusedEpilogue, ElementwiseIsaParityIsBitwise) {
 
     active_gemm_kernels().relu_f32(x.data(), vec.data(), n);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().relu_f32(x.data(), sca.data(), n);
     }
     EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(), n * sizeof(float)));
@@ -690,14 +689,14 @@ TEST(FusedEpilogue, ElementwiseIsaParityIsBitwise) {
     active_gemm_kernels().axpy_f32(-0.3f, x.data(), vec.data(), n);
     sca = y0;
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().axpy_f32(-0.3f, x.data(), sca.data(), n);
     }
     EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(), n * sizeof(float)));
 
     active_gemm_kernels().mul_f32(x.data(), y0.data(), vec.data(), n);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().mul_f32(x.data(), y0.data(), sca.data(), n);
     }
     EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(), n * sizeof(float)));
@@ -706,14 +705,14 @@ TEST(FusedEpilogue, ElementwiseIsaParityIsBitwise) {
     active_gemm_kernels().scale_f32(vec.data(), n, 0.7f);
     sca = x;
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().scale_f32(sca.data(), n, 0.7f);
     }
     EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(), n * sizeof(float)));
 
     active_gemm_kernels().affine_f32(x.data(), vec.data(), n, 1.1f, 0.2f);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().affine_f32(x.data(), sca.data(), n, 1.1f, 0.2f);
     }
     EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(), n * sizeof(float)));

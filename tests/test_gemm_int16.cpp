@@ -2,14 +2,19 @@
 //  * gemm_i16_tiled_pa against an int64-accumulation reference across the
 //    same geometry sweep as the float kernels (full tiles, ragged rows,
 //    ragged cols, panel boundaries, odd k);
-//  * ISA parity — the AVX2 madd kernel against the scalar fallback must
-//    be BITWISE identical, including on accumulators that wrap mod 2^32
-//    (both sides use defined wraparound arithmetic);
+//  * ISA parity — every tier (the AVX2 madd kernel, the AVX-512 vpdpwssd
+//    row-paired tile) against the scalar fallback must be BITWISE
+//    identical, including on accumulators that wrap mod 2^32 (every side
+//    uses defined wraparound arithmetic);
+//  * the row-paired tile8x16_i16 against two tile4x16_i16 calls on every
+//    tier, and gemm_i16_tiled_pa capped at AVX2 against the AVX-512 tier
+//    at 1/2/8 workers (AVX-512 cases skipped, with the reason, on hosts
+//    without the tier);
 //  * thread-count invariance — the panel x row-block split never changes
 //    any tile's summation order, so 1/2/8 workers agree bitwise;
 //  * the batched NCHW store against the batch-1 (channel-major) product
 //    permuted in the test — bitwise, tiles inside one sample and
-//    straddling samples, overwrite and accumulate, scalar and AVX2, 1/2/8
+//    straddling samples, overwrite and accumulate, every tier, 1/2/8
 //    workers;
 //  * saturation edges — operands at the int16 rails accumulate exactly
 //    while the true sum fits int32;
@@ -26,10 +31,12 @@
 
 #include "core/gemm_kernels.hpp"
 #include "fixed/fixed_tensor.hpp"
+#include "kernel_tiers.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace odenet::core;
+using namespace kernel_tiers;
 namespace ou = odenet::util;
 namespace of = odenet::fixed;
 
@@ -80,12 +87,6 @@ const Shape kShapes[] = {
     {1, 1, 1},    {3, 5, 7},     {4, 8, 16},   {5, 16, 17},  {8, 9, 32},
     {12, 64, 48}, {17, 27, 100}, {20, 36, 255}, {16, 32, 256}, {7, 33, 257},
     {64, 36, 585}, {100, 7, 130},
-};
-
-/// RAII scalar-forcing so a failing EXPECT cannot leak the override.
-struct ForceScalar {
-  explicit ForceScalar(bool on) { gemm_force_scalar(on); }
-  ~ForceScalar() { gemm_force_scalar(false); }
 };
 
 /// RAII kernel-pool + parallel-threshold override.
@@ -160,19 +161,19 @@ TEST(GemmInt16, TiledMatchesInt64ReferenceAcrossGeometries) {
 }
 
 TEST(GemmInt16, ScalarFallbackMatchesReferenceAcrossGeometries) {
-  ForceScalar forced(true);
+  IsaCap cap(GemmIsa::kScalar);
   ou::Rng rng(22);
   run_i16_sweep(rng);
 }
 
 TEST(GemmInt16, IsaParityIsBitwise) {
-  if (!gemm_avx2_usable()) {
+  if (gemm_best_isa() == GemmIsa::kScalar) {
     GTEST_SKIP() << "AVX2+FMA kernels not usable on this host";
   }
   ou::Rng rng(23);
   for (const Shape& s : kShapes) {
     SCOPED_TRACE(s.str());
-    // Full-rail magnitudes: lanes may wrap mod 2^32; both ISAs must wrap
+    // Full-rail magnitudes: lanes may wrap mod 2^32; every tier must wrap
     // identically (the wraparound IS the contract, not UB).
     const auto a = random_i16(s.m, s.k, 20000, rng);
     const auto b = random_i16(s.k, s.n, 20000, rng);
@@ -180,15 +181,115 @@ TEST(GemmInt16, IsaParityIsBitwise) {
     pack_gemm_a_i16(a.data(), s.m, s.k, pa);
     const std::size_t cn = static_cast<std::size_t>(s.m) * s.n;
 
-    std::vector<std::int32_t> vec(cn, -1), sca(cn, -2);
-    gemm_i16_tiled_pa(pa, b.data(), vec.data(), s.n, false);
+    std::vector<std::int32_t> sca(cn, -2);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       gemm_i16_tiled_pa(pa, b.data(), sca.data(), s.n, false);
     }
-    EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(),
-                             cn * sizeof(std::int32_t)))
-        << "i16 isa parity";
+    for (GemmIsa isa : usable_tiers()) {
+      IsaCap cap(isa);
+      std::vector<std::int32_t> vec(cn, -1);
+      gemm_i16_tiled_pa(pa, b.data(), vec.data(), s.n, false);
+      EXPECT_EQ(0, std::memcmp(vec.data(), sca.data(),
+                               cn * sizeof(std::int32_t)))
+          << "i16 isa parity on " << gemm_isa_name();
+    }
+  }
+}
+
+TEST(GemmInt16, RowPairedTileEqualsTwo4x16CallsOnEveryTier) {
+  // tile8x16_i16 over two pair-interleaved A panels against two
+  // tile4x16_i16 calls of the same tier (and, on the AVX-512 tier, of
+  // AVX2's), accumulate on and off, on operands parked at the int16 rails
+  // (+-32768 pairs make 2^31, which wraps) and full-range ones.
+  ou::Rng rng(29);
+  constexpr std::size_t kLdc = 19;  // wider than the tile: ldc is honoured
+  constexpr std::size_t kCn = kGemmPairRows * kLdc;
+  const std::int16_t rails[] = {-32768, 32767, -32767, -32768};
+  for (int kpairs : {1, 5, 293}) {
+    for (bool rail : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "kpairs=" << kpairs
+                                      << " rails=" << rail);
+      std::vector<std::int16_t> a0(static_cast<std::size_t>(kpairs) * 8);
+      std::vector<std::int16_t> a1(a0.size());
+      std::vector<std::int16_t> b(static_cast<std::size_t>(kpairs) * 32);
+      for (auto* v : {&a0, &a1, &b}) {
+        for (std::size_t i = 0; i < v->size(); ++i) {
+          (*v)[i] = rail ? rails[(i + rng.uniform_int(2)) % 4]
+                         : static_cast<std::int16_t>(
+                               static_cast<int>(rng.uniform_int(65536)) -
+                               32768);
+        }
+      }
+      std::vector<std::int32_t> c0(kCn);
+      for (auto& v : c0) v = static_cast<std::int32_t>(rng.next_u64());
+      for (GemmIsa isa : usable_tiers()) {
+        const GemmKernels& k = kernels_of(isa);
+        // The same tier's 4x16 calls, and AVX2's for the AVX-512 tier.
+        std::vector<const GemmKernels*> quads = {&k};
+        if (isa == GemmIsa::kAvx512) {
+          quads.push_back(&kernels_of(GemmIsa::kAvx2));
+        }
+        for (const GemmKernels* q : quads) {
+          for (bool accumulate : {false, true}) {
+            std::vector<std::int32_t> want = c0, got = c0;
+            q->tile4x16_i16(a0.data(), b.data(), kpairs, want.data(), kLdc,
+                            accumulate);
+            q->tile4x16_i16(a1.data(), b.data(), kpairs,
+                            want.data() + kGemmTileRows * kLdc, kLdc,
+                            accumulate);
+            k.tile8x16_i16(a0.data(), a1.data(), b.data(), kpairs, got.data(),
+                           kLdc, accumulate);
+            EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                     kCn * sizeof(std::int32_t)))
+                << k.isa << " vs two " << q->isa
+                << " 4x16 calls, accumulate=" << accumulate;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmInt16, DriverIsBitwiseAcrossAvx2AndAvx512) {
+  // gemm_i16_tiled_pa capped at AVX2 and on the AVX-512 tier at 1/2/8
+  // workers: m that pairs fully (8, 64) or leaves a lone row tile (4, 12,
+  // 20), ragged n, and NCHW planes that straddle tiles (36, 7) or not (64).
+  if (!avx512_usable()) GTEST_SKIP() << kNoAvx512;
+  struct Geo {
+    int m, k, plane, batch;
+  };
+  const Geo geos[] = {{4, 27, 37, 1},  {8, 37, 36, 3}, {12, 585, 64, 2},
+                      {20, 9, 7, 8},   {64, 36, 300, 1}, {64, 145, 36, 3}};
+  ou::Rng rng(30);
+  for (const Geo& geo : geos) {
+    SCOPED_TRACE(testing::Message() << "m=" << geo.m << " k=" << geo.k
+                                    << " plane=" << geo.plane
+                                    << " batch=" << geo.batch);
+    const int n = geo.plane * geo.batch;
+    const auto a = random_i16(geo.m, geo.k, 20000, rng);
+    const auto b = random_i16(geo.k, n, 20000, rng);
+    std::vector<std::int32_t> c0(static_cast<std::size_t>(geo.m) * n);
+    for (auto& v : c0) v = static_cast<std::int32_t>(rng.next_u64());
+    PackedGemmA16 pa;
+    pack_gemm_a_i16(a.data(), geo.m, geo.k, pa);
+    for (std::size_t workers : {1u, 2u, 8u}) {
+      ou::ThreadPool pool(workers);
+      PoolOverride ov(&pool, 1);
+      for (bool accumulate : {false, true}) {
+        std::vector<std::int32_t> avx2 = c0, avx512 = c0;
+        {
+          IsaCap cap(GemmIsa::kAvx2);
+          gemm_i16_tiled_pa(pa, b.data(), avx2.data(), n, accumulate,
+                            geo.batch);
+        }
+        gemm_i16_tiled_pa(pa, b.data(), avx512.data(), n, accumulate,
+                          geo.batch);
+        EXPECT_EQ(0, std::memcmp(avx512.data(), avx2.data(),
+                                 avx2.size() * sizeof(std::int32_t)))
+            << workers << " workers, accumulate=" << accumulate;
+      }
+    }
   }
 }
 
@@ -253,15 +354,14 @@ TEST(GemmInt16, BatchedStoreMatchesChannelMajorReferenceBitwise) {
     }
     PackedGemmA16 pa;
     pack_gemm_a_i16(a.data(), geo.m, geo.k, pa);
-    for (bool scalar : {false, true}) {
-      ForceScalar forced(scalar);
+    for (GemmIsa isa : usable_tiers()) {
+      IsaCap cap(isa);
       for (std::size_t workers : {1u, 2u, 8u}) {
         ou::ThreadPool pool(workers);
         PoolOverride ov(&pool, 1);
         for (bool accumulate : {false, true}) {
           SCOPED_TRACE(testing::Message()
-                       << (scalar ? "scalar" : gemm_isa_name())
-                       << " workers=" << workers
+                       << gemm_isa_name() << " workers=" << workers
                        << " accumulate=" << accumulate);
           std::vector<std::int32_t> want_cm =
               relayout(init, geo.m, geo.batch, plane, true);
@@ -308,12 +408,13 @@ TEST(GemmInt16, SaturationRailOperandsAccumulateExactly) {
   gemm_i16_tiled_pa(pa, b.data(), c.data(), n, false);
   EXPECT_EQ(0, std::memcmp(c.data(), want.data(),
                            want.size() * sizeof(std::int32_t)));
-  if (gemm_avx2_usable()) {
-    ForceScalar forced(true);
-    std::vector<std::int32_t> sca(want.size());
-    gemm_i16_tiled_pa(pa, b.data(), sca.data(), n, false);
-    EXPECT_EQ(0, std::memcmp(c.data(), sca.data(),
-                             want.size() * sizeof(std::int32_t)));
+  for (GemmIsa isa : usable_tiers()) {
+    IsaCap cap(isa);
+    std::vector<std::int32_t> got(want.size());
+    gemm_i16_tiled_pa(pa, b.data(), got.data(), n, false);
+    EXPECT_EQ(0, std::memcmp(c.data(), got.data(),
+                             want.size() * sizeof(std::int32_t)))
+        << gemm_isa_name();
   }
 }
 
@@ -366,7 +467,7 @@ TEST(GemmInt16, QuantizeKernelsAreIsaBitwiseAndHandleSpecials) {
     std::vector<std::int16_t> qv(src.size()), qs(src.size());
     k.quant_f32_i16(src.data(), qv.data(), src.size(), frac);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().quant_f32_i16(src.data(), qs.data(), src.size(),
                                           frac);
     }
@@ -382,7 +483,7 @@ TEST(GemmInt16, QuantizeKernelsAreIsaBitwiseAndHandleSpecials) {
     std::vector<float> dv(src), ds(src);
     k.qdq_f32(dv.data(), dv.size(), frac);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().qdq_f32(ds.data(), ds.size(), frac);
     }
     EXPECT_EQ(0,
@@ -412,7 +513,7 @@ TEST(GemmInt16, QuantizeKernelsAreIsaBitwiseAndHandleSpecials) {
     std::vector<float> rv(accs.size()), rs(accs.size());
     k.requant_i32(accs.data(), rv.data(), accs.size(), shift, 20);
     {
-      ForceScalar forced(true);
+      IsaCap cap(GemmIsa::kScalar);
       active_gemm_kernels().requant_i32(accs.data(), rs.data(), accs.size(),
                                         shift, 20);
     }
@@ -445,7 +546,7 @@ TEST(GemmInt16, MaxAbsKernelIsIsaBitwiseAndExact) {
   const float vec = active_gemm_kernels().max_abs_f32(src.data(), src.size());
   float sca;
   {
-    ForceScalar forced(true);
+    IsaCap cap(GemmIsa::kScalar);
     sca = active_gemm_kernels().max_abs_f32(src.data(), src.size());
   }
   EXPECT_EQ(vec, ref);

@@ -1,8 +1,15 @@
-// Optimizer, LR schedule, metrics.
+// Optimizer, LR schedule, metrics, and training steps bitwise across the
+// GEMM kernel tiers.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "kernel_tiers.hpp"
+#include "models/network.hpp"
 #include "train/metrics.hpp"
 #include "train/sgd.hpp"
+#include "util/rng.hpp"
 
 using namespace odenet::train;
 using odenet::core::Param;
@@ -109,4 +116,52 @@ TEST(Metrics, RunningMeanWeighted) {
   EXPECT_EQ(m.count(), 4u);
   RunningMean empty;
   EXPECT_EQ(empty.mean(), 0.0);
+}
+
+TEST(KernelTiers, TrainingStepsAreBitwiseAcrossAvx2AndAvx512) {
+  // Two SGD steps of rODENet-3-20 at its CIFAR width, batch 3, capped at
+  // AVX2 and on the AVX-512 tier: dX, every parameter gradient and the BN
+  // running statistics of each step are bitwise equal. The second step
+  // runs the ODE blocks' recorded-evaluation backward.
+  using kernel_tiers::GemmIsa;
+  if (!kernel_tiers::avx512_usable()) GTEST_SKIP() << kernel_tiers::kNoAvx512;
+  namespace om = odenet::models;
+  auto train = [](GemmIsa tier) {
+    kernel_tiers::IsaCap cap(tier);
+    odenet::util::Rng rng(5);
+    om::Network net(om::make_spec(om::Arch::kROdeNet3, 20));
+    net.init(rng);
+    net.set_training(true);
+    Sgd sgd(net.params(), {.learning_rate = 0.05});
+    Tensor x({3, 3, 32, 32});
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      x.data()[i] = static_cast<float>(rng.normal(0.0, 1.0));
+    }
+    std::vector<Tensor> seen;
+    for (int step = 0; step < 2; ++step) {
+      net.zero_grads();
+      const Tensor logits = net.forward(x);
+      Tensor g(logits.shape());
+      for (std::size_t i = 0; i < g.numel(); ++i) {
+        g.data()[i] = static_cast<float>(rng.normal(0.0, 0.1));
+      }
+      seen.push_back(net.backward(g));
+      for (Param* p : net.params()) seen.push_back(p->grad);
+      net.for_each_batchnorm([&](odenet::core::BatchNorm2d& bn) {
+        seen.push_back(bn.running_mean());
+        seen.push_back(bn.running_var());
+      });
+      sgd.step();
+    }
+    return seen;
+  };
+  const std::vector<Tensor> avx2 = train(GemmIsa::kAvx2);
+  const std::vector<Tensor> avx512 = train(GemmIsa::kAvx512);
+  ASSERT_EQ(avx512.size(), avx2.size());
+  for (std::size_t i = 0; i < avx2.size(); ++i) {
+    ASSERT_TRUE(avx512[i].same_shape(avx2[i])) << "tensor " << i;
+    EXPECT_EQ(0, std::memcmp(avx512[i].data(), avx2[i].data(),
+                             avx2[i].numel() * sizeof(float)))
+        << "tensor " << i;
+  }
 }
