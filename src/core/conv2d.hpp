@@ -52,10 +52,14 @@ struct Conv2dConfig {
 /// A conv's weights on a Q(frac_bits) grid, packed for both fixed-point
 /// GEMMs: int16 panels at a per-conv weight scale Q(fw) for the integer
 /// datapath, and Q-grid float panels for its float-carrier fallback.
+/// The int16 panels are pair-major (pack_gemm_a_i16_pairs) for a conv
+/// whose input lowers implicitly from channel-pair planes, in the natural
+/// k order otherwise (pack_gemm_a_i16).
 /// models::FixedStageExecutor builds it; see Conv2d::fixed_pack().
 struct FixedPackedWeights {
   std::uint64_t version = 0;   // weight version it was built from
   int frac_bits = 0;           // Q grid it was built for
+  bool pair_major = false;     // packed16's k order
   bool i16_ok = false;         // int16 envelope holds at frac_bits
   int weight_frac_bits = 0;    // fw: the int16 weights are Q(fw)
   PackedGemmA16 packed16;      // integer path

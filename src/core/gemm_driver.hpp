@@ -1,7 +1,7 @@
 // The one tiled-GEMM driver behind gemm_tiled_pa, gemm_tiled_pa_ep,
-// gemm_tiled_pa_ep_lowered and gemm_tiled_bt (im2col.cpp) and
-// gemm_i16_tiled_pa (gemm_kernels.cpp). Internal to src/core: everything
-// else calls those.
+// gemm_tiled_pa_ep_lowered, gemm_i16_pairs_lowered and gemm_tiled_bt
+// (im2col.cpp) and gemm_i16_tiled_pa (gemm_kernels.cpp). Internal to
+// src/core: everything else calls those.
 //
 // The driver alone owns the blocking and the thread split:
 //  * B is consumed in column panels of up to kPanelCols columns. Every row
@@ -29,7 +29,8 @@
 //    elements each, one per 16-column tile: every full tile, plus the
 //    ragged last one (zero-padded) when the caller's edge() reads it
 //    (packed from a row-major or transposed B, gathered from an NCHW
-//    image, or pair-interleaved int16);
+//    image or from int16 channel-pair planes, or pair-interleaved
+//    int16);
 //  * what a tile runs — full(t, rows, j0, bpanel) for the full tile of
 //    `rows` rows from row tile t at column j0: 8 rows (row tiles t and
 //    t + 1, the kernel table's 8 x 16 entry) for every pair of full row
@@ -58,10 +59,10 @@ inline constexpr std::size_t kMaxPanelBytes =
 inline constexpr int kMinRowTilesPerTask = 8;
 
 /// Where a batched conv GEMM (gemm_tiled_pa_ep, gemm_tiled_pa_ep_lowered,
-/// gemm_i16_tiled_pa) stores its product: column j of the
-/// [m, batch * plane] product is pixel j % plane of sample j / plane of an
-/// NCHW [batch, m, plane] output. At batch 1 (plane == n) that is the
-/// row-major C[m, n].
+/// gemm_i16_tiled_pa, gemm_i16_pairs_lowered) stores its product: column
+/// j of the [m, batch * plane] product is pixel j % plane of sample
+/// j / plane of an NCHW [batch, m, plane] output. At batch 1
+/// (plane == n) that is the row-major C[m, n].
 struct NchwStore {
   std::size_t m = 0;
   std::size_t plane = 0;

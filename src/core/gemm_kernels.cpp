@@ -203,6 +203,18 @@ void quant_f32_i16_scalar(const float* src, std::int16_t* dst, std::size_t n,
   }
 }
 
+void quant_f32_i16_pair_scalar(const float* lo, const float* hi,
+                               I16Pair* dst, std::size_t n, int frac_bits) {
+  const double one = static_cast<double>(std::int64_t{1} << frac_bits);
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i].lo = static_cast<std::int16_t>(
+        quantize_raw_double(lo[i], one, -32768.0, 32767.0));
+    dst[i].hi = hi != nullptr ? static_cast<std::int16_t>(quantize_raw_double(
+                                    hi[i], one, -32768.0, 32767.0))
+                              : std::int16_t{0};
+  }
+}
+
 void requant_i32_scalar(const std::int32_t* acc, float* dst, std::size_t n,
                         int shift, int frac_bits) {
   const double inv =
@@ -279,6 +291,7 @@ constexpr GemmKernels kScalarKernels{
     tile4x8_i32_scalar,
     qdq_f32_scalar,
     quant_f32_i16_scalar,
+    quant_f32_i16_pair_scalar,
     requant_i32_scalar,
     max_abs_f32_scalar,
     tile4x16_ep_scalar,

@@ -128,6 +128,23 @@ using QdqF32Fn = void (*)(float* data, std::size_t n, int frac_bits);
 using QuantF32ToI16Fn = void (*)(const float* src, std::int16_t* dst,
                                  std::size_t n, int frac_bits);
 
+/// One pixel of a channel-pair plane: channels 2q (lo) and 2q + 1 (hi) of
+/// one pixel as the two int16 lanes of one 32-bit word — the (even, odd)
+/// k-pair layout of the integer micro-kernels' B rows, so 16 consecutive
+/// pixels of a pair plane are one 64-byte [16][2] micro-panel row.
+struct I16Pair {
+  std::int16_t lo;
+  std::int16_t hi;
+};
+
+/// QuantF32ToI16Fn over two float spans into the lanes of one pair span:
+/// dst[i] = {q(lo[i]), q(hi[i])}, the hi lane 0 when hi is nullptr (an
+/// absent channel). Each lane is bitwise equal to QuantF32ToI16Fn over
+/// its span.
+using QuantF32ToI16PairFn = void (*)(const float* lo, const float* hi,
+                                     I16Pair* dst, std::size_t n,
+                                     int frac_bits);
+
 /// Largest |src[i]| over n floats (0 for n == 0). NaNs propagate as "not
 /// larger", inf is returned as-is; exact max is associative, so any chunk
 /// split or ISA gives the identical result.
@@ -200,6 +217,7 @@ struct GemmKernels {
   GemmTileI32Fn tile4x8_i32;
   QdqF32Fn qdq_f32;
   QuantF32ToI16Fn quant_f32_i16;
+  QuantF32ToI16PairFn quant_f32_i16_pair;
   RequantI32Fn requant_i32;
   MaxAbsF32Fn max_abs_f32;
   GemmTileEp4x16Fn tile4x16_ep;
@@ -258,7 +276,14 @@ util::ThreadPool& kernel_pool();
 /// (AVX2) or `_mm512_dpwssd_epi32` (`vpdpwssd`, AVX-512). Edge rows
 /// past m and the phantom odd-k tap are zero-padded. This is the
 /// once-per-layer packed-weight format the fixed backend keeps on each
-/// conv (core::FixedPackedWeights).
+/// conv (core::FixedPackedWeights). The layout fixes which two k share a
+/// pair, not what k means: a conv packs its weights in the natural k
+/// order (channel-major, taps inner — pairs of taps) for an explicit
+/// lowering through gemm_i16_tiled_pa, or pair-major
+/// (pack_gemm_a_i16_pairs in im2col.hpp — pairs of channels) for
+/// gemm_i16_pairs_lowered. Either order sums the same products into the
+/// int32 accumulators, and integer addition is exact mod 2^32, so both
+/// give the same C bit for bit.
 struct PackedGemmA16 {
   std::vector<std::int16_t> data;
   int m = 0;

@@ -433,28 +433,56 @@ void qdq_f32_avx2(float* data, std::size_t n, int frac_bits) {
   }
 }
 
+/// 8 floats from src quantized to 8 int16 raws at the scale `one`.
+inline __m128i quant8_i16(const float* src, __m256d one) {
+  const __m256d lo = _mm256_set1_pd(-32768.0);
+  const __m256d hi = _mm256_set1_pd(32767.0);
+  const __m256d s0 = _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(src)), one);
+  const __m256d s1 =
+      _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(src + 4)), one);
+  // Values are already clamped to ±int16 in the double domain, so the
+  // int32 cvt is exact and the saturating pack never actually saturates.
+  const __m128i q0 = _mm256_cvttpd_epi32(quantize_raw_pd(s0, lo, hi));
+  const __m128i q1 = _mm256_cvttpd_epi32(quantize_raw_pd(s1, lo, hi));
+  return _mm_packs_epi32(q0, q1);
+}
+
+inline std::int16_t quant_i16_tail(float v, double one) {
+  return static_cast<std::int16_t>(
+      quantize_raw_tail(v, one, -32768.0, 32767.0));
+}
+
 void quant_f32_i16_avx2(const float* src, std::int16_t* dst, std::size_t n,
                         int frac_bits) {
   const double one_d = static_cast<double>(std::int64_t{1} << frac_bits);
   const __m256d one = _mm256_set1_pd(one_d);
-  const __m256d lo = _mm256_set1_pd(-32768.0);
-  const __m256d hi = _mm256_set1_pd(32767.0);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256d s0 =
-        _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(src + i)), one);
-    const __m256d s1 =
-        _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(src + i + 4)), one);
-    // Values are already clamped to ±int16 in the double domain, so the
-    // int32 cvt is exact and the saturating pack never actually saturates.
-    const __m128i q0 = _mm256_cvttpd_epi32(quantize_raw_pd(s0, lo, hi));
-    const __m128i q1 = _mm256_cvttpd_epi32(quantize_raw_pd(s1, lo, hi));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_packs_epi32(q0, q1));
+                     quant8_i16(src + i, one));
+  }
+  for (; i < n; ++i) dst[i] = quant_i16_tail(src[i], one_d);
+}
+
+/// quant_f32_i16_avx2 on both spans, their 8-lane results interleaved
+/// into 8 pairs by one unpack each for the low and high 4.
+void quant_f32_i16_pair_avx2(const float* lo, const float* hi, I16Pair* dst,
+                             std::size_t n, int frac_bits) {
+  const double one_d = static_cast<double>(std::int64_t{1} << frac_bits);
+  const __m256d one = _mm256_set1_pd(one_d);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i a = quant8_i16(lo + i, one);
+    const __m128i b =
+        hi != nullptr ? quant8_i16(hi + i, one) : _mm_setzero_si128();
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm_unpacklo_epi16(a, b));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i + 4),
+                     _mm_unpackhi_epi16(a, b));
   }
   for (; i < n; ++i) {
-    dst[i] = static_cast<std::int16_t>(
-        quantize_raw_tail(src[i], one_d, -32768.0, 32767.0));
+    dst[i].lo = quant_i16_tail(lo[i], one_d);
+    dst[i].hi = hi != nullptr ? quant_i16_tail(hi[i], one_d) : std::int16_t{0};
   }
 }
 
@@ -588,6 +616,7 @@ constexpr GemmKernels kAvx2Kernels{
     tile4x8_i32_avx2,
     qdq_f32_avx2,
     quant_f32_i16_avx2,
+    quant_f32_i16_pair_avx2,
     requant_i32_avx2,
     max_abs_f32_avx2,
     tile4x16_ep_avx2,

@@ -29,7 +29,7 @@ struct TapSpec {
   std::size_t lo = 0, hi = 0;
   std::size_t zl = 0, zr = 0;
   // Fast interior range of the implicit fill: a micro-panel row wholly
-  // inside [lo, fhi) is one constant-size 16-float copy plus pointwise
+  // inside [lo, fhi) is one constant-size 16-element copy plus pointwise
   // zeros at its column-clipped in-tile positions. Tiles are 16-aligned
   // and the plane is a multiple of 16, so when the image width divides 16
   // every tile covers whole rows (cz[0] lists its clips), and when 16
@@ -429,6 +429,64 @@ void gemm_ep_panels(const PackedGemmA& a, const float* b, float* c, int n,
       });
 }
 
+/// The implicit lowering's panel fill: columns [p0, p0 + pn) of g's
+/// lowered rows (plane-major, taps inner), each of the panel's full
+/// 16-column tiles gathered straight from `in`'s planes through the tap
+/// plan into a [rows][16] micro-panel. T is the 4-byte element of one
+/// plane: a float channel (gemm_tiled_pa_ep_lowered) or an I16Pair of
+/// two int16 channels (gemm_i16_pairs_lowered, whose g has one channel
+/// per pair plane, so each row is one [16][2] int16 row of the panel).
+template <typename T>
+void fill_lowered_panel(const PlaneSource<T>& in, const LoweringGeometry& g,
+                        const TapSpec* taps, int p0, int pn, T* packed) {
+  const int k = static_cast<int>(g.col_rows());
+  const int kk = g.kernel * g.kernel;
+  const std::size_t uw = static_cast<std::size_t>(g.width);
+  const std::size_t plane = in.plane;
+  const int full_tiles = pn / kTileCols;
+  for (int p = 0; p < k; ++p) {
+    const TapSpec& ts = taps[p % kk];
+    const int ch = p / kk;
+    std::size_t ni = static_cast<std::size_t>(p0) / plane;
+    std::size_t q0 = static_cast<std::size_t>(p0) - ni * plane;
+    std::size_t rowbase = (q0 / uw) * uw;
+    const T* splane = in.at(ni, ch);
+    for (int jt = 0; jt < full_tiles; ++jt) {
+      T* dst = packed + (static_cast<std::size_t>(jt) * k +
+                         static_cast<std::size_t>(p)) *
+                            kTileCols;
+      if (q0 >= ts.lo && q0 + kTileCols <= ts.fhi) {
+        std::memcpy(dst, splane + q0 + ts.shift, kTileCols * sizeof(T));
+        // A row's first tile, its last, or (wide rows) a middle one.
+        const std::size_t col0 = q0 - rowbase;
+        const int phase = col0 == 0 ? 0 : col0 + kTileCols == uw ? 1 : -1;
+        if (phase >= 0) {
+          const int* cz = ts.cz[phase];
+          for (int z = 0; z < ts.ncz[phase]; ++z) dst[cz[z]] = T{};
+        }
+      } else {
+        gather_tap_row(splane, ts, uw, q0, rowbase, kTileCols, dst);
+      }
+      q0 += kTileCols;
+      if (q0 == plane) {
+        q0 = 0;
+        rowbase = 0;
+        if (jt + 1 < full_tiles) splane = in.at(++ni, ch);
+      } else {
+        while (q0 - rowbase >= uw) rowbase += uw;
+      }
+    }
+  }
+}
+
+/// Channel-pair planes per sample of g's input: its data channels two to
+/// a plane (an odd last one beside a zero lane), then the time channel,
+/// g.channels' last when time_channel, in a plane of its own.
+int pair_planes(const LoweringGeometry& g, bool time_channel) {
+  const int data = g.channels - (time_channel ? 1 : 0);
+  return (data + 1) / 2 + (time_channel ? 1 : 0);
+}
+
 /// Packs A[i][p] = a[i * row_stride + p * col_stride] into the row-panel
 /// layout: row-major A (row_stride k, col_stride 1) or A stored
 /// transposed (row_stride 1, col_stride m). With batch > 1 the columns
@@ -574,10 +632,6 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
                    << " != lowering rows " << g.col_rows());
   ODENET_CHECK(batch > 0, "gemm_tiled_pa_ep_lowered needs a non-empty batch");
   const PlaneSource<float> in(src, time_plane, g);
-  const std::size_t uw = static_cast<std::size_t>(g.width);
-  const std::size_t plane = in.plane;
-  const int n = static_cast<int>(plane * static_cast<std::size_t>(batch));
-  const int kk = g.kernel * g.kernel;
   TapSpec taps[kMaxTaps];
   plan_taps(g, taps);
 
@@ -587,45 +641,85 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
   // are no ragged column edges; m % 4 == 0 removes the ragged row edge.
   // Same packed values, same kernel, same sweep order as the explicit
   // composition — bitwise identical output.
-  const detail::NchwStore out{static_cast<std::size_t>(m), plane};
-  gemm_ep_panels(a, nullptr, c, n, out, ep,
+  const detail::NchwStore out{static_cast<std::size_t>(m), in.plane};
+  gemm_ep_panels(a, nullptr, c, static_cast<int>(in.plane) * batch, out, ep,
                  [&](int p0, int pn, float* packed) {
-    const int full_tiles = pn / kTileCols;
-    for (int p = 0; p < k; ++p) {
-      const TapSpec& ts = taps[p % kk];
-      const int ch = p / kk;
-      std::size_t ni = static_cast<std::size_t>(p0) / plane;
-      std::size_t q0 = static_cast<std::size_t>(p0) - ni * plane;
-      std::size_t rowbase = (q0 / uw) * uw;
-      const float* splane = in.at(ni, ch);
-      for (int jt = 0; jt < full_tiles; ++jt) {
-        float* dst = packed + (static_cast<std::size_t>(jt) * k +
-                               static_cast<std::size_t>(p)) *
-                                  kTileCols;
-        if (q0 >= ts.lo && q0 + kTileCols <= ts.fhi) {
-          std::memcpy(dst, splane + q0 + ts.shift,
-                      kTileCols * sizeof(float));
-          // A row's first tile, its last, or (wide rows) a middle one.
-          const std::size_t col0 = q0 - rowbase;
-          const int phase = col0 == 0 ? 0 : col0 + kTileCols == uw ? 1 : -1;
-          if (phase >= 0) {
-            const int* cz = ts.cz[phase];
-            for (int z = 0; z < ts.ncz[phase]; ++z) dst[cz[z]] = 0.0f;
-          }
-        } else {
-          gather_tap_row(splane, ts, uw, q0, rowbase, kTileCols, dst);
-        }
-        q0 += kTileCols;
-        if (q0 == plane) {
-          q0 = 0;
-          rowbase = 0;
-          if (jt + 1 < full_tiles) splane = in.at(++ni, ch);
-        } else {
-          while (q0 - rowbase >= uw) rowbase += uw;
-        }
+                   fill_lowered_panel(in, g, taps, p0, pn, packed);
+                 });
+}
+
+void pack_gemm_a_i16_pairs(const std::int16_t* w, int m,
+                           const LoweringGeometry& g, bool time_channel,
+                           PackedGemmA16& out) {
+  const int kk = g.kernel * g.kernel;
+  const int data = g.channels - (time_channel ? 1 : 0);
+  const int pairs = pair_planes(g, time_channel);
+  const std::size_t k = static_cast<std::size_t>(g.col_rows());
+  const std::size_t kp = static_cast<std::size_t>(pairs) * kk * 2;
+  // Pair-major copy [m, kp]: column (q * kk + t) * 2 + s is tap t of
+  // channel 2q + s, or of the time channel in its pair's lo lane; zero
+  // where no channel sits. Then the one int16 panel pack.
+  std::vector<std::int16_t> wp(static_cast<std::size_t>(m) * kp, 0);
+  for (int q = 0; q < pairs; ++q) {
+    const bool time_pair = time_channel && q == pairs - 1;
+    for (int s = 0; s < 2; ++s) {
+      const int ch = time_pair ? data : 2 * q + s;
+      if (time_pair ? s == 1 : ch >= data) continue;  // a zero lane
+      for (int i = 0; i < m; ++i) {
+        const std::int16_t* src =
+            w + static_cast<std::size_t>(i) * k +
+            static_cast<std::size_t>(ch) * kk;
+        std::int16_t* dst = wp.data() + static_cast<std::size_t>(i) * kp +
+                            static_cast<std::size_t>(q) * kk * 2 + s;
+        for (int t = 0; t < kk; ++t) dst[2 * t] = src[t];
       }
     }
-  });
+  }
+  pack_gemm_a_i16(wp.data(), m, static_cast<int>(kp), out);
+}
+
+void gemm_i16_pairs_lowered(const PackedGemmA16& a, const I16Pair* src,
+                            const LoweringGeometry& g, int batch,
+                            std::int32_t* c, const I16Pair* time_plane) {
+  const bool timed = time_plane != nullptr;
+  ODENET_CHECK(gemm_implicit_lowering_ok(g, a.m),
+               "gemm_i16_pairs_lowered: geometry not implicit-eligible");
+  // The lowering of the pair planes: g with one channel per pair plane
+  // (the same taps), whose rows are A's k-pairs.
+  LoweringGeometry gp = g;
+  gp.channels = pair_planes(g, timed);
+  const int kp = a.kpairs();
+  ODENET_CHECK(a.k == 2 * static_cast<int>(gp.col_rows()),
+               "gemm_i16_pairs_lowered: packed A k "
+                   << a.k << " != 2 x pair rows " << gp.col_rows());
+  ODENET_CHECK(batch > 0, "gemm_i16_pairs_lowered needs a non-empty batch");
+  const PlaneSource<I16Pair> in(src, time_plane, gp);
+  TapSpec taps[kMaxTaps];
+  plan_taps(g, taps);
+  const std::size_t a_tile = static_cast<std::size_t>(kp) * kTileRows * 2;
+  const detail::NchwStore out{static_cast<std::size_t>(a.m), in.plane};
+  const GemmKernels& kernels = active_gemm_kernels();
+  // As in gemm_tiled_pa_ep_lowered, the eligible geometry leaves no tile
+  // ragged or straddling two samples: every tile is one kernel store.
+  detail::gemm_panels<I16Pair>(
+      a.m, a.k, static_cast<int>(in.plane) * batch,
+      static_cast<std::size_t>(kp) * kTileCols,
+      [&](int p0, int pn, I16Pair* packed) {
+        fill_lowered_panel(in, gp, taps, p0, pn, packed);
+      },
+      [&](int t, int rows, int j0, const I16Pair* bp) {
+        const std::int16_t* apanel = a.data.data() + t * a_tile;
+        const std::int16_t* b = &bp->lo;
+        std::int32_t* ct = c + out.at(t * kTileRows, j0);
+        if (rows == kGemmPairRows) {
+          kernels.tile8x16_i16(apanel, apanel + a_tile, b, kp, ct, out.plane,
+                               /*accumulate=*/false);
+        } else {
+          kernels.tile4x16_i16(apanel, b, kp, ct, out.plane,
+                               /*accumulate=*/false);
+        }
+      },
+      [](int, int, int, int, const I16Pair*) {});
 }
 
 void gemm_tiled(const float* a, const float* b, float* c, int m, int k, int n,

@@ -3,13 +3,14 @@
 //
 // Every float GEMM here (gemm_tiled, gemm_tiled_pa, gemm_tiled_pa_ep,
 // gemm_tiled_pa_ep_lowered, gemm_tiled_bt) and the int16
-// gemm_i16_tiled_pa (gemm_kernels.hpp) runs on one internal driver,
-// core/gemm_driver.hpp, which alone fixes the B-panel width and the panel
-// x row-block thread split; each supplies only its panel fill and its
-// tile. Every result is bitwise identical for any worker count. The
-// operands come in the layouts their callers already hold: A row-major or
-// stored transposed (pack_gemm_a / pack_gemm_at), B row-major
-// (gemm_tiled_pa) or stored transposed (gemm_tiled_bt).
+// gemm_i16_pairs_lowered here and gemm_i16_tiled_pa (gemm_kernels.hpp)
+// runs on one internal driver, core/gemm_driver.hpp, which alone fixes
+// the B-panel width and the panel x row-block thread split; each supplies
+// only its panel fill and its tile. Every result is bitwise identical for
+// any worker count. The operands come in the layouts their callers
+// already hold: A row-major or stored transposed (pack_gemm_a /
+// pack_gemm_at), B row-major (gemm_tiled_pa) or stored transposed
+// (gemm_tiled_bt).
 //
 // im2col unfolds each KxK receptive field of a [C,H,W] plane stack into a
 // column of a [C*K*K, Ho*Wo] matrix so convolution becomes one matrix
@@ -30,11 +31,21 @@
 //     and col2im (contiguous row adds, tap by tap). Every other geometry
 //     (the downsampling stride-2 convs, larger kernels) takes the general
 //     per-row walk.
+//   - The implicit fill is one loop over 4-byte plane elements: float
+//     channels for the f32 GEMM, or int16 channel PAIRS (I16Pair, two
+//     channels of one pixel per 32-bit word) for the integer GEMM, whose
+//     weights are packed pair-major so that each k-pair of its
+//     [kpairs][16][2] B micro-panel is one tap of one pair plane — a
+//     64-byte copy of 16 pixels, where the natural k order would pair two
+//     taps of one channel and interleave two gathered rows element by
+//     element.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "core/gemm_kernels.hpp"
 
 namespace odenet::core {
 
@@ -69,9 +80,11 @@ void im2col_batched(const float* src, const LoweringGeometry& g, int batch,
                     float* dst, const float* time_plane = nullptr);
 
 /// Same batched lowering over pre-quantized int16 activations — the input
-/// side of the fixed backend's integer GEMM. Lowering the [N,C,H,W] int16
-/// image instead of quantizing the lowered matrix does the quantize pass
-/// once per pixel instead of once per K*K-replicated column entry.
+/// side of the fixed backend's integer GEMM for a conv that cannot lower
+/// implicitly (the stride-2 downsampling convs; the others run
+/// gemm_i16_pairs_lowered). Lowering the [N,C,H,W] int16 image instead of
+/// quantizing the lowered matrix does the quantize pass once per pixel
+/// instead of once per K*K-replicated column entry.
 void im2col_batched_i16(const std::int16_t* src, const LoweringGeometry& g,
                         int batch, std::int16_t* dst,
                         const std::int16_t* time_plane = nullptr);
@@ -184,6 +197,37 @@ void gemm_tiled_pa_ep_lowered(const PackedGemmA& a, const float* src,
                               const LoweringGeometry& g, int batch, float* c,
                               const GemmEpilogue& ep,
                               const float* time_plane = nullptr);
+
+/// Packs a conv's int16 weights, row-major [m, g.col_rows()] in the
+/// natural k order (channel-major, taps inner; the time channel last when
+/// time_channel), PAIR-MAJOR for gemm_i16_pairs_lowered: k = [pair][tap]
+/// [lane], so a k-pair holds one tap of the two channels of one pair
+/// plane. The pair planes (see I16Pair in gemm_kernels.hpp) hold the data
+/// channels two to a plane, an odd last one beside a zero lane, then the
+/// time channel beside a zero lane in a plane of its own; every lane with
+/// no channel behind it is zero. k = 2 * pair planes * K*K.
+void pack_gemm_a_i16_pairs(const std::int16_t* w, int m,
+                           const LoweringGeometry& g, bool time_channel,
+                           PackedGemmA16& out);
+
+/// The integer twin of gemm_tiled_pa_ep_lowered: C = A * lowering(src) as
+/// int32, src the input as channel-pair planes [batch, data pairs, H*W]
+/// (fixed::quantize_i16_pairs) and time_plane, when g has a time channel,
+/// its [H*W] pair plane that every sample shares. With A pair-major
+/// (pack_gemm_a_i16_pairs) each k-pair of a B micro-panel is one tap of
+/// one pair plane, so the fill gathers each [16][2] row as one 64-byte
+/// copy of 16 pixels through the tap plan — no column matrix and no
+/// per-element pair interleave. C is the NCHW [batch, m, H*W] output.
+/// The padded lanes of the planes never reach C: A is zero there. C is
+/// bitwise equal to im2col_batched_i16 + gemm_i16_tiled_pa(..., batch)
+/// with the natural-order pack: the same products, summed in another
+/// order, exactly mod 2^32 — on every tier and under any thread split.
+/// Requires gemm_implicit_lowering_ok(g, a.m) and A packed for g by
+/// pack_gemm_a_i16_pairs.
+void gemm_i16_pairs_lowered(const PackedGemmA16& a, const I16Pair* src,
+                            const LoweringGeometry& g, int batch,
+                            std::int32_t* c,
+                            const I16Pair* time_plane = nullptr);
 
 /// C[m,n] (+)= A[m,k] * B with B stored transposed, [n,k] row-major: the
 /// conv weight gradient G * cols^T (cols is [C*K*K, N*Ho*Wo]) and the

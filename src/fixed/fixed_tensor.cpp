@@ -96,6 +96,32 @@ void quantize_i16(const float* src, std::int16_t* dst, std::size_t n,
   });
 }
 
+void quantize_i16_pairs(const float* src, int batch, int channels,
+                        std::size_t plane, core::I16Pair* dst,
+                        int frac_bits) {
+  ODENET_CHECK(frac_bits > 0 && frac_bits < 16, "bad frac_bits " << frac_bits);
+  ODENET_CHECK(batch >= 0 && channels >= 0,
+               "bad pair-plane shape " << batch << " x " << channels);
+  const auto fn = core::active_gemm_kernels().quant_f32_i16_pair;
+  const std::size_t pairs = static_cast<std::size_t>(channels + 1) / 2;
+  const std::size_t planes = static_cast<std::size_t>(batch) * pairs;
+  auto quantize_plane = [&](std::size_t i) {
+    const std::size_t n = i / pairs, q = i % pairs;
+    const float* lo =
+        src + (n * static_cast<std::size_t>(channels) + 2 * q) * plane;
+    const bool odd_tail = 2 * q + 1 == static_cast<std::size_t>(channels);
+    fn(lo, odd_tail ? nullptr : lo + plane, dst + i * plane, plane,
+       frac_bits);
+  };
+  // The same size rule as parallel_chunks, one task per pair plane.
+  util::ThreadPool& pool = core::kernel_pool();
+  if (planes * plane < 2 * kChunk || pool.worker_count() <= 1) {
+    for (std::size_t i = 0; i < planes; ++i) quantize_plane(i);
+    return;
+  }
+  util::parallel_for(pool, 0, planes, quantize_plane);
+}
+
 void requantize_i32(const std::int32_t* acc, float* dst, std::size_t n,
                     int shift, int out_frac_bits) {
   ODENET_CHECK(shift >= 0 && shift < 32, "bad requantize shift " << shift);

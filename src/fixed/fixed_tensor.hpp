@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/gemm_kernels.hpp"
 #include "core/tensor.hpp"
 #include "fixed/qformat.hpp"
 
@@ -53,6 +54,17 @@ void qdq_inplace(core::Tensor& t, int frac_bits);
 /// ±int16. SIMD-dispatched and thread-split like qdq_inplace.
 void quantize_i16(const float* src, std::int16_t* dst, std::size_t n,
                   int frac_bits);
+
+/// quantize_i16 of an NCHW [batch, channels, plane] float tensor straight
+/// into channel-pair planes [batch, (channels + 1) / 2, plane]: pair q of
+/// a sample holds channels 2q (lo lane) and 2q + 1 (hi lane) of each
+/// pixel, the hi lane 0 when channels is odd and 2q + 1 == channels. Each
+/// lane is bitwise quantize_i16 of its channel. The input side of the
+/// implicit integer conv (core::gemm_i16_pairs_lowered). Thread-split by
+/// pair plane; the result is the same for any worker count.
+void quantize_i16_pairs(const float* src, int batch, int channels,
+                        std::size_t plane, core::I16Pair* dst,
+                        int frac_bits);
 
 /// Largest |src[i]| over `n` floats (0 for n == 0) — the activation-range
 /// scan that picks the integer path's per-call scale. SIMD-dispatched and

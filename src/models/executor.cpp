@@ -36,28 +36,20 @@ core::Tensor FloatStageExecutor::run(Stage& stage, const core::Tensor& x,
   return out;
 }
 
-namespace {
-
-/// Saturating round trip through Qx.frac_bits — the activation precision a
-/// fixed-point datapath would keep between stages.
-core::Tensor qdq(const core::Tensor& t, int frac_bits) {
-  return fixed::dequantize(fixed::quantize(t, frac_bits));
-}
-
-}  // namespace
-
 FixedStageExecutor::FixedStageExecutor(int frac_bits)
     : name_("fixed_cpu_q" + std::to_string(frac_bits)),
       frac_bits_(frac_bits) {}
 
 const core::FixedPackedWeights& FixedStageExecutor::packed_weights(
-    core::Conv2d& conv) {
+    core::Conv2d& conv, const core::LoweringGeometry& g, bool pair_major) {
   // A hot-swap re-stamps the conv's weight version and the mismatch
   // triggers one requantize + repack; version 0 (unversioned weights)
   // rebuilds per call into the same recycled storage. A pack built for
-  // another frac_bits sits on another Q grid, so it is rebuilt too.
+  // another frac_bits sits on another Q grid, and one in the other k
+  // order suits the other lowering, so either is rebuilt too.
   core::FixedPackedWeights& pack = conv.fixed_pack();
-  if (conv.pack_current(pack.version) && pack.frac_bits == frac_bits_) {
+  if (conv.pack_current(pack.version) && pack.frac_bits == frac_bits_ &&
+      pack.pair_major == pair_major) {
     return pack;
   }
   const core::Tensor& wt = conv.weight().value;
@@ -101,7 +93,12 @@ const core::FixedPackedWeights& FixedStageExecutor::packed_weights(
     static thread_local std::vector<std::int16_t> wq;
     wq.resize(wt.numel());
     fixed::quantize_i16(wt.data(), wq.data(), wt.numel(), fw);
-    core::pack_gemm_a_i16(wq.data(), co, kk, pack.packed16);
+    if (pair_major) {
+      core::pack_gemm_a_i16_pairs(wq.data(), co, g,
+                                  conv.config().time_channel, pack.packed16);
+    } else {
+      core::pack_gemm_a_i16(wq.data(), co, kk, pack.packed16);
+    }
   }
   // The float-carrier weights are always built: they back the per-call
   // fallback when a call's activation range leaves no valid
@@ -114,6 +111,7 @@ const core::FixedPackedWeights& FixedStageExecutor::packed_weights(
   core::pack_gemm_a(wv.data(), co, kk, pack.packed);
   pack.version = conv.weight_version();
   pack.frac_bits = frac_bits_;
+  pack.pair_major = pair_major;
   ++weight_packs_;
   return pack;
 }
@@ -128,8 +126,13 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
   const core::LoweringGeometry g = conv.lowering(h, w);
   const int co = cfg.out_channels;
   const std::size_t ncols = g.col_cols() * static_cast<std::size_t>(n);
+  // Every conv the f32 path lowers implicitly (stride-1 "same", a plane
+  // of whole 16-column tiles) lowers implicitly here too, from
+  // channel-pair planes; the rest (the stride-2 downsampling convs) keep
+  // the explicit int16 column matrix.
+  const bool implicit = core::gemm_implicit_lowering_ok(g, co);
 
-  const core::FixedPackedWeights& pack = packed_weights(conv);
+  const core::FixedPackedWeights& pack = packed_weights(conv, g, implicit);
 
   // The time VALUE sits on the Q grid (the hardware folds t into a bias
   // plane at the same precision).
@@ -161,27 +164,41 @@ core::Tensor FixedStageExecutor::fixed_conv(core::Conv2d& conv,
   if (fa >= 0) {
     // Integer path: quantize the input into int16 at Q(fa) in one call and
     // the time value into one plane every sample shares; lower the int16
-    // image, run the integer GEMM into NCHW int32 accumulators, and
-    // requantize via ONE rounding shift straight into the Q(frac_bits)
-    // output — no per-element float qdq afterwards (the shift output is
-    // exactly grid-aligned by construction).
-    const std::size_t time_elems =
-        cfg.time_channel ? static_cast<std::size_t>(h) * w : 0;
-    i16_scratch_.resize(x.numel() + time_elems + g.col_rows() * ncols);
-    std::int16_t* xq = i16_scratch_.data();
-    std::int16_t* tplane = xq + x.numel();
-    std::int16_t* cols = tplane + time_elems;
-    fixed::quantize_i16(x.data(), xq, x.numel(), fa);
-    if (cfg.time_channel) {
-      std::int16_t tq16 = 0;
-      fixed::quantize_i16(&tq, &tq16, 1, fa);
-      std::fill_n(tplane, time_elems, tq16);
-    }
-    core::im2col_batched_i16(xq, g, n, cols,
-                             cfg.time_channel ? tplane : nullptr);
+    // image — implicitly inside the GEMM's panel fill from channel-pair
+    // planes, or into a column matrix — run the integer GEMM into NCHW
+    // int32 accumulators, and requantize via ONE rounding shift straight
+    // into the Q(frac_bits) output — no per-element float qdq afterwards
+    // (the shift output is exactly grid-aligned by construction).
+    const std::size_t plane = static_cast<std::size_t>(h) * w;
+    const std::size_t time_elems = cfg.time_channel ? plane : 0;
+    std::int16_t tq16 = 0;
+    if (cfg.time_channel) fixed::quantize_i16(&tq, &tq16, 1, fa);
     acc_scratch_.resize(out.numel());
-    core::gemm_i16_tiled_pa(pack.packed16, cols, acc_scratch_.data(),
-                            static_cast<int>(ncols), /*accumulate=*/false, n);
+    if (implicit) {
+      const std::size_t data_pairs =
+          static_cast<std::size_t>(n) * ((c + 1) / 2) * plane;
+      pair_scratch_.resize(data_pairs + time_elems);
+      core::I16Pair* xp = pair_scratch_.data();
+      core::I16Pair* tplane = xp + data_pairs;
+      fixed::quantize_i16_pairs(x.data(), n, c, plane, xp, fa);
+      // The time channel alone in its pair plane, beside a zero hi lane.
+      std::fill_n(tplane, time_elems, core::I16Pair{tq16, 0});
+      core::gemm_i16_pairs_lowered(pack.packed16, xp, g, n,
+                                   acc_scratch_.data(),
+                                   cfg.time_channel ? tplane : nullptr);
+    } else {
+      i16_scratch_.resize(x.numel() + time_elems + g.col_rows() * ncols);
+      std::int16_t* xq = i16_scratch_.data();
+      std::int16_t* tplane = xq + x.numel();
+      std::int16_t* cols = tplane + time_elems;
+      fixed::quantize_i16(x.data(), xq, x.numel(), fa);
+      std::fill_n(tplane, time_elems, tq16);
+      core::im2col_batched_i16(xq, g, n, cols,
+                               cfg.time_channel ? tplane : nullptr);
+      core::gemm_i16_tiled_pa(pack.packed16, cols, acc_scratch_.data(),
+                              static_cast<int>(ncols), /*accumulate=*/false,
+                              n);
+    }
     fixed::requantize_i32(acc_scratch_.data(), out.data(), out.numel(),
                           fa + pack.weight_frac_bits - frac_bits_,
                           frac_bits_);
@@ -206,10 +223,10 @@ core::Tensor FixedStageExecutor::run_block(core::BuildingBlock& block,
   core::Tensor hmap = fixed_conv(block.conv1(), x, t);
   hmap = block.bn1().forward(hmap);
   fixed::qdq_inplace(hmap, frac_bits_);
-  float* data = hmap.data();
-  for (std::size_t i = 0; i < hmap.numel(); ++i) {
-    if (data[i] < 0.0f) data[i] = 0.0f;  // ReLU keeps the Q grid
-  }
+  // ReLU keeps the Q grid. qdq_inplace emits no NaN and no -0, on which
+  // alone the kernel's max(x, 0) differs from a plain x < 0 test.
+  core::active_gemm_kernels().relu_f32(hmap.data(), hmap.data(),
+                                       hmap.numel());
   hmap = fixed_conv(block.conv2(), hmap, t);
   hmap = block.bn2().forward(hmap);
   fixed::qdq_inplace(hmap, frac_bits_);
@@ -225,7 +242,10 @@ core::Tensor FixedStageExecutor::run(Stage& stage, const core::Tensor& x,
   ODENET_CHECK(!stage.is_empty(),
                stage.name() << ": fixed executor on removed stage");
   util::Stopwatch watch;
-  core::Tensor z = qdq(x, frac_bits_);
+  // The stage input snapped to the Q grid, the precision a fixed-point
+  // datapath keeps between stages.
+  core::Tensor z = x;
+  fixed::qdq_inplace(z, frac_bits_);
   if (stage.is_ode()) {
     // Explicit Euler with the activation quantized after every update —
     // the same step scheme the PL implements (accelerator solve_euler).

@@ -51,18 +51,26 @@ class FloatStageExecutor final : public StageExecutor {
 /// a true INTEGER datapath (the behaviour of a DSP-block MAC array with a
 /// wide accumulator followed by a rounding stage): activations quantize
 /// once into int16 at a per-call dynamic precision (the finest grid that
-/// cannot saturate the observed range), the whole micro-batch lowers into
-/// one int16 column matrix, one packed integer GEMM accumulates into
-/// int32, and a single shift-based requantization (round half away from
-/// zero, the Fixed::operator* semantics) lands the output back on the
-/// Q(frac_bits) grid. Per-conv weight scales keep the int32 accumulators
-/// overflow-free. A conv (or a single call) whose weights or activation
-/// range cannot satisfy that envelope at the requested frac_bits falls
-/// back to the float carrier for that call — Q-grid float operands, one
-/// float GEMM, a post-GEMM elementwise requantize — counted by
-/// float_carrier_calls(). The quantized packed weights live on each conv
-/// (Conv2d::fixed_pack()), beside its float pack and under the same
-/// version rule, keyed also by frac_bits: serving steady state
+/// cannot saturate the observed range), one packed integer GEMM over the
+/// whole micro-batch accumulates into int32, and a single shift-based
+/// requantization (round half away from zero, the Fixed::operator*
+/// semantics) lands the output back on the Q(frac_bits) grid. A conv that
+/// core::gemm_implicit_lowering_ok accepts (stride-1 "same" on planes of
+/// whole 16-column tiles: every conv of the shipped models but the
+/// stride-2 downsampling ones) quantizes its input into channel-pair
+/// planes, two int16 channels per 32-bit word, and its GEMM gathers the
+/// lowering from them inside the panel fill against pair-major weights
+/// (core::gemm_i16_pairs_lowered); the others lower the int16 image into
+/// one column matrix (im2col_batched_i16 + gemm_i16_tiled_pa). Both give
+/// the same int32 accumulators bit for bit. Per-conv weight scales keep
+/// the int32 accumulators overflow-free. A conv (or a single call) whose
+/// weights or activation range cannot satisfy that envelope at the
+/// requested frac_bits falls back to the float carrier for that call —
+/// Q-grid float operands, one float GEMM, a post-GEMM elementwise
+/// requantize — counted by float_carrier_calls(). The quantized packed
+/// weights live on each conv (Conv2d::fixed_pack()), beside its float
+/// pack and under the same version rule, keyed also by frac_bits and the
+/// int16 k order (pair-major or natural): serving steady state
 /// requantizes + packs each layer once per hot-swap, and a replica's packs
 /// go with the replica. The executor keeps no per-layer state. ODE stages
 /// integrate with explicit Euler steps, mirroring the hardware solver,
@@ -106,9 +114,11 @@ class FixedStageExecutor final : public StageExecutor {
   /// One convolution through the int16 lowering, or its float-carrier
   /// fallback.
   core::Tensor fixed_conv(core::Conv2d& conv, const core::Tensor& x, float t);
-  /// The conv's fixed pack at this executor's frac_bits, rebuilt unless
-  /// the conv's weight version and frac_bits both match it.
-  const core::FixedPackedWeights& packed_weights(core::Conv2d& conv);
+  /// The conv's fixed pack at this executor's frac_bits, its int16 panels
+  /// pair-major for an implicit lowering of g, rebuilt unless the conv's
+  /// weight version, frac_bits and that k order all match it.
+  const core::FixedPackedWeights& packed_weights(
+      core::Conv2d& conv, const core::LoweringGeometry& g, bool pair_major);
 
   std::string name_;
   int frac_bits_;
@@ -116,7 +126,10 @@ class FixedStageExecutor final : public StageExecutor {
   std::uint64_t float_carrier_calls_ = 0;
   // Recycled integer scratch for the int16 conv path (the float path
   // draws from the conv's ScratchArena; these are the executor-owned
-  // int16/int32 twins, grown once to the high-water mark).
+  // int16/int32 twins, grown once to the high-water mark): the
+  // channel-pair planes of an implicit conv, the int16 image and column
+  // matrix of an explicit one, and the accumulators.
+  std::vector<core::I16Pair> pair_scratch_;
   std::vector<std::int16_t> i16_scratch_;
   std::vector<std::int32_t> acc_scratch_;
 };

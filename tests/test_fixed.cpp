@@ -1,6 +1,7 @@
 // Fixed-point arithmetic: the paper's 32-bit Q20 format plus the narrower
 // ablation formats, the sqrt/divide hardware units (against the bit-serial
-// algorithms they stand for), and tensor quantization.
+// algorithms they stand for), and tensor quantization (including the
+// int16 channel-pair planes of the implicit integer conv).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,10 +10,12 @@
 #include <utility>
 #include <vector>
 
+#include "core/gemm_kernels.hpp"
 #include "fixed/fixed_math.hpp"
 #include "fixed/fixed_tensor.hpp"
 #include "fixed/qformat.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace odenet::fixed;
 namespace ou = odenet::util;
@@ -367,4 +370,66 @@ TEST(FixedTensor, RequantizeI32RoundsHalfAwayFromZero) {
   requantize_i32(acc, dst, 8, 0, 4);
   EXPECT_EQ(dst[0], 24.0f / 16.0f);
   EXPECT_EQ(dst[7], 40.0f / 16.0f);
+}
+
+TEST(FixedTensor, QuantizeI16PairsMatchesQuantizeI16PerLane) {
+  // quantize_i16_pairs of an NCHW tensor against quantize_i16 of the same
+  // tensor, lane by lane: pair q of sample n holds channels 2q and 2q + 1,
+  // and an odd channel count leaves the last pair's hi lane 0. Specials
+  // (NaN, +-inf, values past the rails) sit in the data; plane lengths
+  // leave vector tails; the large shape takes the per-plane thread split
+  // on a 4-worker kernel pool, the small one the calling thread.
+  struct Shape {
+    int batch, channels;
+    std::size_t plane;
+  };
+  const Shape shapes[] = {{1, 1, 9}, {3, 5, 20}, {2, 4, 64}, {2, 7, 8200}};
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), 9.0f,
+                            -9.0f};
+  ou::Rng rng(47);
+  odenet::util::ThreadPool pool(4);
+  struct KernelPoolPin {
+    explicit KernelPoolPin(odenet::util::ThreadPool* p) {
+      odenet::core::set_kernel_pool(p);
+    }
+    ~KernelPoolPin() { odenet::core::set_kernel_pool(nullptr); }
+  } pin(&pool);
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE(testing::Message() << s.batch << " x " << s.channels
+                                    << " x " << s.plane);
+    std::vector<float> x(static_cast<std::size_t>(s.batch) * s.channels *
+                         s.plane);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = i % 97 < 5 ? specials[i % 97]
+                        : static_cast<float>(rng.normal(0.0, 3.0));
+    }
+    std::vector<std::int16_t> want(x.size());
+    quantize_i16(x.data(), want.data(), x.size(), 12);
+    const int pairs = (s.channels + 1) / 2;
+    std::vector<odenet::core::I16Pair> got(
+        static_cast<std::size_t>(s.batch) * pairs * s.plane,
+        odenet::core::I16Pair{7, 7});
+    quantize_i16_pairs(x.data(), s.batch, s.channels, s.plane, got.data(),
+                       12);
+    for (int n = 0; n < s.batch; ++n) {
+      for (int c = 0; c < 2 * pairs; ++c) {
+        for (std::size_t px = 0; px < s.plane; ++px) {
+          const odenet::core::I16Pair& p =
+              got[(static_cast<std::size_t>(n) * pairs + c / 2) * s.plane +
+                  px];
+          const std::int16_t lane = c % 2 == 0 ? p.lo : p.hi;
+          const std::int16_t expect =
+              c < s.channels
+                  ? want[(static_cast<std::size_t>(n) * s.channels + c) *
+                             s.plane +
+                         px]
+                  : std::int16_t{0};
+          ASSERT_EQ(lane, expect)
+              << "sample " << n << " channel " << c << " pixel " << px;
+        }
+      }
+    }
+  }
 }

@@ -20,7 +20,11 @@
 //    while the true sum fits int32;
 //  * the SIMD quantize kernels (qdq_f32, quant_f32_i16) against the
 //    scalar fallback bitwise, and against Fixed's round-half-away
-//    semantics including NaN/inf/-0.0 specials.
+//    semantics including NaN/inf/-0.0 specials; the pair quantize
+//    (quant_f32_i16_pair) against quant_f32_i16 lane by lane;
+//  * the implicit pair-plane GEMM (gemm_i16_pairs_lowered, pair-major
+//    weights) against im2col_batched_i16 + gemm_i16_tiled_pa with
+//    natural-order weights, bitwise, on every tier and 1/2/8 workers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -30,6 +34,7 @@
 #include <vector>
 
 #include "core/gemm_kernels.hpp"
+#include "core/im2col.hpp"
 #include "fixed/fixed_tensor.hpp"
 #include "kernel_tiers.hpp"
 #include "util/rng.hpp"
@@ -562,4 +567,159 @@ TEST(GemmInt16, MaxAbsKernelIsIsaBitwiseAndExact) {
   big[70001] = std::numeric_limits<float>::infinity();
   EXPECT_EQ(of::max_abs(big.data(), big.size()),
             std::numeric_limits<float>::infinity());
+}
+
+TEST(GemmInt16, PairLoweredMatchesExplicitBitwise) {
+  // gemm_i16_pairs_lowered with pair-major weights against the explicit
+  // composition it replaces for the fixed backend's stride-1 convs:
+  // im2col_batched_i16 + gemm_i16_tiled_pa with natural-order weights.
+  // Both sum the same products in another order, so the int32 C must
+  // memcmp-equal — on 4x4 (one tile wraps four rows) to 32x32 (a row
+  // spans two tiles) planes, odd and even channel counts (an odd last
+  // channel beside a zero lane), with and without a time plane, kernels
+  // 3 and 5, batches 1/3/8, every tier, 1/2/8 workers with the parallel
+  // threshold forced down. m = 12 runs a row pair and a lone row tile.
+  // Every padded lane of the planes holds the -32768 rail: the pair-major
+  // weights are zero there, so none of it may reach C.
+  constexpr int m = 12;
+  constexpr std::int16_t kRail = -32768;
+  ou::ThreadPool pool1(1), pool2(2), pool8(8);
+  ou::ThreadPool* pools[] = {&pool1, &pool2, &pool8};
+  ou::Rng rng(41);
+  for (int size : {4, 8, 16, 32}) {
+    for (int channels : {3, 4}) {
+      for (bool timed : {false, true}) {
+        for (int kernel : {3, 5}) {
+          LoweringGeometry g;
+          g.channels = channels + (timed ? 1 : 0);
+          g.height = g.width = size;
+          g.kernel = kernel;
+          g.pad = kernel / 2;
+          ASSERT_TRUE(gemm_implicit_lowering_ok(g, m));
+          const int k = static_cast<int>(g.col_rows());
+          const auto w = random_i16(m, k, 300, rng);
+          PackedGemmA16 natural, paired;
+          pack_gemm_a_i16(w.data(), m, k, natural);
+          pack_gemm_a_i16_pairs(w.data(), m, g, timed, paired);
+          const auto t16 = static_cast<std::int16_t>(
+              static_cast<int>(rng.uniform_int(601)) - 300);
+          const std::size_t plane = static_cast<std::size_t>(size) * size;
+          const int pairs = (channels + 1) / 2;
+          for (int batch : {1, 3, 8}) {
+            SCOPED_TRACE(testing::Message()
+                         << size << "x" << size << " channels=" << channels
+                         << " time=" << timed << " kernel=" << kernel
+                         << " batch=" << batch);
+            const int n = static_cast<int>(plane) * batch;
+            const auto x =
+                random_i16(batch * channels, static_cast<int>(plane), 300,
+                           rng);
+            const std::vector<std::int16_t> tplane(plane, t16);
+            std::vector<std::int16_t> cols(static_cast<std::size_t>(k) * n);
+            im2col_batched_i16(x.data(), g, batch, cols.data(),
+                               timed ? tplane.data() : nullptr);
+            std::vector<std::int32_t> want(static_cast<std::size_t>(m) * n);
+            gemm_i16_tiled_pa(natural, cols.data(), want.data(), n,
+                              /*accumulate=*/false, batch);
+
+            std::vector<I16Pair> xp(static_cast<std::size_t>(batch) * pairs *
+                                    plane);
+            for (int s = 0; s < batch; ++s) {
+              for (int q = 0; q < pairs; ++q) {
+                const std::int16_t* lo =
+                    x.data() + (static_cast<std::size_t>(s) * channels +
+                                2 * static_cast<std::size_t>(q)) *
+                                   plane;
+                const bool hi = 2 * q + 1 < channels;
+                I16Pair* dst = xp.data() + (static_cast<std::size_t>(s) *
+                                                pairs +
+                                            q) *
+                                               plane;
+                for (std::size_t px = 0; px < plane; ++px) {
+                  dst[px] = {lo[px], hi ? lo[plane + px] : kRail};
+                }
+              }
+            }
+            const std::vector<I16Pair> tp(plane, I16Pair{t16, kRail});
+            for (GemmIsa isa : usable_tiers()) {
+              IsaCap cap(isa);
+              for (ou::ThreadPool* pool : pools) {
+                PoolOverride ov(pool, 1);
+                std::vector<std::int32_t> got(want.size(), -5);
+                gemm_i16_pairs_lowered(paired, xp.data(), g, batch,
+                                       got.data(),
+                                       timed ? tp.data() : nullptr);
+                ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                         want.size() * sizeof(std::int32_t)))
+                    << gemm_isa_name() << ", " << pool->worker_count()
+                    << " workers";
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmInt16, PairQuantizeMatchesQuantF32I16PerLane) {
+  // quant_f32_i16_pair against quant_f32_i16 lane by lane, memcmp, on
+  // every tier: NaN, +-inf, +-huge, values at and one step past the
+  // +-int16 rails, -0.0 and round-half midpoints, at lengths that leave
+  // every tail the 8-wide vector body can, and with the hi lane absent
+  // (nullptr), where it must be 0.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  constexpr int kFrac = 12;  // rails at 32767 / 4096 and -32768 / 4096
+  std::vector<float> lo = {nan,
+                           inf,
+                           -inf,
+                           1e30f,
+                           -1e30f,
+                           32767.0f / 4096.0f,
+                           -32768.0f / 4096.0f,
+                           32768.0f / 4096.0f,
+                           -32769.0f / 4096.0f,
+                           -0.0f,
+                           1.5f / 4096.0f,
+                           -1.5f / 4096.0f};
+  ou::Rng rng(43);
+  while (lo.size() < 8 * 12 + 7) {
+    lo.push_back(static_cast<float>(rng.normal(0.0, 4.0)));
+  }
+  const std::vector<float> hi(lo.rbegin(), lo.rend());
+  for (GemmIsa isa : usable_tiers()) {
+    const GemmKernels& k = kernels_of(isa);
+    for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                          std::size_t{9}, std::size_t{15}, lo.size()}) {
+      SCOPED_TRACE(testing::Message() << k.isa << " n=" << n);
+      std::vector<std::int16_t> want_lo(n), want_hi(n);
+      k.quant_f32_i16(lo.data(), want_lo.data(), n, kFrac);
+      k.quant_f32_i16(hi.data(), want_hi.data(), n, kFrac);
+      std::vector<I16Pair> both(n, I16Pair{7, 7}), half(n, I16Pair{7, 7});
+      k.quant_f32_i16_pair(lo.data(), hi.data(), both.data(), n, kFrac);
+      k.quant_f32_i16_pair(lo.data(), nullptr, half.data(), n, kFrac);
+      std::vector<std::int16_t> got_lo(n), got_hi(n), half_lo(n),
+          half_hi(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        got_lo[i] = both[i].lo;
+        got_hi[i] = both[i].hi;
+        half_lo[i] = half[i].lo;
+        half_hi[i] = half[i].hi;
+      }
+      const std::size_t bytes = n * sizeof(std::int16_t);
+      EXPECT_EQ(0, std::memcmp(got_lo.data(), want_lo.data(), bytes));
+      EXPECT_EQ(0, std::memcmp(got_hi.data(), want_hi.data(), bytes));
+      EXPECT_EQ(0, std::memcmp(half_lo.data(), want_lo.data(), bytes));
+      EXPECT_EQ(half_hi, std::vector<std::int16_t>(n, 0));
+    }
+    // The specials' raws, through the pair kernel itself.
+    I16Pair q[9];
+    k.quant_f32_i16_pair(lo.data(), nullptr, q, 9, kFrac);
+    const std::int16_t want[9] = {0,     32767, -32768, 32767, -32768,
+                                  32767, -32768, 32767, -32768};
+    for (int i = 0; i < 9; ++i) {
+      EXPECT_EQ(q[i].lo, want[i]) << k.isa << " special " << i;
+    }
+  }
 }
